@@ -14,6 +14,7 @@ enumeration elsewhere.
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, sqrt
@@ -77,11 +78,8 @@ def gauss_periods(ctx: FieldContext, e: int) -> tuple[complex, ...]:
     """Additive-character sums over the e cyclotomic classes."""
     _check_order(ctx, e)
     zp = roots_of_unity(ctx.p)
-    counts = [[0] * ctx.p for _ in range(e)]
-    trace = ctx.trace_table
-    for k in range(ctx.order):
-        counts[k % e][trace[k]] += 1
-    return tuple(sum(c * zp[t] for t, c in enumerate(row) if c) for row in counts)
+    counts = [Counter(ctx.trace_table[r::e]) for r in range(e)]  # trace value -> count per class
+    return tuple(sum(c * zp[t] for t, c in sorted(row.items())) for row in counts)
 
 
 def gauss_period(ctx: FieldContext, e: int, i: int) -> complex:

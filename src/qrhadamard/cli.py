@@ -60,6 +60,8 @@ def _resolve_q_m(args, family: str) -> tuple[int, int]:
     else:
         q = args.q
         m = family_m(q, search_family)
+    if m < 1:
+        raise ValueError(f"the {family} family needs m >= 1, got m = {m}")
     prime_power(q)  # raises FieldError if not a prime power
     if form(m) != q:
         raise ValueError(f"q = {q} is not of the {family} family form")
@@ -79,9 +81,9 @@ def cmd_construct(args) -> int:
     family = args.family
     try:
         q, m = _resolve_q_m(args, family)
+        ext, base = quadratic_tower(q)
     except (ValueError, FieldError, CharError) as exc:
         return _fail(str(exc), EXIT_INPUT)
-    ext, base = quadratic_tower(q)
     search_family = _FAMILY_FORMS[family][0]
 
     partition = None
@@ -122,15 +124,15 @@ def cmd_construct(args) -> int:
     try:
         if family == "q3":
             base_matrix = hd.construct_q3(base)
-            signed, rep = hd.transform_biregular_q3(ext, params)
+            signed, rep = hd.transform_biregular_q3(ext, params, base_matrix)
             promise = "biregular"
         elif family == "q1":
             base_matrix = hd.construct_q1(base, "plain")
-            signed, rep = hd.transform_biregular_q1(ext, params)
+            signed, rep = hd.transform_biregular_q1(ext, params, base_matrix)
             promise = "biregular"
         else:
             base_matrix = hd.construct_q1(base, "negated2")
-            signed, rep = hd.transform_regular(ext, partition, params)
+            signed, rep = hd.transform_regular(ext, partition, params, base_matrix)
             promise = "regular"
     except (schemes.SchemeInvalid, schemes.ProfileMismatch, hd.HadamardError) as exc:
         return _fail(str(exc), EXIT_VERIFY)
@@ -158,7 +160,12 @@ def cmd_verify(args) -> int:
         return _fail(str(exc), EXIT_INPUT)
     except hd.ParseError as exc:
         return _fail(str(exc), EXIT_INPUT)
-    violation = hd.hadamard_violation(matrix)
+    # one orthogonality check: excess_and_bound runs it for n >= 4
+    try:
+        rep = hd.excess_and_bound(matrix) if matrix.n >= 4 else None
+        violation = hd.hadamard_violation(matrix) if rep is None else None
+    except hd.NotHadamard as exc:
+        violation = exc.rows
     if violation is not None:
         payload = {
             "n": matrix.n,
@@ -167,8 +174,7 @@ def cmd_verify(args) -> int:
         }
         print(json.dumps(payload, sort_keys=True))
         return EXIT_VERIFY
-    if matrix.n >= 4:
-        rep = hd.excess_and_bound(matrix)
+    if rep is not None:
         payload = hd.report_json(rep)
     else:
         hist: dict[str, int] = {}
@@ -193,9 +199,9 @@ def cmd_search_params(args) -> int:
         forms = {"e8": "q3", "e4": "q1", "scheme": "regular"}
         ns = argparse.Namespace(q=None, m=m)
         q, m = _resolve_q_m(ns, forms[family])
+        ext, base = quadratic_tower(q)
     except (ValueError, FieldError, CharError) as exc:
         return _fail(str(exc), EXIT_INPUT)
-    ext, base = quadratic_tower(q)
     partition = None
     tau = None
     if family == "scheme":
@@ -234,9 +240,9 @@ def cmd_scheme(args) -> int:
         try:
             ns = argparse.Namespace(q=args.q, m=args.m)
             q, m = _resolve_q_m(ns, "regular")
+            ext, _ = quadratic_tower(q)
         except (ValueError, FieldError, CharError) as exc:
             return _fail(str(exc), EXIT_INPUT)
-        ext, _ = quadratic_tower(q)
         e = args.e or 4 * m * m
         try:
             results = schemes.scheme_search(ext, e, budget=args.budget)

@@ -1,14 +1,29 @@
 """Exact table-driven arithmetic in small finite fields GF(p^f).
 
-A FieldContext carries full exp/log tables for a canonical representation:
-the modulus is the lexicographically least monic irreducible polynomial of
-degree f over GF(p) (coefficients listed constant term first), and the
-primitive element omega is the one with the lexicographically least
-coefficient vector among elements of multiplicative order q-1.  Nonzero
-field elements are plain ints, namely their discrete log to base omega;
-the zero element is the sentinel ZERO.  Fixing both choices makes every
-downstream cyclotomic class, point set and matrix labeling reproducible
-bit for bit.
+The representation is canonical: the modulus is the lexicographically least
+monic irreducible polynomial of degree f over GF(p) (coefficients listed
+constant term first), and the primitive element omega is the one with the
+lexicographically least coefficient vector among elements of multiplicative
+order q-1.  Nonzero field elements are plain ints, namely their discrete log
+to base omega; the zero element is the sentinel ZERO.  Fixing both choices
+makes every downstream cyclotomic class, point set and matrix labeling
+reproducible bit for bit.
+
+Arithmetic runs on three flat ``array('i')`` tables (Zech logarithms, see
+K. Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory 36,
+1990):
+
+- ``zech_table[k] = log(1 + omega^k)``, so ``add(a, b) = a + Z[(b - a) mod (q-1)]``;
+- ``trace_table[k] = Tr(omega^k)``, an int in [0, p);
+- ``log_table[w]``, the log of the element whose trace window is ``w``.
+
+The trace window of x is ``sum_j Tr(x omega^j) p^j`` over j < f.  The trace
+form is nondegenerate, so x -> window is a GF(p)-linear bijection of GF(q)
+onto [0, q) and field addition is digit-wise addition mod p of windows.
+Tr(omega^k) obeys the linear recurrence of omega's minimal polynomial, so
+one pass over k fills the log and trace tables.  The Zech table is one
+gather through the log table for k <= (q-1)/2 and follows from
+Z[-k] = Z[k] - k for the rest.
 
 Contexts are immutable after construction and all operations are pure.
 """
@@ -16,12 +31,22 @@ Contexts are immutable after construction and all operations are pure.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from math import gcd
+from operator import add, mod
 
-ZERO = -1                 # rep of the zero element; logs are >= 0
-MAX_FIELD_SIZE = 1 << 24  # full-table construction beyond this is refused
+ZERO = -1  # rep of the zero element; logs are >= 0
+
+# Peak table memory per field element while a context is built: the log,
+# Zech and trace tables, 4 bytes each, plus at most 4 bytes of transient
+# lookup tables (p and p^(f-1) entries, so at most q entries).  Fields whose
+# tables would exceed the budget are refused before anything is factored or
+# allocated.
+TABLE_BYTES_PER_ELEMENT = 16
+TABLE_BUDGET_BYTES = 256 << 20
+MAX_FIELD_SIZE = TABLE_BUDGET_BYTES // TABLE_BYTES_PER_ELEMENT  # 2^24
 
 
 class FieldError(ValueError):
@@ -61,7 +86,8 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over GF(p); coefficient lists, constant first
+# dense polynomial arithmetic over GF(p); coefficient lists, constant first.
+# Only the modulus, primitive-element and minimal-polynomial setup uses it.
 
 def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
@@ -129,6 +155,36 @@ def _sub_poly(a: list[int], b: list[int], p: int) -> list[int]:
     return _trim([(x - y) % p for x, y in zip(a, b)])
 
 
+def _trace_poly(a: list[int], mod: tuple[int, ...], p: int) -> int:
+    """Tr(a) = a + a^p + ... + a^(p^(f-1)); it must land in GF(p)."""
+    f = len(mod) - 1
+    acc = [0] * f
+    for _ in range(f):
+        for j, c in enumerate(a):
+            acc[j] = (acc[j] + c) % p
+        a = _powmod(a, p, mod, p)
+    if any(acc[1:]):
+        raise AssertionError("trace landed outside the prime field")
+    return acc[0]
+
+
+def _solve_mod_p(columns: list[list[int]], rhs: list[int], p: int) -> list[int]:
+    """x with sum_j x[j] columns[j] = rhs over GF(p); the columns form a basis."""
+    f = len(columns)
+    cols = [list(c) + [0] * (f - len(c)) for c in [*columns, rhs]]
+    rows = [[c[i] for c in cols] for i in range(f)]
+    for c in range(f):
+        piv = next(r for r in range(c, f) if rows[r][c])
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        rows[c] = [v * inv % p for v in rows[c]]
+        for r in range(f):
+            if r != c and rows[r][c]:
+                k = rows[r][c]
+                rows[r] = [(a - k * b) % p for a, b in zip(rows[r], rows[c])]
+    return [row[f] for row in rows]
+
+
 def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     """Rabin test for a monic polynomial over GF(p), constant term first."""
     f = len(coeffs) - 1
@@ -158,6 +214,14 @@ def _least_irreducible(p: int, f: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found; invariant breach")
 
 
+def _digit_form(coeffs, p: int) -> array:
+    """t[v] = sum_j coeffs[j] v_j mod p over the base-p digits v_j of v < p^len(coeffs)."""
+    t = array("i", [0])
+    for c in coeffs:
+        t = array("i", ((s + c * d) % p for d in range(p) for s in t))
+    return t
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Prime p, degree f and the canonical modulus (constant term first)."""
@@ -172,7 +236,7 @@ class FieldSpec:
 
 
 class FieldContext:
-    """GF(p^f) with exp/log tables, absolute traces and a subfield link.
+    """GF(p^f) with log, Zech and trace tables and a subfield link.
 
     Elements are ints: a log index in [0, q-1) or ZERO.  When f is even the
     context also holds GF(p^(f/2)) together with the canonical embedding of
@@ -203,33 +267,55 @@ class FieldContext:
             self._nu = nu
 
     def _build_tables(self) -> None:
-        p, f, n = self.p, self.f, self.order
-        mod = self.spec.modulus
-        omega = self._find_primitive(mod)
-        exp_table = []
-        cur = [1]
-        for _ in range(n):
-            exp_table.append(tuple(cur) + (0,) * (f - len(cur)))
-            cur = _mulmod(cur, omega, mod, p)
-        if tuple(cur) + (0,) * (f - len(cur)) != exp_table[0]:
-            raise AssertionError("primitive element order mismatch")
-        self.exp_table = tuple(exp_table)
-        self.log_table = {v: i for i, v in enumerate(exp_table)}
-        if len(self.log_table) != n:
-            raise AssertionError("exp table has repeats; omega not primitive")
-        # absolute traces Tr_{q/p}(omega^k) as ints in [0, p)
-        pmults = [pow(p, i, n) if n > 1 else 0 for i in range(f)]
-        trace = []
+        p, f, q, n = self.p, self.f, self.q, self.order
+        mod_poly = self.spec.modulus
+        omega = self._find_primitive(mod_poly)
+        powers = [[1]]
+        for _ in range(f):
+            powers.append(_mulmod(powers[-1], omega, mod_poly, p))
+        # omega^f = sum_j rec[j] omega^j, hence Tr(x omega^f) = sum_j rec[j] Tr(x omega^j)
+        rec = _solve_mod_p(powers[:f], powers[f], p)
+        one_digits = [_trace_poly(powers[j], mod_poly, p) for j in range(f)]
+        self._one_digits = one_digits
+        one_window = sum(d * p**j for j, d in enumerate(one_digits))
+        # window(x omega) = window(x) // p + p^(f-1) Tr(x omega^f).  With
+        # hi = window(x) // p and t = Tr(x), step_hi[hi] + step_lo[t] is that
+        # window plus q exactly when the two parts of Tr(x omega^f) reach p,
+        # so "% q" finishes the step.
+        top = p ** (f - 1)
+        step_lo = array("i", (top * v for v in _digit_form(rec[:1], p)))
+        step_hi = array("i", (hi + top * v for hi, v in enumerate(_digit_form(rec[1:], p))))
+        log = array("i", [ZERO]) * q
+        trace = array("i", [0]) * n
+        w = one_window
         for k in range(n):
-            acc = [0] * f
-            for m in pmults:
-                v = exp_table[(k * m) % n]
-                for j in range(f):
-                    acc[j] = (acc[j] + v[j]) % p
-            if any(acc[1:]):
-                raise AssertionError("trace landed outside the prime field")
-            trace.append(acc[0])
-        self.trace_table = tuple(trace)
+            if log[w] != ZERO:
+                raise AssertionError("omega repeats an element; it is not primitive")
+            log[w] = k
+            hi = w // p
+            t = w % p
+            trace[k] = t
+            w = (step_hi[hi] + step_lo[t]) % q
+        if w != one_window or log[0] != ZERO:
+            raise AssertionError("primitive element order mismatch")
+        del step_lo, step_hi
+        # Gather Z[k] for k <= n/2 through the log table: digit j of
+        # window(1 + omega^k) is (Tr(omega^j) + Tr(omega^(k+j))) mod p.
+        gathered = n // 2 + 1
+        digits = [
+            map(
+                array("i", ((v + d) % p * p**j for v in range(p))).__getitem__,
+                itertools.islice(itertools.chain(trace, trace[:j]), j, j + gathered),
+            )
+            for j, d in enumerate(one_digits)
+        ]
+        zech = array("i", map(log.__getitem__, reduce(partial(map, add), digits)))
+        # 1 + omega^-k = omega^-k (1 + omega^k), so Z[k] = Z[n-k] + k for the
+        # rest; Z is ZERO only at k = n/2 (p odd) or k = 0 (p = 2), both gathered
+        zech.extend(map(mod, map(add, zech[n - gathered:0:-1], range(gathered, n)), itertools.repeat(n)))
+        self.zech_table = zech
+        self.trace_table = trace
+        self.log_table = log
 
     def _find_primitive(self, mod: tuple[int, ...]) -> list[int]:
         p, f, n = self.p, self.f, self.order
@@ -256,10 +342,8 @@ class FieldContext:
             return b
         if b == ZERO:
             return a
-        p = self.p
-        va, vb = self.exp_table[a], self.exp_table[b]
-        vec = tuple((x + y) % p for x, y in zip(va, vb))
-        return self.log_table.get(vec, ZERO)
+        z = self.zech_table[(b - a) % self.order]
+        return ZERO if z == ZERO else (a + z) % self.order
 
     def neg(self, a: int) -> int:
         if a == ZERO or self.p == 2:
@@ -291,24 +375,13 @@ class FieldContext:
 
     # -- representation helpers ---------------------------------------------
 
-    def vector(self, a: int) -> tuple[int, ...]:
-        if a == ZERO:
-            return (0,) * self.f
-        return self.exp_table[a]
-
-    def from_vector(self, vec) -> int:
-        vec = tuple(c % self.p for c in vec)
-        if len(vec) != self.f:
-            raise FieldError("coefficient vector has wrong length")
-        if not any(vec):
-            return ZERO
-        return self.log_table[vec]
-
     def from_int(self, c: int) -> int:
+        """The prime-field element c mod p; its window is c times the window of 1."""
         c %= self.p
         if c == 0:
             return ZERO
-        return self.log_table[(c,) + (0,) * (self.f - 1)]
+        p = self.p
+        return self.log_table[sum(c * d % p * p**j for j, d in enumerate(self._one_digits))]
 
     def elements(self):
         """All field elements, canonical order [0, omega^0, omega^1, ...]."""
@@ -366,10 +439,15 @@ def build_field(p: int, f: int = 1) -> FieldContext:
     """Deterministic GF(p^f): lex-least modulus, lex-least primitive element."""
     if f < 1:
         raise FieldError("extension degree must be >= 1")
+    if p < 2:
+        raise NotPrime(f"{p} is not prime")
+    if f >= MAX_FIELD_SIZE.bit_length() or p**f > MAX_FIELD_SIZE:
+        raise TooLarge(
+            f"GF({p}^{f}) exceeds the cap of {MAX_FIELD_SIZE} elements "
+            f"({TABLE_BYTES_PER_ELEMENT} B of tables per element, {TABLE_BUDGET_BYTES >> 20} MiB budget)"
+        )
     if not _isprime(p):
         raise NotPrime(f"{p} is not prime")
-    if p**f > MAX_FIELD_SIZE:
-        raise TooLarge(f"{p}^{f} exceeds the table size cap 2^24")
     return FieldContext(FieldSpec(p, f, _least_irreducible(p, f)))
 
 
@@ -386,13 +464,10 @@ def minimal_polynomial(ctx: FieldContext, a: int) -> tuple[int, ...]:
         poly = [ctx.mul(nc, poly[0])] + [
             ctx.add(poly[i - 1], ctx.mul(nc, poly[i])) for i in range(1, len(poly))
         ] + [poly[-1]]
-    out = []
-    for coeff in poly:
-        vec = ctx.vector(coeff)
-        if any(vec[1:]):
-            raise AssertionError("minimal polynomial coefficient not in GF(p)")
-        out.append(vec[0])
-    return tuple(out)
+    prime_field = {ctx.from_int(c): c for c in range(ctx.p)}
+    if any(coeff not in prime_field for coeff in poly):
+        raise AssertionError("minimal polynomial coefficient not in GF(p)")
+    return tuple(prime_field[coeff] for coeff in poly)
 
 
 @lru_cache(maxsize=None)

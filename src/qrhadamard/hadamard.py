@@ -22,7 +22,11 @@ class HadamardError(ValueError):
 
 
 class NotHadamard(HadamardError):
-    pass
+    """Carries the first row pair (i, j) with nonzero dot product."""
+
+    def __init__(self, rows: tuple[int, int]):
+        super().__init__(f"rows {rows[0]} and {rows[1]} are not orthogonal")
+        self.rows = rows
 
 
 class LengthMismatch(HadamardError):
@@ -39,6 +43,10 @@ class ParamSearchFailed(HadamardError):
 
 class ParseError(HadamardError):
     pass
+
+
+_TO_TEXT = str.maketrans("01", "+-")
+_FROM_TEXT = str.maketrans("+-", "01")
 
 
 class SignMatrix:
@@ -77,9 +85,9 @@ class SignMatrix:
         return SignMatrix(n, cols, self.labels)
 
     def to_text(self) -> str:
+        spec = f"0{self.n}b"  # bit j is character j, so the binary text is reversed
         lines = [str(self.n)]
-        for r in self.rows:
-            lines.append("".join("-" if (r >> j) & 1 else "+" for j in range(self.n)))
+        lines.extend(format(r, spec)[::-1].translate(_TO_TEXT) for r in self.rows)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -96,9 +104,10 @@ class SignMatrix:
         rows = []
         for ln in lines[1:]:
             ln = ln.strip()
+            # checked before int(), which would also accept "_" and whitespace
             if len(ln) != n or set(ln) - {"+", "-"}:
                 raise ParseError("rows must be n characters from {+,-}")
-            rows.append(sum(1 << j for j, ch in enumerate(ln) if ch == "-"))
+            rows.append(int(ln.translate(_FROM_TEXT)[::-1], 2))
         return cls(n, rows)
 
     def __eq__(self, other) -> bool:
@@ -164,7 +173,7 @@ def excess_and_bound(h: SignMatrix) -> ExcessReport:
     """Excess, bound parameters and row-sum classification; exact integers."""
     bad = hadamard_violation(h)
     if bad is not None:
-        raise NotHadamard(f"rows {bad[0]} and {bad[1]} are not orthogonal")
+        raise NotHadamard(bad)
     n = h.n
     k, t, s, bound, bound_alt = bound_params(n)
     hist: dict[int, int] = {}
@@ -219,17 +228,9 @@ def construct_q3(ctx: FieldContext) -> SignMatrix:
     q = 3 mod 4; rows/cols after the first follow the canonical field order."""
     if ctx.q % 4 != 3:
         raise isets.WrongResidue(f"q = {ctx.q} is not 3 mod 4")
-    q = ctx.q
-    n = q + 1
-    elems = list(ctx.elements())
-    nonsquares = [k for k in ctx.nonzero() if k % 2]
-    rows = [1]  # first row: -1 then all ones
-    for x in elems:
-        mask = 0
-        for d in nonsquares:
-            mask |= 1 << (1 + ctx.canonical_index(ctx.add(x, d)))
-        rows.append(mask)
-    return SignMatrix(n, rows, ["corner"] + elems)
+    # first row: -1 then all ones; row x has -1 at the points x + (nonsquares)
+    rows = [1] + [m << 1 for m in isets.class_translates(ctx, 1)]
+    return SignMatrix(ctx.q + 1, rows, ["corner"] + list(ctx.elements()))
 
 
 def construct_q1(ctx: FieldContext, variant: str = "plain") -> SignMatrix:
@@ -242,29 +243,16 @@ def construct_q1(ctx: FieldContext, variant: str = "plain") -> SignMatrix:
     q = ctx.q
     n = 2 * q + 2
     elems = list(ctx.elements())
-    pos = {x: ctx.canonical_index(x) for x in elems}
-    # sign-mask rows of M1 = M+I, M2 = M-I, M3 = -M1 (bit set = entry -1)
-    m1 = [0] * q
-    m2 = [0] * q
-    m3 = [0] * q
+    # sign-mask rows of M1 = M+I, M2 = M-I, M3 = -M1 (bit set = entry -1),
+    # indexed like elems; row x of M1 is -1 at the points x + (nonsquares)
     full = (1 << q) - 1
-    nonsquares = [k for k in ctx.nonzero() if k % 2]
-    for x in elems:
-        px = pos[x]
-        neg = 0
-        for d in nonsquares:
-            neg |= 1 << pos[ctx.add(x, d)]
-        m1[px] = neg
-        m2[px] = neg | (1 << px)
-        m3[px] = full ^ neg
+    m1 = isets.class_translates(ctx, 1)
+    m2 = [m | (1 << px) for px, m in enumerate(m1)]
+    m3 = [full ^ m for m in m1]
     rows = [1 << 1]  # (1, -1, 1_q, 1_q)
     rows.append(0b11 | (full << (2 + q)))  # (-1, -1, 1_q, -1_q)
-    for x in elems:
-        px = pos[x]
-        rows.append((m1[px] << 2) | (m2[px] << (2 + q)))
-    for x in elems:
-        px = pos[x]
-        rows.append((1 << 1) | (m2[px] << 2) | (m3[px] << (2 + q)))
+    rows.extend((a << 2) | (b << (2 + q)) for a, b in zip(m1, m2))
+    rows.extend((1 << 1) | (b << 2) | (c << (2 + q)) for b, c in zip(m2, m3))
     labels = ["corner0", "corner1"] + [(0, x) for x in elems] + [(1, x) for x in elems]
     h = SignMatrix(n, rows, labels)
     if variant == "negated2":
@@ -304,9 +292,11 @@ def _require_family(ext: FieldContext, family: str) -> int:
         raise NotPrimePower(str(exc)) from exc
 
 
-def transform_biregular_q3(ext: FieldContext, params: isets.ParamChoice | None = None):
-    """Biregular maximum-excess signing of the order q+1 matrix,
-    q = 4m^2+4m+3; row sums land in {2m-2, 2m+2}."""
+def transform_biregular_q3(
+    ext: FieldContext, params: isets.ParamChoice | None = None, h: SignMatrix | None = None
+):
+    """Biregular maximum-excess signing of the order q+1 matrix h (built by
+    construct_q3 when not given), q = 4m^2+4m+3; row sums land in {2m-2, 2m+2}."""
     m = _require_family(ext, "e8")
     base = ext.subfield
     if params is None:
@@ -321,7 +311,8 @@ def transform_biregular_q3(ext: FieldContext, params: isets.ParamChoice | None =
     allowed = {m * m + 1, m * m + 2, m * m + m + 1, m * m + m + 2}
     if len(members) != 2 * m * m + m + 2 or not set(profile.profile_values()) <= allowed:
         raise HadamardError("intersection set violates its promised profile")
-    h = construct_q3(base)
+    if h is None:
+        h = construct_q3(base)
     n = h.n
     col_signs = [1] * n
     for x in members:
@@ -333,9 +324,12 @@ def transform_biregular_q3(ext: FieldContext, params: isets.ParamChoice | None =
     return signed, excess_and_bound(signed)
 
 
-def transform_biregular_q1(ext: FieldContext, params: isets.ParamChoice | None = None):
-    """Biregular maximum-excess signing of the order 2q+2 matrix,
-    q = 2m^2+2m+1; row sums {2m-2, 2m+2} for odd m, {2m, 2m+4} for even m."""
+def transform_biregular_q1(
+    ext: FieldContext, params: isets.ParamChoice | None = None, h: SignMatrix | None = None
+):
+    """Biregular maximum-excess signing of the order 2q+2 matrix h (built by
+    construct_q1 when not given), q = 2m^2+2m+1; row sums {2m-2, 2m+2} for
+    odd m, {2m, 2m+4} for even m."""
     m = _require_family(ext, "e4")
     base = ext.subfield
     q = base.q
@@ -369,7 +363,8 @@ def transform_biregular_q1(ext: FieldContext, params: isets.ParamChoice | None =
         raise HadamardError("first design profile violates its promise")
     if not set(prof2.profile_values()) <= set(betas):
         raise HadamardError("second design profile violates its promise")
-    h = construct_q1(base, "plain")
+    if h is None:
+        h = construct_q1(base, "plain")
     n = h.n
     col_signs = [1] * n
     for x in d0:
@@ -385,8 +380,11 @@ def transform_biregular_q1(ext: FieldContext, params: isets.ParamChoice | None =
     return signed, excess_and_bound(signed)
 
 
-def transform_regular(ext: FieldContext, partition, params: isets.ParamChoice | None = None):
-    """Regular maximum-excess signing of the order 4m^2 matrix via a verified
+def transform_regular(
+    ext: FieldContext, partition, params: isets.ParamChoice | None = None, h: SignMatrix | None = None
+):
+    """Regular maximum-excess signing of the order 4m^2 matrix h (built by
+    construct_q1 with variant 'negated2' when not given) via a verified
     four-class partition of GF(q^2), q = 2m^2-1 with m odd."""
     m = _require_family(ext, "scheme")
     base = ext.subfield
@@ -405,7 +403,8 @@ def transform_regular(ext: FieldContext, partition, params: isets.ParamChoice | 
     profile = isets.intersection_profile(members, design)
     if not set(profile.profile_values()) <= {m * m - m, m * m}:
         raise HadamardError("two-intersection profile violates its promise")
-    h = construct_q1(base, "negated2")
+    if h is None:
+        h = construct_q1(base, "negated2")
     n = h.n
     col_signs = [1] * n
     for pt in members:

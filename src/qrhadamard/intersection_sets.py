@@ -100,25 +100,41 @@ class ParamChoice:
     tau: int | None = None
 
 
-def _squares(ctx: FieldContext) -> list[int]:
-    return [k for k in ctx.nonzero() if k % 2 == 0]
+@lru_cache(maxsize=None)
+def class_translates(ctx: FieldContext, parity: int) -> tuple[int, ...]:
+    """Masks of x + C_parity over canonical point indices, one per x in
+    canonical order; C_0 are the nonzero squares and C_1 the nonsquares of
+    GF(q), q odd.
 
-
-def _nonsquares(ctx: FieldContext) -> list[int]:
-    return [k for k in ctx.nonzero() if k % 2]
+    For x = omega^i, x + omega^j = omega^(i + Z(j - i)) with the Zech log
+    Z(k) = log(1 + omega^k), and j - i runs over the logs of parity
+    (parity + i) mod 2.  So the mask of x is the cyclic rotation by i of one
+    of two parity masks, plus the bit of 0 where Z(j - i) is ZERO.
+    """
+    n = ctx.order
+    full = (1 << n) - 1
+    masks, zero_bit = [0, 0], [0, 0]
+    for j in ctx.nonzero():
+        z = ctx.add(ctx.one, j)
+        if z == ZERO:
+            zero_bit[j % 2] = 1
+        else:
+            masks[j % 2] |= 1 << z
+    rows = [sum(1 << (1 + j) for j in range(parity, n, 2))]  # x = 0: the class itself
+    for i in range(n):
+        r = (parity + i) % 2
+        m = masks[r]
+        rows.append(((m << i | m >> (n - i)) & full) << 1 | zero_bit[r])
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
 def _translate_masks(ctx: FieldContext, with_zero: bool) -> tuple[int, ...]:
     """Masks of (C_0 (+ {0})) + s over canonical point indices, one per s."""
-    blockbase = _squares(ctx) + ([ZERO] if with_zero else [])
-    masks = []
-    for s in ctx.elements():
-        mask = 0
-        for c in blockbase:
-            mask |= 1 << ctx.canonical_index(ctx.add(c, s))
-        masks.append(mask)
-    return tuple(masks)
+    rows = class_translates(ctx, 0)
+    if not with_zero:
+        return rows
+    return tuple(m | 1 << k for k, m in enumerate(rows))
 
 
 def paley_design(ctx: FieldContext) -> BlockDesign:
@@ -139,8 +155,7 @@ def paired_designs(ctx: FieldContext) -> tuple[BlockDesign, BlockDesign]:
     q = ctx.q
     cz = _translate_masks(ctx, True)
     c = _translate_masks(ctx, False)
-    full = (1 << q) - 1
-    ns = [full & ~m & ~(1 << ctx.canonical_index(s)) for m, s in zip(c, elems)]
+    ns = class_translates(ctx, 1)
     blocks1 = [czm | (cm << q) for czm, cm in zip(cz, c)]
     blocks2 = [cm | (nm << q) for cm, nm in zip(c, ns)]
     return (BlockDesign(pts, blocks1, elems), BlockDesign(pts, blocks2, elems))
@@ -156,8 +171,8 @@ def doubled_symmetric_design(ctx: FieldContext) -> BlockDesign:
     pts = ["star"] + [(0, x) for x in elems] + [(1, x) for x in elems]
     cz = _translate_masks(ctx, True)
     c = _translate_masks(ctx, False)
+    ns = class_translates(ctx, 1)
     full = (1 << q) - 1
-    ns = [full & ~m & ~(1 << ctx.canonical_index(s)) for m, s in zip(c, elems)]
     star_block = full << (1 + q)
     blocks = [star_block]
     for czm, cm in zip(cz, c):
@@ -380,4 +395,5 @@ def theorem_e8_branches(ext: FieldContext, params: ParamChoice) -> bool:
 
 
 def clear_caches() -> None:
+    class_translates.cache_clear()
     _translate_masks.cache_clear()

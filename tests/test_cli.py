@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 from qrhadamard import association_schemes as schemes
+from qrhadamard import hadamard as hd
 from qrhadamard.cli import main
 
 SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
@@ -67,6 +68,35 @@ def test_construct_input_errors(tmp_path):
     assert main(["construct", "--family", "regular", "--m", "3", "--out", str(tmp_path)]) == 2
     assert main(["construct", "--family", "q3", "--m", "1", "--ell", "12", "--out", str(tmp_path)]) == 2
     assert main(["construct", "--family", "q3", "--m", "1", "--h", "1", "--out", str(tmp_path)]) == 2
+
+
+def test_construct_rejects_small_m_and_oversized_fields(tmp_path, capsys):
+    for argv in (["--m", "0"], ["--m", "-1"], ["--q", "3"], ["--m", "40"]):
+        capsys.readouterr()
+        assert main(["construct", "--family", "q3", *argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert main(["search-params", "--family", "e8", "--m", "40"]) == 2
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_construct_builds_base_matrix_once(tmp_path, monkeypatch):
+    calls = []
+    real = hd.construct_q3
+    monkeypatch.setattr(hd, "construct_q3", lambda ctx: calls.append(ctx.q) or real(ctx))
+    assert main(["construct", "--family", "q3", "--m", "1", "--out", str(tmp_path)]) == 0
+    assert calls == [11]
+
+
+def test_verify_checks_orthogonality_once(tmp_path, monkeypatch, capsys):
+    assert main(["construct", "--family", "q3", "--m", "1", "--out", str(tmp_path)]) == 0
+    calls = []
+    real = hd.hadamard_violation
+    monkeypatch.setattr(hd, "hadamard_violation", lambda h: calls.append(h.n) or real(h))
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "q3_q11_transformed.mat")]) == 0
+    assert calls == [12]
+    assert json.loads(capsys.readouterr().out)["excess"] == 36
 
 
 def test_construct_with_explicit_admissible_ell(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,45 @@ from qrhadamard.finite_field import (
 )
 
 
+class NaiveField:
+    """Oracle: GF(p^f) as coefficient tuples (constant first) reduced by the
+    modulus, with omega the lex-least element of order q-1 by brute force."""
+
+    def __init__(self, p, modulus):
+        self.p, self.f, self.modulus = p, len(modulus) - 1, modulus
+        one = (1,) + (0,) * (self.f - 1)
+        for omega in itertools.product(range(p), repeat=self.f):
+            exp, x = [one], omega
+            while any(x) and x != one:
+                exp.append(x)
+                x = self.mul(x, omega)
+            if len(exp) == p**self.f - 1:
+                break
+        self.exp = exp
+        self.log = {v: k for k, v in enumerate(exp)}
+        self.log[(0,) * self.f] = ZERO
+
+    def mul(self, a, b):
+        f, prod = self.f, [0] * (2 * self.f - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for i in range(2 * f - 2, f - 1, -1):
+            for j in range(f):
+                prod[i - f + j] -= prod[i] * self.modulus[j]
+        return tuple(c % self.p for c in prod[:f])
+
+    def vec(self, x):
+        return (0,) * self.f if x == ZERO else self.exp[x]
+
+    def combine(self, terms):
+        """Log of sum(c * vec(x)) over the (c, x) pairs in terms."""
+        acc = [0] * self.f
+        for c, x in terms:
+            acc = [(a + c * v) % self.p for a, v in zip(acc, self.vec(x))]
+        return self.log[tuple(acc)]
+
+
 def brute_force_least_primitive_root(p):
     """Oracle: least integer of multiplicative order p-1 mod p."""
     for g in range(1, p):
@@ -33,14 +74,14 @@ def brute_force_least_primitive_root(p):
 def test_gf11_least_primitive_is_two():
     ctx = build_field(11)
     assert ctx.q == 11
-    assert ctx.exp_table[1] == (2,)
+    assert ctx.from_int(2) == 1  # omega = 2
     assert brute_force_least_primitive_root(11) == 2
 
 
 def test_gf2_trivial_unit():
     ctx = build_field(2)
     assert ctx.order == 1
-    assert ctx.exp_table[0] == (1,)
+    assert ctx.from_int(1) == ctx.one
     assert ctx.add(ctx.one, ctx.one) == ZERO
 
 
@@ -65,15 +106,18 @@ def square_repeatedly(vec, modulus, p, times):
 def test_gf289_primitive_order():
     ctx = build_field(17, 2)
     assert ctx.q == 289
-    assert len(set(ctx.exp_table)) == 288
+    assert sorted(ctx.log_table) == [ZERO] + list(range(288))
     # omega^(2^k) by independent repeated squaring: omega^256 * omega^32 = 1
-    omega = ctx.exp_table[1]
+    oracle = NaiveField(17, ctx.spec.modulus)
+    omega = oracle.exp[1]
     v256 = square_repeatedly(omega, ctx.spec.modulus, 17, 8)
     v32 = square_repeatedly(omega, ctx.spec.modulus, 17, 5)
-    assert v256 == ctx.exp_table[256]
-    assert ctx.mul(ctx.log_table[v256], ctx.log_table[v32]) == ctx.one
-    # omega^144 != 1: order is exactly 288
-    assert ctx.exp_table[144] != ctx.exp_table[0]
+    assert oracle.log[v256] == 256 and oracle.log[v32] == 32
+    assert ctx.mul(256, 32) == ctx.one
+    assert ctx.add(256, 32) == oracle.combine([(1, 256), (1, 32)])
+    # omega^144 = -1 != 1: order is exactly 288
+    assert square_repeatedly(omega, ctx.spec.modulus, 17, 4) == oracle.exp[16]
+    assert ctx.add(144, ctx.one) == ZERO
 
 
 def test_build_field_errors():
@@ -81,6 +125,10 @@ def test_build_field_errors():
         build_field(6)
     with pytest.raises(TooLarge):
         build_field(2, 25)
+    with pytest.raises(TooLarge):
+        build_field(4099, 2)  # 4099^2 > 2^24, refused before any table exists
+    with pytest.raises(TooLarge):
+        build_field(2, 10**9)
     with pytest.raises(FieldError):
         build_field(5, 0)
 
@@ -175,10 +223,40 @@ def test_rel_trace_linearity(tower25):
 def test_exp_table_covers_nonzero_elements():
     for p, f in [(11, 1), (3, 3), (5, 2)]:
         ctx = build_field(p, f)
-        assert len(set(ctx.exp_table)) == ctx.order
-        assert ctx.exp_table[0] == (1,) + (0,) * (f - 1)
-        for i, vec in enumerate(ctx.exp_table):
-            assert ctx.log_table[vec] == i
+        # omega^0 .. omega^(q-2) fill every trace window but the zero element's
+        assert sorted(ctx.log_table) == [ZERO] + list(range(ctx.order))
+        assert ctx.from_int(1) == ctx.one
+        assert len(ctx.zech_table) == len(ctx.trace_table) == ctx.order
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 4), (3, 3), (3, 6), (5, 2), (7, 4), (29, 2)])
+def test_field_core_against_naive_polynomial_oracle(p, f):
+    ctx = build_field(p, f)
+    oracle = NaiveField(p, ctx.spec.modulus)
+    n = ctx.order
+    for a in ctx.elements():
+        for b in [ZERO, a] + counter_indices(8, n, salt=a % 7):
+            assert ctx.add(a, b) == oracle.combine([(1, a), (1, b)])
+            assert ctx.sub(a, b) == oracle.combine([(1, a), (-1, b)])
+        assert ctx.neg(a) == oracle.combine([(-1, a)])
+    for k in range(n):
+        tr = [sum(col) % p for col in zip(*(oracle.exp[k * p**i % n] for i in range(f)))]
+        assert tr[1:] == [0] * (f - 1) and ctx.trace_table[k] == tr[0]
+    for c in range(p):
+        assert ctx.from_int(c) == oracle.log[(c,) + (0,) * (f - 1)]
+    if f % 2:
+        return
+    base = ctx.subfield
+    sub_oracle = NaiveField(p, base.spec.modulus)
+    d = f // 2
+    # embed is GF(p)-linear: x = sum c_j X^j maps to sum c_j embed(X^j)
+    basis = [ctx.embed(sub_oracle.log[tuple(int(i == j) for i in range(d))]) for j in range(d)]
+    for x in base.elements():
+        terms = list(zip(sub_oracle.vec(x), basis))
+        assert ctx.embed(x) == oracle.combine(terms)
+        assert ctx.project(ctx.embed(x)) == x
+    with pytest.raises(FieldError):
+        ctx.project(1)
 
 
 def test_irreducibility_oracle():

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
-from qrhadamard.finite_field import build_field, quadratic_tower
+from qrhadamard.finite_field import ZERO, build_field, field_for, quadratic_tower
 
 
 def from_entries(entries):
@@ -38,12 +38,54 @@ def test_construct_q3_entries_against_integer_oracle():
     assert h.entry(0, 0) == -1
     assert all(h.entry(i, 0) == 1 for i in range(1, 8))
     squares_with_zero = {0, 1, 2, 4}
-    val = {x: ctx.vector(x)[0] for x in ctx.elements()}
+    val = {ctx.from_int(c): c for c in range(ctx.q)}
     for x in ctx.elements():
         for y in ctx.elements():
             i, j = 1 + ctx.canonical_index(x), 1 + ctx.canonical_index(y)
             want = 1 if (val[y] - val[x]) % 7 in squares_with_zero else -1
             assert h.entry(i, j) == want
+
+
+def per_element_translates(ctx, cls):
+    """Oracle: mask of x + cls over canonical indices, per x, by ctx.add."""
+    return [sum(1 << ctx.canonical_index(ctx.add(x, c)) for c in cls) for x in ctx.elements()]
+
+
+@pytest.mark.parametrize("q", [3, 7, 11, 19, 27, 5, 9, 13, 25, 49])
+def test_rotated_masks_match_per_element_addition(q):
+    ctx = field_for(q)
+    squares = [k for k in ctx.nonzero() if k % 2 == 0]
+    ns = per_element_translates(ctx, [k for k in ctx.nonzero() if k % 2])
+    assert list(isets.class_translates(ctx, 1)) == ns
+    assert list(isets._translate_masks(ctx, False)) == per_element_translates(ctx, squares)
+    assert list(isets._translate_masks(ctx, True)) == per_element_translates(ctx, squares + [ZERO])
+    if q % 4 == 3:
+        assert hd.construct_q3(ctx).rows == [1] + [m << 1 for m in ns]
+        return
+    # M1 = M+I, M2 = M-I, M3 = -M1 as sign masks, laid out as in construct_q1
+    full = (1 << q) - 1
+    m2 = [m | 1 << k for k, m in enumerate(ns)]
+    rows = [1 << 1, 0b11 | full << (2 + q)]
+    rows += [a << 2 | b << (2 + q) for a, b in zip(ns, m2)]
+    rows += [1 << 1 | b << 2 | (full ^ a) << (2 + q) for a, b in zip(ns, m2)]
+    assert hd.construct_q1(ctx).rows == rows
+
+
+def test_text_round_trip_and_strict_parse():
+    h = hd.construct_q1(build_field(13))
+    text = h.to_text()
+    assert text.splitlines()[1] == "".join("-" if h.entry(0, j) == -1 else "+" for j in range(h.n))
+    assert hd.SignMatrix.from_text(text) == h
+    # int() alone would accept "_" and inner whitespace
+    for bad in ("3\n+_-\n+++\n+++\n", "3\n+ -\n+++\n+++\n"):
+        with pytest.raises(hd.ParseError):
+            hd.SignMatrix.from_text(bad)
+
+
+def test_not_hadamard_carries_rows():
+    with pytest.raises(hd.NotHadamard) as info:
+        hd.excess_and_bound(from_entries([[1] * 4] * 4))
+    assert info.value.rows == (0, 1)
 
 
 def test_construct_q3_smallest_case():

@@ -49,9 +49,9 @@ def test_paired_designs_incidence_oracle():
     assert all(blk.bit_count() == q for blk in d1.blocks)
     assert all(blk.bit_count() == q - 1 for blk in d2.blocks)
     # entry-wise against an integer-arithmetic oracle, using the canonical
-    # labeling field element <-> residue via the vector representation
+    # labeling field element <-> residue via from_int
     m = quad_residue_matrix(q)
-    val = {x: ctx.vector(x)[0] for x in ctx.elements()}
+    val = {ctx.from_int(c): c for c in range(ctx.q)}
     for x in ctx.elements():
         for y in ctx.elements():
             i, j = val[x], val[y]
