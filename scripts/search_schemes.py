@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Enumerate four-class partitions for q = 2m^2-1 at a chosen class modulus.
 
-Best-effort search over assignments respecting the shift symmetry; partitions
-that survive the eigenvalue table and full intersection-number verification
-are printed in the scheme file format.
+Enumerates one assignment respecting the shift symmetry per rotation orbit;
+the orbits of those that pass the eigenvalue table are expanded, and members
+that pass full intersection-number verification are printed in the scheme
+file format.  BUDGET caps the assignments enumerated and is checked first.
 
 Usage: search_schemes.py M [E] [BUDGET]
 """

@@ -12,7 +12,10 @@ reported partitions are reproducible.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
+from operator import add
 
 from . import character_sums as cs
 from . import intersection_sets as isets
@@ -175,101 +178,116 @@ def table1_values(m: int, g: float) -> list[list[float]]:
 
 def _dual_residues(part: SchemePartition, q: int, tau: int) -> list[tuple[int, ...]]:
     """Residue lists of Y_i = w^(-m^2 tau) X_i^q for i = 1..4."""
-    e, m = part.e, part.m
-    return [
-        tuple(sorted({(j * q - m * m * tau) % e for j in hs}))
-        for hs in part.h_lists
-    ]
+    dual = _dual_map(q, part.m, part.e, tau)
+    return [tuple(sorted({dual[j] for j in hs})) for hs in part.h_lists]
 
 
-def _eigen_row_values(part: SchemePartition, periods, residue: int) -> list[complex]:
-    """psi(a X_c) for a in the class of the given residue, c = 0..4."""
-    e = part.e
-    row: list[complex] = [1 + 0j]
-    for hs in part.h_lists:
-        row.append(sum(periods[(j + residue) % e] for j in hs))
-    return row
+def _dual_map(q: int, m: int, e: int, tau: int) -> tuple[int, ...]:
+    """dual[j] = j q - m^2 tau mod e: where Y_i = w^(-m^2 tau) X_i^q puts residue j of X_i."""
+    return tuple((j * q - m * m * tau) % e for j in range(e))
+
+
+def _table1_inputs(ext: FieldContext, e: int, m: int):
+    """(rows, table 1) for the class modulus e, with rows[r][j] the Gauss
+    period of class j + r: psi(a X_c) is the sum of rows[r][j] over j in H_c
+    for every a in the class of residue r."""
+    periods = cs.gauss_periods(ext, e)
+    rows = [periods[r:] + periods[:r] for r in range(e)]
+    g_eta = cs.gauss_sum(ext.subfield, 2, 1)
+    if abs(g_eta.imag) > TOL:
+        raise AssertionError("quadratic Gauss sum is not real at q = 1 mod 4")
+    return rows, table1_values(m, g_eta.real)
+
+
+def _table1_miss(h_lists, rows, expected, dual):
+    """(i, c, got, want) of the first cell of the dual rows Y_1..Y_4 that
+    misses table 1, or None.  psi(a X_c) depends on a only through its
+    residue mod e and every residue of every Y_i is checked, so a None is
+    exhaustive over GF(q^2)*.  Column 0 is 1 by definition."""
+    for i, hs in enumerate(h_lists, start=1):
+        want = expected[i]
+        for r in sorted({dual[j] for j in hs}):
+            row = rows[r]
+            for c, hc in enumerate(h_lists, start=1):
+                got = sum(map(row.__getitem__, hc))
+                if abs(got - want[c]) > TOL:
+                    return i, c, got, want[c]
+    return None
+
+
+def _class_sizes(ext: FieldContext, part: SchemePartition) -> tuple[int, ...]:
+    valency = ext.order // part.e
+    return (1,) + tuple(len(hs) * valency for hs in part.h_lists)
 
 
 def eigenmatrix_vs_table1(ext: FieldContext, part: SchemePartition):
     """(table1_match, matching taus, eigen rows).
 
-    For each tau, every a in each dual class Y_i is covered: psi(a X_c)
-    depends on a only through its class index mod e, and all residues of
-    Y_i are checked, so the constancy test is exhaustive over GF(q^2)*.
+    Row Y_i of the eigen rows is psi(a X_c) for a in the least residue of
+    Y_i; a tau matches when the class sizes and every residue of every Y_i
+    give table 1's cells (see _table1_miss).
     """
     _check_form(ext, part)
-    base = ext.subfield
-    q, e, m = part.q, part.e, part.m
-    periods = cs.gauss_periods(ext, e)
-    g_eta = cs.gauss_sum(base, 2, 1)
-    if abs(g_eta.imag) > TOL:
-        raise AssertionError("quadratic Gauss sum is not real at q = 1 mod 4")
-    expected = table1_values(m, g_eta.real)
-    valency = ext.order // e
-    class_sizes = (1,) + tuple(len(hs) * valency for hs in part.h_lists)
-    matches = []
-    eigen_by_tau = {}
-    for tau in (1, -1):
-        ylists = _dual_residues(part, q, tau)
-        eigen = [[1 + 0j] + [complex(sz) for sz in class_sizes[1:]]]
-        ok = all(
-            abs(eigen[0][c] - expected[0][c]) < TOL for c in range(5)
+    q, m, e = part.q, part.m, part.e
+    rows, expected = _table1_inputs(ext, e, m)
+    sizes = _class_sizes(ext, part)
+    taus: tuple[int, ...] = ()
+    if all(abs(sizes[c] - expected[0][c]) < TOL for c in range(5)):
+        taus = tuple(
+            tau for tau in (1, -1)
+            if _table1_miss(part.h_lists, rows, expected, _dual_map(q, m, e, tau)) is None
         )
-        for i, ylist in enumerate(ylists, start=1):
-            if not ylist:  # empty class: no eigenvalue row to match
-                ok = False
-                eigen.append([0j] * 5)
-                continue
-            rows = [_eigen_row_values(part, periods, r) for r in ylist]
-            first = rows[0]
-            for other in rows[1:]:
-                if any(abs(a - b) > TOL for a, b in zip(first, other)):
-                    ok = False
-            if any(abs(first[c] - expected[i][c]) > TOL for c in range(5)):
-                ok = False
-            eigen.append(first)
-        eigen_by_tau[tau] = tuple(tuple(row) for row in eigen)
-        if ok:
-            matches.append(tau)
-    taus = tuple(matches)
-    eigen_rows = eigen_by_tau[taus[0]] if taus else eigen_by_tau[1]
-    return bool(taus), taus, eigen_rows
+    eigen = [[complex(sz) for sz in sizes]]
+    for ylist in _dual_residues(part, q, taus[0] if taus else 1):
+        if not ylist:  # empty class: no eigenvalue row
+            eigen.append([0j] * 5)
+            continue
+        row = rows[ylist[0]]
+        eigen.append([1 + 0j] + [sum(map(row.__getitem__, hc)) for hc in part.h_lists])
+    return bool(taus), taus, tuple(tuple(row) for row in eigen)
 
 
 def first_table1_failure(ext: FieldContext, part: SchemePartition, tau: int):
     """(row, col, got, expected) of the first failing eigenvalue cell for tau,
     or None when every cell matches."""
     _check_form(ext, part)
-    base = ext.subfield
-    periods = cs.gauss_periods(ext, part.e)
-    expected = table1_values(part.m, cs.gauss_sum(base, 2, 1).real)
-    valency = ext.order // part.e
-    sizes = [1] + [len(hs) * valency for hs in part.h_lists]
+    rows, expected = _table1_inputs(ext, part.e, part.m)
+    sizes = _class_sizes(ext, part)
     for c in range(5):
         if abs(sizes[c] - expected[0][c]) > TOL:
             return (0, c, complex(sizes[c]), expected[0][c])
-    for i, ylist in enumerate(_dual_residues(part, part.q, tau), start=1):
-        for r in ylist:
-            row = _eigen_row_values(part, periods, r)
-            for c in range(5):
-                if abs(row[c] - expected[i][c]) > TOL:
-                    return (i, c, row[c], expected[i][c])
-    return None
+    return _table1_miss(part.h_lists, rows, expected, _dual_map(part.q, part.m, part.e, tau))
 
 
 def _convolution_counts(ext: FieldContext, cls, e: int, w: int) -> list[list[int]]:
-    """counts[i][j] = #{(u, v) in X_i x X_j : u + v = w}."""
+    """counts[i][j] = #{(u, v) in X_i x X_j : u + v = w}, X_0 = {0}.
+
+    For u = omega^i and w != 0, v = w - u = omega^(w + Z[(i + half - w) mod n])
+    with Z the Zech table, so one rotation of Z gives every v; the class
+    pairs of all (u, v) are gathered at C level and counted at once.
+    """
+    n, half = ext.order, ext.half
     counts = [[0] * 5 for _ in range(5)]
-    cu = 0  # class of u = ZERO
-    for u in ext.elements():
-        if u != ZERO:
-            cu = cls[u % e]
-        else:
-            cu = 0
-        v = ext.sub(w, u)
-        cv = 0 if v == ZERO else cls[v % e]
-        counts[cu][cv] += 1
+    if w == ZERO:  # v = -u
+        counts[0][0] = 1
+        for r in range(e):
+            counts[cls[r]][cls[(r + half) % e]] += n // e
+        return counts
+    k = (half - w) % n
+    zech = ext.zech_table
+    cls_w = cls[w % e:] + cls[:w % e]
+    # tiled[z] = class of omega^(w + z); index -1 (Z = ZERO) reads omega^(w-1)
+    tiled = cls_w * (n // e)
+    cv = map(tiled.__getitem__, zech[k:] + zech[:k])
+    cu5 = tuple(5 * c for c in cls) * (n // e)
+    for key, count in Counter(map(add, cu5, cv)).items():  # key = 5 cu + cv
+        counts[key // 5][key % 5] += count
+    # u = w: Z = ZERO was read as the class of omega^(w-1), but there v = 0;
+    # u = 0 is not a power of omega, and there v = w
+    cw = cls[w % e]
+    counts[cw][cls_w[ZERO % e]] -= 1
+    counts[cw][0] += 1
+    counts[0][cw] += 1
     return counts
 
 
@@ -283,8 +301,7 @@ def verify_scheme(ext: FieldContext, part: SchemePartition, exhaustive: bool = F
     structure_ok = verify_structure(ext, part)
     cls = part.residue_class()
     e, n = part.e, ext.order
-    valency = n // e
-    class_sizes = (1,) + tuple(len(hs) * valency for hs in part.h_lists)
+    class_sizes = _class_sizes(ext, part)
     symmetric = all(cls[(r + ext.half) % n % e] == cls[r % e] for r in range(e))
     tensor: list[list[list[int]]] | None = [[[0] * 5 for _ in range(5)] for _ in range(5)]
     is_scheme = structure_ok and symmetric
@@ -370,9 +387,51 @@ def two_intersection_from_scheme(ext: FieldContext, part: SchemePartition, param
     return d0, d1
 
 
+# class of residue r + e/2 given the class of r (the shift pairs X_1/X_3 and X_2/X_4)
+_PAIRED = (0, 3, 4, 1, 2)
+
+
+def _orbit_representatives(e: int, size1: int):
+    """Class vectors (the class 1..4 of each residue mod e) of the shape-valid
+    assignments with 0 in H_1 that are lexicographically least among their
+    rotations.  The least rotation of a vector starts at an H_1 residue, so
+    only those rotations are compared; each rotation orbit yields one vector."""
+    half = e // 2
+    for pairs in itertools.combinations(range(1, half), size1 - 1):
+        choices = [(1, 3) if r in pairs else (2, 4) for r in range(1, half)]
+        for rest in itertools.product(*choices):
+            head = (1,) + rest
+            cls = head + tuple(map(_PAIRED.__getitem__, head))
+            doubled = cls + cls
+            if all(cls <= doubled[j:j + e] for j in range(1, e) if cls[j] == 1):
+                yield cls
+
+
+def _class_lists(cls) -> tuple[list[int], ...]:
+    lists: tuple[list[int], ...] = ([], [], [], [])
+    for j, c in enumerate(cls):
+        lists[c - 1].append(j)
+    return lists
+
+
 def scheme_search(ext: FieldContext, e: int, budget: int = DEFAULT_SEARCH_BUDGET) -> list[SchemePartition]:
-    """Best-effort enumeration of partitions satisfying the shift symmetry,
-    filtered through the eigenvalue table and then full verification."""
+    """Every partition of GF(q^2)* into four unions of e-th cyclotomic classes
+    with the shift symmetry X_3 = w^(2m^2) X_1, X_4 = w^(2m^2) X_2 that is a
+    scheme matching table 1, sorted by index lists.
+
+    Multiplying by w^k maps C_j to C_(j+k).  It is an automorphism of
+    (GF(q^2), +), so it keeps the shape, the intersection numbers and the
+    eigen rows (R'(r) = R(r + k), with tau flipped for odd k), and the set of
+    partitions found is closed under rotation.  So only one class vector per
+    rotation orbit is enumerated (see _orbit_representatives) and put through
+    the table-1 filter; each survivor's orbit is expanded, and every member
+    passes verify_scheme, table-1 check included, on its own before it is
+    reported.
+
+    The budget caps the number of class vectors enumerated: the shape-valid
+    ones with 0 in H_1, C(e/2 - 1, |H_1| - 1) * 2^(e/2 - 1) of them.  A
+    search over budget raises BudgetExceeded before any work.
+    """
     if ext.subfield is None:
         raise BadForm("search needs the quadratic tower")
     q = ext.subfield.q
@@ -381,57 +440,26 @@ def scheme_search(ext: FieldContext, e: int, budget: int = DEFAULT_SEARCH_BUDGET
         raise BadForm("m must be odd")
     if e < 4 or e % 2 or ext.order % e or (4 * m * m) % e:
         raise BadForm(f"e = {e} must be even and divide both 4m^2 and q^2-1")
-    shift = (2 * m * m) % e
-    if shift != e // 2:
+    if (2 * m * m) % e != e // 2:
         return []  # the shift collapses; condition (1) cannot hold disjointly
-    half = e // 2
-    size1_num = e * (m - 1)
-    if size1_num % (4 * m):
+    if e * (m - 1) % (4 * m):
         return []
-    size1 = size1_num // (4 * m)
-    periods = cs.gauss_periods(ext, e)
-    g_eta = cs.gauss_sum(ext.subfield, 2, 1).real
-    expected = table1_values(m, g_eta)
+    size1 = e * (m - 1) // (4 * m)
+    count = math.comb(e // 2 - 1, size1 - 1) * 2 ** (e // 2 - 1)
+    if count > budget:
+        raise BudgetExceeded(f"search needs {count} candidates, over the budget of {budget}")
+    rows, expected = _table1_inputs(ext, e, m)
+    duals = [_dual_map(q, m, e, tau) for tau in (1, -1)]
+    members = set()
+    for cls in _orbit_representatives(e, size1):
+        h_lists = _class_lists(cls)
+        if any(_table1_miss(h_lists, rows, expected, dual) is None for dual in duals):
+            doubled = cls + cls
+            members.update(doubled[k:k + e] for k in range(e))
     found = []
-    examined = 0
-    for assign in itertools.product(range(4), repeat=half):
-        examined += 1
-        if examined > budget:
-            raise BudgetExceeded(f"search budget {budget} exhausted")
-        if sum(1 for a in assign if a < 2) != size1:
-            continue
-        lists: list[list[int]] = [[], [], [], []]
-        for r, a in enumerate(assign):
-            if a == 0:
-                lists[0].append(r)
-                lists[2].append(r + half)
-            elif a == 1:
-                lists[2].append(r)
-                lists[0].append(r + half)
-            elif a == 2:
-                lists[1].append(r)
-                lists[3].append(r + half)
-            else:
-                lists[3].append(r)
-                lists[1].append(r + half)
-        part = normalized_partition(q, m, e, lists)
-        ok_tau = None
-        for tau in (1, -1):
-            ok = True
-            for i, ylist in enumerate(_dual_residues(part, q, tau), start=1):
-                for r in ylist:
-                    row = _eigen_row_values(part, periods, r)
-                    if any(abs(row[c] - expected[i][c]) > TOL for c in range(5)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                ok_tau = tau
-                break
-        if ok_tau is None:
-            continue
-        report = verify_scheme(ext, part)
+    for cls in members:
+        part = normalized_partition(q, m, e, _class_lists(cls))
+        report = verify_scheme(ext, part)  # includes the table-1 check, for both taus
         if report.is_scheme and report.table1_match:
             found.append(part)
     return sorted(found, key=lambda p: p.h_lists)

@@ -192,6 +192,8 @@ def cmd_verify(args) -> int:
 
 def cmd_search_params(args) -> int:
     family = args.family
+    if args.limit is not None and args.limit < 0:
+        return _fail(f"--limit must be >= 0 (0 lists every row), got {args.limit}", EXIT_INPUT)
     try:
         m = family_m(args.q, family) if args.q is not None else args.m
         if m is None:
@@ -237,13 +239,15 @@ def cmd_search_params(args) -> int:
 
 def cmd_scheme(args) -> int:
     if args.search:
+        if args.budget < 0:
+            return _fail(f"--budget must be >= 0, got {args.budget}", EXIT_INPUT)
         try:
             ns = argparse.Namespace(q=args.q, m=args.m)
             q, m = _resolve_q_m(ns, "regular")
             ext, _ = quadratic_tower(q)
         except (ValueError, FieldError, CharError) as exc:
             return _fail(str(exc), EXIT_INPUT)
-        e = args.e or 4 * m * m
+        e = 4 * m * m if args.e is None else args.e
         try:
             results = schemes.scheme_search(ext, e, budget=args.budget)
         except schemes.BudgetExceeded as exc:

@@ -1,12 +1,16 @@
+import itertools
+from pathlib import Path
+
 import pytest
 
 from conftest import counter_indices
 from qrhadamard import association_schemes as schemes
 from qrhadamard import character_sums as cs
 from qrhadamard import intersection_sets as isets
-from qrhadamard.finite_field import quadratic_tower
+from qrhadamard.finite_field import ZERO, quadratic_tower
 
 TOL = 1e-6
+SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +214,136 @@ def test_search_budget_zero(m3):
     ext, _ = m3
     with pytest.raises(schemes.BudgetExceeded):
         schemes.scheme_search(ext, 12, budget=0)
+
+
+def _assignments(e, size1):
+    """Every shape-valid assignment of the seed search: a in 0..3 per residue
+    r < e/2 puts (r, r + e/2) into (H_1, H_3), (H_3, H_1), (H_2, H_4) or (H_4, H_2),
+    with |H_1| = size1 (e(m-1)/(4m) in a search)."""
+    half = e // 2
+    for assign in itertools.product(range(4), repeat=half):
+        if sum(1 for a in assign if a < 2) == size1:
+            yield assign
+
+
+def _assignment_lists(assign, half):
+    lists = [[], [], [], []]
+    for r, a in enumerate(assign):
+        lo, hi = ((0, 2), (2, 0), (1, 3), (3, 1))[a]
+        lists[lo].append(r)
+        lists[hi].append(r + half)
+    return lists
+
+
+def _rotated(part, k):
+    return schemes.normalized_partition(
+        part.q, part.m, part.e, [[(j + k) % part.e for j in hs] for hs in part.h_lists]
+    )
+
+
+def test_search_matches_brute_force_oracle(m3):
+    # the seed's search: all 4^(e/2) assignments, no orbit reduction
+    ext, _ = m3
+    e = 12
+    want = []
+    for assign in _assignments(e, 2):
+        part = schemes.normalized_partition(17, 3, e, _assignment_lists(assign, e // 2))
+        if schemes.eigenmatrix_vs_table1(ext, part)[0]:
+            report = schemes.verify_scheme(ext, part)
+            if report.is_scheme and report.table1_match:
+                want.append(part)
+    assert len(want) == 12
+    assert schemes.scheme_search(ext, e) == sorted(want, key=lambda p: p.h_lists)
+
+
+def test_search_m5_returns_the_rotations_of_the_shipped_scheme(m5):
+    ext, _ = m5
+    shipped = schemes.parse_partition((SCHEMES_DIR / "m5.scheme").read_text())
+    rotations = {_rotated(shipped, k) for k in range(20)}
+    assert len(rotations) == 20
+    results = schemes.scheme_search(ext, 20)  # 43008 candidates fit the default budget
+    assert len(results) == 20 and set(results) == rotations
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_every_rotation_verifies_with_alternating_tau(m, m3, m5):
+    ext, _ = m3 if m == 3 else m5
+    shipped = schemes.parse_partition((SCHEMES_DIR / f"m{m}.scheme").read_text())
+    tau0 = schemes.verify_scheme(ext, shipped).tau
+    for k in range(shipped.e):
+        report = schemes.verify_scheme(ext, _rotated(shipped, k))
+        assert report.is_scheme and report.table1_match
+        assert report.tau_candidates == (tau0 * (-1) ** k,)
+
+
+@pytest.mark.parametrize("size1", [2, 3])  # at |H_1| = 3 some vectors have period 4
+def test_orbit_representatives_one_per_rotation_orbit(size1):
+    e, half = 12, 6
+    shapes = set()
+    for assign in _assignments(e, size1):
+        cls = [0] * e
+        for i, hs in enumerate(_assignment_lists(assign, half), start=1):
+            for j in hs:
+                cls[j] = i
+        shapes.add(tuple(cls))
+    orbits = [{rep[k:] + rep[:k] for k in range(e)} for rep in schemes._orbit_representatives(e, size1)]
+    assert sum(map(len, orbits)) == len(shapes)  # the orbits are disjoint ...
+    assert set().union(*orbits) == shapes  # ... and cover every shape-valid vector
+
+
+def test_search_budget_boundary(m3):
+    ext, _ = m3
+    # the budget counts the seed's assignments with 0 in H_1
+    count = sum(1 for assign in _assignments(12, 2) if assign[0] == 0)
+    assert count == 160
+    assert len(schemes.scheme_search(ext, 12, budget=count)) == 12
+    with pytest.raises(schemes.BudgetExceeded, match=f"{count}.*{count - 1}"):
+        schemes.scheme_search(ext, 12, budget=count - 1)
+
+
+def test_convolution_counts_against_element_sweep(m3):
+    ext, part = m3
+    # e = 32 does not divide (q^2-1)/2, so -u can change class
+    arbitrary = tuple(1 + (k * k // 3) % 4 for k in range(32))
+    for cls in (part.residue_class(), arbitrary):
+        e = len(cls)
+        for w in [ZERO] + list(range(0, ext.order, 7)):
+            want = [[0] * 5 for _ in range(5)]
+            for u in ext.elements():
+                v = ext.sub(w, u)
+                want[0 if u == ZERO else cls[u % e]][0 if v == ZERO else cls[v % e]] += 1
+            assert schemes._convolution_counts(ext, cls, e, w) == want
+
+
+def _table1_misses(ext, part, tau):
+    """Cells of table 1 missed by brute-force character sums, in (row, least
+    residue first, column) order."""
+    e, q, m = part.e, part.q, part.m
+    periods = [sum(cs.additive_char(ext, x) for x in range(r, ext.order, e)) for r in range(e)]
+    expected = schemes.table1_values(m, cs.gauss_sum(ext.subfield, 2, 1).real)
+    for i, hs in enumerate(part.h_lists, start=1):
+        for r in sorted({(j * q - m * m * tau) % e for j in hs}):
+            for c, hc in enumerate(part.h_lists, start=1):
+                got = sum(periods[(j + r) % e] for j in hc)
+                if abs(got - expected[i][c]) > TOL:
+                    yield i, c, got, expected[i][c]
+
+
+def test_first_table1_failure_checks_every_residue(m3):
+    ext, _ = m3
+    checked = 0
+    for assign in _assignments(12, 2):
+        if assign[0]:
+            continue
+        part = schemes.normalized_partition(17, 3, 12, _assignment_lists(assign, 6))
+        for tau in (1, -1):
+            want = next(_table1_misses(ext, part, tau), None)
+            got = schemes.first_table1_failure(ext, part, tau)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[:2] == want[:2] and abs(got[2] - want[2]) < TOL and got[3] == want[3]
+            checked += 1
+    assert checked == 320
 
 
 def test_search_coarser_modulus_runs(m3):

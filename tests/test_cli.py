@@ -218,6 +218,20 @@ def test_scheme_search_cli(capsys):
     assert main(["scheme", "--search", "--m", "3", "--e", "12", "--budget", "0"]) == 3
 
 
+def test_scheme_search_input_contract(capsys):
+    assert main(["scheme", "--search", "--m", "3", "--e", "0"]) == 2
+    assert main(["scheme", "--search", "--m", "3", "--e", "12", "--budget", "-5"]) == 2
+    assert "--budget" in capsys.readouterr().err
+    # e = 4m^2 = 36 needs 811073536 candidates: refused before any work
+    assert main(["scheme", "--search", "--m", "3"]) == 3
+    assert "811073536" in capsys.readouterr().err
+
+
+def test_search_params_negative_limit(capsys):
+    assert main(["search-params", "--family", "e8", "--q", "11", "--limit", "-1"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_module_entry_point(tmp_path):
     import subprocess
     import sys
