@@ -61,10 +61,6 @@ def mult_char_exponent(ctx: FieldContext, e: int, x: int) -> int:
     return x % e
 
 
-def mult_char(ctx: FieldContext, e: int, x: int) -> complex:
-    return roots_of_unity(e)[mult_char_exponent(ctx, e, x)]
-
-
 def char_value(ctx: FieldContext, e: int, j: int, x: int) -> complex:
     """chi_e^j(x), extended to 0 by 1 for the trivial character and 0 otherwise."""
     _check_order(ctx, e)

@@ -73,16 +73,22 @@ class ZeroHasNoLog(FieldError):
     pass
 
 
-def _isprime(n: int) -> bool:
-    from sympy import isprime
+def _factor(n: int) -> dict[int, int]:
+    """{prime: exponent} of n by trial division, primes ascending; {} for n <= 1.
 
-    return bool(isprime(n))
-
-
-def _prime_factors(n: int) -> list[int]:
-    from sympy import factorint
-
-    return sorted(factorint(n))
+    Exact for every n; quick for the n <= MAX_FIELD_SIZE that callers pass
+    (at most ~2,048 divisions, since d only runs while d^2 <= n).
+    """
+    fac: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            fac[d] = fac.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        fac[n] = 1
+    return fac
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +204,7 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     t = _powmod(x, p**f, coeffs, p)
     if _sub_poly(t, x, p):
         return False
-    for r in _prime_factors(f):
+    for r in _factor(f):
         t = _powmod(x, p ** (f // r), coeffs, p)
         g = _poly_gcd(_sub_poly(t, x, p), list(coeffs), p)
         if len(g) - 1 != 0:
@@ -319,7 +325,7 @@ class FieldContext:
 
     def _find_primitive(self, mod: tuple[int, ...]) -> list[int]:
         p, f, n = self.p, self.f, self.order
-        checks = [n // r for r in _prime_factors(n)] if n > 1 else []
+        checks = [n // r for r in _factor(n)]
         for vec in itertools.product(range(p), repeat=f):
             if not any(vec):
                 continue
@@ -446,7 +452,7 @@ def build_field(p: int, f: int = 1) -> FieldContext:
             f"GF({p}^{f}) exceeds the cap of {MAX_FIELD_SIZE} elements "
             f"({TABLE_BYTES_PER_ELEMENT} B of tables per element, {TABLE_BUDGET_BYTES >> 20} MiB budget)"
         )
-    if not _isprime(p):
+    if _factor(p) != {p: 1}:
         raise NotPrime(f"{p} is not prime")
     return FieldContext(FieldSpec(p, f, _least_irreducible(p, f)))
 
@@ -496,10 +502,13 @@ def embedding_data(ext: FieldContext, base: FieldContext) -> tuple[int, int, int
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Split q = p^f; raises FieldError if q is not a prime power."""
-    from sympy import factorint
+    """Split q = p^f; raises FieldError if q is not a prime power.
 
-    fac = factorint(q)
+    q above MAX_FIELD_SIZE is refused with TooLarge before any factoring.
+    """
+    if q > MAX_FIELD_SIZE:
+        raise TooLarge(f"{q} exceeds the cap of {MAX_FIELD_SIZE} field elements")
+    fac = _factor(q)  # {} for q <= 1
     if len(fac) != 1:
         raise FieldError(f"{q} is not a prime power")
     ((p, f),) = fac.items()

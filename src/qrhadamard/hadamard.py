@@ -164,10 +164,6 @@ class ExcessReport:
     classification: str
     bound_alt: int  # the other t-branch; equal to bound on all target orders
 
-    @property
-    def attains_bound(self) -> bool:
-        return self.excess == self.bound
-
 
 def excess_and_bound(h: SignMatrix) -> ExcessReport:
     """Excess, bound parameters and row-sum classification; exact integers."""

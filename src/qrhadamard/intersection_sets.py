@@ -62,10 +62,6 @@ class BlockDesign:
             mask |= 1 << self.point_index[p]
         return mask
 
-    def incidence(self) -> list[list[int]]:
-        """points x blocks 0/1 matrix; column i is block i's bit-vector."""
-        return [[(blk >> i) & 1 for blk in self.blocks] for i in range(self.v)]
-
     def replication(self, point) -> int:
         i = self.point_index[point]
         return sum((blk >> i) & 1 for blk in self.blocks)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from qrhadamard import association_schemes as schemes
+from qrhadamard import finite_field
 from qrhadamard import hadamard as hd
 from qrhadamard.cli import main
 
@@ -78,6 +82,40 @@ def test_construct_rejects_small_m_and_oversized_fields(tmp_path, capsys):
     assert main(["search-params", "--family", "e8", "--m", "40"]) == 2
     assert "exceeds the cap" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_oversized_q_refused_before_factoring(tmp_path, monkeypatch, capsys):
+    def no_factoring(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(finite_field, "_factor", no_factoring)
+    capsys.readouterr()
+    assert main(["construct", "--family", "q3", "--m", "8399589116837456607", "--out", str(tmp_path)]) == 2
+    assert "exceeds the cap of 16777216 field elements" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_runs_never_import_sympy(tmp_path):
+    argvs = [
+        ["construct", "--family", "q3", "--q", "11", "--out", str(tmp_path)],
+        ["scheme", "--verify", str(SCHEMES_DIR / "m3.scheme")],
+        ["search-params", "--family", "e4", "--q", "13", "--limit", "1"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from qrhadamard.cli import main\n"
+        f"codes = [main(argv) for argv in {argvs!r}]\n"
+        "print(json.dumps([codes, 'sympy' in sys.modules]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], False]
 
 
 def test_construct_builds_base_matrix_once(tmp_path, monkeypatch):
@@ -233,9 +271,6 @@ def test_search_params_negative_limit(capsys):
 
 
 def test_module_entry_point(tmp_path):
-    import subprocess
-    import sys
-
     f = tmp_path / "tiny.mat"
     f.write_text("1\n+\n")
     proc = subprocess.run(

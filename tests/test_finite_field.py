@@ -1,11 +1,15 @@
 import itertools
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint, primerange
 
 from conftest import counter_indices
+from qrhadamard import finite_field
 from qrhadamard.finite_field import (
+    MAX_FIELD_SIZE,
     ZERO,
     DivisionByZero,
     FieldError,
@@ -295,11 +299,58 @@ def test_embedding_data_for_degree_gt_2():
     assert ext.pow(img, 2) != ext.one
 
 
-def test_prime_power_helper():
+def test_prime_power_helper(monkeypatch):
     assert prime_power(27) == (3, 3)
     assert prime_power(49) == (7, 2)
     with pytest.raises(FieldError):
         prime_power(12)
+    for q in (0, 1, -5):
+        with pytest.raises(FieldError, match=f"^{q} is not a prime power$"):
+            prime_power(q)
+    assert MAX_FIELD_SIZE == 2**24
+    assert prime_power(2**24) == (2, 24)
+
+    def no_factoring(n):
+        raise AssertionError(f"factored {n}")
+
+    monkeypatch.setattr(finite_field, "_factor", no_factoring)
+    for q in (2**24 + 1, 8399589116837456607**2):
+        with pytest.raises(TooLarge, match="exceeds the cap of 16777216 field elements"):
+            prime_power(q)
+
+
+def _check_factor(n):
+    fac = finite_field._factor(n)
+    assert prod(p**k for p, k in fac.items()) == n
+    assert fac == dict(factorint(n))
+
+
+def test_factor_against_sympy_up_to_20000():
+    for n in range(1, 20001):
+        _check_factor(n)
+
+
+def test_factor_against_sympy_at_the_boundaries():
+    # 4093 and 4099 are the primes next to 4096 = sqrt(2^24);
+    # 2^24 - 3 and 2^24 + 43 are the primes next to the cap
+    for n in (2**24, 2**24 - 1, 4093, 4099, 4093**2, 4093 * 4099, 4099**2, 2**24 - 3, 2**24 + 43):
+        _check_factor(n)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=2**24))
+def test_factor_property_up_to_the_cap(n):
+    _check_factor(n)
+
+
+def test_prime_power_accepts_exactly_the_prime_powers_to_5000():
+    powers = {p**k: (p, k) for p in primerange(2, 5001) for k in range(1, 13) if p**k <= 5000}
+    for q in range(2, 5001):
+        if q in powers:
+            assert prime_power(q) == powers[q]
+        else:
+            with pytest.raises(FieldError, match="is not a prime power"):
+                prime_power(q)
 
 
 def test_canonical_order_round_trip():
