@@ -132,7 +132,9 @@ class GaussDecomposition:
 
 def family_m(q: int, family: str) -> int:
     """m for q = 4m^2+4m+3 ('e8'), 2m^2+2m+1 ('e4') or 2m^2-1 ('scheme')."""
-    if family == "e8":
+    if q < 2 and family in ("e8", "e4", "scheme"):
+        pass  # no field has fewer than 2 elements; isqrt would see a negative
+    elif family == "e8":
         m = (isqrt(q - 2) - 1) // 2
         if 4 * m * m + 4 * m + 3 == q:
             return m

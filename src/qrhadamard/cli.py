@@ -45,6 +45,20 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+class InputFileError(Exception):
+    """An input file that cannot be opened or is not UTF-8 text."""
+
+
+def _read_input(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputFileError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise InputFileError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def _fail(msg: str, code: int) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
@@ -91,11 +105,8 @@ def cmd_construct(args) -> int:
         if not args.partition:
             return _fail("--partition is required for the regular family", EXIT_INPUT)
         try:
-            with open(args.partition) as fh:
-                partition = schemes.parse_partition(fh.read())
-        except OSError as exc:
-            return _fail(str(exc), EXIT_INPUT)
-        except schemes.ParseError as exc:
+            partition = schemes.parse_partition(_read_input(args.partition))
+        except (InputFileError, schemes.ParseError) as exc:
             return _fail(str(exc), EXIT_INPUT)
         if partition.q != q or partition.m != m:
             return _fail("partition file does not match the requested q/m", EXIT_INPUT)
@@ -138,11 +149,14 @@ def cmd_construct(args) -> int:
         return _fail(str(exc), EXIT_VERIFY)
 
     out = args.out or "."
-    os.makedirs(out, exist_ok=True)
     prefix = os.path.join(out, f"{family}_q{q}")
-    _atomic_write(prefix + "_base.mat", base_matrix.to_text())
-    _atomic_write(prefix + "_transformed.mat", signed.to_text())
-    _atomic_write(prefix + "_report.json", json.dumps(hd.report_json(rep), sort_keys=True) + "\n")
+    try:
+        os.makedirs(out, exist_ok=True)
+        _atomic_write(prefix + "_base.mat", base_matrix.to_text())
+        _atomic_write(prefix + "_transformed.mat", signed.to_text())
+        _atomic_write(prefix + "_report.json", json.dumps(hd.report_json(rep), sort_keys=True) + "\n")
+    except OSError as exc:
+        return _fail(f"cannot write the outputs under --out {out}: {exc}", EXIT_INPUT)
     print(_report_lines(rep, args.format))
     ok = rep.excess == rep.bound and rep.classification.startswith(promise)
     if not ok:
@@ -154,11 +168,8 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        with open(args.matrix) as fh:
-            matrix = hd.SignMatrix.from_text(fh.read())
-    except OSError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    except hd.ParseError as exc:
+        matrix = hd.SignMatrix.from_text(_read_input(args.matrix))
+    except (InputFileError, hd.ParseError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     # one orthogonality check: excess_and_bound runs it for n >= 4
     try:
@@ -210,9 +221,8 @@ def cmd_search_params(args) -> int:
         if not args.partition:
             return _fail("scheme family needs --partition", EXIT_INPUT)
         try:
-            with open(args.partition) as fh:
-                partition = schemes.parse_partition(fh.read())
-        except (OSError, schemes.ParseError) as exc:
+            partition = schemes.parse_partition(_read_input(args.partition))
+        except (InputFileError, schemes.ParseError) as exc:
             return _fail(str(exc), EXIT_INPUT)
         ok, taus, _ = schemes.eigenmatrix_vs_table1(ext, partition)
         if not ok:
@@ -262,9 +272,8 @@ def cmd_scheme(args) -> int:
     if not args.verify:
         return _fail("give --verify FILE or --search", EXIT_INPUT)
     try:
-        with open(args.verify) as fh:
-            partition = schemes.parse_partition(fh.read())
-    except (OSError, schemes.ParseError) as exc:
+        partition = schemes.parse_partition(_read_input(args.verify))
+    except (InputFileError, schemes.ParseError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     try:
         ext, _ = quadratic_tower(partition.q)

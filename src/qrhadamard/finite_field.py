@@ -9,23 +9,26 @@ to base omega; the zero element is the sentinel ZERO.  Fixing both choices
 makes every downstream cyclotomic class, point set and matrix labeling
 reproducible bit for bit.
 
-Arithmetic runs on three flat ``array('i')`` tables (Zech logarithms, see
-K. Huber, "Some comments on Zech's logarithms", IEEE Trans. Inf. Theory 36,
-1990):
+Arithmetic runs on two flat ``array('i')`` tables built with the context and
+on Zech logarithms (K. Huber, "Some comments on Zech's logarithms", IEEE
+Trans. Inf. Theory 36, 1990):
 
-- ``zech_table[k] = log(1 + omega^k)``, so ``add(a, b) = a + Z[(b - a) mod (q-1)]``;
 - ``trace_table[k] = Tr(omega^k)``, an int in [0, p);
-- ``log_table[w]``, the log of the element whose trace window is ``w``.
+- ``log_table[w]``, the log of the element whose trace window is ``w``;
+- ``Z(k) = log(1 + omega^k)``, so ``add(a, b) = a + Z((b - a) mod (q-1))``.
 
 The trace window of x is ``sum_j Tr(x omega^j) p^j`` over j < f.  The trace
 form is nondegenerate, so x -> window is a GF(p)-linear bijection of GF(q)
 onto [0, q) and field addition is digit-wise addition mod p of windows.
 Tr(omega^k) obeys the linear recurrence of omega's minimal polynomial, so
-one pass over k fills the log and trace tables.  The Zech table is one
-gather through the log table for k <= (q-1)/2 and follows from
-Z[-k] = Z[k] - k for the rest.
+one pass over k fills the log and trace tables.  Digit j of the window of
+1 + omega^k is Tr(omega^j) + Tr(omega^(k+j)) mod p, so ``add`` reads one
+Zech logarithm through the log table.  The full ``zech_table``, which bulk
+sweeps read, is the same lookup gathered for every k; it is built on first
+use and cached.
 
-Contexts are immutable after construction and all operations are pure.
+Contexts do not change after construction apart from that cache, and all
+operations are pure.
 """
 
 from __future__ import annotations
@@ -33,17 +36,18 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from math import gcd
 from operator import add, mod
 
 ZERO = -1  # rep of the zero element; logs are >= 0
 
-# Peak table memory per field element while a context is built: the log,
-# Zech and trace tables, 4 bytes each, plus at most 4 bytes of transient
-# lookup tables (p and p^(f-1) entries, so at most q entries).  Fields whose
-# tables would exceed the budget are refused before anything is factored or
-# allocated.
+# Peak table memory per field element: the log and trace tables, 4 bytes
+# each, built with the context; the Zech table, 4 bytes, built on first use;
+# plus at most 4 bytes of transient lookup tables (p and p^(f-1) entries, so
+# at most q entries).  Any context may still build its Zech table, so the
+# budget counts it.  Fields whose tables would exceed the budget are refused
+# before anything is factored or allocated.
 TABLE_BYTES_PER_ELEMENT = 16
 TABLE_BUDGET_BYTES = 256 << 20
 MAX_FIELD_SIZE = TABLE_BUDGET_BYTES // TABLE_BYTES_PER_ELEMENT  # 2^24
@@ -242,7 +246,7 @@ class FieldSpec:
 
 
 class FieldContext:
-    """GF(p^f) with log, Zech and trace tables and a subfield link.
+    """GF(p^f) with log and trace tables, Zech logarithms and a subfield link.
 
     Elements are ints: a log index in [0, q-1) or ZERO.  When f is even the
     context also holds GF(p^(f/2)) together with the canonical embedding of
@@ -295,16 +299,23 @@ class FieldContext:
         trace = array("i", [0]) * n
         w = one_window
         for k in range(n):
-            if log[w] != ZERO:
-                raise AssertionError("omega repeats an element; it is not primitive")
             log[w] = k
             hi = w // p
             t = w % p
             trace[k] = t
             w = (step_hi[hi] + step_lo[t]) % q
-        if w != one_window or log[0] != ZERO:
+        # n windows fill all q - 1 nonzero slots only if none repeats
+        if log[0] != ZERO or log.count(ZERO) != 1:
+            raise AssertionError("omega repeats an element; it is not primitive")
+        if w != one_window:
             raise AssertionError("primitive element order mismatch")
-        del step_lo, step_hi
+        self.trace_table = trace
+        self.log_table = log
+
+    @cached_property
+    def zech_table(self) -> array:
+        """Z[k] = log(1 + omega^k) for every k; ZERO where 1 + omega^k = 0."""
+        p, n, trace, log = self.p, self.order, self.trace_table, self.log_table
         # Gather Z[k] for k <= n/2 through the log table: digit j of
         # window(1 + omega^k) is (Tr(omega^j) + Tr(omega^(k+j))) mod p.
         gathered = n // 2 + 1
@@ -313,15 +324,19 @@ class FieldContext:
                 array("i", ((v + d) % p * p**j for v in range(p))).__getitem__,
                 itertools.islice(itertools.chain(trace, trace[:j]), j, j + gathered),
             )
-            for j, d in enumerate(one_digits)
+            for j, d in enumerate(self._one_digits)
         ]
         zech = array("i", map(log.__getitem__, reduce(partial(map, add), digits)))
         # 1 + omega^-k = omega^-k (1 + omega^k), so Z[k] = Z[n-k] + k for the
         # rest; Z is ZERO only at k = n/2 (p odd) or k = 0 (p = 2), both gathered
         zech.extend(map(mod, map(add, zech[n - gathered:0:-1], range(gathered, n)), itertools.repeat(n)))
-        self.zech_table = zech
-        self.trace_table = trace
-        self.log_table = log
+        return zech
+
+    def _zech(self, k: int) -> int:
+        """Z[k] = zech_table[k], looked up alone: the gather's formula for one k."""
+        p, n, trace = self.p, self.order, self.trace_table
+        window = sum((d + trace[(k + j) % n]) % p * p**j for j, d in enumerate(self._one_digits))
+        return self.log_table[window]
 
     def _find_primitive(self, mod: tuple[int, ...]) -> list[int]:
         p, f, n = self.p, self.f, self.order
@@ -348,7 +363,7 @@ class FieldContext:
             return b
         if b == ZERO:
             return a
-        z = self.zech_table[(b - a) % self.order]
+        z = self._zech((b - a) % self.order)
         return ZERO if z == ZERO else (a + z) % self.order
 
     def neg(self, a: int) -> int:

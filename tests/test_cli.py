@@ -4,6 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qrhadamard import association_schemes as schemes
 from qrhadamard import finite_field
 from qrhadamard import hadamard as hd
@@ -280,3 +284,142 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["hadamard"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{}"],
+        ["scheme", "--verify", "{}"],
+        ["construct", "--family", "regular", "--m", "3", "--partition", "{}"],
+        ["search-params", "--family", "scheme", "--q", "17", "--partition", "{}"],
+    ],
+    ids=["verify", "scheme-verify", "construct-partition", "search-params-partition"],
+)
+def test_non_utf8_input_file_exits_2(tmp_path, capsys, argv):
+    f = tmp_path / "latin1.txt"
+    f.write_bytes(b"17 3 12\n\xff\n")
+    capsys.readouterr()
+    assert main([arg.format(f) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{f} is not UTF-8 text (byte 8" in err
+
+
+def test_unusable_out_exits_2(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    for out in (afile, afile / "x"):  # FileExistsError, then NotADirectoryError
+        capsys.readouterr()
+        assert main(["construct", "--family", "q3", "--q", "11", "--out", str(out)]) == 2
+        assert f"--out {out}" in capsys.readouterr().err
+    assert afile.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
+def test_q_below_two_is_not_of_the_family_form(capsys):
+    for command, family, q, form in (
+        ("construct", "q3", -5, "e8"),
+        ("construct", "q1", 0, "e4"),
+        ("search-params", "e8", 1, "e8"),
+        ("search-params", "scheme", 1, "scheme"),
+    ):
+        capsys.readouterr()
+        assert main([command, "--family", family, f"--q={q}"]) == 2
+        assert capsys.readouterr().err == f"error: q = {q} is not of the {form} form\n"
+
+
+def test_zech_table_is_built_only_by_scheme_verification(tmp_path):
+    finite_field.clear_caches()
+    assert main(["construct", "--family", "q3", "--q", "83", "--out", str(tmp_path)]) == 0
+    assert main(["construct", "--family", "q1", "--q", "61", "--out", str(tmp_path)]) == 0
+    for q in (83, 61):
+        ext, base = finite_field.quadratic_tower(q)
+        assert "zech_table" not in ext.__dict__ and "zech_table" not in base.__dict__
+    assert main(["scheme", "--verify", str(SCHEMES_DIR / "m3.scheme")]) == 0
+    assert "zech_table" in finite_field.quadratic_tower(17)[0].__dict__
+
+
+_EXIT_CODES = {0, 1, 2, 3}
+_M3_LINES = [ln.split() for ln in (SCHEMES_DIR / "m3.scheme").read_text().splitlines()]
+
+
+def _fuzz_file(tmp_path_factory, data: bytes) -> str:
+    path = tmp_path_factory.mktemp("fuzz") / "input"
+    path.write_bytes(data)
+    return str(path)
+
+
+# files: arbitrary bytes, small sign matrices, and m3.scheme with one token replaced
+# or its four index lines permuted
+_matrix_texts = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.text("+-", min_size=n, max_size=n), min_size=n, max_size=n).map(
+        lambda rows: f"{n}\n" + "".join(r + "\n" for r in rows)
+    )
+)
+
+
+def _edit_m3(line: int, pos: int, token: str) -> str:
+    lines = [list(ln) for ln in _M3_LINES]
+    lines[line][pos % len(lines[line])] = token
+    return "".join(" ".join(ln) + "\n" for ln in lines)
+
+
+_partition_texts = st.one_of(
+    st.builds(
+        _edit_m3,
+        st.integers(0, len(_M3_LINES) - 1),
+        st.integers(0, 3),
+        st.one_of(st.integers(-40, 300).map(str), st.sampled_from(["", "x", "1e3"])),
+    ),
+    st.permutations(_M3_LINES[1:]).map(lambda ls: "".join(" ".join(ln) + "\n" for ln in _M3_LINES[:1] + ls)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.one_of(st.binary(max_size=64), _matrix_texts.map(str.encode)))
+def test_fuzz_verify_file(tmp_path_factory, data):
+    assert main(["verify", _fuzz_file(tmp_path_factory, data)]) in _EXIT_CODES
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.one_of(st.binary(max_size=64), _partition_texts.map(str.encode)))
+def test_fuzz_scheme_verify_file(tmp_path_factory, data):
+    assert main(["scheme", "--verify", _fuzz_file(tmp_path_factory, data)]) in _EXIT_CODES
+
+
+_small = st.integers(-300, 300)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(["q3", "q1"]),
+    by=st.sampled_from(["--q", "--m"]),
+    value=_small,
+    ell=st.none() | _small,
+)
+def test_fuzz_construct_small_parameters(tmp_path_factory, family, by, value, ell):
+    if by == "--m":
+        value = value % 17 - 8  # |m| <= 8 keeps q <= 291 (q3) and q <= 145 (q1)
+    argv = ["construct", "--family", family, f"{by}={value}", "--out", str(tmp_path_factory.mktemp("out"))]
+    if ell is not None:
+        argv.append(f"--ell={ell}")
+    assert main(argv) in _EXIT_CODES
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    family=st.sampled_from(["e8", "e4", "scheme"]),
+    by=st.sampled_from(["--q", "--m"]),
+    value=_small,
+    limit=st.none() | st.integers(-2, 5),
+    partition=st.booleans(),
+)
+def test_fuzz_search_params_small_parameters(family, by, value, limit, partition):
+    if by == "--m":
+        value = value % 17 - 8
+    argv = ["search-params", "--family", family, f"{by}={value}"]
+    if limit is not None:
+        argv.append(f"--limit={limit}")
+    if partition:
+        argv += ["--partition", str(SCHEMES_DIR / "m3.scheme")]
+    assert main(argv) in _EXIT_CODES

@@ -12,7 +12,9 @@ from qrhadamard.finite_field import (
     MAX_FIELD_SIZE,
     ZERO,
     DivisionByZero,
+    FieldContext,
     FieldError,
+    FieldSpec,
     NotPrime,
     TooLarge,
     ZeroHasNoLog,
@@ -261,6 +263,30 @@ def test_field_core_against_naive_polynomial_oracle(p, f):
         assert ctx.project(ctx.embed(x)) == x
     with pytest.raises(FieldError):
         ctx.project(1)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 4), (29, 2)])
+def test_single_zech_lookup_matches_the_gathered_table(p, f):
+    ctx = build_field(p, f)
+    assert [ctx._zech(k) for k in range(ctx.order)] == list(ctx.zech_table)
+
+
+def test_non_primitive_omega_is_refused(monkeypatch):
+    modulus = build_field(5, 2).spec.modulus
+    oracle = NaiveField(5, modulus)
+    orders = {}
+    for vec in itertools.product(range(5), repeat=2):
+        if vec[1]:  # outside GF(5), so 1 and omega span GF(25)
+            x, k = vec, 1
+            while x != (1, 0):
+                x, k = oracle.mul(x, vec), k + 1
+            orders[vec] = k
+    non_primitive = [vec for vec, k in orders.items() if k < 24]
+    assert sorted({orders[vec] for vec in non_primitive}) == [3, 6, 8, 12]
+    for omega in non_primitive:
+        monkeypatch.setattr(FieldContext, "_find_primitive", lambda self, mod, omega=omega: list(omega))
+        with pytest.raises(AssertionError, match="omega repeats an element"):
+            FieldContext(FieldSpec(5, 2, modulus))
 
 
 def test_irreducibility_oracle():
