@@ -224,6 +224,8 @@ def cmd_search_params(args) -> int:
             partition = schemes.parse_partition(_read_input(args.partition))
         except (InputFileError, schemes.ParseError) as exc:
             return _fail(str(exc), EXIT_INPUT)
+        if partition.q != q or partition.m != m:
+            return _fail("partition file does not match the requested q/m", EXIT_INPUT)
         ok, taus, _ = schemes.eigenmatrix_vs_table1(ext, partition)
         if not ok:
             return _fail("partition fails the eigenvalue table", EXIT_VERIFY)

@@ -23,9 +23,9 @@ onto [0, q) and field addition is digit-wise addition mod p of windows.
 Tr(omega^k) obeys the linear recurrence of omega's minimal polynomial, so
 one pass over k fills the log and trace tables.  Digit j of the window of
 1 + omega^k is Tr(omega^j) + Tr(omega^(k+j)) mod p, so ``add`` reads one
-Zech logarithm through the log table.  The full ``zech_table``, which bulk
-sweeps read, is the same lookup gathered for every k; it is built on first
-use and cached.
+Zech logarithm through the log table.  The full ``zech_table``, that lookup
+for every k, is built on first use and cached; only the association-scheme
+convolution sweep reads it, on small fields.
 
 Contexts do not change after construction apart from that cache, and all
 operations are pure.
@@ -36,9 +36,8 @@ from __future__ import annotations
 import itertools
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache
 from math import gcd
-from operator import add, mod
 
 ZERO = -1  # rep of the zero element; logs are >= 0
 
@@ -315,25 +314,11 @@ class FieldContext:
     @cached_property
     def zech_table(self) -> array:
         """Z[k] = log(1 + omega^k) for every k; ZERO where 1 + omega^k = 0."""
-        p, n, trace, log = self.p, self.order, self.trace_table, self.log_table
-        # Gather Z[k] for k <= n/2 through the log table: digit j of
-        # window(1 + omega^k) is (Tr(omega^j) + Tr(omega^(k+j))) mod p.
-        gathered = n // 2 + 1
-        digits = [
-            map(
-                array("i", ((v + d) % p * p**j for v in range(p))).__getitem__,
-                itertools.islice(itertools.chain(trace, trace[:j]), j, j + gathered),
-            )
-            for j, d in enumerate(self._one_digits)
-        ]
-        zech = array("i", map(log.__getitem__, reduce(partial(map, add), digits)))
-        # 1 + omega^-k = omega^-k (1 + omega^k), so Z[k] = Z[n-k] + k for the
-        # rest; Z is ZERO only at k = n/2 (p odd) or k = 0 (p = 2), both gathered
-        zech.extend(map(mod, map(add, zech[n - gathered:0:-1], range(gathered, n)), itertools.repeat(n)))
-        return zech
+        return array("i", map(self._zech, range(self.order)))
 
     def _zech(self, k: int) -> int:
-        """Z[k] = zech_table[k], looked up alone: the gather's formula for one k."""
+        """Z[k] = log(1 + omega^k): digit j of window(1 + omega^k) is
+        (Tr(omega^j) + Tr(omega^(k+j))) mod p."""
         p, n, trace = self.p, self.order, self.trace_table
         window = sum((d + trace[(k + j) % n]) % p * p**j for j, d in enumerate(self._one_digits))
         return self.log_table[window]

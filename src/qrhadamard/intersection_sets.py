@@ -233,6 +233,18 @@ def admissible_params(ext: FieldContext, family: str, partition=None, tau: int |
         raise NoSubfield("parameter search needs the quadratic tower")
     base = ext.subfield
     q, n = base.q, ext.order
+
+    # omega^(q ell) - omega^ell = omega^ell (omega^((q-1) ell) - 1), and
+    # (q-1) ell mod (q^2-1) depends only on ell mod (q+1): a full sweep needs
+    # q+1 Zech lookups, not one per ell.
+    @lru_cache(maxsize=None)
+    def gap(r: int) -> int:
+        return ext.sub((q - 1) * r, ext.one)
+
+    def t_of(ell: int) -> int:
+        """log(omega^(q ell) - omega^ell) for ell not divisible by q+1."""
+        return (ell + gap(ell % (q + 1))) % n
+
     if family == "e8":
         dec = cs.decompose_gauss(ext, "e8")
         eps, delta, m = dec.epsilon, dec.delta, dec.m
@@ -241,7 +253,7 @@ def admissible_params(ext: FieldContext, family: str, partition=None, tau: int |
         for ell in range(1, n):
             if ell % (q + 1) == 0 or ell % 2 == 0:
                 continue
-            if ext.sub((ell * q) % n, ell) % 8 != t_target:
+            if t_of(ell) % 8 != t_target:
                 continue
             hp = h_of[(2 - 5 * eps * delta - ell) % 8]
             yield ParamChoice("e8", ell, m, h=hp, epsilon=eps, delta=delta)
@@ -252,7 +264,7 @@ def admissible_params(ext: FieldContext, family: str, partition=None, tau: int |
             if ell % (q + 1) == 0:
                 continue
             h = (ell - 3) % 4
-            if ext.sub((ell * q) % n, ell) % 4 != (delta * (1 + 2 * h)) % 4:
+            if t_of(ell) % 4 != (delta * (1 + 2 * h)) % 4:
                 continue
             yield ParamChoice("e4", ell, m, h=h, epsilon=eps, delta=delta)
     elif family == "scheme":
@@ -268,7 +280,7 @@ def admissible_params(ext: FieldContext, family: str, partition=None, tau: int |
                 continue
             if ell % e not in classes_24:
                 continue
-            if ext.sub((ell * q) % n, ell) % four_m2 != t_target:
+            if t_of(ell) % four_m2 != t_target:
                 continue
             yield ParamChoice("scheme", ell, m, tau=tau)
     else:

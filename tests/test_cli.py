@@ -269,6 +269,12 @@ def test_scheme_search_input_contract(capsys):
     assert "811073536" in capsys.readouterr().err
 
 
+def test_search_params_partition_for_another_q(capsys):
+    argv = ["search-params", "--family", "scheme", "--q", "49", "--partition", str(SCHEMES_DIR / "m3.scheme")]
+    assert main(argv) == 2
+    assert "does not match the requested q/m" in capsys.readouterr().err
+
+
 def test_search_params_negative_limit(capsys):
     assert main(["search-params", "--family", "e8", "--q", "11", "--limit", "-1"]) == 2
     assert capsys.readouterr().out == ""

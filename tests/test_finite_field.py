@@ -266,9 +266,10 @@ def test_field_core_against_naive_polynomial_oracle(p, f):
 
 
 @pytest.mark.parametrize("p,f", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 4), (29, 2)])
-def test_single_zech_lookup_matches_the_gathered_table(p, f):
+def test_zech_table_against_naive_polynomial_oracle(p, f):
     ctx = build_field(p, f)
-    assert [ctx._zech(k) for k in range(ctx.order)] == list(ctx.zech_table)
+    oracle = NaiveField(p, ctx.spec.modulus)
+    assert list(ctx.zech_table) == [oracle.combine([(1, 0), (1, k)]) for k in range(ctx.order)]
 
 
 def test_non_primitive_omega_is_refused(monkeypatch):
