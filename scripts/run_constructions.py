@@ -10,32 +10,25 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qrhadamard import association_schemes as schemes
 from qrhadamard import hadamard as hd
+from qrhadamard.character_sums import family_m
 from qrhadamard.finite_field import quadratic_tower
 
-
-def run(label, q, builder):
-    t0 = time.perf_counter()
-    ext, _ = quadratic_tower(q)
-    signed, rep = builder(ext)
-    dt = time.perf_counter() - t0
-    spectrum = ", ".join(f"{v}x{c}" for v, c in rep.row_sums)
-    status = "max-excess" if rep.excess == rep.bound else "BELOW BOUND"
-    print(f"{label:14s} q={q:<4d} n={rep.n:<4d} rows [{spectrum:18s}] "
-          f"E={rep.excess:<5d} bound={rep.bound:<5d} {status}  ({dt:.2f}s)")
-    return rep
+# the q of each family's instances; the regular family has schemes for m = 3, 5
+LADDER = {"q3": (11, 27, 83, 227), "q1": (5, 13, 25, 41, 61), "regular": (17, 49)}
 
 
 def main():
-    print("biregular, q = 4m^2+4m+3:")
-    for q in (11, 27, 83, 227):
-        run("  q3", q, hd.transform_biregular_q3)
-    print("biregular, q = 2m^2+2m+1:")
-    for q in (5, 13, 25, 41, 61):
-        run("  q1", q, hd.transform_biregular_q1)
-    print("regular, q = 2m^2-1:")
-    for m in (3, 5):
-        part = schemes.example_partition(m)
-        run("  regular", 2 * m * m - 1, lambda ext, p=part: hd.transform_regular(ext, p))
+    for family, fam in hd.FAMILIES.items():
+        for q in LADDER[family]:
+            t0 = time.perf_counter()
+            ext, _ = quadratic_tower(q)
+            part = schemes.example_partition(family_m(q, fam.key)) if family == "regular" else None
+            signed, rep = hd.transform(ext, family, partition=part)
+            dt = time.perf_counter() - t0
+            spectrum = ", ".join(f"{v}x{c}" for v, c in rep.row_sums)
+            status = "max-excess" if rep.excess == rep.bound else "BELOW BOUND"
+            print(f"{family:8s} {fam.promise:9s} q={q:<4d} n={rep.n:<4d} rows [{spectrum:18s}] "
+                  f"E={rep.excess:<5d} bound={rep.bound:<5d} {status}  ({dt:.2f}s)")
 
 
 if __name__ == "__main__":

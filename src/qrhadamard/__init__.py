@@ -8,21 +8,21 @@ so floating point never touches a constructed set or matrix.
 from .association_schemes import SchemePartition, SchemeReport, example_partition, verify_scheme
 from .finite_field import ZERO, FieldContext, FieldSpec, build_field, field_for, quadratic_tower
 from .hadamard import (
+    FAMILIES,
     ExcessReport,
     SignMatrix,
     construct_q1,
     construct_q3,
     excess_and_bound,
     is_hadamard,
-    transform_biregular_q1,
-    transform_biregular_q3,
-    transform_regular,
+    transform,
 )
 from .intersection_sets import BlockDesign, IntersectionSet, ParamChoice, build_dlh, find_params
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "FAMILIES",
     "ZERO",
     "BlockDesign",
     "ExcessReport",
@@ -43,9 +43,7 @@ __all__ = [
     "find_params",
     "is_hadamard",
     "quadratic_tower",
-    "transform_biregular_q1",
-    "transform_biregular_q3",
-    "transform_regular",
+    "transform",
     "verify_scheme",
     "__version__",
 ]

@@ -46,7 +46,7 @@ class BudgetExceeded(SchemeError):
 
 
 class ParseError(SchemeError):
-    pass
+    """A partition or matrix file that does not parse."""
 
 
 @dataclass(frozen=True)

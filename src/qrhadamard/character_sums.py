@@ -130,24 +130,32 @@ class GaussDecomposition:
     value: complex  # the matched closed-form value
 
 
+# q = a m^2 + b m + c per family, as (a, b, c)
+FAMILY_FORMS = {"e8": (4, 4, 3), "e4": (2, 2, 1), "scheme": (2, 0, -1)}
+
+
+def _form(family: str) -> tuple[int, int, int]:
+    try:
+        return FAMILY_FORMS[family]
+    except KeyError:
+        raise CharError(f"unknown family {family!r}") from None
+
+
+def family_q(m: int, family: str) -> int:
+    """q = 4m^2+4m+3 ('e8'), 2m^2+2m+1 ('e4') or 2m^2-1 ('scheme')."""
+    a, b, c = _form(family)
+    return a * m * m + b * m + c
+
+
 def family_m(q: int, family: str) -> int:
-    """m for q = 4m^2+4m+3 ('e8'), 2m^2+2m+1 ('e4') or 2m^2-1 ('scheme')."""
-    if q < 2 and family in ("e8", "e4", "scheme"):
-        pass  # no field has fewer than 2 elements; isqrt would see a negative
-    elif family == "e8":
-        m = (isqrt(q - 2) - 1) // 2
-        if 4 * m * m + 4 * m + 3 == q:
-            return m
-    elif family == "e4":
-        m = (isqrt(2 * q - 1) - 1) // 2
-        if 2 * m * m + 2 * m + 1 == q:
-            return m
-    elif family == "scheme":
-        m = isqrt((q + 1) // 2)
-        if 2 * m * m - 1 == q:
-            return m
-    else:
-        raise CharError(f"unknown family {family!r}")
+    """The m >= 0 with family_q(m, family) == q.  Each form has
+    m^2 - 1 <= q // a <= m^2 + m, so m is isqrt(q // a) or the next integer."""
+    a, b, c = _form(family)
+    if q >= 2:  # no field has fewer than 2 elements
+        r = isqrt(q // a)
+        for m in (r, r + 1):
+            if a * m * m + b * m + c == q:
+                return m
     raise CharError(f"q = {q} is not of the {family} form")
 
 

@@ -9,6 +9,7 @@ element, ascending parameter scans) and outputs are written atomically.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ import tempfile
 from . import association_schemes as schemes
 from . import hadamard as hd
 from . import intersection_sets as isets
-from .character_sums import CharError, family_m
+from .character_sums import CharError, family_m, family_q
 from .finite_field import FieldError, prime_power, quadratic_tower
 
 EXIT_OK = 0
@@ -25,11 +26,8 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-_FAMILY_FORMS = {
-    "q3": ("e8", lambda m: 4 * m * m + 4 * m + 3),
-    "q1": ("e4", lambda m: 2 * m * m + 2 * m + 1),
-    "regular": ("scheme", lambda m: 2 * m * m - 1),
-}
+# search-params takes the character-sum name of a family
+_BY_KEY = {fam.key: name for name, fam in hd.FAMILIES.items()}
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -67,20 +65,20 @@ def _fail(msg: str, code: int) -> int:
 def _resolve_q_m(args, family: str) -> tuple[int, int]:
     if (args.q is None) == (args.m is None):
         raise ValueError("give exactly one of --q and --m")
-    search_family, form = _FAMILY_FORMS[family]
+    fam = hd.FAMILIES[family]
     if args.m is not None:
-        q = form(args.m)
+        q = family_q(args.m, fam.key)
         m = args.m
     else:
         q = args.q
-        m = family_m(q, search_family)
+        m = family_m(q, fam.key)
     if m < 1:
         raise ValueError(f"the {family} family needs m >= 1, got m = {m}")
     prime_power(q)  # raises FieldError if not a prime power
-    if form(m) != q:
+    if family_q(m, fam.key) != q:
         raise ValueError(f"q = {q} is not of the {family} family form")
-    if family == "regular" and m % 2 == 0:
-        raise ValueError("the regular family needs odd m")
+    if fam.odd_m and m % 2 == 0:
+        raise ValueError(f"the {family} family needs odd m")
     return q, m
 
 
@@ -98,7 +96,7 @@ def cmd_construct(args) -> int:
         ext, base = quadratic_tower(q)
     except (ValueError, FieldError, CharError) as exc:
         return _fail(str(exc), EXIT_INPUT)
-    search_family = _FAMILY_FORMS[family][0]
+    fam = hd.FAMILIES[family]
 
     partition = None
     if family == "regular":
@@ -119,7 +117,7 @@ def cmd_construct(args) -> int:
             if not ok:
                 return _fail("partition fails the eigenvalue table", EXIT_VERIFY)
             tau = taus[0]
-        for cand in isets.admissible_params(ext, search_family, partition=partition, tau=tau):
+        for cand in isets.admissible_params(ext, fam.key, partition=partition, tau=tau):
             if cand.ell == args.ell:
                 params = cand
                 break
@@ -133,18 +131,8 @@ def cmd_construct(args) -> int:
         return _fail("--h needs --ell", EXIT_INPUT)
 
     try:
-        if family == "q3":
-            base_matrix = hd.construct_q3(base)
-            signed, rep = hd.transform_biregular_q3(ext, params, base_matrix)
-            promise = "biregular"
-        elif family == "q1":
-            base_matrix = hd.construct_q1(base, "plain")
-            signed, rep = hd.transform_biregular_q1(ext, params, base_matrix)
-            promise = "biregular"
-        else:
-            base_matrix = hd.construct_q1(base, "negated2")
-            signed, rep = hd.transform_regular(ext, partition, params, base_matrix)
-            promise = "regular"
+        base_matrix = hd.base_matrix(family, base)
+        signed, rep = hd.transform(ext, family, params, base_matrix, partition)
     except (schemes.SchemeInvalid, schemes.ProfileMismatch, hd.HadamardError) as exc:
         return _fail(str(exc), EXIT_VERIFY)
 
@@ -158,7 +146,7 @@ def cmd_construct(args) -> int:
     except OSError as exc:
         return _fail(f"cannot write the outputs under --out {out}: {exc}", EXIT_INPUT)
     print(_report_lines(rep, args.format))
-    ok = rep.excess == rep.bound and rep.classification.startswith(promise)
+    ok = rep.excess == rep.bound and rep.classification.startswith(fam.promise)
     if not ok:
         diag = {"excess": rep.excess, "bound": rep.bound, "classification": rep.classification}
         print(json.dumps({"verification_failure": diag}, sort_keys=True), file=sys.stderr)
@@ -169,7 +157,7 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     try:
         matrix = hd.SignMatrix.from_text(_read_input(args.matrix))
-    except (InputFileError, hd.ParseError) as exc:
+    except (InputFileError, schemes.ParseError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     # one orthogonality check: excess_and_bound runs it for n >= 4
     try:
@@ -201,6 +189,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+_ROWS_PER_CHUNK = 4096
+
+
+def _param_row(choice: isets.ParamChoice) -> dict:
+    row = {"ell": choice.ell}
+    if choice.h is not None:
+        row["h"] = choice.h
+    if choice.epsilon is not None:
+        row["epsilon"] = choice.epsilon
+        row["delta"] = choice.delta
+    if choice.tau is not None:
+        row["tau"] = choice.tau
+    return row
+
+
 def cmd_search_params(args) -> int:
     family = args.family
     if args.limit is not None and args.limit < 0:
@@ -209,9 +212,7 @@ def cmd_search_params(args) -> int:
         m = family_m(args.q, family) if args.q is not None else args.m
         if m is None:
             raise ValueError("give --q or --m")
-        forms = {"e8": "q3", "e4": "q1", "scheme": "regular"}
-        ns = argparse.Namespace(q=None, m=m)
-        q, m = _resolve_q_m(ns, forms[family])
+        q, m = _resolve_q_m(argparse.Namespace(q=None, m=m), _BY_KEY[family])
         ext, base = quadratic_tower(q)
     except (ValueError, FieldError, CharError) as exc:
         return _fail(str(exc), EXIT_INPUT)
@@ -230,21 +231,16 @@ def cmd_search_params(args) -> int:
         if not ok:
             return _fail("partition fails the eigenvalue table", EXIT_VERIFY)
         tau = taus[0]
-    rows = []
-    for choice in isets.admissible_params(ext, family, partition=partition, tau=tau):
-        row = {"ell": choice.ell}
-        if choice.h is not None:
-            row["h"] = choice.h
-        if choice.epsilon is not None:
-            row["epsilon"] = choice.epsilon
-            row["delta"] = choice.delta
-        if choice.tau is not None:
-            row["tau"] = choice.tau
-        rows.append(row)
-        if args.limit and len(rows) >= args.limit:
-            break
-    print(json.dumps(rows, sort_keys=True))
-    if not rows:
+    choices = isets.admissible_params(ext, family, partition=partition, tau=tau)
+    rows = map(_param_row, itertools.islice(choices, args.limit or None))
+    # the bytes of json.dumps(rows, sort_keys=True), encoded a bounded chunk at a time
+    count, sep = 0, ""
+    sys.stdout.write("[")
+    while chunk := list(itertools.islice(rows, _ROWS_PER_CHUNK)):
+        sys.stdout.write(sep + json.dumps(chunk, sort_keys=True)[1:-1])
+        count, sep = count + len(chunk), ", "
+    sys.stdout.write("]\n")
+    if not count:
         return _fail("no admissible parameters found; this contradicts the nonemptiness counts", EXIT_VERIFY)
     return EXIT_OK
 

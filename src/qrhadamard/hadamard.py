@@ -1,6 +1,6 @@
 """Sign matrices, Hadamard verification, the excess bound, the two
-quadratic-residue base constructions, and the row/column signing transforms
-that reach maximum excess.
+quadratic-residue base constructions, the table of the three families, and
+the row/column signing transform that reaches maximum excess.
 
 Rows are bit-packed (set bit = entry -1) so the O(n^3) orthogonality check
 runs on word-wide popcounts; all verification is exact integer arithmetic.
@@ -14,6 +14,7 @@ from math import isqrt
 from . import association_schemes as schemes
 from . import character_sums as cs
 from . import intersection_sets as isets
+from .association_schemes import ParseError
 from .finite_field import FieldContext
 
 
@@ -38,10 +39,6 @@ class NotPrimePower(HadamardError):
 
 
 class ParamSearchFailed(HadamardError):
-    pass
-
-
-class ParseError(HadamardError):
     pass
 
 
@@ -279,134 +276,124 @@ def apply_signing(h: SignMatrix, row_signs, col_signs) -> SignMatrix:
 # ---------------------------------------------------------------------------
 # max-excess transforms
 
+
+@dataclass(frozen=True)
+class Family:
+    key: str  # the character_sums / intersection_sets name: "e8" | "e4" | "scheme"
+    promise: str  # row-sum shape of the transformed matrix: "biregular" | "regular"
+    border: int  # columns before the first block of q design points
+    odd_m: bool
+
+
+FAMILIES = {
+    "q3": Family("e8", "biregular", 1, False),
+    "q1": Family("e4", "biregular", 2, False),
+    "regular": Family("scheme", "regular", 1, True),
+}
+
+
+def base_matrix(family: str, base: FieldContext) -> SignMatrix:
+    """The quadratic-residue Hadamard matrix that a family's transform signs."""
+    if family == "q3":
+        return construct_q3(base)
+    return construct_q1(base, "negated2" if family == "regular" else "plain")
+
+
 def _require_family(ext: FieldContext, family: str) -> int:
+    if family not in FAMILIES:
+        raise HadamardError(f"unknown family {family!r}")
     if ext.subfield is None:
         raise NotPrimePower("transforms need the quadratic tower over GF(q)")
     try:
-        return cs.family_m(ext.subfield.q, family)
+        return cs.family_m(ext.subfield.q, FAMILIES[family].key)
     except cs.CharError as exc:
         raise NotPrimePower(str(exc)) from exc
 
 
-def transform_biregular_q3(
-    ext: FieldContext, params: isets.ParamChoice | None = None, h: SignMatrix | None = None
-):
-    """Biregular maximum-excess signing of the order q+1 matrix h (built by
-    construct_q3 when not given), q = 4m^2+4m+3; row sums land in {2m-2, 2m+2}."""
-    m = _require_family(ext, "e8")
+def _pieces(ext: FieldContext, family: str, m: int, params, partition):
+    """The D sets of a family, their promised sizes, and one piece
+    (design name, members, design, promised profile values, profile values
+    whose blocks are negated, matrix row of block 0) per design the members
+    are promised against."""
     base = ext.subfield
+    mm = m * m
+    tau = None
+    if family == "regular":
+        if partition is None:
+            raise HadamardError("the regular family needs a scheme partition")
+        report = schemes.verify_scheme(ext, partition)
+        if not (report.is_scheme and report.table1_match):
+            raise schemes.SchemeInvalid("partition fails scheme or eigenvalue-table verification")
+        tau = report.tau
     if params is None:
         try:
-            params = isets.find_params(ext, "e8")
+            params = isets.find_params(ext, FAMILIES[family].key, partition=partition, tau=tau)
         except isets.NotFound as exc:
             raise ParamSearchFailed(str(exc)) from exc
-    h0 = 2 * params.h + (1 - params.epsilon * params.delta) // 2
-    members = isets.build_dlh(ext, params.ell, 8, [h0 + i for i in range(4)])
-    design = isets.paley_design(base)
-    profile = isets.intersection_profile(members, design)
-    allowed = {m * m + 1, m * m + 2, m * m + m + 1, m * m + m + 2}
-    if len(members) != 2 * m * m + m + 2 or not set(profile.profile_values()) <= allowed:
-        raise HadamardError("intersection set violates its promised profile")
-    if h is None:
-        h = construct_q3(base)
-    n = h.n
-    col_signs = [1] * n
-    for x in members:
-        col_signs[1 + base.canonical_index(x)] = -1
-    row_signs = [1] * n
-    for b in profile.dual_blocks(m * m + m + 1, m * m + m + 2):
-        row_signs[1 + b] = -1
-    signed = apply_signing(h, row_signs, col_signs)
-    return signed, excess_and_bound(signed)
-
-
-def transform_biregular_q1(
-    ext: FieldContext, params: isets.ParamChoice | None = None, h: SignMatrix | None = None
-):
-    """Biregular maximum-excess signing of the order 2q+2 matrix h (built by
-    construct_q1 when not given), q = 2m^2+2m+1; row sums {2m-2, 2m+2} for
-    odd m, {2m, 2m+4} for even m."""
-    m = _require_family(ext, "e4")
-    base = ext.subfield
-    q = base.q
-    if params is None:
-        try:
-            params = isets.find_params(ext, "e4")
-        except isets.NotFound as exc:
-            raise ParamSearchFailed(str(exc)) from exc
-    hh = params.h
-    if params.epsilon * params.delta == 1:
-        h_first, h_second = [hh, hh + 1], [hh + 1, hh + 2]
+    if family == "regular":
+        dsets = schemes.two_intersection_from_scheme(ext, partition, params)
     else:
-        h_first, h_second = [hh + 1, hh + 2], [hh, hh + 1]
-    d0 = isets.build_dlh(ext, params.ell, 4, h_first)
-    d1 = isets.build_dlh(ext, params.ell, 4, h_second)
-    members = {(0, x) for x in d0} | {(1, x) for x in d1}
-    design1, design2 = isets.paired_designs(base)
-    prof1 = isets.intersection_profile(members, design1)
-    prof2 = isets.intersection_profile(members, design2)
+        e = 8 if family == "q3" else 4
+        dsets = tuple(isets.build_dlh(ext, params.ell, e, hs) for hs in isets.h_sets(params))
+    if family == "q3":
+        allowed = (mm + 1, mm + 2, mm + m + 1, mm + m + 2)
+        design = isets.paley_design(base)
+        return dsets, (2 * mm + m + 2,), [("Paley design", dsets[0], design, allowed, allowed[2:], 1)]
+    members = {(0, x) for x in dsets[0]} | {(1, x) for x in dsets[1]}
+    if family == "regular":
+        design = isets.doubled_symmetric_design(base)
+        return dsets, (mm - m, mm), [("doubled symmetric design", members, design, (mm - m, mm), (mm,), 1)]
     if m % 2:
-        sizes = (m * m, m * m + m)
-        alphas = (m * m, m * m + 1, m * m + m, m * m + m + 1)
-        betas = (m * m - 1, m * m, m * m + m - 1, m * m + m)
+        sizes = (mm, mm + m)
+        alphas = (mm, mm + 1, mm + m, mm + m + 1)
+        betas = (mm - 1, mm, mm + m - 1, mm + m)
     else:
-        sizes = (m * m, m * m + m + 1)
-        alphas = (m * m, m * m + 1, m * m + m + 1, m * m + m + 2)
-        betas = (m * m - 1, m * m, m * m + m, m * m + m + 1)
-    if (len(d0), len(d1)) != sizes:
-        raise HadamardError("intersection set sizes violate their promise")
-    if not set(prof1.profile_values()) <= set(alphas):
-        raise HadamardError("first design profile violates its promise")
-    if not set(prof2.profile_values()) <= set(betas):
-        raise HadamardError("second design profile violates its promise")
-    if h is None:
-        h = construct_q1(base, "plain")
-    n = h.n
-    col_signs = [1] * n
-    for x in d0:
-        col_signs[2 + base.canonical_index(x)] = -1
-    for x in d1:
-        col_signs[2 + q + base.canonical_index(x)] = -1
-    row_signs = [1] * n
-    for b in prof1.dual_blocks(alphas[2], alphas[3]):
-        row_signs[2 + b] = -1
-    for b in prof2.dual_blocks(betas[2], betas[3]):
-        row_signs[2 + q + b] = -1
-    signed = apply_signing(h, row_signs, col_signs)
-    return signed, excess_and_bound(signed)
+        sizes = (mm, mm + m + 1)
+        alphas = (mm, mm + 1, mm + m + 1, mm + m + 2)
+        betas = (mm - 1, mm, mm + m, mm + m + 1)
+    design1, design2 = isets.paired_designs(base)
+    return dsets, sizes, [
+        ("first paired design", members, design1, alphas, alphas[2:], 2),
+        ("second paired design", members, design2, betas, betas[2:], 2 + base.q),
+    ]
 
 
-def transform_regular(
-    ext: FieldContext, partition, params: isets.ParamChoice | None = None, h: SignMatrix | None = None
+def transform(
+    ext: FieldContext,
+    family: str,
+    params: isets.ParamChoice | None = None,
+    h: SignMatrix | None = None,
+    partition=None,
 ):
-    """Regular maximum-excess signing of the order 4m^2 matrix h (built by
-    construct_q1 with variant 'negated2' when not given) via a verified
-    four-class partition of GF(q^2), q = 2m^2-1 with m odd."""
-    m = _require_family(ext, "scheme")
-    base = ext.subfield
-    q = base.q
-    report = schemes.verify_scheme(ext, partition)
-    if not (report.is_scheme and report.table1_match):
-        raise schemes.SchemeInvalid("partition fails scheme or eigenvalue-table verification")
-    if params is None:
-        try:
-            params = isets.find_params(ext, "scheme", partition=partition, tau=report.tau)
-        except isets.NotFound as exc:
-            raise ParamSearchFailed(str(exc)) from exc
-    d0, d1 = schemes.two_intersection_from_scheme(ext, partition, params)
-    members = {(0, x) for x in d0} | {(1, x) for x in d1}
-    design = isets.doubled_symmetric_design(base)
-    profile = isets.intersection_profile(members, design)
-    if not set(profile.profile_values()) <= {m * m - m, m * m}:
-        raise HadamardError("two-intersection profile violates its promise")
+    """Maximum-excess signing of a family's base matrix h (built by
+    base_matrix when not given): negate the columns of the D sets, then the
+    rows of the blocks they meet in the promised sizes.
+
+    - q3, q = 4m^2+4m+3: order q+1, row sums {2m-2, 2m+2}.
+    - q1, q = 2m^2+2m+1: order 2q+2, row sums {2m-2, 2m+2} for odd m and
+      {2m, 2m+4} for even m.
+    - regular, q = 2m^2-1 with m odd: order 4m^2, every row sum 2m, via the
+      verified four-class partition of GF(q^2) given as partition.
+    """
+    m = _require_family(ext, family)
+    dsets, promised, pieces = _pieces(ext, family, m, params, partition)
+    sizes = tuple(map(len, dsets))
+    if sizes != promised:
+        raise HadamardError(f"{family}: D-set sizes {sizes} break the promised sizes {promised}")
     if h is None:
-        h = construct_q1(base, "negated2")
-    n = h.n
-    col_signs = [1] * n
-    for pt in members:
-        col_signs[1 + design.point_index[pt]] = -1
-    row_signs = [1] * n
-    for b in profile.dual_blocks(m * m):
-        row_signs[1 + b] = -1
+        h = base_matrix(family, ext.subfield)
+    border = FAMILIES[family].border
+    col_signs = [1] * h.n
+    row_signs = [1] * h.n
+    for name, members, design, allowed, negated, first_row in pieces:
+        profile = isets.intersection_profile(members, design)
+        values = profile.profile_values()
+        if not set(values) <= set(allowed):
+            promised = sorted(set(allowed))
+            raise HadamardError(f"{family}: {name} profile values {values} break the promised set {promised}")
+        for pt in members:
+            col_signs[border + design.point_index[pt]] = -1
+        for b in profile.dual_blocks(*negated):
+            row_signs[first_row + b] = -1
     signed = apply_signing(h, row_signs, col_signs)
     return signed, excess_and_bound(signed)

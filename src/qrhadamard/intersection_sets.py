@@ -287,6 +287,21 @@ def admissible_params(ext: FieldContext, family: str, partition=None, tau: int |
         raise IntersectionError(f"unknown family {family!r}")
 
 
+def h_sets(params: ParamChoice) -> tuple[list[int], ...]:
+    """The H of each D_{l,H} a biregular transform cuts out, from h and
+    epsilon*delta: four consecutive order-8 classes from
+    h0 = 2h + (1 - epsilon delta)/2 for e8; for e4 the pair [h, h+1], [h+1, h+2],
+    swapped when epsilon delta = -1."""
+    if params.family not in ("e8", "e4"):
+        raise IntersectionError(f"no H rule for family {params.family!r}")
+    hp, eps_delta = params.h, params.epsilon * params.delta
+    if params.family == "e8":
+        h0 = 2 * hp + (1 - eps_delta) // 2
+        return ([h0, h0 + 1, h0 + 2, h0 + 3],)
+    first, second = [hp, hp + 1], [hp + 1, hp + 2]
+    return (first, second) if eps_delta == 1 else (second, first)
+
+
 def find_params(ext: FieldContext, family: str, partition=None, tau: int | None = None) -> ParamChoice:
     """Smallest admissible ell with its h; NotFound signals a bug."""
     for choice in admissible_params(ext, family, partition, tau):
@@ -379,8 +394,7 @@ def theorem_e8_branches(ext: FieldContext, params: ParamChoice) -> bool:
     q, n = base.q, ext.order
     m, hp = params.m, params.h
     eps_delta = params.epsilon * params.delta
-    h = 2 * hp + (1 - eps_delta) // 2
-    members = build_dlh(ext, params.ell, 8, [h + i for i in range(4)])
+    members = build_dlh(ext, params.ell, 8, h_sets(params)[0])
     dmask = 0
     for x in members:
         dmask |= 1 << base.canonical_index(x)

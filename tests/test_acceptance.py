@@ -201,11 +201,11 @@ def test_criterion_6_property_suite():
         return [1 if (31 * trial + 17 * i + 7 * salt) % 7 < 4 else -1 for i in range(n)]
 
     outputs = []
-    for q, transform in ((11, hd.transform_biregular_q3), (13, hd.transform_biregular_q1)):
+    for q, family in ((11, "q3"), (13, "q1")):
         ext, _ = quadratic_tower(q)
-        outputs.append(transform(ext))
+        outputs.append(hd.transform(ext, family))
     ext17, _ = quadratic_tower(17)
-    outputs.append(hd.transform_regular(ext17, schemes.example_partition(3)))
+    outputs.append(hd.transform(ext17, "regular", partition=schemes.example_partition(3)))
 
     for signed, rep in outputs:
         for trial in range(100):

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrhadamard import association_schemes as schemes
-from qrhadamard import finite_field
+from qrhadamard import cli, finite_field
 from qrhadamard import hadamard as hd
+from qrhadamard import intersection_sets as isets
 from qrhadamard.cli import main
 
 SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
@@ -78,6 +79,18 @@ def test_construct_input_errors(tmp_path):
     assert main(["construct", "--family", "q3", "--m", "1", "--h", "1", "--out", str(tmp_path)]) == 2
 
 
+def test_regular_family_needs_odd_m(tmp_path, capsys):
+    m3 = str(SCHEMES_DIR / "m3.scheme")
+    for argv in (
+        ["construct", "--family", "regular", "--m", "2", "--partition", m3, "--out", str(tmp_path)],
+        ["scheme", "--search", "--m", "4", "--e", "8"],
+        ["search-params", "--family", "scheme", "--q", "31", "--partition", m3],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: the regular family needs odd m\n"
+
+
 def test_construct_rejects_small_m_and_oversized_fields(tmp_path, capsys):
     for argv in (["--m", "0"], ["--m", "-1"], ["--q", "3"], ["--m", "40"]):
         capsys.readouterr()
@@ -120,6 +133,15 @@ def test_cli_runs_never_import_sympy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], False]
+
+
+def test_run_constructions_script():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_constructions.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 11
+    assert all(" max-excess " in line for line in lines)
 
 
 def test_construct_builds_base_matrix_once(tmp_path, monkeypatch):
@@ -207,6 +229,36 @@ def test_search_params(capsys):
     capsys.readouterr()
     assert main(["search-params", "--family", "e8", "--q", "12"]) == 2
     assert main(["search-params", "--family", "e4", "--q", "11"]) == 2
+
+
+@pytest.mark.parametrize("limit", [0, 1, 3])
+@pytest.mark.parametrize("family,q", [("e8", 11), ("e4", 13), ("scheme", 17)])
+def test_search_params_streams_the_json_list(capsys, monkeypatch, family, q, limit):
+    monkeypatch.setattr(cli, "_ROWS_PER_CHUNK", 2)  # every list but the shortest spans chunks
+    ext, _ = finite_field.quadratic_tower(q)
+    partition, tau = None, None
+    argv = ["search-params", "--family", family, "--q", str(q), "--limit", str(limit)]
+    if family == "scheme":
+        partition, tau = schemes.example_partition(3), -1
+        argv += ["--partition", str(SCHEMES_DIR / "m3.scheme")]
+    rows = []
+    for c in isets.admissible_params(ext, family, partition=partition, tau=tau):
+        fields = {"ell": c.ell, "h": c.h, "epsilon": c.epsilon, "delta": c.delta, "tau": c.tau}
+        rows.append({k: v for k, v in fields.items() if v is not None})
+    if limit:
+        rows = rows[:limit]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == json.dumps(rows, sort_keys=True) + "\n"
+
+
+def test_search_params_with_no_rows_prints_an_empty_list(capsys, monkeypatch):
+    monkeypatch.setattr(isets, "admissible_params", lambda *args, **kwargs: iter(()))
+    capsys.readouterr()
+    assert main(["search-params", "--family", "e8", "--q", "11", "--limit", "0"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "[]\n"
+    assert "no admissible parameters" in out.err
 
 
 def test_search_params_scheme(capsys):
@@ -428,4 +480,44 @@ def test_fuzz_search_params_small_parameters(family, by, value, limit, partition
         argv.append(f"--limit={limit}")
     if partition:
         argv += ["--partition", str(SCHEMES_DIR / "m3.scheme")]
+    assert main(argv) in _EXIT_CODES
+
+
+_SCHEME_FILES = st.sampled_from(["m3.scheme", "m5.scheme"]).map(lambda name: (SCHEMES_DIR / name).read_text())
+_scheme_m = st.sampled_from([3, 5]) | st.integers(-8, 8)
+
+
+def _size_arg(m: int, by_q: bool) -> str:
+    return f"--q={2 * m * m - 1}" if by_q else f"--m={m}"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    m=_scheme_m,
+    by_q=st.booleans(),
+    ell=st.none() | st.integers(-50, 300),
+    partition=st.one_of(_SCHEME_FILES, _partition_texts),
+)
+def test_fuzz_construct_regular(tmp_path_factory, m, by_q, ell, partition):
+    argv = [
+        "construct", "--family", "regular", _size_arg(m, by_q),
+        "--partition", _fuzz_file(tmp_path_factory, partition.encode()),
+        "--out", str(tmp_path_factory.mktemp("out")),
+    ]
+    if ell is not None:
+        argv.append(f"--ell={ell}")
+    assert main(argv) in _EXIT_CODES
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    m=_scheme_m,
+    by_q=st.booleans(),
+    e=st.none() | st.sampled_from([4, 6, 10, 12, 20]) | st.integers(-4, 40),
+    budget=st.integers(-2, 10_000),
+)
+def test_fuzz_scheme_search(m, by_q, e, budget):
+    argv = ["scheme", "--search", _size_arg(m, by_q), f"--budget={budget}"]
+    if e is not None:
+        argv.append(f"--e={e}")
     assert main(argv) in _EXIT_CODES

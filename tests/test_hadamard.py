@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,7 +184,7 @@ def test_signing_preserves_hadamard_property(rows, cols):
 )
 def test_transform_biregular_q3(q, m, rows, excess):
     ext, _ = quadratic_tower(q)
-    signed, rep = hd.transform_biregular_q3(ext)
+    signed, rep = hd.transform(ext, "q3")
     assert rep.n == 4 * (m * m + m + 1)
     assert {v for v, _ in rep.row_sums} == rows
     assert rep.excess == excess == rep.bound
@@ -202,7 +204,7 @@ def test_transform_biregular_q3(q, m, rows, excess):
 )
 def test_transform_biregular_q1(q, m, rows, excess):
     ext, _ = quadratic_tower(q)
-    signed, rep = hd.transform_biregular_q1(ext)
+    signed, rep = hd.transform(ext, "q1")
     assert rep.n == 4 * (m * m + m + 1)
     assert {v for v, _ in rep.row_sums} == rows
     assert rep.excess == excess == rep.bound
@@ -214,13 +216,13 @@ def test_transform_biregular_q1(q, m, rows, excess):
 
 def test_q1_m2_frequencies():
     ext, _ = quadratic_tower(13)
-    _, rep = hd.transform_biregular_q1(ext)
+    _, rep = hd.transform(ext, "q1")
     assert dict(rep.row_sums) == {4: 21, 8: 7}
 
 
 def test_transpose_of_attaining_output_attains(tower11):
     ext, _ = tower11
-    signed, rep = hd.transform_biregular_q3(ext)
+    signed, rep = hd.transform(ext, "q3")
     rep_t = hd.excess_and_bound(signed.transpose())
     assert rep_t.excess == rep_t.bound == rep.bound
     assert rep_t.classification.startswith("biregular")
@@ -228,7 +230,7 @@ def test_transpose_of_attaining_output_attains(tower11):
 
 def test_row_sum_square_identity(tower11):
     ext, _ = tower11
-    signed, rep = hd.transform_biregular_q3(ext)
+    signed, rep = hd.transform(ext, "q3")
     assert sum(v * v * c for v, c in rep.row_sums) == rep.n**2
 
 
@@ -237,7 +239,7 @@ def test_transform_regular_m3(tower17):
 
     ext, _ = tower17
     part = schemes.example_partition(3)
-    signed, rep = hd.transform_regular(ext, part)
+    signed, rep = hd.transform(ext, "regular", partition=part)
     assert rep.n == 36
     assert rep.row_sums == ((6, 36),)
     assert rep.excess == 216 == rep.bound
@@ -247,9 +249,32 @@ def test_transform_regular_m3(tower17):
 def test_transform_wrong_family():
     ext, _ = quadratic_tower(7)
     with pytest.raises(hd.NotPrimePower):
-        hd.transform_biregular_q3(ext)
+        hd.transform(ext, "q3")
     with pytest.raises(hd.NotPrimePower):
-        hd.transform_biregular_q1(ext)
+        hd.transform(ext, "q1")
+
+
+@pytest.mark.parametrize(
+    "q,family,observed,promised",
+    [(27, "q3", (11,), (12,)), (13, "q1", (6, 4), (4, 7))],
+)
+def test_transform_names_the_broken_size_promise(q, family, observed, promised):
+    ext, _ = quadratic_tower(q)
+    params = isets.find_params(ext, hd.FAMILIES[family].key)
+    with pytest.raises(hd.HadamardError) as info:
+        hd.transform(ext, family, replace(params, h=(params.h + 1) % 4))
+    assert str(info.value) == f"{family}: D-set sizes {observed} break the promised sizes {promised}"
+
+
+def test_transform_names_the_broken_profile_promise(monkeypatch):
+    ext, base = quadratic_tower(11)
+    points = list(base.elements())
+    # every block holds every point, so each block meets the 5-point D set in 5
+    full = isets.BlockDesign(points, [(1 << 11) - 1] * 11, points)
+    monkeypatch.setattr(isets, "paley_design", lambda ctx: full)
+    with pytest.raises(hd.HadamardError) as info:
+        hd.transform(ext, "q3")
+    assert str(info.value) == "q3: Paley design profile values (5,) break the promised set [2, 3, 4]"
 
 
 def test_matrix_text_roundtrip():
@@ -276,7 +301,7 @@ def test_matrix_text_parse_errors():
 
 def test_report_json_fields(tower11):
     ext, _ = tower11
-    _, rep = hd.transform_biregular_q3(ext)
+    _, rep = hd.transform(ext, "q3")
     payload = hd.report_json(rep)
     assert sorted(payload) == ["bound", "classification", "excess", "k", "n", "row_sums", "s", "t"]
     assert payload["row_sums"] == {"0": 3, "4": 9}

@@ -147,6 +147,19 @@ def test_e8_branches_larger_fields(q):
     assert isets.theorem_e8_branches(ext, params)
 
 
+def test_h_sets_rule():
+    for h in range(4):
+        for eps, delta in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            p8 = isets.ParamChoice("e8", 1, 1, h=h, epsilon=eps, delta=delta)
+            h0 = 2 * h if eps * delta == 1 else 2 * h + 1
+            assert isets.h_sets(p8) == ([h0, h0 + 1, h0 + 2, h0 + 3],)
+            p4 = isets.ParamChoice("e4", 1, 1, h=h, epsilon=eps, delta=delta)
+            pair = ([h, h + 1], [h + 1, h + 2])
+            assert isets.h_sets(p4) == (pair if eps * delta == 1 else pair[::-1])
+    with pytest.raises(isets.IntersectionError):
+        isets.h_sets(isets.ParamChoice("scheme", 1, 3, tau=1))
+
+
 def test_find_params_congruences_reverified(tower11, tower25):
     # re-check the defining congruences independently of the scanner
     ext11, _ = tower11
