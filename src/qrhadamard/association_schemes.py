@@ -361,22 +361,27 @@ def bannai_muzychuk_check(eigen_rows, groups) -> bool:
     return len(clusters) <= len(groups)
 
 
-def two_intersection_from_scheme(ext: FieldContext, part: SchemePartition, params: isets.ParamChoice):
-    """The pair of point sets cut out of GF(q) by S_0, S_1; verified to give
-    a two-intersection set with sizes (m^2-m, m^2)."""
-    _check_form(ext, part)
-    base = ext.subfield
-    m, e = part.m, part.e
+def scheme_dsets(ext: FieldContext, part: SchemePartition, ell: int):
+    """The pair of point sets cut out of GF(q) by S_0, S_1 for omega^ell in
+    X_2 or X_4; unchecked (two_intersection_from_scheme checks them)."""
     h1, h2, h3, h4 = part.h_lists
-    r = params.ell % e
+    r = ell % part.e
     if r in h2:
         s0, s1 = h1 + h4, h1 + h2
     elif r in h4:
         s0, s1 = h2 + h3, h3 + h4
     else:
         raise isets.BadEll("omega^ell must lie in X_2 or X_4")
-    d0 = isets.build_dlh(ext, params.ell, e, s0)
-    d1 = isets.build_dlh(ext, params.ell, e, s1)
+    return isets.build_dlh(ext, ell, part.e, s0), isets.build_dlh(ext, ell, part.e, s1)
+
+
+def two_intersection_from_scheme(ext: FieldContext, part: SchemePartition, params: isets.ParamChoice):
+    """The pair of point sets cut out of GF(q) by S_0, S_1; verified to give
+    a two-intersection set with sizes (m^2-m, m^2)."""
+    _check_form(ext, part)
+    base = ext.subfield
+    m = part.m
+    d0, d1 = scheme_dsets(ext, part, params.ell)
     if (len(d0), len(d1)) != (m * m - m, m * m):
         raise ProfileMismatch(f"sizes {(len(d0), len(d1))} != {(m*m-m, m*m)}")
     members = {(0, x) for x in d0} | {(1, x) for x in d1}

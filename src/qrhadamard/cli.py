@@ -133,7 +133,7 @@ def cmd_construct(args) -> int:
     try:
         base_matrix = hd.base_matrix(family, base)
         signed, rep = hd.transform(ext, family, params, base_matrix, partition)
-    except (schemes.SchemeInvalid, schemes.ProfileMismatch, hd.HadamardError) as exc:
+    except (schemes.SchemeInvalid, hd.HadamardError) as exc:
         return _fail(str(exc), EXIT_VERIFY)
 
     out = args.out or "."
@@ -209,10 +209,7 @@ def cmd_search_params(args) -> int:
     if args.limit is not None and args.limit < 0:
         return _fail(f"--limit must be >= 0 (0 lists every row), got {args.limit}", EXIT_INPUT)
     try:
-        m = family_m(args.q, family) if args.q is not None else args.m
-        if m is None:
-            raise ValueError("give --q or --m")
-        q, m = _resolve_q_m(argparse.Namespace(q=None, m=m), _BY_KEY[family])
+        q, m = _resolve_q_m(args, _BY_KEY[family])
         ext, base = quadratic_tower(q)
     except (ValueError, FieldError, CharError) as exc:
         return _fail(str(exc), EXIT_INPUT)

@@ -2,8 +2,15 @@
 quadratic-residue base constructions, the table of the three families, and
 the row/column signing transform that reaches maximum excess.
 
-Rows are bit-packed (set bit = entry -1) so the O(n^3) orthogonality check
-runs on word-wide popcounts; all verification is exact integer arithmetic.
+Rows are bit-packed (set bit = entry -1), so orthogonality checks run on
+word-wide popcounts, and all verification is exact integer arithmetic.  A
+matrix read from outside (``verify``) gets the full check: every row pair,
+O(n^2) popcounts.  A matrix built by ``transform`` gets a certificate instead:
+its base matrix is invariant under x -> omega^2 x on rows and columns, so the
+orbit representatives against all rows prove the base Hadamard, and one XOR
+per row proves the signed matrix is the base with rows and columns negated,
+O(n) popcounts in all.  A certificate that does not hold falls back to the
+full check.
 """
 
 from __future__ import annotations
@@ -162,11 +169,68 @@ class ExcessReport:
     bound_alt: int  # the other t-branch; equal to bound on all target orders
 
 
+def _omega2_invariant(h: SignMatrix, q: int, blocks: tuple[int, ...]) -> bool:
+    """Whether sigma(row i) == row sigma(i) for every i, where sigma fixes the
+    border and each block's 0 and maps omega^k to omega^(k+2), on rows and
+    columns alike: the automorphism x -> omega^2 x of the QR matrices."""
+    period = q - 1
+    seg = (1 << period) - 1
+    fixed = (1 << h.n) - 1
+    for o in blocks:
+        fixed &= ~(seg << (o + 1))
+    rows = h.rows
+    target = list(range(h.n))  # sigma on row indices
+    for o in blocks:
+        for k in range(period):
+            target[o + 1 + k] = o + 1 + (k + 2) % period
+    for i, r in enumerate(rows):
+        moved = r & fixed
+        for o in blocks:
+            part = (r >> (o + 1)) & seg
+            moved |= (((part << 2) | (part >> (period - 2))) & seg) << (o + 1)
+        if moved != rows[target[i]]:
+            return False
+    return True
+
+
+def _certified(signed: SignMatrix, base: SignMatrix, q: int) -> bool:
+    """Exact proof that signed is Hadamard, or False when the proof fails.
+
+    The base must be omega^2-invariant; then its Gram matrix is too, so each
+    row pair is equivalent to one whose first row is an orbit representative
+    (the border rows, and 0, omega^0, omega^1 of each block), and only those
+    rows are compared against all rows.  Then every row of signed ^ base must
+    be c or its complement, with c that of row 0: signed = D1 base D2 for
+    diagonal +-1 matrices D1 and D2, which keep orthogonality."""
+    n = base.n
+    if q < 3 or q % 2 == 0 or n not in (q + 1, 2 * q + 2):
+        return False
+    # order q+1: one border row, one block; order 2q+2: two of each.  Within
+    # a block, index 0 is the element 0 and index 1+k is omega^k.
+    blocks = (1,) if n == q + 1 else (2, 2 + q)
+    if not _omega2_invariant(base, q, blocks):
+        return False
+    rows, half = base.rows, n // 2
+    reps = list(range(blocks[0])) + [o + k for o in blocks for k in range(3)]
+    for i in reps:
+        ri = rows[i]
+        if any((ri ^ rows[j]).bit_count() != half for j in range(n) if j != i):
+            return False
+    c = signed.rows[0] ^ rows[0]
+    cc = c ^ ((1 << n) - 1)
+    return all((s ^ b) in (c, cc) for s, b in zip(signed.rows, rows))
+
+
 def excess_and_bound(h: SignMatrix) -> ExcessReport:
     """Excess, bound parameters and row-sum classification; exact integers."""
     bad = hadamard_violation(h)
     if bad is not None:
         raise NotHadamard(bad)
+    return _excess_report(h)
+
+
+def _excess_report(h: SignMatrix) -> ExcessReport:
+    """The report half of excess_and_bound, for a matrix known Hadamard."""
     n = h.n
     k, t, s, bound, bound_alt = bound_params(n)
     hist: dict[int, int] = {}
@@ -331,7 +395,7 @@ def _pieces(ext: FieldContext, family: str, m: int, params, partition):
         except isets.NotFound as exc:
             raise ParamSearchFailed(str(exc)) from exc
     if family == "regular":
-        dsets = schemes.two_intersection_from_scheme(ext, partition, params)
+        dsets = schemes.scheme_dsets(ext, partition, params.ell)
     else:
         e = 8 if family == "q3" else 4
         dsets = tuple(isets.build_dlh(ext, params.ell, e, hs) for hs in isets.h_sets(params))
@@ -396,4 +460,8 @@ def transform(
         for b in profile.dual_blocks(*negated):
             row_signs[first_row + b] = -1
     signed = apply_signing(h, row_signs, col_signs)
-    return signed, excess_and_bound(signed)
+    # the full check runs only when the certificate fails, and names the first bad pair
+    bad = None if _certified(signed, h, ext.subfield.q) else hadamard_violation(signed)
+    if bad is not None:
+        raise NotHadamard(bad)
+    return signed, _excess_report(signed)

@@ -163,6 +163,18 @@ def test_verify_checks_orthogonality_once(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["excess"] == 36
 
 
+def test_construct_certifies_orthogonality_without_the_full_check(tmp_path, monkeypatch):
+    calls = []
+    real = hd.hadamard_violation
+    monkeypatch.setattr(hd, "hadamard_violation", lambda h: calls.append(h.n) or real(h))
+    m3 = str(SCHEMES_DIR / "m3.scheme")
+    for argv in (["q3", "--q", "83"], ["q1", "--q", "61"], ["regular", "--m", "3", "--partition", m3]):
+        assert main(["construct", "--family", *argv, "--out", str(tmp_path)]) == 0
+    assert calls == []
+    assert main(["verify", str(tmp_path / "q1_q61_transformed.mat")]) == 0
+    assert calls == [124]
+
+
 def test_construct_with_explicit_admissible_ell(tmp_path, capsys):
     capsys.readouterr()
     assert main(["search-params", "--family", "e8", "--q", "11", "--limit", "2"]) == 0
@@ -325,6 +337,21 @@ def test_search_params_partition_for_another_q(capsys):
     argv = ["search-params", "--family", "scheme", "--q", "49", "--partition", str(SCHEMES_DIR / "m3.scheme")]
     assert main(argv) == 2
     assert "does not match the requested q/m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "family,size",
+    [
+        ("e8", ["--q", "11", "--m", "5"]),
+        ("e4", ["--q", "13", "--m", "2"]),
+        ("scheme", ["--q", "17", "--m", "3", "--partition", str(SCHEMES_DIR / "m3.scheme")]),
+    ],
+)
+def test_search_params_takes_exactly_one_of_q_and_m(capsys, family, size):
+    argv = ["search-params", "--family", family, *size]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: give exactly one of --q and --m\n")
 
 
 def test_search_params_negative_limit(capsys):

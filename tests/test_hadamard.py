@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrhadamard import association_schemes as schemes
 from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
 from qrhadamard.finite_field import ZERO, build_field, field_for, quadratic_tower
@@ -266,6 +267,23 @@ def test_transform_names_the_broken_size_promise(q, family, observed, promised):
     assert str(info.value) == f"{family}: D-set sizes {observed} break the promised sizes {promised}"
 
 
+def test_transform_regular_builds_and_checks_its_pieces_once(monkeypatch, tower17):
+    ext, _ = tower17
+    part = schemes.example_partition(3)
+    calls = []
+    for name in ("doubled_symmetric_design", "intersection_profile"):
+        real = getattr(isets, name)
+        monkeypatch.setattr(isets, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    hd.transform(ext, "regular", partition=part)
+    assert calls == ["doubled_symmetric_design", "intersection_profile"]
+    # swapped D sets break the size promise, which transform names
+    dsets = schemes.scheme_dsets
+    monkeypatch.setattr(schemes, "scheme_dsets", lambda *args: dsets(*args)[::-1])
+    with pytest.raises(hd.HadamardError) as info:
+        hd.transform(ext, "regular", partition=part)
+    assert str(info.value) == "regular: D-set sizes (9, 6) break the promised sizes (6, 9)"
+
+
 def test_transform_names_the_broken_profile_promise(monkeypatch):
     ext, base = quadratic_tower(11)
     points = list(base.elements())
@@ -305,3 +323,87 @@ def test_report_json_fields(tower11):
     payload = hd.report_json(rep)
     assert sorted(payload) == ["bound", "classification", "excess", "k", "n", "row_sums", "s", "t"]
     assert payload["row_sums"] == {"0": 3, "4": 9}
+
+
+# -- the omega^2 certificate that transform uses in place of the full check
+
+# every small base, including q = 3 and q = 5 and the regular family's negated2 base
+_BASES = (
+    [("q3", q) for q in (3, 7, 11, 19, 23, 27, 31)]
+    + [("q1", q) for q in (5, 9, 13, 17, 25, 29)]
+    + [("regular", q) for q in (5, 13, 17, 49)]
+)
+
+
+def certified_result(signed, base, q):
+    """transform's verdict: None under the certificate, else the full check's."""
+    return None if hd._certified(signed, base, q) else hd.hadamard_violation(signed)
+
+
+@pytest.mark.parametrize("family,q", _BASES)
+def test_certificate_agrees_with_the_full_check_on_the_bases(family, q):
+    h = hd.base_matrix(family, field_for(q))
+    assert hd.hadamard_violation(h) is None
+    assert hd._certified(h, h, q)
+    # a shape that is not q+1 or 2q+2 takes the full check
+    assert not hd._certified(h, h, q + 2)
+    if family != "q3":  # both border rows equal: invariant, and only the border pair fails
+        twin = hd.SignMatrix(h.n, h.rows[:1] * 2 + h.rows[2:])
+        assert certified_result(twin, twin, q) == (0, 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=st.sampled_from(_BASES), data=st.data())
+def test_certificate_holds_on_signings_of_the_bases(case, data):
+    family, q = case
+    h = hd.base_matrix(family, field_for(q))
+    signs = st.lists(st.sampled_from([1, -1]), min_size=h.n, max_size=h.n)
+    signed = hd.apply_signing(h, data.draw(signs), data.draw(signs))
+    assert hd._certified(signed, h, q)
+    assert hd.hadamard_violation(signed) is None
+
+
+def flipped(h, i, j):
+    rows = list(h.rows)
+    rows[i] ^= 1 << j
+    return hd.SignMatrix(h.n, rows)
+
+
+@pytest.mark.parametrize("family,q", [("q3", 11), ("q1", 13), ("regular", 17)])
+def test_every_single_bit_flip_gets_the_full_check_verdict(family, q):
+    ext, base_ctx = quadratic_tower(q)
+    part = schemes.example_partition(3) if family == "regular" else None
+    base = hd.base_matrix(family, base_ctx)
+    signed, _ = hd.transform(ext, family, h=base, partition=part)
+    for i in range(base.n):
+        for j in range(base.n):
+            bad_signed, bad_base = flipped(signed, i, j), flipped(base, i, j)
+            full = hd.hadamard_violation(bad_signed)
+            assert full is not None and certified_result(bad_signed, base, q) == full
+            full = hd.hadamard_violation(bad_base)
+            assert full is not None and certified_result(bad_base, bad_base, q) == full
+
+
+def test_transform_falls_back_to_the_full_check(monkeypatch, tower11):
+    ext, base_ctx = tower11
+    base = hd.base_matrix("q3", base_ctx)
+    full_check, real_signing = hd.hadamard_violation, hd.apply_signing
+    checked, signed = [], []
+    monkeypatch.setattr(hd, "hadamard_violation", lambda h: checked.append(h) or full_check(h))
+    monkeypatch.setattr(hd, "apply_signing", lambda *args: signed.append(real_signing(*args)) or signed[-1])
+    # broken invariance, still Hadamard (two rows swapped): the full check passes it
+    rows = list(base.rows)
+    rows[3], rows[4] = rows[4], rows[3]
+    swapped = hd.SignMatrix(base.n, rows)
+    assert not hd._certified(swapped, swapped, 11)
+    hd.transform(ext, "q3", h=swapped)
+    assert checked == signed
+    # broken invariance, not Hadamard: NotHadamard names the full check's first pair
+    with pytest.raises(hd.NotHadamard) as info:
+        hd.transform(ext, "q3", h=flipped(base, 5, 7))
+    assert checked[-1] is signed[-1] and info.value.rows == full_check(signed[-1])
+    # invariant base, bad row-difference mask: the same
+    monkeypatch.setattr(hd, "apply_signing", lambda *args: signed.append(flipped(real_signing(*args), 9, 2)) or signed[-1])
+    with pytest.raises(hd.NotHadamard) as info:
+        hd.transform(ext, "q3", h=base)
+    assert checked[-1] is signed[-1] and info.value.rows == full_check(signed[-1])
