@@ -1,8 +1,9 @@
 """Regular/biregular maximum-excess Hadamard matrices from quadratic residues.
 
-Exact finite-field tables drive every construction and verification; complex
-character sums are used only as cross-checks and to resolve sign ambiguities,
-so floating point never touches a constructed set or matrix.
+Exact finite-field arithmetic drives every construction and verification,
+the Gauss-sum sign pair included; complex character sums are used only as
+cross-checks and to pick the regular family's scheme index tau, so floating
+point never touches a constructed set or matrix.
 """
 
 from .association_schemes import SchemePartition, SchemeReport, example_partition, verify_scheme

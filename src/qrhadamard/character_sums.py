@@ -7,8 +7,10 @@ exactly through discrete logs mod e.  Complex values are plain doubles and
 every closed-form comparison uses absolute tolerance TOL: all quantities
 here are algebraic integers of magnitude at most q^2 at desk scale, so
 doubles leave many digits of margin.  Nothing float-valued ever feeds a
-constructed set or matrix; integer conclusions are drawn by exact
-enumeration elsewhere.
+constructed set or matrix.  The Gauss-sum sign pair (epsilon, delta) that
+the parameter search needs is decided exactly by gauss_signs, from integer
+counts over the q + 1 cosets of GF(q)* in GF(q^2)*; the float
+decompose_gauss, which sums over all of GF(q^2), only cross-checks it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class ZeroArgument(CharError):
 
 
 class NoMatch(CharError):
-    """All closed-form sign candidates failed to match the numeric sum."""
+    """No closed-form sign pair matches the coset counts or the numeric sum."""
 
 
 @lru_cache(maxsize=None)
@@ -114,7 +116,8 @@ def orthogonality_residual(ctx: FieldContext, e: int, j: int, x: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# closed-form decompositions with empirically resolved sign ambiguity
+# Gauss-sum closed forms: the sign pair decided exactly from coset counts,
+# and its float oracle
 
 FORM_ORDER8 = "order8"
 FORM_ORDER4_ODD = "order4_odd"
@@ -157,6 +160,62 @@ def family_m(q: int, family: str) -> int:
             if a * m * m + b * m + c == q:
                 return m
     raise CharError(f"q = {q} is not of the {family} form")
+
+
+# the character order whose Gauss sum over GF(q^2) carries a family's signs
+SIGN_ORDERS = {"e8": 8, "e4": 4}
+
+
+def gauss_sign_counts(ext: FieldContext, e: int) -> tuple[int, ...]:
+    """c_j = sum of eta(Tr_{q^2/q}(omega^k)) over k <= q with k = j mod e.
+
+    omega^0, ..., omega^q represent the cosets of GF(q)* in GF(q^2)*.  When
+    chi_e restricts to the quadratic character eta of GF(q), summing over
+    each coset gives G_{q^2}(chi_e) = G_q(eta) * sum_j c_j zeta_e^j: q + 1
+    relative traces decide the sum exactly."""
+    if ext.subfield is None:
+        raise NoSubfield("sign counts need the quadratic tower GF(q) in GF(q^2)")
+    _check_order(ext, e)
+    _restriction_is_quadratic(ext, e)
+    counts = [0] * e
+    for k in range(ext.subfield.q + 1):
+        tr = ext.rel_trace(k)
+        if tr != ZERO:
+            counts[k % e] += -1 if tr % 2 else 1
+    return tuple(counts)
+
+
+def signs_from_counts(counts, family: str, m: int) -> tuple[int, int]:
+    """(epsilon, delta) of the closed form that sum_j c_j zeta_e^j equals.
+
+    e8 (zeta^4 = -1, sqrt(-2) = zeta + zeta^3): eps (2m+1) + delta sqrt(-2)
+    has c0 - c4 = eps (2m+1), c1 - c5 = c3 - c7 = delta and c2 - c6 = 0.
+    e4 (G_q(eta)^2 = q for q = 1 mod 4): eps a + delta b i has
+    (c0 - c2, c1 - c3) = (eps a, delta b), where (a, b) = (m, m+1) for odd m
+    and (m+1, m) for even m.  Any other count vector raises NoMatch."""
+    half = len(counts) // 2
+    diffs = tuple(counts[j] - counts[j + half] for j in range(half))
+    for eps in (1, -1):
+        for delta in (1, -1):
+            if family == "e8":
+                want = (eps * (2 * m + 1), delta, 0, delta)
+            else:
+                a, b = (m, m + 1) if m % 2 else (m + 1, m)
+                want = (eps * a, delta * b)
+            if diffs == want:
+                return eps, delta
+    raise NoMatch(f"Gauss-sum sign counts {tuple(counts)} fit no {family} sign pair at m = {m}")
+
+
+def gauss_signs(ext: FieldContext, family: str) -> tuple[int, int]:
+    """The sign pair (epsilon, delta) of the family's Gauss-sum closed form,
+    decided exactly from q + 1 cosets; decompose_gauss is its float oracle."""
+    if family not in SIGN_ORDERS:
+        raise CharError(f"no Gauss-sum sign pair for family {family!r}")
+    if ext.subfield is None:
+        raise NoSubfield("sign counts need the quadratic tower GF(q) in GF(q^2)")
+    m = family_m(ext.subfield.q, family)
+    return signs_from_counts(gauss_sign_counts(ext, SIGN_ORDERS[family]), family, m)
 
 
 def decompose_gauss(ext: FieldContext, family: str) -> GaussDecomposition:

@@ -30,12 +30,14 @@ EXIT_BUDGET = 3
 _BY_KEY = {fam.key: name for name, fam in hd.FAMILIES.items()}
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings of chunks to a temporary file as they come, then
+    move it to path; a large matrix is never held as one text."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -140,9 +142,9 @@ def cmd_construct(args) -> int:
     prefix = os.path.join(out, f"{family}_q{q}")
     try:
         os.makedirs(out, exist_ok=True)
-        _atomic_write(prefix + "_base.mat", base_matrix.to_text())
-        _atomic_write(prefix + "_transformed.mat", signed.to_text())
-        _atomic_write(prefix + "_report.json", json.dumps(hd.report_json(rep), sort_keys=True) + "\n")
+        _atomic_write(prefix + "_base.mat", base_matrix.text_lines())
+        _atomic_write(prefix + "_transformed.mat", signed.text_lines())
+        _atomic_write(prefix + "_report.json", [json.dumps(hd.report_json(rep), sort_keys=True) + "\n"])
     except OSError as exc:
         return _fail(f"cannot write the outputs under --out {out}: {exc}", EXIT_INPUT)
     print(_report_lines(rep, args.format))

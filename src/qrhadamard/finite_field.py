@@ -9,9 +9,9 @@ to base omega; the zero element is the sentinel ZERO.  Fixing both choices
 makes every downstream cyclotomic class, point set and matrix labeling
 reproducible bit for bit.
 
-Arithmetic runs on two flat ``array('i')`` tables built with the context and
-on Zech logarithms (K. Huber, "Some comments on Zech's logarithms", IEEE
-Trans. Inf. Theory 36, 1990):
+An odd-degree field runs on two flat ``array('i')`` tables built with the
+context and on Zech logarithms (K. Huber, "Some comments on Zech's
+logarithms", IEEE Trans. Inf. Theory 36, 1990):
 
 - ``trace_table[k] = Tr(omega^k)``, an int in [0, p);
 - ``log_table[w]``, the log of the element whose trace window is ``w``;
@@ -23,11 +23,24 @@ onto [0, q) and field addition is digit-wise addition mod p of windows.
 Tr(omega^k) obeys the linear recurrence of omega's minimal polynomial, so
 one pass over k fills the log and trace tables.  Digit j of the window of
 1 + omega^k is Tr(omega^j) + Tr(omega^(k+j)) mod p, so ``add`` reads one
-Zech logarithm through the log table.  The full ``zech_table``, that lookup
-for every k, is built on first use and cached; only the association-scheme
-convolution sweep reads it, on small fields.
+Zech logarithm through the log table.
 
-Contexts do not change after construction apart from that cache, and all
+An even-degree field GF(q'^2) builds no table of q'^2 entries.  It adds
+over its index-2 subfield GF(q') (Lidl and Niederreiter, *Finite Fields*,
+ch. 2): omega^k = c omega^r with r = k mod (q'+1) and
+c = N(omega)^(k div (q'+1)) in GF(q'), and omega^r = a_r + b_r omega for
+r <= q', filled by the recurrence omega^2 = Tr(omega) omega - N(omega).
+Back from coordinates, a + b omega with b != 0 is (b / b_r) omega^r for the
+one r with a_r / b_r = a / b, read from a table of q' entries.  So a Zech
+logarithm costs a few subfield operations.  Its ``log_table`` and
+``trace_table`` are built on first use by the same walk as an odd-degree
+field's.
+
+The full ``zech_table``, the Zech logarithm for every k, is built on first
+use and cached; only the association-scheme convolution sweep reads it, on
+small fields.
+
+Contexts do not change after construction apart from those caches, and all
 operations are pure.
 """
 
@@ -40,13 +53,16 @@ from functools import cached_property, lru_cache
 from math import gcd
 
 ZERO = -1  # rep of the zero element; logs are >= 0
+_NOT_PRIMITIVE = "omega repeats an element; it is not primitive"
 
-# Peak table memory per field element: the log and trace tables, 4 bytes
-# each, built with the context; the Zech table, 4 bytes, built on first use;
-# plus at most 4 bytes of transient lookup tables (p and p^(f-1) entries, so
-# at most q entries).  Any context may still build its Zech table, so the
-# budget counts it.  Fields whose tables would exceed the budget are refused
-# before anything is factored or allocated.
+# Peak table memory per field element, for a field that builds its tables:
+# the log and trace tables, 4 bytes each (built with an odd-degree context,
+# on first use by an even-degree one); the Zech table, 4 bytes, built on
+# first use; plus at most 4 bytes of transient lookup tables (p and p^(f-1)
+# entries, so at most q entries).  An even-degree field itself holds three
+# tables of about sqrt(q) entries, but any context may still build all of
+# its tables, so the budget counts them.  Fields whose tables would exceed
+# the budget are refused before anything is factored or allocated.
 TABLE_BYTES_PER_ELEMENT = 16
 TABLE_BUDGET_BYTES = 256 << 20
 MAX_FIELD_SIZE = TABLE_BUDGET_BYTES // TABLE_BYTES_PER_ELEMENT  # 2^24
@@ -223,6 +239,11 @@ def _least_irreducible(p: int, f: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found; invariant breach")
 
 
+def _vec(a: list[int], f: int) -> tuple[int, ...]:
+    """The f coefficients of a, constant first."""
+    return tuple(a) + (0,) * (f - len(a))
+
+
 def _digit_form(coeffs, p: int) -> array:
     """t[v] = sum_j coeffs[j] v_j mod p over the base-p digits v_j of v < p^len(coeffs)."""
     t = array("i", [0])
@@ -245,12 +266,13 @@ class FieldSpec:
 
 
 class FieldContext:
-    """GF(p^f) with log and trace tables, Zech logarithms and a subfield link.
+    """GF(p^f) with Zech logarithms and, for even f, a subfield link.
 
     Elements are ints: a log index in [0, q-1) or ZERO.  When f is even the
     context also holds GF(p^(f/2)) together with the canonical embedding of
     it onto the Frobenius-fixed subfield, so that the relative trace
-    x + x^q' can be mapped back to subfield representation.
+    x + x^q' can be mapped back to subfield representation, and it adds
+    through the subfield coordinates of omega^0, ..., omega^q'.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -263,25 +285,28 @@ class FieldContext:
         self.q = p**f
         self.order = self.q - 1
         self.one = 0
-        self._build_tables()
         self.half = self.order // 2 if p != 2 else 0
         self.subfield: FieldContext | None = None
-        self._embed_mult = None
-        self._project_mult = None
-        if f % 2 == 0:
-            self.subfield = build_field(p, f // 2)
-            nu, t, t_inv = embedding_data(self, self.subfield)
-            self._embed_mult = nu * t
-            self._project_mult = t_inv
-            self._nu = nu
+        self._omega = self._find_primitive(spec.modulus)
+        if f % 2:
+            self._build_tables()
+            return
+        # The tower needs omega primitive: with q' = p^(f/2), N(omega) =
+        # omega^(q'+1) must generate GF(q')* and the q'+1 points omega^r,
+        # r <= q', must be distinct up to GF(q')* factors.  Both hold iff
+        # omega^(order/r) != 1 for every prime r | order = (q'-1)(q'+1),
+        # which is checked before the subfield is built.
+        if any(_powmod(self._omega, self.order // r, spec.modulus, p) == [1] for r in _factor(self.order)):
+            raise AssertionError(_NOT_PRIMITIVE)
+        self.subfield = build_field(p, f // 2)
+        self._build_tower()
 
     def _build_tables(self) -> None:
         p, f, q, n = self.p, self.f, self.q, self.order
         mod_poly = self.spec.modulus
-        omega = self._find_primitive(mod_poly)
         powers = [[1]]
         for _ in range(f):
-            powers.append(_mulmod(powers[-1], omega, mod_poly, p))
+            powers.append(_mulmod(powers[-1], self._omega, mod_poly, p))
         # omega^f = sum_j rec[j] omega^j, hence Tr(x omega^f) = sum_j rec[j] Tr(x omega^j)
         rec = _solve_mod_p(powers[:f], powers[f], p)
         one_digits = [_trace_poly(powers[j], mod_poly, p) for j in range(f)]
@@ -305,11 +330,47 @@ class FieldContext:
             w = (step_hi[hi] + step_lo[t]) % q
         # n windows fill all q - 1 nonzero slots only if none repeats
         if log[0] != ZERO or log.count(ZERO) != 1:
-            raise AssertionError("omega repeats an element; it is not primitive")
+            raise AssertionError(_NOT_PRIMITIVE)
         if w != one_window:
             raise AssertionError("primitive element order mismatch")
         self.trace_table = trace
         self.log_table = log
+
+    # An even-degree field reads these tables only when asked; the walk
+    # stores both, shadowing the two properties.
+    @cached_property
+    def log_table(self) -> array:
+        self._build_tables()
+        return self.log_table
+
+    @cached_property
+    def trace_table(self) -> array:
+        self._build_tables()
+        return self.trace_table
+
+    def _build_tower(self) -> None:
+        """Coordinates (a_r, b_r) over the subfield of omega^r = a_r + b_r omega
+        for r <= q', q' = |subfield|, and the map R from a_r / b_r back to r."""
+        sub, p, mod_poly = self.subfield, self.p, self.spec.modulus
+        nu, t, t_inv, sub_logs = _subfield_logs(self, sub)
+        self._nu = nu
+        self._embed_mult = nu * t
+        self._project_mult = t_inv
+        # omega^2 = T omega - N with T = omega + omega^q' and N = omega^(q'+1),
+        # whose log in GF(q') is t_inv
+        conj = _vec(_powmod(self._omega, sub.q, mod_poly, p), self.f)
+        trace = sub_logs.get(tuple((x + y) % p for x, y in zip(conj, _vec(self._omega, self.f))), ZERO)
+        minus_norm = sub.neg(t_inv)
+        coords_a = array("i", [ZERO]) * (sub.q + 1)
+        coords_b = array("i", [ZERO]) * (sub.q + 1)
+        back = array("i", [0]) * sub.q
+        a, b = sub.one, ZERO
+        for r in range(sub.q + 1):
+            coords_a[r], coords_b[r] = a, b
+            if r:  # b != 0: omega is primitive, so omega^r lies outside GF(q')
+                back[sub.canonical_index(sub.mul(a, sub.inv(b)))] = r
+            a, b = sub.mul(minus_norm, b), sub.add(a, sub.mul(trace, b))
+        self._coords_a, self._coords_b, self._back = coords_a, coords_b, back
 
     @cached_property
     def zech_table(self) -> array:
@@ -317,11 +378,24 @@ class FieldContext:
         return array("i", map(self._zech, range(self.order)))
 
     def _zech(self, k: int) -> int:
-        """Z[k] = log(1 + omega^k): digit j of window(1 + omega^k) is
-        (Tr(omega^j) + Tr(omega^(k+j))) mod p."""
-        p, n, trace = self.p, self.order, self.trace_table
-        window = sum((d + trace[(k + j) % n]) % p * p**j for j, d in enumerate(self._one_digits))
-        return self.log_table[window]
+        """Z[k] = log(1 + omega^k)."""
+        sub = self.subfield
+        if sub is None:
+            # digit j of window(1 + omega^k) is (Tr(omega^j) + Tr(omega^(k+j))) mod p
+            p, n, trace = self.p, self.order, self.trace_table
+            window = sum((d + trace[(k + j) % n]) % p * p**j for j, d in enumerate(self._one_digits))
+            return self.log_table[window]
+        # omega^k = c omega^r with r = k mod (q'+1) and c = N^(k div (q'+1)),
+        # so 1 + omega^k = (1 + c a_r) + c b_r omega
+        r = k % self._nu
+        c = k // self._nu * self._project_mult
+        a = sub.add(sub.one, sub.mul(c, self._coords_a[r]))
+        b = sub.mul(c, self._coords_b[r])
+        if b == ZERO:
+            return self.embed(a)
+        # a + b omega = (b / b_r) omega^r for the r with a_r / b_r = a / b
+        r = self._back[sub.canonical_index(sub.mul(a, sub.inv(b)))]
+        return (r + (b - self._coords_b[r]) * self._embed_mult) % self.order
 
     def _find_primitive(self, mod: tuple[int, ...]) -> list[int]:
         p, f, n = self.p, self.f, self.order
@@ -383,6 +457,8 @@ class FieldContext:
 
     def from_int(self, c: int) -> int:
         """The prime-field element c mod p; its window is c times the window of 1."""
+        if self.subfield is not None:
+            return self.embed(self.subfield.from_int(c))
         c %= self.p
         if c == 0:
             return ZERO
@@ -476,6 +552,33 @@ def minimal_polynomial(ctx: FieldContext, a: int) -> tuple[int, ...]:
     return tuple(prime_field[coeff] for coeff in poly)
 
 
+def _subfield_logs(ext: FieldContext, base: FieldContext) -> tuple[int, int, int, dict]:
+    """(nu, t, t_inv, logs) realizing GF(base.q) inside ext, from GF(p)
+    polynomials alone: logs maps the coefficient vector of each nonzero
+    subfield element of ext to its log in base."""
+    if ext.p != base.p or ext.f % base.f:
+        raise NoSubfield("not a subfield pair")
+    p, f, mod_poly, order = ext.p, ext.f, ext.spec.modulus, base.order
+    nu = ext.order // order
+    # y = omega^nu generates the subfield's multiplicative group
+    y = _powmod(ext._omega, nu, mod_poly, p)
+    powers, x = [], [1]
+    for _ in range(order):
+        powers.append(_vec(x, f))
+        x = _mulmod(x, y, mod_poly, p)
+    coeffs = minimal_polynomial(base, base.one if order == 1 else 1)
+    for t in range(1, max(order, 2)):
+        if gcd(t, order) == 1 and not any(
+            sum(c * powers[t * i % order][j] for i, c in enumerate(coeffs)) % p for j in range(f)
+        ):
+            break
+    else:
+        raise AssertionError("no embedding found; invariant breach")
+    t_inv = pow(t, -1, order) if order > 1 else 0
+    # y^t is base's primitive element, so y^j has log j t_inv in base
+    return nu, t, t_inv, {v: j * t_inv % order for j, v in enumerate(powers)}
+
+
 @lru_cache(maxsize=None)
 def embedding_data(ext: FieldContext, base: FieldContext) -> tuple[int, int, int]:
     """(nu, t, t_inv) realizing GF(base.q) inside ext.
@@ -484,21 +587,7 @@ def embedding_data(ext: FieldContext, base: FieldContext) -> tuple[int, int, int
     where t is the least exponent coprime to base.q-1 whose image is a root
     of the minimal polynomial of base's primitive element.
     """
-    if ext.p != base.p or ext.f % base.f:
-        raise NoSubfield("not a subfield pair")
-    nu = ext.order // base.order
-    coeffs = minimal_polynomial(base, base.one if base.order == 1 else 1)
-    for t in range(1, max(base.order, 2)):
-        if gcd(t, base.order) != 1:
-            continue
-        y = (nu * t) % ext.order
-        acc = ZERO
-        for c in reversed(coeffs):
-            acc = ext.add(ext.mul(acc, y), ext.from_int(c))
-        if acc == ZERO:
-            t_inv = pow(t, -1, base.order) if base.order > 1 else 0
-            return nu, t, t_inv
-    raise AssertionError("no embedding found; invariant breach")
+    return _subfield_logs(ext, base)[:3]
 
 
 def prime_power(q: int) -> tuple[int, int]:

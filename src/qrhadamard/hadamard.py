@@ -88,11 +88,15 @@ class SignMatrix:
                 r ^= low
         return SignMatrix(n, cols, self.labels)
 
-    def to_text(self) -> str:
+    def text_lines(self):
+        """The lines of the text form, newline included, one row at a time."""
         spec = f"0{self.n}b"  # bit j is character j, so the binary text is reversed
-        lines = [str(self.n)]
-        lines.extend(format(r, spec)[::-1].translate(_TO_TEXT) for r in self.rows)
-        return "\n".join(lines) + "\n"
+        yield f"{self.n}\n"
+        for r in self.rows:
+            yield format(r, spec)[::-1].translate(_TO_TEXT) + "\n"
+
+    def to_text(self) -> str:
+        return "".join(self.text_lines())
 
     @classmethod
     def from_text(cls, text: str) -> "SignMatrix":

@@ -226,8 +226,8 @@ def admissible_params(ext: FieldContext, family: str, partition=None, tau: int |
     """Yield admissible (h, ell) pairs in ascending ell, per family.
 
     Every condition is an exact discrete-log congruence; the sign data
-    (epsilon, delta) comes from the Gauss-sum decomposition and tau from the
-    scheme eigenvalue table.
+    (epsilon, delta) comes from the exact Gauss-sum sign counts and tau from
+    the scheme eigenvalue table.
     """
     if ext.subfield is None:
         raise NoSubfield("parameter search needs the quadratic tower")
@@ -245,9 +245,10 @@ def admissible_params(ext: FieldContext, family: str, partition=None, tau: int |
         """log(omega^(q ell) - omega^ell) for ell not divisible by q+1."""
         return (ell + gap(ell % (q + 1))) % n
 
+    if family in cs.SIGN_ORDERS:
+        eps, delta = cs.gauss_signs(ext, family)
+        m = cs.family_m(q, family)
     if family == "e8":
-        dec = cs.decompose_gauss(ext, "e8")
-        eps, delta, m = dec.epsilon, dec.delta, dec.m
         t_target = (4 + 2 * delta) % 8
         h_of = {0: 0, 6: 1, 4: 2, 2: 3}
         for ell in range(1, n):
@@ -258,8 +259,6 @@ def admissible_params(ext: FieldContext, family: str, partition=None, tau: int |
             hp = h_of[(2 - 5 * eps * delta - ell) % 8]
             yield ParamChoice("e8", ell, m, h=hp, epsilon=eps, delta=delta)
     elif family == "e4":
-        dec = cs.decompose_gauss(ext, "e4")
-        eps, delta, m = dec.epsilon, dec.delta, dec.m
         for ell in range(1, n):
             if ell % (q + 1) == 0:
                 continue

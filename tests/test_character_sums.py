@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import counter_indices
 from qrhadamard import character_sums as cs
-from qrhadamard.finite_field import ZERO, build_field, quadratic_tower
+from qrhadamard.finite_field import ZERO, NoSubfield, build_field, quadratic_tower
 
 TOL = 1e-6
 
@@ -177,6 +178,45 @@ def test_decompose_wrong_family():
     ext, _ = quadratic_tower(7)
     with pytest.raises(cs.CharError):
         cs.decompose_gauss(ext, "e8")
+
+
+@pytest.mark.parametrize(
+    "family,q",
+    [("e8", q) for q in (11, 27, 83, 227, 443)] + [("e4", q) for q in (5, 13, 25, 41, 61, 113, 181, 841)],
+)
+def test_exact_signs_match_the_float_oracle(family, q):
+    ext, _ = quadratic_tower(q)
+    dec = cs.decompose_gauss(ext, family)
+    assert cs.gauss_signs(ext, family) == (dec.epsilon, dec.delta)
+    # G_{q^2}(chi) = G_q(eta) sum_j c_j zeta^j, numerically
+    e = cs.SIGN_ORDERS[family]
+    counts = cs.gauss_sign_counts(ext, e)
+    ze = cs.roots_of_unity(e)
+    s = sum(c * ze[j] for j, c in enumerate(counts))
+    assert abs(cs.gauss_sum(ext.subfield, 2, 1) * s - cs.gauss_sum(ext, e, 1)) < TOL
+
+
+def test_inconsistent_sign_counts_raise_nomatch():
+    # q = 11 (m = 1) has counts (-2, 0, 0, 0, 1, 1, 0, 1): -3 and -1 -> (-1, -1)
+    assert cs.signs_from_counts((-2, 0, 0, 0, 1, 1, 0, 1), "e8", 1) == (-1, -1)
+    for counts, family, m in (
+        ((-2, 0, 1, 0, 1, 1, 0, 1), "e8", 1),  # c2 - c6 != 0
+        ((-2, 0, 0, 1, 1, 1, 0, 1), "e8", 1),  # c1 - c5 != c3 - c7
+        ((-2, 0, 0, 0, 0, 1, 0, 1), "e8", 1),  # |c0 - c4| != 2m + 1
+        ((0, 2, -1, 0), "e4", 2),  # (1, 2) against (a, b) = (3, 2)
+    ):
+        with pytest.raises(cs.NoMatch, match=rf"counts {re.escape(str(counts))} fit no {family} sign pair"):
+            cs.signs_from_counts(counts, family, m)
+
+
+def test_gauss_signs_needs_a_sign_family_and_a_tower():
+    ext, _ = quadratic_tower(17)
+    with pytest.raises(cs.CharError, match="no Gauss-sum sign pair"):
+        cs.gauss_signs(ext, "scheme")
+    with pytest.raises(NoSubfield):
+        cs.gauss_signs(build_field(11), "e8")
+    with pytest.raises(cs.CharError, match="q = 7 is not of the e8 form"):
+        cs.gauss_signs(quadratic_tower(7)[0], "e8")
 
 
 def test_davenport_hasse():

@@ -419,9 +419,29 @@ def test_zech_table_is_built_only_by_scheme_verification(tmp_path):
     assert main(["construct", "--family", "q1", "--q", "61", "--out", str(tmp_path)]) == 0
     for q in (83, 61):
         ext, base = finite_field.quadratic_tower(q)
-        assert "zech_table" not in ext.__dict__ and "zech_table" not in base.__dict__
+        # GF(q^2) adds over GF(q): its three q^2-entry tables stay unbuilt
+        assert not {"log_table", "trace_table", "zech_table"} & ext.__dict__.keys()
+        assert "zech_table" not in base.__dict__
     assert main(["scheme", "--verify", str(SCHEMES_DIR / "m3.scheme")]) == 0
     assert "zech_table" in finite_field.quadratic_tower(17)[0].__dict__
+
+
+def test_construct_streams_the_matrix_files(tmp_path, monkeypatch):
+    expected = {}
+    for family, q in (("q3", 27), ("q1", 13)):
+        ext, base = finite_field.quadratic_tower(q)
+        h = hd.base_matrix(family, base)
+        signed, _ = hd.transform(ext, family, h=h)
+        expected[family, q] = (h.to_text(), signed.to_text())
+
+    def whole_text(self):
+        raise AssertionError("construct built a whole matrix text")
+
+    monkeypatch.setattr(hd.SignMatrix, "to_text", whole_text)
+    for (family, q), (base_text, signed_text) in expected.items():
+        assert main(["construct", "--family", family, "--q", str(q), "--out", str(tmp_path)]) == 0
+        assert read(tmp_path / f"{family}_q{q}_base.mat") == base_text
+        assert read(tmp_path / f"{family}_q{q}_transformed.mat") == signed_text
 
 
 _EXIT_CODES = {0, 1, 2, 3}

@@ -265,11 +265,26 @@ def test_field_core_against_naive_polynomial_oracle(p, f):
         ctx.project(1)
 
 
-@pytest.mark.parametrize("p,f", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 4), (29, 2)])
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 4), (3, 3), (3, 6), (5, 2), (7, 4), (29, 2)])
 def test_zech_table_against_naive_polynomial_oracle(p, f):
     ctx = build_field(p, f)
     oracle = NaiveField(p, ctx.spec.modulus)
     assert list(ctx.zech_table) == [oracle.combine([(1, 0), (1, k)]) for k in range(ctx.order)]
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (2, 4), (3, 2), (3, 6), (5, 2), (7, 4), (29, 2), (11, 2)])
+def test_tower_zech_against_the_trace_window_tables(p, f):
+    """An even-degree field adds over its subfield; the log and trace tables,
+    built on demand by the same walk as an odd-degree field's, agree."""
+    ctx = FieldContext(FieldSpec(p, f, build_field(p, f).spec.modulus))
+    assert "log_table" not in ctx.__dict__ and "trace_table" not in ctx.__dict__
+    zech = [ctx._zech(k) for k in range(ctx.order)]
+    log, trace, n = ctx.log_table, ctx.trace_table, ctx.order
+    assert sorted(log) == [ZERO] + list(range(n))
+    # digit j of the trace window of 1 + omega^k is Tr(omega^j) + Tr(omega^(k+j))
+    windows = [sum((trace[j] + trace[(k + j) % n]) % p * p**j for j in range(f)) for k in range(n)]
+    assert zech == [log[w] for w in windows]
+    assert list(ctx.zech_table) == zech
 
 
 def test_non_primitive_omega_is_refused(monkeypatch):

@@ -79,6 +79,8 @@ def test_text_round_trip_and_strict_parse():
     text = h.to_text()
     assert text.splitlines()[1] == "".join("-" if h.entry(0, j) == -1 else "+" for j in range(h.n))
     assert hd.SignMatrix.from_text(text) == h
+    # the text is streamed a line at a time, an all-plus row included
+    assert list(hd.SignMatrix(2, [0, 2]).text_lines()) == ["2\n", "++\n", "+-\n"]
     # int() alone would accept "_" and inner whitespace
     for bad in ("3\n+_-\n+++\n+++\n", "3\n+ -\n+++\n+++\n"):
         with pytest.raises(hd.ParseError):
