@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
-from operator import add
 
 from . import character_sums as cs
 from . import intersection_sets as isets
@@ -199,17 +197,20 @@ def _table1_inputs(ext: FieldContext, e: int, m: int):
     return rows, table1_values(m, g_eta.real)
 
 
-def _table1_miss(h_lists, rows, expected, dual):
-    """(i, c, got, want) of the first cell of the dual rows Y_1..Y_4 that
-    misses table 1, or None.  psi(a X_c) depends on a only through its
-    residue mod e and every residue of every Y_i is checked, so a None is
-    exhaustive over GF(q^2)*.  Column 0 is 1 by definition."""
-    for i, hs in enumerate(h_lists, start=1):
+def _table1_miss(h_lists, rows, expected, dual, classes=(1, 2, 3, 4)):
+    """(i, c, got, want) of the first cell of the dual rows Y_i that misses
+    table 1 in a column X_c, i and c in classes, or None.  psi(a X_c)
+    depends on a only through its residue mod e and every residue of every
+    Y_i is checked, so a None over all four classes is exhaustive over
+    GF(q^2)*.  Column 0 is 1 by definition.  The cells of rows and columns
+    in classes read only those classes' index lists, so the search can
+    check them before the other lists are chosen."""
+    for i in classes:
         want = expected[i]
-        for r in sorted({dual[j] for j in hs}):
+        for r in sorted({dual[j] for j in h_lists[i - 1]}):
             row = rows[r]
-            for c, hc in enumerate(h_lists, start=1):
-                got = sum(map(row.__getitem__, hc))
+            for c in classes:
+                got = sum(map(row.__getitem__, h_lists[c - 1]))
                 if abs(got - want[c]) > TOL:
                     return i, c, got, want[c]
     return None
@@ -262,9 +263,13 @@ def first_table1_failure(ext: FieldContext, part: SchemePartition, tau: int):
 def _convolution_counts(ext: FieldContext, cls, e: int, w: int) -> list[list[int]]:
     """counts[i][j] = #{(u, v) in X_i x X_j : u + v = w}, X_0 = {0}.
 
-    For u = omega^i and w != 0, v = w - u = omega^(w + Z[(i + half - w) mod n])
-    with Z the Zech table, so one rotation of Z gives every v; the class
-    pairs of all (u, v) are gathered at C level and counted at once.
+    For w = omega^s, write u = -w omega^t = omega^(t + half + s); then
+    v = w (1 + omega^t) = omega^(Z(t) + s), with Z the Zech logarithm, and
+    v = 0 exactly when Z(t) = ZERO.  So the pairs with u, v != 0 are counted
+    class by class from the cyclotomic numbers T[a][b] of
+    character_sums.cyclotomic_numbers: T[a][b] goes to
+    counts[cls[a - half + s]][cls[b + s]] (-1 = omega^half, and e | 2 half).
+    The pairs (0, w) and (w, 0) are added on their own.
     """
     n, half = ext.order, ext.half
     counts = [[0] * 5 for _ in range(5)]
@@ -273,30 +278,25 @@ def _convolution_counts(ext: FieldContext, cls, e: int, w: int) -> list[list[int
         for r in range(e):
             counts[cls[r]][cls[(r + half) % e]] += n // e
         return counts
-    k = (half - w) % n
-    zech = ext.zech_table
-    cls_w = cls[w % e:] + cls[:w % e]
-    # tiled[z] = class of omega^(w + z); index -1 (Z = ZERO) reads omega^(w-1)
-    tiled = cls_w * (n // e)
-    cv = map(tiled.__getitem__, zech[k:] + zech[:k])
-    cu5 = tuple(5 * c for c in cls) * (n // e)
-    for key, count in Counter(map(add, cu5, cv)).items():  # key = 5 cu + cv
-        counts[key // 5][key % 5] += count
-    # u = w: Z = ZERO was read as the class of omega^(w-1), but there v = 0;
-    # u = 0 is not a power of omega, and there v = w
-    cw = cls[w % e]
-    counts[cw][cls_w[ZERO % e]] -= 1
-    counts[cw][0] += 1
+    ku, kv = (w - half) % e, w % e
+    cu, cv = cls[ku:] + cls[:ku], cls[kv:] + cls[:kv]
+    for a, row in enumerate(cs.cyclotomic_numbers(ext, e)):
+        out = counts[cu[a]]
+        for b, count in enumerate(row):
+            out[cv[b]] += count
+    cw = cls[kv]
     counts[0][cw] += 1
+    counts[cw][0] += 1
     return counts
 
 
-def verify_scheme(ext: FieldContext, part: SchemePartition, exhaustive: bool = False) -> SchemeReport:
+def verify_scheme(ext: FieldContext, part: SchemePartition) -> SchemeReport:
     """Intersection-number constancy plus the eigenvalue-table check.
 
-    By default one representative per cyclotomic class inside each X_k is
-    convolved (counts are constant on each class because every X_i is a
-    union of classes); exhaustive=True sweeps every w instead.
+    Every X_i is a union of cyclotomic classes, and the counts for w depend
+    on w only through its class, so one witness per class inside each X_k
+    is convolved (see _convolution_counts) and the witnesses of X_k must
+    agree.
     """
     structure_ok = verify_structure(ext, part)
     cls = part.residue_class()
@@ -311,12 +311,8 @@ def verify_scheme(ext: FieldContext, part: SchemePartition, exhaustive: bool = F
         for j in range(5):
             tensor[i][j][0] = zero_counts[i][j]
     for k in range(1, 5):
-        if exhaustive:
-            witnesses = [w for w in range(n) if cls[w % e] == k]
-        else:
-            witnesses = [r for r in range(e) if cls[r] == k]
         ref = None
-        for w in witnesses:
+        for w in (r for r in range(e) if cls[r] == k):
             counts = _convolution_counts(ext, cls, e, w)
             if ref is None:
                 ref = counts
@@ -396,22 +392,6 @@ def two_intersection_from_scheme(ext: FieldContext, part: SchemePartition, param
 _PAIRED = (0, 3, 4, 1, 2)
 
 
-def _orbit_representatives(e: int, size1: int):
-    """Class vectors (the class 1..4 of each residue mod e) of the shape-valid
-    assignments with 0 in H_1 that are lexicographically least among their
-    rotations.  The least rotation of a vector starts at an H_1 residue, so
-    only those rotations are compared; each rotation orbit yields one vector."""
-    half = e // 2
-    for pairs in itertools.combinations(range(1, half), size1 - 1):
-        choices = [(1, 3) if r in pairs else (2, 4) for r in range(1, half)]
-        for rest in itertools.product(*choices):
-            head = (1,) + rest
-            cls = head + tuple(map(_PAIRED.__getitem__, head))
-            doubled = cls + cls
-            if all(cls <= doubled[j:j + e] for j in range(1, e) if cls[j] == 1):
-                yield cls
-
-
 def _class_lists(cls) -> tuple[list[int], ...]:
     lists: tuple[list[int], ...] = ([], [], [], [])
     for j, c in enumerate(cls):
@@ -419,19 +399,52 @@ def _class_lists(cls) -> tuple[list[int], ...]:
     return lists
 
 
+def _table1_survivors(e: int, size1: int, rows, expected, duals):
+    """Class vectors (the class 1..4 of each residue mod e) of the shape-valid
+    assignments with 0 in H_1 that pass table 1 for some dual map.
+
+    H_1 is chosen first, which fixes H_3 = H_1 + e/2; the cells of rows Y_1,
+    Y_3 in columns X_1, X_3 need only those two lists, and a dual map that
+    misses one of them misses the full check too.  Only the maps left are
+    tried on each completion by H_2 and H_4 = H_2 + e/2.
+    """
+    half = e // 2
+    for pairs in itertools.combinations(range(1, half), size1 - 1):
+        others = [r for r in range(1, half) if r not in pairs]
+        for flips in itertools.product((0, half), repeat=size1 - 1):
+            h1 = sorted([0] + [r + f for r, f in zip(pairs, flips)])
+            h3 = sorted((r + half) % e for r in h1)
+            partial = (h1, (), h3, ())
+            live = [dual for dual in duals if _table1_miss(partial, rows, expected, dual, (1, 3)) is None]
+            if not live:
+                continue
+            base = [0] * e
+            for r in h1:
+                base[r], base[(r + half) % e] = 1, 3
+            for rest in itertools.product((2, 4), repeat=len(others)):
+                for r, c in zip(others, rest):
+                    base[r], base[r + half] = c, _PAIRED[c]
+                cls = tuple(base)
+                h_lists = _class_lists(cls)
+                if any(_table1_miss(h_lists, rows, expected, dual) is None for dual in live):
+                    yield cls
+
+
 def scheme_search(ext: FieldContext, e: int, budget: int = DEFAULT_SEARCH_BUDGET) -> list[SchemePartition]:
     """Every partition of GF(q^2)* into four unions of e-th cyclotomic classes
     with the shift symmetry X_3 = w^(2m^2) X_1, X_4 = w^(2m^2) X_2 that is a
     scheme matching table 1, sorted by index lists.
 
+    The class vectors with 0 in H_1 are put through the table-1 filter class
+    by class (see _table1_survivors): a choice of H_1 whose X_1/X_3 cells
+    miss for both taus is dropped before any H_2 is tried.
+
     Multiplying by w^k maps C_j to C_(j+k).  It is an automorphism of
     (GF(q^2), +), so it keeps the shape, the intersection numbers and the
     eigen rows (R'(r) = R(r + k), with tau flipped for odd k), and the set of
-    partitions found is closed under rotation.  So only one class vector per
-    rotation orbit is enumerated (see _orbit_representatives) and put through
-    the table-1 filter; each survivor's orbit is expanded, and every member
-    passes verify_scheme, table-1 check included, on its own before it is
-    reported.
+    partitions found is closed under rotation.  So each survivor's rotations
+    are expanded, and every member passes verify_scheme, table-1 check
+    included, on its own before it is reported.
 
     The budget caps the number of class vectors enumerated: the shape-valid
     ones with 0 in H_1, C(e/2 - 1, |H_1| - 1) * 2^(e/2 - 1) of them.  A
@@ -456,11 +469,9 @@ def scheme_search(ext: FieldContext, e: int, budget: int = DEFAULT_SEARCH_BUDGET
     rows, expected = _table1_inputs(ext, e, m)
     duals = [_dual_map(q, m, e, tau) for tau in (1, -1)]
     members = set()
-    for cls in _orbit_representatives(e, size1):
-        h_lists = _class_lists(cls)
-        if any(_table1_miss(h_lists, rows, expected, dual) is None for dual in duals):
-            doubled = cls + cls
-            members.update(doubled[k:k + e] for k in range(e))
+    for cls in _table1_survivors(e, size1, rows, expected, duals):
+        doubled = cls + cls
+        members.update(doubled[k:k + e] for k in range(e))
     found = []
     for cls in members:
         part = normalized_partition(q, m, e, _class_lists(cls))

@@ -1,5 +1,6 @@
-"""Additive and multiplicative characters, Gauss periods, Gauss and Jacobi
-sums, and numeric cross-checks of their closed forms.
+"""Additive and multiplicative characters, Gauss periods, cyclotomic
+numbers, Gauss and Jacobi sums, and numeric cross-checks of their closed
+forms.
 
 Multiplicative characters are always normalized so that chi_e(omega) is the
 first primitive e-th root of unity; a character of order e is then evaluated
@@ -78,6 +79,17 @@ def gauss_periods(ctx: FieldContext, e: int) -> tuple[complex, ...]:
     zp = roots_of_unity(ctx.p)
     counts = [Counter(ctx.trace_table[r::e]) for r in range(e)]  # trace value -> count per class
     return tuple(sum(c * zp[t] for t, c in sorted(row.items())) for row in counts)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_numbers(ctx: FieldContext, e: int) -> tuple[tuple[int, ...], ...]:
+    """T[a][b] = #{t : t = a, Z(t) = b (mod e), Z(t) != ZERO}, Z the Zech
+    logarithm: the number of x in class a with 1 + x in class b, the
+    cyclotomic number (a, b)_e (T. Storer, *Cyclotomy and Difference Sets*,
+    1967)."""
+    _check_order(ctx, e)
+    counts = Counter(t % e * e + z % e for t, z in enumerate(ctx.zech_table) if z != ZERO)
+    return tuple(tuple(counts[a * e + b] for b in range(e)) for a in range(e))
 
 
 def gauss_period(ctx: FieldContext, e: int, i: int) -> complex:
@@ -331,4 +343,5 @@ def check_lemma_quadratic_twist(ext: FieldContext, e: int, ell: int, s: int) -> 
 
 def clear_caches() -> None:
     gauss_periods.cache_clear()
+    cyclotomic_numbers.cache_clear()
     roots_of_unity.cache_clear()

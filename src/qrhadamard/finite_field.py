@@ -37,8 +37,9 @@ logarithm costs a few subfield operations.  Its ``log_table`` and
 field's.
 
 The full ``zech_table``, the Zech logarithm for every k, is built on first
-use and cached; only the association-scheme convolution sweep reads it, on
-small fields.
+use and cached; its only reader is the table of cyclotomic numbers
+(``character_sums.cyclotomic_numbers``) that the association-scheme
+verification counts with, on small fields.
 
 Contexts do not change after construction apart from those caches, and all
 operations are pure.
@@ -400,11 +401,19 @@ class FieldContext:
     def _find_primitive(self, mod: tuple[int, ...]) -> list[int]:
         p, f, n = self.p, self.f, self.order
         checks = [n // r for r in _factor(n)]
+        # The norm map onto GF(p)* takes a primitive element to a generator,
+        # a nonsquare when p is odd; for f = 2 the norm of a + b x modulo
+        # x^2 + c1 x + c0 is a^2 - a b c1 + b^2 c0.
+        by_norm = f == 2 and p != 2
         for vec in itertools.product(range(p), repeat=f):
             if not any(vec):
                 continue
             if f > 1 and not any(vec[1:]):
                 continue  # prime-field element, order divides p-1 < q-1
+            if by_norm:
+                a, b = vec
+                if pow((a * a - a * b * mod[1] + b * b * mod[0]) % p, (p - 1) // 2, p) != p - 1:
+                    continue  # norm 0 or a square: not primitive
             poly = _trim(list(vec))
             if all(_powmod(poly, m, mod, p) != [1] for m in checks):
                 return poly

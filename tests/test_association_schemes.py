@@ -71,12 +71,22 @@ def test_scheme_verification_m5(m5):
     assert report.class_sizes == (1, 480, 720, 480, 720)
 
 
-def test_representative_equals_exhaustive(m3):
-    ext, part = m3
-    fast = schemes.verify_scheme(ext, part)
-    full = schemes.verify_scheme(ext, part, exhaustive=True)
-    assert fast.is_scheme and full.is_scheme
-    assert fast.intersection_numbers == full.intersection_numbers
+def test_representative_equals_exhaustive(m3, m5):
+    # every intersection number against a count over GF(q^2), for a witness
+    # w in every residue class of each X_k (not the representative r itself)
+    for ext, part in (m3, m5):
+        e = part.e
+        cls = part.residue_class()
+        p = schemes.verify_scheme(ext, part).intersection_numbers
+        witnesses = [(0, ZERO)] + [
+            (cls[r], r + e * (1 + counter_indices(1, ext.order // e - 1, salt=r)[0])) for r in range(e)
+        ]
+        for k, w in witnesses:
+            counts = [[0] * 5 for _ in range(5)]
+            for u in ext.elements():
+                v = ext.sub(w, u)
+                counts[0 if u == ZERO else cls[u % e]][0 if v == ZERO else cls[v % e]] += 1
+            assert [[p[i][j][k] for j in range(5)] for i in range(5)] == counts
 
 
 def test_intersection_number_symmetry(m3):
@@ -276,19 +286,29 @@ def test_every_rotation_verifies_with_alternating_tau(m, m3, m5):
         assert report.tau_candidates == (tau0 * (-1) ** k,)
 
 
-@pytest.mark.parametrize("size1", [2, 3])  # at |H_1| = 3 some vectors have period 4
-def test_orbit_representatives_one_per_rotation_orbit(size1):
-    e, half = 12, 6
-    shapes = set()
-    for assign in _assignments(e, size1):
-        cls = [0] * e
-        for i, hs in enumerate(_assignment_lists(assign, half), start=1):
-            for j in hs:
-                cls[j] = i
-        shapes.add(tuple(cls))
-    orbits = [{rep[k:] + rep[:k] for k in range(e)} for rep in schemes._orbit_representatives(e, size1)]
-    assert sum(map(len, orbits)) == len(shapes)  # the orbits are disjoint ...
-    assert set().union(*orbits) == shapes  # ... and cover every shape-valid vector
+@pytest.mark.parametrize("m", [3, 5])
+def test_table1_survivors_match_brute_force(m, m3, m5):
+    # every shape-valid vector with 0 in H_1, each put through the full
+    # table-1 check for both taus
+    ext, part = m3 if m == 3 else m5
+    e, half = part.e, part.e // 2
+    size1 = e * (m - 1) // (4 * m)
+    rows, expected = schemes._table1_inputs(ext, e, m)
+    duals = [schemes._dual_map(part.q, m, e, tau) for tau in (1, -1)]
+    want = set()
+    for assign in itertools.product(range(4), repeat=half - 1):
+        if sum(1 for a in assign if a < 2) != size1 - 1:
+            continue
+        h_lists = _assignment_lists((0,) + assign, half)
+        if any(schemes._table1_miss(h_lists, rows, expected, dual) is None for dual in duals):
+            cls = [0] * e
+            for i, hs in enumerate(h_lists, start=1):
+                for j in hs:
+                    cls[j] = i
+            want.add(tuple(cls))
+    got = list(schemes._table1_survivors(e, size1, rows, expected, duals))
+    assert len(got) == len(set(got)) and set(got) == want
+    assert part.residue_class() in {c[k:] + c[:k] for c in want for k in range(e)}
 
 
 def test_search_budget_boundary(m3):

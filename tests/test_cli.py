@@ -333,6 +333,14 @@ def test_scheme_search_input_contract(capsys):
     assert "811073536" in capsys.readouterr().err
 
 
+def test_scheme_search_m7_e28_finds_none(capsys):
+    # the budget is the search's exact count, 10543104 class vectors
+    assert main(["scheme", "--search", "--m", "7", "--e", "28", "--budget", "10543104"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "found 0 partition(s)" in captured.err
+
+
 def test_search_params_partition_for_another_q(capsys):
     argv = ["search-params", "--family", "scheme", "--q", "49", "--partition", str(SCHEMES_DIR / "m3.scheme")]
     assert main(argv) == 2

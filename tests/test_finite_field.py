@@ -305,6 +305,22 @@ def test_non_primitive_omega_is_refused(monkeypatch):
             FieldContext(FieldSpec(5, 2, modulus))
 
 
+# the prime q of the q3 (4m^2+4m+3) and q1 (2m^2+2m+1) instance ladders
+LADDER_PRIMES = (11, 83, 227, 1091, 3251, 5, 13, 41, 61, 113, 181, 3613)
+
+
+@pytest.mark.parametrize("q", LADDER_PRIMES)
+def test_norm_filter_keeps_the_lex_least_primitive_element(q):
+    ctx = build_field(q, 2)
+    mod, n = ctx.spec.modulus, ctx.order
+    checks = [n // r for r in factorint(n)]
+    want = next(
+        list(vec) for vec in itertools.product(range(q), repeat=2)
+        if vec[1] and all(finite_field._powmod(list(vec), k, mod, q) != [1] for k in checks)
+    )
+    assert ctx._omega == want
+
+
 def test_irreducibility_oracle():
     # x^2 - 1 factors; x^2 + 1 is irreducible mod 7 but not mod 17
     assert not is_irreducible((16, 0, 1), 17)  # x^2 - 1
