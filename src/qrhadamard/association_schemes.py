@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import character_sums as cs
 from . import intersection_sets as isets
@@ -47,24 +47,28 @@ class ParseError(SchemeError):
     """A partition or matrix file that does not parse."""
 
 
-@dataclass(frozen=True)
-class SchemePartition:
-    q: int
-    m: int
-    e: int
-    h_lists: tuple[tuple[int, ...], ...]  # H_1..H_4, sorted index lists
+class SchemePartition(namedtuple("SchemePartition", "q m e h_lists")):
+    """q, m, e and the index lists H_1..H_4 (sorted tuples), which must
+    partition [0, e); checked on every construction, _replace included."""
 
-    def __post_init__(self):
-        if len(self.h_lists) != 4:
+    __slots__ = ()
+
+    def __new__(cls, q, m, e, h_lists):
+        if len(h_lists) != 4:
             raise BadForm("expected exactly four index lists")
         seen: set[int] = set()
-        for hs in self.h_lists:
+        for hs in h_lists:
             for j in hs:
-                if not 0 <= j < self.e or j in seen:
+                if not 0 <= j < e or j in seen:
                     raise BadForm("index lists must partition [0, e)")
                 seen.add(j)
-        if len(seen) != self.e:
+        if len(seen) != e:
             raise BadForm("index lists must partition [0, e)")
+        return super().__new__(cls, q, m, e, h_lists)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def residue_class(self) -> tuple[int, ...]:
         """class index (1..4) of each residue mod e."""
@@ -75,16 +79,17 @@ class SchemePartition:
         return tuple(cls)
 
 
-@dataclass(frozen=True)
-class SchemeReport:
-    is_scheme: bool
-    symmetric: bool
-    class_sizes: tuple[int, ...]
-    intersection_numbers: tuple | None  # p[i][j][k], 5x5x5
-    eigen_rows: tuple  # 5x5 complex, rows indexed by dual classes
-    table1_match: bool
-    tau: int | None
-    tau_candidates: tuple[int, ...]
+class SchemeReport(
+    namedtuple(
+        "SchemeReport",
+        "is_scheme symmetric class_sizes intersection_numbers eigen_rows table1_match tau tau_candidates",
+    )
+):
+    """What verify_scheme found: intersection_numbers is p[i][j][k] (5x5x5)
+    or None, eigen_rows the 5x5 complex rows indexed by the dual classes,
+    tau the matching tau or None."""
+
+    __slots__ = ()
 
 
 def normalized_partition(q: int, m: int, e: int, h_lists) -> SchemePartition:
@@ -140,19 +145,22 @@ def _check_form(ext: FieldContext, part: SchemePartition) -> None:
 
 
 def verify_structure(ext: FieldContext, part: SchemePartition) -> bool:
-    """Element-level check of the shift condition X_1 = w^(2m^2) X_3,
-    X_2 = w^(2m^2) X_4 and of each X_i being a union of index-4m^2 cosets."""
+    """Check of the shift condition X_1 = w^(2m^2) X_3, X_2 = w^(2m^2) X_4
+    and of each X_i being a union of index-4m^2 cosets.  Element w^k lies in
+    the class of k mod e, and e | q^2-1 (checked by _check_form), so
+    (k + s) mod (q^2-1) mod e = (k mod e + s) mod e: checking the e residues
+    decides the same conditions as checking all q^2-1 elements."""
     _check_form(ext, part)
     cls = part.residue_class()
-    e, n = part.e, ext.order
-    shift = (2 * part.m * part.m) % n
-    coset = (4 * part.m * part.m) % n
+    e = part.e
+    shift = 2 * part.m * part.m
+    coset = 4 * part.m * part.m
     want = {1: 3, 2: 4, 3: 1, 4: 2}
-    for k in range(n):
-        c = cls[k % e]
-        if cls[(k + shift) % n % e] != want[c]:
+    for r in range(e):
+        c = cls[r]
+        if cls[(r + shift) % e] != want[c]:
             return False
-        if cls[(k + coset) % n % e] != c:
+        if cls[(r + coset) % e] != c:
             return False
     return True
 

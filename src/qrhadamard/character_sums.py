@@ -17,8 +17,7 @@ decompose_gauss, which sums over all of GF(q^2), only cross-checks it.
 from __future__ import annotations
 
 import cmath
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import gcd, isqrt, sqrt
 
@@ -136,13 +135,11 @@ FORM_ORDER4_ODD = "order4_odd"
 FORM_ORDER4_EVEN = "order4_even"
 
 
-@dataclass(frozen=True)
-class GaussDecomposition:
-    epsilon: int
-    delta: int
-    form: str
-    m: int
-    value: complex  # the matched closed-form value
+class GaussDecomposition(namedtuple("GaussDecomposition", "epsilon delta form m value")):
+    """The sign pair, the closed form and m of a Gauss sum; value is the
+    matched closed-form value (complex)."""
+
+    __slots__ = ()
 
 
 # q = a m^2 + b m + c per family, as (a, b, c)

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import gcd
 
@@ -253,13 +253,10 @@ def _digit_form(coeffs, p: int) -> array:
     return t
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(namedtuple("FieldSpec", "p f modulus")):
     """Prime p, degree f and the canonical modulus (constant term first)."""
 
-    p: int
-    f: int
-    modulus: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def q(self) -> int:

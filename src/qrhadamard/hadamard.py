@@ -15,7 +15,7 @@ full check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 from . import association_schemes as schemes
@@ -112,8 +112,9 @@ class SignMatrix:
         rows = []
         for ln in lines[1:]:
             ln = ln.strip()
-            # checked before int(), which would also accept "_" and whitespace
-            if len(ln) != n or set(ln) - {"+", "-"}:
+            # checked before int(), which would also accept "_" and whitespace;
+            # isascii() first, since encode() raises on a lone surrogate
+            if len(ln) != n or not ln.isascii() or ln.encode().translate(None, b"+-"):
                 raise ParseError("rows must be n characters from {+,-}")
             rows.append(int(ln.translate(_FROM_TEXT)[::-1], 2))
         return cls(n, rows)
@@ -160,17 +161,14 @@ def bound_params(n: int) -> tuple[int, int, int, int, int]:
     return k, t, s, bnd(t), bnd(t_alt)
 
 
-@dataclass(frozen=True)
-class ExcessReport:
-    n: int
-    excess: int
-    k: int
-    t: int
-    s: int
-    bound: int
-    row_sums: tuple[tuple[int, int], ...]  # (value, multiplicity), ascending
-    classification: str
-    bound_alt: int  # the other t-branch; equal to bound on all target orders
+class ExcessReport(
+    namedtuple("ExcessReport", "n excess k t s bound row_sums classification bound_alt")
+):
+    """Excess against the bound: row_sums are (value, multiplicity) pairs,
+    ascending; bound_alt is the other t-branch, equal to bound on all target
+    orders."""
+
+    __slots__ = ()
 
 
 def _omega2_invariant(h: SignMatrix, q: int, blocks: tuple[int, ...]) -> bool:
@@ -345,12 +343,13 @@ def apply_signing(h: SignMatrix, row_signs, col_signs) -> SignMatrix:
 # max-excess transforms
 
 
-@dataclass(frozen=True)
-class Family:
-    key: str  # the character_sums / intersection_sets name: "e8" | "e4" | "scheme"
-    promise: str  # row-sum shape of the transformed matrix: "biregular" | "regular"
-    border: int  # columns before the first block of q design points
-    odd_m: bool
+class Family(namedtuple("Family", "key promise border odd_m")):
+    """key: the character_sums / intersection_sets name ("e8" | "e4" |
+    "scheme"); promise: the row-sum shape of the transformed matrix
+    ("biregular" | "regular"); border: columns before the first block of q
+    design points; odd_m: whether m must be odd."""
+
+    __slots__ = ()
 
 
 FAMILIES = {

@@ -9,7 +9,7 @@ never feed a construction, they only cross-check the enumerated counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
@@ -67,11 +67,11 @@ class BlockDesign:
         return sum((blk >> i) & 1 for blk in self.blocks)
 
 
-@dataclass(frozen=True)
-class IntersectionSet:
-    members: frozenset
-    profile: tuple[tuple[int, int], ...]  # (size, multiplicity), sizes ascending
-    duals: tuple[tuple[int, tuple[int, ...]], ...]  # size -> block indices
+class IntersectionSet(namedtuple("IntersectionSet", "members profile duals")):
+    """A point set (frozenset), its profile as (size, multiplicity) pairs with
+    sizes ascending, and its duals as (size, block indices) pairs."""
+
+    __slots__ = ()
 
     def profile_values(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.profile)
@@ -85,15 +85,13 @@ class IntersectionSet:
         return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class ParamChoice:
-    family: str  # "e8" | "e4" | "scheme"
-    ell: int
-    m: int
-    h: int | None = None
-    epsilon: int | None = None
-    delta: int | None = None
-    tau: int | None = None
+class ParamChoice(
+    namedtuple("ParamChoice", "family ell m h epsilon delta tau", defaults=(None, None, None, None))
+):
+    """An admissible parameter choice of a family ("e8" | "e4" | "scheme"):
+    ell and m, with h, epsilon, delta and tau None where the family has none."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

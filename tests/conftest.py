@@ -7,6 +7,30 @@ the fixed counter sequence below, so every run is byte-for-byte identical.
 import pytest
 
 
+# Matrix texts and whether from_text accepts them: the accepted ones hold
+# the Hadamard matrix [[1, 1], [1, -1]].  Shared by the parser and CLI tests.
+PARSE_CASES = [
+    ("2\n++\n+-\n", True),
+    ("2\r\n++\r\n+-\r\n", True),  # CRLF line ends
+    ("\n2\n\n++\n\n\n+-\n\n", True),  # blank lines
+    (" 2 \n\t++  \n  +-\t\n", True),  # surrounding whitespace
+    ("2\n++\n \t \n+-\n", True),  # a whitespace-only line is blank
+    ("2\n+_\n-+\n", False),
+    ("3\n+ -\n+++\n+++\n", False),  # inner space
+    ("3\n+\t-\n+++\n+++\n", False),  # inner tab
+    ("3\n+\u00a0-\n+++\n+++\n", False),  # inner no-break space
+    ("2\n\uff0b-\n-+\n", False),  # fullwidth plus
+    ("2\n+\u2212\n-+\n", False),  # minus sign
+    ("2\n+\u00e9\n-+\n", False),
+    ("2\n+\n-+\n", False),  # a row too short
+    ("2\n+-+\n-+\n", False),  # a row too long
+    ("2\n+-\n", False),  # a row missing
+    ("2\n+-\n-+\n++\n", False),  # a row too many
+    ("2\n+-\n-+\r-+\n", False),  # a bare CR splits a line too
+    ("2\n+-\n-\x0b+\n", False),
+]
+
+
 def counter_indices(count: int, modulus: int, salt: int = 0):
     """Deterministic pseudo-spread sequence: k -> (7919*k + 104729*salt + 13) mod modulus."""
     return [(7919 * k + 104729 * salt + 13) % modulus for k in range(count)]

@@ -55,6 +55,54 @@ def test_structure_bad_form(m3):
         schemes.verify_structure(ext5, part)
 
 
+def _structure_by_elements(ext, part):
+    """The element-level loop verify_structure replaced: every exponent k of
+    GF(q^2)*, not only the residues mod e."""
+    cls = part.residue_class()
+    e, n = part.e, ext.order
+    shift = (2 * part.m * part.m) % n
+    coset = (4 * part.m * part.m) % n
+    want = {1: 3, 2: 4, 3: 1, 4: 2}
+    for k in range(n):
+        c = cls[k % e]
+        if cls[(k + shift) % n % e] != want[c] or cls[(k + coset) % n % e] != c:
+            return False
+    return True
+
+
+def _structure_cases(part):
+    """The partition, its rotations, every single index moved to another
+    list and every swap of two indices between lists."""
+    e, h = part.e, part.h_lists
+    cases = [[[(j + r) % e for j in hs] for hs in h] for r in range(e)]
+    for a, b in itertools.permutations(range(4), 2):
+        for j in h[a]:
+            moved = [list(hs) for hs in h]
+            moved[a].remove(j)
+            moved[b].append(j)
+            cases.append(moved)
+            if a < b:
+                for k in h[b]:
+                    swapped = [list(hs) for hs in h]
+                    swapped[a][swapped[a].index(j)] = k
+                    swapped[b][swapped[b].index(k)] = j
+                    cases.append(swapped)
+    return [schemes.normalized_partition(part.q, part.m, e, hs) for hs in cases]
+
+
+def test_verify_structure_matches_the_element_loop(m3, m5):
+    # e = 36 lifts the m = 3 partition to a finer class modulus (36 | 4m^2 and 36 | q^2 - 1)
+    ext3, part3 = m3
+    lifted = schemes.normalized_partition(17, 3, 36, [[j for j in range(36) if j % 12 in hs] for hs in part3.h_lists])
+    verdicts = []
+    for ext, part in (m3, m5, (ext3, lifted)):
+        for case in _structure_cases(part):
+            verdict = schemes.verify_structure(ext, case)
+            assert verdict == _structure_by_elements(ext, case), case
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
 def test_scheme_verification_m3(m3):
     ext, part = m3
     report = schemes.verify_scheme(ext, part)

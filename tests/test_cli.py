@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PARSE_CASES
 from qrhadamard import association_schemes as schemes
 from qrhadamard import cli, finite_field
 from qrhadamard import hadamard as hd
@@ -230,6 +231,17 @@ def test_verify_parse_error(tmp_path):
     f.write_text("2\n+*\n--\n")
     assert main(["verify", str(f)]) == 2
     assert main(["verify", str(tmp_path / "missing.mat")]) == 2
+
+
+def test_verify_exit_codes_on_the_parse_cases(tmp_path, capsys):
+    for i, (text, accepted) in enumerate(PARSE_CASES):
+        f = tmp_path / f"case{i}.mat"
+        f.write_bytes(text.encode())
+        capsys.readouterr()
+        assert main(["verify", str(f)]) == (0 if accepted else 2), text
+        out, err = capsys.readouterr()
+        if not accepted:
+            assert out == "" and err.startswith("error:"), text
 
 
 def test_search_params(capsys):

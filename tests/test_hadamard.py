@@ -1,9 +1,8 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PARSE_CASES
 from qrhadamard import association_schemes as schemes
 from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
@@ -265,7 +264,7 @@ def test_transform_names_the_broken_size_promise(q, family, observed, promised):
     ext, _ = quadratic_tower(q)
     params = isets.find_params(ext, hd.FAMILIES[family].key)
     with pytest.raises(hd.HadamardError) as info:
-        hd.transform(ext, family, replace(params, h=(params.h + 1) % 4))
+        hd.transform(ext, family, params._replace(h=(params.h + 1) % 4))
     assert str(info.value) == f"{family}: D-set sizes {observed} break the promised sizes {promised}"
 
 
@@ -317,6 +316,49 @@ def test_matrix_text_parse_errors():
         hd.SignMatrix.from_text("2\n+*\n--\n")
     with pytest.raises(hd.ParseError):
         hd.SignMatrix.from_text("2\n+++\n---\n")
+
+
+def _rows_by_set_rule(text):
+    """from_text with the per-row set test it had before: the rows of the
+    matrix, or None where that rule raised ParseError."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    try:
+        n = int(lines[0].strip())
+    except (IndexError, ValueError):
+        return None
+    if n < 1 or len(lines) != n + 1:
+        return None
+    rows = []
+    for ln in lines[1:]:
+        ln = ln.strip()
+        if len(ln) != n or set(ln) - {"+", "-"}:
+            return None
+        rows.append(int(ln.translate(str.maketrans("+-", "01"))[::-1], 2))
+    return rows
+
+
+# a lone surrogate: no UTF-8 file decodes to one, but a str may hold it
+@pytest.mark.parametrize("text, accepted", PARSE_CASES + [("2\n+\ud800\n-+\n", False)])
+def test_parse_accepts_exactly_what_the_set_rule_accepted(text, accepted):
+    want = _rows_by_set_rule(text)
+    assert (want is not None) == accepted
+    if accepted:
+        assert hd.SignMatrix.from_text(text).rows == want
+    else:
+        with pytest.raises(hd.ParseError):
+            hd.SignMatrix.from_text(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.text(alphabet="+-+-_ \t\r\n\x0b\u00a0\uff0b\u2212\u00e90", max_size=12))
+def test_parse_rows_match_the_set_rule(body):
+    for text in ("2\n" + body, "2\n+-\n" + body, "1\n" + body):
+        want = _rows_by_set_rule(text)
+        if want is None:
+            with pytest.raises(hd.ParseError):
+                hd.SignMatrix.from_text(text)
+        else:
+            assert hd.SignMatrix.from_text(text).rows == want
 
 
 def test_report_json_fields(tower11):
