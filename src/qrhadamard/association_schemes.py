@@ -132,6 +132,8 @@ def parse_partition(text: str) -> SchemePartition:
 
 
 def _check_form(ext: FieldContext, part: SchemePartition) -> None:
+    """Refuse a partition that is not of the paper's form.  Then e | 4m^2,
+    and 4m^2 | q^2-1 needs no check: q = 2m^2-1 gives q^2-1 = 4m^2(m^2-1)."""
     if ext.subfield is None or ext.subfield.q != part.q:
         raise BadForm(f"context is not the quadratic tower over GF({part.q})")
     if part.m % 2 == 0 or 2 * part.m * part.m - 1 != part.q:
@@ -140,27 +142,26 @@ def _check_form(ext: FieldContext, part: SchemePartition) -> None:
         raise BadForm(f"e = {part.e} does not divide q^2-1")
     if (4 * part.m * part.m) % part.e:
         raise BadForm("e must divide 4m^2")
-    if ext.order % (4 * part.m * part.m):
-        raise AssertionError("4m^2 does not divide q^2-1; arithmetic identity broken")
 
 
 def verify_structure(ext: FieldContext, part: SchemePartition) -> bool:
     """Check of the shift condition X_1 = w^(2m^2) X_3, X_2 = w^(2m^2) X_4
     and of each X_i being a union of index-4m^2 cosets.  Element w^k lies in
     the class of k mod e, and e | q^2-1 (checked by _check_form), so
-    (k + s) mod (q^2-1) mod e = (k mod e + s) mod e: checking the e residues
-    decides the same conditions as checking all q^2-1 elements."""
+    (k + s) mod (q^2-1) mod e = (k mod e + s) mod e: checking residues
+    decides the same conditions as checking all q^2-1 elements.
+
+    _check_form also enforces e | 4m^2, so every X_i is a union of index-4m^2
+    cosets, and 2m^2 mod e is 0 or e/2.  If it is 0, the shift test fails at
+    r = 0.  If it is e/2, the test at r >= e/2 is the test at r - e/2 read
+    through the involution want.  So the residues r < e/2 decide it."""
     _check_form(ext, part)
     cls = part.residue_class()
     e = part.e
     shift = 2 * part.m * part.m
-    coset = 4 * part.m * part.m
     want = {1: 3, 2: 4, 3: 1, 4: 2}
-    for r in range(e):
-        c = cls[r]
-        if cls[(r + shift) % e] != want[c]:
-            return False
-        if cls[(r + coset) % e] != c:
+    for r in range(e // 2):
+        if cls[(r + shift) % e] != want[cls[r]]:
             return False
     return True
 

@@ -49,6 +49,10 @@ class InputFileError(Exception):
     """An input file that cannot be opened or is not UTF-8 text."""
 
 
+def _not_utf8(path: str, exc: UnicodeDecodeError, offset: int) -> str:
+    return f"{path} is not UTF-8 text (byte {offset + exc.start}: {exc.reason})"
+
+
 def _read_input(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -56,7 +60,24 @@ def _read_input(path: str) -> str:
     except OSError as exc:
         raise InputFileError(str(exc)) from None
     except UnicodeDecodeError as exc:
-        raise InputFileError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+        raise InputFileError(_not_utf8(path, exc, 0)) from None
+
+
+def _input_lines(path: str):
+    """The lines of path decoded one at a time, with the errors of
+    _read_input: a newline never falls inside a UTF-8 sequence, so the first
+    bad line holds the byte that decoding the whole file would name."""
+    try:
+        with open(path, "rb") as fh:
+            offset = 0
+            for raw in fh:
+                try:
+                    yield raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise InputFileError(_not_utf8(path, exc, offset)) from None
+                offset += len(raw)
+    except OSError as exc:
+        raise InputFileError(str(exc)) from None
 
 
 def _fail(msg: str, code: int) -> int:
@@ -158,7 +179,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        matrix = hd.SignMatrix.from_text(_read_input(args.matrix))
+        matrix = hd.SignMatrix.from_text(_input_lines(args.matrix))
     except (InputFileError, schemes.ParseError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     # one orthogonality check: excess_and_bound runs it for n >= 4

@@ -233,7 +233,9 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 
 
 def _least_irreducible(p: int, f: int) -> tuple[int, ...]:
-    for coeffs in itertools.product(range(p), repeat=f):
+    """The least monic irreducible of degree f, constant term most significant.
+    For f >= 2 a constant term 0 gives the root 0, so the scan starts at 1."""
+    for coeffs in itertools.product(range(1 if f > 1 else 0, p), *[range(p)] * (f - 1)):
         cand = coeffs + (1,)
         if is_irreducible(cand, p):
             return cand

@@ -99,24 +99,37 @@ class SignMatrix:
         return "".join(self.text_lines())
 
     @classmethod
-    def from_text(cls, text: str) -> "SignMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
+    def from_text(cls, text) -> "SignMatrix":
+        """Parse the text form from a str or an iterable of lines (each split
+        with str.splitlines; blank lines are skipped), keeping only the row
+        ints.  The input is read to its end even after an error, so that of
+        several errors the one reported is the first of: an error raised by
+        the iterable, empty, bad header, wrong row count, bad row."""
+        if isinstance(text, str):
+            text = (text,)
+        lines = (ln for chunk in text for ln in chunk.splitlines() if ln.strip())
+        header = next(lines, None)
+        if header is None:
             raise ParseError("empty matrix file")
         try:
-            n = int(lines[0].strip())
+            n = int(header.strip())
         except ValueError as exc:
+            for _ in lines:
+                pass
             raise ParseError("first line must be the order n") from exc
-        if n < 1 or len(lines) != n + 1:
-            raise ParseError(f"expected {n} rows after the header")
-        rows = []
-        for ln in lines[1:]:
+        rows, rest = [], 0  # rest counts the lines from the first bad or surplus row on
+        for ln in lines:
             ln = ln.strip()
             # checked before int(), which would also accept "_" and whitespace;
             # isascii() first, since encode() raises on a lone surrogate
-            if len(ln) != n or not ln.isascii() or ln.encode().translate(None, b"+-"):
-                raise ParseError("rows must be n characters from {+,-}")
-            rows.append(int(ln.translate(_FROM_TEXT)[::-1], 2))
+            if rest or len(rows) == n or len(ln) != n or not ln.isascii() or ln.encode().translate(None, b"+-"):
+                rest += 1
+            else:
+                rows.append(int(ln.translate(_FROM_TEXT)[::-1], 2))
+        if n < 1 or len(rows) + rest != n:
+            raise ParseError(f"expected {n} rows after the header")
+        if rest:
+            raise ParseError("rows must be n characters from {+,-}")
         return cls(n, rows)
 
     def __eq__(self, other) -> bool:

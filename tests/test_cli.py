@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -504,6 +507,115 @@ _partition_texts = st.one_of(
 @given(data=st.one_of(st.binary(max_size=64), _matrix_texts.map(str.encode)))
 def test_fuzz_verify_file(tmp_path_factory, data):
     assert main(["verify", _fuzz_file(tmp_path_factory, data)]) in _EXIT_CODES
+
+
+def _read_all_input(path: str) -> str:
+    """verify's reader before it streamed: the whole file decoded at once."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise cli.InputFileError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise cli.InputFileError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
+def _read_all_from_text(cls, text: str):
+    """SignMatrix.from_text before it streamed: every line held, first error raised."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise schemes.ParseError("empty matrix file")
+    try:
+        n = int(lines[0].strip())
+    except ValueError as exc:
+        raise schemes.ParseError("first line must be the order n") from exc
+    if n < 1 or len(lines) != n + 1:
+        raise schemes.ParseError(f"expected {n} rows after the header")
+    rows = []
+    for ln in lines[1:]:
+        ln = ln.strip()
+        if len(ln) != n or not ln.isascii() or ln.encode().translate(None, b"+-"):
+            raise schemes.ParseError("rows must be n characters from {+,-}")
+        rows.append(int(ln.translate(str.maketrans("+-", "01"))[::-1], 2))
+    return cls(n, rows)
+
+
+def _verify_outcome(path: str, read_all: bool = False) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of verify, streamed or read the old way."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if read_all:
+            mp.setattr(cli, "_input_lines", _read_all_input)
+            mp.setattr(hd.SignMatrix, "from_text", classmethod(_read_all_from_text))
+        code = main(["verify", path])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_streamed_as_read_all(path: str) -> None:
+    assert _verify_outcome(path) == _verify_outcome(path, read_all=True)
+
+
+def _sylvester(n: int) -> hd.SignMatrix:
+    return hd.SignMatrix(n, [sum(((i & j).bit_count() & 1) << j for j in range(n)) for i in range(n)])
+
+
+_SYLVESTER_16 = _sylvester(16).to_text().encode()
+_STREAM_CASES = [
+    _SYLVESTER_16,
+    b"".join([b"\n" * 9000, _SYLVESTER_16, b"\xff\n"]),  # invalid byte past 8 KiB
+    _SYLVESTER_16 + b"+" * 9000 + b"\xe2\x82\xac\n",  # a long row with a euro sign
+    b"x\n++\n+-\n\xff\n",  # invalid byte after a bad header
+    b"2\n+*\n--\n\xff\n",  # ... after a bad row
+    b"2\n+-\n-+\n++\n\xc3",  # ... after a surplus row, truncated at the end
+    b"2\n\xe2\x82\n+-\n",  # a sequence cut by a newline
+    b"2\n+*\n--\n++\n",  # wrong row count and a bad row
+    b"2\n+*\n",
+    b"1000000000\n++\n+-\n",
+    b"0\n",
+    b"-2\n++\n+-\n",
+    b"\n \n\t\n",
+    b"",
+    b"2\r++\r+-\r",
+    b"2\x0b++\x0b+-\x0b",
+    b"2\x0c++\x0c+-\x0c",
+    "2\u2028++\u2028+-\u2028".encode(),
+    "2\u2029++\x85+-\x1c".encode(),
+    b"2\r\n++\r\r\n+-",
+    b"\xef\xbb\xbf2\n++\n+-\n",  # a byte-order mark is not stripped
+]
+
+
+def test_streamed_verify_matches_the_read_all_path(tmp_path):
+    texts = [text.encode() for text, _ in PARSE_CASES] + _STREAM_CASES
+    for i, data in enumerate(texts):
+        f = tmp_path / f"case{i}.mat"
+        f.write_bytes(data)
+        _assert_streamed_as_read_all(str(f))
+    _assert_streamed_as_read_all(str(tmp_path / "missing.mat"))
+    _assert_streamed_as_read_all(str(tmp_path))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.one_of(st.binary(max_size=64), _matrix_texts.map(str.encode)))
+def test_fuzz_streamed_verify_matches_the_read_all_path(tmp_path_factory, data):
+    _assert_streamed_as_read_all(_fuzz_file(tmp_path_factory, data))
+
+
+def test_verify_peak_memory_is_below_the_file_size(tmp_path, capsys):
+    f = tmp_path / "sylvester.mat"
+    f.write_text(_sylvester(512).to_text())
+    one = tmp_path / "one.mat"
+    one.write_text("1\n+\n")
+    assert main(["verify", str(one)]) == 0  # the stdlib modules argparse imports on first use
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert main(["verify", str(f)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["hadamard"] is True
+    assert peak < f.stat().st_size / 2, (peak, f.stat().st_size)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

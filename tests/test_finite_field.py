@@ -328,6 +328,21 @@ def test_irreducibility_oracle():
     assert not is_irreducible((1, 0, 1), 17)  # -1 is a square mod 17
 
 
+def _least_irreducible_by_full_scan(p, f):
+    """The modulus search before it skipped constant term 0."""
+    for coeffs in itertools.product(range(p), repeat=f):
+        if is_irreducible(coeffs + (1,), p):
+            return coeffs + (1,)
+
+
+def test_least_irreducible_matches_the_full_scan():
+    cases = [(p, f) for p in primerange(2, 4097) for f in range(1, 13) if p**f <= 4096]
+    cases += [(1091, 2), (3613, 2)]
+    for p, f in cases:
+        assert finite_field._least_irreducible(p, f) == _least_irreducible_by_full_scan(p, f), (p, f)
+    assert finite_field._least_irreducible(7, 1) == (0, 1)
+
+
 def test_minimal_polynomial_has_root():
     ctx = build_field(3, 3)
     for a in counter_indices(8, ctx.order, salt=7):
