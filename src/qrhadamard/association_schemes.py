@@ -35,10 +35,6 @@ class SchemeInvalid(SchemeError):
     pass
 
 
-class ProfileMismatch(SchemeError):
-    pass
-
-
 class BudgetExceeded(SchemeError):
     pass
 
@@ -368,7 +364,9 @@ def bannai_muzychuk_check(eigen_rows, groups) -> bool:
 
 def scheme_dsets(ext: FieldContext, part: SchemePartition, ell: int):
     """The pair of point sets cut out of GF(q) by S_0, S_1 for omega^ell in
-    X_2 or X_4; unchecked (two_intersection_from_scheme checks them)."""
+    X_2 or X_4; unchecked here.  hadamard.transform checks that they have
+    sizes (m^2-m, m^2) and meet the doubled symmetric design in m^2-m or m^2
+    points."""
     h1, h2, h3, h4 = part.h_lists
     r = ell % part.e
     if r in h2:
@@ -378,23 +376,6 @@ def scheme_dsets(ext: FieldContext, part: SchemePartition, ell: int):
     else:
         raise isets.BadEll("omega^ell must lie in X_2 or X_4")
     return isets.build_dlh(ext, ell, part.e, s0), isets.build_dlh(ext, ell, part.e, s1)
-
-
-def two_intersection_from_scheme(ext: FieldContext, part: SchemePartition, params: isets.ParamChoice):
-    """The pair of point sets cut out of GF(q) by S_0, S_1; verified to give
-    a two-intersection set with sizes (m^2-m, m^2)."""
-    _check_form(ext, part)
-    base = ext.subfield
-    m = part.m
-    d0, d1 = scheme_dsets(ext, part, params.ell)
-    if (len(d0), len(d1)) != (m * m - m, m * m):
-        raise ProfileMismatch(f"sizes {(len(d0), len(d1))} != {(m*m-m, m*m)}")
-    members = {(0, x) for x in d0} | {(1, x) for x in d1}
-    design = isets.doubled_symmetric_design(base)
-    profile = isets.intersection_profile(members, design)
-    if not set(profile.profile_values()) <= {m * m - m, m * m}:
-        raise ProfileMismatch(f"profile {profile.profile_values()} escapes {{m^2-m, m^2}}")
-    return d0, d1
 
 
 # class of residue r + e/2 given the class of r (the shift pairs X_1/X_3 and X_2/X_4)

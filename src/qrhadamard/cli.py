@@ -2,8 +2,10 @@
 files, list admissible parameters, and verify or search scheme partitions.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget
-exhausted.  Runs are fully deterministic (fixed modulus, fixed primitive
-element, ascending parameter scans) and outputs are written atomically.
+exhausted.  The commands raise their errors, and main maps each to its code
+through one table, _EXIT_CODES.  Runs are fully deterministic (fixed
+modulus, fixed primitive element, ascending parameter scans) and outputs are
+written atomically.
 """
 
 from __future__ import annotations
@@ -45,28 +47,19 @@ def _atomic_write(path: str, chunks) -> None:
         raise
 
 
+class UsageError(Exception):
+    """Arguments that do not name a valid run."""
+
+
 class InputFileError(Exception):
-    """An input file that cannot be opened or is not UTF-8 text."""
-
-
-def _not_utf8(path: str, exc: UnicodeDecodeError, offset: int) -> str:
-    return f"{path} is not UTF-8 text (byte {offset + exc.start}: {exc.reason})"
-
-
-def _read_input(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputFileError(str(exc)) from None
-    except UnicodeDecodeError as exc:
-        raise InputFileError(_not_utf8(path, exc, 0)) from None
+    """An input file that cannot be opened or is not UTF-8 text, or an
+    output directory that cannot be written."""
 
 
 def _input_lines(path: str):
-    """The lines of path decoded one at a time, with the errors of
-    _read_input: a newline never falls inside a UTF-8 sequence, so the first
-    bad line holds the byte that decoding the whole file would name."""
+    """The lines of path decoded one at a time.  A newline never falls inside
+    a UTF-8 sequence, so the first bad line holds the byte that decoding the
+    whole file would name."""
     try:
         with open(path, "rb") as fh:
             offset = 0
@@ -74,20 +67,20 @@ def _input_lines(path: str):
                 try:
                     yield raw.decode("utf-8")
                 except UnicodeDecodeError as exc:
-                    raise InputFileError(_not_utf8(path, exc, offset)) from None
+                    reason = f"byte {offset + exc.start}: {exc.reason}"
+                    raise InputFileError(f"{path} is not UTF-8 text ({reason})") from None
                 offset += len(raw)
     except OSError as exc:
         raise InputFileError(str(exc)) from None
 
 
-def _fail(msg: str, code: int) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return code
+def _read_partition(path: str) -> schemes.SchemePartition:
+    return schemes.parse_partition("".join(_input_lines(path)))
 
 
 def _resolve_q_m(args, family: str) -> tuple[int, int]:
     if (args.q is None) == (args.m is None):
-        raise ValueError("give exactly one of --q and --m")
+        raise UsageError("give exactly one of --q and --m")
     fam = hd.FAMILIES[family]
     if args.m is not None:
         q = family_q(args.m, fam.key)
@@ -96,68 +89,61 @@ def _resolve_q_m(args, family: str) -> tuple[int, int]:
         q = args.q
         m = family_m(q, fam.key)
     if m < 1:
-        raise ValueError(f"the {family} family needs m >= 1, got m = {m}")
+        raise UsageError(f"the {family} family needs m >= 1, got m = {m}")
     prime_power(q)  # raises FieldError if not a prime power
     if family_q(m, fam.key) != q:
-        raise ValueError(f"q = {q} is not of the {family} family form")
+        raise UsageError(f"q = {q} is not of the {family} family form")
     if fam.odd_m and m % 2 == 0:
-        raise ValueError(f"the {family} family needs odd m")
+        raise UsageError(f"the {family} family needs odd m")
     return q, m
 
 
-def _report_lines(rep: hd.ExcessReport, fmt: str) -> str:
-    payload = hd.report_json(rep)
+def _family_partition(ext, path: str, m: int, with_tau: bool):
+    """(partition, tau) of the regular family from the file at path, checked
+    against GF(q^2) and m; tau, from the table-1 check, only when asked for."""
+    partition = _read_partition(path)
+    if partition.q != ext.subfield.q or partition.m != m:
+        raise UsageError("partition file does not match the requested q/m")
+    if not with_tau:
+        return partition, None
+    ok, taus, _ = schemes.eigenmatrix_vs_table1(ext, partition)
+    if not ok:
+        raise schemes.SchemeInvalid("partition fails the eigenvalue table")
+    return partition, taus[0]
+
+
+def _print_payload(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True)
-    return "\n".join(f"{k}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(payload.items()))
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        for k, v in sorted(payload.items()):
+            print(f"{k}: {json.dumps(v, sort_keys=True)}")
 
 
 def cmd_construct(args) -> int:
     family = args.family
-    try:
-        q, m = _resolve_q_m(args, family)
-        ext, base = quadratic_tower(q)
-    except (ValueError, FieldError, CharError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
     fam = hd.FAMILIES[family]
-
-    partition = None
+    q, m = _resolve_q_m(args, family)
+    ext, base = quadratic_tower(q)
+    partition = tau = None
     if family == "regular":
         if not args.partition:
-            return _fail("--partition is required for the regular family", EXIT_INPUT)
-        try:
-            partition = schemes.parse_partition(_read_input(args.partition))
-        except (InputFileError, schemes.ParseError) as exc:
-            return _fail(str(exc), EXIT_INPUT)
-        if partition.q != q or partition.m != m:
-            return _fail("partition file does not match the requested q/m", EXIT_INPUT)
+            raise UsageError("--partition is required for the regular family")
+        partition, tau = _family_partition(ext, args.partition, m, with_tau=args.ell is not None)
 
     params = None
     if args.ell is not None:
-        tau = None
-        if family == "regular":
-            ok, taus, _ = schemes.eigenmatrix_vs_table1(ext, partition)
-            if not ok:
-                return _fail("partition fails the eigenvalue table", EXIT_VERIFY)
-            tau = taus[0]
-        for cand in isets.admissible_params(ext, fam.key, partition=partition, tau=tau):
-            if cand.ell == args.ell:
-                params = cand
-                break
-            if cand.ell > args.ell:
-                break
-        if params is None:
-            return _fail(f"--ell {args.ell} is not admissible for this family", EXIT_INPUT)
+        choices = isets.admissible_params(ext, fam.key, partition=partition, tau=tau)
+        params = next((cand for cand in choices if cand.ell >= args.ell), None)  # ascending ell
+        if params is None or params.ell != args.ell:
+            raise UsageError(f"--ell {args.ell} is not admissible for this family")
         if args.h is not None and params.h != args.h:
-            return _fail(f"--h {args.h} conflicts with the admissible h = {params.h}", EXIT_INPUT)
+            raise UsageError(f"--h {args.h} conflicts with the admissible h = {params.h}")
     elif args.h is not None:
-        return _fail("--h needs --ell", EXIT_INPUT)
+        raise UsageError("--h needs --ell")
 
-    try:
-        base_matrix = hd.base_matrix(family, base)
-        signed, rep = hd.transform(ext, family, params, base_matrix, partition)
-    except (schemes.SchemeInvalid, hd.HadamardError) as exc:
-        return _fail(str(exc), EXIT_VERIFY)
+    base_matrix = hd.base_matrix(family, base)
+    signed, rep = hd.transform(ext, family, params, base_matrix, partition)
 
     out = args.out or "."
     prefix = os.path.join(out, f"{family}_q{q}")
@@ -167,10 +153,9 @@ def cmd_construct(args) -> int:
         _atomic_write(prefix + "_transformed.mat", signed.text_lines())
         _atomic_write(prefix + "_report.json", [json.dumps(hd.report_json(rep), sort_keys=True) + "\n"])
     except OSError as exc:
-        return _fail(f"cannot write the outputs under --out {out}: {exc}", EXIT_INPUT)
-    print(_report_lines(rep, args.format))
-    ok = rep.excess == rep.bound and rep.classification.startswith(fam.promise)
-    if not ok:
+        raise InputFileError(f"cannot write the outputs under --out {out}: {exc}") from None
+    _print_payload(hd.report_json(rep), args.format)
+    if rep.excess != rep.bound or not rep.classification.startswith(fam.promise):
         diag = {"excess": rep.excess, "bound": rep.bound, "classification": rep.classification}
         print(json.dumps({"verification_failure": diag}, sort_keys=True), file=sys.stderr)
         return EXIT_VERIFY
@@ -178,10 +163,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        matrix = hd.SignMatrix.from_text(_input_lines(args.matrix))
-    except (InputFileError, schemes.ParseError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    matrix = hd.SignMatrix.from_text(_input_lines(args.matrix))
     # one orthogonality check: excess_and_bound runs it for n >= 4
     try:
         rep = hd.excess_and_bound(matrix) if matrix.n >= 4 else None
@@ -204,11 +186,7 @@ def cmd_verify(args) -> int:
             hist[str(v)] = hist.get(str(v), 0) + 1
         payload = {"n": matrix.n, "excess": matrix.excess(), "row_sums": hist}
     payload["hadamard"] = True
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for k, v in sorted(payload.items()):
-            print(f"{k}: {json.dumps(v, sort_keys=True)}")
+    _print_payload(payload, args.format)
     return EXIT_OK
 
 
@@ -230,27 +208,14 @@ def _param_row(choice: isets.ParamChoice) -> dict:
 def cmd_search_params(args) -> int:
     family = args.family
     if args.limit is not None and args.limit < 0:
-        return _fail(f"--limit must be >= 0 (0 lists every row), got {args.limit}", EXIT_INPUT)
-    try:
-        q, m = _resolve_q_m(args, _BY_KEY[family])
-        ext, base = quadratic_tower(q)
-    except (ValueError, FieldError, CharError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    partition = None
-    tau = None
+        raise UsageError(f"--limit must be >= 0 (0 lists every row), got {args.limit}")
+    q, m = _resolve_q_m(args, _BY_KEY[family])
+    ext, _ = quadratic_tower(q)
+    partition = tau = None
     if family == "scheme":
         if not args.partition:
-            return _fail("scheme family needs --partition", EXIT_INPUT)
-        try:
-            partition = schemes.parse_partition(_read_input(args.partition))
-        except (InputFileError, schemes.ParseError) as exc:
-            return _fail(str(exc), EXIT_INPUT)
-        if partition.q != q or partition.m != m:
-            return _fail("partition file does not match the requested q/m", EXIT_INPUT)
-        ok, taus, _ = schemes.eigenmatrix_vs_table1(ext, partition)
-        if not ok:
-            return _fail("partition fails the eigenvalue table", EXIT_VERIFY)
-        tau = taus[0]
+            raise UsageError("scheme family needs --partition")
+        partition, tau = _family_partition(ext, args.partition, m, with_tau=True)
     choices = isets.admissible_params(ext, family, partition=partition, tau=tau)
     rows = map(_param_row, itertools.islice(choices, args.limit or None))
     # the bytes of json.dumps(rows, sort_keys=True), encoded a bounded chunk at a time
@@ -261,43 +226,28 @@ def cmd_search_params(args) -> int:
         count, sep = count + len(chunk), ", "
     sys.stdout.write("]\n")
     if not count:
-        return _fail("no admissible parameters found; this contradicts the nonemptiness counts", EXIT_VERIFY)
+        raise hd.ParamSearchFailed("no admissible parameters found; this contradicts the nonemptiness counts")
     return EXIT_OK
 
 
 def cmd_scheme(args) -> int:
     if args.search:
         if args.budget < 0:
-            return _fail(f"--budget must be >= 0, got {args.budget}", EXIT_INPUT)
-        try:
-            ns = argparse.Namespace(q=args.q, m=args.m)
-            q, m = _resolve_q_m(ns, "regular")
-            ext, _ = quadratic_tower(q)
-        except (ValueError, FieldError, CharError) as exc:
-            return _fail(str(exc), EXIT_INPUT)
+            raise UsageError(f"--budget must be >= 0, got {args.budget}")
+        q, m = _resolve_q_m(args, "regular")
+        ext, _ = quadratic_tower(q)
         e = 4 * m * m if args.e is None else args.e
-        try:
-            results = schemes.scheme_search(ext, e, budget=args.budget)
-        except schemes.BudgetExceeded as exc:
-            return _fail(str(exc), EXIT_BUDGET)
-        except schemes.BadForm as exc:
-            return _fail(str(exc), EXIT_INPUT)
+        results = schemes.scheme_search(ext, e, budget=args.budget)
         for part in results:
             sys.stdout.write(schemes.partition_text(part))
             sys.stdout.write("\n")
         print(f"found {len(results)} partition(s)", file=sys.stderr)
         return EXIT_OK
     if not args.verify:
-        return _fail("give --verify FILE or --search", EXIT_INPUT)
-    try:
-        partition = schemes.parse_partition(_read_input(args.verify))
-    except (InputFileError, schemes.ParseError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    try:
-        ext, _ = quadratic_tower(partition.q)
-        report = schemes.verify_scheme(ext, partition)
-    except (FieldError, schemes.BadForm) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+        raise UsageError("give --verify FILE or --search")
+    partition = _read_partition(args.verify)
+    ext, _ = quadratic_tower(partition.q)
+    report = schemes.verify_scheme(ext, partition)
     print(json.dumps(schemes.scheme_report_json(report), sort_keys=True))
     if report.is_scheme and report.table1_match:
         return EXIT_OK
@@ -357,9 +307,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error a command raises: the first row whose classes
+# match wins.  Any other exception is a bug and keeps its traceback.
+_EXIT_CODES = (
+    (schemes.BudgetExceeded, EXIT_BUDGET),
+    ((schemes.SchemeInvalid, hd.HadamardError), EXIT_VERIFY),
+    ((UsageError, InputFileError, FieldError, CharError, schemes.SchemeError), EXIT_INPUT),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        for kinds, code in _EXIT_CODES:
+            if isinstance(exc, kinds):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":  # pragma: no cover

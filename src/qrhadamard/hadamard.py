@@ -56,15 +56,14 @@ _FROM_TEXT = str.maketrans("+-", "01")
 class SignMatrix:
     """n x n matrix over {+1,-1}; rows[i] bit j set means entry -1."""
 
-    __slots__ = ("n", "rows", "labels")
+    __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows, labels=None):
+    def __init__(self, n: int, rows):
         rows = list(rows)
         if len(rows) != n or any(r >> n for r in rows) or any(r < 0 for r in rows):
             raise HadamardError("row masks inconsistent with order n")
         self.n = n
         self.rows = rows
-        self.labels = tuple(labels) if labels is not None else None
 
     def entry(self, i: int, j: int) -> int:
         return -1 if (self.rows[i] >> j) & 1 else 1
@@ -86,7 +85,7 @@ class SignMatrix:
                 low = r & -r
                 cols[low.bit_length() - 1] |= 1 << i
                 r ^= low
-        return SignMatrix(n, cols, self.labels)
+        return SignMatrix(n, cols)
 
     def text_lines(self):
         """The lines of the text form, newline included, one row at a time."""
@@ -175,11 +174,10 @@ def bound_params(n: int) -> tuple[int, int, int, int, int]:
 
 
 class ExcessReport(
-    namedtuple("ExcessReport", "n excess k t s bound row_sums classification bound_alt")
+    namedtuple("ExcessReport", "n excess k t s bound row_sums classification")
 ):
     """Excess against the bound: row_sums are (value, multiplicity) pairs,
-    ascending; bound_alt is the other t-branch, equal to bound on all target
-    orders."""
+    ascending."""
 
     __slots__ = ()
 
@@ -247,7 +245,7 @@ def excess_and_bound(h: SignMatrix) -> ExcessReport:
 def _excess_report(h: SignMatrix) -> ExcessReport:
     """The report half of excess_and_bound, for a matrix known Hadamard."""
     n = h.n
-    k, t, s, bound, bound_alt = bound_params(n)
+    k, t, s, bound, _ = bound_params(n)
     hist: dict[int, int] = {}
     for v in h.row_sums():
         hist[v] = hist.get(v, 0) + 1
@@ -275,7 +273,6 @@ def _excess_report(h: SignMatrix) -> ExcessReport:
         bound=bound,
         row_sums=tuple((v, hist[v]) for v in values),
         classification=classification,
-        bound_alt=bound_alt,
     )
 
 
@@ -302,7 +299,7 @@ def construct_q3(ctx: FieldContext) -> SignMatrix:
         raise isets.WrongResidue(f"q = {ctx.q} is not 3 mod 4")
     # first row: -1 then all ones; row x has -1 at the points x + (nonsquares)
     rows = [1] + [m << 1 for m in isets.class_translates(ctx, 1)]
-    return SignMatrix(ctx.q + 1, rows, ["corner"] + list(ctx.elements()))
+    return SignMatrix(ctx.q + 1, rows)
 
 
 def construct_q1(ctx: FieldContext, variant: str = "plain") -> SignMatrix:
@@ -314,9 +311,9 @@ def construct_q1(ctx: FieldContext, variant: str = "plain") -> SignMatrix:
         raise HadamardError(f"unknown variant {variant!r}")
     q = ctx.q
     n = 2 * q + 2
-    elems = list(ctx.elements())
     # sign-mask rows of M1 = M+I, M2 = M-I, M3 = -M1 (bit set = entry -1),
-    # indexed like elems; row x of M1 is -1 at the points x + (nonsquares)
+    # in the canonical field order; row x of M1 is -1 at the points
+    # x + (nonsquares)
     full = (1 << q) - 1
     m1 = isets.class_translates(ctx, 1)
     m2 = [m | (1 << px) for px, m in enumerate(m1)]
@@ -325,8 +322,7 @@ def construct_q1(ctx: FieldContext, variant: str = "plain") -> SignMatrix:
     rows.append(0b11 | (full << (2 + q)))  # (-1, -1, 1_q, -1_q)
     rows.extend((a << 2) | (b << (2 + q)) for a, b in zip(m1, m2))
     rows.extend((1 << 1) | (b << 2) | (c << (2 + q)) for b, c in zip(m2, m3))
-    labels = ["corner0", "corner1"] + [(0, x) for x in elems] + [(1, x) for x in elems]
-    h = SignMatrix(n, rows, labels)
+    h = SignMatrix(n, rows)
     if variant == "negated2":
         signs = [1] * n
         signs[1] = -1
@@ -349,7 +345,7 @@ def apply_signing(h: SignMatrix, row_signs, col_signs) -> SignMatrix:
         (r ^ col_mask) ^ (full if s == -1 else 0)
         for r, s in zip(h.rows, row_signs)
     ]
-    return SignMatrix(n, rows, h.labels)
+    return SignMatrix(n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +409,7 @@ def _pieces(ext: FieldContext, family: str, m: int, params, partition):
     if family == "regular":
         dsets = schemes.scheme_dsets(ext, partition, params.ell)
     else:
-        e = 8 if family == "q3" else 4
+        e = cs.SIGN_ORDERS[FAMILIES[family].key]
         dsets = tuple(isets.build_dlh(ext, params.ell, e, hs) for hs in isets.h_sets(params))
     if family == "q3":
         allowed = (mm + 1, mm + 2, mm + m + 1, mm + m + 2)

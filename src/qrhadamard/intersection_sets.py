@@ -40,12 +40,11 @@ class NotFound(IntersectionError):
 
 
 class BlockDesign:
-    """Points, blocks as bitmasks over point indices, and block labels."""
+    """Points, and blocks as bitmasks over point indices."""
 
-    def __init__(self, points, blocks, block_labels):
+    def __init__(self, points, blocks):
         self.points = tuple(points)
         self.blocks = tuple(blocks)
-        self.block_labels = tuple(block_labels)
         self.point_index = {p: i for i, p in enumerate(self.points)}
 
     @property
@@ -136,7 +135,7 @@ def paley_design(ctx: FieldContext) -> BlockDesign:
     if ctx.q % 4 != 3:
         raise WrongResidue(f"q = {ctx.q} is not 3 mod 4")
     pts = list(ctx.elements())
-    return BlockDesign(pts, _translate_masks(ctx, True), pts)
+    return BlockDesign(pts, _translate_masks(ctx, True))
 
 
 def paired_designs(ctx: FieldContext) -> tuple[BlockDesign, BlockDesign]:
@@ -152,7 +151,7 @@ def paired_designs(ctx: FieldContext) -> tuple[BlockDesign, BlockDesign]:
     ns = class_translates(ctx, 1)
     blocks1 = [czm | (cm << q) for czm, cm in zip(cz, c)]
     blocks2 = [cm | (nm << q) for cm, nm in zip(c, ns)]
-    return (BlockDesign(pts, blocks1, elems), BlockDesign(pts, blocks2, elems))
+    return (BlockDesign(pts, blocks1), BlockDesign(pts, blocks2))
 
 
 def doubled_symmetric_design(ctx: FieldContext) -> BlockDesign:
@@ -173,7 +172,7 @@ def doubled_symmetric_design(ctx: FieldContext) -> BlockDesign:
         blocks.append((czm << 1) | (cm << (1 + q)))
     for cm, nm in zip(c, ns):
         blocks.append(1 | (cm << 1) | (nm << (1 + q)))
-    return BlockDesign(pts, blocks, list(pts))
+    return BlockDesign(pts, blocks)
 
 
 def intersection_profile(members, design: BlockDesign) -> IntersectionSet:

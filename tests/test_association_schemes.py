@@ -249,7 +249,7 @@ def test_two_intersection_sets(m, sizes, m3, m5):
     ext, part = m3 if m == 3 else m5
     report = schemes.verify_scheme(ext, part)
     params = isets.find_params(ext, "scheme", partition=part, tau=report.tau)
-    d0, d1 = schemes.two_intersection_from_scheme(ext, part, params)
+    d0, d1 = schemes.scheme_dsets(ext, part, params.ell)
     assert (len(d0), len(d1)) == sizes
     assert len(d0) + len(d1) == 2 * m * m - m
     members = {(0, x) for x in d0} | {(1, x) for x in d1}

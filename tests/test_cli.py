@@ -700,3 +700,233 @@ def test_fuzz_scheme_search(m, by_q, e, budget):
     if e is not None:
         argv.append(f"--e={e}")
     assert main(argv) in _EXIT_CODES
+
+
+# Input files of the message table, by name under the test's directory.
+_TABLE_FILES = {
+    "latin1": b"17 3 12\n\xff\n",
+    "malformed": b"17 3\n0 1\n",
+    "not_prime": b"15 3 12\n7 11\n0 2 3 10\n1 5\n4 6 8 9\n",
+    "bad_e": b"17 3 8\n0\n1\n2\n3 4 5 6 7\n",
+    "empty": b"",
+    "header": b"x\n++\n",
+    "count": b"2\n++\n",
+    "row": b"2\n+*\n--\n",
+    "odd": b"3\n+++\n+++\n+++\n",
+    "not_hadamard": b"4\n++++\n++++\n+--+\n+-+-\n",
+    "one": b"1\n+\n",
+    "two": b"2\n++\n+-\n",
+    "afile": b"kept\n",
+}
+_REPORT_Q11 = (
+    '{"bound": 36, "classification": "biregular(k1=4,k2=0,m1=9,m2=3)", "excess": 36, "k": 2, "n": 12, '
+    '"row_sums": {"0": 3, "4": 9}, "s": 3, "t": 0}\n'
+)
+_SWAPPED_REPORT = object()  # stdout: the scheme report of the swapped partition
+
+# One row per message the CLI prints: argv, exit code, stdout, stderr.  {tmp}
+# is the directory that holds _TABLE_FILES and the swapped m3 partition,
+# {schemes} the shipped schemes.  Not listed: construct's verification_failure
+# JSON and search-params' "no admissible parameters", which no argv reaches.
+_MESSAGE_TABLE = [
+    ("construct --family q3 --out {tmp}/o", 2, "", "error: give exactly one of --q and --m\n"),
+    ("construct --family q3 --m 1 --q 11 --out {tmp}/o", 2, "", "error: give exactly one of --q and --m\n"),
+    ("construct --family q3 --m 0 --out {tmp}/o", 2, "", "error: the q3 family needs m >= 1, got m = 0\n"),
+    ("construct --family q3 --q 3 --out {tmp}/o", 2, "", "error: the q3 family needs m >= 1, got m = 0\n"),
+    ("construct --family q3 --q -5 --out {tmp}/o", 2, "", "error: q = -5 is not of the e8 form\n"),
+    ("construct --family q3 --q 13 --out {tmp}/o", 2, "", "error: q = 13 is not of the e8 form\n"),
+    ("construct --family q3 --m 3 --out {tmp}/o", 2, "", "error: 51 is not a prime power\n"),
+    (
+        "construct --family q3 --m 40 --out {tmp}/o", 2, "",
+        "error: GF(6563^2) exceeds the cap of 16777216 elements (16 B of tables per element, 256 MiB budget)\n",
+    ),
+    (
+        "construct --family q3 --m 1 --ell 12 --out {tmp}/o", 2, "",
+        "error: --ell 12 is not admissible for this family\n",
+    ),
+    (
+        "construct --family q3 --m 1 --ell 9 --h 1 --out {tmp}/o", 2, "",
+        "error: --h 1 conflicts with the admissible h = 2\n",
+    ),
+    ("construct --family q3 --m 1 --h 1 --out {tmp}/o", 2, "", "error: --h needs --ell\n"),
+    (
+        "construct --family q3 --m 1 --out {tmp}/afile", 2, "",
+        "error: cannot write the outputs under --out {tmp}/afile: [Errno 17] File exists: '{tmp}/afile'\n",
+    ),
+    (
+        "construct --family q3 --m 1 --out {tmp}/o", 0,
+        'bound: 36\nclassification: "biregular(k1=4,k2=0,m1=9,m2=3)"\nexcess: 36\nk: 2\nn: 12\n'
+        'row_sums: {"0": 3, "4": 9}\ns: 3\nt: 0\n',
+        "",
+    ),
+    ("construct --family q3 --m 1 --ell 9 --h 2 --format json --out {tmp}/o", 0, _REPORT_Q11, ""),
+    (
+        "construct --family regular --m 2 --partition {schemes}/m3.scheme --out {tmp}/o", 2, "",
+        "error: the regular family needs odd m\n",
+    ),
+    (
+        "construct --family regular --m 3 --out {tmp}/o", 2, "",
+        "error: --partition is required for the regular family\n",
+    ),
+    (
+        "construct --family regular --m 3 --ell 5 --partition {tmp}/missing --out {tmp}/o", 2, "",
+        "error: [Errno 2] No such file or directory: '{tmp}/missing'\n",
+    ),
+    (
+        "construct --family regular --m 3 --partition {tmp}/latin1 --out {tmp}/o", 2, "",
+        "error: {tmp}/latin1 is not UTF-8 text (byte 8: invalid start byte)\n",
+    ),
+    (
+        "construct --family regular --m 3 --partition {tmp} --out {tmp}/o", 2, "",
+        "error: [Errno 21] Is a directory: '{tmp}'\n",
+    ),
+    (
+        "construct --family regular --m 3 --partition {tmp}/malformed --out {tmp}/o", 2, "",
+        "error: partition file needs a header line and four index lines\n",
+    ),
+    (
+        "construct --family regular --m 5 --partition {schemes}/m3.scheme --out {tmp}/o", 2, "",
+        "error: partition file does not match the requested q/m\n",
+    ),
+    (
+        "construct --family regular --m 3 --ell 5 --partition {tmp}/swapped --out {tmp}/o", 1, "",
+        "error: partition fails the eigenvalue table\n",
+    ),
+    (
+        "construct --family regular --m 3 --partition {tmp}/swapped --out {tmp}/o", 1, "",
+        "error: partition fails scheme or eigenvalue-table verification\n",
+    ),
+    (
+        "construct --family regular --m 3 --ell 1 --partition {schemes}/m3.scheme --out {tmp}/o", 2, "",
+        "error: --ell 1 is not admissible for this family\n",
+    ),
+    ("verify {tmp}/missing", 2, "", "error: [Errno 2] No such file or directory: '{tmp}/missing'\n"),
+    ("verify {tmp}/latin1", 2, "", "error: {tmp}/latin1 is not UTF-8 text (byte 8: invalid start byte)\n"),
+    ("verify {tmp}", 2, "", "error: [Errno 21] Is a directory: '{tmp}'\n"),
+    ("verify {tmp}/empty", 2, "", "error: empty matrix file\n"),
+    ("verify {tmp}/header", 2, "", "error: first line must be the order n\n"),
+    ("verify {tmp}/count", 2, "", "error: expected 2 rows after the header\n"),
+    ("verify {tmp}/row", 2, "", "error: rows must be n characters from {+,-}\n"),
+    ("verify {tmp}/odd", 1, '{"hadamard": false, "n": 3, "violating_rows": [0, 1]}\n', ""),
+    ("verify {tmp}/not_hadamard", 1, '{"hadamard": false, "n": 4, "violating_rows": [0, 1]}\n', ""),
+    ("verify {tmp}/one", 0, '{"excess": 1, "hadamard": true, "n": 1, "row_sums": {"1": 1}}\n', ""),
+    ("verify {tmp}/two --format text", 0, 'excess: 2\nhadamard: true\nn: 2\nrow_sums: {"0": 1, "2": 1}\n', ""),
+    ("search-params --family e8 --q 11 --limit -1", 2, "", "error: --limit must be >= 0 (0 lists every row), got -1\n"),
+    ("search-params --family e8 --limit 1", 2, "", "error: give exactly one of --q and --m\n"),
+    ("search-params --family e8 --q 12", 2, "", "error: q = 12 is not of the e8 form\n"),
+    ("search-params --family e4 --m 40", 2, "", "error: 3281 is not a prime power\n"),
+    (
+        "search-params --family e8 --q 11 --limit 2", 0,
+        '[{"delta": -1, "ell": 5, "epsilon": -1, "h": 0}, {"delta": -1, "ell": 9, "epsilon": -1, "h": 2}]\n', "",
+    ),
+    (
+        "search-params --family scheme --q 31 --partition {schemes}/m3.scheme", 2, "",
+        "error: the regular family needs odd m\n",
+    ),
+    ("search-params --family scheme --q 17", 2, "", "error: scheme family needs --partition\n"),
+    (
+        "search-params --family scheme --q 17 --partition {tmp}/missing", 2, "",
+        "error: [Errno 2] No such file or directory: '{tmp}/missing'\n",
+    ),
+    (
+        "search-params --family scheme --q 17 --partition {tmp}/latin1", 2, "",
+        "error: {tmp}/latin1 is not UTF-8 text (byte 8: invalid start byte)\n",
+    ),
+    (
+        "search-params --family scheme --q 17 --partition {tmp}/malformed", 2, "",
+        "error: partition file needs a header line and four index lines\n",
+    ),
+    (
+        "search-params --family scheme --q 49 --partition {schemes}/m3.scheme", 2, "",
+        "error: partition file does not match the requested q/m\n",
+    ),
+    (
+        "search-params --family scheme --q 17 --partition {tmp}/swapped", 1, "",
+        "error: partition fails the eigenvalue table\n",
+    ),
+    (
+        "search-params --family scheme --q 17 --partition {schemes}/m3.scheme --limit 1", 0, '[{"ell": 3, "tau": -1}]\n',
+        "",
+    ),
+    ("scheme", 2, "", "error: give --verify FILE or --search\n"),
+    ("scheme --search", 2, "", "error: give exactly one of --q and --m\n"),
+    ("scheme --search --m 3 --e 12 --budget -5", 2, "", "error: --budget must be >= 0, got -5\n"),
+    ("scheme --search --m 3 --e 12 --budget 0", 3, "", "error: search needs 160 candidates, over the budget of 0\n"),
+    ("scheme --search --m 3 --e 0", 2, "", "error: e = 0 must be even and divide both 4m^2 and q^2-1\n"),
+    ("scheme --search --m 4 --e 8", 2, "", "error: the regular family needs odd m\n"),
+    ("scheme --search --q 18", 2, "", "error: q = 18 is not of the scheme form\n"),
+    ("scheme --search --q 161", 2, "", "error: 161 is not a prime power\n"),
+    ("scheme --search --m 3 --e 4", 0, "", "found 0 partition(s)\n"),
+    ("scheme --verify {tmp}/missing", 2, "", "error: [Errno 2] No such file or directory: '{tmp}/missing'\n"),
+    ("scheme --verify {tmp}/latin1", 2, "", "error: {tmp}/latin1 is not UTF-8 text (byte 8: invalid start byte)\n"),
+    ("scheme --verify {tmp}/malformed", 2, "", "error: partition file needs a header line and four index lines\n"),
+    ("scheme --verify {tmp}/not_prime", 2, "", "error: 15 is not a prime power\n"),
+    ("scheme --verify {tmp}/bad_e", 2, "", "error: e must divide 4m^2\n"),
+    (
+        "scheme --verify {tmp}/swapped", 1, _SWAPPED_REPORT,
+        "tau=1: first failing cell (Y_1, X_1): got 11.684658-0.000000j, expected -0.684658\n"
+        "tau=-1: first failing cell (Y_1, X_2): got 2.246211-0.000000j, expected -14.246211\n",
+    ),
+]
+
+
+def _swapped_m3() -> schemes.SchemePartition:
+    """m3.scheme with X_2 and X_4 exchanged: a partition that fails table 1."""
+    h1, h2, h3, h4 = schemes.example_partition(3).h_lists
+    return schemes.SchemePartition(17, 3, 12, (h1, h4, h3, h2))
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("table")
+    for name, data in _TABLE_FILES.items():
+        (tmp / name).write_bytes(data)
+    (tmp / "swapped").write_text(schemes.partition_text(_swapped_m3()))
+    return tmp
+
+
+@pytest.mark.parametrize("argv,code,out,err", _MESSAGE_TABLE, ids=[row[0] for row in _MESSAGE_TABLE])
+def test_every_message_of_the_cli(table_dir, capsys, argv, code, out, err):
+    def fill(text: str) -> str:
+        return text.replace("{tmp}", str(table_dir)).replace("{schemes}", str(SCHEMES_DIR))
+
+    if out is _SWAPPED_REPORT:
+        ext, _ = finite_field.quadratic_tower(17)
+        out = json.dumps(schemes.scheme_report_json(schemes.verify_scheme(ext, _swapped_m3())), sort_keys=True) + "\n"
+    capsys.readouterr()
+    assert main([fill(arg) for arg in argv.split()]) == code
+    assert capsys.readouterr() == (fill(out), fill(err))
+
+
+def _partition_with_e(e: int) -> str:
+    """A q = 17, m = 3 partition file whose class modulus e does not fit the
+    paper's form: e must divide 4m^2 = 36."""
+    return f"17 3 {e}\n0\n1\n2\n" + " ".join(map(str, range(3, e))) + "\n"
+
+
+_BAD_FORM = {
+    5: "e = 5 does not divide q^2-1",
+    8: "e must divide 4m^2",
+    24: "e must divide 4m^2",
+    144: "e must divide 4m^2",
+}
+
+
+@pytest.mark.parametrize("e", sorted(_BAD_FORM))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--family", "regular", "--m", "3", "--out", "{out}", "--partition", "{part}"],
+        ["construct", "--family", "regular", "--m", "3", "--ell", "5", "--out", "{out}", "--partition", "{part}"],
+        ["search-params", "--family", "scheme", "--q", "17", "--partition", "{part}"],
+        ["scheme", "--verify", "{part}"],
+    ],
+    ids=["construct", "construct-ell", "search-params", "scheme-verify"],
+)
+def test_partition_with_the_wrong_e_exits_2_from_every_command(tmp_path, capsys, argv, e):
+    part = tmp_path / "bad.scheme"
+    part.write_text(_partition_with_e(e))
+    capsys.readouterr()
+    assert main([arg.format(out=tmp_path / "out", part=part) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {_BAD_FORM[e]}\n")
+    assert not (tmp_path / "out").exists()

@@ -289,7 +289,7 @@ def test_transform_names_the_broken_profile_promise(monkeypatch):
     ext, base = quadratic_tower(11)
     points = list(base.elements())
     # every block holds every point, so each block meets the 5-point D set in 5
-    full = isets.BlockDesign(points, [(1 << 11) - 1] * 11, points)
+    full = isets.BlockDesign(points, [(1 << 11) - 1] * 11)
     monkeypatch.setattr(isets, "paley_design", lambda ctx: full)
     with pytest.raises(hd.HadamardError) as info:
         hd.transform(ext, "q3")
