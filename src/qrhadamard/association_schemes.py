@@ -1,7 +1,7 @@
 """Four-class translation association schemes on GF(q^2) from cyclotomic
 partitions: structural conditions, intersection-number constancy, the first
 eigenmatrix against the prescribed eigenvalue table, fusion checks, and the
-two-intersection sets the schemes produce.
+partition search.
 
 A partition is given by four index lists H_1..H_4 over [0, e); X_i is the
 union of the cyclotomic classes C_j^(e, q^2) with j in H_i.  Index lists are
@@ -16,7 +16,6 @@ import math
 from collections import namedtuple
 
 from . import character_sums as cs
-from . import intersection_sets as isets
 from .finite_field import ZERO, FieldContext
 
 TOL = cs.TOL
@@ -78,12 +77,14 @@ class SchemePartition(namedtuple("SchemePartition", "q m e h_lists")):
 class SchemeReport(
     namedtuple(
         "SchemeReport",
-        "is_scheme symmetric class_sizes intersection_numbers eigen_rows table1_match tau tau_candidates",
+        "is_scheme symmetric class_sizes intersection_numbers eigen_rows table1_match tau table1_misses",
     )
 ):
     """What verify_scheme found: intersection_numbers is p[i][j][k] (5x5x5)
     or None, eigen_rows the 5x5 complex rows indexed by the dual classes,
-    tau the matching tau or None."""
+    tau the matching tau or None, and table1_misses a (tau, miss) pair for
+    tau = 1, -1, miss being the (row, col, got, expected) of the first cell
+    that misses table 1 for that tau, or None."""
 
     __slots__ = ()
 
@@ -227,42 +228,34 @@ def _class_sizes(ext: FieldContext, part: SchemePartition) -> tuple[int, ...]:
 
 
 def eigenmatrix_vs_table1(ext: FieldContext, part: SchemePartition):
-    """(table1_match, matching taus, eigen rows).
+    """(tau, table-1 misses, eigen rows), tau the first tau whose miss is
+    None, or None.
 
-    Row Y_i of the eigen rows is psi(a X_c) for a in the least residue of
-    Y_i; a tau matches when the class sizes and every residue of every Y_i
-    give table 1's cells (see _table1_miss).
+    A tau's miss is the first class-size cell (row 0) that misses table 1,
+    else the first cell of the dual rows (see _table1_miss).  Row Y_i of the
+    eigen rows is psi(a X_c) for a in the least residue of Y_i, under the
+    matching tau (1 when none matches).
     """
     _check_form(ext, part)
     q, m, e = part.q, part.m, part.e
     rows, expected = _table1_inputs(ext, e, m)
     sizes = _class_sizes(ext, part)
-    taus: tuple[int, ...] = ()
-    if all(abs(sizes[c] - expected[0][c]) < TOL for c in range(5)):
-        taus = tuple(
-            tau for tau in (1, -1)
-            if _table1_miss(part.h_lists, rows, expected, _dual_map(q, m, e, tau)) is None
-        )
+    size_miss = next(
+        ((0, c, sizes[c], expected[0][c]) for c in range(5) if abs(sizes[c] - expected[0][c]) > TOL), None
+    )
+    misses = tuple(
+        (tau, size_miss or _table1_miss(part.h_lists, rows, expected, _dual_map(q, m, e, tau)))
+        for tau in (1, -1)
+    )
+    tau = next((tau for tau, miss in misses if miss is None), None)
     eigen = [[complex(sz) for sz in sizes]]
-    for ylist in _dual_residues(part, q, taus[0] if taus else 1):
+    for ylist in _dual_residues(part, q, tau or 1):
         if not ylist:  # empty class: no eigenvalue row
             eigen.append([0j] * 5)
             continue
         row = rows[ylist[0]]
         eigen.append([1 + 0j] + [sum(map(row.__getitem__, hc)) for hc in part.h_lists])
-    return bool(taus), taus, tuple(tuple(row) for row in eigen)
-
-
-def first_table1_failure(ext: FieldContext, part: SchemePartition, tau: int):
-    """(row, col, got, expected) of the first failing eigenvalue cell for tau,
-    or None when every cell matches."""
-    _check_form(ext, part)
-    rows, expected = _table1_inputs(ext, part.e, part.m)
-    sizes = _class_sizes(ext, part)
-    for c in range(5):
-        if abs(sizes[c] - expected[0][c]) > TOL:
-            return (0, c, complex(sizes[c]), expected[0][c])
-    return _table1_miss(part.h_lists, rows, expected, _dual_map(part.q, part.m, part.e, tau))
+    return tau, misses, tuple(tuple(row) for row in eigen)
 
 
 def _convolution_counts(ext: FieldContext, cls, e: int, w: int) -> list[list[int]]:
@@ -330,17 +323,26 @@ def verify_scheme(ext: FieldContext, part: SchemePartition) -> SchemeReport:
         for i in range(5):
             for j in range(5):
                 tensor[i][j][k] = ref[i][j]
-    table1_match, taus, eigen_rows = eigenmatrix_vs_table1(ext, part)
+    tau, misses, eigen_rows = eigenmatrix_vs_table1(ext, part)
     return SchemeReport(
         is_scheme=is_scheme,
         symmetric=symmetric,
         class_sizes=class_sizes,
         intersection_numbers=tuple(tuple(tuple(col) for col in row) for row in tensor) if is_scheme else None,
         eigen_rows=eigen_rows,
-        table1_match=table1_match,
-        tau=taus[0] if taus else None,
-        tau_candidates=taus,
+        table1_match=tau is not None,
+        tau=tau,
+        table1_misses=misses,
     )
+
+
+def require_scheme(ext: FieldContext, part: SchemePartition) -> SchemeReport:
+    """The report of a partition that is a scheme matching table 1, the
+    promise the regular family rests on; SchemeInvalid otherwise."""
+    report = verify_scheme(ext, part)
+    if not (report.is_scheme and report.table1_match):
+        raise SchemeInvalid("partition fails scheme or eigenvalue-table verification")
+    return report
 
 
 def bannai_muzychuk_check(eigen_rows, groups) -> bool:
@@ -360,22 +362,6 @@ def bannai_muzychuk_check(eigen_rows, groups) -> bool:
         if not any(all(abs(a - b) < TOL for a, b in zip(sig, c)) for c in clusters):
             clusters.append(sig)
     return len(clusters) <= len(groups)
-
-
-def scheme_dsets(ext: FieldContext, part: SchemePartition, ell: int):
-    """The pair of point sets cut out of GF(q) by S_0, S_1 for omega^ell in
-    X_2 or X_4; unchecked here.  hadamard.transform checks that they have
-    sizes (m^2-m, m^2) and meet the doubled symmetric design in m^2-m or m^2
-    points."""
-    h1, h2, h3, h4 = part.h_lists
-    r = ell % part.e
-    if r in h2:
-        s0, s1 = h1 + h4, h1 + h2
-    elif r in h4:
-        s0, s1 = h2 + h3, h3 + h4
-    else:
-        raise isets.BadEll("omega^ell must lie in X_2 or X_4")
-    return isets.build_dlh(ext, ell, part.e, s0), isets.build_dlh(ext, ell, part.e, s1)
 
 
 # class of residue r + e/2 given the class of r (the shift pairs X_1/X_3 and X_2/X_4)

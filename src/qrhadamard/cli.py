@@ -98,18 +98,13 @@ def _resolve_q_m(args, family: str) -> tuple[int, int]:
     return q, m
 
 
-def _family_partition(ext, path: str, m: int, with_tau: bool):
-    """(partition, tau) of the regular family from the file at path, checked
-    against GF(q^2) and m; tau, from the table-1 check, only when asked for."""
+def _family_partition(q: int, m: int, path: str) -> schemes.SchemePartition:
+    """The regular family's partition from the file at path, checked against
+    q and m; the library checks that it is a scheme."""
     partition = _read_partition(path)
-    if partition.q != ext.subfield.q or partition.m != m:
+    if partition.q != q or partition.m != m:
         raise UsageError("partition file does not match the requested q/m")
-    if not with_tau:
-        return partition, None
-    ok, taus, _ = schemes.eigenmatrix_vs_table1(ext, partition)
-    if not ok:
-        raise schemes.SchemeInvalid("partition fails the eigenvalue table")
-    return partition, taus[0]
+    return partition
 
 
 def _print_payload(payload: dict, fmt: str) -> None:
@@ -125,15 +120,15 @@ def cmd_construct(args) -> int:
     fam = hd.FAMILIES[family]
     q, m = _resolve_q_m(args, family)
     ext, base = quadratic_tower(q)
-    partition = tau = None
+    partition = None
     if family == "regular":
         if not args.partition:
             raise UsageError("--partition is required for the regular family")
-        partition, tau = _family_partition(ext, args.partition, m, with_tau=args.ell is not None)
+        partition = _family_partition(q, m, args.partition)
 
     params = None
     if args.ell is not None:
-        choices = isets.admissible_params(ext, fam.key, partition=partition, tau=tau)
+        choices = isets.admissible_params(ext, fam.key, partition)
         params = next((cand for cand in choices if cand.ell >= args.ell), None)  # ascending ell
         if params is None or params.ell != args.ell:
             raise UsageError(f"--ell {args.ell} is not admissible for this family")
@@ -211,12 +206,12 @@ def cmd_search_params(args) -> int:
         raise UsageError(f"--limit must be >= 0 (0 lists every row), got {args.limit}")
     q, m = _resolve_q_m(args, _BY_KEY[family])
     ext, _ = quadratic_tower(q)
-    partition = tau = None
+    partition = None
     if family == "scheme":
         if not args.partition:
             raise UsageError("scheme family needs --partition")
-        partition, tau = _family_partition(ext, args.partition, m, with_tau=True)
-    choices = isets.admissible_params(ext, family, partition=partition, tau=tau)
+        partition = _family_partition(q, m, args.partition)
+    choices = isets.admissible_params(ext, family, partition)  # checks the partition before any row
     rows = map(_param_row, itertools.islice(choices, args.limit or None))
     # the bytes of json.dumps(rows, sort_keys=True), encoded a bounded chunk at a time
     count, sep = 0, ""
@@ -252,15 +247,10 @@ def cmd_scheme(args) -> int:
     if report.is_scheme and report.table1_match:
         return EXIT_OK
     if not report.table1_match:
-        for tau in (1, -1):
-            failure = schemes.first_table1_failure(ext, partition, tau)
-            if failure:
-                i, c, got, want = failure
-                print(
-                    f"tau={tau}: first failing cell (Y_{i}, X_{c}): "
-                    f"got {got:.6f}, expected {want:.6f}",
-                    file=sys.stderr,
-                )
+        # every cell is real (-1 lies in C_0, so X_c = -X_c); the imaginary part is rounding noise
+        for tau, (i, c, got, want) in report.table1_misses:
+            cell = f"(Y_{i}, X_{c}): got {got.real:.6f}, expected {want:.6f}"
+            print(f"tau={tau}: first failing cell {cell}", file=sys.stderr)
     return EXIT_VERIFY
 
 

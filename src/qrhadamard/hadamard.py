@@ -393,21 +393,17 @@ def _pieces(ext: FieldContext, family: str, m: int, params, partition):
     are promised against."""
     base = ext.subfield
     mm = m * m
-    tau = None
-    if family == "regular":
-        if partition is None:
-            raise HadamardError("the regular family needs a scheme partition")
-        report = schemes.verify_scheme(ext, partition)
-        if not (report.is_scheme and report.table1_match):
-            raise schemes.SchemeInvalid("partition fails scheme or eigenvalue-table verification")
-        tau = report.tau
-    if params is None:
+    if family == "regular" and partition is None:
+        raise HadamardError("the regular family needs a scheme partition")
+    if params is None:  # find_params checks the partition
         try:
-            params = isets.find_params(ext, FAMILIES[family].key, partition=partition, tau=tau)
+            params = isets.find_params(ext, FAMILIES[family].key, partition)
         except isets.NotFound as exc:
             raise ParamSearchFailed(str(exc)) from exc
+    elif family == "regular":
+        schemes.require_scheme(ext, partition)
     if family == "regular":
-        dsets = schemes.scheme_dsets(ext, partition, params.ell)
+        dsets = isets.scheme_dsets(ext, partition, params.ell)
     else:
         e = cs.SIGN_ORDERS[FAMILIES[family].key]
         dsets = tuple(isets.build_dlh(ext, params.ell, e, hs) for hs in isets.h_sets(params))

@@ -13,6 +13,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
+from . import association_schemes as schemes
 from . import character_sums as cs
 from .finite_field import ZERO, FieldContext, NoSubfield
 
@@ -219,15 +220,27 @@ def build_dlh(ext: FieldContext, ell: int, e: int, H) -> frozenset[int]:
     return frozenset(members)
 
 
-def admissible_params(ext: FieldContext, family: str, partition=None, tau: int | None = None):
-    """Yield admissible (h, ell) pairs in ascending ell, per family.
+def admissible_params(ext: FieldContext, family: str, partition=None):
+    """An iterator of the admissible (h, ell) pairs in ascending ell, per
+    family, checked at the call: a scheme partition goes through
+    schemes.require_scheme, which gives tau, before any pair is made.
 
     Every condition is an exact discrete-log congruence; the sign data
-    (epsilon, delta) comes from the exact Gauss-sum sign counts and tau from
-    the scheme eigenvalue table.
+    (epsilon, delta) comes from the exact Gauss-sum sign counts.
     """
     if ext.subfield is None:
         raise NoSubfield("parameter search needs the quadratic tower")
+    tau = None
+    if family == "scheme":
+        if partition is None:
+            raise IntersectionError("scheme family needs a partition")
+        tau = schemes.require_scheme(ext, partition).tau
+    elif family not in cs.SIGN_ORDERS:
+        raise IntersectionError(f"unknown family {family!r}")
+    return _admissible_params(ext, family, partition, tau)
+
+
+def _admissible_params(ext: FieldContext, family: str, partition, tau):
     base = ext.subfield
     q, n = base.q, ext.order
 
@@ -263,9 +276,7 @@ def admissible_params(ext: FieldContext, family: str, partition=None, tau: int |
             if t_of(ell) % 4 != (delta * (1 + 2 * h)) % 4:
                 continue
             yield ParamChoice("e4", ell, m, h=h, epsilon=eps, delta=delta)
-    elif family == "scheme":
-        if partition is None or tau not in (1, -1):
-            raise IntersectionError("scheme family needs a partition and tau")
+    else:
         m = cs.family_m(q, "scheme")
         e = partition.e
         four_m2 = 4 * m * m
@@ -279,8 +290,6 @@ def admissible_params(ext: FieldContext, family: str, partition=None, tau: int |
             if t_of(ell) % four_m2 != t_target:
                 continue
             yield ParamChoice("scheme", ell, m, tau=tau)
-    else:
-        raise IntersectionError(f"unknown family {family!r}")
 
 
 def h_sets(params: ParamChoice) -> tuple[list[int], ...]:
@@ -298,9 +307,25 @@ def h_sets(params: ParamChoice) -> tuple[list[int], ...]:
     return (first, second) if eps_delta == 1 else (second, first)
 
 
-def find_params(ext: FieldContext, family: str, partition=None, tau: int | None = None) -> ParamChoice:
+def scheme_dsets(ext: FieldContext, part, ell: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The pair of point sets cut out of GF(q) by S_0, S_1 for omega^ell in
+    X_2 or X_4 of a scheme partition; unchecked here.  hadamard.transform
+    checks that they have sizes (m^2-m, m^2) and meet the doubled symmetric
+    design in m^2-m or m^2 points."""
+    h1, h2, h3, h4 = part.h_lists
+    r = ell % part.e
+    if r in h2:
+        s0, s1 = h1 + h4, h1 + h2
+    elif r in h4:
+        s0, s1 = h2 + h3, h3 + h4
+    else:
+        raise BadEll("omega^ell must lie in X_2 or X_4")
+    return build_dlh(ext, ell, part.e, s0), build_dlh(ext, ell, part.e, s1)
+
+
+def find_params(ext: FieldContext, family: str, partition=None) -> ParamChoice:
     """Smallest admissible ell with its h; NotFound signals a bug."""
-    for choice in admissible_params(ext, family, partition, tau):
+    for choice in admissible_params(ext, family, partition):
         return choice
     raise NotFound(f"no admissible parameters for family {family} at q = {ext.subfield.q}")
 

@@ -109,7 +109,7 @@ def test_scheme_verification_m3(m3):
     assert report.is_scheme and report.symmetric
     assert report.table1_match and report.tau == -1
     assert report.class_sizes == (1, 48, 96, 48, 96)
-    assert report.tau_candidates == (-1,)
+    assert [tau for tau, miss in report.table1_misses if miss is None] == [-1]
 
 
 def test_scheme_verification_m5(m5):
@@ -208,18 +208,21 @@ def test_verbatim_lists_are_labeling_dependent(m3):
     ext, part = m3
     alt = schemes.normalized_partition(17, 3, 12, [(1, 5), (0, 2, 9, 10), (7, 11), (3, 4, 6, 8)])
     assert schemes.verify_structure(ext, alt)
-    ok, taus, _ = schemes.eigenmatrix_vs_table1(ext, alt)
-    assert not ok
-    for tau in (1, -1):
-        assert schemes.first_table1_failure(ext, alt, tau) is not None
+    report = schemes.verify_scheme(ext, alt)
+    assert not report.table1_match
+    assert [tau for tau, _ in report.table1_misses] == [1, -1]
+    for _, miss in report.table1_misses:
+        assert miss is not None
 
 
 def test_swapped_lists_fail_table(m3):
     ext, part = m3
     h1, h2, h3, h4 = part.h_lists
     swapped = schemes.SchemePartition(part.q, part.m, part.e, (h1, h4, h3, h2))
-    ok, taus, _ = schemes.eigenmatrix_vs_table1(ext, swapped)
-    assert not ok
+    assert not schemes.verify_scheme(ext, swapped).table1_match
+    with pytest.raises(schemes.SchemeInvalid, match="^partition fails scheme or eigenvalue-table verification$"):
+        schemes.require_scheme(ext, swapped)
+    assert schemes.require_scheme(ext, part).tau == -1
 
 
 def test_bannai_muzychuk(m3):
@@ -247,9 +250,9 @@ def test_two_class_fusion_character_values(m3):
 @pytest.mark.parametrize("m,sizes", [(3, (6, 9)), (5, (20, 25))])
 def test_two_intersection_sets(m, sizes, m3, m5):
     ext, part = m3 if m == 3 else m5
-    report = schemes.verify_scheme(ext, part)
-    params = isets.find_params(ext, "scheme", partition=part, tau=report.tau)
-    d0, d1 = schemes.scheme_dsets(ext, part, params.ell)
+    params = isets.find_params(ext, "scheme", partition=part)
+    assert params.tau == schemes.verify_scheme(ext, part).tau
+    d0, d1 = isets.scheme_dsets(ext, part, params.ell)
     assert (len(d0), len(d1)) == sizes
     assert len(d0) + len(d1) == 2 * m * m - m
     members = {(0, x) for x in d0} | {(1, x) for x in d1}
@@ -306,7 +309,7 @@ def test_search_matches_brute_force_oracle(m3):
     want = []
     for assign in _assignments(e, 2):
         part = schemes.normalized_partition(17, 3, e, _assignment_lists(assign, e // 2))
-        if schemes.eigenmatrix_vs_table1(ext, part)[0]:
+        if schemes.eigenmatrix_vs_table1(ext, part)[0] is not None:
             report = schemes.verify_scheme(ext, part)
             if report.is_scheme and report.table1_match:
                 want.append(part)
@@ -331,7 +334,7 @@ def test_every_rotation_verifies_with_alternating_tau(m, m3, m5):
     for k in range(shipped.e):
         report = schemes.verify_scheme(ext, _rotated(shipped, k))
         assert report.is_scheme and report.table1_match
-        assert report.tau_candidates == (tau0 * (-1) ** k,)
+        assert [tau for tau, miss in report.table1_misses if miss is None] == [tau0 * (-1) ** k]
 
 
 @pytest.mark.parametrize("m", [3, 5])
@@ -397,16 +400,17 @@ def _table1_misses(ext, part, tau):
                     yield i, c, got, expected[i][c]
 
 
-def test_first_table1_failure_checks_every_residue(m3):
+def test_table1_misses_check_every_residue(m3):
     ext, _ = m3
     checked = 0
     for assign in _assignments(12, 2):
         if assign[0]:
             continue
         part = schemes.normalized_partition(17, 3, 12, _assignment_lists(assign, 6))
-        for tau in (1, -1):
+        misses = schemes.verify_scheme(ext, part).table1_misses
+        assert [tau for tau, _ in misses] == [1, -1]
+        for tau, got in misses:
             want = next(_table1_misses(ext, part, tau), None)
-            got = schemes.first_table1_failure(ext, part, tau)
             assert (got is None) == (want is None)
             if got is not None:
                 assert got[:2] == want[:2] and abs(got[2] - want[2]) < TOL and got[3] == want[3]

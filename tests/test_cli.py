@@ -263,13 +263,13 @@ def test_search_params(capsys):
 def test_search_params_streams_the_json_list(capsys, monkeypatch, family, q, limit):
     monkeypatch.setattr(cli, "_ROWS_PER_CHUNK", 2)  # every list but the shortest spans chunks
     ext, _ = finite_field.quadratic_tower(q)
-    partition, tau = None, None
+    partition = None
     argv = ["search-params", "--family", family, "--q", str(q), "--limit", str(limit)]
     if family == "scheme":
-        partition, tau = schemes.example_partition(3), -1
+        partition = schemes.example_partition(3)
         argv += ["--partition", str(SCHEMES_DIR / "m3.scheme")]
     rows = []
-    for c in isets.admissible_params(ext, family, partition=partition, tau=tau):
+    for c in isets.admissible_params(ext, family, partition=partition):
         fields = {"ell": c.ell, "h": c.h, "epsilon": c.epsilon, "delta": c.delta, "tau": c.tau}
         rows.append({k: v for k, v in fields.items() if v is not None})
     if limit:
@@ -723,6 +723,8 @@ _REPORT_Q11 = (
     '"row_sums": {"0": 3, "4": 9}, "s": 3, "t": 0}\n'
 )
 _SWAPPED_REPORT = object()  # stdout: the scheme report of the swapped partition
+# the one message of a partition that is not a scheme matching table 1, whichever command reads it
+_NOT_A_SCHEME = "error: partition fails scheme or eigenvalue-table verification\n"
 
 # One row per message the CLI prints: argv, exit code, stdout, stderr.  {tmp}
 # is the directory that holds _TABLE_FILES and the swapped m3 partition,
@@ -790,12 +792,9 @@ _MESSAGE_TABLE = [
     ),
     (
         "construct --family regular --m 3 --ell 5 --partition {tmp}/swapped --out {tmp}/o", 1, "",
-        "error: partition fails the eigenvalue table\n",
+        _NOT_A_SCHEME,
     ),
-    (
-        "construct --family regular --m 3 --partition {tmp}/swapped --out {tmp}/o", 1, "",
-        "error: partition fails scheme or eigenvalue-table verification\n",
-    ),
+    ("construct --family regular --m 3 --partition {tmp}/swapped --out {tmp}/o", 1, "", _NOT_A_SCHEME),
     (
         "construct --family regular --m 3 --ell 1 --partition {schemes}/m3.scheme --out {tmp}/o", 2, "",
         "error: --ell 1 is not admissible for this family\n",
@@ -841,8 +840,7 @@ _MESSAGE_TABLE = [
         "error: partition file does not match the requested q/m\n",
     ),
     (
-        "search-params --family scheme --q 17 --partition {tmp}/swapped", 1, "",
-        "error: partition fails the eigenvalue table\n",
+        "search-params --family scheme --q 17 --partition {tmp}/swapped", 1, "", _NOT_A_SCHEME,
     ),
     (
         "search-params --family scheme --q 17 --partition {schemes}/m3.scheme --limit 1", 0, '[{"ell": 3, "tau": -1}]\n',
@@ -864,8 +862,8 @@ _MESSAGE_TABLE = [
     ("scheme --verify {tmp}/bad_e", 2, "", "error: e must divide 4m^2\n"),
     (
         "scheme --verify {tmp}/swapped", 1, _SWAPPED_REPORT,
-        "tau=1: first failing cell (Y_1, X_1): got 11.684658-0.000000j, expected -0.684658\n"
-        "tau=-1: first failing cell (Y_1, X_2): got 2.246211-0.000000j, expected -14.246211\n",
+        "tau=1: first failing cell (Y_1, X_1): got 11.684658, expected -0.684658\n"
+        "tau=-1: first failing cell (Y_1, X_2): got 2.246211, expected -14.246211\n",
     ),
 ]
 
@@ -930,3 +928,29 @@ def test_partition_with_the_wrong_e_exits_2_from_every_command(tmp_path, capsys,
     assert main([arg.format(out=tmp_path / "out", part=part) for arg in argv]) == 2
     assert capsys.readouterr() == ("", f"error: {_BAD_FORM[e]}\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--family", "regular", "--m", "3", "--out", "{out}", "--partition", "{part}"],
+        ["construct", "--family", "regular", "--m", "3", "--ell", "3", "--out", "{out}", "--partition", "{part}"],
+        ["search-params", "--family", "scheme", "--q", "17", "--partition", "{part}"],
+    ],
+    ids=["construct", "construct-ell", "search-params"],
+)
+def test_every_command_checks_the_intersection_numbers(tmp_path, capsys, monkeypatch, argv):
+    # m3.scheme matches table 1; a report that its intersection numbers are
+    # not constant must still stop every command that reads it, before any output
+    real = schemes.verify_scheme
+    monkeypatch.setattr(schemes, "verify_scheme", lambda ext, part: real(ext, part)._replace(is_scheme=False))
+    capsys.readouterr()
+    assert main([arg.format(out=tmp_path / "out", part=SCHEMES_DIR / "m3.scheme") for arg in argv]) == 1
+    assert capsys.readouterr() == ("", _NOT_A_SCHEME)
+    assert not (tmp_path / "out").exists()
+
+
+def test_admissible_params_checks_the_partition_at_the_call():
+    ext, _ = finite_field.quadratic_tower(17)
+    with pytest.raises(schemes.SchemeInvalid, match="^partition fails scheme or eigenvalue-table verification$"):
+        isets.admissible_params(ext, "scheme", partition=_swapped_m3())  # no next(): the call itself raises

@@ -278,8 +278,8 @@ def test_transform_regular_builds_and_checks_its_pieces_once(monkeypatch, tower1
     hd.transform(ext, "regular", partition=part)
     assert calls == ["doubled_symmetric_design", "intersection_profile"]
     # swapped D sets break the size promise, which transform names
-    dsets = schemes.scheme_dsets
-    monkeypatch.setattr(schemes, "scheme_dsets", lambda *args: dsets(*args)[::-1])
+    dsets = isets.scheme_dsets
+    monkeypatch.setattr(isets, "scheme_dsets", lambda *args: dsets(*args)[::-1])
     with pytest.raises(hd.HadamardError) as info:
         hd.transform(ext, "regular", partition=part)
     assert str(info.value) == "regular: D-set sizes (9, 6) break the promised sizes (6, 9)"

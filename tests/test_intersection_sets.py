@@ -232,12 +232,13 @@ def test_scheme_family_params():
 
     ext, _ = quadratic_tower(17)
     part = schemes.example_partition(3)
-    ok, taus, _ = schemes.eigenmatrix_vs_table1(ext, part)
-    assert ok
-    p = isets.find_params(ext, "scheme", partition=part, tau=taus[0])
+    report = schemes.verify_scheme(ext, part)
+    assert report.table1_match
+    p = isets.find_params(ext, "scheme", partition=part)
+    assert p.tau == report.tau
     n, q, m = ext.order, 17, 3
     t_el = ext.sub((p.ell * q) % n, p.ell)
-    assert t_el % (4 * m * m) == (taus[0] * m * m) % (4 * m * m)
+    assert t_el % (4 * m * m) == (report.tau * m * m) % (4 * m * m)
     assert p.ell % part.e in set(part.h_lists[1]) | set(part.h_lists[3])
 
 
@@ -249,9 +250,8 @@ def test_scheme_admissible_count_per_coset(q, m):
 
     ext, _ = quadratic_tower(q)
     part = schemes.example_partition(m)
-    ok, taus, _ = schemes.eigenmatrix_vs_table1(ext, part)
-    assert ok
-    count = sum(1 for _ in isets.admissible_params(ext, "scheme", partition=part, tau=taus[0]))
+    assert schemes.verify_scheme(ext, part).table1_match
+    count = sum(1 for _ in isets.admissible_params(ext, "scheme", partition=part))
     e, n = part.e, ext.order
     h24 = set(part.h_lists[1]) | set(part.h_lists[3])
     cosets = len(h24) * (n // e) // (q - 1)
