@@ -6,7 +6,7 @@ cross-checks and to pick the regular family's scheme index tau, so floating
 point never touches a constructed set or matrix.
 """
 
-from .association_schemes import SchemePartition, SchemeReport, example_partition, verify_scheme
+from .association_schemes import SchemePartition, SchemeReport, verify_scheme
 from .finite_field import ZERO, FieldContext, FieldSpec, build_field, field_for, quadratic_tower
 from .hadamard import (
     FAMILIES,
@@ -38,7 +38,6 @@ __all__ = [
     "build_field",
     "construct_q1",
     "construct_q3",
-    "example_partition",
     "excess_and_bound",
     "field_for",
     "find_params",

@@ -93,19 +93,6 @@ def normalized_partition(q: int, m: int, e: int, h_lists) -> SchemePartition:
     return SchemePartition(q, m, e, tuple(tuple(sorted(set(hs))) for hs in h_lists))
 
 
-def example_partition(m: int) -> SchemePartition:
-    """Known verified four-class partitions for m = 3 and m = 5, expressed in
-    this package's canonical class labeling."""
-    if m == 3:
-        return normalized_partition(17, 3, 12, [(7, 11), (0, 2, 3, 10), (1, 5), (4, 6, 8, 9)])
-    if m == 5:
-        return normalized_partition(
-            49, 5, 20,
-            [(1, 10, 17, 18), (2, 4, 5, 6, 13, 19), (0, 7, 8, 11), (3, 9, 12, 14, 15, 16)],
-        )
-    raise BadForm(f"no stored example partition for m = {m}")
-
-
 def partition_text(part: SchemePartition) -> str:
     lines = [f"{part.q} {part.m} {part.e}"]
     for hs in part.h_lists:

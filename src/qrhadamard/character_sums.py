@@ -91,10 +91,6 @@ def cyclotomic_numbers(ctx: FieldContext, e: int) -> tuple[tuple[int, ...], ...]
     return tuple(tuple(counts[a * e + b] for b in range(e)) for a in range(e))
 
 
-def gauss_period(ctx: FieldContext, e: int, i: int) -> complex:
-    return gauss_periods(ctx, e)[i % e]
-
-
 def gauss_sum(ctx: FieldContext, e: int, j: int = 1) -> complex:
     """G_q(chi_e^j) = sum over nonzero x of chi_e^j(x) psi(x)."""
     per = gauss_periods(ctx, e)

@@ -115,11 +115,34 @@ def _print_payload(payload: dict, fmt: str) -> None:
             print(f"{k}: {json.dumps(v, sort_keys=True)}")
 
 
+def construction(ext, family: str, params=None, partition=None):
+    """Build and sign one family instance over the tower ext: its excess
+    report, and its output files as file name -> text chunks, made as they
+    are read.  construct writes these files; scripts/run_constructions.py
+    hashes them."""
+    base_matrix = hd.base_matrix(family, ext.subfield)
+    signed, rep = hd.transform(ext, family, params, base_matrix, partition)
+    prefix = f"{family}_q{ext.subfield.q}"
+    return rep, {
+        prefix + "_base.mat": base_matrix.text_lines(),
+        prefix + "_transformed.mat": signed.text_lines(),
+        prefix + "_report.json": [json.dumps(hd.report_json(rep), sort_keys=True) + "\n"],
+    }
+
+
+def promise_miss(family: str, rep: hd.ExcessReport) -> dict | None:
+    """The excess, bound and classification of a report whose excess misses
+    the bound or whose row sums break the family's promise, else None."""
+    if rep.excess == rep.bound and rep.classification.startswith(hd.FAMILIES[family].promise):
+        return None
+    return {"excess": rep.excess, "bound": rep.bound, "classification": rep.classification}
+
+
 def cmd_construct(args) -> int:
     family = args.family
     fam = hd.FAMILIES[family]
     q, m = _resolve_q_m(args, family)
-    ext, base = quadratic_tower(q)
+    ext, _ = quadratic_tower(q)
     partition = None
     if family == "regular":
         if not args.partition:
@@ -137,21 +160,17 @@ def cmd_construct(args) -> int:
     elif args.h is not None:
         raise UsageError("--h needs --ell")
 
-    base_matrix = hd.base_matrix(family, base)
-    signed, rep = hd.transform(ext, family, params, base_matrix, partition)
-
+    rep, files = construction(ext, family, params, partition)
     out = args.out or "."
-    prefix = os.path.join(out, f"{family}_q{q}")
     try:
         os.makedirs(out, exist_ok=True)
-        _atomic_write(prefix + "_base.mat", base_matrix.text_lines())
-        _atomic_write(prefix + "_transformed.mat", signed.text_lines())
-        _atomic_write(prefix + "_report.json", [json.dumps(hd.report_json(rep), sort_keys=True) + "\n"])
+        for name, chunks in files.items():
+            _atomic_write(os.path.join(out, name), chunks)
     except OSError as exc:
         raise InputFileError(f"cannot write the outputs under --out {out}: {exc}") from None
     _print_payload(hd.report_json(rep), args.format)
-    if rep.excess != rep.bound or not rep.classification.startswith(fam.promise):
-        diag = {"excess": rep.excess, "bound": rep.bound, "classification": rep.classification}
+    diag = promise_miss(family, rep)
+    if diag is not None:
         print(json.dumps({"verification_failure": diag}, sort_keys=True), file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK

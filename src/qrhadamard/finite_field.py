@@ -89,10 +89,6 @@ class DivisionByZero(ZeroDivisionError):
     pass
 
 
-class ZeroHasNoLog(FieldError):
-    pass
-
-
 def _factor(n: int) -> dict[int, int]:
     """{prime: exponent} of n by trial division, primes ascending; {} for n <= 1.
 
@@ -452,11 +448,6 @@ class FieldContext:
                 raise DivisionByZero("0 cannot be raised to a nonpositive power")
             return ZERO
         return (a * k) % self.order
-
-    def discrete_log(self, a: int) -> int:
-        if a == ZERO:
-            raise ZeroHasNoLog("zero has no discrete log")
-        return a
 
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p) if a != ZERO else ZERO

@@ -22,7 +22,7 @@ from . import association_schemes as schemes
 from . import character_sums as cs
 from . import intersection_sets as isets
 from .association_schemes import ParseError
-from .finite_field import FieldContext
+from .finite_field import MAX_FIELD_SIZE, FieldContext, FieldError, prime_power
 
 
 class HadamardError(ValueError):
@@ -366,6 +366,28 @@ FAMILIES = {
     "q1": Family("e4", "biregular", 2, False),
     "regular": Family("scheme", "regular", 1, True),
 }
+
+
+# the largest q whose GF(q^2) build_field accepts
+MAX_Q = isqrt(MAX_FIELD_SIZE)
+
+
+def instances():
+    """(family, m, q) for every instance of the paper's theorem under the
+    field cap, family by family in the order of FAMILIES, m ascending: each
+    m >= 1 (odd for a family that needs odd m) whose q = family_q(m) is a
+    prime power no larger than MAX_Q."""
+    for family, fam in FAMILIES.items():
+        m = 1
+        while (q := cs.family_q(m, fam.key)) <= MAX_Q:
+            if m % 2 or not fam.odd_m:
+                try:
+                    prime_power(q)
+                except FieldError:
+                    pass
+                else:
+                    yield family, m, q
+            m += 1
 
 
 def base_matrix(family: str, base: FieldContext) -> SignMatrix:

@@ -4,7 +4,19 @@ No RNG anywhere: tests that need "random-looking" elements draw them from
 the fixed counter sequence below, so every run is byte-for-byte identical.
 """
 
+from pathlib import Path
+
 import pytest
+
+# the partition files that ship with the package, schemes/m{m}.scheme
+SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
+
+
+def shipped_partition(m: int):
+    """The regular family's partition for m, read from its shipped file."""
+    from qrhadamard.association_schemes import parse_partition
+
+    return parse_partition((SCHEMES_DIR / f"m{m}.scheme").read_text())
 
 
 # Matrix texts and whether from_text accepts them: the accepted ones hold

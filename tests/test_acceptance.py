@@ -9,7 +9,7 @@ import json
 import math
 import time
 
-from conftest import counter_indices
+from conftest import counter_indices, shipped_partition
 from qrhadamard import association_schemes as schemes
 from qrhadamard import character_sums as cs
 from qrhadamard import hadamard as hd
@@ -92,7 +92,7 @@ def test_criterion_3_regular_family(tmp_path):
     ok = True
     for m, budget in ((3, None), (5, TIME_LIMIT_REGULAR_M5)):
         q = 2 * m * m - 1
-        part = schemes.example_partition(m)
+        part = shipped_partition(m)
         pfile = tmp_path / f"m{m}.scheme"
         pfile.write_text(schemes.partition_text(part))
         _fresh_caches()
@@ -205,7 +205,7 @@ def test_criterion_6_property_suite():
         ext, _ = quadratic_tower(q)
         outputs.append(hd.transform(ext, family))
     ext17, _ = quadratic_tower(17)
-    outputs.append(hd.transform(ext17, "regular", partition=schemes.example_partition(3)))
+    outputs.append(hd.transform(ext17, "regular", partition=shipped_partition(3)))
 
     for signed, rep in outputs:
         for trial in range(100):
@@ -221,7 +221,7 @@ def test_criterion_6_property_suite():
 
     for m in (3, 5):
         ext, _ = quadratic_tower(2 * m * m - 1)
-        report = schemes.verify_scheme(ext, schemes.example_partition(m))
+        report = schemes.verify_scheme(ext, shipped_partition(m))
         ok &= report.is_scheme and report.table1_match
         for row in report.eigen_rows[1:]:
             ok &= abs(sum(row[1:]) - (-1)) < TOL

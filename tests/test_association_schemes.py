@@ -1,28 +1,26 @@
 import itertools
-from pathlib import Path
 
 import pytest
 
-from conftest import counter_indices
+from conftest import counter_indices, shipped_partition
 from qrhadamard import association_schemes as schemes
 from qrhadamard import character_sums as cs
 from qrhadamard import intersection_sets as isets
 from qrhadamard.finite_field import ZERO, quadratic_tower
 
 TOL = 1e-6
-SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
 
 
 @pytest.fixture(scope="module")
 def m3(tower17):
     ext, _ = tower17
-    return ext, schemes.example_partition(3)
+    return ext, shipped_partition(3)
 
 
 @pytest.fixture(scope="module")
 def m5():
     ext, _ = quadratic_tower(49)
-    return ext, schemes.example_partition(5)
+    return ext, shipped_partition(5)
 
 
 def test_partition_validation():
@@ -319,7 +317,7 @@ def test_search_matches_brute_force_oracle(m3):
 
 def test_search_m5_returns_the_rotations_of_the_shipped_scheme(m5):
     ext, _ = m5
-    shipped = schemes.parse_partition((SCHEMES_DIR / "m5.scheme").read_text())
+    shipped = shipped_partition(5)
     rotations = {_rotated(shipped, k) for k in range(20)}
     assert len(rotations) == 20
     results = schemes.scheme_search(ext, 20)  # 43008 candidates fit the default budget
@@ -329,7 +327,7 @@ def test_search_m5_returns_the_rotations_of_the_shipped_scheme(m5):
 @pytest.mark.parametrize("m", [3, 5])
 def test_every_rotation_verifies_with_alternating_tau(m, m3, m5):
     ext, _ = m3 if m == 3 else m5
-    shipped = schemes.parse_partition((SCHEMES_DIR / f"m{m}.scheme").read_text())
+    shipped = shipped_partition(m)
     tau0 = schemes.verify_scheme(ext, shipped).tau
     for k in range(shipped.e):
         report = schemes.verify_scheme(ext, _rotated(shipped, k))

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -11,14 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PARSE_CASES
+from conftest import PARSE_CASES, SCHEMES_DIR, shipped_partition
 from qrhadamard import association_schemes as schemes
 from qrhadamard import cli, finite_field
 from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
 from qrhadamard.cli import main
-
-SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
 
 
 def read(path):
@@ -139,13 +138,90 @@ def test_cli_runs_never_import_sympy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == [[0, 0, 0], False]
 
 
+LADDER_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_constructions.py"
+
+
 def test_run_constructions_script():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "run_constructions.py"
-    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, str(LADDER_SCRIPT)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 11
-    assert all(" max-excess " in line for line in lines)
+    # every q3 and q1 instance, and regular m = 3, 5 (the shipped partitions)
+    assert len(lines) == 33 + 2
+    assert all(" max-excess " in line for line in lines[:33])
+    assert lines[33] == "regular m without a shipped partition: 7, 11, 13, 15, 17, 21, 25, 29, 39, 41, 43, 45"
+    unreached = "6, 8, 11, 13, 15, 18, 21, 23, 26, 27, 31"
+    assert lines[34] == f"m whose order 4(m^2+m+1) no biregular family reaches: {unreached}"
+    pinned = [ln.split()[1] for ln in (LADDER_SCRIPT.parent / "ladder.sha256").read_text().splitlines()]
+    assert len(pinned) == len(set(pinned)) == 99
+
+
+def test_run_constructions_script_fails_on_a_pin_or_a_shortfall(tmp_path, monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("run_constructions", LADDER_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    short = [("q3", 1, 11), ("q1", 1, 5), ("regular", 3, 17)]
+    monkeypatch.setattr(hd, "instances", lambda: iter(short))
+    ends = ("_base.mat", "_transformed.mat", "_report.json")
+    names = {f"{family}_q{q}{end}" for family, _, q in short for end in ends}
+    committed = [ln for ln in script.PINS.read_text().splitlines() if ln.split()[1] in names]
+    assert len(committed) == 9
+    pins = tmp_path / "ladder.sha256"
+    monkeypatch.setattr(script, "PINS", pins)
+
+    def run(lines):
+        pins.write_text("".join(ln + "\n" for ln in lines))
+        capsys.readouterr()
+        code = script.main()
+        out = capsys.readouterr().out
+        return code, [ln for ln in out.splitlines() if ln.startswith("FAIL ")], out
+
+    code, fails, out = run(committed)
+    assert (code, fails) == (0, [])
+    assert out.count(" max-excess ") == 3
+
+    # an edited digest, and a missing pin: exit 1, naming the file and its right pin line
+    edited = committed[4]
+    assert edited.endswith("  q1_q5_transformed.mat")
+    code, fails, _ = run(committed[:4] + ["0" * 64 + edited[64:]] + committed[5:8])
+    assert code == 1 and len(fails) == 2
+    assert fails[0].startswith("FAIL q1_q5_transformed.mat: sha256 differs from its pin") and fails[0].endswith(edited)
+    assert fails[1].startswith("FAIL regular_q17_report.json: sha256 has no pin") and fails[1].endswith(committed[8])
+
+    # a transform that leaves q3 unsigned misses the bound: exit 1 even with its digests pinned
+    real = hd.transform
+
+    def unsigned_q3(ext, family, params=None, h=None, partition=None):
+        if family == "q3":
+            return h, hd.excess_and_bound(h)
+        return real(ext, family, params, h, partition)
+
+    monkeypatch.setattr(hd, "transform", unsigned_q3)
+    diag = '{"bound": 36, "classification": "biregular(k1=10,k2=2,m1=1,m2=11)", "excess": 32}'
+    shortfall = f"FAIL q3_q11_report.json: {diag}"
+    code, fails, _ = run(committed)
+    assert code == 1 and fails[0] == shortfall
+    assert [f.split(":")[0] for f in fails[1:]] == ["FAIL q3_q11_transformed.mat", "FAIL q3_q11_report.json"]
+    repinned = [f.split("; pin line: ")[1] for f in fails[1:]]
+    code, fails, out = run(committed[:1] + repinned + committed[3:])
+    assert (code, fails) == (1, [shortfall])
+    assert "BELOW PROMISE" in out
+
+
+def test_construct_exits_1_on_a_shortfall_or_a_broken_promise(tmp_path, monkeypatch, capsys):
+    ext, base = finite_field.quadratic_tower(11)
+    _, rep = hd.transform(ext, "q3")
+    assert cli.promise_miss("q3", rep) is None
+    # excess at the bound, but not the row-sum shape the family promises
+    assert cli.promise_miss("q3", rep._replace(classification="regular(r=3)")) == {
+        "excess": 36, "bound": 36, "classification": "regular(r=3)",
+    }
+    # the base matrix left unsigned: biregular, but below the bound
+    h = hd.base_matrix("q3", base)
+    monkeypatch.setattr(hd, "transform", lambda ext, family, params, h, partition: (h, hd.excess_and_bound(h)))
+    assert main(["construct", "--family", "q3", "--m", "1", "--out", str(tmp_path)]) == 1
+    diag = {"bound": 36, "classification": "biregular(k1=10,k2=2,m1=1,m2=11)", "excess": 32}
+    assert json.loads(capsys.readouterr().err) == {"verification_failure": diag}
+    assert read(tmp_path / "q3_q11_transformed.mat") == h.to_text()
 
 
 def test_construct_builds_base_matrix_once(tmp_path, monkeypatch):
@@ -266,7 +342,7 @@ def test_search_params_streams_the_json_list(capsys, monkeypatch, family, q, lim
     partition = None
     argv = ["search-params", "--family", family, "--q", str(q), "--limit", str(limit)]
     if family == "scheme":
-        partition = schemes.example_partition(3)
+        partition = shipped_partition(3)
         argv += ["--partition", str(SCHEMES_DIR / "m3.scheme")]
     rows = []
     for c in isets.admissible_params(ext, family, partition=partition):
@@ -870,7 +946,7 @@ _MESSAGE_TABLE = [
 
 def _swapped_m3() -> schemes.SchemePartition:
     """m3.scheme with X_2 and X_4 exchanged: a partition that fails table 1."""
-    h1, h2, h3, h4 = schemes.example_partition(3).h_lists
+    h1, h2, h3, h4 = shipped_partition(3).h_lists
     return schemes.SchemePartition(17, 3, 12, (h1, h4, h3, h2))
 
 

@@ -1,12 +1,15 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
-from conftest import PARSE_CASES
-from qrhadamard import association_schemes as schemes
+from conftest import PARSE_CASES, shipped_partition
 from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
-from qrhadamard.finite_field import ZERO, build_field, field_for, quadratic_tower
+from qrhadamard.character_sums import family_q
+from qrhadamard.finite_field import MAX_FIELD_SIZE, ZERO, build_field, field_for, quadratic_tower
 
 
 def from_entries(entries):
@@ -237,10 +240,8 @@ def test_row_sum_square_identity(tower11):
 
 
 def test_transform_regular_m3(tower17):
-    from qrhadamard import association_schemes as schemes
-
     ext, _ = tower17
-    part = schemes.example_partition(3)
+    part = shipped_partition(3)
     signed, rep = hd.transform(ext, "regular", partition=part)
     assert rep.n == 36
     assert rep.row_sums == ((6, 36),)
@@ -270,7 +271,7 @@ def test_transform_names_the_broken_size_promise(q, family, observed, promised):
 
 def test_transform_regular_builds_and_checks_its_pieces_once(monkeypatch, tower17):
     ext, _ = tower17
-    part = schemes.example_partition(3)
+    part = shipped_partition(3)
     calls = []
     for name in ("doubled_symmetric_design", "intersection_profile"):
         real = getattr(isets, name)
@@ -416,7 +417,7 @@ def flipped(h, i, j):
 @pytest.mark.parametrize("family,q", [("q3", 11), ("q1", 13), ("regular", 17)])
 def test_every_single_bit_flip_gets_the_full_check_verdict(family, q):
     ext, base_ctx = quadratic_tower(q)
-    part = schemes.example_partition(3) if family == "regular" else None
+    part = shipped_partition(3) if family == "regular" else None
     base = hd.base_matrix(family, base_ctx)
     signed, _ = hd.transform(ext, family, h=base, partition=part)
     for i in range(base.n):
@@ -451,3 +452,21 @@ def test_transform_falls_back_to_the_full_check(monkeypatch, tower11):
     with pytest.raises(hd.NotHadamard) as info:
         hd.transform(ext, "q3", h=base)
     assert checked[-1] is signed[-1] and info.value.rows == full_check(signed[-1])
+
+
+def test_instances_are_the_theorem_under_the_field_cap():
+    ladder = list(hd.instances())
+    assert Counter(family for family, _, _ in ladder) == {"q3": 9, "q1": 22, "regular": 14}
+    assert hd.MAX_Q ** 2 <= MAX_FIELD_SIZE < (hd.MAX_Q + 1) ** 2
+    # oracle: every m whose q fits, filtered by sympy's factorization
+    want = []
+    for family, fam in hd.FAMILIES.items():
+        m = 1
+        while family_q(m, fam.key) <= hd.MAX_Q:
+            q = family_q(m, fam.key)
+            if len(factorint(q)) == 1 and (m % 2 or not fam.odd_m):
+                want.append((family, m, q))
+            m += 1
+    assert ladder == want
+    assert {family: q for family, _, q in ladder} == {"q3": 3251, "q1": 3613, "regular": 4049}
+    assert [m for family, m, _ in ladder if family == "q3"] == [1, 2, 4, 7, 10, 16, 19, 22, 28]

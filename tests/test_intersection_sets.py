@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import shipped_partition
 from qrhadamard import character_sums as cs
 from qrhadamard import intersection_sets as isets
 from qrhadamard.finite_field import build_field, quadratic_tower
@@ -231,7 +232,7 @@ def test_scheme_family_params():
     from qrhadamard import association_schemes as schemes
 
     ext, _ = quadratic_tower(17)
-    part = schemes.example_partition(3)
+    part = shipped_partition(3)
     report = schemes.verify_scheme(ext, part)
     assert report.table1_match
     p = isets.find_params(ext, "scheme", partition=part)
@@ -249,7 +250,7 @@ def test_scheme_admissible_count_per_coset(q, m):
     from qrhadamard import association_schemes as schemes
 
     ext, _ = quadratic_tower(q)
-    part = schemes.example_partition(m)
+    part = shipped_partition(m)
     assert schemes.verify_scheme(ext, part).table1_match
     count = sum(1 for _ in isets.admissible_params(ext, "scheme", partition=part))
     e, n = part.e, ext.order

@@ -1,5 +1,8 @@
-"""The package's immutable records, and what importing the package loads."""
+"""The package's immutable records, what importing the package loads, and
+the package names that the benchmark tracer wraps."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -7,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import shipped_partition
 from qrhadamard import association_schemes as schemes
 from qrhadamard import character_sums as cs
 from qrhadamard import hadamard as hd
@@ -35,11 +39,36 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert '"dataclasses"' not in added and '"inspect"' not in added
 
 
+def test_every_function_the_benchmark_tracer_wraps_exists():
+    # benchmark/tracer.py wraps package functions by "module:qualname" and
+    # drops the metric of one it cannot find; a rename must fail here first
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert {
+        "hadamard:SignMatrix.to_text",
+        "character_sums:gauss_periods",
+        "character_sums:decompose_gauss",
+        "association_schemes:eigenmatrix_vs_table1",
+        "association_schemes:normalized_partition",
+    } <= set(tracer.FUNCTIONS)
+    missing = []
+    for key in tracer.FUNCTIONS:
+        module_name, qualname = key.split(":")
+        owner = importlib.import_module(f"qrhadamard.{module_name}")
+        for part in qualname.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(key)
+    assert missing == []
+
+
 def _records(tower11, tower17):
     """One record of each kind, built by the code that returns it."""
     ext11, base11 = tower11
     ext17, _ = tower17
-    part = schemes.example_partition(3)
+    part = shipped_partition(3)
     return [
         ext11.spec,
         cs.decompose_gauss(ext11, "e8"),
@@ -81,7 +110,7 @@ def test_record_fields_defaults_and_properties():
 
 
 def test_scheme_partition_still_refuses_a_non_partition():
-    part = schemes.example_partition(3)
+    part = shipped_partition(3)
     bad = ((0, 1), (2,), (3,), (4,))
     with pytest.raises(schemes.BadForm):
         schemes.SchemePartition(17, 3, 12, bad)
