@@ -4,46 +4,52 @@ Exact finite-field arithmetic drives every construction and verification,
 the Gauss-sum sign pair included; complex character sums are used only as
 cross-checks and to pick the regular family's scheme index tau, so floating
 point never touches a constructed set or matrix.
+
+The names below load their module on first access (PEP 562), so importing
+the package, or the CLI before it runs a command, loads no layer module.
 """
 
-from .association_schemes import SchemePartition, SchemeReport, verify_scheme
-from .finite_field import ZERO, FieldContext, FieldSpec, build_field, field_for, quadratic_tower
-from .hadamard import (
-    FAMILIES,
-    ExcessReport,
-    SignMatrix,
-    construct_q1,
-    construct_q3,
-    excess_and_bound,
-    is_hadamard,
-    transform,
-)
-from .intersection_sets import BlockDesign, IntersectionSet, ParamChoice, build_dlh, find_params
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FAMILIES",
-    "ZERO",
-    "BlockDesign",
-    "ExcessReport",
-    "FieldContext",
-    "FieldSpec",
-    "IntersectionSet",
-    "ParamChoice",
-    "SchemePartition",
-    "SchemeReport",
-    "SignMatrix",
-    "build_dlh",
-    "build_field",
-    "construct_q1",
-    "construct_q3",
-    "excess_and_bound",
-    "field_for",
-    "find_params",
-    "is_hadamard",
-    "quadratic_tower",
-    "transform",
-    "verify_scheme",
-    "__version__",
-]
+# each public name -> the module that defines it
+_HOMES = {
+    "FAMILIES": "character_sums",
+    "ZERO": "finite_field",
+    "BlockDesign": "intersection_sets",
+    "ExcessReport": "matrix",
+    "FieldContext": "finite_field",
+    "FieldSpec": "finite_field",
+    "IntersectionSet": "intersection_sets",
+    "ParamChoice": "intersection_sets",
+    "SchemePartition": "association_schemes",
+    "SchemeReport": "association_schemes",
+    "SignMatrix": "matrix",
+    "build_dlh": "intersection_sets",
+    "build_field": "finite_field",
+    "construct_q1": "hadamard",
+    "construct_q3": "hadamard",
+    "excess_and_bound": "matrix",
+    "field_for": "finite_field",
+    "find_params": "intersection_sets",
+    "is_hadamard": "matrix",
+    "quadratic_tower": "finite_field",
+    "transform": "hadamard",
+    "verify_scheme": "association_schemes",
+}
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

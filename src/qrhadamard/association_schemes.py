@@ -1,7 +1,7 @@
 """Four-class translation association schemes on GF(q^2) from cyclotomic
 partitions: structural conditions, intersection-number constancy, the first
-eigenmatrix against the prescribed eigenvalue table, fusion checks, and the
-partition search.
+eigenmatrix against the prescribed eigenvalue table, and the partition
+search.  The fusion criterion lives in qrhadamard.oracles.
 
 A partition is given by four index lists H_1..H_4 over [0, e); X_i is the
 union of the cyclotomic classes C_j^(e, q^2) with j in H_i.  Index lists are
@@ -16,30 +16,12 @@ import math
 from collections import namedtuple
 
 from . import character_sums as cs
+# the exceptions this layer raises, importable from here too
+from .errors import BadForm, BudgetExceeded, ParseError, SchemeError, SchemeInvalid
 from .finite_field import ZERO, FieldContext
 
 TOL = cs.TOL
 DEFAULT_SEARCH_BUDGET = 1_000_000
-
-
-class SchemeError(ValueError):
-    pass
-
-
-class BadForm(SchemeError):
-    pass
-
-
-class SchemeInvalid(SchemeError):
-    pass
-
-
-class BudgetExceeded(SchemeError):
-    pass
-
-
-class ParseError(SchemeError):
-    """A partition or matrix file that does not parse."""
 
 
 class SchemePartition(namedtuple("SchemePartition", "q m e h_lists")):
@@ -330,25 +312,6 @@ def require_scheme(ext: FieldContext, part: SchemePartition) -> SchemeReport:
     if not (report.is_scheme and report.table1_match):
         raise SchemeInvalid("partition fails scheme or eigenvalue-table verification")
     return report
-
-
-def bannai_muzychuk_check(eigen_rows, groups) -> bool:
-    """Fusion criterion: grouping columns of the first eigenmatrix by the
-    given partition (group 0 = {0}) admits a matching row partition with
-    constant block row sums iff the distinct row signatures are no more
-    numerous than the groups."""
-    groups = [tuple(g) for g in groups]
-    flat = sorted(j for g in groups for j in g)
-    if flat != list(range(len(eigen_rows[0]))) or groups[0] != (0,):
-        raise SchemeError("groups must partition the column set with group 0 = {0}")
-    signatures: list[tuple[complex, ...]] = []
-    for row in eigen_rows:
-        signatures.append(tuple(sum(row[j] for j in g) for g in groups))
-    clusters: list[tuple[complex, ...]] = []
-    for sig in signatures:
-        if not any(all(abs(a - b) < TOL for a, b in zip(sig, c)) for c in clusters):
-            clusters.append(sig)
-    return len(clusters) <= len(groups)
 
 
 # class of residue r + e/2 given the class of r (the shift pairs X_1/X_3 and X_2/X_4)

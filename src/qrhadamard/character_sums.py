@@ -1,6 +1,6 @@
-"""Additive and multiplicative characters, Gauss periods, cyclotomic
-numbers, Gauss and Jacobi sums, and numeric cross-checks of their closed
-forms.
+"""Multiplicative characters, Gauss periods, cyclotomic numbers, Gauss sums,
+the family forms q(m) and the table of the three families, and the
+Gauss-sum sign pair of the q3 and q1 families.
 
 Multiplicative characters are always normalized so that chi_e(omega) is the
 first primitive e-th root of unity; a character of order e is then evaluated
@@ -11,7 +11,8 @@ doubles leave many digits of margin.  Nothing float-valued ever feeds a
 constructed set or matrix.  The Gauss-sum sign pair (epsilon, delta) that
 the parameter search needs is decided exactly by gauss_signs, from integer
 counts over the q + 1 cosets of GF(q)* in GF(q^2)*; the float
-decompose_gauss, which sums over all of GF(q^2), only cross-checks it.
+decompose_gauss, which sums over all of GF(q^2), only cross-checks it.  The
+brute-force checks of the paper's lemmas live in qrhadamard.oracles.
 """
 
 from __future__ import annotations
@@ -21,21 +22,11 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from math import gcd, isqrt, sqrt
 
-from .finite_field import ZERO, FieldContext, NoSubfield, embedding_data
+# the exceptions this layer raises, importable from here too
+from .errors import CharError, NoMatch, NoSubfield, ZeroArgument
+from .finite_field import ZERO, FieldContext
 
 TOL = 1e-6
-
-
-class CharError(ValueError):
-    pass
-
-
-class ZeroArgument(CharError):
-    pass
-
-
-class NoMatch(CharError):
-    """No closed-form sign pair matches the coset counts or the numeric sum."""
 
 
 @lru_cache(maxsize=None)
@@ -46,29 +37,6 @@ def roots_of_unity(m: int) -> tuple[complex, ...]:
 def _check_order(ctx: FieldContext, e: int) -> None:
     if e < 1 or ctx.order % e:
         raise CharError(f"character order {e} does not divide q-1 = {ctx.order}")
-
-
-def additive_char(ctx: FieldContext, x: int) -> complex:
-    """Canonical additive character zeta_p^Tr(x); psi(0) = 1."""
-    if x == ZERO:
-        return 1 + 0j
-    return roots_of_unity(ctx.p)[ctx.trace_table[x]]
-
-
-def mult_char_exponent(ctx: FieldContext, e: int, x: int) -> int:
-    """Exponent a with chi_e(x) = zeta_e^a, for nonzero x."""
-    _check_order(ctx, e)
-    if x == ZERO:
-        raise ZeroArgument("multiplicative character exponent of zero")
-    return x % e
-
-
-def char_value(ctx: FieldContext, e: int, j: int, x: int) -> complex:
-    """chi_e^j(x), extended to 0 by 1 for the trivial character and 0 otherwise."""
-    _check_order(ctx, e)
-    if x == ZERO:
-        return (1 + 0j) if j % e == 0 else 0j
-    return roots_of_unity(e)[(j * x) % e]
 
 
 @lru_cache(maxsize=None)
@@ -98,30 +66,6 @@ def gauss_sum(ctx: FieldContext, e: int, j: int = 1) -> complex:
     return sum(ze[(j * r) % e] * per[r] for r in range(e))
 
 
-def jacobi_sum(ctx: FieldContext, e1: int, e2: int) -> complex:
-    """J_q(chi_e1, chi_e2) over all of F_q, with the chi(0) convention."""
-    _check_order(ctx, e1)
-    _check_order(ctx, e2)
-    total = 0j
-    one = ctx.one
-    for x in ctx.elements():
-        total += char_value(ctx, e1, 1, x) * char_value(ctx, e2, 1, ctx.sub(one, x))
-    return total
-
-
-def orthogonality_residual(ctx: FieldContext, e: int, j: int, x: int) -> float:
-    """|chi(x) - chi(-1) G(chi)/q * sum_a chi^-1(a) psi(ax)| for nontrivial chi."""
-    if j % e == 0:
-        raise CharError("orthogonality identity needs a nontrivial character")
-    if x == ZERO:
-        raise ZeroArgument("identity stated for nonzero x")
-    ze = roots_of_unity(e)
-    rhs = sum(ze[(-j * a) % e] * additive_char(ctx, ctx.mul(a, x)) for a in ctx.nonzero())
-    chi_m1 = ze[(j * ctx.half) % e]
-    rhs *= chi_m1 * gauss_sum(ctx, e, j) / ctx.q
-    return abs(ze[(j * x) % e] - rhs)
-
-
 # ---------------------------------------------------------------------------
 # Gauss-sum closed forms: the sign pair decided exactly from coset counts,
 # and its float oracle
@@ -140,6 +84,23 @@ class GaussDecomposition(namedtuple("GaussDecomposition", "epsilon delta form m 
 
 # q = a m^2 + b m + c per family, as (a, b, c)
 FAMILY_FORMS = {"e8": (4, 4, 3), "e4": (2, 2, 1), "scheme": (2, 0, -1)}
+
+
+class Family(namedtuple("Family", "key promise border odd_m")):
+    """key: the character_sums / intersection_sets name ("e8" | "e4" |
+    "scheme"); promise: the row-sum shape of the transformed matrix
+    ("biregular" | "regular"); border: columns before the first block of q
+    design points; odd_m: whether m must be odd."""
+
+    __slots__ = ()
+
+
+# the three families by their CLI names
+FAMILIES = {
+    "q3": Family("e8", "biregular", 1, False),
+    "q1": Family("e4", "biregular", 2, False),
+    "regular": Family("scheme", "regular", 1, True),
+}
 
 
 def _form(family: str) -> tuple[int, int, int]:
@@ -253,85 +214,10 @@ def decompose_gauss(ext: FieldContext, family: str) -> GaussDecomposition:
     raise NoMatch(f"no order-4 sign pattern matches at q = {q}")
 
 
-def check_davenport_hasse(base: FieldContext, ext: FieldContext, e: int, d: int) -> bool:
-    """Lifted-character identity G_{q^d}(chi) = (-1)^(d-1) G_q(chi')^d."""
-    if ext.p != base.p or ext.f != base.f * d or d < 2:
-        raise CharError("ext must be the degree-d extension of base")
-    _check_order(base, e)
-    if e == 1:
-        raise CharError("the lift identity is stated for nontrivial characters")
-    _, _, t_inv = embedding_data(ext, base)
-    lifted = gauss_sum(ext, e, t_inv % e)
-    direct = (-1) ** (d - 1) * gauss_sum(base, e, 1) ** d
-    return abs(lifted - direct) < TOL
-
-
 def _restriction_is_quadratic(ext: FieldContext, e: int) -> None:
     q = ext.subfield.q
     if e // gcd(e, q + 1) != 2:
         raise CharError(f"chi_{e} does not restrict to the quadratic character of GF({q})")
-
-
-def check_lemma_linear(ext: FieldContext, e: int, ell: int) -> bool:
-    """Brute-force sum of chi_e(1 + omega^ell x) over x in GF(q) against its
-    Gauss-sum closed form."""
-    if ext.subfield is None:
-        raise NoSubfield("requires the quadratic tower")
-    base = ext.subfield
-    q, n = base.q, ext.order
-    if ell % (q + 1) == 0:
-        raise CharError("ell must not be divisible by q+1")
-    _check_order(ext, e)
-    _restriction_is_quadratic(ext, e)
-    ze = roots_of_unity(e)
-    lell = ell % n
-    lhs = 0j
-    for x in base.elements():
-        v = ext.add(ext.one, ext.mul(ext.embed(x), lell))
-        lhs += ze[v % e]
-    t_el = ext.sub((ell * q) % n, lell)
-    rhs = (
-        ze[ext.half % e]
-        * gauss_sum(ext, e, 1)
-        * gauss_sum(base, 2, 1)
-        / q
-        * ze[(-q * ell) % e]
-        * ze[t_el % e]
-    )
-    return abs(lhs - rhs) < TOL
-
-
-def check_lemma_quadratic_twist(ext: FieldContext, e: int, ell: int, s: int) -> bool:
-    """Brute-force sum of chi_e(1 + omega^ell x) eta(x - s) over x != s in
-    GF(q) against its closed form; s is a base-field element."""
-    if ext.subfield is None:
-        raise NoSubfield("requires the quadratic tower")
-    base = ext.subfield
-    q, n = base.q, ext.order
-    if ell % (q + 1) == 0:
-        raise CharError("ell must not be divisible by q+1")
-    _check_order(ext, e)
-    _restriction_is_quadratic(ext, e)
-    ze = roots_of_unity(e)
-    lell = ell % n
-    lhs = 0j
-    for x in base.elements():
-        if x == s:
-            continue
-        v = ext.add(ext.one, ext.mul(ext.embed(x), lell))
-        eta = -1.0 if base.sub(x, s) % 2 else 1.0
-        lhs += ze[v % e] * eta
-    t_el = ext.sub((ell * q) % n, lell)
-    u = ext.add(ext.one, ext.mul(ext.embed(s), (ell * q) % n))  # 1 + omega^{q ell} s
-    rhs = (
-        gauss_sum(ext, e, 1)
-        * gauss_sum(base, 2, 1)
-        / q
-        * ze[(-u) % e]
-        * ze[t_el % e]
-        - ze[lell % e]
-    )
-    return abs(lhs - rhs) < TOL
 
 
 def clear_caches() -> None:

@@ -6,6 +6,10 @@ exhausted.  The commands raise their errors, and main maps each to its code
 through one table, _EXIT_CODES.  Runs are fully deterministic (fixed
 modulus, fixed primitive element, ascending parameter scans) and outputs are
 written atomically.
+
+Importing this module loads no layer of the package, only its exceptions:
+each command imports the layers it runs, so --help compiles this file
+alone and verify never loads a finite field.
 """
 
 from __future__ import annotations
@@ -17,19 +21,22 @@ import os
 import sys
 import tempfile
 
-from . import association_schemes as schemes
-from . import hadamard as hd
-from . import intersection_sets as isets
-from .character_sums import CharError, family_m, family_q
-from .finite_field import FieldError, prime_power, quadratic_tower
+from .errors import (
+    BudgetExceeded,
+    CharError,
+    FieldError,
+    HadamardError,
+    InputFileError,
+    ParamSearchFailed,
+    SchemeError,
+    SchemeInvalid,
+    UsageError,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-
-# search-params takes the character-sum name of a family
-_BY_KEY = {fam.key: name for name, fam in hd.FAMILIES.items()}
 
 
 def _atomic_write(path: str, chunks) -> None:
@@ -45,15 +52,6 @@ def _atomic_write(path: str, chunks) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-class UsageError(Exception):
-    """Arguments that do not name a valid run."""
-
-
-class InputFileError(Exception):
-    """An input file that cannot be opened or is not UTF-8 text, or an
-    output directory that cannot be written."""
 
 
 def _input_lines(path: str):
@@ -74,14 +72,19 @@ def _input_lines(path: str):
         raise InputFileError(str(exc)) from None
 
 
-def _read_partition(path: str) -> schemes.SchemePartition:
-    return schemes.parse_partition("".join(_input_lines(path)))
+def _read_partition(path: str):
+    from .association_schemes import parse_partition
+
+    return parse_partition("".join(_input_lines(path)))
 
 
 def _resolve_q_m(args, family: str) -> tuple[int, int]:
+    from .character_sums import FAMILIES, family_m, family_q
+    from .finite_field import prime_power
+
     if (args.q is None) == (args.m is None):
         raise UsageError("give exactly one of --q and --m")
-    fam = hd.FAMILIES[family]
+    fam = FAMILIES[family]
     if args.m is not None:
         q = family_q(args.m, fam.key)
         m = args.m
@@ -98,7 +101,7 @@ def _resolve_q_m(args, family: str) -> tuple[int, int]:
     return q, m
 
 
-def _family_partition(q: int, m: int, path: str) -> schemes.SchemePartition:
+def _family_partition(q: int, m: int, path: str):
     """The regular family's partition from the file at path, checked against
     q and m; the library checks that it is a scheme."""
     partition = _read_partition(path)
@@ -120,6 +123,8 @@ def construction(ext, family: str, params=None, partition=None):
     report, and its output files as file name -> text chunks, made as they
     are read.  construct writes these files; scripts/run_constructions.py
     hashes them."""
+    from . import hadamard as hd
+
     base_matrix = hd.base_matrix(family, ext.subfield)
     signed, rep = hd.transform(ext, family, params, base_matrix, partition)
     prefix = f"{family}_q{ext.subfield.q}"
@@ -130,17 +135,25 @@ def construction(ext, family: str, params=None, partition=None):
     }
 
 
-def promise_miss(family: str, rep: hd.ExcessReport) -> dict | None:
-    """The excess, bound and classification of a report whose excess misses
-    the bound or whose row sums break the family's promise, else None."""
-    if rep.excess == rep.bound and rep.classification.startswith(hd.FAMILIES[family].promise):
+def promise_miss(family: str, rep) -> dict | None:
+    """The excess, bound and classification of an ExcessReport whose excess
+    misses the bound or whose row sums break the family's promise, else
+    None."""
+    from .character_sums import FAMILIES
+
+    if rep.excess == rep.bound and rep.classification.startswith(FAMILIES[family].promise):
         return None
     return {"excess": rep.excess, "bound": rep.bound, "classification": rep.classification}
 
 
 def cmd_construct(args) -> int:
+    from .character_sums import FAMILIES
+    from .finite_field import quadratic_tower
+    from .intersection_sets import admissible_params
+    from .matrix import report_json
+
     family = args.family
-    fam = hd.FAMILIES[family]
+    fam = FAMILIES[family]
     q, m = _resolve_q_m(args, family)
     ext, _ = quadratic_tower(q)
     partition = None
@@ -151,7 +164,7 @@ def cmd_construct(args) -> int:
 
     params = None
     if args.ell is not None:
-        choices = isets.admissible_params(ext, fam.key, partition)
+        choices = admissible_params(ext, fam.key, partition)
         params = next((cand for cand in choices if cand.ell >= args.ell), None)  # ascending ell
         if params is None or params.ell != args.ell:
             raise UsageError(f"--ell {args.ell} is not admissible for this family")
@@ -168,7 +181,7 @@ def cmd_construct(args) -> int:
             _atomic_write(os.path.join(out, name), chunks)
     except OSError as exc:
         raise InputFileError(f"cannot write the outputs under --out {out}: {exc}") from None
-    _print_payload(hd.report_json(rep), args.format)
+    _print_payload(report_json(rep), args.format)
     diag = promise_miss(family, rep)
     if diag is not None:
         print(json.dumps({"verification_failure": diag}, sort_keys=True), file=sys.stderr)
@@ -177,12 +190,14 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    matrix = hd.SignMatrix.from_text(_input_lines(args.matrix))
+    from . import matrix as mx
+
+    matrix = mx.SignMatrix.from_text(_input_lines(args.matrix))
     # one orthogonality check: excess_and_bound runs it for n >= 4
     try:
-        rep = hd.excess_and_bound(matrix) if matrix.n >= 4 else None
-        violation = hd.hadamard_violation(matrix) if rep is None else None
-    except hd.NotHadamard as exc:
+        rep = mx.excess_and_bound(matrix) if matrix.n >= 4 else None
+        violation = mx.hadamard_violation(matrix) if rep is None else None
+    except mx.NotHadamard as exc:
         violation = exc.rows
     if violation is not None:
         payload = {
@@ -193,7 +208,7 @@ def cmd_verify(args) -> int:
         print(json.dumps(payload, sort_keys=True))
         return EXIT_VERIFY
     if rep is not None:
-        payload = hd.report_json(rep)
+        payload = mx.report_json(rep)
     else:
         hist: dict[str, int] = {}
         for v in matrix.row_sums():
@@ -207,7 +222,8 @@ def cmd_verify(args) -> int:
 _ROWS_PER_CHUNK = 4096
 
 
-def _param_row(choice: isets.ParamChoice) -> dict:
+def _param_row(choice) -> dict:
+    """The search-params row of a ParamChoice."""
     row = {"ell": choice.ell}
     if choice.h is not None:
         row["h"] = choice.h
@@ -220,17 +236,23 @@ def _param_row(choice: isets.ParamChoice) -> dict:
 
 
 def cmd_search_params(args) -> int:
+    from .character_sums import FAMILIES
+    from .finite_field import quadratic_tower
+    from .intersection_sets import admissible_params
+
     family = args.family
     if args.limit is not None and args.limit < 0:
         raise UsageError(f"--limit must be >= 0 (0 lists every row), got {args.limit}")
-    q, m = _resolve_q_m(args, _BY_KEY[family])
+    # search-params takes the character-sum name of a family
+    by_key = {fam.key: name for name, fam in FAMILIES.items()}
+    q, m = _resolve_q_m(args, by_key[family])
     ext, _ = quadratic_tower(q)
     partition = None
     if family == "scheme":
         if not args.partition:
             raise UsageError("scheme family needs --partition")
         partition = _family_partition(q, m, args.partition)
-    choices = isets.admissible_params(ext, family, partition)  # checks the partition before any row
+    choices = admissible_params(ext, family, partition)  # checks the partition before any row
     rows = map(_param_row, itertools.islice(choices, args.limit or None))
     # the bytes of json.dumps(rows, sort_keys=True), encoded a bounded chunk at a time
     count, sep = 0, ""
@@ -240,18 +262,22 @@ def cmd_search_params(args) -> int:
         count, sep = count + len(chunk), ", "
     sys.stdout.write("]\n")
     if not count:
-        raise hd.ParamSearchFailed("no admissible parameters found; this contradicts the nonemptiness counts")
+        raise ParamSearchFailed("no admissible parameters found; this contradicts the nonemptiness counts")
     return EXIT_OK
 
 
 def cmd_scheme(args) -> int:
+    from . import association_schemes as schemes
+    from .finite_field import quadratic_tower
+
     if args.search:
-        if args.budget < 0:
-            raise UsageError(f"--budget must be >= 0, got {args.budget}")
+        budget = schemes.DEFAULT_SEARCH_BUDGET if args.budget is None else args.budget
+        if budget < 0:
+            raise UsageError(f"--budget must be >= 0, got {budget}")
         q, m = _resolve_q_m(args, "regular")
         ext, _ = quadratic_tower(q)
         e = 4 * m * m if args.e is None else args.e
-        results = schemes.scheme_search(ext, e, budget=args.budget)
+        results = schemes.scheme_search(ext, e, budget=budget)
         for part in results:
             sys.stdout.write(schemes.partition_text(part))
             sys.stdout.write("\n")
@@ -310,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sch.add_argument("--q", type=int)
     p_sch.add_argument("--m", type=int)
     p_sch.add_argument("--e", type=int)
-    p_sch.add_argument("--budget", type=int, default=schemes.DEFAULT_SEARCH_BUDGET)
+    p_sch.add_argument("--budget", type=int)  # default: association_schemes.DEFAULT_SEARCH_BUDGET
     p_sch.set_defaults(func=cmd_scheme)
 
     return parser
@@ -319,9 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
 # The exit code of each error a command raises: the first row whose classes
 # match wins.  Any other exception is a bug and keeps its traceback.
 _EXIT_CODES = (
-    (schemes.BudgetExceeded, EXIT_BUDGET),
-    ((schemes.SchemeInvalid, hd.HadamardError), EXIT_VERIFY),
-    ((UsageError, InputFileError, FieldError, CharError, schemes.SchemeError), EXIT_INPUT),
+    (BudgetExceeded, EXIT_BUDGET),
+    ((SchemeInvalid, HadamardError), EXIT_VERIFY),
+    ((UsageError, InputFileError, FieldError, CharError, SchemeError), EXIT_INPUT),
 )
 
 

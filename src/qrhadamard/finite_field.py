@@ -53,6 +53,8 @@ from collections import namedtuple
 from functools import cached_property, lru_cache
 from math import gcd
 
+from .errors import DivisionByZero, FieldError, NoSubfield, NotPrime, TooLarge
+
 ZERO = -1  # rep of the zero element; logs are >= 0
 _NOT_PRIMITIVE = "omega repeats an element; it is not primitive"
 
@@ -67,26 +69,6 @@ _NOT_PRIMITIVE = "omega repeats an element; it is not primitive"
 TABLE_BYTES_PER_ELEMENT = 16
 TABLE_BUDGET_BYTES = 256 << 20
 MAX_FIELD_SIZE = TABLE_BUDGET_BYTES // TABLE_BYTES_PER_ELEMENT  # 2^24
-
-
-class FieldError(ValueError):
-    """Base class for field construction and arithmetic errors."""
-
-
-class NotPrime(FieldError):
-    pass
-
-
-class TooLarge(FieldError):
-    pass
-
-
-class NoSubfield(FieldError):
-    pass
-
-
-class DivisionByZero(ZeroDivisionError):
-    pass
 
 
 def _factor(n: int) -> dict[int, int]:

@@ -1,185 +1,45 @@
-"""Sign matrices, Hadamard verification, the excess bound, the two
-quadratic-residue base constructions, the table of the three families, and
-the row/column signing transform that reaches maximum excess.
+"""The two quadratic-residue base constructions, the ladder of the paper's
+instances, and the row/column signing transform that reaches maximum
+excess, with the certificate that proves its output Hadamard.
 
-Rows are bit-packed (set bit = entry -1), so orthogonality checks run on
-word-wide popcounts, and all verification is exact integer arithmetic.  A
-matrix read from outside (``verify``) gets the full check: every row pair,
-O(n^2) popcounts.  A matrix built by ``transform`` gets a certificate instead:
-its base matrix is invariant under x -> omega^2 x on rows and columns, so the
-orbit representatives against all rows prove the base Hadamard, and one XOR
-per row proves the signed matrix is the base with rows and columns negated,
-O(n) popcounts in all.  A certificate that does not hold falls back to the
-full check.
+A matrix built by ``transform`` gets a certificate instead of the O(n^2)
+check of qrhadamard.matrix: its base matrix is invariant under
+x -> omega^2 x on rows and columns, so the orbit representatives against all
+rows prove the base Hadamard, and one XOR per row proves the signed matrix
+is the base with rows and columns negated, O(n) popcounts in all.  A
+certificate that does not hold falls back to the full check.
+
+The matrix names (SignMatrix, hadamard_violation, excess_and_bound, ...),
+the family table and the exceptions are importable from here too.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from math import isqrt
 
-from . import association_schemes as schemes
 from . import character_sums as cs
 from . import intersection_sets as isets
-from .association_schemes import ParseError
-from .finite_field import MAX_FIELD_SIZE, FieldContext, FieldError, prime_power
-
-
-class HadamardError(ValueError):
-    pass
-
-
-class NotHadamard(HadamardError):
-    """Carries the first row pair (i, j) with nonzero dot product."""
-
-    def __init__(self, rows: tuple[int, int]):
-        super().__init__(f"rows {rows[0]} and {rows[1]} are not orthogonal")
-        self.rows = rows
-
-
-class LengthMismatch(HadamardError):
-    pass
-
-
-class NotPrimePower(HadamardError):
-    pass
-
-
-class ParamSearchFailed(HadamardError):
-    pass
-
-
-_TO_TEXT = str.maketrans("01", "+-")
-_FROM_TEXT = str.maketrans("+-", "01")
-
-
-class SignMatrix:
-    """n x n matrix over {+1,-1}; rows[i] bit j set means entry -1."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, n: int, rows):
-        rows = list(rows)
-        if len(rows) != n or any(r >> n for r in rows) or any(r < 0 for r in rows):
-            raise HadamardError("row masks inconsistent with order n")
-        self.n = n
-        self.rows = rows
-
-    def entry(self, i: int, j: int) -> int:
-        return -1 if (self.rows[i] >> j) & 1 else 1
-
-    def row_sum(self, i: int) -> int:
-        return self.n - 2 * self.rows[i].bit_count()
-
-    def row_sums(self) -> list[int]:
-        return [self.row_sum(i) for i in range(self.n)]
-
-    def excess(self) -> int:
-        return sum(self.row_sums())
-
-    def transpose(self) -> "SignMatrix":
-        n = self.n
-        cols = [0] * n
-        for i, r in enumerate(self.rows):
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= 1 << i
-                r ^= low
-        return SignMatrix(n, cols)
-
-    def text_lines(self):
-        """The lines of the text form, newline included, one row at a time."""
-        spec = f"0{self.n}b"  # bit j is character j, so the binary text is reversed
-        yield f"{self.n}\n"
-        for r in self.rows:
-            yield format(r, spec)[::-1].translate(_TO_TEXT) + "\n"
-
-    def to_text(self) -> str:
-        return "".join(self.text_lines())
-
-    @classmethod
-    def from_text(cls, text) -> "SignMatrix":
-        """Parse the text form from a str or an iterable of lines (each split
-        with str.splitlines; blank lines are skipped), keeping only the row
-        ints.  The input is read to its end even after an error, so that of
-        several errors the one reported is the first of: an error raised by
-        the iterable, empty, bad header, wrong row count, bad row."""
-        if isinstance(text, str):
-            text = (text,)
-        lines = (ln for chunk in text for ln in chunk.splitlines() if ln.strip())
-        header = next(lines, None)
-        if header is None:
-            raise ParseError("empty matrix file")
-        try:
-            n = int(header.strip())
-        except ValueError as exc:
-            for _ in lines:
-                pass
-            raise ParseError("first line must be the order n") from exc
-        rows, rest = [], 0  # rest counts the lines from the first bad or surplus row on
-        for ln in lines:
-            ln = ln.strip()
-            # checked before int(), which would also accept "_" and whitespace;
-            # isascii() first, since encode() raises on a lone surrogate
-            if rest or len(rows) == n or len(ln) != n or not ln.isascii() or ln.encode().translate(None, b"+-"):
-                rest += 1
-            else:
-                rows.append(int(ln.translate(_FROM_TEXT)[::-1], 2))
-        if n < 1 or len(rows) + rest != n:
-            raise ParseError(f"expected {n} rows after the header")
-        if rest:
-            raise ParseError("rows must be n characters from {+,-}")
-        return cls(n, rows)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SignMatrix) and self.n == other.n and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.n, tuple(self.rows)))
-
-
-def is_hadamard(h: SignMatrix) -> bool:
-    return hadamard_violation(h) is None
-
-
-def hadamard_violation(h: SignMatrix) -> tuple[int, int] | None:
-    """First row pair with nonzero dot product, or None."""
-    n, rows = h.n, h.rows
-    if n % 2 and n > 1:
-        return (0, 1)
-    half = n // 2
-    for i in range(n):
-        ri = rows[i]
-        for j in range(i + 1, n):
-            if (ri ^ rows[j]).bit_count() != half:
-                return (i, j)
-    return None
-
-
-def bound_params(n: int) -> tuple[int, int, int, int, int]:
-    """(k, t, s, bound, bound_other_branch) of the excess upper bound."""
-    if n < 4:
-        raise HadamardError("excess bound is stated for n >= 4")
-    k = isqrt(n)
-    k -= k % 2
-    t = k if abs(n - k * k) < abs(n - (k + 2) ** 2) else k - 2
-
-    def bnd(tt: int) -> int:
-        s = n * ((tt + 4) ** 2 - n) // (8 * tt + 16)
-        return n * (tt + 4) - 4 * s
-
-    s = n * ((t + 4) ** 2 - n) // (8 * t + 16)
-    t_alt = k - 2 if t == k else k
-    return k, t, s, bnd(t), bnd(t_alt)
-
-
-class ExcessReport(
-    namedtuple("ExcessReport", "n excess k t s bound row_sums classification")
-):
-    """Excess against the bound: row_sums are (value, multiplicity) pairs,
-    ascending."""
-
-    __slots__ = ()
+from .character_sums import FAMILIES, Family
+from .errors import (
+    FieldError,
+    HadamardError,
+    LengthMismatch,
+    NotHadamard,
+    NotPrimePower,
+    ParamSearchFailed,
+    ParseError,
+)
+from .finite_field import MAX_FIELD_SIZE, FieldContext, prime_power
+from .matrix import (
+    ExcessReport,
+    SignMatrix,
+    _excess_report,
+    bound_params,
+    excess_and_bound,
+    hadamard_violation,
+    is_hadamard,
+    report_json,
+)
 
 
 def _omega2_invariant(h: SignMatrix, q: int, blocks: tuple[int, ...]) -> bool:
@@ -232,61 +92,6 @@ def _certified(signed: SignMatrix, base: SignMatrix, q: int) -> bool:
     c = signed.rows[0] ^ rows[0]
     cc = c ^ ((1 << n) - 1)
     return all((s ^ b) in (c, cc) for s, b in zip(signed.rows, rows))
-
-
-def excess_and_bound(h: SignMatrix) -> ExcessReport:
-    """Excess, bound parameters and row-sum classification; exact integers."""
-    bad = hadamard_violation(h)
-    if bad is not None:
-        raise NotHadamard(bad)
-    return _excess_report(h)
-
-
-def _excess_report(h: SignMatrix) -> ExcessReport:
-    """The report half of excess_and_bound, for a matrix known Hadamard."""
-    n = h.n
-    k, t, s, bound, _ = bound_params(n)
-    hist: dict[int, int] = {}
-    for v in h.row_sums():
-        hist[v] = hist.get(v, 0) + 1
-    values = sorted(hist)
-    excess = sum(v * c for v, c in hist.items())
-    if sum(v * v * c for v, c in hist.items()) != n * n:
-        raise AssertionError("row-sum square identity violated")  # impossible for Hadamard
-    if len(values) == 1 and values[0] > 0:
-        classification = f"regular(r={values[0]})"
-    elif len(values) == 2 and values[0] >= 0:
-        k2, k1 = values
-        m1 = (n * n - n * k2 * k2) // (k1 * k1 - k2 * k2)
-        m2 = n - m1
-        if hist[k1] != m1 or hist[k2] != m2:
-            raise AssertionError("biregular frequencies violate the counting identity")
-        classification = f"biregular(k1={k1},k2={k2},m1={m1},m2={m2})"
-    else:
-        classification = "irregular"
-    return ExcessReport(
-        n=n,
-        excess=excess,
-        k=k,
-        t=t,
-        s=s,
-        bound=bound,
-        row_sums=tuple((v, hist[v]) for v in values),
-        classification=classification,
-    )
-
-
-def report_json(rep: ExcessReport) -> dict:
-    return {
-        "n": rep.n,
-        "excess": rep.excess,
-        "k": rep.k,
-        "t": rep.t,
-        "s": rep.s,
-        "bound": rep.bound,
-        "row_sums": {str(v): c for v, c in rep.row_sums},
-        "classification": rep.classification,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -351,23 +156,6 @@ def apply_signing(h: SignMatrix, row_signs, col_signs) -> SignMatrix:
 # ---------------------------------------------------------------------------
 # max-excess transforms
 
-
-class Family(namedtuple("Family", "key promise border odd_m")):
-    """key: the character_sums / intersection_sets name ("e8" | "e4" |
-    "scheme"); promise: the row-sum shape of the transformed matrix
-    ("biregular" | "regular"); border: columns before the first block of q
-    design points; odd_m: whether m must be odd."""
-
-    __slots__ = ()
-
-
-FAMILIES = {
-    "q3": Family("e8", "biregular", 1, False),
-    "q1": Family("e4", "biregular", 2, False),
-    "regular": Family("scheme", "regular", 1, True),
-}
-
-
 # the largest q whose GF(q^2) build_field accepts
 MAX_Q = isqrt(MAX_FIELD_SIZE)
 
@@ -423,7 +211,9 @@ def _pieces(ext: FieldContext, family: str, m: int, params, partition):
         except isets.NotFound as exc:
             raise ParamSearchFailed(str(exc)) from exc
     elif family == "regular":
-        schemes.require_scheme(ext, partition)
+        from .association_schemes import require_scheme
+
+        require_scheme(ext, partition)
     if family == "regular":
         dsets = isets.scheme_dsets(ext, partition, params.ell)
     else:

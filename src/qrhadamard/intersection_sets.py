@@ -1,10 +1,10 @@
 """Quadratic-residue block designs, the point sets D_{l,H} cut out of GF(q)
 by cyclotomic classes of GF(q^2), their intersection profiles and duals,
-admissible-parameter search, and character-sum size formulas used purely as
-validation oracles.
+and the admissible-parameter search.
 
-All set membership is decided by exact discrete logs; the complex formulas
-never feed a construction, they only cross-check the enumerated counts.
+All set membership is decided by exact discrete logs.  The character-sum
+size formulas that cross-check the enumerated counts live in
+qrhadamard.oracles.
 """
 
 from __future__ import annotations
@@ -13,31 +13,10 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
-from . import association_schemes as schemes
 from . import character_sums as cs
+# the exceptions this layer raises, importable from here too
+from .errors import BadE, BadEll, IntersectionError, NotFound, WrongResidue
 from .finite_field import ZERO, FieldContext, NoSubfield
-
-TOL = cs.TOL
-
-
-class IntersectionError(ValueError):
-    pass
-
-
-class WrongResidue(IntersectionError):
-    pass
-
-
-class BadE(IntersectionError):
-    pass
-
-
-class BadEll(IntersectionError):
-    pass
-
-
-class NotFound(IntersectionError):
-    """No admissible parameter pair; signals an implementation bug."""
 
 
 class BlockDesign:
@@ -223,7 +202,8 @@ def build_dlh(ext: FieldContext, ell: int, e: int, H) -> frozenset[int]:
 def admissible_params(ext: FieldContext, family: str, partition=None):
     """An iterator of the admissible (h, ell) pairs in ascending ell, per
     family, checked at the call: a scheme partition goes through
-    schemes.require_scheme, which gives tau, before any pair is made.
+    association_schemes.require_scheme, which gives tau, before any pair is
+    made.  Only this branch loads association_schemes.
 
     Every condition is an exact discrete-log congruence; the sign data
     (epsilon, delta) comes from the exact Gauss-sum sign counts.
@@ -234,7 +214,9 @@ def admissible_params(ext: FieldContext, family: str, partition=None):
     if family == "scheme":
         if partition is None:
             raise IntersectionError("scheme family needs a partition")
-        tau = schemes.require_scheme(ext, partition).tau
+        from .association_schemes import require_scheme
+
+        tau = require_scheme(ext, partition).tau
     elif family not in cs.SIGN_ORDERS:
         raise IntersectionError(f"unknown family {family!r}")
     return _admissible_params(ext, family, partition, tau)
@@ -328,113 +310,6 @@ def find_params(ext: FieldContext, family: str, partition=None) -> ParamChoice:
     for choice in admissible_params(ext, family, partition):
         return choice
     raise NotFound(f"no admissible parameters for family {family} at q = {ext.subfield.q}")
-
-
-def _rounds_to(value: complex, target: int) -> bool:
-    return abs(value.imag) < TOL and abs(value.real - target) < TOL
-
-
-def check_size_formulas(ext: FieldContext, ell: int, e: int, H) -> bool:
-    """Cross-check both size formulas and both block-count formulas against
-    exact enumeration, for every shift s."""
-    hset = _validate_dlh_args(ext, ell, e, H)
-    base = ext.subfield
-    q, n = base.q, ext.order
-    members = build_dlh(ext, ell, e, H)
-    hs = sorted(hset)
-    ze = cs.roots_of_unity(e)
-    g2 = [cs.gauss_sum(ext, e, j) for j in range(e)]
-    g_eta = cs.gauss_sum(base, 2, 1)
-    per2 = cs.gauss_periods(ext, e)
-    chi_m1 = ze[ext.half % e]
-    amp = [sum(ze[(-j * i) % e] for j in hs) for i in range(e)]
-    odd = range(1, e, 2)
-    lell = ell % n
-    lq = (ell * q) % n
-    t_el = ext.sub(lq, lell)
-    t_inv = ext.inv(t_el)
-
-    size_a = q / 2 + chi_m1 * g_eta / (e * q) * sum(
-        amp[i] * g2[i] * ze[(-i * lq) % e] * ze[(i * t_el) % e] for i in odd
-    )
-    w = ext.mul(lq, t_inv)
-    size_b = (
-        q / 2
-        + chi_m1 * g_eta / (2 * q)
-        + chi_m1 * g_eta / q * sum(per2[(j + w) % e] for j in hs)
-    )
-    if not (_rounds_to(size_a, len(members)) and _rounds_to(size_b, len(members))):
-        return False
-
-    dmask = 0
-    for x in members:
-        dmask |= 1 << base.canonical_index(x)
-    sq_masks = _translate_masks(base, False)
-    xi_l = 1 if lell % e in hset else 0
-    c2 = (ext.half + t_inv + lq) % n % e  # class of -T^{-1} omega^{q ell}
-    minus_lq = (ext.half + lq) % n
-    for si, s in enumerate(base.elements()):
-        enum = (dmask & sq_masks[si]).bit_count()
-        u1 = ext.add(ext.one, ext.mul(ext.embed(s), lell))  # 1 + omega^ell s
-        u2 = ext.add(ext.one, ext.mul(ext.embed(s), lq))  # 1 + omega^{q ell} s
-        n_a = (
-            (q - 1) / 4
-            - 1 / (2 * e) * sum(amp[i] * (ze[(i * u1) % e] + ze[(i * lell) % e]) for i in odd)
-            + g_eta
-            / (2 * e * q)
-            * sum(
-                amp[i]
-                * g2[i]
-                * ze[(i * t_el) % e]
-                * (ze[(-i * u2) % e] + ze[(-i * minus_lq) % e])
-                for i in odd
-            )
-        )
-        xi_s = 1 if u1 % e in hset else 0
-        c1 = ext.mul(t_inv, u2) % e
-        n_b = (
-            (q - 1) / 4
-            + (1 - xi_s - xi_l) / 2
-            + g_eta
-            / (2 * q)
-            * (
-                1
-                + sum(per2[(i + c1) % e] for i in hs)
-                + sum(per2[(i + c2) % e] for i in hs)
-            )
-        )
-        if not (_rounds_to(n_a, enum) and _rounds_to(n_b, enum)):
-            return False
-    return True
-
-
-def theorem_e8_branches(ext: FieldContext, params: ParamChoice) -> bool:
-    """Check that each measured block count lands in the branch selected by
-    the order-8 character of 1 + omega^ell s."""
-    base = ext.subfield
-    q, n = base.q, ext.order
-    m, hp = params.m, params.h
-    eps_delta = params.epsilon * params.delta
-    members = build_dlh(ext, params.ell, 8, h_sets(params)[0])
-    dmask = 0
-    for x in members:
-        dmask |= 1 << base.canonical_index(x)
-    blocks = _translate_masks(base, True)
-    if eps_delta == 1:
-        branch = {0: m * m + m + 2, 3: m * m + m + 2, 6: m * m + m + 2,
-                  1: m * m + 2, 2: m * m + 1, 4: m * m + 1, 7: m * m + 1,
-                  5: m * m + m + 1}
-    else:
-        branch = {1: m * m + m + 2, 4: m * m + m + 2, 6: m * m + m + 2,
-                  3: m * m + 2, 0: m * m + 1, 2: m * m + 1, 5: m * m + 1,
-                  7: m * m + m + 1}
-    lell = params.ell % n
-    for si, s in enumerate(base.elements()):
-        u1 = ext.add(ext.one, ext.mul(ext.embed(s), lell))
-        expected = branch[(u1 - 2 * hp) % 8]
-        if (dmask & blocks[si]).bit_count() != expected:
-            return False
-    return True
 
 
 def clear_caches() -> None:

@@ -17,6 +17,7 @@ from qrhadamard import intersection_sets as isets
 from qrhadamard.cli import main
 from qrhadamard.finite_field import build_field, quadratic_tower
 from qrhadamard import finite_field
+from qrhadamard import oracles
 
 TOL = 1e-6
 TIME_LIMIT_CONSTRUCT = 5.0
@@ -132,7 +133,7 @@ def test_criterion_4_formula_oracles():
         assert pairs, f"no admissible pairs at q={q}"
         for choice in pairs:
             for h_set in _family_h_sets(choice):
-                if not isets.check_size_formulas(ext, choice.ell, e, h_set):
+                if not oracles.check_size_formulas(ext, choice.ell, e, h_set):
                     ok = False
         # twenty deterministic (ell, s) pairs per field for both identities
         n = ext.order
@@ -146,9 +147,9 @@ def test_criterion_4_formula_oracles():
                 break
         svals = [base.element_at(i) for i in counter_indices(20, base.q, salt=q + 1)]
         for ell, s in zip(ells, svals):
-            if not cs.check_lemma_linear(ext, e, ell):
+            if not oracles.check_lemma_linear(ext, e, ell):
                 ok = False
-            if not cs.check_lemma_quadratic_twist(ext, e, ell, s):
+            if not oracles.check_lemma_quadratic_twist(ext, e, ell, s):
                 ok = False
         print(f"  q={q}: {len(pairs)} admissible pairs, formulas + 20 identity pairs checked")
     _report_line(4, "size-formula and identity oracles", ok)
@@ -182,11 +183,11 @@ def test_criterion_5_closed_forms():
         ext = build_field(q, 2)
         for e in range(2, q):
             if (q - 1) % e == 0:
-                ok &= cs.check_davenport_hasse(base, ext, e, d)
-        ok &= cs.check_davenport_hasse(base, ext, q - 1, d)
+                ok &= oracles.check_davenport_hasse(base, ext, e, d)
+        ok &= oracles.check_davenport_hasse(base, ext, q - 1, d)
     for q in (5, 13, 17, 25, 29):
         ctx = finite_field.field_for(q)
-        j = cs.jacobi_sum(ctx, 2, 4)
+        j = oracles.jacobi_sum(ctx, 2, 4)
         a, b = round(j.real), round(j.imag)
         ok &= abs(j - complex(a, b)) < TOL
         ok &= a * a + b * b - q == 0
@@ -225,5 +226,5 @@ def test_criterion_6_property_suite():
         ok &= report.is_scheme and report.table1_match
         for row in report.eigen_rows[1:]:
             ok &= abs(sum(row[1:]) - (-1)) < TOL
-        ok &= schemes.bannai_muzychuk_check(report.eigen_rows, [(0,), (1, 3), (2, 4)])
+        ok &= oracles.bannai_muzychuk_check(report.eigen_rows, [(0,), (1, 3), (2, 4)])
     _report_line(6, "property suite", ok)

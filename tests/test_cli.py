@@ -17,6 +17,7 @@ from qrhadamard import association_schemes as schemes
 from qrhadamard import cli, finite_field
 from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
+from qrhadamard import matrix as mx
 from qrhadamard.cli import main
 
 
@@ -235,8 +236,9 @@ def test_construct_builds_base_matrix_once(tmp_path, monkeypatch):
 def test_verify_checks_orthogonality_once(tmp_path, monkeypatch, capsys):
     assert main(["construct", "--family", "q3", "--m", "1", "--out", str(tmp_path)]) == 0
     calls = []
-    real = hd.hadamard_violation
-    monkeypatch.setattr(hd, "hadamard_violation", lambda h: calls.append(h.n) or real(h))
+    real = mx.hadamard_violation
+    for module in (mx, hd):  # verify calls it from matrix, transform from hadamard
+        monkeypatch.setattr(module, "hadamard_violation", lambda h: calls.append(h.n) or real(h))
     capsys.readouterr()
     assert main(["verify", str(tmp_path / "q3_q11_transformed.mat")]) == 0
     assert calls == [12]
@@ -245,8 +247,9 @@ def test_verify_checks_orthogonality_once(tmp_path, monkeypatch, capsys):
 
 def test_construct_certifies_orthogonality_without_the_full_check(tmp_path, monkeypatch):
     calls = []
-    real = hd.hadamard_violation
-    monkeypatch.setattr(hd, "hadamard_violation", lambda h: calls.append(h.n) or real(h))
+    real = mx.hadamard_violation
+    for module in (mx, hd):  # verify calls it from matrix, transform from hadamard
+        monkeypatch.setattr(module, "hadamard_violation", lambda h: calls.append(h.n) or real(h))
     m3 = str(SCHEMES_DIR / "m3.scheme")
     for argv in (["q3", "--q", "83"], ["q1", "--q", "61"], ["regular", "--m", "3", "--partition", m3]):
         assert main(["construct", "--family", *argv, "--out", str(tmp_path)]) == 0

@@ -5,6 +5,7 @@ import pytest
 from conftest import shipped_partition
 from qrhadamard import character_sums as cs
 from qrhadamard import intersection_sets as isets
+from qrhadamard import oracles
 from qrhadamard.finite_field import build_field, quadratic_tower
 
 
@@ -138,14 +139,14 @@ def test_e8_profile_and_branches(tower11):
     d = isets.build_dlh(ext, p8.ell, 8, [h0 + i for i in range(4)])
     prof = isets.intersection_profile(d, isets.paley_design(base))
     assert set(prof.profile_values()) <= {2, 3, 4}  # m=1 collisions collapse the four values
-    assert isets.theorem_e8_branches(ext, p8)
+    assert oracles.theorem_e8_branches(ext, p8)
 
 
 @pytest.mark.parametrize("q", [27, 83, 227])
 def test_e8_branches_larger_fields(q):
     ext, _ = quadratic_tower(q)
     params = isets.find_params(ext, "e8")
-    assert isets.theorem_e8_branches(ext, params)
+    assert oracles.theorem_e8_branches(ext, params)
 
 
 def test_h_sets_rule():
@@ -201,12 +202,12 @@ def test_size_formulas_sample(tower11, tower25):
     ext11, _ = tower11
     p8 = isets.find_params(ext11, "e8")
     h0 = 2 * p8.h + (1 - p8.epsilon * p8.delta) // 2
-    assert isets.check_size_formulas(ext11, p8.ell, 8, [h0 + i for i in range(4)])
+    assert oracles.check_size_formulas(ext11, p8.ell, 8, [h0 + i for i in range(4)])
 
     ext5, _ = quadratic_tower(5)
     p4 = isets.find_params(ext5, "e4")
-    assert isets.check_size_formulas(ext5, p4.ell, 4, [p4.h, p4.h + 1])
-    assert isets.check_size_formulas(ext5, p4.ell, 4, [p4.h + 1, p4.h + 2])
+    assert oracles.check_size_formulas(ext5, p4.ell, 4, [p4.h, p4.h + 1])
+    assert oracles.check_size_formulas(ext5, p4.ell, 4, [p4.h + 1, p4.h + 2])
 
 
 def test_even_m_sizes_and_profiles():

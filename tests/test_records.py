@@ -1,8 +1,9 @@
-"""The package's immutable records, what importing the package loads, and
-the package names that the benchmark tracer wraps."""
+"""The package's immutable records, what importing the package and running
+each command loads, and the package names that the benchmark tracer wraps."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -17,7 +18,32 @@ from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
 from qrhadamard.finite_field import FieldSpec
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+
+# the package's library modules; cli and errors are all that --help needs
+LAYERS = (
+    "finite_field",
+    "character_sums",
+    "intersection_sets",
+    "association_schemes",
+    "matrix",
+    "hadamard",
+    "oracles",
+)
+
+
+def _fresh_python(script: str, *args: str) -> list:
+    """Run script in a new interpreter; the JSON of its last stdout line."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
@@ -27,16 +53,103 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         "import qrhadamard.cli\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": SRC},
-    )
-    assert proc.returncode == 0, proc.stderr
-    added = proc.stdout.splitlines()[-1]
+    added = _fresh_python(script)
     assert "qrhadamard.cli" in added
-    assert '"dataclasses"' not in added and '"inspect"' not in added
+    assert "dataclasses" not in added and "inspect" not in added
+    assert not [name for name in added if name.split(".")[-1] in LAYERS]
+
+
+_RUN_COMMAND = """
+import json, sys
+from qrhadamard.cli import main
+try:
+    code = main(json.loads(sys.argv[1]))
+except SystemExit as exc:  # --help
+    code = exc.code
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("qrhadamard."))]))
+"""
+
+_NO_FIELD = ("finite_field", "character_sums", "intersection_sets", "association_schemes", "hadamard", "oracles")
+_NO_SCHEME = ("association_schemes", "oracles")
+_NO_MATRIX = ("hadamard", "matrix", "intersection_sets", "oracles")
+
+# argv ("{out}" is a fresh directory) -> modules main(argv) must not load
+COMMAND_LOADS = {
+    "--help": (["--help"], LAYERS),
+    "verify": (["verify", "{out}/h4.mat"], _NO_FIELD),
+    "construct q3": (["construct", "--family", "q3", "--q", "11", "--out", "{out}"], _NO_SCHEME),
+    "construct q1": (["construct", "--family", "q1", "--q", "5", "--out", "{out}"], _NO_SCHEME),
+    "search-params e8": (["search-params", "--family", "e8", "--q", "11"], _NO_SCHEME + ("hadamard", "matrix")),
+    "search-params e4": (["search-params", "--family", "e4", "--q", "13"], _NO_SCHEME + ("hadamard", "matrix")),
+    "scheme verify": (["scheme", "--verify", "schemes/m3.scheme"], _NO_MATRIX),
+    "scheme search": (["scheme", "--search", "--m", "3", "--e", "12"], _NO_MATRIX),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_LOADS)
+def test_each_command_loads_only_its_layers(command, tmp_path):
+    argv, absent = COMMAND_LOADS[command]
+    (tmp_path / "h4.mat").write_text("4\n++++\n+-+-\n++--\n+--+\n")
+    argv = [arg.replace("{out}", str(tmp_path)) for arg in argv]
+    code, loaded = _fresh_python(_RUN_COMMAND, json.dumps(argv))
+    assert code == 0
+    assert "qrhadamard.cli" in loaded
+    assert [name for name in loaded if name.split(".")[-1] in absent] == []
+
+
+# every name of qrhadamard.__all__ -> the module that defines it
+PACKAGE_NAMES = {
+    "FAMILIES": "character_sums",
+    "ZERO": "finite_field",
+    "BlockDesign": "intersection_sets",
+    "ExcessReport": "matrix",
+    "FieldContext": "finite_field",
+    "FieldSpec": "finite_field",
+    "IntersectionSet": "intersection_sets",
+    "ParamChoice": "intersection_sets",
+    "SchemePartition": "association_schemes",
+    "SchemeReport": "association_schemes",
+    "SignMatrix": "matrix",
+    "build_dlh": "intersection_sets",
+    "build_field": "finite_field",
+    "construct_q1": "hadamard",
+    "construct_q3": "hadamard",
+    "excess_and_bound": "matrix",
+    "field_for": "finite_field",
+    "find_params": "intersection_sets",
+    "is_hadamard": "matrix",
+    "quadratic_tower": "finite_field",
+    "transform": "hadamard",
+    "verify_scheme": "association_schemes",
+}
+
+_PACKAGE_SURFACE = """
+import importlib, json, sys
+import qrhadamard
+on_import = sorted(name for name in sys.modules if name.startswith("qrhadamard."))
+listed = dir(qrhadamard)
+homes = json.loads(sys.argv[1])
+wrong = [
+    name for name, home in homes.items()
+    if getattr(qrhadamard, name) is not getattr(importlib.import_module("qrhadamard." + home), name)
+]
+try:
+    qrhadamard.no_such_name
+    unknown = "resolved"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps([on_import, qrhadamard.__all__, listed, wrong, qrhadamard.__version__, unknown]))
+"""
+
+
+def test_the_package_surface_loads_its_modules_on_first_use():
+    on_import, names, listed, wrong, version, unknown = _fresh_python(_PACKAGE_SURFACE, json.dumps(PACKAGE_NAMES))
+    assert on_import == []
+    assert sorted(names) == sorted([*PACKAGE_NAMES, "__version__"])
+    assert set(names) <= set(listed)
+    assert wrong == []
+    assert version == "0.1.0"
+    assert unknown == "module 'qrhadamard' has no attribute 'no_such_name'"
 
 
 def test_every_function_the_benchmark_tracer_wraps_exists():
