@@ -5,10 +5,19 @@ Rows are bit-packed (set bit = entry -1), so orthogonality checks run on
 word-wide popcounts, and all verification is exact integer arithmetic.  A
 matrix read from outside gets the full check: every row pair, O(n^2)
 popcounts.  The constructions and their certificate live in hadamard.
+
+The full check is split over the CPUs this process may run on, with no
+option to choose: the rows are interleaved over one scanner per usable CPU
+(at least _ROWS_PER_SCANNER rows each), this process and forked children,
+and the answer is the same first pair in row-major order that one process
+scanning alone finds.  A scanner that finds a pair posts its row on a
+shared board, and every scanner stops before any row past the smallest one
+posted.
 """
 
 from __future__ import annotations
 
+import os
 from collections import namedtuple
 from math import isqrt
 
@@ -112,13 +121,112 @@ def hadamard_violation(h: SignMatrix) -> tuple[int, int] | None:
     n, rows = h.n, h.rows
     if n % 2 and n > 1:
         return (0, 1)
+    w = _scanner_count(n)
+    if w > 1:
+        try:
+            return _forked_scan(rows, n, w)
+        except OSError:  # no fork, or a child failed: the serial scan decides
+            pass
+    return _scan(rows, n, 0, 1, [n], 0)
+
+
+# Fewest rows a scanner takes: an order below twice this is scanned serially.
+_ROWS_PER_SCANNER = 256
+
+
+def _scanner_count(n: int) -> int:
+    """Processes that scan an order-n matrix: one per usable CPU, each with
+    at least _ROWS_PER_SCANNER rows.  One where os.fork is missing or another
+    thread runs, since a forked child could inherit a lock that thread holds."""
+    if n < 2 * _ROWS_PER_SCANNER or not hasattr(os, "fork"):
+        return 1
+    import threading
+
+    if threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, n // _ROWS_PER_SCANNER)
+
+
+def _scan(rows, n: int, first: int, step: int, board, slot: int, parent: int | None = None):
+    """First pair (i, j > i) whose rows differ in other than n/2 places, for
+    i = first, first + step, ... in increasing order, or None.  The scan
+    posts a violating i in board[slot], and stops (None) before any row past
+    the smallest i on the board, or once its parent process is no longer
+    parent (when given)."""
     half = n // 2
-    for i in range(n):
+    for i in range(first, n, step):
+        if i > min(board) or parent is not None and os.getppid() != parent:
+            return None
         ri = rows[i]
         for j in range(i + 1, n):
             if (ri ^ rows[j]).bit_count() != half:
+                board[slot] = i
                 return (i, j)
     return None
+
+
+def _forked_scan(rows, n: int, w: int) -> tuple[int, int] | None:
+    """_scan of rows i = k (mod w) in scanner k: this process is scanner 0,
+    and w - 1 forked children, which inherit the rows, answer through one
+    pipe.  The smallest pair found is the serial scan's first pair.  Every
+    child is reaped before this returns or raises, after a kill if this
+    process raised.  Raises OSError when a fork fails, and
+    ChildProcessError when a child exits non-zero or answers malformed."""
+    import mmap
+    import signal
+
+    parent = os.getpid()
+    children = []
+    read_end, write_end = os.pipe()
+    with (
+        open(read_end, "rb") as answers,
+        open(write_end, "wb") as sink,
+        mmap.mmap(-1, 8 * w) as shared,
+        memoryview(shared).cast("q") as board,
+    ):
+        for slot in range(w):
+            board[slot] = n
+        try:
+            for slot in range(1, w):
+                pid = os.fork()
+                if pid == 0:
+                    _child_scan(rows, n, slot, w, board, parent, write_end)
+                children.append(pid)
+            sink.close()
+            found = [_scan(rows, n, 0, w, board, 0)]
+            reply = answers.read()
+        except BaseException:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            failed = [os.waitpid(pid, 0)[1] != 0 for pid in children]
+    lines = reply.splitlines()
+    if any(failed) or len(lines) != w - 1:
+        raise ChildProcessError("a row scanner failed")
+    try:
+        for line in lines:
+            if line != b"-":
+                i, j = map(int, line.split(b" "))
+                found.append((i, j))
+    except ValueError:
+        raise ChildProcessError("a row scanner answered malformed") from None
+    return min((pair for pair in found if pair is not None), default=None)
+
+
+def _child_scan(rows, n: int, slot: int, w: int, board, parent: int, sink: int):
+    """Scanner slot of _forked_scan, in the forked child: write "i j" or "-"
+    as one line to the pipe sink and leave through os._exit, so the child
+    never unwinds into a caller's finally, runs no atexit handler and flushes
+    no inherited stdio."""
+    code = 1
+    try:
+        pair = _scan(rows, n, slot, w, board, slot, parent)
+        os.write(sink, b"%d %d\n" % pair if pair else b"-\n")
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def bound_params(n: int) -> tuple[int, int, int, int, int]:

@@ -19,6 +19,17 @@ def shipped_partition(m: int):
     return parse_partition((SCHEMES_DIR / f"m{m}.scheme").read_text())
 
 
+def sylvester(order: int):
+    """The Sylvester Hadamard matrix of a power-of-two order, [[H, H], [H, -H]]."""
+    from qrhadamard.matrix import SignMatrix
+
+    rows, n = [0], 1
+    while n < order:
+        rows = [r | r << n for r in rows] + [r | (r ^ (1 << n) - 1) << n for r in rows]
+        n *= 2
+    return SignMatrix(n, rows)
+
+
 # Matrix texts and whether from_text accepts them: the accepted ones hold
 # the Hadamard matrix [[1, 1], [1, -1]].  Shared by the parser and CLI tests.
 PARSE_CASES = [

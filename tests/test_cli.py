@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PARSE_CASES, SCHEMES_DIR, shipped_partition
+from conftest import PARSE_CASES, SCHEMES_DIR, shipped_partition, sylvester
 from qrhadamard import association_schemes as schemes
 from qrhadamard import cli, finite_field
 from qrhadamard import hadamard as hd
@@ -634,11 +635,7 @@ def _assert_streamed_as_read_all(path: str) -> None:
     assert _verify_outcome(path) == _verify_outcome(path, read_all=True)
 
 
-def _sylvester(n: int) -> hd.SignMatrix:
-    return hd.SignMatrix(n, [sum(((i & j).bit_count() & 1) << j for j in range(n)) for i in range(n)])
-
-
-_SYLVESTER_16 = _sylvester(16).to_text().encode()
+_SYLVESTER_16 = sylvester(16).to_text().encode()
 _STREAM_CASES = [
     _SYLVESTER_16,
     b"".join([b"\n" * 9000, _SYLVESTER_16, b"\xff\n"]),  # invalid byte past 8 KiB
@@ -682,7 +679,7 @@ def test_fuzz_streamed_verify_matches_the_read_all_path(tmp_path_factory, data):
 
 def test_verify_peak_memory_is_below_the_file_size(tmp_path, capsys):
     f = tmp_path / "sylvester.mat"
-    f.write_text(_sylvester(512).to_text())
+    f.write_text(sylvester(512).to_text())
     one = tmp_path / "one.mat"
     one.write_text("1\n+\n")
     assert main(["verify", str(one)]) == 0  # the stdlib modules argparse imports on first use
@@ -1033,3 +1030,82 @@ def test_admissible_params_checks_the_partition_at_the_call():
     ext, _ = finite_field.quadratic_tower(17)
     with pytest.raises(schemes.SchemeInvalid, match="^partition fails scheme or eigenvalue-table verification$"):
         isets.admissible_params(ext, "scheme", partition=_swapped_m3())  # no next(): the call itself raises
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _proc_state(pid: str):
+    """The state letter of a process in /proc, or None once it is reaped."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"), reason="needs /proc children")
+def test_a_killed_verify_leaves_no_scanner_behind(tmp_path):
+    # order 4096: a scanner's share of the scan takes ~2 s, so one that ran on
+    # after its parent died would outlive the 1 s bound below
+    f = tmp_path / "sylvester.mat"
+    f.write_text(sylvester(4096).to_text())
+    argv = [sys.executable, "-c", "import sys; from qrhadamard import cli, matrix; matrix._scanner_count = lambda n: 2; "
+            "sys.exit(cli.main(sys.argv[1:]))", "verify", str(f)]
+    proc = subprocess.Popen(argv, start_new_session=True, env={**os.environ, "PYTHONPATH": _SRC}, stdout=subprocess.DEVNULL)
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    try:
+        deadline = time.monotonic() + 20
+        while not (scanners := children.read_text().split()):  # wait until a scanner runs
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.005)
+    finally:
+        proc.kill()
+        proc.wait()
+    deadline = time.monotonic() + 1
+    while [pid for pid in scanners if _proc_state(pid) not in (None, "Z", "X")]:
+        assert time.monotonic() < deadline, "a scanner outlived its killed parent by 1 s"
+        time.sleep(0.005)
+    # the exited scanners leave the group once init reaps them, which can take
+    # ~2 s on a host whose init reaps lazily
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < deadline, "the killed verify's process group outlived it by 10 s"
+        time.sleep(0.01)
+
+
+_TRACED_VERIFY = """
+import sys
+from qrhadamard import cli, matrix
+matrix._scanner_count = lambda n: 3
+print("before", flush=False)  # still buffered when the scanners fork
+try:
+    code = cli.main(["verify", sys.argv[1]])
+finally:
+    with open(sys.argv[2], "a") as fh:
+        fh.write("main returned\\n")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_a_split_verify_unwinds_the_caller_once(tmp_path, flip):
+    h = sylvester(1024)
+    if flip:
+        h = hd.SignMatrix(h.n, h.rows[:-1] + [h.rows[-1] ^ 1])
+    f, log = tmp_path / "h.mat", tmp_path / "log.txt"
+    f.write_text(h.to_text())
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_VERIFY, str(f), str(log)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+    )
+    assert (proc.returncode, proc.stderr) == (int(flip), "")
+    before, result = proc.stdout.splitlines()
+    assert before == "before"
+    assert json.loads(result)["hadamard"] is not flip
+    assert log.read_text() == "main returned\n"

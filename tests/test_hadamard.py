@@ -1,3 +1,4 @@
+import os
 from collections import Counter
 
 import pytest
@@ -5,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint
 
-from conftest import PARSE_CASES, shipped_partition
+from conftest import PARSE_CASES, shipped_partition, sylvester
 from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
+from qrhadamard import matrix as mx
 from qrhadamard.character_sums import family_q
 from qrhadamard.finite_field import MAX_FIELD_SIZE, ZERO, build_field, field_for, quadratic_tower
 
@@ -470,3 +472,135 @@ def test_instances_are_the_theorem_under_the_field_cap():
     assert ladder == want
     assert {family: q for family, _, q in ladder} == {"q3": 3251, "q1": 3613, "regular": 4049}
     assert [m for family, m, _ in ladder if family == "q3"] == [1, 2, 4, 7, 10, 16, 19, 22, 28]
+
+
+def serial_violation(h):
+    """The full check as one plain loop over the row pairs: the reference
+    for the scan that hadamard_violation splits over processes."""
+    n, rows = h.n, h.rows
+    if n % 2 and n > 1:
+        return (0, 1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (rows[i] ^ rows[j]).bit_count() != n // 2:
+                return (i, j)
+    return None
+
+
+@pytest.fixture(scope="module")
+def split_scan_matrices():
+    """Sylvester and Paley (I and II) matrices of order 512 to 1020."""
+    return {
+        "sylvester-512": sylvester(512),
+        "paley1-728": hd.construct_q3(build_field(727)),
+        "paley2-1020": hd.construct_q1(build_field(509)),
+    }
+
+
+def copied(h, *moves):
+    """h with row s replaced by row r (negated if sign is -1), for each
+    (r, s, sign): that row pair is the only one it makes non-orthogonal."""
+    rows = list(h.rows)
+    full = (1 << h.n) - 1
+    for r, s, sign in moves:
+        rows[s] = h.rows[r] if sign == 1 else h.rows[r] ^ full
+    return hd.SignMatrix(h.n, rows)
+
+
+def split_scan_cases(h):
+    """(matrix, scanner counts w to check it with): h itself, flips and the
+    last pair at every w; at each w, a first violating row owned by each
+    scanner, and violations that two scanners find."""
+    n, every = h.n, range(1, 5)
+    yield h, every
+    yield flipped(h, 0, 3), every
+    yield flipped(h, n - 1, n - 1), every
+    yield copied(h, (n - 2, n - 1, 1)), every  # the only bad pair is the last one
+    for w in every:
+        for k in range(w):
+            yield copied(h, (5 * w + k, n - 1 - k, 1)), (w,)
+            yield copied(h, (5 * w + k, n - 1 - k, -1)), (w,)
+            yield flipped(h, 9 * w + k, 7), (w,)
+        if w > 1:
+            # two scanners find a pair; the smaller row must win either way round
+            yield copied(h, (3 * w + 1, n - 1, 1), (3 * w + 2, n - 2, 1)), (w,)
+            yield copied(h, (4 * w - 1, n - 1, 1), (4 * w, n - 2, -1)), (w,)
+            yield copied(h, (4 * w, n - 1, 1), (4 * w - 1, n - 2, -1)), (w,)
+
+
+@pytest.mark.parametrize("name", ["sylvester-512", "paley1-728", "paley2-1020"])
+def test_split_scan_finds_the_serial_first_pair(name, split_scan_matrices, monkeypatch):
+    for h, ws in split_scan_cases(split_scan_matrices[name]):
+        want = serial_violation(h)
+        for w in ws:
+            monkeypatch.setattr(mx, "_scanner_count", lambda n, w=w: w)
+            assert hd.hadamard_violation(h) == want, (name, w)
+    assert serial_violation(split_scan_matrices[name]) is None
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_split_scan_on_odd_and_tiny_orders(w, monkeypatch):
+    monkeypatch.setattr(mx, "_scanner_count", lambda n: w)
+    odd = hd.SignMatrix(513, [0] * 513)
+    cases = [from_entries([[1]]), from_entries([[1, 1], [1, -1]]), from_entries([[1, 1], [1, 1]]), odd]
+    cases += [from_entries([[1] * 3] * 3), from_entries([[1, 1, 1, 1]] * 4), sylvester(4)]
+    for h in cases:
+        assert hd.hadamard_violation(h) == serial_violation(h), (h.n, w)
+
+
+def test_scanner_count_follows_the_usable_cpus_and_the_order():
+    cpus = len(os.sched_getaffinity(0))
+    for n in (2, 510, 511, 512, 1024, 2048, 7228):
+        assert mx._scanner_count(n) == max(1, min(cpus, n // mx._ROWS_PER_SCANNER)), n
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_scan_reaps_every_scanner(split_scan_matrices, monkeypatch):
+    monkeypatch.setattr(mx, "_scanner_count", lambda n: 3)
+    h = split_scan_matrices["sylvester-512"]
+    assert hd.hadamard_violation(h) is None
+    assert_no_child_left()
+    assert hd.hadamard_violation(copied(h, (40, 41, 1))) == (40, 41)
+    assert_no_child_left()
+
+
+def test_a_raising_parent_kills_and_reaps_its_scanners(split_scan_matrices, monkeypatch):
+    monkeypatch.setattr(mx, "_scanner_count", lambda n: 3)
+    parent, real_scan = os.getpid(), mx._scan
+
+    def scan(*args):
+        if os.getpid() == parent:
+            raise RuntimeError("parent scan failed")
+        return real_scan(*args)
+
+    monkeypatch.setattr(mx, "_scan", scan)
+    with pytest.raises(RuntimeError, match="parent scan failed"):
+        hd.hadamard_violation(split_scan_matrices["paley2-1020"])
+    assert_no_child_left()
+
+
+def test_a_failing_or_garbled_scanner_falls_back_to_the_serial_scan(split_scan_matrices, monkeypatch):
+    monkeypatch.setattr(mx, "_scanner_count", lambda n: 3)
+    parent, real_scan, real_write = os.getpid(), mx._scan, os.write
+    h = split_scan_matrices["sylvester-512"]
+    cases = [h, copied(h, (2, 300, 1)), copied(h, (1, 300, -1))]
+
+    def failing_scan(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("scanner failed")
+        return real_scan(*args)
+
+    monkeypatch.setattr(mx, "_scan", failing_scan)
+    for case in cases:
+        assert hd.hadamard_violation(case) == serial_violation(case)
+        assert_no_child_left()
+    monkeypatch.setattr(mx, "_scan", real_scan)
+    for garbled in (b"", b"0\n", b"1 2 3\n", b"x y\n", b"-\n-\n"):
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, garbled if os.getpid() != parent else data))
+        for case in cases:
+            assert hd.hadamard_violation(case) == serial_violation(case), garbled
+            assert_no_child_left()

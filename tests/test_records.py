@@ -55,8 +55,20 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     )
     added = _fresh_python(script)
     assert "qrhadamard.cli" in added
-    assert "dataclasses" not in added and "inspect" not in added
+    assert "dataclasses" not in added and "inspect" not in added and "mmap" not in added
     assert not [name for name in added if name.split(".")[-1] in LAYERS]
+
+
+def test_construct_loads_no_mmap(tmp_path):
+    # only verify's scan, split over processes, shares its early-stop board through mmap
+    script = (
+        "import json, sys\n"
+        "from qrhadamard.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, 'mmap' in sys.modules]))\n"
+    )
+    argv = ["construct", "--family", "q3", "--q", "11", "--out", str(tmp_path)]
+    assert _fresh_python(script, *argv) == [0, False]
 
 
 _RUN_COMMAND = """
