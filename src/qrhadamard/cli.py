@@ -354,7 +354,14 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError as exc:  # stdout closed: an unwritable output, like --out
+        with open(os.devnull, "w") as null:  # where the bytes still buffered go
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except Exception as exc:
         for kinds, code in _EXIT_CODES:
             if isinstance(exc, kinds):

@@ -1,13 +1,8 @@
 """The two quadratic-residue base constructions, the ladder of the paper's
 instances, and the row/column signing transform that reaches maximum
-excess, with the certificate that proves its output Hadamard.
-
-A matrix built by ``transform`` gets a certificate instead of the O(n^2)
-check of qrhadamard.matrix: its base matrix is invariant under
-x -> omega^2 x on rows and columns, so the orbit representatives against all
-rows prove the base Hadamard, and one XOR per row proves the signed matrix
-is the base with rows and columns negated, O(n) popcounts in all.  A
-certificate that does not hold falls back to the full check.
+excess.  transform proves its output Hadamard with the one check that
+``verify`` runs, qrhadamard.matrix.hadamard_violation, whose certificate
+takes O(n) popcounts on every matrix built here.
 
 The matrix names (SignMatrix, hadamard_violation, excess_and_bound, ...),
 the family table and the exceptions are importable from here too.
@@ -40,58 +35,6 @@ from .matrix import (
     is_hadamard,
     report_json,
 )
-
-
-def _omega2_invariant(h: SignMatrix, q: int, blocks: tuple[int, ...]) -> bool:
-    """Whether sigma(row i) == row sigma(i) for every i, where sigma fixes the
-    border and each block's 0 and maps omega^k to omega^(k+2), on rows and
-    columns alike: the automorphism x -> omega^2 x of the QR matrices."""
-    period = q - 1
-    seg = (1 << period) - 1
-    fixed = (1 << h.n) - 1
-    for o in blocks:
-        fixed &= ~(seg << (o + 1))
-    rows = h.rows
-    target = list(range(h.n))  # sigma on row indices
-    for o in blocks:
-        for k in range(period):
-            target[o + 1 + k] = o + 1 + (k + 2) % period
-    for i, r in enumerate(rows):
-        moved = r & fixed
-        for o in blocks:
-            part = (r >> (o + 1)) & seg
-            moved |= (((part << 2) | (part >> (period - 2))) & seg) << (o + 1)
-        if moved != rows[target[i]]:
-            return False
-    return True
-
-
-def _certified(signed: SignMatrix, base: SignMatrix, q: int) -> bool:
-    """Exact proof that signed is Hadamard, or False when the proof fails.
-
-    The base must be omega^2-invariant; then its Gram matrix is too, so each
-    row pair is equivalent to one whose first row is an orbit representative
-    (the border rows, and 0, omega^0, omega^1 of each block), and only those
-    rows are compared against all rows.  Then every row of signed ^ base must
-    be c or its complement, with c that of row 0: signed = D1 base D2 for
-    diagonal +-1 matrices D1 and D2, which keep orthogonality."""
-    n = base.n
-    if q < 3 or q % 2 == 0 or n not in (q + 1, 2 * q + 2):
-        return False
-    # order q+1: one border row, one block; order 2q+2: two of each.  Within
-    # a block, index 0 is the element 0 and index 1+k is omega^k.
-    blocks = (1,) if n == q + 1 else (2, 2 + q)
-    if not _omega2_invariant(base, q, blocks):
-        return False
-    rows, half = base.rows, n // 2
-    reps = list(range(blocks[0])) + [o + k for o in blocks for k in range(3)]
-    for i in reps:
-        ri = rows[i]
-        if any((ri ^ rows[j]).bit_count() != half for j in range(n) if j != i):
-            return False
-    c = signed.rows[0] ^ rows[0]
-    cc = c ^ ((1 << n) - 1)
-    return all((s ^ b) in (c, cc) for s, b in zip(signed.rows, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +223,7 @@ def transform(
         for b in profile.dual_blocks(*negated):
             row_signs[first_row + b] = -1
     signed = apply_signing(h, row_signs, col_signs)
-    # the full check runs only when the certificate fails, and names the first bad pair
-    bad = None if _certified(signed, h, ext.subfield.q) else hadamard_violation(signed)
+    bad = hadamard_violation(signed)
     if bad is not None:
         raise NotHadamard(bad)
     return signed, _excess_report(signed)

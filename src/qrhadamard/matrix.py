@@ -2,9 +2,11 @@
 bound with the row-sum classification: all that ``verify`` runs.
 
 Rows are bit-packed (set bit = entry -1), so orthogonality checks run on
-word-wide popcounts, and all verification is exact integer arithmetic.  A
-matrix read from outside gets the full check: every row pair, O(n^2)
-popcounts.  The constructions and their certificate live in hadamard.
+word-wide popcounts, and all verification is exact integer arithmetic.
+hadamard_violation is the one Hadamard check, for files and constructions
+alike.  Its certificate (_certified) reads the matrix alone and proves each
+matrix the paper builds Hadamard in O(n) popcounts; any other matrix gets
+the full check: every row pair, O(n^2) popcounts.
 
 The full check is split over the CPUs this process may run on, with no
 option to choose: the rows are interleaved over one scanner per usable CPU
@@ -121,6 +123,8 @@ def hadamard_violation(h: SignMatrix) -> tuple[int, int] | None:
     n, rows = h.n, h.rows
     if n % 2 and n > 1:
         return (0, 1)
+    if _certified(h):
+        return None
     w = _scanner_count(n)
     if w > 1:
         try:
@@ -128,6 +132,51 @@ def hadamard_violation(h: SignMatrix) -> tuple[int, int] | None:
         except OSError:  # no fork, or a child failed: the serial scan decides
             pass
     return _scan(rows, n, 0, 1, [n], 0)
+
+
+def _certified(h: SignMatrix) -> bool:
+    """Exact proof that h is Hadamard, from h alone, or False when it fails.
+
+    It tries each layout the order allows: b = 1 border row and one block of
+    q = n - 1, or b = 2 border rows and two blocks of q = (n - 2)/2, q odd
+    and >= 3.  In a block at o, index o stands for the field's 0 and
+    o + 1 + k for omega^k.  sigma fixes the borders and each block's 0 and
+    maps omega^k to omega^(k+2), on rows and columns alike.  Each row i with
+    its columns moved by sigma, XOR row sigma(i), must be one mask c or its
+    complement: then h[sigma i][sigma j] = e1[i] h[i][j] e2[j] for signs e1,
+    e2, and G = h h^T has G[sigma i][sigma j] = e1[i] e1[j] G[i][j].  Row i
+    is sigma^t of an orbit representative r (a border row, or 0, omega^0,
+    omega^1 of a block), so G[i][j] = +-G[r][sigma^-t j]: representatives
+    orthogonal to all other rows prove G = nI, for any +-1 matrix."""
+    n, rows = h.n, h.rows
+    full = (1 << n) - 1
+    for b in (1, 2):
+        q, rem = divmod(n - b, b)
+        if rem or q < 3 or q % 2 == 0:
+            continue
+        period = q - 1
+        seg = (1 << period) - 1
+        blocks = [b + k * q for k in range(b)]
+        fixed, target = full, list(range(n))  # target: sigma on row indices
+        for o in blocks:
+            fixed ^= seg << (o + 1)
+            target[o + 1 : o + q] = [*range(o + 3, o + q), o + 1, o + 2]
+
+        def image(r: int) -> int:  # row r with its columns moved by sigma
+            moved = r & fixed
+            for o in blocks:
+                part = (r >> (o + 1)) & seg
+                moved |= (((part << 2) | (part >> (period - 2))) & seg) << (o + 1)
+            return moved
+
+        c = image(rows[0]) ^ rows[0]
+        masks = (c, c ^ full)
+        if not all(image(r) ^ rows[t] in masks for r, t in zip(rows, target)):
+            continue
+        reps = [*range(b), *(o + k for o in blocks for k in range(3))]
+        if all((rows[i] ^ rows[j]).bit_count() == n // 2 for i in reps for j in range(n) if j != i):
+            return True
+    return False
 
 
 # Fewest rows a scanner takes: an order below twice this is scanned serially.

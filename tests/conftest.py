@@ -30,6 +30,16 @@ def sylvester(order: int):
     return SignMatrix(n, rows)
 
 
+def counted_scans(monkeypatch):
+    """The orders of the full orthogonality scans run from now on, in this
+    process (matrix._scan, which a certified matrix never reaches)."""
+    from qrhadamard import matrix
+
+    scans, real = [], matrix._scan
+    monkeypatch.setattr(matrix, "_scan", lambda *args: scans.append(args[1]) or real(*args))
+    return scans
+
+
 # Matrix texts and whether from_text accepts them: the accepted ones hold
 # the Hadamard matrix [[1, 1], [1, -1]].  Shared by the parser and CLI tests.
 PARSE_CASES = [

@@ -13,13 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PARSE_CASES, SCHEMES_DIR, shipped_partition, sylvester
+from conftest import PARSE_CASES, SCHEMES_DIR, counted_scans, shipped_partition, sylvester
 from qrhadamard import association_schemes as schemes
 from qrhadamard import cli, finite_field
 from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
 from qrhadamard import matrix as mx
 from qrhadamard.cli import main
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def read(path):
@@ -246,17 +249,23 @@ def test_verify_checks_orthogonality_once(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["excess"] == 36
 
 
-def test_construct_certifies_orthogonality_without_the_full_check(tmp_path, monkeypatch):
-    calls = []
-    real = mx.hadamard_violation
-    for module in (mx, hd):  # verify calls it from matrix, transform from hadamard
-        monkeypatch.setattr(module, "hadamard_violation", lambda h: calls.append(h.n) or real(h))
+def test_construct_certifies_orthogonality_without_the_full_check(tmp_path, monkeypatch, capsys):
+    scans = counted_scans(monkeypatch)
     m3 = str(SCHEMES_DIR / "m3.scheme")
     for argv in (["q3", "--q", "83"], ["q1", "--q", "61"], ["regular", "--m", "3", "--partition", m3]):
         assert main(["construct", "--family", *argv, "--out", str(tmp_path)]) == 0
-    assert calls == []
-    assert main(["verify", str(tmp_path / "q1_q61_transformed.mat")]) == 0
-    assert calls == [124]
+    assert scans == []
+    path = tmp_path / "q1_q61_transformed.mat"
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 0
+    assert scans == []
+    certified = capsys.readouterr().out
+    # the same matrix with its rows reversed is not invariant: verify scans it
+    header, *rows = read(path).splitlines()
+    (tmp_path / "reversed.mat").write_text("\n".join([header, *rows[::-1]]) + "\n")
+    assert main(["verify", str(tmp_path / "reversed.mat")]) == 0
+    assert scans == [124]
+    assert capsys.readouterr().out == certified
 
 
 def test_construct_with_explicit_admissible_ell(tmp_path, capsys):
@@ -472,6 +481,41 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["hadamard"] is True
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{out}/q3_q11_transformed.mat"],
+        ["construct", "--family", "q3", "--q", "11", "--out", "{out}"],
+        ["search-params", "--family", "e8", "--q", "11"],
+        ["scheme", "--search", "--m", "3", "--e", "12"],
+        ["scheme", "--verify", str(SCHEMES_DIR / "m3.scheme")],
+    ],
+    ids=["verify", "construct", "search-params", "scheme-search", "scheme-verify"],
+)
+def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path, argv, unbuffered):
+    assert main(["construct", "--family", "q3", "--q", "11", "--out", str(tmp_path)]) == 0
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:  # each print raises at once, not at the final flush
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qrhadamard", *(arg.format(out=tmp_path) for arg in argv)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert "error: cannot write to stdout: [Errno 32] Broken pipe\n" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -1030,9 +1074,6 @@ def test_admissible_params_checks_the_partition_at_the_call():
     ext, _ = finite_field.quadratic_tower(17)
     with pytest.raises(schemes.SchemeInvalid, match="^partition fails scheme or eigenvalue-table verification$"):
         isets.admissible_params(ext, "scheme", partition=_swapped_m3())  # no next(): the call itself raises
-
-
-_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _proc_state(pid: str):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint
 
-from conftest import PARSE_CASES, shipped_partition, sylvester
+from conftest import PARSE_CASES, counted_scans, shipped_partition, sylvester
 from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
 from qrhadamard import matrix as mx
@@ -372,9 +372,28 @@ def test_report_json_fields(tower11):
     assert payload["row_sums"] == {"0": 3, "4": 9}
 
 
-# -- the omega^2 certificate that transform uses in place of the full check
+# -- the omega^2 certificate inside the one Hadamard check
 
-# every small base, including q = 3 and q = 5 and the regular family's negated2 base
+def serial_violation(h):
+    """The full check as one plain loop over the row pairs: the reference
+    for hadamard_violation's certificate and for its scan split over
+    processes."""
+    n, rows = h.n, h.rows
+    if n % 2 and n > 1:
+        return (0, 1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (rows[i] ^ rows[j]).bit_count() != n // 2:
+                return (i, j)
+    return None
+
+
+def reversed_rows(h):
+    return hd.SignMatrix(h.n, h.rows[::-1])
+
+
+# every small base, including q = 3 and q = 5 and the regular family's
+# negated2 base; q3 q = 11 and q1 q = 5 share order 12, which fits both layouts
 _BASES = (
     [("q3", q) for q in (3, 7, 11, 19, 23, 27, 31)]
     + [("q1", q) for q in (5, 9, 13, 17, 25, 29)]
@@ -382,21 +401,21 @@ _BASES = (
 )
 
 
-def certified_result(signed, base, q):
-    """transform's verdict: None under the certificate, else the full check's."""
-    return None if hd._certified(signed, base, q) else hd.hadamard_violation(signed)
-
-
 @pytest.mark.parametrize("family,q", _BASES)
-def test_certificate_agrees_with_the_full_check_on_the_bases(family, q):
+def test_certificate_agrees_with_the_full_check_on_the_bases(family, q, monkeypatch):
     h = hd.base_matrix(family, field_for(q))
-    assert hd.hadamard_violation(h) is None
-    assert hd._certified(h, h, q)
-    # a shape that is not q+1 or 2q+2 takes the full check
-    assert not hd._certified(h, h, q + 2)
+    assert mx._certified(h)
+    scans = counted_scans(monkeypatch)
+    assert hd.hadamard_violation(h) is None and scans == []
+    # still Hadamard, but not invariant: the scan passes it.  At n <= 8 the
+    # reversal is invariant too (at q = 3 sigma is the identity), and certifies.
+    rev = reversed_rows(h)
+    assert mx._certified(rev) == (h.n <= 8)
+    assert hd.hadamard_violation(rev) is None and scans == ([] if h.n <= 8 else [h.n])
     if family != "q3":  # both border rows equal: invariant, and only the border pair fails
         twin = hd.SignMatrix(h.n, h.rows[:1] * 2 + h.rows[2:])
-        assert certified_result(twin, twin, q) == (0, 1)
+        assert not mx._certified(twin)
+        assert hd.hadamard_violation(twin) == (0, 1)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -405,9 +424,7 @@ def test_certificate_holds_on_signings_of_the_bases(case, data):
     family, q = case
     h = hd.base_matrix(family, field_for(q))
     signs = st.lists(st.sampled_from([1, -1]), min_size=h.n, max_size=h.n)
-    signed = hd.apply_signing(h, data.draw(signs), data.draw(signs))
-    assert hd._certified(signed, h, q)
-    assert hd.hadamard_violation(signed) is None
+    assert mx._certified(hd.apply_signing(h, data.draw(signs), data.draw(signs)))
 
 
 def flipped(h, i, j):
@@ -422,38 +439,33 @@ def test_every_single_bit_flip_gets_the_full_check_verdict(family, q):
     part = shipped_partition(3) if family == "regular" else None
     base = hd.base_matrix(family, base_ctx)
     signed, _ = hd.transform(ext, family, h=base, partition=part)
-    for i in range(base.n):
-        for j in range(base.n):
-            bad_signed, bad_base = flipped(signed, i, j), flipped(base, i, j)
-            full = hd.hadamard_violation(bad_signed)
-            assert full is not None and certified_result(bad_signed, base, q) == full
-            full = hd.hadamard_violation(bad_base)
-            assert full is not None and certified_result(bad_base, bad_base, q) == full
+    for h in (signed, base):
+        for i in range(h.n):
+            for j in range(h.n):
+                bad = flipped(h, i, j)
+                want = serial_violation(bad)
+                assert want is not None and hd.hadamard_violation(bad) == want
 
 
 def test_transform_falls_back_to_the_full_check(monkeypatch, tower11):
     ext, base_ctx = tower11
     base = hd.base_matrix("q3", base_ctx)
-    full_check, real_signing = hd.hadamard_violation, hd.apply_signing
+    real_check, real_signing = hd.hadamard_violation, hd.apply_signing
     checked, signed = [], []
-    monkeypatch.setattr(hd, "hadamard_violation", lambda h: checked.append(h) or full_check(h))
+    monkeypatch.setattr(hd, "hadamard_violation", lambda h: checked.append(h) or real_check(h))
     monkeypatch.setattr(hd, "apply_signing", lambda *args: signed.append(real_signing(*args)) or signed[-1])
-    # broken invariance, still Hadamard (two rows swapped): the full check passes it
+    scans = counted_scans(monkeypatch)
+    hd.transform(ext, "q3", h=base)
+    assert checked == signed and scans == []
+    # two base rows swapped: still Hadamard, not invariant; the scan passes it
     rows = list(base.rows)
     rows[3], rows[4] = rows[4], rows[3]
-    swapped = hd.SignMatrix(base.n, rows)
-    assert not hd._certified(swapped, swapped, 11)
-    hd.transform(ext, "q3", h=swapped)
-    assert checked == signed
-    # broken invariance, not Hadamard: NotHadamard names the full check's first pair
+    hd.transform(ext, "q3", h=hd.SignMatrix(base.n, rows))
+    assert checked == signed and scans == [12]
+    # a flipped base: NotHadamard names the first bad pair
     with pytest.raises(hd.NotHadamard) as info:
         hd.transform(ext, "q3", h=flipped(base, 5, 7))
-    assert checked[-1] is signed[-1] and info.value.rows == full_check(signed[-1])
-    # invariant base, bad row-difference mask: the same
-    monkeypatch.setattr(hd, "apply_signing", lambda *args: signed.append(flipped(real_signing(*args), 9, 2)) or signed[-1])
-    with pytest.raises(hd.NotHadamard) as info:
-        hd.transform(ext, "q3", h=base)
-    assert checked[-1] is signed[-1] and info.value.rows == full_check(signed[-1])
+    assert checked == signed and info.value.rows == serial_violation(signed[-1])
 
 
 def test_instances_are_the_theorem_under_the_field_cap():
@@ -474,27 +486,21 @@ def test_instances_are_the_theorem_under_the_field_cap():
     assert [m for family, m, _ in ladder if family == "q3"] == [1, 2, 4, 7, 10, 16, 19, 22, 28]
 
 
-def serial_violation(h):
-    """The full check as one plain loop over the row pairs: the reference
-    for the scan that hadamard_violation splits over processes."""
-    n, rows = h.n, h.rows
-    if n % 2 and n > 1:
-        return (0, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (rows[i] ^ rows[j]).bit_count() != n // 2:
-                return (i, j)
-    return None
-
-
 @pytest.fixture(scope="module")
 def split_scan_matrices():
-    """Sylvester and Paley (I and II) matrices of order 512 to 1020."""
+    """Sylvester and Paley (I and II) matrices of order 512 to 1020.  The
+    Paley rows are reversed, so that the certificate fails and
+    hadamard_violation scans them."""
     return {
         "sylvester-512": sylvester(512),
-        "paley1-728": hd.construct_q3(build_field(727)),
-        "paley2-1020": hd.construct_q1(build_field(509)),
+        "paley1-728": reversed_rows(hd.construct_q3(build_field(727))),
+        "paley2-1020": reversed_rows(hd.construct_q1(build_field(509))),
     }
+
+
+def test_the_split_scan_matrices_are_not_certified(split_scan_matrices):
+    for name, h in split_scan_matrices.items():
+        assert not mx._certified(h), name
 
 
 def copied(h, *moves):
