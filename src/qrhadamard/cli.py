@@ -352,11 +352,12 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
-        return code
+        try:  # --help prints and exits inside parse_args
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
     except BrokenPipeError as exc:  # stdout closed: an unwritable output, like --out
         with open(os.devnull, "w") as null:  # where the bytes still buffered go
             os.dup2(null.fileno(), sys.stdout.fileno())

@@ -404,18 +404,20 @@ _BASES = (
 @pytest.mark.parametrize("family,q", _BASES)
 def test_certificate_agrees_with_the_full_check_on_the_bases(family, q, monkeypatch):
     h = hd.base_matrix(family, field_for(q))
+    assert serial_violation(h) is None
     assert mx._certified(h)
     scans = counted_scans(monkeypatch)
     assert hd.hadamard_violation(h) is None and scans == []
     # still Hadamard, but not invariant: the scan passes it.  At n <= 8 the
     # reversal is invariant too (at q = 3 sigma is the identity), and certifies.
     rev = reversed_rows(h)
+    assert serial_violation(rev) is None
     assert mx._certified(rev) == (h.n <= 8)
     assert hd.hadamard_violation(rev) is None and scans == ([] if h.n <= 8 else [h.n])
     if family != "q3":  # both border rows equal: invariant, and only the border pair fails
         twin = hd.SignMatrix(h.n, h.rows[:1] * 2 + h.rows[2:])
         assert not mx._certified(twin)
-        assert hd.hadamard_violation(twin) == (0, 1)
+        assert hd.hadamard_violation(twin) == serial_violation(twin) == (0, 1)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -424,7 +426,9 @@ def test_certificate_holds_on_signings_of_the_bases(case, data):
     family, q = case
     h = hd.base_matrix(family, field_for(q))
     signs = st.lists(st.sampled_from([1, -1]), min_size=h.n, max_size=h.n)
-    assert mx._certified(hd.apply_signing(h, data.draw(signs), data.draw(signs)))
+    signed = hd.apply_signing(h, data.draw(signs), data.draw(signs))
+    assert serial_violation(signed) is None
+    assert mx._certified(signed)
 
 
 def flipped(h, i, j):
