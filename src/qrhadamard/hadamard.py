@@ -1,8 +1,11 @@
 """The two quadratic-residue base constructions, the ladder of the paper's
 instances, and the row/column signing transform that reaches maximum
 excess.  transform proves its output Hadamard with the one check that
-``verify`` runs, qrhadamard.matrix.hadamard_violation, whose certificate
-takes O(n) popcounts on every matrix built here.
+``verify`` runs, qrhadamard.matrix.hadamard_violation.  Its first
+certificate takes O(n) popcounts on every matrix built here; its second,
+for Sylvester-type matrices of order 2^k, never runs on them, since no
+family order is a power of two.  Only a matrix that fails both gets the
+O(n^2) row-pair scan, split over the usable CPUs.
 
 The matrix names (SignMatrix, hadamard_violation, excess_and_bound, ...),
 the family table and the exceptions are importable from here too.
@@ -139,7 +142,7 @@ def _require_family(ext: FieldContext, family: str) -> int:
         raise NotPrimePower(str(exc)) from exc
 
 
-def _pieces(ext: FieldContext, family: str, m: int, params, partition):
+def _pieces(ext: FieldContext, family: str, m: int, params, partition, scheme_checked: bool):
     """The D sets of a family, their promised sizes, and one piece
     (design name, members, design, promised profile values, profile values
     whose blocks are negated, matrix row of block 0) per design the members
@@ -153,7 +156,7 @@ def _pieces(ext: FieldContext, family: str, m: int, params, partition):
             params = isets.find_params(ext, FAMILIES[family].key, partition)
         except isets.NotFound as exc:
             raise ParamSearchFailed(str(exc)) from exc
-    elif family == "regular":
+    elif family == "regular" and not scheme_checked:
         from .association_schemes import require_scheme
 
         require_scheme(ext, partition)
@@ -191,10 +194,15 @@ def transform(
     params: isets.ParamChoice | None = None,
     h: SignMatrix | None = None,
     partition=None,
+    *,
+    scheme_checked: bool = False,
 ):
     """Maximum-excess signing of a family's base matrix h (built by
     base_matrix when not given): negate the columns of the D sets, then the
-    rows of the blocks they meet in the promised sizes.
+    rows of the blocks they meet in the promised sizes.  The regular
+    family's partition is checked to be a scheme (by find_params when params
+    is None), unless scheme_checked says that the caller took params from
+    admissible_params over this partition, which checked it.
 
     - q3, q = 4m^2+4m+3: order q+1, row sums {2m-2, 2m+2}.
     - q1, q = 2m^2+2m+1: order 2q+2, row sums {2m-2, 2m+2} for odd m and
@@ -203,7 +211,7 @@ def transform(
       verified four-class partition of GF(q^2) given as partition.
     """
     m = _require_family(ext, family)
-    dsets, promised, pieces = _pieces(ext, family, m, params, partition)
+    dsets, promised, pieces = _pieces(ext, family, m, params, partition, scheme_checked)
     sizes = tuple(map(len, dsets))
     if sizes != promised:
         raise HadamardError(f"{family}: D-set sizes {sizes} break the promised sizes {promised}")

@@ -4,9 +4,12 @@ bound with the row-sum classification: all that ``verify`` runs.
 Rows are bit-packed (set bit = entry -1), so orthogonality checks run on
 word-wide popcounts, and all verification is exact integer arithmetic.
 hadamard_violation is the one Hadamard check, for files and constructions
-alike.  Its certificate (_certified) reads the matrix alone and proves each
-matrix the paper builds Hadamard in O(n) popcounts; any other matrix gets
-the full check: every row pair, O(n^2) popcounts.
+alike.  Two certificates read the matrix alone.  The first (_certified)
+proves each matrix the paper builds Hadamard in O(n) popcounts.  The second
+(_group_certified) runs only at orders n = 2^k and proves the matrices of
+Sylvester type, whose rows form a group under XOR up to sign, in O(n k)
+XORs and n popcounts.  Any other matrix gets the full check: every row
+pair, O(n^2) popcounts.
 
 The full check is split over the CPUs this process may run on, with no
 option to choose: the rows are interleaved over one scanner per usable CPU
@@ -123,7 +126,7 @@ def hadamard_violation(h: SignMatrix) -> tuple[int, int] | None:
     n, rows = h.n, h.rows
     if n % 2 and n > 1:
         return (0, 1)
-    if _certified(h):
+    if _certified(h) or _group_certified(h):
         return None
     w = _scanner_count(n)
     if w > 1:
@@ -177,6 +180,47 @@ def _certified(h: SignMatrix) -> bool:
         if all((rows[i] ^ rows[j]).bit_count() == n // 2 for i in reps for j in range(n) if j != i):
             return True
     return False
+
+
+def _group_certified(h: SignMatrix) -> bool:
+    """Exact proof that h, of order n = 2^k, is Hadamard because its rows
+    form a group up to sign (Sylvester type), or False when it fails.
+
+    Row i gives the mask u_i = rows[i] ^ rows[0], complemented when its bit 0
+    is set.  The u_i must be pairwise distinct, span a GF(2) space of rank
+    at most k, and each nonzero one must have weight n/2.  Then the n
+    distinct masks are that whole space of 2^k = n members, so for i != j
+    rows[i] ^ rows[j] is u_i ^ u_j, a nonzero member, or its complement:
+    n/2 places either way, and every row pair is orthogonal.  The masks are
+    kept as their coordinates in an echelon basis, one byte of seen per
+    coordinate, so the proof takes O(n k) XORs and O(n) extra bytes."""
+    n, rows = h.n, h.rows
+    k = n.bit_length() - 1
+    if n != 1 << k:
+        return False
+    full, half, first = (1 << n) - 1, n // 2, rows[0]
+    basis = []  # (pivot bit, vector); a vector holds no earlier pivot
+    seen = bytearray(n)
+    for r in rows:
+        u = r ^ first
+        if u & 1:
+            u ^= full
+        if u and u.bit_count() != half:
+            return False
+        coord = 0
+        for t, (pivot, vector) in enumerate(basis):
+            if u & pivot:
+                u ^= vector
+                coord |= 1 << t
+        if u:
+            if len(basis) == k:
+                return False
+            coord |= 1 << len(basis)
+            basis.append((u & -u, u))
+        if seen[coord]:
+            return False
+        seen[coord] = 1
+    return True
 
 
 # Fewest rows a scanner takes: an order below twice this is scanned serially.

@@ -1,7 +1,8 @@
 """Shared test helpers.
 
-No RNG anywhere: tests that need "random-looking" elements draw them from
-the fixed counter sequence below, so every run is byte-for-byte identical.
+No unseeded RNG: tests that need "random-looking" elements draw them from
+the fixed counter sequence below or from a random.Random with a fixed seed,
+so every run is byte-for-byte identical.
 """
 
 from pathlib import Path
@@ -28,6 +29,41 @@ def sylvester(order: int):
         rows = [r | r << n for r in rows] + [r | (r ^ (1 << n) - 1) << n for r in rows]
         n *= 2
     return SignMatrix(n, rows)
+
+
+def kronecker(a, b):
+    """The Kronecker product of two sign matrices: entry (i b.n + k, j b.n + l)
+    is a[i][j] b[k][l]."""
+    from qrhadamard.matrix import SignMatrix
+
+    full = (1 << b.n) - 1
+    repeat = sum(1 << j * b.n for j in range(a.n))  # rb * repeat: rb in every block
+    signs = [sum(full << j * b.n for j in range(a.n) if ra >> j & 1) for ra in a.rows]
+    return SignMatrix(a.n * b.n, [sign ^ rb * repeat for sign in signs for rb in b.rows])
+
+
+def scrambled(h, rng):
+    """A Hadamard-equivalent copy of h: its rows and columns permuted and
+    negated at random by rng, a random.Random."""
+    from operator import itemgetter
+
+    from qrhadamard.matrix import SignMatrix
+
+    n, full = h.n, (1 << h.n) - 1
+    spec, cols = f"0{n}b", itemgetter(*rng.sample(range(n), n))
+    negated = rng.getrandbits(n)
+    rows = [r ^ negated ^ (full if rng.getrandbits(1) else 0) for r in rng.sample(h.rows, n)]
+    return SignMatrix(n, [int("".join(cols(format(r, spec))), 2) for r in rows])
+
+
+def paley_sylvester(order: int):
+    """A Hadamard matrix of a power-of-two order >= 64 that is not of
+    Sylvester type, so no certificate proves it and hadamard_violation scans
+    it: Paley I of order 32 (q = 31), Kronecker times Sylvester's."""
+    from qrhadamard.finite_field import build_field
+    from qrhadamard.hadamard import construct_q3
+
+    return kronecker(construct_q3(build_field(31)), sylvester(order // 32))
 
 
 def counted_scans(monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PARSE_CASES, SCHEMES_DIR, counted_scans, shipped_partition, sylvester
+from conftest import PARSE_CASES, SCHEMES_DIR, counted_scans, paley_sylvester, shipped_partition, sylvester
 from qrhadamard import association_schemes as schemes
 from qrhadamard import cli, finite_field
 from qrhadamard import hadamard as hd
@@ -195,10 +195,10 @@ def test_run_constructions_script_fails_on_a_pin_or_a_shortfall(tmp_path, monkey
     # a transform that leaves q3 unsigned misses the bound: exit 1 even with its digests pinned
     real = hd.transform
 
-    def unsigned_q3(ext, family, params=None, h=None, partition=None):
+    def unsigned_q3(ext, family, params=None, h=None, partition=None, **checks):
         if family == "q3":
             return h, hd.excess_and_bound(h)
-        return real(ext, family, params, h, partition)
+        return real(ext, family, params, h, partition, **checks)
 
     monkeypatch.setattr(hd, "transform", unsigned_q3)
     diag = '{"bound": 36, "classification": "biregular(k1=10,k2=2,m1=1,m2=11)", "excess": 32}'
@@ -222,7 +222,7 @@ def test_construct_exits_1_on_a_shortfall_or_a_broken_promise(tmp_path, monkeypa
     }
     # the base matrix left unsigned: biregular, but below the bound
     h = hd.base_matrix("q3", base)
-    monkeypatch.setattr(hd, "transform", lambda ext, family, params, h, partition: (h, hd.excess_and_bound(h)))
+    monkeypatch.setattr(hd, "transform", lambda ext, family, params, h, partition, **_: (h, hd.excess_and_bound(h)))
     assert main(["construct", "--family", "q3", "--m", "1", "--out", str(tmp_path)]) == 1
     diag = {"bound": 36, "classification": "biregular(k1=10,k2=2,m1=1,m2=11)", "excess": 32}
     assert json.loads(capsys.readouterr().err) == {"verification_failure": diag}
@@ -727,20 +727,22 @@ def test_fuzz_streamed_verify_matches_the_read_all_path(tmp_path_factory, data):
 
 
 def test_verify_peak_memory_is_below_the_file_size(tmp_path, capsys):
-    f = tmp_path / "sylvester.mat"
-    f.write_text(sylvester(512).to_text())
     one = tmp_path / "one.mat"
     one.write_text("1\n+\n")
     assert main(["verify", str(one)]) == 0  # the stdlib modules argparse imports on first use
-    capsys.readouterr()
-    tracemalloc.start()
-    try:
-        assert main(["verify", str(f)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert json.loads(capsys.readouterr().out)["hadamard"] is True
-    assert peak < f.stat().st_size / 2, (peak, f.stat().st_size)
+    # Sylvester's takes the row-group certificate; the other one the split scan
+    for matrix in (sylvester, paley_sylvester):
+        f = tmp_path / f"{matrix.__name__}.mat"
+        f.write_text(matrix(512).to_text())
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(["verify", str(f)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert json.loads(capsys.readouterr().out)["hadamard"] is True
+        assert peak < f.stat().st_size / 2, (matrix.__name__, peak, f.stat().st_size)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1055,7 +1057,8 @@ def test_partition_with_the_wrong_e_exits_2_from_every_command(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize(
+# the commands that read a partition, with an admissible --ell
+_SCHEME_COMMANDS = pytest.mark.parametrize(
     "argv",
     [
         ["construct", "--family", "regular", "--m", "3", "--out", "{out}", "--partition", "{part}"],
@@ -1064,6 +1067,9 @@ def test_partition_with_the_wrong_e_exits_2_from_every_command(tmp_path, capsys,
     ],
     ids=["construct", "construct-ell", "search-params"],
 )
+
+
+@_SCHEME_COMMANDS
 def test_every_command_checks_the_intersection_numbers(tmp_path, capsys, monkeypatch, argv):
     # m3.scheme matches table 1; a report that its intersection numbers are
     # not constant must still stop every command that reads it, before any output
@@ -1073,6 +1079,21 @@ def test_every_command_checks_the_intersection_numbers(tmp_path, capsys, monkeyp
     assert main([arg.format(out=tmp_path / "out", part=SCHEMES_DIR / "m3.scheme") for arg in argv]) == 1
     assert capsys.readouterr() == ("", _NOT_A_SCHEME)
     assert not (tmp_path / "out").exists()
+
+
+@_SCHEME_COMMANDS
+def test_every_command_verifies_the_scheme_once(tmp_path, capsys, monkeypatch, argv):
+    calls, real = [], schemes.verify_scheme
+    monkeypatch.setattr(schemes, "verify_scheme", lambda ext, part: calls.append(part) or real(ext, part))
+    assert main([arg.format(out=tmp_path / "out", part=SCHEMES_DIR / "m3.scheme") for arg in argv]) == 0
+    assert calls == [shipped_partition(3)]
+
+
+def test_transform_with_given_params_checks_the_partition():
+    ext, _ = finite_field.quadratic_tower(17)
+    params = isets.find_params(ext, "scheme", shipped_partition(3))
+    with pytest.raises(schemes.SchemeInvalid):
+        hd.transform(ext, "regular", params, partition=_swapped_m3())
 
 
 def test_admissible_params_checks_the_partition_at_the_call():
@@ -1093,8 +1114,8 @@ def _proc_state(pid: str):
 def test_a_killed_verify_leaves_no_scanner_behind(tmp_path):
     # order 4096: a scanner's share of the scan takes ~2 s, so one that ran on
     # after its parent died would outlive the 1 s bound below
-    f = tmp_path / "sylvester.mat"
-    f.write_text(sylvester(4096).to_text())
+    f = tmp_path / "h.mat"
+    f.write_text(paley_sylvester(4096).to_text())
     argv = [sys.executable, "-c", "import sys; from qrhadamard import cli, matrix; matrix._scanner_count = lambda n: 2; "
             "sys.exit(cli.main(sys.argv[1:]))", "verify", str(f)]
     proc = subprocess.Popen(argv, start_new_session=True, env={**os.environ, "PYTHONPATH": _SRC}, stdout=subprocess.DEVNULL)
@@ -1139,7 +1160,7 @@ sys.exit(code)
 
 @pytest.mark.parametrize("flip", [False, True])
 def test_a_split_verify_unwinds_the_caller_once(tmp_path, flip):
-    h = sylvester(1024)
+    h = paley_sylvester(1024)
     if flip:
         h = hd.SignMatrix(h.n, h.rows[:-1] + [h.rows[-1] ^ 1])
     f, log = tmp_path / "h.mat", tmp_path / "log.txt"

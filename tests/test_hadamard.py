@@ -1,4 +1,5 @@
 import os
+import random
 from collections import Counter
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint
 
-from conftest import PARSE_CASES, counted_scans, shipped_partition, sylvester
+from conftest import PARSE_CASES, counted_scans, kronecker, paley_sylvester, scrambled, shipped_partition, sylvester
 from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
 from qrhadamard import matrix as mx
@@ -490,13 +491,105 @@ def test_instances_are_the_theorem_under_the_field_cap():
     assert [m for family, m, _ in ladder if family == "q3"] == [1, 2, 4, 7, 10, 16, 19, 22, 28]
 
 
+# -- the row-group certificate: matrices of Sylvester type
+
+def serial_scan(h):
+    """hadamard_violation's scan run by this process alone."""
+    return mx._scan(h.rows, h.n, 0, 1, [h.n], 0)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_group_certificate_proves_scrambled_sylvester_matrices(k, monkeypatch):
+    h = scrambled(sylvester(2**k), random.Random(k))
+    assert mx._group_certified(h)
+    if k <= 10:
+        assert serial_scan(h) is None
+    scans = counted_scans(monkeypatch)
+    assert hd.hadamard_violation(h) is None and scans == []
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_group_certificate_proves_the_regular_kronecker_powers(k, monkeypatch):
+    core = from_entries([[-1 if i == j else 1 for j in range(4)] for i in range(4)])  # J - 2I
+    h = core
+    for _ in range(k - 1):
+        h = kronecker(h, core)
+    assert mx._group_certified(h) and serial_scan(h) is None
+    scans = counted_scans(monkeypatch)
+    rep = hd.excess_and_bound(h)
+    assert scans == []
+    assert rep.classification == f"regular(r={2**k})" and rep.excess == rep.bound == 8**k
+
+
+@pytest.mark.parametrize("n,hadamard", [(2, 8), (4, 768)])
+def test_group_certificate_decides_every_matrix_of_order_2_and_4(n, hadamard):
+    # every Hadamard matrix of order 1, 2, 4 or 8 is of Sylvester type, so
+    # at these orders the certificate proves exactly the Hadamard matrices
+    full, certified = (1 << n) - 1, 0
+    for bits in range(1 << n * n):
+        h = hd.SignMatrix(n, [bits >> n * i & full for i in range(n)])
+        proved = mx._group_certified(h)
+        assert proved == (serial_scan(h) is None), h.rows
+        certified += proved
+    assert certified == hadamard
+
+
+def test_group_certificate_decides_random_matrices_of_order_8():
+    rng, base = random.Random(8), sylvester(8)
+    counts = Counter()
+    for trial in range(20000):
+        if trial % 2:
+            h = hd.SignMatrix(8, [rng.getrandbits(8) for _ in range(8)])
+        else:  # a scrambled Sylvester matrix with up to two flipped entries or copied rows
+            h = scrambled(base, rng)
+            for _ in range(rng.randrange(3)):
+                i, j = rng.randrange(8), rng.randrange(8)
+                h = flipped(h, i, j) if rng.getrandbits(1) else copied(h, (i, j, rng.choice((1, -1))))
+        proved = mx._group_certified(h)
+        assert proved == (serial_scan(h) is None), h.rows
+        counts[proved] += 1
+    assert min(counts.values()) > 2000, counts
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_group_certificate_refuses_near_misses_and_the_scan_answers(k, monkeypatch):
+    n = 2**k
+    h = scrambled(sylvester(n), random.Random(100 + k))
+    spots = range(n) if n <= 16 else (0, 1, n // 2, n - 1)
+    cases = [flipped(h, i, j) for i in spots for j in spots]
+    cases += [copied(h, (0, n - 1, 1)), copied(h, (n - 1, 1, 1)), copied(h, (1, 2, 1))]  # a duplicated row
+    cases += [copied(h, (0, n - 1, -1)), copied(h, (n - 1, 1, -1)), copied(h, (2, 1, -1))]  # a complemented row
+    scans = counted_scans(monkeypatch)
+    for bad in cases:
+        assert not mx._group_certified(bad), bad.rows
+        want = serial_violation(bad)
+        assert want is not None and hd.hadamard_violation(bad) == want
+    assert scans == [n] * len(cases)
+
+
+@pytest.mark.parametrize("q", [31, 127])
+def test_group_certificate_refuses_paley_matrices(q, monkeypatch):
+    h = hd.construct_q3(build_field(q))
+    assert not mx._group_certified(h)
+    rev = reversed_rows(h)  # not invariant either: the scan answers
+    assert not mx._group_certified(rev) and not mx._certified(rev)
+    scans = counted_scans(monkeypatch)
+    assert hd.hadamard_violation(rev) is None and scans == [q + 1]
+
+
+def test_group_certificate_needs_the_weights():
+    h = hd.SignMatrix(4, [0b0000, 0b0010, 0b0100, 0b0110])  # a group of masks, weights 1, 1, 2
+    assert not mx._group_certified(h)
+    assert hd.hadamard_violation(h) == serial_violation(h) == (0, 1)
+
+
 @pytest.fixture(scope="module")
 def split_scan_matrices():
-    """Sylvester and Paley (I and II) matrices of order 512 to 1020.  The
-    Paley rows are reversed, so that the certificate fails and
-    hadamard_violation scans them."""
+    """Hadamard matrices of order 512 to 1020 that no certificate proves, so
+    hadamard_violation scans them: Paley I of order 32 Kronecker times
+    Sylvester's of order 16, and Paley I and II with their rows reversed."""
     return {
-        "sylvester-512": sylvester(512),
+        "kronecker-512": paley_sylvester(512),
         "paley1-728": reversed_rows(hd.construct_q3(build_field(727))),
         "paley2-1020": reversed_rows(hd.construct_q1(build_field(509))),
     }
@@ -504,7 +597,7 @@ def split_scan_matrices():
 
 def test_the_split_scan_matrices_are_not_certified(split_scan_matrices):
     for name, h in split_scan_matrices.items():
-        assert not mx._certified(h), name
+        assert not mx._certified(h) and not mx._group_certified(h), name
 
 
 def copied(h, *moves):
@@ -538,7 +631,7 @@ def split_scan_cases(h):
             yield copied(h, (4 * w, n - 1, 1), (4 * w - 1, n - 2, -1)), (w,)
 
 
-@pytest.mark.parametrize("name", ["sylvester-512", "paley1-728", "paley2-1020"])
+@pytest.mark.parametrize("name", ["kronecker-512", "paley1-728", "paley2-1020"])
 def test_split_scan_finds_the_serial_first_pair(name, split_scan_matrices, monkeypatch):
     for h, ws in split_scan_cases(split_scan_matrices[name]):
         want = serial_violation(h)
@@ -571,7 +664,7 @@ def assert_no_child_left():
 
 def test_split_scan_reaps_every_scanner(split_scan_matrices, monkeypatch):
     monkeypatch.setattr(mx, "_scanner_count", lambda n: 3)
-    h = split_scan_matrices["sylvester-512"]
+    h = split_scan_matrices["kronecker-512"]
     assert hd.hadamard_violation(h) is None
     assert_no_child_left()
     assert hd.hadamard_violation(copied(h, (40, 41, 1))) == (40, 41)
@@ -596,7 +689,7 @@ def test_a_raising_parent_kills_and_reaps_its_scanners(split_scan_matrices, monk
 def test_a_failing_or_garbled_scanner_falls_back_to_the_serial_scan(split_scan_matrices, monkeypatch):
     monkeypatch.setattr(mx, "_scanner_count", lambda n: 3)
     parent, real_scan, real_write = os.getpid(), mx._scan, os.write
-    h = split_scan_matrices["sylvester-512"]
+    h = split_scan_matrices["kronecker-512"]
     cases = [h, copied(h, (2, 300, 1)), copied(h, (1, 300, -1))]
 
     def failing_scan(*args):
