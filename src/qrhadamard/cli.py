@@ -118,15 +118,15 @@ def _print_payload(payload: dict, fmt: str) -> None:
             print(f"{k}: {json.dumps(v, sort_keys=True)}")
 
 
-def construction(ext, family: str, params=None, partition=None, scheme_checked: bool = False):
+def construction(ext, family: str, params=None, partition=None):
     """Build and sign one family instance over the tower ext: its excess
     report, and its output files as file name -> text chunks, made as they
     are read.  construct writes these files; scripts/run_constructions.py
-    hashes them.  scheme_checked is hadamard.transform's."""
+    hashes them."""
     from . import hadamard as hd
 
     base_matrix = hd.base_matrix(family, ext.subfield)
-    signed, rep = hd.transform(ext, family, params, base_matrix, partition, scheme_checked=scheme_checked)
+    signed, rep = hd.transform(ext, family, params, base_matrix, partition)
     prefix = f"{family}_q{ext.subfield.q}"
     return rep, {
         prefix + "_base.mat": base_matrix.text_lines(),
@@ -164,7 +164,7 @@ def cmd_construct(args) -> int:
 
     params = None
     if args.ell is not None:
-        choices = admissible_params(ext, fam.key, partition)  # checks the partition
+        choices = admissible_params(ext, fam.key, partition)
         params = next((cand for cand in choices if cand.ell >= args.ell), None)  # ascending ell
         if params is None or params.ell != args.ell:
             raise UsageError(f"--ell {args.ell} is not admissible for this family")
@@ -173,7 +173,7 @@ def cmd_construct(args) -> int:
     elif args.h is not None:
         raise UsageError("--h needs --ell")
 
-    rep, files = construction(ext, family, params, partition, scheme_checked=params is not None)
+    rep, files = construction(ext, family, params, partition)
     out = args.out or "."
     try:
         os.makedirs(out, exist_ok=True)

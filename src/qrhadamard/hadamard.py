@@ -142,7 +142,7 @@ def _require_family(ext: FieldContext, family: str) -> int:
         raise NotPrimePower(str(exc)) from exc
 
 
-def _pieces(ext: FieldContext, family: str, m: int, params, partition, scheme_checked: bool):
+def _pieces(ext: FieldContext, family: str, m: int, params, partition):
     """The D sets of a family, their promised sizes, and one piece
     (design name, members, design, promised profile values, profile values
     whose blocks are negated, matrix row of block 0) per design the members
@@ -156,7 +156,7 @@ def _pieces(ext: FieldContext, family: str, m: int, params, partition, scheme_ch
             params = isets.find_params(ext, FAMILIES[family].key, partition)
         except isets.NotFound as exc:
             raise ParamSearchFailed(str(exc)) from exc
-    elif family == "regular" and not scheme_checked:
+    elif family == "regular":
         from .association_schemes import require_scheme
 
         require_scheme(ext, partition)
@@ -194,15 +194,10 @@ def transform(
     params: isets.ParamChoice | None = None,
     h: SignMatrix | None = None,
     partition=None,
-    *,
-    scheme_checked: bool = False,
 ):
     """Maximum-excess signing of a family's base matrix h (built by
     base_matrix when not given): negate the columns of the D sets, then the
-    rows of the blocks they meet in the promised sizes.  The regular
-    family's partition is checked to be a scheme (by find_params when params
-    is None), unless scheme_checked says that the caller took params from
-    admissible_params over this partition, which checked it.
+    rows of the blocks they meet in the promised sizes.
 
     - q3, q = 4m^2+4m+3: order q+1, row sums {2m-2, 2m+2}.
     - q1, q = 2m^2+2m+1: order 2q+2, row sums {2m-2, 2m+2} for odd m and
@@ -211,7 +206,7 @@ def transform(
       verified four-class partition of GF(q^2) given as partition.
     """
     m = _require_family(ext, family)
-    dsets, promised, pieces = _pieces(ext, family, m, params, partition, scheme_checked)
+    dsets, promised, pieces = _pieces(ext, family, m, params, partition)
     sizes = tuple(map(len, dsets))
     if sizes != promised:
         raise HadamardError(f"{family}: D-set sizes {sizes} break the promised sizes {promised}")

@@ -196,7 +196,7 @@ def _group_certified(h: SignMatrix) -> bool:
     coordinate, so the proof takes O(n k) XORs and O(n) extra bytes."""
     n, rows = h.n, h.rows
     k = n.bit_length() - 1
-    if n != 1 << k:
+    if n < 1 or n != 1 << k:
         return False
     full, half, first = (1 << n) - 1, n // 2, rows[0]
     basis = []  # (pivot bit, vector); a vector holds no earlier pivot

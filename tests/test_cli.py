@@ -195,10 +195,10 @@ def test_run_constructions_script_fails_on_a_pin_or_a_shortfall(tmp_path, monkey
     # a transform that leaves q3 unsigned misses the bound: exit 1 even with its digests pinned
     real = hd.transform
 
-    def unsigned_q3(ext, family, params=None, h=None, partition=None, **checks):
+    def unsigned_q3(ext, family, params=None, h=None, partition=None):
         if family == "q3":
             return h, hd.excess_and_bound(h)
-        return real(ext, family, params, h, partition, **checks)
+        return real(ext, family, params, h, partition)
 
     monkeypatch.setattr(hd, "transform", unsigned_q3)
     diag = '{"bound": 36, "classification": "biregular(k1=10,k2=2,m1=1,m2=11)", "excess": 32}'
@@ -222,7 +222,7 @@ def test_construct_exits_1_on_a_shortfall_or_a_broken_promise(tmp_path, monkeypa
     }
     # the base matrix left unsigned: biregular, but below the bound
     h = hd.base_matrix("q3", base)
-    monkeypatch.setattr(hd, "transform", lambda ext, family, params, h, partition, **_: (h, hd.excess_and_bound(h)))
+    monkeypatch.setattr(hd, "transform", lambda ext, family, params, h, partition: (h, hd.excess_and_bound(h)))
     assert main(["construct", "--family", "q3", "--m", "1", "--out", str(tmp_path)]) == 1
     diag = {"bound": 36, "classification": "biregular(k1=10,k2=2,m1=1,m2=11)", "excess": 32}
     assert json.loads(capsys.readouterr().err) == {"verification_failure": diag}
@@ -1057,8 +1057,7 @@ def test_partition_with_the_wrong_e_exits_2_from_every_command(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-# the commands that read a partition, with an admissible --ell
-_SCHEME_COMMANDS = pytest.mark.parametrize(
+@pytest.mark.parametrize(
     "argv",
     [
         ["construct", "--family", "regular", "--m", "3", "--out", "{out}", "--partition", "{part}"],
@@ -1067,9 +1066,6 @@ _SCHEME_COMMANDS = pytest.mark.parametrize(
     ],
     ids=["construct", "construct-ell", "search-params"],
 )
-
-
-@_SCHEME_COMMANDS
 def test_every_command_checks_the_intersection_numbers(tmp_path, capsys, monkeypatch, argv):
     # m3.scheme matches table 1; a report that its intersection numbers are
     # not constant must still stop every command that reads it, before any output
@@ -1079,14 +1075,6 @@ def test_every_command_checks_the_intersection_numbers(tmp_path, capsys, monkeyp
     assert main([arg.format(out=tmp_path / "out", part=SCHEMES_DIR / "m3.scheme") for arg in argv]) == 1
     assert capsys.readouterr() == ("", _NOT_A_SCHEME)
     assert not (tmp_path / "out").exists()
-
-
-@_SCHEME_COMMANDS
-def test_every_command_verifies_the_scheme_once(tmp_path, capsys, monkeypatch, argv):
-    calls, real = [], schemes.verify_scheme
-    monkeypatch.setattr(schemes, "verify_scheme", lambda ext, part: calls.append(part) or real(ext, part))
-    assert main([arg.format(out=tmp_path / "out", part=SCHEMES_DIR / "m3.scheme") for arg in argv]) == 0
-    assert calls == [shipped_partition(3)]
 
 
 def test_transform_with_given_params_checks_the_partition():

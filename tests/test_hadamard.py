@@ -577,6 +577,12 @@ def test_group_certificate_refuses_paley_matrices(q, monkeypatch):
     assert hd.hadamard_violation(rev) is None and scans == [q + 1]
 
 
+def test_the_empty_matrix_is_still_hadamard():
+    h = hd.SignMatrix(0, [])
+    assert not mx._group_certified(h)
+    assert hd.hadamard_violation(h) is None and hd.is_hadamard(h)
+
+
 def test_group_certificate_needs_the_weights():
     h = hd.SignMatrix(4, [0b0000, 0b0010, 0b0100, 0b0110])  # a group of masks, weights 1, 1, 2
     assert not mx._group_certified(h)
