@@ -44,7 +44,8 @@ def gauss_periods(ctx: FieldContext, e: int) -> tuple[complex, ...]:
     """Additive-character sums over the e cyclotomic classes."""
     _check_order(ctx, e)
     zp = roots_of_unity(ctx.p)
-    counts = [Counter(ctx.trace_table[r::e]) for r in range(e)]  # trace value -> count per class
+    # trace value -> count, per class
+    counts = [Counter(map(ctx.trace, range(r, ctx.order, e))) for r in range(e)]
     return tuple(sum(c * zp[t] for t, c in sorted(row.items())) for row in counts)
 
 
@@ -53,9 +54,12 @@ def cyclotomic_numbers(ctx: FieldContext, e: int) -> tuple[tuple[int, ...], ...]
     """T[a][b] = #{t : t = a, Z(t) = b (mod e), Z(t) != ZERO}, Z the Zech
     logarithm: the number of x in class a with 1 + x in class b, the
     cyclotomic number (a, b)_e (T. Storer, *Cyclotomy and Difference Sets*,
-    1967)."""
+    1967).  It reads each Zech logarithm once and keeps none: a tower field
+    GF(q'^2) computes each from GF(q') coordinates and holds no table of
+    q'^2 entries."""
     _check_order(ctx, e)
-    counts = Counter(t % e * e + z % e for t, z in enumerate(ctx.zech_table) if z != ZERO)
+    zech = map(ctx._zech, range(ctx.order))
+    counts = Counter(t % e * e + z % e for t, z in enumerate(zech) if z != ZERO)
     return tuple(tuple(counts[a * e + b] for b in range(e)) for a in range(e))
 
 

@@ -32,17 +32,13 @@ c = N(omega)^(k div (q'+1)) in GF(q'), and omega^r = a_r + b_r omega for
 r <= q', filled by the recurrence omega^2 = Tr(omega) omega - N(omega).
 Back from coordinates, a + b omega with b != 0 is (b / b_r) omega^r for the
 one r with a_r / b_r = a / b, read from a table of q' entries.  So a Zech
-logarithm costs a few subfield operations.  Its ``log_table`` and
-``trace_table`` are built on first use by the same walk as an odd-degree
-field's.
+logarithm costs a few subfield operations.  The absolute trace goes through
+the subfield too: Tr(omega^k) = Tr'(c Tr_{q/q'}(omega^r)), and the q' + 1
+relative traces Tr_{q/q'}(omega^r) = 2 a_r + b_r Tr_{q/q'}(omega) are kept.
+Such a field has no log, trace or Zech table and holds O(q') ints;
+``trace(k)`` answers for both kinds of field.
 
-The full ``zech_table``, the Zech logarithm for every k, is built on first
-use and cached; its only reader is the table of cyclotomic numbers
-(``character_sums.cyclotomic_numbers``) that the association-scheme
-verification counts with, on small fields.
-
-Contexts do not change after construction apart from those caches, and all
-operations are pure.
+Contexts do not change after construction, and all operations are pure.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 
 from .errors import DivisionByZero, FieldError, NoSubfield, NotPrime, TooLarge
@@ -58,14 +54,14 @@ from .errors import DivisionByZero, FieldError, NoSubfield, NotPrime, TooLarge
 ZERO = -1  # rep of the zero element; logs are >= 0
 _NOT_PRIMITIVE = "omega repeats an element; it is not primitive"
 
-# Peak table memory per field element, for a field that builds its tables:
-# the log and trace tables, 4 bytes each (built with an odd-degree context,
-# on first use by an even-degree one); the Zech table, 4 bytes, built on
-# first use; plus at most 4 bytes of transient lookup tables (p and p^(f-1)
-# entries, so at most q entries).  An even-degree field itself holds three
-# tables of about sqrt(q) entries, but any context may still build all of
-# its tables, so the budget counts them.  Fields whose tables would exceed
-# the budget are refused before anything is factored or allocated.
+# Peak table memory per field element, for an odd-degree field, the only
+# kind that builds tables: the log and trace tables, 4 bytes each, plus at
+# most 4 bytes of transient lookup tables (p and p^(f-1) entries, so at most
+# q entries).  The budget counts 16 bytes, so the cap is 2^24 elements.
+# An even-degree field GF(q'^2) holds four tables of about q' entries and
+# needs no cap of its own; on it the cap only bounds q' <= 4096, and so the
+# order of the matrices built from it.  Fields over the cap are refused
+# before anything is factored or allocated.
 TABLE_BYTES_PER_ELEMENT = 16
 TABLE_BUDGET_BYTES = 256 << 20
 MAX_FIELD_SIZE = TABLE_BUDGET_BYTES // TABLE_BYTES_PER_ELEMENT  # 2^24
@@ -249,8 +245,8 @@ class FieldContext:
     Elements are ints: a log index in [0, q-1) or ZERO.  When f is even the
     context also holds GF(p^(f/2)) together with the canonical embedding of
     it onto the Frobenius-fixed subfield, so that the relative trace
-    x + x^q' can be mapped back to subfield representation, and it adds
-    through the subfield coordinates of omega^0, ..., omega^q'.
+    x + x^q' can be mapped back to subfield representation, and it adds and
+    takes traces through the subfield coordinates of omega^0, ..., omega^q'.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -314,21 +310,10 @@ class FieldContext:
         self.trace_table = trace
         self.log_table = log
 
-    # An even-degree field reads these tables only when asked; the walk
-    # stores both, shadowing the two properties.
-    @cached_property
-    def log_table(self) -> array:
-        self._build_tables()
-        return self.log_table
-
-    @cached_property
-    def trace_table(self) -> array:
-        self._build_tables()
-        return self.trace_table
-
     def _build_tower(self) -> None:
         """Coordinates (a_r, b_r) over the subfield of omega^r = a_r + b_r omega
-        for r <= q', q' = |subfield|, and the map R from a_r / b_r back to r."""
+        for r <= q', q' = |subfield|, the map R from a_r / b_r back to r, and
+        the relative traces Tr_{q/q'}(omega^r) = 2 a_r + b_r Tr(omega)."""
         sub, p, mod_poly = self.subfield, self.p, self.spec.modulus
         nu, t, t_inv, sub_logs = _subfield_logs(self, sub)
         self._nu = nu
@@ -341,19 +326,28 @@ class FieldContext:
         minus_norm = sub.neg(t_inv)
         coords_a = array("i", [ZERO]) * (sub.q + 1)
         coords_b = array("i", [ZERO]) * (sub.q + 1)
+        rel_traces = array("i", [ZERO]) * (sub.q + 1)
         back = array("i", [0]) * sub.q
         a, b = sub.one, ZERO
         for r in range(sub.q + 1):
             coords_a[r], coords_b[r] = a, b
+            rel_traces[r] = sub.add(sub.add(a, a), sub.mul(trace, b))
             if r:  # b != 0: omega is primitive, so omega^r lies outside GF(q')
                 back[sub.canonical_index(sub.mul(a, sub.inv(b)))] = r
             a, b = sub.mul(minus_norm, b), sub.add(a, sub.mul(trace, b))
         self._coords_a, self._coords_b, self._back = coords_a, coords_b, back
+        self._rel_traces = rel_traces
 
-    @cached_property
-    def zech_table(self) -> array:
-        """Z[k] = log(1 + omega^k) for every k; ZERO where 1 + omega^k = 0."""
-        return array("i", map(self._zech, range(self.order)))
+    def trace(self, k: int) -> int:
+        """Tr(omega^k) into GF(p), an int in [0, p)."""
+        sub = self.subfield
+        if sub is None:
+            return self.trace_table[k]
+        # omega^k = c omega^r with c in GF(q'), so Tr(omega^k) = Tr'(c Tr_{q/q'}(omega^r))
+        rel = self._rel_traces[k % self._nu]
+        if rel == ZERO:
+            return 0
+        return sub.trace((k // self._nu * self._project_mult + rel) % sub.order)
 
     def _zech(self, k: int) -> int:
         """Z[k] = log(1 + omega^k)."""
@@ -457,9 +451,6 @@ class FieldContext:
     def canonical_index(self, a: int) -> int:
         return 0 if a == ZERO else a + 1
 
-    def element_at(self, idx: int) -> int:
-        return ZERO if idx == 0 else idx - 1
-
     # -- subfield machinery ---------------------------------------------------
 
     def _require_subfield(self) -> FieldContext:
@@ -473,10 +464,6 @@ class FieldContext:
         if x == ZERO:
             return ZERO
         return (x * self._embed_mult) % self.order
-
-    def in_subfield(self, x: int) -> bool:
-        self._require_subfield()
-        return x == ZERO or x % self._nu == 0
 
     def project(self, x: int) -> int:
         """Inverse of embed; x must lie in the Frobenius-fixed subfield."""

@@ -41,10 +41,6 @@ class BlockDesign:
             mask |= 1 << self.point_index[p]
         return mask
 
-    def replication(self, point) -> int:
-        i = self.point_index[point]
-        return sum((blk >> i) & 1 for blk in self.blocks)
-
 
 class IntersectionSet(namedtuple("IntersectionSet", "members profile duals")):
     """A point set (frozenset), its profile as (size, multiplicity) pairs with

@@ -56,16 +56,6 @@ class SignMatrix:
     def excess(self) -> int:
         return sum(self.row_sums())
 
-    def transpose(self) -> "SignMatrix":
-        n = self.n
-        cols = [0] * n
-        for i, r in enumerate(self.rows):
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= 1 << i
-                r ^= low
-        return SignMatrix(n, cols)
-
     def text_lines(self):
         """The lines of the text form, newline included, one row at a time."""
         spec = f"0{self.n}b"  # bit j is character j, so the binary text is reversed

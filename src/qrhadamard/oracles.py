@@ -30,7 +30,7 @@ def additive_char(ctx: FieldContext, x: int) -> complex:
     """Canonical additive character zeta_p^Tr(x); psi(0) = 1."""
     if x == ZERO:
         return 1 + 0j
-    return roots_of_unity(ctx.p)[ctx.trace_table[x]]
+    return roots_of_unity(ctx.p)[ctx.trace(x)]
 
 
 def mult_char_exponent(ctx: FieldContext, e: int, x: int) -> int:

@@ -5,9 +5,12 @@ the fixed counter sequence below or from a random.Random with a fixed seed,
 so every run is byte-for-byte identical.
 """
 
+import itertools
 from pathlib import Path
 
 import pytest
+
+from qrhadamard.finite_field import ZERO
 
 # the partition files that ship with the package, schemes/m{m}.scheme
 SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
@@ -18,6 +21,52 @@ def shipped_partition(m: int):
     from qrhadamard.association_schemes import parse_partition
 
     return parse_partition((SCHEMES_DIR / f"m{m}.scheme").read_text())
+
+
+class NaiveField:
+    """Oracle: GF(p^f) as coefficient tuples (constant first) reduced by the
+    modulus, with omega the lex-least element of order q-1 by brute force."""
+
+    def __init__(self, p, modulus):
+        self.p, self.f, self.modulus = p, len(modulus) - 1, modulus
+        one = (1,) + (0,) * (self.f - 1)
+        for omega in itertools.product(range(p), repeat=self.f):
+            exp, x = [one], omega
+            while any(x) and x != one:
+                exp.append(x)
+                x = self.mul(x, omega)
+            if len(exp) == p**self.f - 1:
+                break
+        self.exp = exp
+        self.log = {v: k for k, v in enumerate(exp)}
+        self.log[(0,) * self.f] = ZERO
+
+    def mul(self, a, b):
+        f, prod = self.f, [0] * (2 * self.f - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for i in range(2 * f - 2, f - 1, -1):
+            for j in range(f):
+                prod[i - f + j] -= prod[i] * self.modulus[j]
+        return tuple(c % self.p for c in prod[:f])
+
+    def vec(self, x):
+        return (0,) * self.f if x == ZERO else self.exp[x]
+
+    def combine(self, terms):
+        """Log of sum(c * vec(x)) over the (c, x) pairs in terms."""
+        acc = [0] * self.f
+        for c, x in terms:
+            acc = [(a + c * v) % self.p for a, v in zip(acc, self.vec(x))]
+        return self.log[tuple(acc)]
+
+    def trace(self, k):
+        """Tr(omega^k) = sum of omega^(k p^i) over i < f, an element of GF(p)."""
+        n = len(self.exp)
+        tr = [sum(col) % self.p for col in zip(*(self.exp[k * self.p**i % n] for i in range(self.f)))]
+        assert not any(tr[1:]), "trace landed outside the prime field"
+        return tr[0]
 
 
 def sylvester(order: int):
@@ -40,6 +89,19 @@ def kronecker(a, b):
     repeat = sum(1 << j * b.n for j in range(a.n))  # rb * repeat: rb in every block
     signs = [sum(full << j * b.n for j in range(a.n) if ra >> j & 1) for ra in a.rows]
     return SignMatrix(a.n * b.n, [sign ^ rb * repeat for sign in signs for rb in b.rows])
+
+
+def transpose(h):
+    """The transpose of a sign matrix: bit j of row i becomes bit i of row j."""
+    from qrhadamard.matrix import SignMatrix
+
+    cols = [0] * h.n
+    for i, r in enumerate(h.rows):
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= 1 << i
+            r ^= low
+    return SignMatrix(h.n, cols)
 
 
 def scrambled(h, rng):

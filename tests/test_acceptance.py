@@ -9,7 +9,7 @@ import json
 import math
 import time
 
-from conftest import counter_indices, shipped_partition
+from conftest import counter_indices, shipped_partition, transpose
 from qrhadamard import association_schemes as schemes
 from qrhadamard import character_sums as cs
 from qrhadamard import hadamard as hd
@@ -145,7 +145,8 @@ def test_criterion_4_formula_oracles():
                 ells.append(ell)
             if len(ells) == 20:
                 break
-        svals = [base.element_at(i) for i in counter_indices(20, base.q, salt=q + 1)]
+        elements = list(base.elements())
+        svals = [elements[i] for i in counter_indices(20, base.q, salt=q + 1)]
         for ell, s in zip(ells, svals):
             if not oracles.check_lemma_linear(ext, e, ell):
                 ok = False
@@ -216,7 +217,7 @@ def test_criterion_6_property_suite():
             if not hd.is_hadamard(candidate):
                 ok = False
         ok &= sum(v * v * c for v, c in rep.row_sums) == rep.n**2
-        rep_t = hd.excess_and_bound(signed.transpose())
+        rep_t = hd.excess_and_bound(transpose(signed))
         ok &= rep_t.excess == rep_t.bound == rep.bound
     print(f"  signing trials: {100 * len(outputs)} across orders {[r.n for _, r in outputs]}")
 

@@ -1,12 +1,13 @@
 import cmath
 import math
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import counter_indices
+from conftest import NaiveField, counter_indices
 from qrhadamard import character_sums as cs
 from qrhadamard import oracles
 from qrhadamard.finite_field import ZERO, NoSubfield, build_field, quadratic_tower
@@ -118,6 +119,24 @@ def test_gauss_period_quadratic_identity_many_fields():
         for i in (0, 1):
             want = (-1 + (-1) ** i * g) / 2
             assert abs(cs.gauss_periods(ctx, 2)[i] - want) < TOL
+
+
+@pytest.mark.parametrize("p,f,e", [(17, 2, 12), (7, 4, 20), (3, 6, 8), (2, 4, 5)])
+def test_tower_periods_and_cyclotomic_numbers_against_naive_counts(p, f, e):
+    """A tower field GF(q'^2) counts its traces and Zech logarithms over
+    GF(q'); the counts match a brute-force polynomial field's."""
+    ext = build_field(p, f)
+    assert ext.subfield is not None
+    oracle = NaiveField(p, ext.spec.modulus)
+    n, zp = ext.order, cs.roots_of_unity(p)
+    traces = [Counter(oracle.trace(k) for k in range(r, n, e)) for r in range(e)]
+    assert cs.gauss_periods(ext, e) == tuple(sum(c * zp[t] for t, c in sorted(row.items())) for row in traces)
+    cyclotomic = [[0] * e for _ in range(e)]
+    for k in range(n):
+        z = oracle.combine([(1, 0), (1, k)])  # log(1 + omega^k)
+        if z != ZERO:
+            cyclotomic[k % e][z % e] += 1
+    assert cs.cyclotomic_numbers(ext, e) == tuple(map(tuple, cyclotomic))
 
 
 def test_period_is_translated_class_sum():

@@ -1,4 +1,6 @@
 import contextlib
+import gc
+import hashlib
 import importlib.util
 import io
 import json
@@ -7,6 +9,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections.abc import Sized
 from pathlib import Path
 
 import pytest
@@ -428,6 +431,22 @@ def test_scheme_search_cli(capsys):
     assert main(["scheme", "--search", "--m", "3", "--e", "12", "--budget", "0"]) == 3
 
 
+# the sha256 of stdout that benchmark/golden.json holds for the same invocation
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["--verify", str(SCHEMES_DIR / "m3.scheme")], "9c207d6cdb5e6eb7f4dbf1d2c5cff6ece0689a5467b65b878c19c821b85a9cdd"),
+        (["--verify", str(SCHEMES_DIR / "m5.scheme")], "3ab2eaa324ad663d9482a497686161e18d39728062c7e4e48e7b229ef01de49d"),
+        (["--search", "--m", "3", "--e", "12"], "1b3d75cde27e0e411104ea6efb4f84a4caf7af0b3f3859ebfa6e016008d2f106"),
+    ],
+    ids=["verify-m3", "verify-m5", "search-m3-e12"],
+)
+def test_scheme_stdout_matches_the_benchmark_digest(argv, digest, capsys):
+    capsys.readouterr()
+    assert main(["scheme", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_scheme_search_input_contract(capsys):
     assert main(["scheme", "--search", "--m", "3", "--e", "0"]) == 2
     assert main(["scheme", "--search", "--m", "3", "--e", "12", "--budget", "-5"]) == 2
@@ -565,17 +584,24 @@ def test_q_below_two_is_not_of_the_family_form(capsys):
         assert capsys.readouterr().err == f"error: q = {q} is not of the {form} form\n"
 
 
-def test_zech_table_is_built_only_by_scheme_verification(tmp_path):
+def test_no_tower_holds_a_table_of_its_own_size(tmp_path):
     finite_field.clear_caches()
-    assert main(["construct", "--family", "q3", "--q", "83", "--out", str(tmp_path)]) == 0
-    assert main(["construct", "--family", "q1", "--q", "61", "--out", str(tmp_path)]) == 0
-    for q in (83, 61):
-        ext, base = finite_field.quadratic_tower(q)
-        # GF(q^2) adds over GF(q): its three q^2-entry tables stay unbuilt
-        assert not {"log_table", "trace_table", "zech_table"} & ext.__dict__.keys()
-        assert "zech_table" not in base.__dict__
-    assert main(["scheme", "--verify", str(SCHEMES_DIR / "m3.scheme")]) == 0
-    assert "zech_table" in finite_field.quadratic_tower(17)[0].__dict__
+    out = ["--out", str(tmp_path)]
+    partitions = [str(SCHEMES_DIR / f"m{m}.scheme") for m in (3, 5)]
+    for argv in (
+        ["construct", "--family", "q3", "--q", "83", *out],
+        ["construct", "--family", "q1", "--q", "61", *out],
+        *(["construct", "--family", "regular", "--m", m, "--partition", f, *out] for m, f in zip("35", partitions)),
+        *(["scheme", "--verify", f] for f in partitions),
+    ):
+        assert main(argv) == 0
+    # every live context, build_field's cache among them
+    towers = [ctx for ctx in gc.get_objects() if isinstance(ctx, finite_field.FieldContext) and ctx.subfield]
+    assert {83**2, 61**2, 17**2, 49**2, 7**2} <= {ctx.q for ctx in towers}
+    for ctx in towers:
+        # GF(q'^2) adds and takes traces over GF(q'): no q'^2-entry table
+        assert not {"log_table", "trace_table", "zech_table"} & set(dir(ctx))
+        assert max(len(v) for v in vars(ctx).values() if isinstance(v, Sized)) <= ctx.subfield.q + 1
 
 
 def test_construct_streams_the_matrix_files(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+from collections.abc import Sized
 from math import prod
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint, primerange
 
-from conftest import counter_indices
+from conftest import NaiveField, counter_indices
 from qrhadamard import finite_field
 from qrhadamard.finite_field import (
     MAX_FIELD_SIZE,
@@ -24,45 +25,6 @@ from qrhadamard.finite_field import (
     prime_power,
 )
 from qrhadamard.hadamard import instances
-
-
-class NaiveField:
-    """Oracle: GF(p^f) as coefficient tuples (constant first) reduced by the
-    modulus, with omega the lex-least element of order q-1 by brute force."""
-
-    def __init__(self, p, modulus):
-        self.p, self.f, self.modulus = p, len(modulus) - 1, modulus
-        one = (1,) + (0,) * (self.f - 1)
-        for omega in itertools.product(range(p), repeat=self.f):
-            exp, x = [one], omega
-            while any(x) and x != one:
-                exp.append(x)
-                x = self.mul(x, omega)
-            if len(exp) == p**self.f - 1:
-                break
-        self.exp = exp
-        self.log = {v: k for k, v in enumerate(exp)}
-        self.log[(0,) * self.f] = ZERO
-
-    def mul(self, a, b):
-        f, prod = self.f, [0] * (2 * self.f - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-        for i in range(2 * f - 2, f - 1, -1):
-            for j in range(f):
-                prod[i - f + j] -= prod[i] * self.modulus[j]
-        return tuple(c % self.p for c in prod[:f])
-
-    def vec(self, x):
-        return (0,) * self.f if x == ZERO else self.exp[x]
-
-    def combine(self, terms):
-        """Log of sum(c * vec(x)) over the (c, x) pairs in terms."""
-        acc = [0] * self.f
-        for c, x in terms:
-            acc = [(a + c * v) % self.p for a, v in zip(acc, self.vec(x))]
-        return self.log[tuple(acc)]
 
 
 def brute_force_least_primitive_root(p):
@@ -112,9 +74,11 @@ def square_repeatedly(vec, modulus, p, times):
 def test_gf289_primitive_order():
     ctx = build_field(17, 2)
     assert ctx.q == 289
-    assert sorted(ctx.log_table) == [ZERO] + list(range(288))
+    # 1 + omega^k meets every element but 1 exactly once: omega is primitive
+    assert sorted(map(ctx._zech, range(288))) == [ZERO] + list(range(1, 288))
     # omega^(2^k) by independent repeated squaring: omega^256 * omega^32 = 1
     oracle = NaiveField(17, ctx.spec.modulus)
+    assert [ctx.trace(k) for k in range(288)] == [oracle.trace(k) for k in range(288)]
     omega = oracle.exp[1]
     v256 = square_repeatedly(omega, ctx.spec.modulus, 17, 8)
     v32 = square_repeatedly(omega, ctx.spec.modulus, 17, 5)
@@ -211,7 +175,7 @@ def test_rel_trace_frobenius_fixed(tower17):
     for x in counter_indices(40, ext.order, salt=3):
         y = ext.add(x, ext.pow(x, q))
         assert y == ZERO or ext.pow(y, q) == y
-        assert ext.in_subfield(y)
+        assert ext.embed(ext.project(y)) == y  # project raises outside GF(q)
 
 
 def test_rel_trace_linearity(tower25):
@@ -229,10 +193,12 @@ def test_rel_trace_linearity(tower25):
 def test_exp_table_covers_nonzero_elements():
     for p, f in [(11, 1), (3, 3), (5, 2)]:
         ctx = build_field(p, f)
-        # omega^0 .. omega^(q-2) fill every trace window but the zero element's
-        assert sorted(ctx.log_table) == [ZERO] + list(range(ctx.order))
+        n = ctx.order
+        # 1 + omega^0 .. 1 + omega^(q-2) meet every element but 1 exactly once
+        assert sorted(map(ctx._zech, range(n))) == [ZERO] + list(range(1, n))
         assert ctx.from_int(1) == ctx.one
-        assert len(ctx.zech_table) == len(ctx.trace_table) == ctx.order
+        oracle = NaiveField(p, ctx.spec.modulus)
+        assert [ctx.trace(k) for k in range(n)] == [oracle.trace(k) for k in range(n)]
 
 
 @pytest.mark.parametrize("p,f", [(2, 1), (2, 4), (3, 3), (3, 6), (5, 2), (7, 4), (29, 2)])
@@ -246,8 +212,7 @@ def test_field_core_against_naive_polynomial_oracle(p, f):
             assert ctx.sub(a, b) == oracle.combine([(1, a), (-1, b)])
         assert ctx.neg(a) == oracle.combine([(-1, a)])
     for k in range(n):
-        tr = [sum(col) % p for col in zip(*(oracle.exp[k * p**i % n] for i in range(f)))]
-        assert tr[1:] == [0] * (f - 1) and ctx.trace_table[k] == tr[0]
+        assert ctx.trace(k) == oracle.trace(k)
     for c in range(p):
         assert ctx.from_int(c) == oracle.log[(c,) + (0,) * (f - 1)]
     if f % 2:
@@ -265,26 +230,25 @@ def test_field_core_against_naive_polynomial_oracle(p, f):
         ctx.project(1)
 
 
-@pytest.mark.parametrize("p,f", [(2, 1), (2, 4), (3, 3), (3, 6), (5, 2), (7, 4), (29, 2)])
+@pytest.mark.parametrize(
+    "p,f", [(2, 1), (2, 4), (3, 3), (3, 6), (5, 2), (7, 4), (29, 2), (2, 2), (3, 2), (11, 2)]
+)
 def test_zech_table_against_naive_polynomial_oracle(p, f):
     ctx = build_field(p, f)
     oracle = NaiveField(p, ctx.spec.modulus)
-    assert list(ctx.zech_table) == [oracle.combine([(1, 0), (1, k)]) for k in range(ctx.order)]
+    n = ctx.order
+    assert [ctx._zech(k) for k in range(n)] == [oracle.combine([(1, 0), (1, k)]) for k in range(n)]
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (2, 4), (3, 2), (3, 6), (5, 2), (7, 4), (29, 2), (11, 2)])
-def test_tower_zech_against_the_trace_window_tables(p, f):
-    """An even-degree field adds over its subfield; the log and trace tables,
-    built on demand by the same walk as an odd-degree field's, agree."""
-    ctx = FieldContext(FieldSpec(p, f, build_field(p, f).spec.modulus))
-    assert "log_table" not in ctx.__dict__ and "trace_table" not in ctx.__dict__
-    zech = [ctx._zech(k) for k in range(ctx.order)]
-    log, trace, n = ctx.log_table, ctx.trace_table, ctx.order
-    assert sorted(log) == [ZERO] + list(range(n))
-    # digit j of the trace window of 1 + omega^k is Tr(omega^j) + Tr(omega^(k+j))
-    windows = [sum((trace[j] + trace[(k + j) % n]) % p * p**j for j in range(f)) for k in range(n)]
-    assert zech == [log[w] for w in windows]
-    assert list(ctx.zech_table) == zech
+def test_a_tower_holds_no_table_of_its_own_size(p, f):
+    """An even-degree field adds and takes traces over its subfield: it holds
+    no log, trace or Zech table, and nothing longer than q' + 1."""
+    ctx = build_field(p, f)
+    for name in ("log_table", "trace_table", "zech_table"):
+        with pytest.raises(AttributeError):
+            getattr(ctx, name)
+    assert max(len(v) for v in vars(ctx).values() if isinstance(v, Sized)) == ctx.subfield.q + 1
 
 
 def test_non_primitive_omega_is_refused(monkeypatch):
@@ -429,4 +393,4 @@ def test_canonical_order_round_trip():
     assert elems[0] == ZERO and elems[1] == ctx.one
     for i, x in enumerate(elems):
         assert ctx.canonical_index(x) == i
-        assert ctx.element_at(i) == x
+    assert elems == [ZERO, *ctx.nonzero()]

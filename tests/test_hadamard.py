@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint
 
-from conftest import PARSE_CASES, counted_scans, kronecker, paley_sylvester, scrambled, shipped_partition, sylvester
+from conftest import (
+    PARSE_CASES,
+    counted_scans,
+    kronecker,
+    paley_sylvester,
+    scrambled,
+    shipped_partition,
+    sylvester,
+    transpose,
+)
 from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
 from qrhadamard import matrix as mx
@@ -110,7 +119,7 @@ def test_construct_q1_symmetric_hadamard():
         h = hd.construct_q1(build_field(q))
         assert h.n == 2 * q + 2
         assert hd.is_hadamard(h)
-        assert h == h.transpose()
+        assert h == transpose(h)
     with pytest.raises(isets.WrongResidue):
         hd.construct_q1(build_field(7))
 
@@ -231,7 +240,7 @@ def test_q1_m2_frequencies():
 def test_transpose_of_attaining_output_attains(tower11):
     ext, _ = tower11
     signed, rep = hd.transform(ext, "q3")
-    rep_t = hd.excess_and_bound(signed.transpose())
+    rep_t = hd.excess_and_bound(transpose(signed))
     assert rep_t.excess == rep_t.bound == rep.bound
     assert rep_t.classification.startswith("biregular")
 

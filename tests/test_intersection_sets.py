@@ -122,7 +122,7 @@ def test_profile_flag_double_count(tower11):
     prof = isets.intersection_profile(d, des)
     assert sum(mult for _, mult in prof.profile) == des.b
     flags = sum(v * len(idxs) for v, idxs in prof.duals)
-    assert flags == sum(des.replication(p) for p in d)
+    assert flags == sum(blk >> des.point_index[p] & 1 for p in d for blk in des.blocks)
 
 
 def test_profile_empty_set():
