@@ -305,12 +305,23 @@ def verify_scheme(ext: FieldContext, part: SchemePartition) -> SchemeReport:
     )
 
 
+_last_required: list = []  # (ext, partition, report) of the last partition require_scheme passed
+
+
 def require_scheme(ext: FieldContext, part: SchemePartition) -> SchemeReport:
     """The report of a partition that is a scheme matching table 1, the
-    promise the regular family rests on; SchemeInvalid otherwise."""
+    promise the regular family rests on; SchemeInvalid otherwise.
+
+    The partition object that last passed over the same ext is not verified
+    again: `construct --ell` finds its parameters and then transforms with
+    one partition.  Partitions are immutable, so the object stands for its
+    contents; another object, even an equal one, is verified."""
+    if _last_required and _last_required[0] is ext and _last_required[1] is part:
+        return _last_required[2]
     report = verify_scheme(ext, part)
     if not (report.is_scheme and report.table1_match):
         raise SchemeInvalid("partition fails scheme or eigenvalue-table verification")
+    _last_required[:] = (ext, part, report)
     return report
 
 

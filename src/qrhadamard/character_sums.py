@@ -142,14 +142,14 @@ def gauss_sign_counts(ext: FieldContext, e: int) -> tuple[int, ...]:
     omega^0, ..., omega^q represent the cosets of GF(q)* in GF(q^2)*.  When
     chi_e restricts to the quadratic character eta of GF(q), summing over
     each coset gives G_{q^2}(chi_e) = G_q(eta) * sum_j c_j zeta_e^j: q + 1
-    relative traces decide the sum exactly."""
+    relative traces decide the sum exactly.  The tower keeps exactly these
+    traces, as logs in GF(q), so no field operation runs here."""
     if ext.subfield is None:
         raise NoSubfield("sign counts need the quadratic tower GF(q) in GF(q^2)")
     _check_order(ext, e)
     _restriction_is_quadratic(ext, e)
     counts = [0] * e
-    for k in range(ext.subfield.q + 1):
-        tr = ext.rel_trace(k)
+    for k, tr in enumerate(ext._rel_traces):
         if tr != ZERO:
             counts[k % e] += -1 if tr % 2 else 1
     return tuple(counts)

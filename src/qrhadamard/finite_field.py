@@ -9,21 +9,22 @@ to base omega; the zero element is the sentinel ZERO.  Fixing both choices
 makes every downstream cyclotomic class, point set and matrix labeling
 reproducible bit for bit.
 
-An odd-degree field runs on two flat ``array('i')`` tables built with the
-context and on Zech logarithms (K. Huber, "Some comments on Zech's
-logarithms", IEEE Trans. Inf. Theory 36, 1990):
+An odd-degree field runs on three flat ``array('i')`` tables built with
+the context, the last of them its Zech logarithms (K. Huber, "Some comments
+on Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990):
 
 - ``trace_table[k] = Tr(omega^k)``, an int in [0, p);
 - ``log_table[w]``, the log of the element whose trace window is ``w``;
-- ``Z(k) = log(1 + omega^k)``, so ``add(a, b) = a + Z((b - a) mod (q-1))``.
+- ``zech_table[k] = Z(k) = log(1 + omega^k)``, so
+  ``add(a, b) = a + Z((b - a) mod (q-1))`` is one array read.
 
 The trace window of x is ``sum_j Tr(x omega^j) p^j`` over j < f.  The trace
 form is nondegenerate, so x -> window is a GF(p)-linear bijection of GF(q)
 onto [0, q) and field addition is digit-wise addition mod p of windows.
 Tr(omega^k) obeys the linear recurrence of omega's minimal polynomial, so
-one pass over k fills the log and trace tables.  Digit j of the window of
-1 + omega^k is Tr(omega^j) + Tr(omega^(k+j)) mod p, so ``add`` reads one
-Zech logarithm through the log table.
+one pass over k fills the log and trace tables and the window of each
+1 + omega^k, whose digit j is Tr(omega^j) + Tr(omega^(k+j)) mod p; a second
+pass turns those windows into logs through the log table.
 
 An even-degree field GF(q'^2) builds no table of q'^2 entries.  It adds
 over its index-2 subfield GF(q') (Lidl and Niederreiter, *Finite Fields*,
@@ -32,11 +33,13 @@ c = N(omega)^(k div (q'+1)) in GF(q'), and omega^r = a_r + b_r omega for
 r <= q', filled by the recurrence omega^2 = Tr(omega) omega - N(omega).
 Back from coordinates, a + b omega with b != 0 is (b / b_r) omega^r for the
 one r with a_r / b_r = a / b, read from a table of q' entries.  So a Zech
-logarithm costs a few subfield operations.  The absolute trace goes through
-the subfield too: Tr(omega^k) = Tr'(c Tr_{q/q'}(omega^r)), and the q' + 1
-relative traces Tr_{q/q'}(omega^r) = 2 a_r + b_r Tr_{q/q'}(omega) are kept.
-Such a field has no log, trace or Zech table and holds O(q') ints;
-``trace(k)`` answers for both kinds of field.
+logarithm costs one Zech logarithm of GF(q') and a few log additions.  The
+absolute trace goes through the subfield too:
+Tr(omega^k) = Tr'(c Tr_{q/q'}(omega^r)), and the q' + 1 relative traces
+Tr_{q/q'}(omega^r) = 2 a_r + b_r Tr_{q/q'}(omega) are kept as logs in
+GF(q'), where the Gauss-sum signs read them.  Such a field has no log,
+trace or Zech table and holds O(q') ints; ``trace(k)`` answers for both
+kinds of field.
 
 Contexts do not change after construction, and all operations are pure.
 """
@@ -46,8 +49,9 @@ from __future__ import annotations
 import itertools
 from array import array
 from collections import namedtuple
+from collections.abc import Callable
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import DivisionByZero, FieldError, NoSubfield, NotPrime, TooLarge
 
@@ -55,9 +59,10 @@ ZERO = -1  # rep of the zero element; logs are >= 0
 _NOT_PRIMITIVE = "omega repeats an element; it is not primitive"
 
 # Peak table memory per field element, for an odd-degree field, the only
-# kind that builds tables: the log and trace tables, 4 bytes each, plus at
-# most 4 bytes of transient lookup tables (p and p^(f-1) entries, so at most
-# q entries).  The budget counts 16 bytes, so the cap is 2^24 elements.
+# kind that builds tables: the log, trace and Zech tables, 4 bytes each,
+# plus at most 4 bytes of transient lookup tables while they are built (p + 2
+# p^(f-1) entries, at most q + 2); the modulus and omega searches hold no
+# pool of q ints.  The budget counts 16 bytes, so the cap is 2^24 elements.
 # An even-degree field GF(q'^2) holds four tables of about q' entries and
 # needs no cap of its own; on it the cap only bounds q' <= 4096, and so the
 # order of the matrices built from it.  Fields over the cap are refused
@@ -96,15 +101,15 @@ def _trim(a: list[int]) -> list[int]:
 
 
 def _reduce(a: list[int], mod: tuple[int, ...], p: int) -> list[int]:
-    a = [c % p for c in a]
+    """a modulo the polynomial mod over GF(p), trimmed; the list a is scratch."""
     dm = len(mod) - 1
+    tail = mod[:dm]
     for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
+        c = a[i] % p
         if c:
-            a[i] = 0
-            for j in range(dm):
-                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
-    return _trim(a[:dm])
+            for j, m in enumerate(tail, i - dm):
+                a[j] -= c * m
+    return _trim([c % p for c in a[:dm]])
 
 
 def _mulmod(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> list[int]:
@@ -113,8 +118,8 @@ def _mulmod(a: list[int], b: list[int], mod: tuple[int, ...], p: int) -> list[in
     res = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
+            for j, bj in enumerate(b, i):
+                res[j] += ai * bj
     return _reduce(res, mod, p)
 
 
@@ -169,20 +174,49 @@ def _trace_poly(a: list[int], mod: tuple[int, ...], p: int) -> int:
 
 
 def _solve_mod_p(columns: list[list[int]], rhs: list[int], p: int) -> list[int]:
-    """x with sum_j x[j] columns[j] = rhs over GF(p); the columns form a basis."""
-    f = len(columns)
-    cols = [list(c) + [0] * (f - len(c)) for c in [*columns, rhs]]
-    rows = [[c[i] for c in cols] for i in range(f)]
-    for c in range(f):
-        piv = next(r for r in range(c, f) if rows[r][c])
+    """x with sum_j x[j] columns[j] = rhs over GF(p); the columns are
+    independent and rhs lies in their span."""
+    d = len(columns)
+    size = max(map(len, [*columns, rhs]))
+    cols = [list(c) + [0] * (size - len(c)) for c in [*columns, rhs]]
+    rows = [[c[i] for c in cols] for i in range(size)]
+    for c in range(d):
+        piv = next(r for r in range(c, size) if rows[r][c])
         rows[c], rows[piv] = rows[piv], rows[c]
         inv = pow(rows[c][c], -1, p)
         rows[c] = [v * inv % p for v in rows[c]]
-        for r in range(f):
+        for r in range(size):
             if r != c and rows[r][c]:
                 k = rows[r][c]
                 rows[r] = [(a - k * b) % p for a, b in zip(rows[r], rows[c])]
-    return [row[f] for row in rows]
+    return [row[d] for row in rows[:d]]
+
+
+def _norm(vec: tuple[int, ...], mod: tuple[int, ...], p: int) -> int:
+    """N(a) = a a^p ... a^(p^(f-1)) in GF(p) of the element a with the f
+    coefficients vec: the determinant of multiplication by a on
+    GF(p)[x]/mod; for f = 2, a0^2 - a0 a1 c1 + a1^2 c0 modulo x^2 + c1 x + c0."""
+    f = len(mod) - 1
+    if f == 2:
+        a0, a1 = vec
+        return (a0 * a0 - a0 * a1 * mod[1] + a1 * a1 * mod[0]) % p
+    rows, col = [], list(vec)
+    for _ in range(f):  # row i: a x^i
+        rows.append(list(_vec(col, f)))
+        col = _reduce([0, *col], mod, p)
+    det = 1
+    for c in range(f):
+        piv = next((r for r in range(c, f) if rows[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv], det = rows[piv], rows[c], -det
+        det = det * rows[c][c] % p
+        inv = pow(rows[c][c], -1, p)
+        for r in range(c + 1, f):
+            k = rows[r][c] * inv % p
+            rows[r] = [(x - k * y) % p for x, y in zip(rows[r], rows[c])]
+    return det % p
 
 
 def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
@@ -209,7 +243,9 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 def _least_irreducible(p: int, f: int) -> tuple[int, ...]:
     """The least monic irreducible of degree f, constant term most significant.
     For f >= 2 a constant term 0 gives the root 0, so the scan starts at 1."""
-    for coeffs in itertools.product(range(1 if f > 1 else 0, p), *[range(p)] * (f - 1)):
+    if f == 1:
+        return (0, 1)  # x: the scan would hold all p constant terms at once
+    for coeffs in itertools.product(range(1, p), *[range(p)] * (f - 1)):
         cand = coeffs + (1,)
         if is_irreducible(cand, p):
             return cand
@@ -226,6 +262,14 @@ def _digit_form(coeffs, p: int) -> array:
     t = array("i", [0])
     for c in coeffs:
         t = array("i", ((s + c * d) % p for d in range(p) for s in t))
+    return t
+
+
+def _digit_sum(digits, p: int) -> array:
+    """t[v] = sum_j ((v_j + digits[j]) mod p) p^j over the base-p digits v_j of v < p^len(digits)."""
+    t = array("i", [0])
+    for j, c in enumerate(digits):
+        t = array("i", (s + (d + c) % p * p**j for d in range(p) for s in t))
     return t
 
 
@@ -289,41 +333,52 @@ class FieldContext:
         # window(x omega) = window(x) // p + p^(f-1) Tr(x omega^f).  With
         # hi = window(x) // p and t = Tr(x), step_hi[hi] + step_lo[t] is that
         # window plus q exactly when the two parts of Tr(x omega^f) reach p,
-        # so "% q" finishes the step.
+        # so "% q" finishes the step.  window(1 + x) adds one_window digit by
+        # digit: (t + one_digits[0]) % p below one_hi[hi] p.
         top = p ** (f - 1)
         step_lo = array("i", (top * v for v in _digit_form(rec[:1], p)))
         step_hi = array("i", (hi + top * v for hi, v in enumerate(_digit_form(rec[1:], p))))
+        one_hi = _digit_sum(one_digits[1:], p)
+        one_lo = one_digits[0]
         log = array("i", [ZERO]) * q
         trace = array("i", [0]) * n
+        zech = array("i", [0]) * n  # window(1 + omega^k) until the loop below
         w = one_window
         for k in range(n):
             log[w] = k
             hi = w // p
             t = w % p
             trace[k] = t
+            zech[k] = one_hi[hi] * p + (t + one_lo) % p
             w = (step_hi[hi] + step_lo[t]) % q
         # n windows fill all q - 1 nonzero slots only if none repeats
         if log[0] != ZERO or log.count(ZERO) != 1:
             raise AssertionError(_NOT_PRIMITIVE)
         if w != one_window:
             raise AssertionError("primitive element order mismatch")
+        for k in range(n):
+            zech[k] = log[zech[k]]
         self.trace_table = trace
         self.log_table = log
+        self.zech_table = zech
+        # a Zech logarithm, and so add, is one array read here
+        self._zech = zech.__getitem__
 
     def _build_tower(self) -> None:
         """Coordinates (a_r, b_r) over the subfield of omega^r = a_r + b_r omega
         for r <= q', q' = |subfield|, the map R from a_r / b_r back to r, and
         the relative traces Tr_{q/q'}(omega^r) = 2 a_r + b_r Tr(omega)."""
         sub, p, mod_poly = self.subfield, self.p, self.spec.modulus
-        nu, t, t_inv, sub_logs = _subfield_logs(self, sub)
+        nu, t, t_inv, sub_log = _subfield_logs(self, sub)
         self._nu = nu
         self._embed_mult = nu * t
         self._project_mult = t_inv
         # omega^2 = T omega - N with T = omega + omega^q' and N = omega^(q'+1),
         # whose log in GF(q') is t_inv
         conj = _vec(_powmod(self._omega, sub.q, mod_poly, p), self.f)
-        trace = sub_logs.get(tuple((x + y) % p for x, y in zip(conj, _vec(self._omega, self.f))), ZERO)
+        trace = sub_log(tuple((x + y) % p for x, y in zip(conj, _vec(self._omega, self.f))))
         minus_norm = sub.neg(t_inv)
+        two = sub.from_int(2)
         coords_a = array("i", [ZERO]) * (sub.q + 1)
         coords_b = array("i", [ZERO]) * (sub.q + 1)
         rel_traces = array("i", [ZERO]) * (sub.q + 1)
@@ -331,10 +386,11 @@ class FieldContext:
         a, b = sub.one, ZERO
         for r in range(sub.q + 1):
             coords_a[r], coords_b[r] = a, b
-            rel_traces[r] = sub.add(sub.add(a, a), sub.mul(trace, b))
+            tb = sub.mul(trace, b)
+            rel_traces[r] = sub.add(sub.mul(two, a), tb)
             if r:  # b != 0: omega is primitive, so omega^r lies outside GF(q')
-                back[sub.canonical_index(sub.mul(a, sub.inv(b)))] = r
-            a, b = sub.mul(minus_norm, b), sub.add(a, sub.mul(trace, b))
+                back[0 if a == ZERO else (a - b) % sub.order + 1] = r  # canonical index of a / b
+            a, b = sub.mul(minus_norm, b), sub.add(a, tb)
         self._coords_a, self._coords_b, self._back = coords_a, coords_b, back
         self._rel_traces = rel_traces
 
@@ -350,44 +406,46 @@ class FieldContext:
         return sub.trace((k // self._nu * self._project_mult + rel) % sub.order)
 
     def _zech(self, k: int) -> int:
-        """Z[k] = log(1 + omega^k)."""
-        sub = self.subfield
-        if sub is None:
-            # digit j of window(1 + omega^k) is (Tr(omega^j) + Tr(omega^(k+j))) mod p
-            p, n, trace = self.p, self.order, self.trace_table
-            window = sum((d + trace[(k + j) % n]) % p * p**j for j, d in enumerate(self._one_digits))
-            return self.log_table[window]
+        """Z[k] = log(1 + omega^k) in a tower; an odd-degree field reads its
+        zech_table instead."""
+        sub, so = self.subfield, self.subfield.order
         # omega^k = c omega^r with r = k mod (q'+1) and c = N^(k div (q'+1)),
         # so 1 + omega^k = (1 + c a_r) + c b_r omega
         r = k % self._nu
         c = k // self._nu * self._project_mult
-        a = sub.add(sub.one, sub.mul(c, self._coords_a[r]))
-        b = sub.mul(c, self._coords_b[r])
-        if b == ZERO:
-            return self.embed(a)
+        a_r = self._coords_a[r]
+        a = sub.one if a_r == ZERO else sub._zech((c + a_r) % so)
+        if not r:  # b_0 = 0: 1 + c lies in GF(q')
+            return ZERO if a == ZERO else a * self._embed_mult % self.order
+        b = (c + self._coords_b[r]) % so
         # a + b omega = (b / b_r) omega^r for the r with a_r / b_r = a / b
-        r = self._back[sub.canonical_index(sub.mul(a, sub.inv(b)))]
+        r = self._back[0 if a == ZERO else (a - b) % so + 1]
         return (r + (b - self._coords_b[r]) * self._embed_mult) % self.order
 
     def _find_primitive(self, mod: tuple[int, ...]) -> list[int]:
         p, f, n = self.p, self.f, self.order
-        checks = [n // r for r in _factor(n)]
-        # The norm map onto GF(p)* takes a primitive element to a generator,
-        # a nonsquare when p is odd; for f = 2 the norm of a + b x modulo
-        # x^2 + c1 x + c0 is a^2 - a b c1 + b^2 c0.
-        by_norm = f == 2 and p != 2
-        for vec in itertools.product(range(p), repeat=f):
-            if not any(vec):
-                continue
-            if f > 1 and not any(vec[1:]):
-                continue  # prime-field element, order divides p-1 < q-1
-            if by_norm:
-                a, b = vec
-                if pow((a * a - a * b * mod[1] + b * b * mod[0]) % p, (p - 1) // 2, p) != p - 1:
-                    continue  # norm 0 or a square: not primitive
-            poly = _trim(list(vec))
-            if all(_powmod(poly, m, mod, p) != [1] for m in checks):
-                return poly
+        # The norm map onto GF(p)* takes a primitive element to a generator.
+        # So for f > 1 and odd p only elements of primitive norm N are tried,
+        # and on them x^(n/r) = N^((p-1)/r) != 1 for every prime r | p - 1.
+        by_norm = f > 1 and p != 2
+        norm_checks = [(p - 1) // r for r in _factor(p - 1)]
+        checks = [n // r for r in _factor(n) if not by_norm or (p - 1) % r]
+        # vectors in lex order; the last coordinate runs over a range, not
+        # a pool of p ints, which for f = 1 would be a pool of q ints
+        for head in itertools.product(range(p), repeat=f - 1):
+            for last in range(p):
+                vec = (*head, last)
+                if not any(vec):
+                    continue
+                if f > 1 and not any(vec[1:]):
+                    continue  # prime-field element, order divides p-1 < q-1
+                if by_norm:
+                    norm = _norm(vec, mod, p)
+                    if not norm or any(pow(norm, m, p) == 1 for m in norm_checks):
+                        continue  # norm 0 or not a generator of GF(p)*
+                poly = _trim(list(vec))
+                if all(_powmod(poly, m, mod, p) != [1] for m in checks):
+                    return poly
         raise AssertionError("no primitive element found; invariant breach")
 
     # -- basic arithmetic ---------------------------------------------------
@@ -492,10 +550,12 @@ def build_field(p: int, f: int = 1) -> FieldContext:
     if p < 2:
         raise NotPrime(f"{p} is not prime")
     if f >= MAX_FIELD_SIZE.bit_length() or p**f > MAX_FIELD_SIZE:
-        raise TooLarge(
-            f"GF({p}^{f}) exceeds the cap of {MAX_FIELD_SIZE} elements "
-            f"({TABLE_BYTES_PER_ELEMENT} B of tables per element, {TABLE_BUDGET_BYTES >> 20} MiB budget)"
-        )
+        if f % 2:
+            why = f"{TABLE_BYTES_PER_ELEMENT} B of tables per element, {TABLE_BUDGET_BYTES >> 20} MiB budget"
+        else:
+            bound = isqrt(MAX_FIELD_SIZE)
+            why = f"a tower holds no table: the cap bounds GF({p}^{f // 2}) by {bound}, and so the matrix order"
+        raise TooLarge(f"GF({p}^{f}) exceeds the cap of {MAX_FIELD_SIZE} elements ({why})")
     if _factor(p) != {p: 1}:
         raise NotPrime(f"{p} is not prime")
     return FieldContext(FieldSpec(p, f, _least_irreducible(p, f)))
@@ -520,31 +580,47 @@ def minimal_polynomial(ctx: FieldContext, a: int) -> tuple[int, ...]:
     return tuple(prime_field[coeff] for coeff in poly)
 
 
-def _subfield_logs(ext: FieldContext, base: FieldContext) -> tuple[int, int, int, dict]:
-    """(nu, t, t_inv, logs) realizing GF(base.q) inside ext, from GF(p)
-    polynomials alone: logs maps the coefficient vector of each nonzero
-    subfield element of ext to its log in base."""
+def _subfield_logs(ext: FieldContext, base: FieldContext) -> tuple[int, int, int, Callable]:
+    """(nu, t, t_inv, log) realizing GF(base.q) inside ext, from GF(p)
+    polynomials alone: log(v) is the log in base of the subfield element of
+    ext with coefficient vector v."""
     if ext.p != base.p or ext.f % base.f:
         raise NoSubfield("not a subfield pair")
-    p, f, mod_poly, order = ext.p, ext.f, ext.spec.modulus, base.order
+    p, d, mod_poly, order = ext.p, base.f, ext.spec.modulus, base.order
     nu = ext.order // order
     # y = omega^nu generates the subfield's multiplicative group
     y = _powmod(ext._omega, nu, mod_poly, p)
-    powers, x = [], [1]
+    if d == 1:
+        # y and every subfield element are constants, whose logs base reads
+        t_inv = base.from_int(y[0])
+        return nu, pow(t_inv, -1, order) if order > 1 else 1, t_inv, lambda v: base.from_int(v[0])
+    # y^d = sum_i rec[i] y^i, so the coordinates of y^(j+1) in the basis
+    # 1, y, ..., y^(d-1) are those of y^j shifted up, plus rec times the top one
+    powers = [[1]]
+    for _ in range(d):
+        powers.append(_mulmod(powers[-1], y, mod_poly, p))
+    rec = _solve_mod_p(powers[:d], powers[d], p)
+    coords, a = [], (1,) + (0,) * (d - 1)
     for _ in range(order):
-        powers.append(_vec(x, f))
-        x = _mulmod(x, y, mod_poly, p)
-    coeffs = minimal_polynomial(base, base.one if order == 1 else 1)
-    for t in range(1, max(order, 2)):
+        coords.append(a)
+        a = tuple((lo + a[-1] * r) % p for lo, r in zip((0, *a[:-1]), rec))
+    coeffs = minimal_polynomial(base, 1)
+    for t in range(1, order):
         if gcd(t, order) == 1 and not any(
-            sum(c * powers[t * i % order][j] for i, c in enumerate(coeffs)) % p for j in range(f)
+            sum(c * coords[t * i % order][j] for i, c in enumerate(coeffs)) % p for j in range(d)
         ):
             break
     else:
         raise AssertionError("no embedding found; invariant breach")
-    t_inv = pow(t, -1, order) if order > 1 else 0
-    # y^t is base's primitive element, so y^j has log j t_inv in base
-    return nu, t, t_inv, {v: j * t_inv % order for j, v in enumerate(powers)}
+    t_inv = pow(t, -1, order)
+
+    def log(v) -> int:
+        # y^j has log j t_inv in base, since y^t is base's primitive element
+        if not any(v):
+            return ZERO
+        return coords.index(tuple(_solve_mod_p(powers[:d], list(v), p))) * t_inv % order
+
+    return nu, t, t_inv, log
 
 
 @lru_cache(maxsize=None)

@@ -70,6 +70,20 @@ class ParamChoice(
 
 
 @lru_cache(maxsize=None)
+def _zech_masks(ctx: FieldContext) -> tuple[tuple[int, int], tuple[int, int]]:
+    """For each parity of j: the mask of the Zech logs Z(j) = log(1 + omega^j)
+    over the nonzero j of that parity, and 1 where Z(j) is ZERO.  One pass
+    over the Zech logs serves both parities of class_translates."""
+    masks, zero_bit = [0, 0], [0, 0]
+    for j, z in enumerate(map(ctx._zech, ctx.nonzero())):
+        if z == ZERO:
+            zero_bit[j % 2] = 1
+        else:
+            masks[j % 2] |= 1 << z
+    return tuple(masks), tuple(zero_bit)
+
+
+@lru_cache(maxsize=None)
 def class_translates(ctx: FieldContext, parity: int) -> tuple[int, ...]:
     """Masks of x + C_parity over canonical point indices, one per x in
     canonical order; C_0 are the nonzero squares and C_1 the nonsquares of
@@ -81,19 +95,14 @@ def class_translates(ctx: FieldContext, parity: int) -> tuple[int, ...]:
     of two parity masks, plus the bit of 0 where Z(j - i) is ZERO.
     """
     n = ctx.order
-    full = (1 << n) - 1
-    masks, zero_bit = [0, 0], [0, 0]
-    for j in ctx.nonzero():
-        z = ctx.add(ctx.one, j)
-        if z == ZERO:
-            zero_bit[j % 2] = 1
-        else:
-            masks[j % 2] |= 1 << z
+    masks, zero_bit = _zech_masks(ctx)
+    # bits 1..n of doubled >> (n - i) are the mask rotated left by i, shifted past the bit of 0
+    doubled = [(m | m << n) << 1 for m in masks]
+    full = ((1 << n) - 1) << 1
     rows = [sum(1 << (1 + j) for j in range(parity, n, 2))]  # x = 0: the class itself
     for i in range(n):
         r = (parity + i) % 2
-        m = masks[r]
-        rows.append(((m << i | m >> (n - i)) & full) << 1 | zero_bit[r])
+        rows.append(doubled[r] >> (n - i) & full | zero_bit[r])
     return tuple(rows)
 
 
@@ -185,12 +194,11 @@ def _validate_dlh_args(ext: FieldContext, ell: int, e: int, H) -> frozenset[int]
 def build_dlh(ext: FieldContext, ell: int, e: int, H) -> frozenset[int]:
     """Points x of GF(q) with 1 + x omega^ell in the H-classes of GF(q^2)."""
     hset = _validate_dlh_args(ext, ell, e, H)
-    base = ext.subfield
-    lell = ell % ext.order
-    members = set()
-    for x in base.elements():
-        v = ext.add(ext.one, ext.mul(ext.embed(x), lell))
-        if v % e in hset:
+    n, lell = ext.order, ell % ext.order
+    # 1 + x omega^ell is 1 (log 0) for x = 0, else omega^Z(log x + ell)
+    members = {ZERO} if 0 in hset else set()
+    for x in ext.subfield.nonzero():
+        if ext._zech((ext.embed(x) + lell) % n) % e in hset:
             members.add(x)
     return frozenset(members)
 
@@ -309,5 +317,6 @@ def find_params(ext: FieldContext, family: str, partition=None) -> ParamChoice:
 
 
 def clear_caches() -> None:
+    _zech_masks.cache_clear()
     class_translates.cache_clear()
     _translate_masks.cache_clear()

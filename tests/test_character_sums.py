@@ -216,6 +216,24 @@ def test_exact_signs_match_the_float_oracle(family, q):
     assert abs(cs.gauss_sum(ext.subfield, 2, 1) * s - cs.gauss_sum(ext, e, 1)) < TOL
 
 
+@pytest.mark.parametrize("q", [25, 49, 841])
+def test_sign_counts_read_the_stored_relative_traces(q):
+    """gauss_sign_counts reads the q + 1 relative traces the tower stores; the
+    per-coset rel_trace loop it replaced counts the same.  Over q = p^2 the
+    base is itself a tower over GF(p), so the stored traces, logs in GF(q),
+    sit two levels deep."""
+    ext, base = quadratic_tower(q)
+    assert base.subfield is not None and base.subfield.subfield is None
+    assert list(ext._rel_traces) == [ext.rel_trace(k) for k in range(q + 1)]
+    for e in (4, 2 * (q + 1)):
+        want = [0] * e
+        for k in range(q + 1):
+            tr = ext.rel_trace(k)
+            if tr != ZERO:
+                want[k % e] += -1 if tr % 2 else 1
+        assert cs.gauss_sign_counts(ext, e) == tuple(want)
+
+
 def test_inconsistent_sign_counts_raise_nomatch():
     # q = 11 (m = 1) has counts (-2, 0, 0, 0, 1, 1, 0, 1): -3 and -1 -> (-1, -1)
     assert cs.signs_from_counts((-2, 0, 0, 0, 1, 1, 0, 1), "e8", 1) == (-1, -1)

@@ -893,7 +893,8 @@ _MESSAGE_TABLE = [
     ("construct --family q3 --m 3 --out {tmp}/o", 2, "", "error: 51 is not a prime power\n"),
     (
         "construct --family q3 --m 40 --out {tmp}/o", 2, "",
-        "error: GF(6563^2) exceeds the cap of 16777216 elements (16 B of tables per element, 256 MiB budget)\n",
+        "error: GF(6563^2) exceeds the cap of 16777216 elements "
+        "(a tower holds no table: the cap bounds GF(6563^1) by 4096, and so the matrix order)\n",
     ),
     (
         "construct --family q3 --m 1 --ell 12 --out {tmp}/o", 2, "",
@@ -1108,6 +1109,19 @@ def test_transform_with_given_params_checks_the_partition():
     params = isets.find_params(ext, "scheme", shipped_partition(3))
     with pytest.raises(schemes.SchemeInvalid):
         hd.transform(ext, "regular", params, partition=_swapped_m3())
+
+
+@pytest.mark.parametrize("ell", [[], ["--ell", "3"]], ids=["first-ell", "ell-3"])
+def test_construct_verifies_the_scheme_once(tmp_path, capsys, monkeypatch, ell):
+    # --ell finds its parameters with the partition, then transforms with it:
+    # one verification, as without --ell
+    calls, real = [], schemes.verify_scheme
+    monkeypatch.setattr(schemes, "verify_scheme", lambda ext, part: calls.append(part) or real(ext, part))
+    argv = ["construct", "--family", "regular", "--m", "3", *ell, "--partition", str(SCHEMES_DIR / "m3.scheme")]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert calls == [shipped_partition(3)]
+    assert json.loads((tmp_path / "regular_q17_report.json").read_text())["excess"] == 216
+    capsys.readouterr()
 
 
 def test_admissible_params_checks_the_partition_at_the_call():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint, primerange
 
-from conftest import NaiveField, counter_indices
+from conftest import NaiveField, counter_indices, window_zech
 from qrhadamard import finite_field
 from qrhadamard.finite_field import (
     MAX_FIELD_SIZE,
@@ -93,11 +93,18 @@ def test_gf289_primitive_order():
 def test_build_field_errors():
     with pytest.raises(NotPrime):
         build_field(6)
-    with pytest.raises(TooLarge):
+    # an odd degree builds tables: the cap is their memory budget
+    tables = r"^GF\(2\^25\) exceeds the cap of 16777216 elements \(16 B of tables per element, 256 MiB budget\)$"
+    with pytest.raises(TooLarge, match=tables):
         build_field(2, 25)
-    with pytest.raises(TooLarge):
-        build_field(4099, 2)  # 4099^2 > 2^24, refused before any table exists
-    with pytest.raises(TooLarge):
+    # a tower builds none: the cap bounds its subfield, and so the matrix order
+    tower = (
+        r"^GF\(4099\^2\) exceeds the cap of 16777216 elements "
+        r"\(a tower holds no table: the cap bounds GF\(4099\^1\) by 4096, and so the matrix order\)$"
+    )
+    with pytest.raises(TooLarge, match=tower):
+        build_field(4099, 2)  # 4099^2 > 2^24, refused before anything is built
+    with pytest.raises(TooLarge, match=r"^GF\(2\^1000000000\) exceeds the cap .*GF\(2\^500000000\)"):
         build_field(2, 10**9)
     with pytest.raises(FieldError):
         build_field(5, 0)
@@ -231,13 +238,37 @@ def test_field_core_against_naive_polynomial_oracle(p, f):
 
 
 @pytest.mark.parametrize(
-    "p,f", [(2, 1), (2, 4), (3, 3), (3, 6), (5, 2), (7, 4), (29, 2), (2, 2), (3, 2), (11, 2)]
+    "p,f",
+    [(2, 1), (2, 4), (3, 3), (3, 6), (5, 2), (7, 4), (29, 2), (2, 2), (3, 2), (11, 2), (3, 5), (5, 3), (1091, 1)],
 )
 def test_zech_table_against_naive_polynomial_oracle(p, f):
     ctx = build_field(p, f)
     oracle = NaiveField(p, ctx.spec.modulus)
     n = ctx.order
-    assert [ctx._zech(k) for k in range(n)] == [oracle.combine([(1, 0), (1, k)]) for k in range(n)]
+    zech = [ctx._zech(k) for k in range(n)]
+    assert zech == [oracle.combine([(1, 0), (1, k)]) for k in range(n)]
+    if f % 2:  # an odd degree reads its zech_table, which the trace-window formula pins
+        assert list(ctx.zech_table) == zech == [window_zech(ctx, k) for k in range(n)]
+        assert [ctx.add(0, k) for k in range(n)] == zech
+
+
+@pytest.mark.parametrize("p,f", [(8191, 1), (3, 7)])
+def test_an_odd_degree_field_stays_inside_its_table_budget(p, f):
+    # three 4-byte tables are kept; the build's transient lookup tables add at
+    # most 4 bytes per element more, within TABLE_BYTES_PER_ELEMENT = 16 (the
+    # modulus and omega searches hold no pool of p ints: ~36 bytes each)
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        ctx = build_field.__wrapped__(p, f)  # uncached: the whole build
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    q = ctx.q
+    tables = (ctx.log_table, ctx.trace_table, ctx.zech_table)
+    assert sum(t.itemsize * len(t) for t in tables) == 12 * q - 8
+    assert peak < finite_field.TABLE_BYTES_PER_ELEMENT * q * 1.1, peak / q
 
 
 @pytest.mark.parametrize("p,f", [(2, 2), (2, 4), (3, 2), (3, 6), (5, 2), (7, 4), (29, 2), (11, 2)])
@@ -280,6 +311,30 @@ def test_norm_filter_keeps_the_lex_least_primitive_element(q):
         if vec[1] and all(finite_field._powmod(list(vec), k, mod, q) != [1] for k in checks)
     )
     assert ctx._omega == want
+
+
+# degrees above 2, where the norm is a determinant: the towers over q = 9, 25,
+# 49, 169, 841 and 27, and odd degrees
+@pytest.mark.parametrize("p,f", [(3, 4), (5, 4), (7, 4), (13, 4), (29, 4), (3, 6), (3, 3), (5, 3), (3, 5)])
+def test_norm_filter_keeps_the_lex_least_primitive_element_above_degree_2(p, f):
+    ctx = build_field(p, f)
+    mod, n = ctx.spec.modulus, ctx.order
+    checks = [n // r for r in factorint(n)]
+    want = next(
+        finite_field._trim(list(vec)) for vec in itertools.product(range(p), repeat=f)
+        if any(vec[1:]) and all(finite_field._powmod(list(vec), k, mod, p) != [1] for k in checks)
+    )
+    assert ctx._omega == want
+
+
+@pytest.mark.parametrize("p,f", [(7, 2), (29, 2), (3, 3), (5, 4), (29, 4), (3, 5), (3, 6)])
+def test_norm_is_the_power_of_the_norm_map(p, f):
+    # N(a) = a^((q - 1)/(p - 1)), a constant; 0 for a = 0
+    mod, q = build_field(p, f).spec.modulus, p**f
+    for k in range(60):
+        vec = tuple(counter_indices(f, p, salt=k))
+        want = finite_field._powmod(list(vec), (q - 1) // (p - 1), mod, p) if any(vec) else []
+        assert [finite_field._norm(vec, mod, p)] == (want or [0]), vec
 
 
 def test_irreducibility_oracle():
