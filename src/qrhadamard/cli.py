@@ -41,10 +41,14 @@ EXIT_BUDGET = 3
 
 def _atomic_write(path: str, chunks) -> None:
     """Write the strings of chunks to a temporary file as they come, then
-    move it to path; a large matrix is never held as one text."""
+    move it to path; a large matrix is never held as one text.  The file gets
+    the mode a plain open gives, 0o666 less the umask, not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=True)
     try:
+        umask = os.umask(0)  # the only way to read it is to set it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
@@ -78,26 +82,33 @@ def _read_partition(path: str):
     return parse_partition("".join(_input_lines(path)))
 
 
-def _resolve_q_m(args, family: str) -> tuple[int, int]:
+def _resolve_q_m(args, family: str, typed: str | None = None) -> tuple[int, int]:
+    """q and m of the family FAMILIES[family] from exactly one of --q and --m.
+    The errors name the family as typed, the command's --family value;
+    without one (scheme --search), the m errors name family and a q of the
+    wrong form gets family_m's message."""
     from .character_sums import FAMILIES, family_m, family_q
     from .finite_field import prime_power
 
     if (args.q is None) == (args.m is None):
         raise UsageError("give exactly one of --q and --m")
-    fam = FAMILIES[family]
+    fam, name = FAMILIES[family], typed or family
     if args.m is not None:
         q = family_q(args.m, fam.key)
         m = args.m
     else:
         q = args.q
-        m = family_m(q, fam.key)
+        try:
+            m = family_m(q, fam.key)
+        except CharError:
+            if typed is None:
+                raise
+            raise UsageError(f"q = {q} is not of the {typed} form") from None
     if m < 1:
-        raise UsageError(f"the {family} family needs m >= 1, got m = {m}")
+        raise UsageError(f"the {name} family needs m >= 1, got m = {m}")
     prime_power(q)  # raises FieldError if not a prime power
-    if family_q(m, fam.key) != q:
-        raise UsageError(f"q = {q} is not of the {family} family form")
     if fam.odd_m and m % 2 == 0:
-        raise UsageError(f"the {family} family needs odd m")
+        raise UsageError(f"the {name} family needs odd m")
     return q, m
 
 
@@ -154,7 +165,7 @@ def cmd_construct(args) -> int:
 
     family = args.family
     fam = FAMILIES[family]
-    q, m = _resolve_q_m(args, family)
+    q, m = _resolve_q_m(args, family, family)
     ext, _ = quadratic_tower(q)
     partition = None
     if family == "regular":
@@ -245,7 +256,7 @@ def cmd_search_params(args) -> int:
         raise UsageError(f"--limit must be >= 0 (0 lists every row), got {args.limit}")
     # search-params takes the character-sum name of a family
     by_key = {fam.key: name for name, fam in FAMILIES.items()}
-    q, m = _resolve_q_m(args, by_key[family])
+    q, m = _resolve_q_m(args, by_key[family], family)
     ext, _ = quadratic_tower(q)
     partition = None
     if family == "scheme":

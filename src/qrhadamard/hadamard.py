@@ -1,10 +1,12 @@
 """The two quadratic-residue base constructions, the ladder of the paper's
 instances, and the row/column signing transform that reaches maximum
-excess.  transform proves its output Hadamard with the one check that
-``verify`` runs, qrhadamard.matrix.hadamard_violation.  Its first
-certificate takes O(n) popcounts on every matrix built here; its second,
-for Sylvester-type matrices of order 2^k, never runs on them, since no
-family order is a power of two.  Only a matrix that fails both gets the
+excess.  The D sets, the design blocks and the signing are all int masks:
+transform negates the columns in one mask and the rows in another, bit i
+set for row or column i.  transform proves its output Hadamard with the
+one check that ``verify`` runs, qrhadamard.matrix.hadamard_violation.  Its
+first certificate takes O(n) popcounts on every matrix built here; its
+second, for Sylvester-type matrices of order 2^k, never runs on them, since
+no family order is a power of two.  Only a matrix that fails both gets the
 O(n^2) row-pair scan, split over the usable CPUs.
 
 The matrix names (SignMatrix, hadamard_violation, excess_and_bound, ...),
@@ -74,28 +76,17 @@ def construct_q1(ctx: FieldContext, variant: str = "plain") -> SignMatrix:
     rows.extend((a << 2) | (b << (2 + q)) for a, b in zip(m1, m2))
     rows.extend((1 << 1) | (b << 2) | (c << (2 + q)) for b, c in zip(m2, m3))
     h = SignMatrix(n, rows)
-    if variant == "negated2":
-        signs = [1] * n
-        signs[1] = -1
-        h = apply_signing(h, signs, signs)
-    return h
+    return apply_signing(h, 0b10, 0b10) if variant == "negated2" else h
 
 
-def apply_signing(h: SignMatrix, row_signs, col_signs) -> SignMatrix:
-    """H'[i][j] = row_signs[i] * H[i][j] * col_signs[j]."""
+def apply_signing(h: SignMatrix, row_mask: int, col_mask: int) -> SignMatrix:
+    """H with row i negated where bit i of row_mask is set and column j
+    negated where bit j of col_mask is set."""
     n = h.n
-    row_signs = list(row_signs)
-    col_signs = list(col_signs)
-    if len(row_signs) != n or len(col_signs) != n:
-        raise LengthMismatch("sign vectors must have length n")
-    if any(s not in (1, -1) for s in row_signs + col_signs):
-        raise HadamardError("signs must be +1 or -1")
-    col_mask = sum(1 << j for j, s in enumerate(col_signs) if s == -1)
+    if row_mask >> n or col_mask >> n:
+        raise LengthMismatch(f"sign masks must have no bit at position {n} or above")
     full = (1 << n) - 1
-    rows = [
-        (r ^ col_mask) ^ (full if s == -1 else 0)
-        for r, s in zip(h.rows, row_signs)
-    ]
+    rows = [r ^ col_mask ^ (full if row_mask >> i & 1 else 0) for i, r in enumerate(h.rows)]
     return SignMatrix(n, rows)
 
 
@@ -143,10 +134,10 @@ def _require_family(ext: FieldContext, family: str) -> int:
 
 
 def _pieces(ext: FieldContext, family: str, m: int, params, partition):
-    """The D sets of a family, their promised sizes, and one piece
-    (design name, members, design, promised profile values, profile values
-    whose blocks are negated, matrix row of block 0) per design the members
-    are promised against."""
+    """The D sets of a family (masks, as build_dlh), their promised sizes, and
+    one piece (design name, point mask, design, promised profile values,
+    profile values whose blocks are negated, matrix row of block 0) per
+    design the D sets are promised against."""
     base = ext.subfield
     mm = m * m
     if family == "regular" and partition is None:
@@ -169,8 +160,9 @@ def _pieces(ext: FieldContext, family: str, m: int, params, partition):
         allowed = (mm + 1, mm + 2, mm + m + 1, mm + m + 2)
         design = isets.paley_design(base)
         return dsets, (2 * mm + m + 2,), [("Paley design", dsets[0], design, allowed, allowed[2:], 1)]
-    members = {(0, x) for x in dsets[0]} | {(1, x) for x in dsets[1]}
+    members = dsets[0] | dsets[1] << base.q
     if family == "regular":
+        members <<= 1  # past the star
         design = isets.doubled_symmetric_design(base)
         return dsets, (mm - m, mm), [("doubled symmetric design", members, design, (mm - m, mm), (mm,), 1)]
     if m % 2:
@@ -207,25 +199,22 @@ def transform(
     """
     m = _require_family(ext, family)
     dsets, promised, pieces = _pieces(ext, family, m, params, partition)
-    sizes = tuple(map(len, dsets))
+    sizes = tuple(d.bit_count() for d in dsets)
     if sizes != promised:
         raise HadamardError(f"{family}: D-set sizes {sizes} break the promised sizes {promised}")
     if h is None:
         h = base_matrix(family, ext.subfield)
     border = FAMILIES[family].border
-    col_signs = [1] * h.n
-    row_signs = [1] * h.n
+    row_mask = col_mask = 0
     for name, members, design, allowed, negated, first_row in pieces:
         profile = isets.intersection_profile(members, design)
         values = profile.profile_values()
         if not set(values) <= set(allowed):
             promised = sorted(set(allowed))
             raise HadamardError(f"{family}: {name} profile values {values} break the promised set {promised}")
-        for pt in members:
-            col_signs[border + design.point_index[pt]] = -1
-        for b in profile.dual_blocks(*negated):
-            row_signs[first_row + b] = -1
-    signed = apply_signing(h, row_signs, col_signs)
+        col_mask |= members << border
+        row_mask |= profile.dual_mask(*negated) << first_row
+    signed = apply_signing(h, row_mask, col_mask)
     bad = hadamard_violation(signed)
     if bad is not None:
         raise NotHadamard(bad)

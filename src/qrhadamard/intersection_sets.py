@@ -2,6 +2,9 @@
 by cyclotomic classes of GF(q^2), their intersection profiles and duals,
 and the admissible-parameter search.
 
+A point set is an int mask over point numbers, and so is a block.  Over
+GF(q) the number of x is its canonical index idx(x): 0 for the field's 0,
+k + 1 for omega^k.  Each design builder states how it numbers its points.
 All set membership is decided by exact discrete logs.  The character-sum
 size formulas that cross-check the enumerated counts live in
 qrhadamard.oracles.
@@ -19,45 +22,29 @@ from .errors import BadE, BadEll, IntersectionError, NotFound, WrongResidue
 from .finite_field import ZERO, FieldContext, NoSubfield
 
 
-class BlockDesign:
-    """Points, and blocks as bitmasks over point indices."""
+class BlockDesign(namedtuple("BlockDesign", "v blocks")):
+    """v points numbered 0..v-1, and blocks as bitmasks over those numbers;
+    each builder states its numbering."""
 
-    def __init__(self, points, blocks):
-        self.points = tuple(points)
-        self.blocks = tuple(blocks)
-        self.point_index = {p: i for i, p in enumerate(self.points)}
-
-    @property
-    def v(self) -> int:
-        return len(self.points)
+    __slots__ = ()
 
     @property
     def b(self) -> int:
         return len(self.blocks)
 
-    def mask_of(self, members) -> int:
-        mask = 0
-        for p in members:
-            mask |= 1 << self.point_index[p]
-        return mask
 
-
-class IntersectionSet(namedtuple("IntersectionSet", "members profile duals")):
-    """A point set (frozenset), its profile as (size, multiplicity) pairs with
-    sizes ascending, and its duals as (size, block indices) pairs."""
+class IntersectionSet(namedtuple("IntersectionSet", "profile duals")):
+    """A point set's profile as (size, multiplicity) pairs with sizes
+    ascending, and its duals as (size, block indices) pairs."""
 
     __slots__ = ()
 
     def profile_values(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.profile)
 
-    def dual_blocks(self, *sizes) -> tuple[int, ...]:
-        wanted = set(sizes)
-        out = []
-        for v, idxs in self.duals:
-            if v in wanted:
-                out.extend(idxs)
-        return tuple(sorted(out))
+    def dual_mask(self, *sizes) -> int:
+        """The mask over block indices of the blocks met in one of sizes."""
+        return sum(1 << b for v, idxs in self.duals if v in sizes for b in idxs)
 
 
 class ParamChoice(
@@ -116,60 +103,53 @@ def _translate_masks(ctx: FieldContext, with_zero: bool) -> tuple[int, ...]:
 
 
 def paley_design(ctx: FieldContext) -> BlockDesign:
-    """Translates of the squares-with-zero block, q = 3 mod 4."""
+    """Translates of the squares-with-zero block, q = 3 mod 4; point x is
+    numbered idx(x), its canonical index."""
     if ctx.q % 4 != 3:
         raise WrongResidue(f"q = {ctx.q} is not 3 mod 4")
-    pts = list(ctx.elements())
-    return BlockDesign(pts, _translate_masks(ctx, True))
+    return BlockDesign(ctx.q, _translate_masks(ctx, True))
 
 
 def paired_designs(ctx: FieldContext) -> tuple[BlockDesign, BlockDesign]:
     """The two block designs on {0,1} x F_q carried by the doubled
-    quadratic-residue matrix, q = 1 mod 4."""
+    quadratic-residue matrix, q = 1 mod 4; point (i, x) is numbered
+    i*q + idx(x)."""
     if ctx.q % 4 != 1:
         raise WrongResidue(f"q = {ctx.q} is not 1 mod 4")
-    elems = list(ctx.elements())
-    pts = [(0, x) for x in elems] + [(1, x) for x in elems]
     q = ctx.q
     cz = _translate_masks(ctx, True)
     c = _translate_masks(ctx, False)
     ns = class_translates(ctx, 1)
-    blocks1 = [czm | (cm << q) for czm, cm in zip(cz, c)]
-    blocks2 = [cm | (nm << q) for cm, nm in zip(c, ns)]
-    return (BlockDesign(pts, blocks1), BlockDesign(pts, blocks2))
+    blocks1 = tuple(czm | (cm << q) for czm, cm in zip(cz, c))
+    blocks2 = tuple(cm | (nm << q) for cm, nm in zip(c, ns))
+    return (BlockDesign(2 * q, blocks1), BlockDesign(2 * q, blocks2))
 
 
 def doubled_symmetric_design(ctx: FieldContext) -> BlockDesign:
     """The symmetric 2-(2q+1, q, (q-1)/2) design on a star point plus
-    {0,1} x F_q, q = 1 mod 4; blocks mirror the point order."""
-    if ctx.q % 4 != 1:
-        raise WrongResidue(f"q = {ctx.q} is not 1 mod 4")
-    elems = list(ctx.elements())
+    {0,1} x F_q, q = 1 mod 4; the star is numbered 0 and (i, x) is numbered
+    1 + i*q + idx(x).  Blocks mirror the point order: the star's block
+    {1} x F_q, then the blocks of the paired designs past the star, those of
+    the second with the star."""
+    d1, d2 = paired_designs(ctx)
     q = ctx.q
-    pts = ["star"] + [(0, x) for x in elems] + [(1, x) for x in elems]
-    cz = _translate_masks(ctx, True)
-    c = _translate_masks(ctx, False)
-    ns = class_translates(ctx, 1)
-    full = (1 << q) - 1
-    star_block = full << (1 + q)
-    blocks = [star_block]
-    for czm, cm in zip(cz, c):
-        blocks.append((czm << 1) | (cm << (1 + q)))
-    for cm, nm in zip(c, ns):
-        blocks.append(1 | (cm << 1) | (nm << (1 + q)))
-    return BlockDesign(pts, blocks)
+    blocks = [((1 << q) - 1) << (1 + q)]
+    blocks += [b << 1 for b in d1.blocks]
+    blocks += [1 | b << 1 for b in d2.blocks]
+    return BlockDesign(2 * q + 1, tuple(blocks))
 
 
-def intersection_profile(members, design: BlockDesign) -> IntersectionSet:
-    """Exact intersection sizes of a point set against every block."""
-    mask = design.mask_of(members)
+def intersection_profile(mask: int, design: BlockDesign) -> IntersectionSet:
+    """Exact intersection sizes against every block of a point set, given as
+    a mask over the design's point numbers."""
+    if mask >> design.v:
+        raise IntersectionError(f"point mask has a bit outside the design's {design.v} points")
     tally: dict[int, list[int]] = {}
     for idx, blk in enumerate(design.blocks):
         c = (mask & blk).bit_count()
         tally.setdefault(c, []).append(idx)
     sizes = sorted(tally)
     return IntersectionSet(
-        members=frozenset(members),
         profile=tuple((v, len(tally[v])) for v in sizes),
         duals=tuple((v, tuple(tally[v])) for v in sizes),
     )
@@ -191,16 +171,18 @@ def _validate_dlh_args(ext: FieldContext, ell: int, e: int, H) -> frozenset[int]
     return hset
 
 
-def build_dlh(ext: FieldContext, ell: int, e: int, H) -> frozenset[int]:
-    """Points x of GF(q) with 1 + x omega^ell in the H-classes of GF(q^2)."""
+def build_dlh(ext: FieldContext, ell: int, e: int, H) -> int:
+    """The mask over canonical indices of GF(q) (bit 0 for 0, bit k + 1 for
+    omega^k) of the points x with 1 + x omega^ell in the H-classes of
+    GF(q^2)."""
     hset = _validate_dlh_args(ext, ell, e, H)
     n, lell = ext.order, ell % ext.order
     # 1 + x omega^ell is 1 (log 0) for x = 0, else omega^Z(log x + ell)
-    members = {ZERO} if 0 in hset else set()
+    mask = 1 if 0 in hset else 0
     for x in ext.subfield.nonzero():
         if ext._zech((ext.embed(x) + lell) % n) % e in hset:
-            members.add(x)
-    return frozenset(members)
+            mask |= 2 << x
+    return mask
 
 
 def admissible_params(ext: FieldContext, family: str, partition=None):
@@ -293,9 +275,10 @@ def h_sets(params: ParamChoice) -> tuple[list[int], ...]:
     return (first, second) if eps_delta == 1 else (second, first)
 
 
-def scheme_dsets(ext: FieldContext, part, ell: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The pair of point sets cut out of GF(q) by S_0, S_1 for omega^ell in
-    X_2 or X_4 of a scheme partition; unchecked here.  hadamard.transform
+def scheme_dsets(ext: FieldContext, part, ell: int) -> tuple[int, int]:
+    """The masks (as build_dlh) of the pair of point sets cut out of GF(q)
+    by S_0, S_1 for omega^ell in X_2 or X_4 of a scheme partition; unchecked
+    here.  hadamard.transform
     checks that they have sizes (m^2-m, m^2) and meet the doubled symmetric
     design in m^2-m or m^2 points."""
     h1, h2, h3, h4 = part.h_lists

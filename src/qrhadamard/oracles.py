@@ -161,7 +161,7 @@ def check_size_formulas(ext: FieldContext, ell: int, e: int, H) -> bool:
     hset = _validate_dlh_args(ext, ell, e, H)
     base = ext.subfield
     q, n = base.q, ext.order
-    members = build_dlh(ext, ell, e, H)
+    dmask = build_dlh(ext, ell, e, H)
     hs = sorted(hset)
     ze = roots_of_unity(e)
     g2 = [gauss_sum(ext, e, j) for j in range(e)]
@@ -184,12 +184,10 @@ def check_size_formulas(ext: FieldContext, ell: int, e: int, H) -> bool:
         + chi_m1 * g_eta / (2 * q)
         + chi_m1 * g_eta / q * sum(per2[(j + w) % e] for j in hs)
     )
-    if not (_rounds_to(size_a, len(members)) and _rounds_to(size_b, len(members))):
+    size = dmask.bit_count()
+    if not (_rounds_to(size_a, size) and _rounds_to(size_b, size)):
         return False
 
-    dmask = 0
-    for x in members:
-        dmask |= 1 << base.canonical_index(x)
     sq_masks = _translate_masks(base, False)
     xi_l = 1 if lell % e in hset else 0
     c2 = (ext.half + t_inv + lq) % n % e  # class of -T^{-1} omega^{q ell}
@@ -236,10 +234,7 @@ def theorem_e8_branches(ext: FieldContext, params: ParamChoice) -> bool:
     q, n = base.q, ext.order
     m, hp = params.m, params.h
     eps_delta = params.epsilon * params.delta
-    members = build_dlh(ext, params.ell, 8, h_sets(params)[0])
-    dmask = 0
-    for x in members:
-        dmask |= 1 << base.canonical_index(x)
+    dmask = build_dlh(ext, params.ell, 8, h_sets(params)[0])
     blocks = _translate_masks(base, True)
     if eps_delta == 1:
         branch = {0: m * m + m + 2, 3: m * m + m + 2, 6: m * m + m + 2,

@@ -252,9 +252,9 @@ def test_two_intersection_sets(m, sizes, m3, m5):
     params = isets.find_params(ext, "scheme", partition=part)
     assert params.tau == schemes.verify_scheme(ext, part).tau
     d0, d1 = isets.scheme_dsets(ext, part, params.ell)
-    assert (len(d0), len(d1)) == sizes
-    assert len(d0) + len(d1) == 2 * m * m - m
-    members = {(0, x) for x in d0} | {(1, x) for x in d1}
+    assert (d0.bit_count(), d1.bit_count()) == sizes
+    assert d0.bit_count() + d1.bit_count() == 2 * m * m - m
+    members = (d0 | d1 << ext.subfield.q) << 1  # the star is point 0
     design = isets.doubled_symmetric_design(ext.subfield)
     prof = isets.intersection_profile(members, design)
     assert set(prof.profile_values()) == {m * m - m, m * m}

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -51,6 +52,21 @@ def test_construct_is_deterministic(tmp_path):
         assert read(out1 / name) == read(out2 / name)
 
 
+@pytest.mark.parametrize(
+    "umask,mode", [(0o022, 0o644), (0o027, 0o640), (0o002, 0o664)], ids=["022", "027", "002"]
+)
+def test_construct_outputs_get_the_mode_of_a_plain_open(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        assert main(["construct", "--family", "q3", "--m", "1", "--out", str(tmp_path)]) == 0
+        (tmp_path / "plain").write_text("")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "plain").stat().st_mode) == mode
+    names = ["q3_q11_base.mat", "q3_q11_transformed.mat", "q3_q11_report.json"]
+    assert {name: stat.S_IMODE((tmp_path / name).stat().st_mode) for name in names} == dict.fromkeys(names, mode)
+
+
 def test_construct_then_verify_roundtrip(tmp_path, capsys):
     assert main(["construct", "--family", "q1", "--m", "3", "--out", str(tmp_path)]) == 0
     report = json.loads(read(tmp_path / "q1_q25_report.json"))
@@ -92,14 +108,14 @@ def test_construct_input_errors(tmp_path):
 
 def test_regular_family_needs_odd_m(tmp_path, capsys):
     m3 = str(SCHEMES_DIR / "m3.scheme")
-    for argv in (
-        ["construct", "--family", "regular", "--m", "2", "--partition", m3, "--out", str(tmp_path)],
-        ["scheme", "--search", "--m", "4", "--e", "8"],
-        ["search-params", "--family", "scheme", "--q", "31", "--partition", m3],
+    for argv, family in (
+        (["construct", "--family", "regular", "--m", "2", "--partition", m3, "--out", str(tmp_path)], "regular"),
+        (["scheme", "--search", "--m", "4", "--e", "8"], "regular"),
+        (["search-params", "--family", "scheme", "--q", "31", "--partition", m3], "scheme"),
     ):
         capsys.readouterr()
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: the regular family needs odd m\n"
+        assert capsys.readouterr().err == f"error: the {family} family needs odd m\n"
 
 
 def test_construct_rejects_small_m_and_oversized_fields(tmp_path, capsys):
@@ -574,8 +590,8 @@ def test_unusable_out_exits_2(tmp_path, capsys):
 
 def test_q_below_two_is_not_of_the_family_form(capsys):
     for command, family, q, form in (
-        ("construct", "q3", -5, "e8"),
-        ("construct", "q1", 0, "e4"),
+        ("construct", "q3", -5, "q3"),
+        ("construct", "q1", 0, "q1"),
         ("search-params", "e8", 1, "e8"),
         ("search-params", "scheme", 1, "scheme"),
     ):
@@ -888,8 +904,8 @@ _MESSAGE_TABLE = [
     ("construct --family q3 --m 1 --q 11 --out {tmp}/o", 2, "", "error: give exactly one of --q and --m\n"),
     ("construct --family q3 --m 0 --out {tmp}/o", 2, "", "error: the q3 family needs m >= 1, got m = 0\n"),
     ("construct --family q3 --q 3 --out {tmp}/o", 2, "", "error: the q3 family needs m >= 1, got m = 0\n"),
-    ("construct --family q3 --q -5 --out {tmp}/o", 2, "", "error: q = -5 is not of the e8 form\n"),
-    ("construct --family q3 --q 13 --out {tmp}/o", 2, "", "error: q = 13 is not of the e8 form\n"),
+    ("construct --family q3 --q -5 --out {tmp}/o", 2, "", "error: q = -5 is not of the q3 form\n"),
+    ("construct --family q3 --q 13 --out {tmp}/o", 2, "", "error: q = 13 is not of the q3 form\n"),
     ("construct --family q3 --m 3 --out {tmp}/o", 2, "", "error: 51 is not a prime power\n"),
     (
         "construct --family q3 --m 40 --out {tmp}/o", 2, "",
@@ -967,6 +983,7 @@ _MESSAGE_TABLE = [
     ("search-params --family e8 --q 11 --limit -1", 2, "", "error: --limit must be >= 0 (0 lists every row), got -1\n"),
     ("search-params --family e8 --limit 1", 2, "", "error: give exactly one of --q and --m\n"),
     ("search-params --family e8 --q 12", 2, "", "error: q = 12 is not of the e8 form\n"),
+    ("search-params --family e8 --m 0", 2, "", "error: the e8 family needs m >= 1, got m = 0\n"),
     ("search-params --family e4 --m 40", 2, "", "error: 3281 is not a prime power\n"),
     (
         "search-params --family e8 --q 11 --limit 2", 0,
@@ -974,7 +991,11 @@ _MESSAGE_TABLE = [
     ),
     (
         "search-params --family scheme --q 31 --partition {schemes}/m3.scheme", 2, "",
-        "error: the regular family needs odd m\n",
+        "error: the scheme family needs odd m\n",
+    ),
+    (
+        "search-params --family scheme --m 2 --partition {schemes}/m3.scheme", 2, "",
+        "error: the scheme family needs odd m\n",
     ),
     ("search-params --family scheme --q 17", 2, "", "error: scheme family needs --partition\n"),
     (
@@ -1006,6 +1027,7 @@ _MESSAGE_TABLE = [
     ("scheme --search --m 3 --e 12 --budget 0", 3, "", "error: search needs 160 candidates, over the budget of 0\n"),
     ("scheme --search --m 3 --e 0", 2, "", "error: e = 0 must be even and divide both 4m^2 and q^2-1\n"),
     ("scheme --search --m 4 --e 8", 2, "", "error: the regular family needs odd m\n"),
+    ("scheme --search --m 0", 2, "", "error: the regular family needs m >= 1, got m = 0\n"),
     ("scheme --search --q 18", 2, "", "error: q = 18 is not of the scheme form\n"),
     ("scheme --search --q 161", 2, "", "error: 161 is not a prime power\n"),
     ("scheme --search --m 3 --e 4", 0, "", "found 0 partition(s)\n"),

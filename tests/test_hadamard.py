@@ -31,8 +31,9 @@ def from_entries(entries):
 
 
 def det_signs(n, trial, salt=0):
-    """Deterministic +-1 vector for the counter-based property trials."""
-    return [1 if (31 * trial + 17 * i + 7 * salt) % 7 < 4 else -1 for i in range(n)]
+    """Deterministic sign mask (bit i set negates row or column i) for the
+    counter-based property trials."""
+    return sum(1 << i for i in range(n) if (31 * trial + 17 * i + 7 * salt) % 7 >= 4)
 
 
 def test_is_hadamard_basics():
@@ -164,15 +165,15 @@ def test_excess_report_rejects_non_hadamard():
 def test_apply_signing_involution_and_excess_flip():
     h = hd.construct_q3(build_field(11))
     n = h.n
-    ident = [1] * n
-    assert hd.apply_signing(h, ident, ident) == h
-    allneg = [-1] * n
-    assert hd.apply_signing(h, allneg, ident).excess() == -h.excess()
+    assert hd.apply_signing(h, 0, 0) == h
+    allneg = (1 << n) - 1
+    assert hd.apply_signing(h, allneg, 0).excess() == -h.excess()
     signs = det_signs(n, 3)
-    twice = hd.apply_signing(hd.apply_signing(h, signs, ident), signs, ident)
+    twice = hd.apply_signing(hd.apply_signing(h, signs, 0), signs, 0)
     assert twice == h
-    with pytest.raises(hd.LengthMismatch):
-        hd.apply_signing(h, [1] * (n - 1), ident)
+    for rows, cols in ((1 << n, 0), (0, 1 << n), (-1, 0)):
+        with pytest.raises(hd.LengthMismatch):
+            hd.apply_signing(h, rows, cols)
 
 
 def test_signing_preserves_hadamard_100_trials():
@@ -184,10 +185,7 @@ def test_signing_preserves_hadamard_100_trials():
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    st.lists(st.sampled_from([1, -1]), min_size=12, max_size=12),
-    st.lists(st.sampled_from([1, -1]), min_size=12, max_size=12),
-)
+@given(st.integers(0, (1 << 12) - 1), st.integers(0, (1 << 12) - 1))
 def test_signing_preserves_hadamard_property(rows, cols):
     h = hd.construct_q3(build_field(11))
     signed = hd.apply_signing(h, rows, cols)
@@ -299,10 +297,9 @@ def test_transform_regular_builds_and_checks_its_pieces_once(monkeypatch, tower1
 
 
 def test_transform_names_the_broken_profile_promise(monkeypatch):
-    ext, base = quadratic_tower(11)
-    points = list(base.elements())
+    ext, _ = quadratic_tower(11)
     # every block holds every point, so each block meets the 5-point D set in 5
-    full = isets.BlockDesign(points, [(1 << 11) - 1] * 11)
+    full = isets.BlockDesign(11, [(1 << 11) - 1] * 11)
     monkeypatch.setattr(isets, "paley_design", lambda ctx: full)
     with pytest.raises(hd.HadamardError) as info:
         hd.transform(ext, "q3")
@@ -435,7 +432,7 @@ def test_certificate_agrees_with_the_full_check_on_the_bases(family, q, monkeypa
 def test_certificate_holds_on_signings_of_the_bases(case, data):
     family, q = case
     h = hd.base_matrix(family, field_for(q))
-    signs = st.lists(st.sampled_from([1, -1]), min_size=h.n, max_size=h.n)
+    signs = st.integers(0, (1 << h.n) - 1)
     signed = hd.apply_signing(h, data.draw(signs), data.draw(signs))
     assert serial_violation(signed) is None
     assert mx._certified(signed)

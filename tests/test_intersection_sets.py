@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 
@@ -6,7 +6,7 @@ from conftest import shipped_partition
 from qrhadamard import character_sums as cs
 from qrhadamard import intersection_sets as isets
 from qrhadamard import oracles
-from qrhadamard.finite_field import build_field, quadratic_tower
+from qrhadamard.finite_field import ZERO, build_field, quadratic_tower
 
 
 def pairwise_lambda(design):
@@ -61,11 +61,12 @@ def test_paired_designs_incidence_oracle():
             m2 = m[i][j] - (1 if i == j else 0)
             m3 = -m1
             b = d1.blocks[ctx.canonical_index(y)]
-            assert (b >> d1.point_index[(0, x)]) & 1 == (m1 + 1) // 2
-            assert (b >> d1.point_index[(1, x)]) & 1 == (m2 + 1) // 2
+            px = ctx.canonical_index(x)  # (0, x) is point px, (1, x) is point q + px
+            assert (b >> px) & 1 == (m1 + 1) // 2
+            assert (b >> (q + px)) & 1 == (m2 + 1) // 2
             b2 = d2.blocks[ctx.canonical_index(y)]
-            assert (b2 >> d2.point_index[(0, x)]) & 1 == (m2 + 1) // 2
-            assert (b2 >> d2.point_index[(1, x)]) & 1 == (m3 + 1) // 2
+            assert (b2 >> px) & 1 == (m2 + 1) // 2
+            assert (b2 >> (q + px)) & 1 == (m3 + 1) // 2
     # M is symmetric because -1 is a square mod q = 1 (mod 4)
     assert all(m[i][j] == m[j][i] for i in range(q) for j in range(q))
     # diagonal of M is all-zero
@@ -86,7 +87,7 @@ def test_build_dlh_sizes(tower11, tower25):
     p8 = isets.find_params(ext11, "e8")
     h0 = 2 * p8.h + (1 - p8.epsilon * p8.delta) // 2
     d = isets.build_dlh(ext11, p8.ell, 8, [h0 + i for i in range(4)])
-    assert len(d) == 5  # 2m^2 + m + 2 at m = 1
+    assert d.bit_count() == 5  # 2m^2 + m + 2 at m = 1
 
     ext25, _ = tower25
     p4 = isets.find_params(ext25, "e4")
@@ -96,7 +97,7 @@ def test_build_dlh_sizes(tower11, tower25):
         first, second = second, first
     d0 = isets.build_dlh(ext25, p4.ell, 4, first)
     d1 = isets.build_dlh(ext25, p4.ell, 4, second)
-    assert (len(d0), len(d1)) == (9, 12)  # (m^2, m^2+m) at m = 3
+    assert (d0.bit_count(), d1.bit_count()) == (9, 12)  # (m^2, m^2+m) at m = 3
 
 
 def test_build_dlh_validation(tower11):
@@ -113,6 +114,46 @@ def test_build_dlh_validation(tower11):
         isets.build_dlh(ext, 1, 4, [0, 1])  # e=4: gcd(4,12)=4, order-1 restriction
 
 
+def naive_dlh(ext, ell, e, H):
+    """The mask of D_{l,H} from its definition: 1 + x omega^ell added and
+    multiplied in GF(q^2) for every x of GF(q), no Zech shortcut."""
+    base, hset = ext.subfield, {h % e for h in H}
+    mask = 0
+    for x in base.elements():
+        v = ext.add(ext.one, ext.mul(ext.embed(x), ell))
+        assert v != ZERO  # omega^ell is not in GF(q), so 1 + x omega^ell != 0
+        if v % e in hset:
+            mask |= 1 << base.canonical_index(x)
+    return mask
+
+
+@pytest.mark.parametrize("q", [11, 25, 27])  # e8; e4 over a tower over a tower; e8 over an odd degree
+def test_build_dlh_masks_match_the_definition(q):
+    ext, _ = quadratic_tower(q)
+    family = "e8" if q % 4 == 3 else "e4"
+    e = cs.SIGN_ORDERS[family]
+    cases = [(p.ell, hs) for p in islice(isets.admissible_params(ext, family), 4) for hs in isets.h_sets(p)]
+    # every ell of the first three cycles mod q + 1, admissible or not, with two H each
+    shifted = [h + e // 2 if h % 2 else h for h in range(e // 2)]
+    cases += [(ell, hs) for ell in range(1, 3 * (q + 1)) if ell % (q + 1) for hs in (range(e // 2), shifted)]
+    for ell, hs in cases:
+        assert isets.build_dlh(ext, ell, e, hs) == naive_dlh(ext, ell, e, hs), (ell, hs)
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_scheme_dsets_masks_match_the_definition(m):
+    part = shipped_partition(m)
+    ext, _ = quadratic_tower(part.q)
+    h1, h2, h3, h4 = part.h_lists
+    ells = [p.ell for p in islice(isets.admissible_params(ext, "scheme", part), 4)]
+    for hs in (h2, h4):  # the first ells of X_2 and of X_4
+        ells += [ell for ell in range(1, ext.order) if ell % part.e in hs and ell % (part.q + 1)][:4]
+    for ell in ells:
+        s0, s1 = (h1 + h4, h1 + h2) if ell % part.e in h2 else (h2 + h3, h3 + h4)
+        want = (naive_dlh(ext, ell, part.e, s0), naive_dlh(ext, ell, part.e, s1))
+        assert isets.scheme_dsets(ext, part, ell) == want, ell
+
+
 def test_profile_flag_double_count(tower11):
     ext, base = tower11
     p8 = isets.find_params(ext, "e8")
@@ -122,14 +163,17 @@ def test_profile_flag_double_count(tower11):
     prof = isets.intersection_profile(d, des)
     assert sum(mult for _, mult in prof.profile) == des.b
     flags = sum(v * len(idxs) for v, idxs in prof.duals)
-    assert flags == sum(blk >> des.point_index[p] & 1 for p in d for blk in des.blocks)
+    points = [p for p in range(des.v) if d >> p & 1]
+    assert flags == sum(blk >> p & 1 for p in points for blk in des.blocks)
 
 
 def test_profile_empty_set():
     ctx = build_field(7)
     des = isets.paley_design(ctx)
-    prof = isets.intersection_profile(frozenset(), des)
+    prof = isets.intersection_profile(0, des)
     assert prof.profile == ((0, des.b),)
+    with pytest.raises(isets.IntersectionError):
+        isets.intersection_profile(1 << des.v, des)
 
 
 def test_e8_profile_and_branches(tower11):
@@ -220,8 +264,8 @@ def test_even_m_sizes_and_profiles():
             first, second = second, first
         d0 = isets.build_dlh(ext, p4.ell, 4, first)
         d1 = isets.build_dlh(ext, p4.ell, 4, second)
-        assert (len(d0), len(d1)) == (m * m, m * m + m + 1)
-        members = {(0, x) for x in d0} | {(1, x) for x in d1}
+        assert (d0.bit_count(), d1.bit_count()) == (m * m, m * m + m + 1)
+        members = d0 | d1 << q
         b1, b2 = isets.paired_designs(base)
         prof1 = isets.intersection_profile(members, b1)
         prof2 = isets.intersection_profile(members, b2)
