@@ -204,12 +204,7 @@ def cmd_verify(args) -> int:
     from . import matrix as mx
 
     matrix = mx.SignMatrix.from_text(_input_lines(args.matrix))
-    # one orthogonality check: excess_and_bound runs it for n >= 4
-    try:
-        rep = mx.excess_and_bound(matrix) if matrix.n >= 4 else None
-        violation = mx.hadamard_violation(matrix) if rep is None else None
-    except mx.NotHadamard as exc:
-        violation = exc.rows
+    violation = mx.hadamard_violation(matrix)
     if violation is not None:
         payload = {
             "n": matrix.n,
@@ -218,8 +213,8 @@ def cmd_verify(args) -> int:
         }
         print(json.dumps(payload, sort_keys=True))
         return EXIT_VERIFY
-    if rep is not None:
-        payload = mx.report_json(rep)
+    if matrix.n >= 4:
+        payload = mx.report_json(mx._excess_report(matrix))
     else:
         hist: dict[str, int] = {}
         for v in matrix.row_sums():

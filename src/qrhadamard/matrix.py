@@ -13,11 +13,12 @@ pair, O(n^2) popcounts.
 
 The full check is split over the CPUs this process may run on, with no
 option to choose: the rows are interleaved over one scanner per usable CPU
-(at least _ROWS_PER_SCANNER rows each), this process and forked children,
-and the answer is the same first pair in row-major order that one process
-scanning alone finds.  A scanner that finds a pair posts its row on a
-shared board, and every scanner stops before any row past the smallest one
-posted.
+(at least _ROWS_PER_SCANNER rows each), this process and forked children.
+A scanner that finds a pair posts its row on a shared board, and every
+scanner stops before any row past the smallest one posted.  The board
+carries the answer: its smallest row is the first bad row of one process
+scanning alone, and this process names the pair with one pass over that
+row, so the answer is the same first pair in row-major order.
 """
 
 from __future__ import annotations
@@ -251,65 +252,44 @@ def _scan(rows, n: int, first: int, step: int, board, slot: int, parent: int | N
 
 def _forked_scan(rows, n: int, w: int) -> tuple[int, int] | None:
     """_scan of rows i = k (mod w) in scanner k: this process is scanner 0,
-    and w - 1 forked children, which inherit the rows, answer through one
-    pipe.  The smallest pair found is the serial scan's first pair.  Every
-    child is reaped before this returns or raises, after a kill if this
-    process raised.  Raises OSError when a fork fails, and
-    ChildProcessError when a child exits non-zero or answers malformed."""
+    and w - 1 forked children, which inherit the rows and the board, say
+    nothing but their exit status.  The smallest row on the board is the
+    serial scan's first bad row, so this process names the pair with one
+    more pass over that row.  A child leaves through os._exit, so it never
+    unwinds into a caller's finally, runs no atexit handler and flushes no
+    inherited stdio.  Every child is reaped before this returns or raises,
+    after a kill if this process raised.  Raises OSError when a fork fails,
+    and ChildProcessError when a child exits non-zero."""
     import mmap
     import signal
 
     parent = os.getpid()
     children = []
-    read_end, write_end = os.pipe()
-    with (
-        open(read_end, "rb") as answers,
-        open(write_end, "wb") as sink,
-        mmap.mmap(-1, 8 * w) as shared,
-        memoryview(shared).cast("q") as board,
-    ):
+    with mmap.mmap(-1, 8 * w) as shared, memoryview(shared).cast("q") as board:
         for slot in range(w):
             board[slot] = n
         try:
             for slot in range(1, w):
                 pid = os.fork()
                 if pid == 0:
-                    _child_scan(rows, n, slot, w, board, parent, write_end)
+                    code = 1
+                    try:
+                        _scan(rows, n, slot, w, board, slot, parent)
+                        code = 0
+                    finally:
+                        os._exit(code)
                 children.append(pid)
-            sink.close()
-            found = [_scan(rows, n, 0, w, board, 0)]
-            reply = answers.read()
+            _scan(rows, n, 0, w, board, 0)
         except BaseException:
             for pid in children:
                 os.kill(pid, signal.SIGKILL)
             raise
         finally:
             failed = [os.waitpid(pid, 0)[1] != 0 for pid in children]
-    lines = reply.splitlines()
-    if any(failed) or len(lines) != w - 1:
+        first = min(board)
+    if any(failed):
         raise ChildProcessError("a row scanner failed")
-    try:
-        for line in lines:
-            if line != b"-":
-                i, j = map(int, line.split(b" "))
-                found.append((i, j))
-    except ValueError:
-        raise ChildProcessError("a row scanner answered malformed") from None
-    return min((pair for pair in found if pair is not None), default=None)
-
-
-def _child_scan(rows, n: int, slot: int, w: int, board, parent: int, sink: int):
-    """Scanner slot of _forked_scan, in the forked child: write "i j" or "-"
-    as one line to the pipe sink and leave through os._exit, so the child
-    never unwinds into a caller's finally, runs no atexit handler and flushes
-    no inherited stdio."""
-    code = 1
-    try:
-        pair = _scan(rows, n, slot, w, board, slot, parent)
-        os.write(sink, b"%d %d\n" % pair if pair else b"-\n")
-        code = 0
-    finally:
-        os._exit(code)
+    return None if first == n else _scan(rows, n, first, n, [n], 0)
 
 
 def bound_params(n: int) -> tuple[int, int, int, int, int]:

@@ -1216,7 +1216,7 @@ def test_a_split_verify_unwinds_the_caller_once(tmp_path, flip):
     f, log = tmp_path / "h.mat", tmp_path / "log.txt"
     f.write_text(h.to_text())
     proc = subprocess.run(
-        [sys.executable, "-c", _TRACED_VERIFY, str(f), str(log)],
+        [sys.executable, "-X", "dev", "-W", "error", "-c", _TRACED_VERIFY, str(f), str(log)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": _SRC},
