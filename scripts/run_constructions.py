@@ -55,7 +55,7 @@ def main() -> int:
     failures, unshipped, reached = [], [], set()
     for family, m, q in hd.instances():
         partition = None
-        if family == "regular":
+        if hd.FAMILIES[family].partition:
             path = SCHEMES_DIR / f"m{m}.scheme"
             if not path.is_file():
                 unshipped.append(m)
@@ -81,7 +81,7 @@ def main() -> int:
                 failures.append(f"FAIL {name}: sha256 {problem} in {PINS.name}; pin line: {digest}  {name}")
     gaps = []
     m = 1
-    while family_q(m, hd.FAMILIES["q3"].key) <= hd.MAX_Q:
+    while family_q(m, "q3") <= hd.MAX_Q:
         if m not in reached:
             gaps.append(m)
         m += 1

@@ -390,7 +390,7 @@ def scheme_search(ext: FieldContext, e: int, budget: int = DEFAULT_SEARCH_BUDGET
     if ext.subfield is None:
         raise BadForm("search needs the quadratic tower")
     q = ext.subfield.q
-    m = cs.family_m(q, "scheme")
+    m = cs.family_m(q, "regular")
     if m % 2 == 0:
         raise BadForm("m must be odd")
     if e < 4 or e % 2 or ext.order % e or (4 * m * m) % e:

@@ -1,6 +1,7 @@
 """Multiplicative characters, Gauss periods, cyclotomic numbers, Gauss sums,
-the family forms q(m) and the table of the three families, and the
-Gauss-sum sign pair of the q3 and q1 families.
+the table of the three families (FAMILIES: each row holds its form q(m),
+sign order, border, designs and promised values), and the Gauss-sum sign
+pair of the q3 and q1 families.
 
 Multiplicative characters are always normalized so that chi_e(omega) is the
 first primitive e-th root of unity; a character of order e is then evaluated
@@ -86,54 +87,65 @@ class GaussDecomposition(namedtuple("GaussDecomposition", "epsilon delta form m 
     __slots__ = ()
 
 
-# q = a m^2 + b m + c per family, as (a, b, c)
-FAMILY_FORMS = {"e8": (4, 4, 3), "e4": (2, 2, 1), "scheme": (2, 0, -1)}
-
-
-class Family(namedtuple("Family", "key promise border odd_m")):
-    """key: the character_sums / intersection_sets name ("e8" | "e4" |
-    "scheme"); promise: the row-sum shape of the transformed matrix
-    ("biregular" | "regular"); border: columns before the first block of q
-    design points; odd_m: whether m must be odd."""
+class Family(
+    namedtuple("Family", "form sign_order promise border odd_m partition variant design promised")
+):
+    """A family of the paper.  form: (a, b, c) with q = a m^2 + b m + c;
+    sign_order: the order (8 or 4) of the character whose Gauss sum over
+    GF(q^2) carries the sign pair, None where a scheme partition gives the D
+    sets; promise: the row-sum shape of the transformed matrix ("biregular" |
+    "regular"); border: columns before the first block of q design points;
+    odd_m: whether m must be odd; partition: whether it takes a scheme
+    partition; variant: construct_q1's variant of the base matrix, None for
+    construct_q3; design: what the D sets are promised against ("Paley" |
+    "paired" | "doubled"); promised: m -> (the D-set sizes, and per design the
+    sizes the D sets may meet its blocks in, whose upper half negates rows)."""
 
     __slots__ = ()
 
 
-# the three families by their CLI names
+def _q3_promise(m: int):
+    mm = m * m
+    return (2 * mm + m + 2,), ((mm + 1, mm + 2, mm + m + 1, mm + m + 2),)
+
+
+def _q1_promise(m: int):
+    mm, top = m * m, m * m + m + 1 - m % 2  # even m lifts the upper values by one
+    return (mm, top), ((mm, mm + 1, top, top + 1), (mm - 1, mm, top - 1, top))
+
+
+def _regular_promise(m: int):
+    return (m * m - m, m * m), ((m * m - m, m * m),)
+
+
+# the paper's three families by name: q3 and q1 biregular, regular through a
+# four-class scheme
 FAMILIES = {
-    "q3": Family("e8", "biregular", 1, False),
-    "q1": Family("e4", "biregular", 2, False),
-    "regular": Family("scheme", "regular", 1, True),
+    "q3": Family(form=(4, 4, 3), sign_order=8, promise="biregular", border=1, odd_m=False,
+                 partition=False, variant=None, design="Paley", promised=_q3_promise),
+    "q1": Family(form=(2, 2, 1), sign_order=4, promise="biregular", border=2, odd_m=False,
+                 partition=False, variant="plain", design="paired", promised=_q1_promise),
+    "regular": Family(form=(2, 0, -1), sign_order=None, promise="regular", border=1, odd_m=True,
+                      partition=True, variant="negated2", design="doubled", promised=_regular_promise),
 }
 
 
-def _form(family: str) -> tuple[int, int, int]:
-    try:
-        return FAMILY_FORMS[family]
-    except KeyError:
-        raise CharError(f"unknown family {family!r}") from None
-
-
 def family_q(m: int, family: str) -> int:
-    """q = 4m^2+4m+3 ('e8'), 2m^2+2m+1 ('e4') or 2m^2-1 ('scheme')."""
-    a, b, c = _form(family)
+    """q = 4m^2+4m+3 (q3), 2m^2+2m+1 (q1) or 2m^2-1 (regular)."""
+    a, b, c = FAMILIES[family].form
     return a * m * m + b * m + c
 
 
 def family_m(q: int, family: str) -> int:
     """The m >= 0 with family_q(m, family) == q.  Each form has
     m^2 - 1 <= q // a <= m^2 + m, so m is isqrt(q // a) or the next integer."""
-    a, b, c = _form(family)
+    a, b, c = FAMILIES[family].form
     if q >= 2:  # no field has fewer than 2 elements
         r = isqrt(q // a)
         for m in (r, r + 1):
             if a * m * m + b * m + c == q:
                 return m
     raise CharError(f"q = {q} is not of the {family} form")
-
-
-# the character order whose Gauss sum over GF(q^2) carries a family's signs
-SIGN_ORDERS = {"e8": 8, "e4": 4}
 
 
 def gauss_sign_counts(ext: FieldContext, e: int) -> tuple[int, ...]:
@@ -156,18 +168,19 @@ def gauss_sign_counts(ext: FieldContext, e: int) -> tuple[int, ...]:
 
 
 def signs_from_counts(counts, family: str, m: int) -> tuple[int, int]:
-    """(epsilon, delta) of the closed form that sum_j c_j zeta_e^j equals.
+    """(epsilon, delta) of the closed form that sum_j c_j zeta_e^j equals,
+    e the family's sign order.
 
-    e8 (zeta^4 = -1, sqrt(-2) = zeta + zeta^3): eps (2m+1) + delta sqrt(-2)
+    e = 8 (zeta^4 = -1, sqrt(-2) = zeta + zeta^3): eps (2m+1) + delta sqrt(-2)
     has c0 - c4 = eps (2m+1), c1 - c5 = c3 - c7 = delta and c2 - c6 = 0.
-    e4 (G_q(eta)^2 = q for q = 1 mod 4): eps a + delta b i has
+    e = 4 (G_q(eta)^2 = q for q = 1 mod 4): eps a + delta b i has
     (c0 - c2, c1 - c3) = (eps a, delta b), where (a, b) = (m, m+1) for odd m
     and (m+1, m) for even m.  Any other count vector raises NoMatch."""
     half = len(counts) // 2
     diffs = tuple(counts[j] - counts[j + half] for j in range(half))
     for eps in (1, -1):
         for delta in (1, -1):
-            if family == "e8":
+            if FAMILIES[family].sign_order == 8:
                 want = (eps * (2 * m + 1), delta, 0, delta)
             else:
                 a, b = (m, m + 1) if m % 2 else (m + 1, m)
@@ -180,12 +193,13 @@ def signs_from_counts(counts, family: str, m: int) -> tuple[int, int]:
 def gauss_signs(ext: FieldContext, family: str) -> tuple[int, int]:
     """The sign pair (epsilon, delta) of the family's Gauss-sum closed form,
     decided exactly from q + 1 cosets; decompose_gauss is its float oracle."""
-    if family not in SIGN_ORDERS:
+    order = FAMILIES[family].sign_order
+    if order is None:
         raise CharError(f"no Gauss-sum sign pair for family {family!r}")
     if ext.subfield is None:
         raise NoSubfield("sign counts need the quadratic tower GF(q) in GF(q^2)")
     m = family_m(ext.subfield.q, family)
-    return signs_from_counts(gauss_sign_counts(ext, SIGN_ORDERS[family]), family, m)
+    return signs_from_counts(gauss_sign_counts(ext, order), family, m)
 
 
 def decompose_gauss(ext: FieldContext, family: str) -> GaussDecomposition:
@@ -197,7 +211,7 @@ def decompose_gauss(ext: FieldContext, family: str) -> GaussDecomposition:
     q = base.q
     m = family_m(q, family)
     g_eta = gauss_sum(base, 2, 1)
-    if family == "e8":
+    if FAMILIES[family].sign_order == 8:
         target = gauss_sum(ext, 8, 1)
         sqrt_m2 = 1j * sqrt(2.0)
         for eps in (1, -1):
@@ -206,7 +220,7 @@ def decompose_gauss(ext: FieldContext, family: str) -> GaussDecomposition:
                 if abs(cand - target) < TOL:
                     return GaussDecomposition(eps, delta, FORM_ORDER8, m, cand)
         raise NoMatch(f"no order-8 sign pattern matches at q = {q}")
-    # family e4
+    # sign order 4
     target = g_eta * gauss_sum(ext, 4, 1) / q
     form = FORM_ORDER4_ODD if m % 2 else FORM_ORDER4_EVEN
     a, b = (m, m + 1) if m % 2 else (m + 1, m)

@@ -82,40 +82,37 @@ def _read_partition(path: str):
     return parse_partition("".join(_input_lines(path)))
 
 
-def _resolve_q_m(args, family: str, typed: str | None = None) -> tuple[int, int]:
-    """q and m of the family FAMILIES[family] from exactly one of --q and --m.
-    The errors name the family as typed, the command's --family value;
-    without one (scheme --search), the m errors name family and a q of the
-    wrong form gets family_m's message."""
+def _resolve_q_m(args, family: str) -> tuple[int, int]:
+    """q and m of the family from exactly one of --q and --m; the errors
+    name the family."""
     from .character_sums import FAMILIES, family_m, family_q
     from .finite_field import prime_power
 
     if (args.q is None) == (args.m is None):
         raise UsageError("give exactly one of --q and --m")
-    fam, name = FAMILIES[family], typed or family
-    if args.m is not None:
-        q = family_q(args.m, fam.key)
-        m = args.m
-    else:
-        q = args.q
-        try:
-            m = family_m(q, fam.key)
-        except CharError:
-            if typed is None:
-                raise
-            raise UsageError(f"q = {q} is not of the {typed} form") from None
+    q = args.q if args.m is None else family_q(args.m, family)
+    m = family_m(q, family) if args.m is None else args.m  # a q of another form raises CharError
     if m < 1:
-        raise UsageError(f"the {name} family needs m >= 1, got m = {m}")
+        raise UsageError(f"the {family} family needs m >= 1, got m = {m}")
     prime_power(q)  # raises FieldError if not a prime power
-    if fam.odd_m and m % 2 == 0:
-        raise UsageError(f"the {name} family needs odd m")
+    if FAMILIES[family].odd_m and m % 2 == 0:
+        raise UsageError(f"the {family} family needs odd m")
     return q, m
 
 
-def _family_partition(q: int, m: int, path: str):
-    """The regular family's partition from the file at path, checked against
-    q and m; the library checks that it is a scheme."""
-    partition = _read_partition(path)
+def _family_partition(args, family: str, q: int, m: int):
+    """The partition of --partition, checked against q and m, for a family
+    that takes one; None for a family that takes none.  The library checks
+    that it is a scheme."""
+    from .character_sums import FAMILIES
+
+    if not FAMILIES[family].partition:
+        if args.partition:
+            raise UsageError(f"the {family} family takes no --partition")
+        return None
+    if not args.partition:
+        raise UsageError(f"--partition is required for the {family} family")
+    partition = _read_partition(args.partition)
     if partition.q != q or partition.m != m:
         raise UsageError("partition file does not match the requested q/m")
     return partition
@@ -158,24 +155,18 @@ def promise_miss(family: str, rep) -> dict | None:
 
 
 def cmd_construct(args) -> int:
-    from .character_sums import FAMILIES
     from .finite_field import quadratic_tower
     from .intersection_sets import admissible_params
     from .matrix import report_json
 
     family = args.family
-    fam = FAMILIES[family]
-    q, m = _resolve_q_m(args, family, family)
+    q, m = _resolve_q_m(args, family)
     ext, _ = quadratic_tower(q)
-    partition = None
-    if family == "regular":
-        if not args.partition:
-            raise UsageError("--partition is required for the regular family")
-        partition = _family_partition(q, m, args.partition)
+    partition = _family_partition(args, family, q, m)
 
     params = None
     if args.ell is not None:
-        choices = admissible_params(ext, fam.key, partition)
+        choices = admissible_params(ext, family, partition)
         params = next((cand for cand in choices if cand.ell >= args.ell), None)  # ascending ell
         if params is None or params.ell != args.ell:
             raise UsageError(f"--ell {args.ell} is not admissible for this family")
@@ -242,22 +233,15 @@ def _param_row(choice) -> dict:
 
 
 def cmd_search_params(args) -> int:
-    from .character_sums import FAMILIES
     from .finite_field import quadratic_tower
     from .intersection_sets import admissible_params
 
     family = args.family
     if args.limit is not None and args.limit < 0:
         raise UsageError(f"--limit must be >= 0 (0 lists every row), got {args.limit}")
-    # search-params takes the character-sum name of a family
-    by_key = {fam.key: name for name, fam in FAMILIES.items()}
-    q, m = _resolve_q_m(args, by_key[family], family)
+    q, m = _resolve_q_m(args, family)
     ext, _ = quadratic_tower(q)
-    partition = None
-    if family == "scheme":
-        if not args.partition:
-            raise UsageError("scheme family needs --partition")
-        partition = _family_partition(q, m, args.partition)
+    partition = _family_partition(args, family, q, m)
     choices = admissible_params(ext, family, partition)  # checks the partition before any row
     rows = map(_param_row, itertools.islice(choices, args.limit or None))
     # the bytes of json.dumps(rows, sort_keys=True), encoded a bounded chunk at a time
@@ -276,6 +260,8 @@ def cmd_scheme(args) -> int:
     from . import association_schemes as schemes
     from .finite_field import quadratic_tower
 
+    if args.verify and (args.search or any(v is not None for v in (args.q, args.m, args.e, args.budget))):
+        raise UsageError("--verify takes none of --search, --q, --m, --e and --budget")
     if args.search:
         budget = schemes.DEFAULT_SEARCH_BUDGET if args.budget is None else args.budget
         if budget < 0:
@@ -305,6 +291,10 @@ def cmd_scheme(args) -> int:
     return EXIT_VERIFY
 
 
+# the names of character_sums.FAMILIES, which --help does not load
+_FAMILY_NAMES = ["q3", "q1", "regular"]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qrhadamard",
@@ -313,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_con = sub.add_parser("construct", help="build, transform and verify a matrix")
-    p_con.add_argument("--family", required=True, choices=["q3", "q1", "regular"])
+    p_con.add_argument("--family", required=True, choices=_FAMILY_NAMES)
     p_con.add_argument("--m", type=int)
     p_con.add_argument("--q", type=int)
     p_con.add_argument("--ell", type=int)
@@ -329,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_sp = sub.add_parser("search-params", help="list admissible (h, ell) pairs")
-    p_sp.add_argument("--family", required=True, choices=["e8", "e4", "scheme"])
+    p_sp.add_argument("--family", required=True, choices=_FAMILY_NAMES)
     p_sp.add_argument("--q", type=int)
     p_sp.add_argument("--m", type=int)
     p_sp.add_argument("--partition")

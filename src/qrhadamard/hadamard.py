@@ -104,7 +104,7 @@ def instances():
     prime power no larger than MAX_Q."""
     for family, fam in FAMILIES.items():
         m = 1
-        while (q := cs.family_q(m, fam.key)) <= MAX_Q:
+        while (q := cs.family_q(m, family)) <= MAX_Q:
             if m % 2 or not fam.odd_m:
                 try:
                     prime_power(q)
@@ -116,10 +116,10 @@ def instances():
 
 
 def base_matrix(family: str, base: FieldContext) -> SignMatrix:
-    """The quadratic-residue Hadamard matrix that a family's transform signs."""
-    if family == "q3":
-        return construct_q3(base)
-    return construct_q1(base, "negated2" if family == "regular" else "plain")
+    """The quadratic-residue Hadamard matrix that a family's transform signs:
+    construct_q3, or construct_q1 in the variant of the family's row."""
+    variant = FAMILIES[family].variant
+    return construct_q3(base) if variant is None else construct_q1(base, variant)
 
 
 def _require_family(ext: FieldContext, family: str) -> int:
@@ -128,56 +128,30 @@ def _require_family(ext: FieldContext, family: str) -> int:
     if ext.subfield is None:
         raise NotPrimePower("transforms need the quadratic tower over GF(q)")
     try:
-        return cs.family_m(ext.subfield.q, FAMILIES[family].key)
+        return cs.family_m(ext.subfield.q, family)
     except cs.CharError as exc:
         raise NotPrimePower(str(exc)) from exc
 
 
-def _pieces(ext: FieldContext, family: str, m: int, params, partition):
-    """The D sets of a family (masks, as build_dlh), their promised sizes, and
-    one piece (design name, point mask, design, promised profile values,
-    profile values whose blocks are negated, matrix row of block 0) per
-    design the D sets are promised against."""
-    base = ext.subfield
-    mm = m * m
-    if family == "regular" and partition is None:
-        raise HadamardError("the regular family needs a scheme partition")
-    if params is None:  # find_params checks the partition
-        try:
-            params = isets.find_params(ext, FAMILIES[family].key, partition)
-        except isets.NotFound as exc:
-            raise ParamSearchFailed(str(exc)) from exc
-    elif family == "regular":
-        from .association_schemes import require_scheme
+# Each design of a FAMILIES row, from the base field and the D sets: the mask
+# of the D-set points over the design's point numbers, and per design its
+# name, the design and the row of its block 0 past the border.
+def _paley(base: FieldContext, dsets):
+    return dsets[0], [("Paley design", isets.paley_design(base), 0)]
 
-        require_scheme(ext, partition)
-    if family == "regular":
-        dsets = isets.scheme_dsets(ext, partition, params.ell)
-    else:
-        e = cs.SIGN_ORDERS[FAMILIES[family].key]
-        dsets = tuple(isets.build_dlh(ext, params.ell, e, hs) for hs in isets.h_sets(params))
-    if family == "q3":
-        allowed = (mm + 1, mm + 2, mm + m + 1, mm + m + 2)
-        design = isets.paley_design(base)
-        return dsets, (2 * mm + m + 2,), [("Paley design", dsets[0], design, allowed, allowed[2:], 1)]
+
+def _paired(base: FieldContext, dsets):
+    first, second = isets.paired_designs(base)
     members = dsets[0] | dsets[1] << base.q
-    if family == "regular":
-        members <<= 1  # past the star
-        design = isets.doubled_symmetric_design(base)
-        return dsets, (mm - m, mm), [("doubled symmetric design", members, design, (mm - m, mm), (mm,), 1)]
-    if m % 2:
-        sizes = (mm, mm + m)
-        alphas = (mm, mm + 1, mm + m, mm + m + 1)
-        betas = (mm - 1, mm, mm + m - 1, mm + m)
-    else:
-        sizes = (mm, mm + m + 1)
-        alphas = (mm, mm + 1, mm + m + 1, mm + m + 2)
-        betas = (mm - 1, mm, mm + m, mm + m + 1)
-    design1, design2 = isets.paired_designs(base)
-    return dsets, sizes, [
-        ("first paired design", members, design1, alphas, alphas[2:], 2),
-        ("second paired design", members, design2, betas, betas[2:], 2 + base.q),
-    ]
+    return members, [("first paired design", first, 0), ("second paired design", second, base.q)]
+
+
+def _doubled(base: FieldContext, dsets):
+    members = (dsets[0] | dsets[1] << base.q) << 1  # past the star
+    return members, [("doubled symmetric design", isets.doubled_symmetric_design(base), 0)]
+
+
+_DESIGNS = {"Paley": _paley, "paired": _paired, "doubled": _doubled}
 
 
 def transform(
@@ -198,22 +172,38 @@ def transform(
       verified four-class partition of GF(q^2) given as partition.
     """
     m = _require_family(ext, family)
-    dsets, promised, pieces = _pieces(ext, family, m, params, partition)
+    fam = FAMILIES[family]
+    if fam.partition and partition is None:
+        raise HadamardError(f"the {family} family needs a scheme partition")
+    if params is None:  # find_params checks the partition
+        try:
+            params = isets.find_params(ext, family, partition)
+        except isets.NotFound as exc:
+            raise ParamSearchFailed(str(exc)) from exc
+    elif fam.partition:
+        from .association_schemes import require_scheme
+
+        require_scheme(ext, partition)
+    if fam.partition:
+        dsets = isets.scheme_dsets(ext, partition, params.ell)
+    else:
+        dsets = tuple(isets.build_dlh(ext, params.ell, fam.sign_order, hs) for hs in isets.h_sets(params))
+    promised, profiles = fam.promised(m)
     sizes = tuple(d.bit_count() for d in dsets)
     if sizes != promised:
         raise HadamardError(f"{family}: D-set sizes {sizes} break the promised sizes {promised}")
     if h is None:
         h = base_matrix(family, ext.subfield)
-    border = FAMILIES[family].border
-    row_mask = col_mask = 0
-    for name, members, design, allowed, negated, first_row in pieces:
+    members, designs = _DESIGNS[fam.design](ext.subfield, dsets)
+    col_mask, row_mask = members << fam.border, 0
+    for (name, design, first_row), allowed in zip(designs, profiles):
         profile = isets.intersection_profile(members, design)
         values = profile.profile_values()
         if not set(values) <= set(allowed):
             promised = sorted(set(allowed))
             raise HadamardError(f"{family}: {name} profile values {values} break the promised set {promised}")
-        col_mask |= members << border
-        row_mask |= profile.dual_mask(*negated) << first_row
+        negated = allowed[len(allowed) // 2:]  # the upper half of the promised values
+        row_mask |= profile.dual_mask(*negated) << fam.border + first_row
     signed = apply_signing(h, row_mask, col_mask)
     bad = hadamard_violation(signed)
     if bad is not None:

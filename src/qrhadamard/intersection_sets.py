@@ -50,8 +50,8 @@ class IntersectionSet(namedtuple("IntersectionSet", "profile duals")):
 class ParamChoice(
     namedtuple("ParamChoice", "family ell m h epsilon delta tau", defaults=(None, None, None, None))
 ):
-    """An admissible parameter choice of a family ("e8" | "e4" | "scheme"):
-    ell and m, with h, epsilon, delta and tau None where the family has none."""
+    """An admissible parameter choice of a family, by its FAMILIES name: ell
+    and m, with h, epsilon, delta and tau None where the family has none."""
 
     __slots__ = ()
 
@@ -186,10 +186,11 @@ def build_dlh(ext: FieldContext, ell: int, e: int, H) -> int:
 
 
 def admissible_params(ext: FieldContext, family: str, partition=None):
-    """An iterator of the admissible (h, ell) pairs in ascending ell, per
-    family, checked at the call: a scheme partition goes through
-    association_schemes.require_scheme, which gives tau, before any pair is
-    made.  Only this branch loads association_schemes.
+    """An iterator of the admissible (h, ell) pairs in ascending ell of a
+    family, by its FAMILIES name, checked at the call: the partition of a
+    family that takes one goes through association_schemes.require_scheme,
+    which gives tau, before any pair is made.  Only this branch loads
+    association_schemes.
 
     Every condition is an exact discrete-log congruence; the sign data
     (epsilon, delta) comes from the exact Gauss-sum sign counts.
@@ -197,14 +198,12 @@ def admissible_params(ext: FieldContext, family: str, partition=None):
     if ext.subfield is None:
         raise NoSubfield("parameter search needs the quadratic tower")
     tau = None
-    if family == "scheme":
+    if cs.FAMILIES[family].partition:
         if partition is None:
-            raise IntersectionError("scheme family needs a partition")
+            raise IntersectionError(f"the {family} family needs a scheme partition")
         from .association_schemes import require_scheme
 
         tau = require_scheme(ext, partition).tau
-    elif family not in cs.SIGN_ORDERS:
-        raise IntersectionError(f"unknown family {family!r}")
     return _admissible_params(ext, family, partition, tau)
 
 
@@ -223,10 +222,11 @@ def _admissible_params(ext: FieldContext, family: str, partition, tau):
         """log(omega^(q ell) - omega^ell) for ell not divisible by q+1."""
         return (ell + gap(ell % (q + 1))) % n
 
-    if family in cs.SIGN_ORDERS:
+    order = cs.FAMILIES[family].sign_order
+    if order is not None:
         eps, delta = cs.gauss_signs(ext, family)
-        m = cs.family_m(q, family)
-    if family == "e8":
+    m = cs.family_m(q, family)
+    if order == 8:
         t_target = (4 + 2 * delta) % 8
         h_of = {0: 0, 6: 1, 4: 2, 2: 3}
         for ell in range(1, n):
@@ -235,17 +235,16 @@ def _admissible_params(ext: FieldContext, family: str, partition, tau):
             if t_of(ell) % 8 != t_target:
                 continue
             hp = h_of[(2 - 5 * eps * delta - ell) % 8]
-            yield ParamChoice("e8", ell, m, h=hp, epsilon=eps, delta=delta)
-    elif family == "e4":
+            yield ParamChoice(family, ell, m, h=hp, epsilon=eps, delta=delta)
+    elif order == 4:
         for ell in range(1, n):
             if ell % (q + 1) == 0:
                 continue
             h = (ell - 3) % 4
             if t_of(ell) % 4 != (delta * (1 + 2 * h)) % 4:
                 continue
-            yield ParamChoice("e4", ell, m, h=h, epsilon=eps, delta=delta)
-    else:
-        m = cs.family_m(q, "scheme")
+            yield ParamChoice(family, ell, m, h=h, epsilon=eps, delta=delta)
+    else:  # the scheme partition's classes and tau
         e = partition.e
         four_m2 = 4 * m * m
         t_target = (tau * m * m) % four_m2
@@ -257,18 +256,19 @@ def _admissible_params(ext: FieldContext, family: str, partition, tau):
                 continue
             if t_of(ell) % four_m2 != t_target:
                 continue
-            yield ParamChoice("scheme", ell, m, tau=tau)
+            yield ParamChoice(family, ell, m, tau=tau)
 
 
 def h_sets(params: ParamChoice) -> tuple[list[int], ...]:
-    """The H of each D_{l,H} a biregular transform cuts out, from h and
-    epsilon*delta: four consecutive order-8 classes from
-    h0 = 2h + (1 - epsilon delta)/2 for e8; for e4 the pair [h, h+1], [h+1, h+2],
-    swapped when epsilon delta = -1."""
-    if params.family not in ("e8", "e4"):
+    """The H of each D_{l,H} a biregular transform cuts out, by the family's
+    sign order, from h and epsilon*delta: four consecutive order-8 classes from
+    h0 = 2h + (1 - epsilon delta)/2 for order 8; for order 4 the pair
+    [h, h+1], [h+1, h+2], swapped when epsilon delta = -1."""
+    order = cs.FAMILIES[params.family].sign_order
+    if order is None:
         raise IntersectionError(f"no H rule for family {params.family!r}")
     hp, eps_delta = params.h, params.epsilon * params.delta
-    if params.family == "e8":
+    if order == 8:
         h0 = 2 * hp + (1 - eps_delta) // 2
         return ([h0, h0 + 1, h0 + 2, h0 + 3],)
     first, second = [hp, hp + 1], [hp + 1, hp + 2]

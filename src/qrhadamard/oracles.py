@@ -227,7 +227,7 @@ def check_size_formulas(ext: FieldContext, ell: int, e: int, H) -> bool:
     return True
 
 
-def theorem_e8_branches(ext: FieldContext, params: ParamChoice) -> bool:
+def theorem_order8_branches(ext: FieldContext, params: ParamChoice) -> bool:
     """Check that each measured block count lands in the branch selected by
     the order-8 character of 1 + omega^ell s."""
     base = ext.subfield

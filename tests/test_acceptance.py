@@ -117,7 +117,7 @@ def test_criterion_3_regular_family(tmp_path):
 
 
 def _family_h_sets(choice):
-    if choice.family == "e8":
+    if choice.family == "q3":
         h0 = 2 * choice.h + (1 - choice.epsilon * choice.delta) // 2
         return [[h0 + i for i in range(4)]]
     return [[choice.h, choice.h + 1], [choice.h + 1, choice.h + 2]]
@@ -126,8 +126,8 @@ def _family_h_sets(choice):
 def test_criterion_4_formula_oracles():
     ok = True
     for q in (5, 11, 13, 25, 27):
-        family = "e8" if q % 4 == 3 else "e4"
-        e = 8 if family == "e8" else 4
+        family = "q3" if q % 4 == 3 else "q1"
+        e = cs.FAMILIES[family].sign_order
         ext, base = quadratic_tower(q)
         pairs = list(isets.admissible_params(ext, family))
         assert pairs, f"no admissible pairs at q={q}"
@@ -177,7 +177,7 @@ def test_criterion_5_closed_forms():
     print(f"  quadratic Gauss sums: {checked} prime powers q <= 200")
     for q in (11, 27, 83):
         ext, _ = quadratic_tower(q)
-        dec = cs.decompose_gauss(ext, "e8")
+        dec = cs.decompose_gauss(ext, "q3")
         ok &= abs(dec.value - cs.gauss_sum(ext, 8, 1)) < TOL
     for q, d in ((5, 2), (11, 2), (7, 2)):
         base = build_field(q)

@@ -249,7 +249,7 @@ def test_two_class_fusion_character_values(m3):
 @pytest.mark.parametrize("m,sizes", [(3, (6, 9)), (5, (20, 25))])
 def test_two_intersection_sets(m, sizes, m3, m5):
     ext, part = m3 if m == 3 else m5
-    params = isets.find_params(ext, "scheme", partition=part)
+    params = isets.find_params(ext, "regular", partition=part)
     assert params.tau == schemes.verify_scheme(ext, part).tau
     d0, d1 = isets.scheme_dsets(ext, part, params.ell)
     assert (d0.bit_count(), d1.bit_count()) == sizes

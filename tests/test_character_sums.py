@@ -174,7 +174,7 @@ def test_jacobi_sums():
 def test_decompose_order8():
     for q in (11, 27, 83):
         ext, base = quadratic_tower(q)
-        dec = cs.decompose_gauss(ext, "e8")
+        dec = cs.decompose_gauss(ext, "q3")
         m = dec.m
         assert 4 * m * m + 4 * m + 3 == q
         # reconstruction against the numeric Gauss sum
@@ -187,7 +187,7 @@ def test_decompose_order8():
 def test_decompose_order4_both_parities():
     for q in (5, 13, 25, 41, 61, 113, 181):
         ext, base = quadratic_tower(q)
-        dec = cs.decompose_gauss(ext, "e4")
+        dec = cs.decompose_gauss(ext, "q1")
         m = dec.m
         assert 2 * m * m + 2 * m + 1 == q
         assert dec.form == (cs.FORM_ORDER4_ODD if m % 2 else cs.FORM_ORDER4_EVEN)
@@ -197,19 +197,21 @@ def test_decompose_order4_both_parities():
 def test_decompose_wrong_family():
     ext, _ = quadratic_tower(7)
     with pytest.raises(cs.CharError):
-        cs.decompose_gauss(ext, "e8")
+        cs.decompose_gauss(ext, "q3")
 
 
+# each id names the order e of the Gauss sum and q
 @pytest.mark.parametrize(
     "family,q",
-    [("e8", q) for q in (11, 27, 83, 227, 443)] + [("e4", q) for q in (5, 13, 25, 41, 61, 113, 181, 841)],
+    [pytest.param("q3", q, id=f"e8-{q}") for q in (11, 27, 83, 227, 443)]
+    + [pytest.param("q1", q, id=f"e4-{q}") for q in (5, 13, 25, 41, 61, 113, 181, 841)],
 )
 def test_exact_signs_match_the_float_oracle(family, q):
     ext, _ = quadratic_tower(q)
     dec = cs.decompose_gauss(ext, family)
     assert cs.gauss_signs(ext, family) == (dec.epsilon, dec.delta)
     # G_{q^2}(chi) = G_q(eta) sum_j c_j zeta^j, numerically
-    e = cs.SIGN_ORDERS[family]
+    e = cs.FAMILIES[family].sign_order
     counts = cs.gauss_sign_counts(ext, e)
     ze = cs.roots_of_unity(e)
     s = sum(c * ze[j] for j, c in enumerate(counts))
@@ -236,12 +238,12 @@ def test_sign_counts_read_the_stored_relative_traces(q):
 
 def test_inconsistent_sign_counts_raise_nomatch():
     # q = 11 (m = 1) has counts (-2, 0, 0, 0, 1, 1, 0, 1): -3 and -1 -> (-1, -1)
-    assert cs.signs_from_counts((-2, 0, 0, 0, 1, 1, 0, 1), "e8", 1) == (-1, -1)
+    assert cs.signs_from_counts((-2, 0, 0, 0, 1, 1, 0, 1), "q3", 1) == (-1, -1)
     for counts, family, m in (
-        ((-2, 0, 1, 0, 1, 1, 0, 1), "e8", 1),  # c2 - c6 != 0
-        ((-2, 0, 0, 1, 1, 1, 0, 1), "e8", 1),  # c1 - c5 != c3 - c7
-        ((-2, 0, 0, 0, 0, 1, 0, 1), "e8", 1),  # |c0 - c4| != 2m + 1
-        ((0, 2, -1, 0), "e4", 2),  # (1, 2) against (a, b) = (3, 2)
+        ((-2, 0, 1, 0, 1, 1, 0, 1), "q3", 1),  # c2 - c6 != 0
+        ((-2, 0, 0, 1, 1, 1, 0, 1), "q3", 1),  # c1 - c5 != c3 - c7
+        ((-2, 0, 0, 0, 0, 1, 0, 1), "q3", 1),  # |c0 - c4| != 2m + 1
+        ((0, 2, -1, 0), "q1", 2),  # (1, 2) against (a, b) = (3, 2)
     ):
         with pytest.raises(cs.NoMatch, match=rf"counts {re.escape(str(counts))} fit no {family} sign pair"):
             cs.signs_from_counts(counts, family, m)
@@ -250,11 +252,11 @@ def test_inconsistent_sign_counts_raise_nomatch():
 def test_gauss_signs_needs_a_sign_family_and_a_tower():
     ext, _ = quadratic_tower(17)
     with pytest.raises(cs.CharError, match="no Gauss-sum sign pair"):
-        cs.gauss_signs(ext, "scheme")
+        cs.gauss_signs(ext, "regular")
     with pytest.raises(NoSubfield):
-        cs.gauss_signs(build_field(11), "e8")
-    with pytest.raises(cs.CharError, match="q = 7 is not of the e8 form"):
-        cs.gauss_signs(quadratic_tower(7)[0], "e8")
+        cs.gauss_signs(build_field(11), "q3")
+    with pytest.raises(cs.CharError, match="q = 7 is not of the q3 form"):
+        cs.gauss_signs(quadratic_tower(7)[0], "q3")
 
 
 def test_davenport_hasse():

@@ -111,7 +111,7 @@ def test_regular_family_needs_odd_m(tmp_path, capsys):
     for argv, family in (
         (["construct", "--family", "regular", "--m", "2", "--partition", m3, "--out", str(tmp_path)], "regular"),
         (["scheme", "--search", "--m", "4", "--e", "8"], "regular"),
-        (["search-params", "--family", "scheme", "--q", "31", "--partition", m3], "scheme"),
+        (["search-params", "--family", "regular", "--q", "31", "--partition", m3], "regular"),
     ):
         capsys.readouterr()
         assert main(argv) == 2
@@ -123,7 +123,7 @@ def test_construct_rejects_small_m_and_oversized_fields(tmp_path, capsys):
         capsys.readouterr()
         assert main(["construct", "--family", "q3", *argv, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
-    assert main(["search-params", "--family", "e8", "--m", "40"]) == 2
+    assert main(["search-params", "--family", "q3", "--m", "40"]) == 2
     assert "exceeds the cap" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
@@ -143,7 +143,7 @@ def test_cli_runs_never_import_sympy(tmp_path):
     argvs = [
         ["construct", "--family", "q3", "--q", "11", "--out", str(tmp_path)],
         ["scheme", "--verify", str(SCHEMES_DIR / "m3.scheme")],
-        ["search-params", "--family", "e4", "--q", "13", "--limit", "1"],
+        ["search-params", "--family", "q1", "--q", "13", "--limit", "1"],
     ]
     script = (
         "import json, sys\n"
@@ -289,7 +289,7 @@ def test_construct_certifies_orthogonality_without_the_full_check(tmp_path, monk
 
 def test_construct_with_explicit_admissible_ell(tmp_path, capsys):
     capsys.readouterr()
-    assert main(["search-params", "--family", "e8", "--q", "11", "--limit", "2"]) == 0
+    assert main(["search-params", "--family", "q3", "--q", "11", "--limit", "2"]) == 0
     rows = json.loads(capsys.readouterr().out)
     second = rows[1]
     code = main(
@@ -356,24 +356,24 @@ def test_verify_exit_codes_on_the_parse_cases(tmp_path, capsys):
 
 
 def test_search_params(capsys):
-    assert main(["search-params", "--family", "e8", "--q", "11", "--limit", "5"]) == 0
+    assert main(["search-params", "--family", "q3", "--q", "11", "--limit", "5"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert rows and all(r["ell"] % 12 != 0 for r in rows)
     assert [r["ell"] for r in rows] == sorted(r["ell"] for r in rows)
-    assert main(["search-params", "--family", "e4", "--q", "5", "--limit", "3"]) == 0
+    assert main(["search-params", "--family", "q1", "--q", "5", "--limit", "3"]) == 0
     capsys.readouterr()
-    assert main(["search-params", "--family", "e8", "--q", "12"]) == 2
-    assert main(["search-params", "--family", "e4", "--q", "11"]) == 2
+    assert main(["search-params", "--family", "q3", "--q", "12"]) == 2
+    assert main(["search-params", "--family", "q1", "--q", "11"]) == 2
 
 
 @pytest.mark.parametrize("limit", [0, 1, 3])
-@pytest.mark.parametrize("family,q", [("e8", 11), ("e4", 13), ("scheme", 17)])
+@pytest.mark.parametrize("family,q", [("q3", 11), ("q1", 13), ("regular", 17)])
 def test_search_params_streams_the_json_list(capsys, monkeypatch, family, q, limit):
     monkeypatch.setattr(cli, "_ROWS_PER_CHUNK", 2)  # every list but the shortest spans chunks
     ext, _ = finite_field.quadratic_tower(q)
     partition = None
     argv = ["search-params", "--family", family, "--q", str(q), "--limit", str(limit)]
-    if family == "scheme":
+    if family == "regular":
         partition = shipped_partition(3)
         argv += ["--partition", str(SCHEMES_DIR / "m3.scheme")]
     rows = []
@@ -390,7 +390,7 @@ def test_search_params_streams_the_json_list(capsys, monkeypatch, family, q, lim
 def test_search_params_with_no_rows_prints_an_empty_list(capsys, monkeypatch):
     monkeypatch.setattr(isets, "admissible_params", lambda *args, **kwargs: iter(()))
     capsys.readouterr()
-    assert main(["search-params", "--family", "e8", "--q", "11", "--limit", "0"]) == 1
+    assert main(["search-params", "--family", "q3", "--q", "11", "--limit", "0"]) == 1
     out = capsys.readouterr()
     assert out.out == "[]\n"
     assert "no admissible parameters" in out.err
@@ -402,7 +402,7 @@ def test_search_params_scheme(capsys):
             [
                 "search-params",
                 "--family",
-                "scheme",
+                "regular",
                 "--q",
                 "17",
                 "--partition",
@@ -463,6 +463,30 @@ def test_scheme_stdout_matches_the_benchmark_digest(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+# the sha256 of the full search-params stdout, as printed when the command
+# took the names e8, e4 and scheme: its rows carry no family name
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["q3", "--q", "83"], "a6026d520cd0afaa1c6e6e1598ce0b02e641a827171adc8c2a784debb2fa46b6"),
+        (["q1", "--q", "61"], "ab7072a1b194030e716d108173372651f690b6b58c4fdd545ed51726e437388c"),
+        (
+            ["regular", "--m", "3", "--partition", str(SCHEMES_DIR / "m3.scheme")],
+            "a5da76391949556ce0bf767adfe3d6c67dec2cb5a4470e623d8c0d4decb8fbd9",
+        ),
+        (
+            ["regular", "--m", "5", "--partition", str(SCHEMES_DIR / "m5.scheme")],
+            "46f3611572e18b5c5182528f371a21c32230257dc855e7d0528cfec604f8d4e8",
+        ),
+    ],
+    ids=["q3-83", "q1-61", "regular-m3", "regular-m5"],
+)
+def test_search_params_stdout_is_unchanged_by_the_family_names(argv, digest, capsys):
+    capsys.readouterr()
+    assert main(["search-params", "--family", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_scheme_search_input_contract(capsys):
     assert main(["scheme", "--search", "--m", "3", "--e", "0"]) == 2
     assert main(["scheme", "--search", "--m", "3", "--e", "12", "--budget", "-5"]) == 2
@@ -481,7 +505,7 @@ def test_scheme_search_m7_e28_finds_none(capsys):
 
 
 def test_search_params_partition_for_another_q(capsys):
-    argv = ["search-params", "--family", "scheme", "--q", "49", "--partition", str(SCHEMES_DIR / "m3.scheme")]
+    argv = ["search-params", "--family", "regular", "--q", "49", "--partition", str(SCHEMES_DIR / "m3.scheme")]
     assert main(argv) == 2
     assert "does not match the requested q/m" in capsys.readouterr().err
 
@@ -489,9 +513,9 @@ def test_search_params_partition_for_another_q(capsys):
 @pytest.mark.parametrize(
     "family,size",
     [
-        ("e8", ["--q", "11", "--m", "5"]),
-        ("e4", ["--q", "13", "--m", "2"]),
-        ("scheme", ["--q", "17", "--m", "3", "--partition", str(SCHEMES_DIR / "m3.scheme")]),
+        ("q3", ["--q", "11", "--m", "5"]),
+        ("q1", ["--q", "13", "--m", "2"]),
+        ("regular", ["--q", "17", "--m", "3", "--partition", str(SCHEMES_DIR / "m3.scheme")]),
     ],
 )
 def test_search_params_takes_exactly_one_of_q_and_m(capsys, family, size):
@@ -502,7 +526,7 @@ def test_search_params_takes_exactly_one_of_q_and_m(capsys, family, size):
 
 
 def test_search_params_negative_limit(capsys):
-    assert main(["search-params", "--family", "e8", "--q", "11", "--limit", "-1"]) == 2
+    assert main(["search-params", "--family", "q3", "--q", "11", "--limit", "-1"]) == 2
     assert capsys.readouterr().out == ""
 
 
@@ -524,7 +548,7 @@ def test_module_entry_point(tmp_path):
     [
         ["verify", "{out}/q3_q11_transformed.mat"],
         ["construct", "--family", "q3", "--q", "11", "--out", "{out}"],
-        ["search-params", "--family", "e8", "--q", "11"],
+        ["search-params", "--family", "q3", "--q", "11"],
         ["scheme", "--search", "--m", "3", "--e", "12"],
         ["scheme", "--verify", str(SCHEMES_DIR / "m3.scheme")],
         ["--help"],
@@ -564,7 +588,7 @@ def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path, argv, unbuffered)
         ["verify", "{}"],
         ["scheme", "--verify", "{}"],
         ["construct", "--family", "regular", "--m", "3", "--partition", "{}"],
-        ["search-params", "--family", "scheme", "--q", "17", "--partition", "{}"],
+        ["search-params", "--family", "regular", "--q", "17", "--partition", "{}"],
     ],
     ids=["verify", "scheme-verify", "construct-partition", "search-params-partition"],
 )
@@ -592,8 +616,8 @@ def test_q_below_two_is_not_of_the_family_form(capsys):
     for command, family, q, form in (
         ("construct", "q3", -5, "q3"),
         ("construct", "q1", 0, "q1"),
-        ("search-params", "e8", 1, "e8"),
-        ("search-params", "scheme", 1, "scheme"),
+        ("search-params", "q3", 1, "q3"),
+        ("search-params", "regular", 1, "regular"),
     ):
         capsys.readouterr()
         assert main([command, "--family", family, f"--q={q}"]) == 2
@@ -814,7 +838,7 @@ def test_fuzz_construct_small_parameters(tmp_path_factory, family, by, value, el
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    family=st.sampled_from(["e8", "e4", "scheme"]),
+    family=st.sampled_from(["q3", "q1", "regular"]),
     by=st.sampled_from(["--q", "--m"]),
     value=_small,
     limit=st.none() | st.integers(-2, 5),
@@ -922,6 +946,10 @@ _MESSAGE_TABLE = [
     ),
     ("construct --family q3 --m 1 --h 1 --out {tmp}/o", 2, "", "error: --h needs --ell\n"),
     (
+        "construct --family q3 --q 11 --partition {schemes}/m3.scheme --out {tmp}/o", 2, "",
+        "error: the q3 family takes no --partition\n",
+    ),
+    (
         "construct --family q3 --m 1 --out {tmp}/afile", 2, "",
         "error: cannot write the outputs under --out {tmp}/afile: [Errno 17] File exists: '{tmp}/afile'\n",
     ),
@@ -980,45 +1008,53 @@ _MESSAGE_TABLE = [
     ("verify {tmp}/not_hadamard", 1, '{"hadamard": false, "n": 4, "violating_rows": [0, 1]}\n', ""),
     ("verify {tmp}/one", 0, '{"excess": 1, "hadamard": true, "n": 1, "row_sums": {"1": 1}}\n', ""),
     ("verify {tmp}/two --format text", 0, 'excess: 2\nhadamard: true\nn: 2\nrow_sums: {"0": 1, "2": 1}\n', ""),
-    ("search-params --family e8 --q 11 --limit -1", 2, "", "error: --limit must be >= 0 (0 lists every row), got -1\n"),
-    ("search-params --family e8 --limit 1", 2, "", "error: give exactly one of --q and --m\n"),
-    ("search-params --family e8 --q 12", 2, "", "error: q = 12 is not of the e8 form\n"),
-    ("search-params --family e8 --m 0", 2, "", "error: the e8 family needs m >= 1, got m = 0\n"),
-    ("search-params --family e4 --m 40", 2, "", "error: 3281 is not a prime power\n"),
+    ("search-params --family q3 --q 11 --limit -1", 2, "", "error: --limit must be >= 0 (0 lists every row), got -1\n"),
+    ("search-params --family q3 --limit 1", 2, "", "error: give exactly one of --q and --m\n"),
+    ("search-params --family q3 --q 12", 2, "", "error: q = 12 is not of the q3 form\n"),
+    ("search-params --family q3 --m 0", 2, "", "error: the q3 family needs m >= 1, got m = 0\n"),
+    ("search-params --family q1 --m 40", 2, "", "error: 3281 is not a prime power\n"),
     (
-        "search-params --family e8 --q 11 --limit 2", 0,
+        "search-params --family q3 --q 11 --limit 2", 0,
         '[{"delta": -1, "ell": 5, "epsilon": -1, "h": 0}, {"delta": -1, "ell": 9, "epsilon": -1, "h": 2}]\n', "",
     ),
     (
-        "search-params --family scheme --q 31 --partition {schemes}/m3.scheme", 2, "",
-        "error: the scheme family needs odd m\n",
+        "search-params --family q3 --q 11 --partition {schemes}/m3.scheme", 2, "",
+        "error: the q3 family takes no --partition\n",
     ),
     (
-        "search-params --family scheme --m 2 --partition {schemes}/m3.scheme", 2, "",
-        "error: the scheme family needs odd m\n",
+        "search-params --family q1 --q 13 --partition {schemes}/m3.scheme", 2, "",
+        "error: the q1 family takes no --partition\n",
     ),
-    ("search-params --family scheme --q 17", 2, "", "error: scheme family needs --partition\n"),
     (
-        "search-params --family scheme --q 17 --partition {tmp}/missing", 2, "",
+        "search-params --family regular --q 31 --partition {schemes}/m3.scheme", 2, "",
+        "error: the regular family needs odd m\n",
+    ),
+    (
+        "search-params --family regular --m 2 --partition {schemes}/m3.scheme", 2, "",
+        "error: the regular family needs odd m\n",
+    ),
+    ("search-params --family regular --q 17", 2, "", "error: --partition is required for the regular family\n"),
+    (
+        "search-params --family regular --q 17 --partition {tmp}/missing", 2, "",
         "error: [Errno 2] No such file or directory: '{tmp}/missing'\n",
     ),
     (
-        "search-params --family scheme --q 17 --partition {tmp}/latin1", 2, "",
+        "search-params --family regular --q 17 --partition {tmp}/latin1", 2, "",
         "error: {tmp}/latin1 is not UTF-8 text (byte 8: invalid start byte)\n",
     ),
     (
-        "search-params --family scheme --q 17 --partition {tmp}/malformed", 2, "",
+        "search-params --family regular --q 17 --partition {tmp}/malformed", 2, "",
         "error: partition file needs a header line and four index lines\n",
     ),
     (
-        "search-params --family scheme --q 49 --partition {schemes}/m3.scheme", 2, "",
+        "search-params --family regular --q 49 --partition {schemes}/m3.scheme", 2, "",
         "error: partition file does not match the requested q/m\n",
     ),
     (
-        "search-params --family scheme --q 17 --partition {tmp}/swapped", 1, "", _NOT_A_SCHEME,
+        "search-params --family regular --q 17 --partition {tmp}/swapped", 1, "", _NOT_A_SCHEME,
     ),
     (
-        "search-params --family scheme --q 17 --partition {schemes}/m3.scheme --limit 1", 0, '[{"ell": 3, "tau": -1}]\n',
+        "search-params --family regular --q 17 --partition {schemes}/m3.scheme --limit 1", 0, '[{"ell": 3, "tau": -1}]\n',
         "",
     ),
     ("scheme", 2, "", "error: give --verify FILE or --search\n"),
@@ -1028,9 +1064,17 @@ _MESSAGE_TABLE = [
     ("scheme --search --m 3 --e 0", 2, "", "error: e = 0 must be even and divide both 4m^2 and q^2-1\n"),
     ("scheme --search --m 4 --e 8", 2, "", "error: the regular family needs odd m\n"),
     ("scheme --search --m 0", 2, "", "error: the regular family needs m >= 1, got m = 0\n"),
-    ("scheme --search --q 18", 2, "", "error: q = 18 is not of the scheme form\n"),
+    ("scheme --search --q 18", 2, "", "error: q = 18 is not of the regular form\n"),
     ("scheme --search --q 161", 2, "", "error: 161 is not a prime power\n"),
     ("scheme --search --m 3 --e 4", 0, "", "found 0 partition(s)\n"),
+    (
+        "scheme --verify {schemes}/m3.scheme --search --m 3 --e 12", 2, "",
+        "error: --verify takes none of --search, --q, --m, --e and --budget\n",
+    ),
+    (
+        "scheme --verify {schemes}/m3.scheme --m 5 --budget -4", 2, "",
+        "error: --verify takes none of --search, --q, --m, --e and --budget\n",
+    ),
     ("scheme --verify {tmp}/missing", 2, "", "error: [Errno 2] No such file or directory: '{tmp}/missing'\n"),
     ("scheme --verify {tmp}/latin1", 2, "", "error: {tmp}/latin1 is not UTF-8 text (byte 8: invalid start byte)\n"),
     ("scheme --verify {tmp}/malformed", 2, "", "error: partition file needs a header line and four index lines\n"),
@@ -1092,7 +1136,7 @@ _BAD_FORM = {
     [
         ["construct", "--family", "regular", "--m", "3", "--out", "{out}", "--partition", "{part}"],
         ["construct", "--family", "regular", "--m", "3", "--ell", "5", "--out", "{out}", "--partition", "{part}"],
-        ["search-params", "--family", "scheme", "--q", "17", "--partition", "{part}"],
+        ["search-params", "--family", "regular", "--q", "17", "--partition", "{part}"],
         ["scheme", "--verify", "{part}"],
     ],
     ids=["construct", "construct-ell", "search-params", "scheme-verify"],
@@ -1111,7 +1155,7 @@ def test_partition_with_the_wrong_e_exits_2_from_every_command(tmp_path, capsys,
     [
         ["construct", "--family", "regular", "--m", "3", "--out", "{out}", "--partition", "{part}"],
         ["construct", "--family", "regular", "--m", "3", "--ell", "3", "--out", "{out}", "--partition", "{part}"],
-        ["search-params", "--family", "scheme", "--q", "17", "--partition", "{part}"],
+        ["search-params", "--family", "regular", "--q", "17", "--partition", "{part}"],
     ],
     ids=["construct", "construct-ell", "search-params"],
 )
@@ -1128,7 +1172,7 @@ def test_every_command_checks_the_intersection_numbers(tmp_path, capsys, monkeyp
 
 def test_transform_with_given_params_checks_the_partition():
     ext, _ = finite_field.quadratic_tower(17)
-    params = isets.find_params(ext, "scheme", shipped_partition(3))
+    params = isets.find_params(ext, "regular", shipped_partition(3))
     with pytest.raises(schemes.SchemeInvalid):
         hd.transform(ext, "regular", params, partition=_swapped_m3())
 
@@ -1149,7 +1193,7 @@ def test_construct_verifies_the_scheme_once(tmp_path, capsys, monkeypatch, ell):
 def test_admissible_params_checks_the_partition_at_the_call():
     ext, _ = finite_field.quadratic_tower(17)
     with pytest.raises(schemes.SchemeInvalid, match="^partition fails scheme or eigenvalue-table verification$"):
-        isets.admissible_params(ext, "scheme", partition=_swapped_m3())  # no next(): the call itself raises
+        isets.admissible_params(ext, "regular", partition=_swapped_m3())  # no next(): the call itself raises
 
 
 def _proc_state(pid: str):

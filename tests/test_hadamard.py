@@ -274,7 +274,7 @@ def test_transform_wrong_family():
 )
 def test_transform_names_the_broken_size_promise(q, family, observed, promised):
     ext, _ = quadratic_tower(q)
-    params = isets.find_params(ext, hd.FAMILIES[family].key)
+    params = isets.find_params(ext, family)
     with pytest.raises(hd.HadamardError) as info:
         hd.transform(ext, family, params._replace(h=(params.h + 1) % 4))
     assert str(info.value) == f"{family}: D-set sizes {observed} break the promised sizes {promised}"
@@ -488,8 +488,8 @@ def test_instances_are_the_theorem_under_the_field_cap():
     want = []
     for family, fam in hd.FAMILIES.items():
         m = 1
-        while family_q(m, fam.key) <= hd.MAX_Q:
-            q = family_q(m, fam.key)
+        while family_q(m, family) <= hd.MAX_Q:
+            q = family_q(m, family)
             if len(factorint(q)) == 1 and (m % 2 or not fam.odd_m):
                 want.append((family, m, q))
             m += 1

@@ -84,13 +84,13 @@ def test_doubled_symmetric_design_parameters():
 
 def test_build_dlh_sizes(tower11, tower25):
     ext11, _ = tower11
-    p8 = isets.find_params(ext11, "e8")
+    p8 = isets.find_params(ext11, "q3")
     h0 = 2 * p8.h + (1 - p8.epsilon * p8.delta) // 2
     d = isets.build_dlh(ext11, p8.ell, 8, [h0 + i for i in range(4)])
     assert d.bit_count() == 5  # 2m^2 + m + 2 at m = 1
 
     ext25, _ = tower25
-    p4 = isets.find_params(ext25, "e4")
+    p4 = isets.find_params(ext25, "q1")
     ed = p4.epsilon * p4.delta
     first, second = ([p4.h, p4.h + 1], [p4.h + 1, p4.h + 2])
     if ed == -1:
@@ -127,11 +127,11 @@ def naive_dlh(ext, ell, e, H):
     return mask
 
 
-@pytest.mark.parametrize("q", [11, 25, 27])  # e8; e4 over a tower over a tower; e8 over an odd degree
+@pytest.mark.parametrize("q", [11, 25, 27])  # q3; q1 over a tower over a tower; q3 over an odd degree
 def test_build_dlh_masks_match_the_definition(q):
     ext, _ = quadratic_tower(q)
-    family = "e8" if q % 4 == 3 else "e4"
-    e = cs.SIGN_ORDERS[family]
+    family = "q3" if q % 4 == 3 else "q1"
+    e = cs.FAMILIES[family].sign_order
     cases = [(p.ell, hs) for p in islice(isets.admissible_params(ext, family), 4) for hs in isets.h_sets(p)]
     # every ell of the first three cycles mod q + 1, admissible or not, with two H each
     shifted = [h + e // 2 if h % 2 else h for h in range(e // 2)]
@@ -145,7 +145,7 @@ def test_scheme_dsets_masks_match_the_definition(m):
     part = shipped_partition(m)
     ext, _ = quadratic_tower(part.q)
     h1, h2, h3, h4 = part.h_lists
-    ells = [p.ell for p in islice(isets.admissible_params(ext, "scheme", part), 4)]
+    ells = [p.ell for p in islice(isets.admissible_params(ext, "regular", part), 4)]
     for hs in (h2, h4):  # the first ells of X_2 and of X_4
         ells += [ell for ell in range(1, ext.order) if ell % part.e in hs and ell % (part.q + 1)][:4]
     for ell in ells:
@@ -156,7 +156,7 @@ def test_scheme_dsets_masks_match_the_definition(m):
 
 def test_profile_flag_double_count(tower11):
     ext, base = tower11
-    p8 = isets.find_params(ext, "e8")
+    p8 = isets.find_params(ext, "q3")
     h0 = 2 * p8.h + (1 - p8.epsilon * p8.delta) // 2
     d = isets.build_dlh(ext, p8.ell, 8, [h0 + i for i in range(4)])
     des = isets.paley_design(base)
@@ -178,38 +178,38 @@ def test_profile_empty_set():
 
 def test_e8_profile_and_branches(tower11):
     ext, base = tower11
-    p8 = isets.find_params(ext, "e8")
+    p8 = isets.find_params(ext, "q3")
     h0 = 2 * p8.h + (1 - p8.epsilon * p8.delta) // 2
     d = isets.build_dlh(ext, p8.ell, 8, [h0 + i for i in range(4)])
     prof = isets.intersection_profile(d, isets.paley_design(base))
     assert set(prof.profile_values()) <= {2, 3, 4}  # m=1 collisions collapse the four values
-    assert oracles.theorem_e8_branches(ext, p8)
+    assert oracles.theorem_order8_branches(ext, p8)
 
 
 @pytest.mark.parametrize("q", [27, 83, 227])
 def test_e8_branches_larger_fields(q):
     ext, _ = quadratic_tower(q)
-    params = isets.find_params(ext, "e8")
-    assert oracles.theorem_e8_branches(ext, params)
+    params = isets.find_params(ext, "q3")
+    assert oracles.theorem_order8_branches(ext, params)
 
 
 def test_h_sets_rule():
     for h in range(4):
         for eps, delta in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            p8 = isets.ParamChoice("e8", 1, 1, h=h, epsilon=eps, delta=delta)
+            p8 = isets.ParamChoice("q3", 1, 1, h=h, epsilon=eps, delta=delta)
             h0 = 2 * h if eps * delta == 1 else 2 * h + 1
             assert isets.h_sets(p8) == ([h0, h0 + 1, h0 + 2, h0 + 3],)
-            p4 = isets.ParamChoice("e4", 1, 1, h=h, epsilon=eps, delta=delta)
+            p4 = isets.ParamChoice("q1", 1, 1, h=h, epsilon=eps, delta=delta)
             pair = ([h, h + 1], [h + 1, h + 2])
             assert isets.h_sets(p4) == (pair if eps * delta == 1 else pair[::-1])
     with pytest.raises(isets.IntersectionError):
-        isets.h_sets(isets.ParamChoice("scheme", 1, 3, tau=1))
+        isets.h_sets(isets.ParamChoice("regular", 1, 3, tau=1))
 
 
 def test_find_params_congruences_reverified(tower11, tower25):
     # re-check the defining congruences independently of the scanner
     ext11, _ = tower11
-    p8 = isets.find_params(ext11, "e8")
+    p8 = isets.find_params(ext11, "q3")
     n, q = ext11.order, 11
     assert p8.ell % (q + 1) != 0
     t_el = ext11.sub((p8.ell * q) % n, p8.ell)
@@ -217,7 +217,7 @@ def test_find_params_congruences_reverified(tower11, tower25):
     assert p8.ell % 8 == (2 - 5 * p8.epsilon * p8.delta - 6 * p8.h) % 8
 
     ext25, _ = tower25
-    p4 = isets.find_params(ext25, "e4")
+    p4 = isets.find_params(ext25, "q1")
     n, q = ext25.order, 25
     t_el = ext25.sub((p4.ell * q) % n, p4.ell)
     assert p4.ell % 4 == (3 + p4.h) % 4
@@ -227,7 +227,7 @@ def test_find_params_congruences_reverified(tower11, tower25):
 def test_admissible_count_matches_remark(tower11):
     # the admissible set has (q^2-1)/4 elements for the order-8 family
     ext, _ = tower11
-    count = sum(1 for _ in isets.admissible_params(ext, "e8"))
+    count = sum(1 for _ in isets.admissible_params(ext, "q3"))
     assert count == (11 * 11 - 1) // 4
 
 
@@ -244,12 +244,12 @@ def test_amplitude_vanishes_for_even_index():
 
 def test_size_formulas_sample(tower11, tower25):
     ext11, _ = tower11
-    p8 = isets.find_params(ext11, "e8")
+    p8 = isets.find_params(ext11, "q3")
     h0 = 2 * p8.h + (1 - p8.epsilon * p8.delta) // 2
     assert oracles.check_size_formulas(ext11, p8.ell, 8, [h0 + i for i in range(4)])
 
     ext5, _ = quadratic_tower(5)
-    p4 = isets.find_params(ext5, "e4")
+    p4 = isets.find_params(ext5, "q1")
     assert oracles.check_size_formulas(ext5, p4.ell, 4, [p4.h, p4.h + 1])
     assert oracles.check_size_formulas(ext5, p4.ell, 4, [p4.h + 1, p4.h + 2])
 
@@ -258,7 +258,7 @@ def test_even_m_sizes_and_profiles():
     # even-m family members q <= 200: q = 13 (m=2) and q = 41 (m=4)
     for q, m in [(13, 2), (41, 4)]:
         ext, base = quadratic_tower(q)
-        p4 = isets.find_params(ext, "e4")
+        p4 = isets.find_params(ext, "q1")
         first, second = ([p4.h, p4.h + 1], [p4.h + 1, p4.h + 2])
         if p4.epsilon * p4.delta == -1:
             first, second = second, first
@@ -280,7 +280,7 @@ def test_scheme_family_params():
     part = shipped_partition(3)
     report = schemes.verify_scheme(ext, part)
     assert report.table1_match
-    p = isets.find_params(ext, "scheme", partition=part)
+    p = isets.find_params(ext, "regular", partition=part)
     assert p.tau == report.tau
     n, q, m = ext.order, 17, 3
     t_el = ext.sub((p.ell * q) % n, p.ell)
@@ -297,7 +297,7 @@ def test_scheme_admissible_count_per_coset(q, m):
     ext, _ = quadratic_tower(q)
     part = shipped_partition(m)
     assert schemes.verify_scheme(ext, part).table1_match
-    count = sum(1 for _ in isets.admissible_params(ext, "scheme", partition=part))
+    count = sum(1 for _ in isets.admissible_params(ext, "regular", partition=part))
     e, n = part.e, ext.order
     h24 = set(part.h_lists[1]) | set(part.h_lists[3])
     cosets = len(h24) * (n // e) // (q - 1)

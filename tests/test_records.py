@@ -91,8 +91,8 @@ COMMAND_LOADS = {
     "verify": (["verify", "{out}/h4.mat"], _NO_FIELD),
     "construct q3": (["construct", "--family", "q3", "--q", "11", "--out", "{out}"], _NO_SCHEME),
     "construct q1": (["construct", "--family", "q1", "--q", "5", "--out", "{out}"], _NO_SCHEME),
-    "search-params e8": (["search-params", "--family", "e8", "--q", "11"], _NO_SCHEME + ("hadamard", "matrix")),
-    "search-params e4": (["search-params", "--family", "e4", "--q", "13"], _NO_SCHEME + ("hadamard", "matrix")),
+    "search-params q3": (["search-params", "--family", "q3", "--q", "11"], _NO_SCHEME + ("hadamard", "matrix")),
+    "search-params q1": (["search-params", "--family", "q1", "--q", "13"], _NO_SCHEME + ("hadamard", "matrix")),
     "scheme verify": (["scheme", "--verify", "schemes/m3.scheme"], _NO_MATRIX),
     "scheme search": (["scheme", "--search", "--m", "3", "--e", "12"], _NO_MATRIX),
 }
@@ -196,9 +196,9 @@ def _records(tower11, tower17):
     part = shipped_partition(3)
     return [
         ext11.spec,
-        cs.decompose_gauss(ext11, "e8"),
+        cs.decompose_gauss(ext11, "q3"),
         isets.intersection_profile(isets.build_dlh(ext11, 1, 8, [0, 1, 2, 3]), isets.paley_design(base11)),
-        isets.find_params(ext11, "e8"),
+        isets.find_params(ext11, "q3"),
         part,
         schemes.verify_scheme(ext17, part),
         hd.transform(ext11, "q3")[1],
@@ -224,14 +224,23 @@ def test_records_are_immutable_hashable_and_keep_their_repr(tower11, tower17):
         assert repr(rec) == f"{name}(" + ", ".join(f"{f}={getattr(rec, f)!r}" for f in rec._fields) + ")"
 
 
+def test_the_cli_offers_the_family_names_of_the_table():
+    from qrhadamard import cli
+
+    assert cli._FAMILY_NAMES == list(cs.FAMILIES)
+
+
 def test_record_fields_defaults_and_properties():
     assert FieldSpec(5, 2, (2, 4, 1)).q == 25
-    choice = isets.ParamChoice("e8", 7, 1)
+    choice = isets.ParamChoice("q3", 7, 1)
     assert (choice.h, choice.epsilon, choice.delta, choice.tau) == (None,) * 4
-    assert choice._replace(h=2) == isets.ParamChoice("e8", 7, 1, h=2)
-    assert repr(hd.FAMILIES["regular"]) == "Family(key='scheme', promise='regular', border=1, odd_m=True)"
+    assert choice._replace(h=2) == isets.ParamChoice("q3", 7, 1, h=2)
+    assert repr(hd.FAMILIES["regular"]) == (
+        "Family(form=(2, 0, -1), sign_order=None, promise='regular', border=1, odd_m=True, partition=True, "
+        f"variant='negated2', design='doubled', promised={cs._regular_promise!r})"
+    )
     # a record compares equal to the plain tuple of its fields
-    assert hd.FAMILIES["q1"] == ("e4", "biregular", 2, False)
+    assert hd.FAMILIES["q1"] == ((2, 2, 1), 4, "biregular", 2, False, False, "plain", "paired", cs._q1_promise)
 
 
 def test_scheme_partition_still_refuses_a_non_partition():
