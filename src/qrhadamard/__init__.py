@@ -1,9 +1,9 @@
 """Regular/biregular maximum-excess Hadamard matrices from quadratic residues.
 
-Exact finite-field arithmetic drives every construction and verification,
-the Gauss-sum sign pair included; complex character sums are used only as
-cross-checks and to pick the regular family's scheme index tau, so floating
-point never touches a constructed set or matrix.
+Exact finite-field arithmetic makes every decision, the Gauss-sum sign pair
+and the regular family's scheme, tau and eigenvalue-table checks included;
+complex character sums only cross-check them and render the eigenmatrix that
+`scheme --verify` prints.
 
 The names below load their module on first access (PEP 562), so importing
 the package, or the CLI before it runs a command, loads no layer module.

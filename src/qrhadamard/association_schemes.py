@@ -1,12 +1,18 @@
 """Four-class translation association schemes on GF(q^2) from cyclotomic
-partitions: structural conditions, intersection-number constancy, the first
-eigenmatrix against the prescribed eigenvalue table, and the partition
-search.  The fusion criterion lives in qrhadamard.oracles.
+partitions: structural conditions, the scheme test, the first eigenmatrix
+against the prescribed eigenvalue table, and the partition search.
 
 A partition is given by four index lists H_1..H_4 over [0, e); X_i is the
 union of the cyclotomic classes C_j^(e, q^2) with j in H_i.  Index lists are
 relative to this package's canonical primitive element, so files and
 reported partitions are reproducible.
+
+Every decision is exact.  e | 4m^2 = 2(q + 1), so each Gauss period is
+(A + B g)/2 with g = G_q(eta), an integer when q is a square and +sqrt(q)
+otherwise (character_sums.gauss_period_pairs).  Eigenvalues are held
+doubled, as int pairs (a, b) standing for a + b sqrt(q), so they compare
+exactly; they decide the scheme, tau and table 1.  Float Gauss periods only
+render the printed eigenmatrix.
 """
 
 from __future__ import annotations
@@ -18,9 +24,8 @@ from collections import namedtuple
 from . import character_sums as cs
 # the exceptions this layer raises, importable from here too
 from .errors import BadForm, BudgetExceeded, ParseError, SchemeError, SchemeInvalid
-from .finite_field import ZERO, FieldContext
+from .finite_field import FieldContext
 
-TOL = cs.TOL
 DEFAULT_SEARCH_BUDGET = 1_000_000
 
 
@@ -59,14 +64,13 @@ class SchemePartition(namedtuple("SchemePartition", "q m e h_lists")):
 class SchemeReport(
     namedtuple(
         "SchemeReport",
-        "is_scheme symmetric class_sizes intersection_numbers eigen_rows table1_match tau table1_misses",
+        "is_scheme symmetric class_sizes eigen_rows table1_match tau table1_misses",
     )
 ):
-    """What verify_scheme found: intersection_numbers is p[i][j][k] (5x5x5)
-    or None, eigen_rows the 5x5 complex rows indexed by the dual classes,
-    tau the matching tau or None, and table1_misses a (tau, miss) pair for
-    tau = 1, -1, miss being the (row, col, got, expected) of the first cell
-    that misses table 1 for that tau, or None."""
+    """What verify_scheme found: eigen_rows the 5x5 float rows indexed by the
+    dual classes, for printing, tau the matching tau or None, and
+    table1_misses a (tau, miss) pair for tau = 1, -1, miss being the exact
+    (row, col, got, expected) of the first cell that misses table 1, or None."""
 
     __slots__ = ()
 
@@ -97,16 +101,21 @@ def parse_partition(text: str) -> SchemePartition:
         raise ParseError(str(exc)) from exc
 
 
-def _check_form(ext: FieldContext, part: SchemePartition) -> None:
-    """Refuse a partition that is not of the paper's form.  Then e | 4m^2,
-    and 4m^2 | q^2-1 needs no check: q = 2m^2-1 gives q^2-1 = 4m^2(m^2-1)."""
-    if ext.subfield is None or ext.subfield.q != part.q:
-        raise BadForm(f"context is not the quadratic tower over GF({part.q})")
-    if part.m % 2 == 0 or 2 * part.m * part.m - 1 != part.q:
-        raise BadForm("q must be 2m^2-1 with m odd")
-    if part.e < 4 or ext.order % part.e:
-        raise BadForm(f"e = {part.e} does not divide q^2-1")
-    if (4 * part.m * part.m) % part.e:
+def _check_form(ext: FieldContext, q: int, m: int, e: int, search: bool = False) -> None:
+    """Refuse a (q, m, e) that is not of the paper's form: q and m on the
+    regular FAMILIES row, e | q^2-1 and e | 4m^2.  A search also needs even
+    e, and names all its conditions on e in one message."""
+    if ext.subfield is None or ext.subfield.q != q:
+        raise BadForm(f"context is not the quadratic tower over GF({q})")
+    if m < 1 or cs.family_q(m, "regular") != q:
+        raise BadForm(f"q = {q} is not of the regular form at m = {m}")
+    if cs.FAMILIES["regular"].odd_m and m % 2 == 0:
+        raise BadForm("the regular family needs odd m")
+    if search and (e < 4 or e % 2 or ext.order % e or (4 * m * m) % e):
+        raise BadForm(f"e = {e} must be even and divide both 4m^2 and q^2-1")
+    if e < 4 or ext.order % e:
+        raise BadForm(f"e = {e} does not divide q^2-1")
+    if (4 * m * m) % e:
         raise BadForm("e must divide 4m^2")
 
 
@@ -121,7 +130,7 @@ def verify_structure(ext: FieldContext, part: SchemePartition) -> bool:
     cosets, and 2m^2 mod e is 0 or e/2.  If it is 0, the shift test fails at
     r = 0.  If it is e/2, the test at r >= e/2 is the test at r - e/2 read
     through the involution want.  So the residues r < e/2 decide it."""
-    _check_form(ext, part)
+    _check_form(ext, part.q, part.m, part.e)
     cls = part.residue_class()
     e = part.e
     shift = 2 * part.m * part.m
@@ -132,21 +141,35 @@ def verify_structure(ext: FieldContext, part: SchemePartition) -> bool:
     return True
 
 
-def table1_values(m: int, g: float) -> list[list[float]]:
-    """Expected first-eigenmatrix cells; g is the (real) quadratic Gauss sum
-    of GF(q), rows indexed by the dual classes Y_0..Y_4, columns X_0..X_4."""
-    mm = m * m
-    return [
-        [1, m * (mm - 1) * (m - 1), m * (mm - 1) * (m + 1), m * (mm - 1) * (m - 1), m * (mm - 1) * (m + 1)],
-        [1, (mm + m - 1) / 2 - m / 2 * g, (-mm - m) / 2 - (m + 1) / 2 * g,
-         (mm + m - 1) / 2 + m / 2 * g, (-mm - m) / 2 + (m + 1) / 2 * g],
-        [1, (-mm + m) / 2 - (m - 1) / 2 * g, (mm - m - 1) / 2 + m / 2 * g,
-         (-mm + m) / 2 + (m - 1) / 2 * g, (mm - m - 1) / 2 - m / 2 * g],
-        [1, (mm + m - 1) / 2 + m / 2 * g, (-mm - m) / 2 + (m + 1) / 2 * g,
-         (mm + m - 1) / 2 - m / 2 * g, (-mm - m) / 2 - (m + 1) / 2 * g],
-        [1, (-mm + m) / 2 + (m - 1) / 2 * g, (mm - m - 1) / 2 - m / 2 * g,
-         (-mm + m) / 2 - (m - 1) / 2 * g, (mm - m - 1) / 2 + m / 2 * g],
-    ]
+def table1_values(m: int, g: tuple[int, int]) -> list[list[tuple[int, int]]]:
+    """Expected first-eigenmatrix cells, doubled: g = G_q(eta) as
+    character_sums.quadratic_gauss_sum gives it, rows indexed by the dual
+    classes Y_0..Y_4, columns X_0..X_4.  Rows Y_3 and Y_4 are Y_1 and Y_2
+    with g negated."""
+    mm, (g0, g1) = m * m, g
+    k = 2 * m * (mm - 1)
+
+    def row(sign, cells):  # cells (A, B) of X_1..X_4, each standing for A + sign B g
+        return [(2, 0)] + [(a + sign * b * g0, sign * b * g1) for a, b in cells]
+
+    y1 = ((mm + m - 1, -m), (-mm - m, -m - 1), (mm + m - 1, m), (-mm - m, m + 1))
+    y2 = ((m - mm, 1 - m), (mm - m - 1, m), (m - mm, m - 1), (mm - m - 1, -m))
+    sizes = [(2, 0)] + [(k * (m + s), 0) for s in (-1, 1, -1, 1)]
+    return [sizes, row(1, y1), row(1, y2), row(-1, y1), row(-1, y2)]
+
+
+def cell_value(q: int, cell: tuple[int, int]) -> float:
+    """The real number (a + b sqrt(q))/2 that the doubled cell (a, b) stands for."""
+    return (cell[0] + cell[1] * math.sqrt(q)) / 2
+
+
+def _cell(row, hs) -> tuple[int, int]:
+    """The doubled sum of row[j] over j in hs."""
+    a = b = 0
+    for j in hs:
+        x, y = row[j]
+        a, b = a + x, b + y
+    return a, b
 
 
 def _dual_residues(part: SchemePartition, q: int, tau: int) -> list[tuple[int, ...]]:
@@ -161,15 +184,13 @@ def _dual_map(q: int, m: int, e: int, tau: int) -> tuple[int, ...]:
 
 
 def _table1_inputs(ext: FieldContext, e: int, m: int):
-    """(rows, table 1) for the class modulus e, with rows[r][j] the Gauss
-    period of class j + r: psi(a X_c) is the sum of rows[r][j] over j in H_c
-    for every a in the class of residue r."""
-    periods = cs.gauss_periods(ext, e)
+    """(rows, table 1), doubled, for the class modulus e, with rows[r][j]
+    the Gauss period of class j + r: psi(a X_c) is the sum of rows[r][j]
+    over j in H_c for every a in the class of residue r."""
+    g0, g1 = g = cs.quadratic_gauss_sum(ext.subfield)
+    periods = [(a + b * g0, b * g1) for a, b in cs.gauss_period_pairs(ext, e)]
     rows = [periods[r:] + periods[:r] for r in range(e)]
-    g_eta = cs.gauss_sum(ext.subfield, 2, 1)
-    if abs(g_eta.imag) > TOL:
-        raise AssertionError("quadratic Gauss sum is not real at q = 1 mod 4")
-    return rows, table1_values(m, g_eta.real)
+    return rows, table1_values(m, g)
 
 
 def _table1_miss(h_lists, rows, expected, dual, classes=(1, 2, 3, 4)):
@@ -185,8 +206,8 @@ def _table1_miss(h_lists, rows, expected, dual, classes=(1, 2, 3, 4)):
         for r in sorted({dual[j] for j in h_lists[i - 1]}):
             row = rows[r]
             for c in classes:
-                got = sum(map(row.__getitem__, h_lists[c - 1]))
-                if abs(got - want[c]) > TOL:
+                got = _cell(row, h_lists[c - 1])
+                if got != want[c]:
                     return i, c, got, want[c]
     return None
 
@@ -203,101 +224,52 @@ def eigenmatrix_vs_table1(ext: FieldContext, part: SchemePartition):
     A tau's miss is the first class-size cell (row 0) that misses table 1,
     else the first cell of the dual rows (see _table1_miss).  Row Y_i of the
     eigen rows is psi(a X_c) for a in the least residue of Y_i, under the
-    matching tau (1 when none matches).
+    matching tau (1 when none matches), summed from the float Gauss periods
+    for printing.
     """
-    _check_form(ext, part)
+    _check_form(ext, part.q, part.m, part.e)
     q, m, e = part.q, part.m, part.e
     rows, expected = _table1_inputs(ext, e, m)
     sizes = _class_sizes(ext, part)
     size_miss = next(
-        ((0, c, sizes[c], expected[0][c]) for c in range(5) if abs(sizes[c] - expected[0][c]) > TOL), None
+        ((0, c, (2 * sizes[c], 0), expected[0][c]) for c in range(5) if (2 * sizes[c], 0) != expected[0][c]), None
     )
     misses = tuple(
         (tau, size_miss or _table1_miss(part.h_lists, rows, expected, _dual_map(q, m, e, tau)))
         for tau in (1, -1)
     )
     tau = next((tau for tau, miss in misses if miss is None), None)
+    periods = cs.gauss_periods(ext, e)
     eigen = [[complex(sz) for sz in sizes]]
     for ylist in _dual_residues(part, q, tau or 1):
         if not ylist:  # empty class: no eigenvalue row
             eigen.append([0j] * 5)
             continue
-        row = rows[ylist[0]]
+        row = periods[ylist[0]:] + periods[:ylist[0]]
         eigen.append([1 + 0j] + [sum(map(row.__getitem__, hc)) for hc in part.h_lists])
     return tau, misses, tuple(tuple(row) for row in eigen)
 
 
-def _convolution_counts(ext: FieldContext, cls, e: int, w: int) -> list[list[int]]:
-    """counts[i][j] = #{(u, v) in X_i x X_j : u + v = w}, X_0 = {0}.
-
-    For w = omega^s, write u = -w omega^t = omega^(t + half + s); then
-    v = w (1 + omega^t) = omega^(Z(t) + s), with Z the Zech logarithm, and
-    v = 0 exactly when Z(t) = ZERO.  So the pairs with u, v != 0 are counted
-    class by class from the cyclotomic numbers T[a][b] of
-    character_sums.cyclotomic_numbers: T[a][b] goes to
-    counts[cls[a - half + s]][cls[b + s]] (-1 = omega^half, and e | 2 half).
-    The pairs (0, w) and (w, 0) are added on their own.
-    """
-    n, half = ext.order, ext.half
-    counts = [[0] * 5 for _ in range(5)]
-    if w == ZERO:  # v = -u
-        counts[0][0] = 1
-        for r in range(e):
-            counts[cls[r]][cls[(r + half) % e]] += n // e
-        return counts
-    ku, kv = (w - half) % e, w % e
-    cu, cv = cls[ku:] + cls[:ku], cls[kv:] + cls[:kv]
-    for a, row in enumerate(cs.cyclotomic_numbers(ext, e)):
-        out = counts[cu[a]]
-        for b, count in enumerate(row):
-            out[cv[b]] += count
-    cw = cls[kv]
-    counts[0][cw] += 1
-    counts[cw][0] += 1
-    return counts
-
-
 def verify_scheme(ext: FieldContext, part: SchemePartition) -> SchemeReport:
-    """Intersection-number constancy plus the eigenvalue-table check.
+    """The scheme test plus the eigenvalue-table check.
 
-    Every X_i is a union of cyclotomic classes, and the counts for w depend
-    on w only through its class, so one witness per class inside each X_k
-    is convolved (see _convolution_counts) and the witnesses of X_k must
-    agree.
+    The partition is a four-class scheme when it has the shift structure,
+    each X_i is nonempty and closed under negation, and the characters
+    psi_a, a != 0, take exactly four distinct rows (psi_a(X_1), ...,
+    psi_a(X_4)): the Bannai-Muzychuk fusion criterion (E. Bannai,
+    "Subschemes of some association schemes", J. Algebra 144, 1991).  The
+    row depends on a only through its residue mod e, so e rows decide it.
     """
     structure_ok = verify_structure(ext, part)
-    cls = part.residue_class()
-    e, n = part.e, ext.order
-    class_sizes = _class_sizes(ext, part)
-    symmetric = all(cls[(r + ext.half) % n % e] == cls[r % e] for r in range(e))
-    tensor: list[list[list[int]]] | None = [[[0] * 5 for _ in range(5)] for _ in range(5)]
-    is_scheme = structure_ok and symmetric
-    # k = 0: u + v = 0
-    zero_counts = _convolution_counts(ext, cls, e, ZERO)
-    for i in range(5):
-        for j in range(5):
-            tensor[i][j][0] = zero_counts[i][j]
-    for k in range(1, 5):
-        ref = None
-        for w in (r for r in range(e) if cls[r] == k):
-            counts = _convolution_counts(ext, cls, e, w)
-            if ref is None:
-                ref = counts
-            elif counts != ref:
-                is_scheme = False
-                break
-        if ref is None:  # empty class: not a four-class scheme
-            is_scheme = False
-            continue
-        for i in range(5):
-            for j in range(5):
-                tensor[i][j][k] = ref[i][j]
+    cls, e = part.residue_class(), part.e
+    symmetric = all(cls[(r + ext.half) % e] == cls[r] for r in range(e))
+    rows, _ = _table1_inputs(ext, e, part.m)
+    dual_rows = {tuple(_cell(row, hs) for hs in part.h_lists) for row in rows}
     tau, misses, eigen_rows = eigenmatrix_vs_table1(ext, part)
     return SchemeReport(
-        is_scheme=is_scheme,
+        is_scheme=structure_ok and symmetric and all(part.h_lists) and len(dual_rows) == 4,
         symmetric=symmetric,
-        class_sizes=class_sizes,
-        intersection_numbers=tuple(tuple(tuple(col) for col in row) for row in tensor) if is_scheme else None,
+        class_sizes=_class_sizes(ext, part),
         eigen_rows=eigen_rows,
         table1_match=tau is not None,
         tau=tau,
@@ -391,10 +363,7 @@ def scheme_search(ext: FieldContext, e: int, budget: int = DEFAULT_SEARCH_BUDGET
         raise BadForm("search needs the quadratic tower")
     q = ext.subfield.q
     m = cs.family_m(q, "regular")
-    if m % 2 == 0:
-        raise BadForm("m must be odd")
-    if e < 4 or e % 2 or ext.order % e or (4 * m * m) % e:
-        raise BadForm(f"e = {e} must be even and divide both 4m^2 and q^2-1")
+    _check_form(ext, q, m, e, search=True)
     if (2 * m * m) % e != e // 2:
         return []  # the shift collapses; condition (1) cannot hold disjointly
     if e * (m - 1) % (4 * m):

@@ -1,19 +1,17 @@
-"""Multiplicative characters, Gauss periods, cyclotomic numbers, Gauss sums,
-the table of the three families (FAMILIES: each row holds its form q(m),
-sign order, border, designs and promised values), and the Gauss-sum sign
-pair of the q3 and q1 families.
+"""Multiplicative characters, Gauss periods, Gauss sums, the table of the
+three families (FAMILIES: each row holds its form q(m), sign order, border,
+designs and promised values), and the Gauss-sum sign pair of the q3 and q1
+families.
 
 Multiplicative characters are always normalized so that chi_e(omega) is the
 first primitive e-th root of unity; a character of order e is then evaluated
-exactly through discrete logs mod e.  Complex values are plain doubles and
-every closed-form comparison uses absolute tolerance TOL: all quantities
-here are algebraic integers of magnitude at most q^2 at desk scale, so
-doubles leave many digits of margin.  Nothing float-valued ever feeds a
-constructed set or matrix.  The Gauss-sum sign pair (epsilon, delta) that
-the parameter search needs is decided exactly by gauss_signs, from integer
-counts over the q + 1 cosets of GF(q)* in GF(q^2)*; the float
-decompose_gauss, which sums over all of GF(q^2), only cross-checks it.  The
-brute-force checks of the paper's lemmas live in qrhadamard.oracles.
+exactly through discrete logs mod e.  Every decision is exact, read from
+the q + 1 relative traces the tower stores: the q3/q1 sign pair
+(gauss_signs) and the Gauss periods that decide the regular family's scheme
+(gauss_period_pairs).  The float sums over all of GF(q^2) (gauss_periods,
+gauss_sum, decompose_gauss, compared with tolerance TOL) only render the
+printed eigenmatrix and cross-check the exact values.  The brute-force
+checks of the paper's lemmas live in qrhadamard.oracles.
 """
 
 from __future__ import annotations
@@ -48,20 +46,6 @@ def gauss_periods(ctx: FieldContext, e: int) -> tuple[complex, ...]:
     # trace value -> count, per class
     counts = [Counter(map(ctx.trace, range(r, ctx.order, e))) for r in range(e)]
     return tuple(sum(c * zp[t] for t, c in sorted(row.items())) for row in counts)
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_numbers(ctx: FieldContext, e: int) -> tuple[tuple[int, ...], ...]:
-    """T[a][b] = #{t : t = a, Z(t) = b (mod e), Z(t) != ZERO}, Z the Zech
-    logarithm: the number of x in class a with 1 + x in class b, the
-    cyclotomic number (a, b)_e (T. Storer, *Cyclotomy and Difference Sets*,
-    1967).  It reads each Zech logarithm once and keeps none: a tower field
-    GF(q'^2) computes each from GF(q') coordinates and holds no table of
-    q'^2 entries."""
-    _check_order(ctx, e)
-    zech = map(ctx._zech, range(ctx.order))
-    counts = Counter(t % e * e + z % e for t, z in enumerate(zech) if z != ZERO)
-    return tuple(tuple(counts[a * e + b] for b in range(e)) for a in range(e))
 
 
 def gauss_sum(ctx: FieldContext, e: int, j: int = 1) -> complex:
@@ -167,6 +151,45 @@ def gauss_sign_counts(ext: FieldContext, e: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def quadratic_gauss_sum(ctx: FieldContext) -> tuple[int, int]:
+    """G_q(eta) = (-1)^(f-1) (sqrt p)^f for p = 1 mod 4 and (-1)^(f-1)
+    (i sqrt p)^f for p = 3 mod 4 (Berndt, Evans and Williams, *Gauss and
+    Jacobi Sums*, 1998), as (a, b) with G_q(eta) = a + b sqrt(q).  It is real
+    only for q = 1 mod 4: sqrt(q) for odd f, an integer (b = 0) for even f."""
+    p, f = ctx.p, ctx.f
+    if p == 2 or ctx.q % 4 != 1:
+        raise CharError(f"G_q(eta) is not real at q = {ctx.q}")
+    if f % 2:  # then p = 1 mod 4
+        return 0, 1
+    i_f = (-1) ** (f // 2) if p % 4 == 3 else 1
+    return -i_f * p ** (f // 2), 0
+
+
+def gauss_period_pairs(ext: FieldContext, e: int) -> tuple[tuple[int, int], ...]:
+    """(A_r, B_r) with 2 P_e[r] = A_r + B_r G_q(eta), r mod e, for e | 2(q+1).
+
+    Class r' mod 2(q + 1) is omega^r' times the squares s of GF(q)*, whose
+    period sum_s psi_q(s t), t = Tr_{q^2/q}(omega^r'), is (q - 1)/2 for t = 0
+    and (-1 + eta(t) G_q(eta))/2 otherwise.  Class r mod e unites k = 2(q+1)/e
+    of them; z_r have t = 0, so A_r = q z_r - k.  omega^(r'+q+1) = N(omega)
+    omega^r' with N(omega) a non-square, so the upper q + 1 classes flip eta:
+    the tower's q + 1 stored relative traces decide every period."""
+    if ext.subfield is None:
+        raise NoSubfield("exact periods need the quadratic tower GF(q) in GF(q^2)")
+    q = ext.subfield.q
+    if e < 1 or 2 * (q + 1) % e:
+        raise CharError(f"period order {e} does not divide 2(q+1) = {2 * (q + 1)}")
+    zeros, etas = [0] * e, [0] * e
+    for r, tr in enumerate(ext._rel_traces):
+        for r2, sign in ((r % e, 1), ((r + q + 1) % e, -1)):
+            if tr == ZERO:
+                zeros[r2] += 1
+            else:
+                etas[r2] += -sign if tr % 2 else sign
+    k = 2 * (q + 1) // e
+    return tuple((q * z - k, b) for z, b in zip(zeros, etas))
+
+
 def signs_from_counts(counts, family: str, m: int) -> tuple[int, int]:
     """(epsilon, delta) of the closed form that sum_j c_j zeta_e^j equals,
     e the family's sign order.
@@ -193,9 +216,7 @@ def signs_from_counts(counts, family: str, m: int) -> tuple[int, int]:
 def gauss_signs(ext: FieldContext, family: str) -> tuple[int, int]:
     """The sign pair (epsilon, delta) of the family's Gauss-sum closed form,
     decided exactly from q + 1 cosets; decompose_gauss is its float oracle."""
-    order = FAMILIES[family].sign_order
-    if order is None:
-        raise CharError(f"no Gauss-sum sign pair for family {family!r}")
+    order = _sign_order(family)
     if ext.subfield is None:
         raise NoSubfield("sign counts need the quadratic tower GF(q) in GF(q^2)")
     m = family_m(ext.subfield.q, family)
@@ -205,13 +226,14 @@ def gauss_signs(ext: FieldContext, family: str) -> tuple[int, int]:
 def decompose_gauss(ext: FieldContext, family: str) -> GaussDecomposition:
     """Resolve the sign pair (epsilon, delta) of the order-8 or order-4
     Gauss-sum closed form over GF(q^2) against the numeric sum."""
+    order = _sign_order(family)  # refuses a family without a sign pair before any sum
     if ext.subfield is None:
         raise NoSubfield("decomposition needs the quadratic tower GF(q) in GF(q^2)")
     base = ext.subfield
     q = base.q
     m = family_m(q, family)
     g_eta = gauss_sum(base, 2, 1)
-    if FAMILIES[family].sign_order == 8:
+    if order == 8:
         target = gauss_sum(ext, 8, 1)
         sqrt_m2 = 1j * sqrt(2.0)
         for eps in (1, -1):
@@ -232,6 +254,13 @@ def decompose_gauss(ext: FieldContext, family: str) -> GaussDecomposition:
     raise NoMatch(f"no order-4 sign pattern matches at q = {q}")
 
 
+def _sign_order(family: str) -> int:
+    order = FAMILIES[family].sign_order
+    if order is None:
+        raise CharError(f"no Gauss-sum sign pair for family {family!r}")
+    return order
+
+
 def _restriction_is_quadratic(ext: FieldContext, e: int) -> None:
     q = ext.subfield.q
     if e // gcd(e, q + 1) != 2:
@@ -240,5 +269,4 @@ def _restriction_is_quadratic(ext: FieldContext, e: int) -> None:
 
 def clear_caches() -> None:
     gauss_periods.cache_clear()
-    cyclotomic_numbers.cache_clear()
     roots_of_unity.cache_clear()

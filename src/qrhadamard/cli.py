@@ -284,9 +284,10 @@ def cmd_scheme(args) -> int:
     if report.is_scheme and report.table1_match:
         return EXIT_OK
     if not report.table1_match:
-        # every cell is real (-1 lies in C_0, so X_c = -X_c); the imaginary part is rounding noise
+        # the exact cells, rendered as decimals; only the printed eigenmatrix is float
         for tau, (i, c, got, want) in report.table1_misses:
-            cell = f"(Y_{i}, X_{c}): got {got.real:.6f}, expected {want:.6f}"
+            got, want = schemes.cell_value(partition.q, got), schemes.cell_value(partition.q, want)
+            cell = f"(Y_{i}, X_{c}): got {got:.6f}, expected {want:.6f}"
             print(f"tau={tau}: first failing cell {cell}", file=sys.stderr)
     return EXIT_VERIFY
 

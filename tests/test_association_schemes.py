@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -49,6 +50,9 @@ def test_structure_bad_form(m3):
     ext, part = m3
     with pytest.raises(schemes.BadForm):
         schemes.verify_structure(ext, schemes.SchemePartition(17, 4, 12, part.h_lists))
+    # m = -3 also gives 2m^2 - 1 = 17, but the family's m is at least 1
+    with pytest.raises(schemes.BadForm, match="^q = 17 is not of the regular form at m = -3$"):
+        schemes.verify_scheme(ext, schemes.SchemePartition(17, -3, 12, part.h_lists))
     ext5, _ = quadratic_tower(5)
     with pytest.raises(schemes.BadForm):
         schemes.verify_structure(ext5, part)
@@ -118,36 +122,67 @@ def test_scheme_verification_m5(m5):
     assert report.class_sizes == (1, 480, 720, 480, 720)
 
 
-def test_representative_equals_exhaustive(m3, m5):
-    # every intersection number against a count over GF(q^2), for a witness
-    # w in every residue class of each X_k (not the representative r itself)
-    for ext, part in (m3, m5):
-        e = part.e
-        cls = part.residue_class()
-        p = schemes.verify_scheme(ext, part).intersection_numbers
-        witnesses = [(0, ZERO)] + [
-            (cls[r], r + e * (1 + counter_indices(1, ext.order // e - 1, salt=r)[0])) for r in range(e)
-        ]
-        for k, w in witnesses:
-            counts = [[0] * 5 for _ in range(5)]
-            for u in ext.elements():
-                v = ext.sub(w, u)
-                counts[0 if u == ZERO else cls[u % e]][0 if v == ZERO else cls[v % e]] += 1
-            assert [[p[i][j][k] for j in range(5)] for i in range(5)] == counts
+def _witness_sweeps(ext, e):
+    """For one witness w in each residue class r mod e (not omega^r itself):
+    how many u of GF(q^2) have (u mod e, (w - u) mod e) = (a, b), with -1
+    standing for ZERO."""
+    sweeps = []
+    for r in range(e):
+        w = r + e * (1 + counter_indices(1, ext.order // e - 1, salt=r)[0])
+        sweep = Counter()
+        for u in ext.elements():
+            v = ext.sub(w, u)
+            sweep[-1 if u == ZERO else u % e, -1 if v == ZERO else v % e] += 1
+        sweeps.append(sweep)
+    return sweeps
 
 
-def test_intersection_number_symmetry(m3):
-    ext, part = m3
-    report = schemes.verify_scheme(ext, part)
-    p = report.intersection_numbers
-    for i in range(5):
-        for j in range(5):
-            for k in range(5):
-                assert p[i][j][k] == p[j][i][k]
-    # identity relations
-    for j in range(5):
-        for k in range(5):
-            assert p[0][j][k] == (1 if j == k else 0)
+def _scheme_by_elements(ext, part, sweeps):
+    """Whether X_0..X_4 is a symmetric four-class scheme, from counts over
+    the elements: the shift structure, each X_i nonempty and closed under
+    negation, and every intersection number p_ij^k(w) = #{u in X_i : w - u
+    in X_j} the same for the witnesses w of every class X_k."""
+    e = part.e
+    klass = {-1: 0, **dict(enumerate(part.residue_class()))}
+    if not (_structure_by_elements(ext, part) and all(part.h_lists)):
+        return False
+    if any(klass[ext.neg(u) % e] != klass[u % e] for u in ext.nonzero()):
+        return False
+    numbers = {}
+    for r, sweep in enumerate(sweeps):
+        counts = Counter()
+        for (a, b), count in sweep.items():
+            counts[klass[a], klass[b]] += count
+        if numbers.setdefault(klass[r], counts) != counts:
+            return False
+    return True
+
+
+def test_is_scheme_matches_the_element_level_intersection_numbers(m3, m5):
+    # every shape-valid m = 3, e = 12 vector, those with X_1 and X_3 empty,
+    # the rotations and perturbations of both shipped schemes and of the
+    # m = 3 one lifted to e = 36, and every labelling of the cyclotomic
+    # scheme of e = 4, a scheme with or without the shift structure
+    ext3, part3 = m3
+    cyclotomic = [
+        schemes.normalized_partition(17, 3, 4, [[j] for j in perm]) for perm in itertools.permutations(range(4))
+    ]
+    lifted = schemes.normalized_partition(17, 3, 36, [[j for j in range(36) if j % 12 in hs] for hs in part3.h_lists])
+    shape_valid = [
+        schemes.normalized_partition(17, 3, 12, _assignment_lists(a, 6))
+        for size1 in (2, 0)
+        for a in _assignments(12, size1)
+    ]
+    verdicts = Counter()
+    for ext, cases in ((ext3, shape_valid + _structure_cases(part3)), (m5[0], _structure_cases(m5[1])),
+                       (ext3, _structure_cases(lifted)), (ext3, cyclotomic)):
+        sweeps = _witness_sweeps(ext, cases[0].e)
+        for part in cases:
+            verdict = schemes.verify_scheme(ext, part).is_scheme
+            assert verdict == _scheme_by_elements(ext, part, sweeps), part
+            verdicts[verdict, schemes.verify_structure(ext, part)] += 1
+    assert len(shape_valid) == 960 + 64
+    assert verdicts[True, True] > 20 + 36 and verdicts[False, True] > 0
 
 
 def test_negation_closed_classes(m3):
@@ -371,31 +406,17 @@ def test_search_budget_boundary(m3):
         schemes.scheme_search(ext, 12, budget=count - 1)
 
 
-def test_convolution_counts_against_element_sweep(m3):
-    ext, part = m3
-    # e = 32 does not divide (q^2-1)/2, so -u can change class
-    arbitrary = tuple(1 + (k * k // 3) % 4 for k in range(32))
-    for cls in (part.residue_class(), arbitrary):
-        e = len(cls)
-        for w in [ZERO] + list(range(0, ext.order, 7)):
-            want = [[0] * 5 for _ in range(5)]
-            for u in ext.elements():
-                v = ext.sub(w, u)
-                want[0 if u == ZERO else cls[u % e]][0 if v == ZERO else cls[v % e]] += 1
-            assert schemes._convolution_counts(ext, cls, e, w) == want
-
-
 def _table1_misses(ext, part, tau):
     """Cells of table 1 missed by brute-force character sums, in (row, least
     residue first, column) order."""
     e, q, m = part.e, part.q, part.m
     periods = [sum(oracles.additive_char(ext, x) for x in range(r, ext.order, e)) for r in range(e)]
-    expected = schemes.table1_values(m, cs.gauss_sum(ext.subfield, 2, 1).real)
+    expected = schemes.table1_values(m, cs.quadratic_gauss_sum(ext.subfield))
     for i, hs in enumerate(part.h_lists, start=1):
         for r in sorted({(j * q - m * m * tau) % e for j in hs}):
             for c, hc in enumerate(part.h_lists, start=1):
                 got = sum(periods[(j + r) % e] for j in hc)
-                if abs(got - expected[i][c]) > TOL:
+                if abs(got - schemes.cell_value(q, expected[i][c])) > TOL:
                     yield i, c, got, expected[i][c]
 
 
@@ -412,7 +433,7 @@ def test_table1_misses_check_every_residue(m3):
             want = next(_table1_misses(ext, part, tau), None)
             assert (got is None) == (want is None)
             if got is not None:
-                assert got[:2] == want[:2] and abs(got[2] - want[2]) < TOL and got[3] == want[3]
+                assert got[:2] == want[:2] and abs(schemes.cell_value(17, got[2]) - want[2]) < TOL and got[3] == want[3]
             checked += 1
     assert checked == 320
 

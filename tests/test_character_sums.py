@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import NaiveField, counter_indices
 from qrhadamard import character_sums as cs
 from qrhadamard import oracles
-from qrhadamard.finite_field import ZERO, NoSubfield, build_field, quadratic_tower
+from qrhadamard.finite_field import ZERO, NoSubfield, build_field, field_for, quadratic_tower
 
 TOL = 1e-6
 
@@ -124,19 +124,18 @@ def test_gauss_period_quadratic_identity_many_fields():
 @pytest.mark.parametrize("p,f,e", [(17, 2, 12), (7, 4, 20), (3, 6, 8), (2, 4, 5)])
 def test_tower_periods_and_cyclotomic_numbers_against_naive_counts(p, f, e):
     """A tower field GF(q'^2) counts its traces and Zech logarithms over
-    GF(q'); the counts match a brute-force polynomial field's."""
+    GF(q'); the periods, and the cyclotomic numbers counted from its Zech
+    logarithms, match a brute-force polynomial field's."""
     ext = build_field(p, f)
     assert ext.subfield is not None
     oracle = NaiveField(p, ext.spec.modulus)
     n, zp = ext.order, cs.roots_of_unity(p)
     traces = [Counter(oracle.trace(k) for k in range(r, n, e)) for r in range(e)]
     assert cs.gauss_periods(ext, e) == tuple(sum(c * zp[t] for t, c in sorted(row.items())) for row in traces)
-    cyclotomic = [[0] * e for _ in range(e)]
-    for k in range(n):
-        z = oracle.combine([(1, 0), (1, k)])  # log(1 + omega^k)
-        if z != ZERO:
-            cyclotomic[k % e][z % e] += 1
-    assert cs.cyclotomic_numbers(ext, e) == tuple(map(tuple, cyclotomic))
+    zech = [oracle.combine([(1, 0), (1, k)]) for k in range(n)]  # log(1 + omega^k)
+    assert [ext._zech(k) for k in range(n)] == zech
+    cyclotomic = Counter((k % e, z % e) for k, z in enumerate(map(ext._zech, range(n))) if z != ZERO)
+    assert cyclotomic == Counter((k % e, z % e) for k, z in enumerate(zech) if z != ZERO)
 
 
 def test_period_is_translated_class_sum():
@@ -198,6 +197,51 @@ def test_decompose_wrong_family():
     ext, _ = quadratic_tower(7)
     with pytest.raises(cs.CharError):
         cs.decompose_gauss(ext, "q3")
+
+
+def test_decompose_gauss_refuses_the_regular_family_before_any_sum(monkeypatch):
+    ext, _ = quadratic_tower(17)
+
+    def no_sum(*args):
+        raise AssertionError("a float Gauss sum ran")
+
+    monkeypatch.setattr(cs, "gauss_sum", no_sum)
+    monkeypatch.setattr(cs, "gauss_periods", no_sum)
+    with pytest.raises(cs.CharError, match="^no Gauss-sum sign pair for family 'regular'$"):
+        cs.decompose_gauss(ext, "regular")
+
+
+@pytest.mark.parametrize("q", [5, 9, 13, 17, 25, 29, 49, 81, 121, 169, 289, 361, 625, 841])
+def test_exact_quadratic_gauss_sum_matches_the_float_sum(q):
+    base = field_for(q)
+    a, b = cs.quadratic_gauss_sum(base)
+    assert b in (0, 1) and (b == 0) == (math.isqrt(q) ** 2 == q)
+    assert abs(a + b * math.sqrt(q) - cs.gauss_sum(base, 2, 1)) < TOL
+
+
+def test_quadratic_gauss_sum_is_refused_where_it_is_not_real():
+    for q in (2, 4, 3, 11, 27):
+        with pytest.raises(cs.CharError, match=f"^G_q\\(eta\\) is not real at q = {q}$"):
+            cs.quadratic_gauss_sum(field_for(q))
+
+
+@pytest.mark.parametrize("q,e", [(17, 12), (17, 36), (49, 20), (49, 100), (97, 28)])
+def test_exact_periods_match_the_float_periods(q, e):
+    ext, base = quadratic_tower(q)
+    a, b = cs.quadratic_gauss_sum(base)
+    g = a + b * math.sqrt(q)
+    pairs = cs.gauss_period_pairs(ext, e)
+    assert len(pairs) == e
+    for (big_a, big_b), period in zip(pairs, cs.gauss_periods(ext, e)):
+        assert abs((big_a + big_b * g) / 2 - period) < TOL
+
+
+def test_exact_periods_need_the_tower_and_an_order_dividing_2_q_plus_1():
+    ext, base = quadratic_tower(17)
+    with pytest.raises(cs.CharError, match=r"^period order 8 does not divide 2\(q\+1\) = 36$"):
+        cs.gauss_period_pairs(ext, 8)
+    with pytest.raises(NoSubfield):
+        cs.gauss_period_pairs(base, 2)
 
 
 # each id names the order e of the Gauss sum and q

@@ -454,8 +454,9 @@ def test_scheme_search_cli(capsys):
         (["--verify", str(SCHEMES_DIR / "m3.scheme")], "9c207d6cdb5e6eb7f4dbf1d2c5cff6ece0689a5467b65b878c19c821b85a9cdd"),
         (["--verify", str(SCHEMES_DIR / "m5.scheme")], "3ab2eaa324ad663d9482a497686161e18d39728062c7e4e48e7b229ef01de49d"),
         (["--search", "--m", "3", "--e", "12"], "1b3d75cde27e0e411104ea6efb4f84a4caf7af0b3f3859ebfa6e016008d2f106"),
+        (["--search", "--m", "5", "--e", "20"], "60b304a312f4d5af1c4a73f4832d2d103138e5a2e3327153704b02455806ce23"),
     ],
-    ids=["verify-m3", "verify-m5", "search-m3-e12"],
+    ids=["verify-m3", "verify-m5", "search-m3-e12", "search-m5-e20"],
 )
 def test_scheme_stdout_matches_the_benchmark_digest(argv, digest, capsys):
     capsys.readouterr()
@@ -1187,6 +1188,29 @@ def test_construct_verifies_the_scheme_once(tmp_path, capsys, monkeypatch, ell):
     assert main([*argv, "--out", str(tmp_path)]) == 0
     assert calls == [shipped_partition(3)]
     assert json.loads((tmp_path / "regular_q17_report.json").read_text())["excess"] == 216
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--family", "regular", "--m", "3", "--partition", "{m3}", "--out", "{out}"],
+        ["construct", "--family", "regular", "--m", "3", "--ell", "3", "--partition", "{m3}", "--out", "{out}"],
+        ["construct", "--family", "regular", "--m", "5", "--partition", "{m5}", "--out", "{out}"],
+        ["search-params", "--family", "regular", "--m", "5", "--partition", "{m5}"],
+        ["scheme", "--search", "--m", "3", "--e", "12"],
+    ],
+    ids=["construct", "construct-ell", "construct-m5", "search-params", "scheme-search"],
+)
+def test_regular_commands_decide_without_a_float_gauss_sum(tmp_path, capsys, monkeypatch, argv):
+    from qrhadamard import character_sums as cs
+
+    def no_sum(*args):
+        raise AssertionError("a float Gauss sum ran")
+
+    monkeypatch.setattr(cs, "gauss_sum", no_sum)
+    paths = {"m3": SCHEMES_DIR / "m3.scheme", "m5": SCHEMES_DIR / "m5.scheme", "out": tmp_path}
+    assert main([arg.format(**paths) for arg in argv]) == 0
     capsys.readouterr()
 
 
