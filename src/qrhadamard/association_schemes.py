@@ -12,7 +12,7 @@ Every decision is exact.  e | 4m^2 = 2(q + 1), so each Gauss period is
 otherwise (character_sums.gauss_period_pairs).  Eigenvalues are held
 doubled, as int pairs (a, b) standing for a + b sqrt(q), so they compare
 exactly; they decide the scheme, tau and table 1.  Float Gauss periods only
-render the printed eigenmatrix.
+render the eigenmatrix that scheme --verify prints (eigenmatrix_rows).
 """
 
 from __future__ import annotations
@@ -64,12 +64,11 @@ class SchemePartition(namedtuple("SchemePartition", "q m e h_lists")):
 class SchemeReport(
     namedtuple(
         "SchemeReport",
-        "is_scheme symmetric class_sizes eigen_rows table1_match tau table1_misses",
+        "is_scheme symmetric class_sizes table1_match tau table1_misses",
     )
 ):
-    """What verify_scheme found: eigen_rows the 5x5 float rows indexed by the
-    dual classes, for printing, tau the matching tau or None, and
-    table1_misses a (tau, miss) pair for tau = 1, -1, miss being the exact
+    """What verify_scheme found, exactly: tau the matching tau or None, and
+    table1_misses a (tau, miss) pair for tau = 1, -1, miss being the
     (row, col, got, expected) of the first cell that misses table 1, or None."""
 
     __slots__ = ()
@@ -131,6 +130,11 @@ def verify_structure(ext: FieldContext, part: SchemePartition) -> bool:
     r = 0.  If it is e/2, the test at r >= e/2 is the test at r - e/2 read
     through the involution want.  So the residues r < e/2 decide it."""
     _check_form(ext, part.q, part.m, part.e)
+    return _shifted(part)
+
+
+def _shifted(part: SchemePartition) -> bool:
+    """The shift condition of verify_structure, on a partition of checked form."""
     cls = part.residue_class()
     e = part.e
     shift = 2 * part.m * part.m
@@ -217,20 +221,13 @@ def _class_sizes(ext: FieldContext, part: SchemePartition) -> tuple[int, ...]:
     return (1,) + tuple(len(hs) * valency for hs in part.h_lists)
 
 
-def eigenmatrix_vs_table1(ext: FieldContext, part: SchemePartition):
-    """(tau, table-1 misses, eigen rows), tau the first tau whose miss is
-    None, or None.
-
-    A tau's miss is the first class-size cell (row 0) that misses table 1,
-    else the first cell of the dual rows (see _table1_miss).  Row Y_i of the
-    eigen rows is psi(a X_c) for a in the least residue of Y_i, under the
-    matching tau (1 when none matches), summed from the float Gauss periods
-    for printing.
-    """
-    _check_form(ext, part.q, part.m, part.e)
+def eigenmatrix_vs_table1(part: SchemePartition, sizes, rows, expected):
+    """(tau, table-1 misses) of a partition with class sizes sizes, rows and
+    table 1 as _table1_inputs gives them: tau is the first tau whose miss is
+    None, or None.  A tau's miss is the first class-size cell (row 0) that
+    misses table 1, else the first cell of the dual rows (see _table1_miss).
+    benchmark/tracer.py times the table-1 check under this name."""
     q, m, e = part.q, part.m, part.e
-    rows, expected = _table1_inputs(ext, e, m)
-    sizes = _class_sizes(ext, part)
     size_miss = next(
         ((0, c, (2 * sizes[c], 0), expected[0][c]) for c in range(5) if (2 * sizes[c], 0) != expected[0][c]), None
     )
@@ -238,62 +235,43 @@ def eigenmatrix_vs_table1(ext: FieldContext, part: SchemePartition):
         (tau, size_miss or _table1_miss(part.h_lists, rows, expected, _dual_map(q, m, e, tau)))
         for tau in (1, -1)
     )
-    tau = next((tau for tau, miss in misses if miss is None), None)
-    periods = cs.gauss_periods(ext, e)
-    eigen = [[complex(sz) for sz in sizes]]
-    for ylist in _dual_residues(part, q, tau or 1):
-        if not ylist:  # empty class: no eigenvalue row
-            eigen.append([0j] * 5)
-            continue
-        row = periods[ylist[0]:] + periods[:ylist[0]]
-        eigen.append([1 + 0j] + [sum(map(row.__getitem__, hc)) for hc in part.h_lists])
-    return tau, misses, tuple(tuple(row) for row in eigen)
+    return next((tau for tau, miss in misses if miss is None), None), misses
 
 
 def verify_scheme(ext: FieldContext, part: SchemePartition) -> SchemeReport:
-    """The scheme test plus the eigenvalue-table check.
+    """The scheme test plus the eigenvalue-table check, both exact.
 
     The partition is a four-class scheme when it has the shift structure,
     each X_i is nonempty and closed under negation, and the characters
     psi_a, a != 0, take exactly four distinct rows (psi_a(X_1), ...,
     psi_a(X_4)): the Bannai-Muzychuk fusion criterion (E. Bannai,
     "Subschemes of some association schemes", J. Algebra 144, 1991).  The
-    row depends on a only through its residue mod e, so e rows decide it.
+    row depends on a only through its residue mod e, so e rows decide it;
+    the same rows decide table 1.
     """
-    structure_ok = verify_structure(ext, part)
+    _check_form(ext, part.q, part.m, part.e)
     cls, e = part.residue_class(), part.e
     symmetric = all(cls[(r + ext.half) % e] == cls[r] for r in range(e))
-    rows, _ = _table1_inputs(ext, e, part.m)
+    rows, expected = _table1_inputs(ext, e, part.m)
     dual_rows = {tuple(_cell(row, hs) for hs in part.h_lists) for row in rows}
-    tau, misses, eigen_rows = eigenmatrix_vs_table1(ext, part)
+    sizes = _class_sizes(ext, part)
+    tau, misses = eigenmatrix_vs_table1(part, sizes, rows, expected)
     return SchemeReport(
-        is_scheme=structure_ok and symmetric and all(part.h_lists) and len(dual_rows) == 4,
+        is_scheme=_shifted(part) and symmetric and all(part.h_lists) and len(dual_rows) == 4,
         symmetric=symmetric,
-        class_sizes=_class_sizes(ext, part),
-        eigen_rows=eigen_rows,
+        class_sizes=sizes,
         table1_match=tau is not None,
         tau=tau,
         table1_misses=misses,
     )
 
 
-_last_required: list = []  # (ext, partition, report) of the last partition require_scheme passed
-
-
 def require_scheme(ext: FieldContext, part: SchemePartition) -> SchemeReport:
     """The report of a partition that is a scheme matching table 1, the
-    promise the regular family rests on; SchemeInvalid otherwise.
-
-    The partition object that last passed over the same ext is not verified
-    again: `construct --ell` finds its parameters and then transforms with
-    one partition.  Partitions are immutable, so the object stands for its
-    contents; another object, even an equal one, is verified."""
-    if _last_required and _last_required[0] is ext and _last_required[1] is part:
-        return _last_required[2]
+    promise the regular family rests on; SchemeInvalid otherwise."""
     report = verify_scheme(ext, part)
     if not (report.is_scheme and report.table1_match):
         raise SchemeInvalid("partition fails scheme or eigenvalue-table verification")
-    _last_required[:] = (ext, part, report)
     return report
 
 
@@ -387,11 +365,28 @@ def scheme_search(ext: FieldContext, e: int, budget: int = DEFAULT_SEARCH_BUDGET
     return sorted(found, key=lambda p: p.h_lists)
 
 
-def scheme_report_json(report: SchemeReport) -> dict:
+def eigenmatrix_rows(ext: FieldContext, part: SchemePartition, tau) -> tuple[tuple[complex, ...], ...]:
+    """The first eigenmatrix that scheme --verify prints, rows indexed by the
+    dual classes: row Y_i is psi(a X_c) for a in the least residue of Y_i
+    under tau (1 when None), summed from the float Gauss periods.  An empty
+    class gets a zero row.  Nothing is decided from these floats."""
+    periods = cs.gauss_periods(ext, part.e)
+    eigen = [[complex(sz) for sz in _class_sizes(ext, part)]]
+    for ylist in _dual_residues(part, part.q, tau or 1):
+        if not ylist:
+            eigen.append([0j] * 5)
+            continue
+        row = periods[ylist[0]:] + periods[:ylist[0]]
+        eigen.append([1 + 0j] + [sum(map(row.__getitem__, hc)) for hc in part.h_lists])
+    return tuple(tuple(row) for row in eigen)
+
+
+def scheme_report_json(ext: FieldContext, part: SchemePartition, report: SchemeReport) -> dict:
+    """What scheme --verify prints: the report and the float eigenmatrix."""
     return {
         "is_scheme": report.is_scheme,
         "tau": report.tau,
         "class_sizes": list(report.class_sizes),
-        "eigenmatrix": [[[z.real, z.imag] for z in row] for row in report.eigen_rows],
+        "eigenmatrix": [[[z.real, z.imag] for z in row] for row in eigenmatrix_rows(ext, part, report.tau)],
         "table1_match": report.table1_match,
     }

@@ -5,13 +5,15 @@ families.
 
 Multiplicative characters are always normalized so that chi_e(omega) is the
 first primitive e-th root of unity; a character of order e is then evaluated
-exactly through discrete logs mod e.  Every decision is exact, read from
-the q + 1 relative traces the tower stores: the q3/q1 sign pair
-(gauss_signs) and the Gauss periods that decide the regular family's scheme
-(gauss_period_pairs).  The float sums over all of GF(q^2) (gauss_periods,
-gauss_sum, decompose_gauss, compared with tolerance TOL) only render the
-printed eigenmatrix and cross-check the exact values.  The brute-force
-checks of the paper's lemmas live in qrhadamard.oracles.
+exactly through discrete logs mod e.  Every decision is exact and has one
+source: gauss_period_pairs, which reads each Gauss period of order
+e | 2(q + 1) as (A + B G_q(eta))/2 from the q + 1 relative traces the tower
+stores.  Its B half gives the q3/q1 sign pair (gauss_signs); its pairs decide
+the regular family's scheme.  The float sums over all of GF(q^2)
+(gauss_periods, gauss_sum, decompose_gauss, compared with tolerance TOL)
+cross-check the exact values, and gauss_periods renders the eigenmatrix that
+scheme --verify prints.  The brute-force checks of the paper's lemmas live
+in qrhadamard.oracles.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import cmath
 from collections import Counter, namedtuple
 from functools import lru_cache
-from math import gcd, isqrt, sqrt
+from math import isqrt, sqrt
 
 # the exceptions this layer raises, importable from here too
 from .errors import CharError, NoMatch, NoSubfield, ZeroArgument
@@ -56,8 +58,8 @@ def gauss_sum(ctx: FieldContext, e: int, j: int = 1) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-sum closed forms: the sign pair decided exactly from coset counts,
-# and its float oracle
+# Gauss-sum closed forms: the sign pair decided exactly from the periods'
+# B half, and its float oracle
 
 FORM_ORDER8 = "order8"
 FORM_ORDER4_ODD = "order4_odd"
@@ -132,25 +134,6 @@ def family_m(q: int, family: str) -> int:
     raise CharError(f"q = {q} is not of the {family} form")
 
 
-def gauss_sign_counts(ext: FieldContext, e: int) -> tuple[int, ...]:
-    """c_j = sum of eta(Tr_{q^2/q}(omega^k)) over k <= q with k = j mod e.
-
-    omega^0, ..., omega^q represent the cosets of GF(q)* in GF(q^2)*.  When
-    chi_e restricts to the quadratic character eta of GF(q), summing over
-    each coset gives G_{q^2}(chi_e) = G_q(eta) * sum_j c_j zeta_e^j: q + 1
-    relative traces decide the sum exactly.  The tower keeps exactly these
-    traces, as logs in GF(q), so no field operation runs here."""
-    if ext.subfield is None:
-        raise NoSubfield("sign counts need the quadratic tower GF(q) in GF(q^2)")
-    _check_order(ext, e)
-    _restriction_is_quadratic(ext, e)
-    counts = [0] * e
-    for k, tr in enumerate(ext._rel_traces):
-        if tr != ZERO:
-            counts[k % e] += -1 if tr % 2 else 1
-    return tuple(counts)
-
-
 def quadratic_gauss_sum(ctx: FieldContext) -> tuple[int, int]:
     """G_q(eta) = (-1)^(f-1) (sqrt p)^f for p = 1 mod 4 and (-1)^(f-1)
     (i sqrt p)^f for p = 3 mod 4 (Berndt, Evans and Williams, *Gauss and
@@ -190,17 +173,16 @@ def gauss_period_pairs(ext: FieldContext, e: int) -> tuple[tuple[int, int], ...]
     return tuple((q * z - k, b) for z, b in zip(zeros, etas))
 
 
-def signs_from_counts(counts, family: str, m: int) -> tuple[int, int]:
-    """(epsilon, delta) of the closed form that sum_j c_j zeta_e^j equals,
-    e the family's sign order.
+def signs_from_counts(diffs, family: str, m: int) -> tuple[int, int]:
+    """(epsilon, delta) of the closed form that sum_j B_j zeta_e^j over
+    j < e/2 equals, e the family's sign order and diffs = (B_0, ...,
+    B_(e/2-1)) as gauss_signs reads them.
 
     e = 8 (zeta^4 = -1, sqrt(-2) = zeta + zeta^3): eps (2m+1) + delta sqrt(-2)
-    has c0 - c4 = eps (2m+1), c1 - c5 = c3 - c7 = delta and c2 - c6 = 0.
+    has B = (eps (2m+1), delta, 0, delta).
     e = 4 (G_q(eta)^2 = q for q = 1 mod 4): eps a + delta b i has
-    (c0 - c2, c1 - c3) = (eps a, delta b), where (a, b) = (m, m+1) for odd m
-    and (m+1, m) for even m.  Any other count vector raises NoMatch."""
-    half = len(counts) // 2
-    diffs = tuple(counts[j] - counts[j + half] for j in range(half))
+    B = (eps a, delta b), where (a, b) = (m, m+1) for odd m and (m+1, m) for
+    even m.  Any other vector raises NoMatch."""
     for eps in (1, -1):
         for delta in (1, -1):
             if FAMILIES[family].sign_order == 8:
@@ -210,17 +192,23 @@ def signs_from_counts(counts, family: str, m: int) -> tuple[int, int]:
                 want = (eps * a, delta * b)
             if diffs == want:
                 return eps, delta
-    raise NoMatch(f"Gauss-sum sign counts {tuple(counts)} fit no {family} sign pair at m = {m}")
+    raise NoMatch(f"Gauss-sum period differences {diffs} fit no {family} sign pair at m = {m}")
 
 
 def gauss_signs(ext: FieldContext, family: str) -> tuple[int, int]:
     """The sign pair (epsilon, delta) of the family's Gauss-sum closed form,
-    decided exactly from q + 1 cosets; decompose_gauss is its float oracle."""
+    decided exactly; decompose_gauss is its float oracle.
+
+    The sign order e (8 or 4) divides 2(q + 1) but not q + 1, so class
+    r + e/2 is class r times a nonsquare of GF(q): in gauss_period_pairs(ext,
+    e), B_(r+e/2) = -B_r and the A_r cancel from G_{q^2}(chi_e) = sum_r
+    zeta_e^r P_e[r].  So G_{q^2}(chi_e) = G_q(eta) sum_j B_j zeta_e^j, j < e/2."""
     order = _sign_order(family)
     if ext.subfield is None:
-        raise NoSubfield("sign counts need the quadratic tower GF(q) in GF(q^2)")
+        raise NoSubfield("the sign pair needs the quadratic tower GF(q) in GF(q^2)")
     m = family_m(ext.subfield.q, family)
-    return signs_from_counts(gauss_sign_counts(ext, order), family, m)
+    pairs = gauss_period_pairs(ext, order)
+    return signs_from_counts(tuple(b for _, b in pairs[: order // 2]), family, m)
 
 
 def decompose_gauss(ext: FieldContext, family: str) -> GaussDecomposition:
@@ -259,12 +247,6 @@ def _sign_order(family: str) -> int:
     if order is None:
         raise CharError(f"no Gauss-sum sign pair for family {family!r}")
     return order
-
-
-def _restriction_is_quadratic(ext: FieldContext, e: int) -> None:
-    q = ext.subfield.q
-    if e // gcd(e, q + 1) != 2:
-        raise CharError(f"chi_{e} does not restrict to the quadratic character of GF({q})")
 
 
 def clear_caches() -> None:

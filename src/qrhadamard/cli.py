@@ -155,12 +155,15 @@ def promise_miss(family: str, rep) -> dict | None:
 
 
 def cmd_construct(args) -> int:
+    from .character_sums import FAMILIES
     from .finite_field import quadratic_tower
     from .intersection_sets import admissible_params
     from .matrix import report_json
 
     family = args.family
     q, m = _resolve_q_m(args, family)
+    if args.h is not None and FAMILIES[family].sign_order is None:
+        raise UsageError(f"the {family} family takes no --h")
     ext, _ = quadratic_tower(q)
     partition = _family_partition(args, family, q, m)
 
@@ -280,7 +283,7 @@ def cmd_scheme(args) -> int:
     partition = _read_partition(args.verify)
     ext, _ = quadratic_tower(partition.q)
     report = schemes.verify_scheme(ext, partition)
-    print(json.dumps(schemes.scheme_report_json(report), sort_keys=True))
+    print(json.dumps(schemes.scheme_report_json(ext, partition, report), sort_keys=True))
     if report.is_scheme and report.table1_match:
         return EXIT_OK
     if not report.table1_match:

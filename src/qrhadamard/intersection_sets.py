@@ -193,7 +193,8 @@ def admissible_params(ext: FieldContext, family: str, partition=None):
     association_schemes.
 
     Every condition is an exact discrete-log congruence; the sign data
-    (epsilon, delta) comes from the exact Gauss-sum sign counts.
+    (epsilon, delta) comes from character_sums.gauss_signs, which reads the
+    exact Gauss periods of gauss_period_pairs.
     """
     if ext.subfield is None:
         raise NoSubfield("parameter search needs the quadratic tower")

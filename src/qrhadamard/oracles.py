@@ -10,10 +10,11 @@ use it to cross-check the exact code paths against the paper's formulas.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .character_sums import (
     TOL,
     _check_order,
-    _restriction_is_quadratic,
     gauss_periods,
     gauss_sum,
     roots_of_unity,
@@ -84,6 +85,12 @@ def check_davenport_hasse(base: FieldContext, ext: FieldContext, e: int, d: int)
     lifted = gauss_sum(ext, e, t_inv % e)
     direct = (-1) ** (d - 1) * gauss_sum(base, e, 1) ** d
     return abs(lifted - direct) < TOL
+
+
+def _restriction_is_quadratic(ext: FieldContext, e: int) -> None:
+    q = ext.subfield.q
+    if e // gcd(e, q + 1) != 2:
+        raise CharError(f"chi_{e} does not restrict to the quadratic character of GF({q})")
 
 
 def check_lemma_linear(ext: FieldContext, e: int, ell: int) -> bool:

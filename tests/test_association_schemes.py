@@ -195,7 +195,7 @@ def test_negation_closed_classes(m3):
 def test_eigen_rows_sum_to_minus_one(m3, m5):
     for ext, part in (m3, m5):
         report = schemes.verify_scheme(ext, part)
-        for row in report.eigen_rows[1:]:
+        for row in schemes.eigenmatrix_rows(ext, part, report.tau)[1:]:
             total = sum(row[1:])
             assert abs(total - (-1)) < TOL
 
@@ -205,7 +205,7 @@ def test_eigen_row_weighted_column_orthogonality(m3):
     report = schemes.verify_scheme(ext, part)
     # dual class sizes equal the class sizes here (Y_i is a relabeled X_i^q)
     sizes = report.class_sizes
-    rows = report.eigen_rows
+    rows = schemes.eigenmatrix_rows(ext, part, report.tau)
     for c1 in range(5):
         for c2 in range(5):
             acc = sum(sizes[i] * rows[i][c1] * rows[i][c2].conjugate() for i in range(5))
@@ -217,8 +217,9 @@ def test_eigen_frozen_cell_and_trivial_column(m3):
     ext, part = m3
     report = schemes.verify_scheme(ext, part)
     want = (11 - 3 * 17**0.5) / 2  # row Y_1, column X_1 at m = 3
-    assert abs(report.eigen_rows[1][1] - want) < TOL
-    for row in report.eigen_rows:
+    rows = schemes.eigenmatrix_rows(ext, part, report.tau)
+    assert abs(rows[1][1] - want) < TOL
+    for row in rows:
         assert abs(row[0] - 1) < TOL
 
 
@@ -228,12 +229,13 @@ def test_eigen_values_brute_force_spot_check(m3):
     cls = part.residue_class()
     members = {c: [k for k in ext.nonzero() if cls[k % part.e] == c] for c in range(1, 5)}
     ylists = schemes._dual_residues(part, part.q, report.tau)
+    rows = schemes.eigenmatrix_rows(ext, part, report.tau)
     for i, ylist in enumerate(ylists, start=1):
         for a in counter_indices(3, len(ylist), salt=i):
             rep_a = ylist[a]  # one element per chosen residue: omega^rep_a
             for c in range(1, 5):
                 brute = sum(oracles.additive_char(ext, ext.mul(rep_a, x)) for x in members[c])
-                assert abs(brute - report.eigen_rows[i][c]) < TOL
+                assert abs(brute - rows[i][c]) < TOL
 
 
 def test_verbatim_lists_are_labeling_dependent(m3):
@@ -261,8 +263,7 @@ def test_swapped_lists_fail_table(m3):
 
 def test_bannai_muzychuk(m3):
     ext, part = m3
-    report = schemes.verify_scheme(ext, part)
-    rows = report.eigen_rows
+    rows = schemes.eigenmatrix_rows(ext, part, schemes.verify_scheme(ext, part).tau)
     assert oracles.bannai_muzychuk_check(rows, [(0,), (1, 3), (2, 4)])
     assert oracles.bannai_muzychuk_check(rows, [(0,), (1, 2, 3, 4)])
     assert not oracles.bannai_muzychuk_check(rows, [(0,), (1,), (2, 3, 4)])
@@ -273,10 +274,10 @@ def test_bannai_muzychuk(m3):
 def test_two_class_fusion_character_values(m3):
     # the coarse classes take exactly the two expected nontrivial values
     ext, part = m3
-    report = schemes.verify_scheme(ext, part)
+    rows = schemes.eigenmatrix_rows(ext, part, schemes.verify_scheme(ext, part).tau)
     m = part.m
-    w1_vals = {round((report.eigen_rows[i][1] + report.eigen_rows[i][3]).real, 6) for i in range(1, 5)}
-    w2_vals = {round((report.eigen_rows[i][2] + report.eigen_rows[i][4]).real, 6) for i in range(1, 5)}
+    w1_vals = {round((rows[i][1] + rows[i][3]).real, 6) for i in range(1, 5)}
+    w2_vals = {round((rows[i][2] + rows[i][4]).real, 6) for i in range(1, 5)}
     assert w1_vals == {m * m + m - 1, -m * m + m}
     assert w2_vals == {m * m - m - 1, -m * m - m}
 
@@ -343,10 +344,9 @@ def test_search_matches_brute_force_oracle(m3):
     want = []
     for assign in _assignments(e, 2):
         part = schemes.normalized_partition(17, 3, e, _assignment_lists(assign, e // 2))
-        if schemes.eigenmatrix_vs_table1(ext, part)[0] is not None:
-            report = schemes.verify_scheme(ext, part)
-            if report.is_scheme and report.table1_match:
-                want.append(part)
+        report = schemes.verify_scheme(ext, part)
+        if report.is_scheme and report.table1_match:
+            want.append(part)
     assert len(want) == 12
     assert schemes.scheme_search(ext, e) == sorted(want, key=lambda p: p.h_lists)
 
@@ -460,7 +460,7 @@ def test_partition_file_roundtrip(m3):
 def test_report_json_shape(m3):
     ext, part = m3
     report = schemes.verify_scheme(ext, part)
-    payload = schemes.scheme_report_json(report)
+    payload = schemes.scheme_report_json(ext, part, report)
     assert payload["is_scheme"] and payload["table1_match"]
     assert payload["tau"] == -1
     assert len(payload["eigenmatrix"]) == 5

@@ -254,43 +254,50 @@ def test_exact_signs_match_the_float_oracle(family, q):
     ext, _ = quadratic_tower(q)
     dec = cs.decompose_gauss(ext, family)
     assert cs.gauss_signs(ext, family) == (dec.epsilon, dec.delta)
-    # G_{q^2}(chi) = G_q(eta) sum_j c_j zeta^j, numerically
+    # G_{q^2}(chi) = G_q(eta) sum_j B_j zeta^j over j < e/2, numerically
     e = cs.FAMILIES[family].sign_order
-    counts = cs.gauss_sign_counts(ext, e)
+    diffs = [b for _, b in cs.gauss_period_pairs(ext, e)]
+    assert diffs[e // 2:] == [-b for b in diffs[: e // 2]]
     ze = cs.roots_of_unity(e)
-    s = sum(c * ze[j] for j, c in enumerate(counts))
+    s = sum(b * ze[j] for j, b in enumerate(diffs[: e // 2]))
     assert abs(cs.gauss_sum(ext.subfield, 2, 1) * s - cs.gauss_sum(ext, e, 1)) < TOL
 
 
-@pytest.mark.parametrize("q", [25, 49, 841])
-def test_sign_counts_read_the_stored_relative_traces(q):
-    """gauss_sign_counts reads the q + 1 relative traces the tower stores; the
-    per-coset rel_trace loop it replaced counts the same.  Over q = p^2 the
+# q3 towers at e = 8, q1 towers at e = 4
+@pytest.mark.parametrize(
+    "q,e", [pytest.param(q, e, id=str(q)) for q, e in ((11, 8), (27, 8), (83, 8), (25, 4), (49, 4), (841, 4))]
+)
+def test_sign_counts_read_the_stored_relative_traces(q, e):
+    """The B half of gauss_period_pairs, which gauss_signs reads, equals the
+    coset counts c_j - c_(j+e/2) of the per-coset rel_trace loop, c_j summing
+    eta(Tr_{q^2/q}(omega^k)) over k <= q with k = j mod e.  Over q = p^2 the
     base is itself a tower over GF(p), so the stored traces, logs in GF(q),
     sit two levels deep."""
     ext, base = quadratic_tower(q)
-    assert base.subfield is not None and base.subfield.subfield is None
+    assert (base.subfield is None) == (q in (11, 27, 83))
     assert list(ext._rel_traces) == [ext.rel_trace(k) for k in range(q + 1)]
-    for e in (4, 2 * (q + 1)):
-        want = [0] * e
+    for order in (e, 2 * (q + 1)):
+        counts = [0] * order
         for k in range(q + 1):
             tr = ext.rel_trace(k)
             if tr != ZERO:
-                want[k % e] += -1 if tr % 2 else 1
-        assert cs.gauss_sign_counts(ext, e) == tuple(want)
+                counts[k % order] += -1 if tr % 2 else 1
+        half = order // 2
+        want = [counts[j] - counts[j + half] for j in range(half)]
+        assert [b for _, b in cs.gauss_period_pairs(ext, order)] == want + [-b for b in want]
 
 
 def test_inconsistent_sign_counts_raise_nomatch():
-    # q = 11 (m = 1) has counts (-2, 0, 0, 0, 1, 1, 0, 1): -3 and -1 -> (-1, -1)
-    assert cs.signs_from_counts((-2, 0, 0, 0, 1, 1, 0, 1), "q3", 1) == (-1, -1)
-    for counts, family, m in (
-        ((-2, 0, 1, 0, 1, 1, 0, 1), "q3", 1),  # c2 - c6 != 0
-        ((-2, 0, 0, 1, 1, 1, 0, 1), "q3", 1),  # c1 - c5 != c3 - c7
-        ((-2, 0, 0, 0, 0, 1, 0, 1), "q3", 1),  # |c0 - c4| != 2m + 1
-        ((0, 2, -1, 0), "q1", 2),  # (1, 2) against (a, b) = (3, 2)
+    # q = 11 (m = 1) has counts (-2, 0, 0, 0, 1, 1, 0, 1), so B = (-3, -1, 0, -1) -> (-1, -1)
+    assert cs.signs_from_counts((-3, -1, 0, -1), "q3", 1) == (-1, -1)
+    for diffs, family, m in (
+        ((-3, -1, 1, -1), "q3", 1),  # B_2 != 0
+        ((-3, -1, 0, 0), "q3", 1),  # B_1 != B_3
+        ((-2, -1, 0, -1), "q3", 1),  # |B_0| != 2m + 1
+        ((1, 2), "q1", 2),  # (1, 2) against (a, b) = (3, 2)
     ):
-        with pytest.raises(cs.NoMatch, match=rf"counts {re.escape(str(counts))} fit no {family} sign pair"):
-            cs.signs_from_counts(counts, family, m)
+        with pytest.raises(cs.NoMatch, match=rf"differences {re.escape(str(diffs))} fit no {family} sign pair"):
+            cs.signs_from_counts(diffs, family, m)
 
 
 def test_gauss_signs_needs_a_sign_family_and_a_tower():

@@ -947,6 +947,10 @@ _MESSAGE_TABLE = [
     ),
     ("construct --family q3 --m 1 --h 1 --out {tmp}/o", 2, "", "error: --h needs --ell\n"),
     (
+        "construct --family regular --m 3 --partition {schemes}/m3.scheme --ell 3 --h 1 --out {tmp}/o", 2, "",
+        "error: the regular family takes no --h\n",
+    ),
+    (
         "construct --family q3 --q 11 --partition {schemes}/m3.scheme --out {tmp}/o", 2, "",
         "error: the q3 family takes no --partition\n",
     ),
@@ -1111,7 +1115,8 @@ def test_every_message_of_the_cli(table_dir, capsys, argv, code, out, err):
 
     if out is _SWAPPED_REPORT:
         ext, _ = finite_field.quadratic_tower(17)
-        out = json.dumps(schemes.scheme_report_json(schemes.verify_scheme(ext, _swapped_m3())), sort_keys=True) + "\n"
+        report = schemes.verify_scheme(ext, _swapped_m3())
+        out = json.dumps(schemes.scheme_report_json(ext, _swapped_m3(), report), sort_keys=True) + "\n"
     capsys.readouterr()
     assert main([fill(arg) for arg in argv.split()]) == code
     assert capsys.readouterr() == (fill(out), fill(err))
@@ -1178,15 +1183,16 @@ def test_transform_with_given_params_checks_the_partition():
         hd.transform(ext, "regular", params, partition=_swapped_m3())
 
 
-@pytest.mark.parametrize("ell", [[], ["--ell", "3"]], ids=["first-ell", "ell-3"])
-def test_construct_verifies_the_scheme_once(tmp_path, capsys, monkeypatch, ell):
+@pytest.mark.parametrize("ell,times", [([], 1), (["--ell", "3"], 2)], ids=["first-ell", "ell-3"])
+def test_construct_verifies_the_scheme_once(tmp_path, capsys, monkeypatch, ell, times):
     # --ell finds its parameters with the partition, then transforms with it:
-    # one verification, as without --ell
+    # each of the two steps verifies it (an exact check takes well under a
+    # millisecond), where the parameter search alone does without --ell
     calls, real = [], schemes.verify_scheme
     monkeypatch.setattr(schemes, "verify_scheme", lambda ext, part: calls.append(part) or real(ext, part))
     argv = ["construct", "--family", "regular", "--m", "3", *ell, "--partition", str(SCHEMES_DIR / "m3.scheme")]
     assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert calls == [shipped_partition(3)]
+    assert calls == [shipped_partition(3)] * times
     assert json.loads((tmp_path / "regular_q17_report.json").read_text())["excess"] == 216
     capsys.readouterr()
 
@@ -1209,8 +1215,20 @@ def test_regular_commands_decide_without_a_float_gauss_sum(tmp_path, capsys, mon
         raise AssertionError("a float Gauss sum ran")
 
     monkeypatch.setattr(cs, "gauss_sum", no_sum)
+    monkeypatch.setattr(cs, "gauss_periods", no_sum)
     paths = {"m3": SCHEMES_DIR / "m3.scheme", "m5": SCHEMES_DIR / "m5.scheme", "out": tmp_path}
     assert main([arg.format(**paths) for arg in argv]) == 0
+    capsys.readouterr()
+
+
+def test_only_scheme_verify_sums_float_gauss_periods(capsys, monkeypatch):
+    # the eigenmatrix it prints is the one float path of a regular command
+    from qrhadamard import character_sums as cs
+
+    calls, real = [], cs.gauss_periods
+    monkeypatch.setattr(cs, "gauss_periods", lambda ctx, e: calls.append(e) or real(ctx, e))
+    assert main(["scheme", "--verify", str(SCHEMES_DIR / "m3.scheme")]) == 0
+    assert calls == [12]
     capsys.readouterr()
 
 
