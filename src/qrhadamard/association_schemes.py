@@ -26,7 +26,7 @@ from . import character_sums as cs
 from .errors import BadForm, BudgetExceeded, ParseError, SchemeError, SchemeInvalid
 from .finite_field import FieldContext
 
-DEFAULT_SEARCH_BUDGET = 1_000_000
+DEFAULT_SEARCH_BUDGET = 1 << 24
 
 
 class SchemePartition(namedtuple("SchemePartition", "q m e h_lists")):

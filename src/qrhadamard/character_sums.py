@@ -1,7 +1,7 @@
 """Multiplicative characters, Gauss periods, Gauss sums, the table of the
 three families (FAMILIES: each row holds its form q(m), sign order, border,
-designs and promised values), and the Gauss-sum sign pair of the q3 and q1
-families.
+base variant and promised values), and the Gauss-sum sign pair of the q3 and
+q1 families.
 
 Multiplicative characters are always normalized so that chi_e(omega) is the
 first primitive e-th root of unity; a character of order e is then evaluated
@@ -74,45 +74,44 @@ class GaussDecomposition(namedtuple("GaussDecomposition", "epsilon delta form m 
 
 
 class Family(
-    namedtuple("Family", "form sign_order promise border odd_m partition variant design promised")
+    namedtuple("Family", "form sign_order promise border odd_m partition variant promised")
 ):
     """A family of the paper.  form: (a, b, c) with q = a m^2 + b m + c;
     sign_order: the order (8 or 4) of the character whose Gauss sum over
     GF(q^2) carries the sign pair, None where a scheme partition gives the D
     sets; promise: the row-sum shape of the transformed matrix ("biregular" |
-    "regular"); border: columns before the first block of q design points;
-    odd_m: whether m must be odd; partition: whether it takes a scheme
-    partition; variant: construct_q1's variant of the base matrix, None for
-    construct_q3; design: what the D sets are promised against ("Paley" |
-    "paired" | "doubled"); promised: m -> (the D-set sizes, and per design the
-    sizes the D sets may meet its blocks in, whose upper half negates rows)."""
+    "regular"); border: the rows and columns of the base matrix before the
+    first design row, which the transform never negates; odd_m: whether m
+    must be odd; partition: whether it takes a scheme partition; variant:
+    construct_q1's variant of the base matrix, None for construct_q3;
+    promised: m -> (the D-set sizes, the row sums of the transformed
+    matrix)."""
 
     __slots__ = ()
 
 
 def _q3_promise(m: int):
-    mm = m * m
-    return (2 * mm + m + 2,), ((mm + 1, mm + 2, mm + m + 1, mm + m + 2),)
+    return (2 * m * m + m + 2,), (2 * m - 2, 2 * m + 2)
 
 
 def _q1_promise(m: int):
-    mm, top = m * m, m * m + m + 1 - m % 2  # even m lifts the upper values by one
-    return (mm, top), ((mm, mm + 1, top, top + 1), (mm - 1, mm, top - 1, top))
+    low = 2 * m - 2 if m % 2 else 2 * m
+    return (m * m, m * m + m + 1 - m % 2), (low, low + 4)
 
 
 def _regular_promise(m: int):
-    return (m * m - m, m * m), ((m * m - m, m * m),)
+    return (m * m - m, m * m), (2 * m,)
 
 
 # the paper's three families by name: q3 and q1 biregular, regular through a
 # four-class scheme
 FAMILIES = {
     "q3": Family(form=(4, 4, 3), sign_order=8, promise="biregular", border=1, odd_m=False,
-                 partition=False, variant=None, design="Paley", promised=_q3_promise),
+                 partition=False, variant=None, promised=_q3_promise),
     "q1": Family(form=(2, 2, 1), sign_order=4, promise="biregular", border=2, odd_m=False,
-                 partition=False, variant="plain", design="paired", promised=_q1_promise),
+                 partition=False, variant="plain", promised=_q1_promise),
     "regular": Family(form=(2, 0, -1), sign_order=None, promise="regular", border=1, odd_m=True,
-                      partition=True, variant="negated2", design="doubled", promised=_regular_promise),
+                      partition=True, variant="negated2", promised=_regular_promise),
 }
 
 

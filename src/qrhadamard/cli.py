@@ -246,7 +246,8 @@ def cmd_search_params(args) -> int:
     ext, _ = quadratic_tower(q)
     partition = _family_partition(args, family, q, m)
     choices = admissible_params(ext, family, partition)  # checks the partition before any row
-    rows = map(_param_row, itertools.islice(choices, args.limit or None))
+    # islice refuses a stop past sys.maxsize, more rows than any search yields
+    rows = map(_param_row, itertools.islice(choices, min(args.limit or sys.maxsize, sys.maxsize)))
     # the bytes of json.dumps(rows, sort_keys=True), encoded a bounded chunk at a time
     count, sep = 0, ""
     sys.stdout.write("[")

@@ -1,8 +1,9 @@
 """The two quadratic-residue base constructions, the ladder of the paper's
 instances, and the row/column signing transform that reaches maximum
-excess.  The D sets, the design blocks and the signing are all int masks:
-transform negates the columns in one mask and the rows in another, bit i
-set for row or column i.  transform proves its output Hadamard with the
+excess.  The D sets and the signing are int masks: transform negates the
+columns of the D sets in one mask, then, in another, every row past the
+family's border whose sum is not positive, bit i set for row or column i;
+it builds no block design.  transform proves its output Hadamard with the
 one check that ``verify`` runs, qrhadamard.matrix.hadamard_violation.  Its
 first certificate takes O(n) popcounts on every matrix built here; its
 second, for Sylvester-type matrices of order 2^k, never runs on them, since
@@ -133,27 +134,6 @@ def _require_family(ext: FieldContext, family: str) -> int:
         raise NotPrimePower(str(exc)) from exc
 
 
-# Each design of a FAMILIES row, from the base field and the D sets: the mask
-# of the D-set points over the design's point numbers, and per design its
-# name, the design and the row of its block 0 past the border.
-def _paley(base: FieldContext, dsets):
-    return dsets[0], [("Paley design", isets.paley_design(base), 0)]
-
-
-def _paired(base: FieldContext, dsets):
-    first, second = isets.paired_designs(base)
-    members = dsets[0] | dsets[1] << base.q
-    return members, [("first paired design", first, 0), ("second paired design", second, base.q)]
-
-
-def _doubled(base: FieldContext, dsets):
-    members = (dsets[0] | dsets[1] << base.q) << 1  # past the star
-    return members, [("doubled symmetric design", isets.doubled_symmetric_design(base), 0)]
-
-
-_DESIGNS = {"Paley": _paley, "paired": _paired, "doubled": _doubled}
-
-
 def transform(
     ext: FieldContext,
     family: str,
@@ -162,8 +142,10 @@ def transform(
     partition=None,
 ):
     """Maximum-excess signing of a family's base matrix h (built by
-    base_matrix when not given): negate the columns of the D sets, then the
-    rows of the blocks they meet in the promised sizes.
+    base_matrix when not given): negate the columns of the D sets, then
+    every row past the border whose sum is not positive.  The paper's block
+    designs prove that the signed rows take the promised sums; transform
+    checks the sums themselves, after the Hadamard check.
 
     - q3, q = 4m^2+4m+3: order q+1, row sums {2m-2, 2m+2}.
     - q1, q = 2m^2+2m+1: order 2q+2, row sums {2m-2, 2m+2} for odd m and
@@ -188,24 +170,23 @@ def transform(
         dsets = isets.scheme_dsets(ext, partition, params.ell)
     else:
         dsets = tuple(isets.build_dlh(ext, params.ell, fam.sign_order, hs) for hs in isets.h_sets(params))
-    promised, profiles = fam.promised(m)
+    promised, row_sums = fam.promised(m)
     sizes = tuple(d.bit_count() for d in dsets)
     if sizes != promised:
         raise HadamardError(f"{family}: D-set sizes {sizes} break the promised sizes {promised}")
     if h is None:
         h = base_matrix(family, ext.subfield)
-    members, designs = _DESIGNS[fam.design](ext.subfield, dsets)
-    col_mask, row_mask = members << fam.border, 0
-    for (name, design, first_row), allowed in zip(designs, profiles):
-        profile = isets.intersection_profile(members, design)
-        values = profile.profile_values()
-        if not set(values) <= set(allowed):
-            promised = sorted(set(allowed))
-            raise HadamardError(f"{family}: {name} profile values {values} break the promised set {promised}")
-        negated = allowed[len(allowed) // 2:]  # the upper half of the promised values
-        row_mask |= profile.dual_mask(*negated) << fam.border + first_row
+    q, n = ext.subfield.q, h.n  # the D sets index the last len(dsets) blocks of q columns
+    if n != len(dsets) * (q + 1):
+        raise LengthMismatch(f"{family}: the base matrix has order {n}, not {len(dsets) * (q + 1)}")
+    col_mask = sum(d << k * q for k, d in enumerate(dsets)) << n - len(dsets) * q
+    sums = [n - 2 * (r ^ col_mask).bit_count() for r in h.rows]
+    row_mask = sum(1 << i for i in range(fam.border, n) if sums[i] <= 0)
     signed = apply_signing(h, row_mask, col_mask)
     bad = hadamard_violation(signed)
     if bad is not None:
         raise NotHadamard(bad)
+    observed = {abs(s) for s in sums}
+    if not observed <= set(row_sums):
+        raise HadamardError(f"{family}: row sums {sorted(observed)} break the promised set {sorted(row_sums)}")
     return signed, _excess_report(signed)

@@ -2,6 +2,11 @@
 by cyclotomic classes of GF(q^2), their intersection profiles and duals,
 and the admissible-parameter search.
 
+The designs and profiles are the paper's proof objects: the D sets meet the
+blocks in few sizes, and that fixes the row sums of the signed matrix.
+hadamard.transform builds none of them; it signs each row by its own sum
+and checks the sums.  The tests compare its rows with the designs'.
+
 A point set is an int mask over point numbers, and so is a block.  Over
 GF(q) the number of x is its canonical index idx(x): 0 for the field's 0,
 k + 1 for omega^k.  Each design builder states how it numbers its points.
@@ -41,10 +46,6 @@ class IntersectionSet(namedtuple("IntersectionSet", "profile duals")):
 
     def profile_values(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.profile)
-
-    def dual_mask(self, *sizes) -> int:
-        """The mask over block indices of the blocks met in one of sizes."""
-        return sum(1 << b for v, idxs in self.duals if v in sizes for b in idxs)
 
 
 class ParamChoice(
@@ -279,9 +280,9 @@ def h_sets(params: ParamChoice) -> tuple[list[int], ...]:
 def scheme_dsets(ext: FieldContext, part, ell: int) -> tuple[int, int]:
     """The masks (as build_dlh) of the pair of point sets cut out of GF(q)
     by S_0, S_1 for omega^ell in X_2 or X_4 of a scheme partition; unchecked
-    here.  hadamard.transform
-    checks that they have sizes (m^2-m, m^2) and meet the doubled symmetric
-    design in m^2-m or m^2 points."""
+    here.  hadamard.transform checks that they have sizes (m^2-m, m^2) and
+    that every signed row sums to 2m, which their meeting the doubled
+    symmetric design in m^2-m or m^2 points proves."""
     h1, h2, h3, h4 = part.h_lists
     r = ell % part.e
     if r in h2:

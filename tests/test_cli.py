@@ -366,7 +366,7 @@ def test_search_params(capsys):
     assert main(["search-params", "--family", "q1", "--q", "11"]) == 2
 
 
-@pytest.mark.parametrize("limit", [0, 1, 3])
+@pytest.mark.parametrize("limit", [0, 1, 3, 10**23])
 @pytest.mark.parametrize("family,q", [("q3", 11), ("q1", 13), ("regular", 17)])
 def test_search_params_streams_the_json_list(capsys, monkeypatch, family, q, limit):
     monkeypatch.setattr(cli, "_ROWS_PER_CHUNK", 2)  # every list but the shortest spans chunks
@@ -498,8 +498,8 @@ def test_scheme_search_input_contract(capsys):
 
 
 def test_scheme_search_m7_e28_finds_none(capsys):
-    # the budget is the search's exact count, 10543104 class vectors
-    assert main(["scheme", "--search", "--m", "7", "--e", "28", "--budget", "10543104"]) == 0
+    # the default budget covers the search's 10543104 class vectors
+    assert main(["scheme", "--search", "--m", "7", "--e", "28"]) == 0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "found 0 partition(s)" in captured.err

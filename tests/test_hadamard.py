@@ -288,7 +288,7 @@ def test_transform_regular_builds_and_checks_its_pieces_once(monkeypatch, tower1
         real = getattr(isets, name)
         monkeypatch.setattr(isets, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
     hd.transform(ext, "regular", partition=part)
-    assert calls == ["doubled_symmetric_design", "intersection_profile"]
+    assert calls == []  # the rows are signed by their own sums, with no design
     # swapped D sets break the size promise, which transform names
     dsets = isets.scheme_dsets
     monkeypatch.setattr(isets, "scheme_dsets", lambda *args: dsets(*args)[::-1])
@@ -299,12 +299,91 @@ def test_transform_regular_builds_and_checks_its_pieces_once(monkeypatch, tower1
 
 def test_transform_names_the_broken_profile_promise(monkeypatch):
     ext, _ = quadratic_tower(11)
-    # every block holds every point, so each block meets the 5-point D set in 5
-    full = isets.BlockDesign(11, [(1 << 11) - 1] * 11)
-    monkeypatch.setattr(isets, "paley_design", lambda ctx: full)
+    # a D set of the promised size 5 but other points: 0 and omega^0..omega^3
+    monkeypatch.setattr(isets, "build_dlh", lambda *args: 0b11111)
     with pytest.raises(hd.HadamardError) as info:
         hd.transform(ext, "q3")
-    assert str(info.value) == "q3: Paley design profile values (5,) break the promised set [2, 3, 4]"
+    assert str(info.value) == "q3: row sums [0, 4, 8] break the promised set [0, 4]"
+
+
+def test_transform_refuses_a_base_of_another_order():
+    ext, _ = quadratic_tower(11)
+    with pytest.raises(hd.LengthMismatch, match=r"^q3: the base matrix has order 8, not 12$"):
+        hd.transform(ext, "q3", h=hd.construct_q3(build_field(7)))
+
+
+def test_transform_builds_no_design(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("transform built a design")
+
+    for name in ("paley_design", "paired_designs", "doubled_symmetric_design", "intersection_profile"):
+        monkeypatch.setattr(isets, name, refuse)
+    for family, q, part in (("q3", 11, None), ("q1", 13, None), ("regular", 17, shipped_partition(3))):
+        rep = hd.transform(quadratic_tower(q)[0], family, partition=part)[1]
+        assert rep.excess == rep.bound
+
+
+# The paper's intersection values per design, by m: the D sets meet each
+# block in one of them, and the blocks met in the upper half are the rows
+# to negate.
+def _q3_profiles(m):
+    mm = m * m
+    return ((mm + 1, mm + 2, mm + m + 1, mm + m + 2),)
+
+
+def _q1_profiles(m):
+    mm, top = m * m, m * m + m + 1 - m % 2
+    return ((mm, mm + 1, top, top + 1), (mm - 1, mm, top - 1, top))
+
+
+def _regular_profiles(m):
+    return ((m * m - m, m * m),)
+
+
+def _design_rows(family, base, dsets, m):
+    """The mask of the rows the paper negates: the design rows whose block
+    meets the D sets in the upper half of the intersection values, and the
+    mask of the D-set points over the matrix columns."""
+    q = base.q
+    members = dsets[0] | (dsets[1] << q if len(dsets) > 1 else 0)
+    if family == "q3":
+        designs, profiles = [(isets.paley_design(base), 0)], _q3_profiles(m)
+    elif family == "q1":
+        first, second = isets.paired_designs(base)
+        designs, profiles = [(first, 0), (second, q)], _q1_profiles(m)
+    else:
+        members <<= 1  # past the star, point 0 of the doubled design
+        designs, profiles = [(isets.doubled_symmetric_design(base), 0)], _regular_profiles(m)
+    border = hd.FAMILIES[family].border
+    row_mask = 0
+    for (design, first_row), allowed in zip(designs, profiles):
+        profile = isets.intersection_profile(members, design)
+        assert set(profile.profile_values()) <= set(allowed)
+        upper = allowed[len(allowed) // 2:]
+        row_mask |= sum(1 << b for v, blocks in profile.duals if v in upper for b in blocks) << border + first_row
+    return row_mask, members << border
+
+
+@pytest.mark.parametrize(
+    "family,m,q",
+    [inst for inst in hd.instances() if inst[0] != "regular" and inst[2] <= 300]
+    + [("regular", 3, 17), ("regular", 5, 49)],
+)
+def test_transform_negates_the_rows_of_the_blocks_met_in_the_upper_values(monkeypatch, family, m, q):
+    ext, base = quadratic_tower(q)
+    part = shipped_partition(m) if family == "regular" else None
+    h = hd.base_matrix(family, base)  # the regular base signs its second row and column
+    masks = []
+    signing = hd.apply_signing
+    monkeypatch.setattr(hd, "apply_signing", lambda h, rows, cols: masks.append((rows, cols)) or signing(h, rows, cols))
+    rep = hd.transform(ext, family, h=h, partition=part)[1]
+    params = isets.find_params(ext, family, part)
+    if part is None:
+        dsets = [isets.build_dlh(ext, params.ell, hd.FAMILIES[family].sign_order, hs) for hs in isets.h_sets(params)]
+    else:
+        dsets = isets.scheme_dsets(ext, part, params.ell)
+    assert masks == [_design_rows(family, base, dsets, m)]
+    assert rep.excess == rep.bound
 
 
 def test_matrix_text_roundtrip():

@@ -237,10 +237,10 @@ def test_record_fields_defaults_and_properties():
     assert choice._replace(h=2) == isets.ParamChoice("q3", 7, 1, h=2)
     assert repr(hd.FAMILIES["regular"]) == (
         "Family(form=(2, 0, -1), sign_order=None, promise='regular', border=1, odd_m=True, partition=True, "
-        f"variant='negated2', design='doubled', promised={cs._regular_promise!r})"
+        f"variant='negated2', promised={cs._regular_promise!r})"
     )
     # a record compares equal to the plain tuple of its fields
-    assert hd.FAMILIES["q1"] == ((2, 2, 1), 4, "biregular", 2, False, False, "plain", "paired", cs._q1_promise)
+    assert hd.FAMILIES["q1"] == ((2, 2, 1), 4, "biregular", 2, False, False, "plain", cs._q1_promise)
 
 
 def test_scheme_partition_still_refuses_a_non_partition():
