@@ -132,6 +132,7 @@ def construction(ext, family: str, params=None, partition=None):
     are read.  construct writes these files; scripts/run_constructions.py
     hashes them."""
     from . import hadamard as hd
+    from .matrix import report_json
 
     base_matrix = hd.base_matrix(family, ext.subfield)
     signed, rep = hd.transform(ext, family, params, base_matrix, partition)
@@ -139,7 +140,7 @@ def construction(ext, family: str, params=None, partition=None):
     return rep, {
         prefix + "_base.mat": base_matrix.text_lines(),
         prefix + "_transformed.mat": signed.text_lines(),
-        prefix + "_report.json": [json.dumps(hd.report_json(rep), sort_keys=True) + "\n"],
+        prefix + "_report.json": [json.dumps(report_json(rep), sort_keys=True) + "\n"],
     }
 
 
@@ -155,28 +156,22 @@ def promise_miss(family: str, rep) -> dict | None:
 
 
 def cmd_construct(args) -> int:
-    from .character_sums import FAMILIES
     from .finite_field import quadratic_tower
     from .intersection_sets import admissible_params
     from .matrix import report_json
 
     family = args.family
     q, m = _resolve_q_m(args, family)
-    if args.h is not None and FAMILIES[family].sign_order is None:
-        raise UsageError(f"the {family} family takes no --h")
     ext, _ = quadratic_tower(q)
     partition = _family_partition(args, family, q, m)
 
     params = None
     if args.ell is not None:
-        choices = admissible_params(ext, family, partition)
-        params = next((cand for cand in choices if cand.ell >= args.ell), None)  # ascending ell
+        if 0 < args.ell < q * q - 1:  # where every admissible ell lies: refuse any other unscanned
+            choices = admissible_params(ext, family, partition)
+            params = next((cand for cand in choices if cand.ell >= args.ell), None)  # ascending ell
         if params is None or params.ell != args.ell:
             raise UsageError(f"--ell {args.ell} is not admissible for this family")
-        if args.h is not None and params.h != args.h:
-            raise UsageError(f"--h {args.h} conflicts with the admissible h = {params.h}")
-    elif args.h is not None:
-        raise UsageError("--h needs --ell")
 
     rep, files = construction(ext, family, params, partition)
     out = args.out or "."
@@ -223,16 +218,9 @@ _ROWS_PER_CHUNK = 4096
 
 
 def _param_row(choice) -> dict:
-    """The search-params row of a ParamChoice."""
-    row = {"ell": choice.ell}
-    if choice.h is not None:
-        row["h"] = choice.h
-    if choice.epsilon is not None:
-        row["epsilon"] = choice.epsilon
-        row["delta"] = choice.delta
-    if choice.tau is not None:
-        row["tau"] = choice.tau
-    return row
+    """The search-params row of a ParamChoice: its fields that are set, but
+    family and m, which every row of a search shares."""
+    return {k: v for k, v in choice._asdict().items() if v is not None and k not in ("family", "m")}
 
 
 def cmd_search_params(args) -> int:
@@ -304,26 +292,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qrhadamard",
         description="Maximum-excess Hadamard matrices from quadratic residues",
+        allow_abbrev=False,  # an option is its full name: --fam is no --family
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_con = sub.add_parser("construct", help="build, transform and verify a matrix")
+    p_con = sub.add_parser("construct", help="build, transform and verify a matrix", allow_abbrev=False)
     p_con.add_argument("--family", required=True, choices=_FAMILY_NAMES)
     p_con.add_argument("--m", type=int)
     p_con.add_argument("--q", type=int)
     p_con.add_argument("--ell", type=int)
-    p_con.add_argument("--h", type=int)
     p_con.add_argument("--partition")
     p_con.add_argument("--out", default=".")
     p_con.add_argument("--format", choices=["text", "json"], default="text")
     p_con.set_defaults(func=cmd_construct)
 
-    p_ver = sub.add_parser("verify", help="verify a matrix file and report excess")
+    p_ver = sub.add_parser("verify", help="verify a matrix file and report excess", allow_abbrev=False)
     p_ver.add_argument("matrix")
     p_ver.add_argument("--format", choices=["text", "json"], default="json")
     p_ver.set_defaults(func=cmd_verify)
 
-    p_sp = sub.add_parser("search-params", help="list admissible (h, ell) pairs")
+    p_sp = sub.add_parser("search-params", help="list admissible (h, ell) pairs", allow_abbrev=False)
     p_sp.add_argument("--family", required=True, choices=_FAMILY_NAMES)
     p_sp.add_argument("--q", type=int)
     p_sp.add_argument("--m", type=int)
@@ -331,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sp.add_argument("--limit", type=int)
     p_sp.set_defaults(func=cmd_search_params)
 
-    p_sch = sub.add_parser("scheme", help="verify a partition file or search for partitions")
+    p_sch = sub.add_parser("scheme", help="verify a partition file or search for partitions", allow_abbrev=False)
     p_sch.add_argument("--verify")
     p_sch.add_argument("--search", action="store_true")
     p_sch.add_argument("--q", type=int)

@@ -9,9 +9,6 @@ first certificate takes O(n) popcounts on every matrix built here; its
 second, for Sylvester-type matrices of order 2^k, never runs on them, since
 no family order is a power of two.  Only a matrix that fails both gets the
 O(n^2) row-pair scan, split over the usable CPUs.
-
-The matrix names (SignMatrix, hadamard_violation, excess_and_bound, ...),
-the family table and the exceptions are importable from here too.
 """
 
 from __future__ import annotations
@@ -20,27 +17,10 @@ from math import isqrt
 
 from . import character_sums as cs
 from . import intersection_sets as isets
-from .character_sums import FAMILIES, Family
-from .errors import (
-    FieldError,
-    HadamardError,
-    LengthMismatch,
-    NotHadamard,
-    NotPrimePower,
-    ParamSearchFailed,
-    ParseError,
-)
+from .character_sums import FAMILIES
+from .errors import FieldError, HadamardError, LengthMismatch, NotHadamard, NotPrimePower, ParamSearchFailed
 from .finite_field import MAX_FIELD_SIZE, FieldContext, prime_power
-from .matrix import (
-    ExcessReport,
-    SignMatrix,
-    _excess_report,
-    bound_params,
-    excess_and_bound,
-    hadamard_violation,
-    is_hadamard,
-    report_json,
-)
+from .matrix import SignMatrix, _excess_report, hadamard_violation
 
 
 # ---------------------------------------------------------------------------

@@ -361,13 +361,5 @@ def _excess_report(h: SignMatrix) -> ExcessReport:
 
 
 def report_json(rep: ExcessReport) -> dict:
-    return {
-        "n": rep.n,
-        "excess": rep.excess,
-        "k": rep.k,
-        "t": rep.t,
-        "s": rep.s,
-        "bound": rep.bound,
-        "row_sums": {str(v): c for v, c in rep.row_sums},
-        "classification": rep.classification,
-    }
+    """The fields of rep, its row-sum pairs as a JSON object."""
+    return {**rep._asdict(), "row_sums": {str(v): c for v, c in rep.row_sums}}

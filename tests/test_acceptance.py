@@ -14,6 +14,7 @@ from qrhadamard import association_schemes as schemes
 from qrhadamard import character_sums as cs
 from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
+from qrhadamard import matrix as mx
 from qrhadamard.cli import main
 from qrhadamard.finite_field import build_field, quadratic_tower
 from qrhadamard import finite_field
@@ -38,7 +39,7 @@ def _report_line(num, label, ok):
 def _reverify_from_file(path):
     """Independent route: reparse the emitted matrix and recompute the report."""
     matrix = hd.SignMatrix.from_text(path.read_text())
-    return hd.excess_and_bound(matrix)
+    return mx.excess_and_bound(matrix)
 
 
 def test_criterion_1_q3_family(tmp_path):
@@ -214,10 +215,10 @@ def test_criterion_6_property_suite():
             candidate = hd.apply_signing(
                 signed, det_signs(signed.n, trial, 1), det_signs(signed.n, trial, 2)
             )
-            if not hd.is_hadamard(candidate):
+            if not mx.is_hadamard(candidate):
                 ok = False
         ok &= sum(v * v * c for v, c in rep.row_sums) == rep.n**2
-        rep_t = hd.excess_and_bound(transpose(signed))
+        rep_t = mx.excess_and_bound(transpose(signed))
         ok &= rep_t.excess == rep_t.bound == rep.bound
     print(f"  signing trials: {100 * len(outputs)} across orders {[r.n for _, r in outputs]}")
 

@@ -103,7 +103,6 @@ def test_construct_input_errors(tmp_path):
     assert main(["construct", "--family", "q3", "--m", "1", "--q", "11", "--out", str(tmp_path)]) == 2
     assert main(["construct", "--family", "regular", "--m", "3", "--out", str(tmp_path)]) == 2
     assert main(["construct", "--family", "q3", "--m", "1", "--ell", "12", "--out", str(tmp_path)]) == 2
-    assert main(["construct", "--family", "q3", "--m", "1", "--h", "1", "--out", str(tmp_path)]) == 2
 
 
 def test_regular_family_needs_odd_m(tmp_path, capsys):
@@ -216,7 +215,7 @@ def test_run_constructions_script_fails_on_a_pin_or_a_shortfall(tmp_path, monkey
 
     def unsigned_q3(ext, family, params=None, h=None, partition=None):
         if family == "q3":
-            return h, hd.excess_and_bound(h)
+            return h, mx.excess_and_bound(h)
         return real(ext, family, params, h, partition)
 
     monkeypatch.setattr(hd, "transform", unsigned_q3)
@@ -241,7 +240,7 @@ def test_construct_exits_1_on_a_shortfall_or_a_broken_promise(tmp_path, monkeypa
     }
     # the base matrix left unsigned: biregular, but below the bound
     h = hd.base_matrix("q3", base)
-    monkeypatch.setattr(hd, "transform", lambda ext, family, params, h, partition: (h, hd.excess_and_bound(h)))
+    monkeypatch.setattr(hd, "transform", lambda ext, family, params, h, partition: (h, mx.excess_and_bound(h)))
     assert main(["construct", "--family", "q3", "--m", "1", "--out", str(tmp_path)]) == 1
     diag = {"bound": 36, "classification": "biregular(k1=10,k2=2,m1=1,m2=11)", "excess": 32}
     assert json.loads(capsys.readouterr().err) == {"verification_failure": diag}
@@ -301,8 +300,6 @@ def test_construct_with_explicit_admissible_ell(tmp_path, capsys):
             "1",
             "--ell",
             str(second["ell"]),
-            "--h",
-            str(second["h"]),
             "--out",
             str(tmp_path),
         ]
@@ -602,7 +599,7 @@ def test_non_utf8_input_file_exits_2(tmp_path, capsys, argv):
     assert err.startswith("error: ") and f"{f} is not UTF-8 text (byte 8" in err
 
 
-def test_unusable_out_exits_2(tmp_path, capsys):
+def test_unusable_out_exits_2(tmp_path, capsys, monkeypatch):
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
     for out in (afile, afile / "x"):  # FileExistsError, then NotADirectoryError
@@ -611,6 +608,47 @@ def test_unusable_out_exits_2(tmp_path, capsys):
         assert f"--out {out}" in capsys.readouterr().err
     assert afile.read_text() == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+    # a disk that fills mid-file: the outputs of the last run stay, and no temporary file
+    out = tmp_path / "full"
+    argv = ["construct", "--family", "q3", "--q", "11", "--out", str(out)]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    lines = mx.SignMatrix.text_lines
+
+    def full_disk(self):
+        for i, line in enumerate(lines(self)):
+            if i == 5:
+                raise OSError(28, "No space left on device")
+            yield line
+
+    monkeypatch.setattr(mx.SignMatrix, "text_lines", full_disk)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = f"error: cannot write the outputs under --out {out}: [Errno 28] No space left on device\n"
+    assert capsys.readouterr() == ("", err)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_construct_refuses_an_ell_out_of_range_without_a_scan(tmp_path, monkeypatch, capsys):
+    # every admissible ell lies in 1 .. q^2-2; the scan of a large field takes seconds
+    def scan(*args):
+        raise AssertionError("admissible_params ran")
+
+    monkeypatch.setattr(isets, "admissible_params", scan)
+    m3 = str(SCHEMES_DIR / "m3.scheme")
+    for size, ell in (
+        (["--family", "q3", "--q", "11"], -3),
+        (["--family", "q3", "--q", "11"], 0),
+        (["--family", "q3", "--q", "11"], 120),
+        (["--family", "q3", "--q", "3251"], 99999999999),
+        (["--family", "q1", "--q", "3613"], 99999999999),
+        (["--family", "regular", "--q", "17", "--partition", m3], 288),
+    ):
+        capsys.readouterr()
+        assert main(["construct", *size, "--ell", str(ell), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: --ell {ell} is not admissible for this family\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_q_below_two_is_not_of_the_family_form(capsys):
@@ -922,8 +960,10 @@ _NOT_A_SCHEME = "error: partition fails scheme or eigenvalue-table verification\
 
 # One row per message the CLI prints: argv, exit code, stdout, stderr.  {tmp}
 # is the directory that holds _TABLE_FILES and the swapped m3 partition,
-# {schemes} the shipped schemes.  Not listed: construct's verification_failure
-# JSON and search-params' "no admissible parameters", which no argv reaches.
+# {schemes} the shipped schemes; argparse's usage lines are pinned at a
+# terminal width that fits each on one line.  Not listed: construct's
+# verification_failure JSON and search-params' "no admissible parameters",
+# which no argv reaches.
 _MESSAGE_TABLE = [
     ("construct --family q3 --out {tmp}/o", 2, "", "error: give exactly one of --q and --m\n"),
     ("construct --family q3 --m 1 --q 11 --out {tmp}/o", 2, "", "error: give exactly one of --q and --m\n"),
@@ -941,14 +981,17 @@ _MESSAGE_TABLE = [
         "construct --family q3 --m 1 --ell 12 --out {tmp}/o", 2, "",
         "error: --ell 12 is not admissible for this family\n",
     ),
+    # ell fixes h: argparse refuses --h, and reads no option from a prefix
     (
-        "construct --family q3 --m 1 --ell 9 --h 1 --out {tmp}/o", 2, "",
-        "error: --h 1 conflicts with the admissible h = 2\n",
+        "construct --family q3 --m 1 --h 1 --out {tmp}/o", 2, "",
+        "usage: qrhadamard [-h] {construct,verify,search-params,scheme} ...\n"
+        "qrhadamard: error: unrecognized arguments: --h 1\n",
     ),
-    ("construct --family q3 --m 1 --h 1 --out {tmp}/o", 2, "", "error: --h needs --ell\n"),
     (
-        "construct --family regular --m 3 --partition {schemes}/m3.scheme --ell 3 --h 1 --out {tmp}/o", 2, "",
-        "error: the regular family takes no --h\n",
+        "construct --fam q3 --m 1 --out {tmp}/o", 2, "",
+        "usage: qrhadamard construct [-h] --family {q3,q1,regular} [--m M] [--q Q] [--ell ELL] "
+        "[--partition PARTITION] [--out OUT] [--format {text,json}]\n"
+        "qrhadamard construct: error: the following arguments are required: --family\n",
     ),
     (
         "construct --family q3 --q 11 --partition {schemes}/m3.scheme --out {tmp}/o", 2, "",
@@ -964,7 +1007,7 @@ _MESSAGE_TABLE = [
         'row_sums: {"0": 3, "4": 9}\ns: 3\nt: 0\n',
         "",
     ),
-    ("construct --family q3 --m 1 --ell 9 --h 2 --format json --out {tmp}/o", 0, _REPORT_Q11, ""),
+    ("construct --family q3 --m 1 --ell 9 --format json --out {tmp}/o", 0, _REPORT_Q11, ""),
     (
         "construct --family regular --m 2 --partition {schemes}/m3.scheme --out {tmp}/o", 2, "",
         "error: the regular family needs odd m\n",
@@ -1109,7 +1152,7 @@ def table_dir(tmp_path_factory):
 
 
 @pytest.mark.parametrize("argv,code,out,err", _MESSAGE_TABLE, ids=[row[0] for row in _MESSAGE_TABLE])
-def test_every_message_of_the_cli(table_dir, capsys, argv, code, out, err):
+def test_every_message_of_the_cli(table_dir, capsys, monkeypatch, argv, code, out, err):
     def fill(text: str) -> str:
         return text.replace("{tmp}", str(table_dir)).replace("{schemes}", str(SCHEMES_DIR))
 
@@ -1117,8 +1160,12 @@ def test_every_message_of_the_cli(table_dir, capsys, argv, code, out, err):
         ext, _ = finite_field.quadratic_tower(17)
         report = schemes.verify_scheme(ext, _swapped_m3())
         out = json.dumps(schemes.scheme_report_json(ext, _swapped_m3(), report), sort_keys=True) + "\n"
+    monkeypatch.setenv("COLUMNS", "200")
     capsys.readouterr()
-    assert main([fill(arg) for arg in argv.split()]) == code
+    try:
+        assert main([fill(arg) for arg in argv.split()]) == code
+    except SystemExit as exc:  # argparse refuses the argv
+        assert exc.code == code
     assert capsys.readouterr() == (fill(out), fill(err))
 
 
@@ -1184,7 +1231,7 @@ def test_transform_with_given_params_checks_the_partition():
 
 
 @pytest.mark.parametrize("ell,times", [([], 1), (["--ell", "3"], 2)], ids=["first-ell", "ell-3"])
-def test_construct_verifies_the_scheme_once(tmp_path, capsys, monkeypatch, ell, times):
+def test_construct_verifies_the_scheme_once_per_step(tmp_path, capsys, monkeypatch, ell, times):
     # --ell finds its parameters with the partition, then transforms with it:
     # each of the two steps verifies it (an exact check takes well under a
     # millisecond), where the parameter search alone does without --ell
@@ -1236,6 +1283,8 @@ def test_admissible_params_checks_the_partition_at_the_call():
     ext, _ = finite_field.quadratic_tower(17)
     with pytest.raises(schemes.SchemeInvalid, match="^partition fails scheme or eigenvalue-table verification$"):
         isets.admissible_params(ext, "regular", partition=_swapped_m3())  # no next(): the call itself raises
+    with pytest.raises(isets.IntersectionError, match="^the regular family needs a scheme partition$"):
+        isets.admissible_params(ext, "regular")
 
 
 def _proc_state(pid: str):

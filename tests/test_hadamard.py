@@ -22,6 +22,7 @@ from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
 from qrhadamard import matrix as mx
 from qrhadamard.character_sums import family_q
+from qrhadamard.errors import ParseError
 from qrhadamard.finite_field import MAX_FIELD_SIZE, ZERO, build_field, field_for, quadratic_tower
 
 
@@ -38,10 +39,17 @@ def det_signs(n, trial, salt=0):
 
 
 def test_is_hadamard_basics():
-    assert hd.is_hadamard(from_entries([[1, 1], [1, -1]]))
-    assert not hd.is_hadamard(from_entries([[1] * 4] * 4))
-    assert hd.is_hadamard(hd.construct_q3(build_field(7)))
-    assert hd.is_hadamard(from_entries([[1]]))
+    assert mx.is_hadamard(from_entries([[1, 1], [1, -1]]))
+    assert not mx.is_hadamard(from_entries([[1] * 4] * 4))
+    assert mx.is_hadamard(hd.construct_q3(build_field(7)))
+    assert mx.is_hadamard(from_entries([[1]]))
+
+
+def test_sign_matrix_refuses_rows_that_break_the_order():
+    assert hd.SignMatrix(2, [0, 0b11]).rows == [0, 0b11]
+    for rows in ([0], [0, 0, 0], [0, 0b100], [0, -1]):  # row count, a bit at position n, a negative row
+        with pytest.raises(hd.HadamardError, match="^row masks inconsistent with order n$"):
+            hd.SignMatrix(2, rows)
 
 
 def test_violation_reported():
@@ -99,19 +107,19 @@ def test_text_round_trip_and_strict_parse():
     assert list(hd.SignMatrix(2, [0, 2]).text_lines()) == ["2\n", "++\n", "+-\n"]
     # int() alone would accept "_" and inner whitespace
     for bad in ("3\n+_-\n+++\n+++\n", "3\n+ -\n+++\n+++\n"):
-        with pytest.raises(hd.ParseError):
+        with pytest.raises(ParseError):
             hd.SignMatrix.from_text(bad)
 
 
 def test_not_hadamard_carries_rows():
     with pytest.raises(hd.NotHadamard) as info:
-        hd.excess_and_bound(from_entries([[1] * 4] * 4))
+        mx.excess_and_bound(from_entries([[1] * 4] * 4))
     assert info.value.rows == (0, 1)
 
 
 def test_construct_q3_smallest_case():
     h = hd.construct_q3(build_field(3))
-    assert h.n == 4 and hd.is_hadamard(h)
+    assert h.n == 4 and mx.is_hadamard(h)
     with pytest.raises(isets.WrongResidue):
         hd.construct_q3(build_field(5))
 
@@ -120,7 +128,7 @@ def test_construct_q1_symmetric_hadamard():
     for q in (5, 13):
         h = hd.construct_q1(build_field(q))
         assert h.n == 2 * q + 2
-        assert hd.is_hadamard(h)
+        assert mx.is_hadamard(h)
         assert h == transpose(h)
     with pytest.raises(isets.WrongResidue):
         hd.construct_q1(build_field(7))
@@ -129,7 +137,7 @@ def test_construct_q1_symmetric_hadamard():
 def test_construct_q1_negated2():
     base = hd.construct_q1(build_field(5))
     neg = hd.construct_q1(build_field(5), "negated2")
-    assert hd.is_hadamard(neg)
+    assert mx.is_hadamard(neg)
     assert neg.entry(1, 1) == base.entry(1, 1)  # doubly negated
     assert neg.entry(0, 1) == -base.entry(0, 1)
     assert neg.entry(1, 0) == -base.entry(1, 0)
@@ -137,20 +145,20 @@ def test_construct_q1_negated2():
 
 
 def test_bound_params_examples():
-    k, t, s, bound, alt = hd.bound_params(12)
+    k, t, s, bound, alt = mx.bound_params(12)
     assert (k, t, s, bound) == (2, 0, 3, 36)
-    k, t, s, bound, alt = hd.bound_params(4)
+    k, t, s, bound, alt = mx.bound_params(4)
     assert (k, t, s, bound) == (2, 2, 4, 8)
     # both branches agree at n = 4(m^2+m+1)
     for m in range(1, 11):
         n = 4 * (m * m + m + 1)
-        _, _, _, b, alt = hd.bound_params(n)
+        _, _, _, b, alt = mx.bound_params(n)
         assert b == alt == n * (2 * m + 1)
 
 
 def test_excess_report_order4():
     h = from_entries([[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1]])
-    rep = hd.excess_and_bound(h)
+    rep = mx.excess_and_bound(h)
     assert rep.excess == 8 == rep.bound
     assert rep.classification == "regular(r=2)"
     assert rep.row_sums == ((2, 4),)
@@ -158,9 +166,9 @@ def test_excess_report_order4():
 
 def test_excess_report_rejects_non_hadamard():
     with pytest.raises(hd.NotHadamard):
-        hd.excess_and_bound(from_entries([[1] * 4] * 4))
+        mx.excess_and_bound(from_entries([[1] * 4] * 4))
     with pytest.raises(hd.HadamardError):
-        hd.excess_and_bound(from_entries([[1, 1], [1, -1]]))  # n < 4
+        mx.excess_and_bound(from_entries([[1, 1], [1, -1]]))  # n < 4
 
 
 def test_apply_signing_involution_and_excess_flip():
@@ -182,7 +190,7 @@ def test_signing_preserves_hadamard_100_trials():
     for trial in range(100):
         rs = det_signs(h.n, trial, salt=1)
         cs_ = det_signs(h.n, trial, salt=2)
-        assert hd.is_hadamard(hd.apply_signing(h, rs, cs_))
+        assert mx.is_hadamard(hd.apply_signing(h, rs, cs_))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -190,7 +198,7 @@ def test_signing_preserves_hadamard_100_trials():
 def test_signing_preserves_hadamard_property(rows, cols):
     h = hd.construct_q3(build_field(11))
     signed = hd.apply_signing(h, rows, cols)
-    assert hd.is_hadamard(signed)
+    assert mx.is_hadamard(signed)
     assert sum(v * v for v in signed.row_sums()) == signed.n**2
 
 
@@ -239,7 +247,7 @@ def test_q1_m2_frequencies():
 def test_transpose_of_attaining_output_attains(tower11):
     ext, _ = tower11
     signed, rep = hd.transform(ext, "q3")
-    rep_t = hd.excess_and_bound(transpose(signed))
+    rep_t = mx.excess_and_bound(transpose(signed))
     assert rep_t.excess == rep_t.bound == rep.bound
     assert rep_t.classification.startswith("biregular")
 
@@ -258,6 +266,8 @@ def test_transform_regular_m3(tower17):
     assert rep.row_sums == ((6, 36),)
     assert rep.excess == 216 == rep.bound
     assert rep.classification == "regular(r=6)"
+    with pytest.raises(hd.HadamardError, match="^the regular family needs a scheme partition$"):
+        hd.transform(ext, "regular")
 
 
 def test_transform_wrong_family():
@@ -396,15 +406,15 @@ def test_matrix_text_roundtrip():
 
 
 def test_matrix_text_parse_errors():
-    with pytest.raises(hd.ParseError):
+    with pytest.raises(ParseError):
         hd.SignMatrix.from_text("")
-    with pytest.raises(hd.ParseError):
+    with pytest.raises(ParseError):
         hd.SignMatrix.from_text("x\n++\n")
-    with pytest.raises(hd.ParseError):
+    with pytest.raises(ParseError):
         hd.SignMatrix.from_text("2\n++\n")
-    with pytest.raises(hd.ParseError):
+    with pytest.raises(ParseError):
         hd.SignMatrix.from_text("2\n+*\n--\n")
-    with pytest.raises(hd.ParseError):
+    with pytest.raises(ParseError):
         hd.SignMatrix.from_text("2\n+++\n---\n")
 
 
@@ -435,7 +445,7 @@ def test_parse_accepts_exactly_what_the_set_rule_accepted(text, accepted):
     if accepted:
         assert hd.SignMatrix.from_text(text).rows == want
     else:
-        with pytest.raises(hd.ParseError):
+        with pytest.raises(ParseError):
             hd.SignMatrix.from_text(text)
 
 
@@ -445,7 +455,7 @@ def test_parse_rows_match_the_set_rule(body):
     for text in ("2\n" + body, "2\n+-\n" + body, "1\n" + body):
         want = _rows_by_set_rule(text)
         if want is None:
-            with pytest.raises(hd.ParseError):
+            with pytest.raises(ParseError):
                 hd.SignMatrix.from_text(text)
         else:
             assert hd.SignMatrix.from_text(text).rows == want
@@ -454,7 +464,7 @@ def test_parse_rows_match_the_set_rule(body):
 def test_report_json_fields(tower11):
     ext, _ = tower11
     _, rep = hd.transform(ext, "q3")
-    payload = hd.report_json(rep)
+    payload = mx.report_json(rep)
     assert sorted(payload) == ["bound", "classification", "excess", "k", "n", "row_sums", "s", "t"]
     assert payload["row_sums"] == {"0": 3, "4": 9}
 
@@ -602,7 +612,7 @@ def test_group_certificate_proves_the_regular_kronecker_powers(k, monkeypatch):
         h = kronecker(h, core)
     assert mx._group_certified(h) and serial_scan(h) is None
     scans = counted_scans(monkeypatch)
-    rep = hd.excess_and_bound(h)
+    rep = mx.excess_and_bound(h)
     assert scans == []
     assert rep.classification == f"regular(r={2**k})" and rep.excess == rep.bound == 8**k
 
@@ -666,7 +676,7 @@ def test_group_certificate_refuses_paley_matrices(q, monkeypatch):
 def test_the_empty_matrix_is_still_hadamard():
     h = hd.SignMatrix(0, [])
     assert not mx._group_certified(h)
-    assert hd.hadamard_violation(h) is None and hd.is_hadamard(h)
+    assert hd.hadamard_violation(h) is None and mx.is_hadamard(h)
 
 
 def test_group_certificate_needs_the_weights():

@@ -152,6 +152,10 @@ def test_scheme_dsets_masks_match_the_definition(m):
         s0, s1 = (h1 + h4, h1 + h2) if ell % part.e in h2 else (h2 + h3, h3 + h4)
         want = (naive_dlh(ext, ell, part.e, s0), naive_dlh(ext, ell, part.e, s1))
         assert isets.scheme_dsets(ext, part, ell) == want, ell
+    for hs in (h1, h3):  # an ell of X_1 or X_3 cuts out no pair
+        ell = next(ell for ell in range(1, ext.order) if ell % part.e in hs)
+        with pytest.raises(isets.BadEll, match=r"^omega\^ell must lie in X_2 or X_4$"):
+            isets.scheme_dsets(ext, part, ell)
 
 
 def test_profile_flag_double_count(tower11):
