@@ -981,9 +981,20 @@ _MESSAGE_TABLE = [
         "construct --family q3 --m 1 --ell 12 --out {tmp}/o", 2, "",
         "error: --ell 12 is not admissible for this family\n",
     ),
-    # ell fixes h: argparse refuses --h, and reads no option from a prefix
+    # ell fixes h: argparse refuses --h, with or without --ell and in every
+    # family, and reads no option from a prefix
+    (
+        "construct --family q3 --m 1 --ell 9 --h 1 --out {tmp}/o", 2, "",
+        "usage: qrhadamard [-h] {construct,verify,search-params,scheme} ...\n"
+        "qrhadamard: error: unrecognized arguments: --h 1\n",
+    ),
     (
         "construct --family q3 --m 1 --h 1 --out {tmp}/o", 2, "",
+        "usage: qrhadamard [-h] {construct,verify,search-params,scheme} ...\n"
+        "qrhadamard: error: unrecognized arguments: --h 1\n",
+    ),
+    (
+        "construct --family regular --m 3 --partition {schemes}/m3.scheme --ell 3 --h 1 --out {tmp}/o", 2, "",
         "usage: qrhadamard [-h] {construct,verify,search-params,scheme} ...\n"
         "qrhadamard: error: unrecognized arguments: --h 1\n",
     ),
