@@ -4,7 +4,7 @@ files, list admissible parameters, and verify or search scheme partitions.
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget
 exhausted.  The commands raise their errors, and main maps each to its code
 through one table, _EXIT_CODES.  Runs are fully deterministic (fixed
-modulus, fixed primitive element, ascending parameter scans) and outputs are
+modulus, fixed primitive element, ascending parameter listings) and outputs are
 written atomically.
 
 Importing this module loads no layer of the package, only its exceptions:
@@ -157,7 +157,7 @@ def promise_miss(family: str, rep) -> dict | None:
 
 def cmd_construct(args) -> int:
     from .finite_field import quadratic_tower
-    from .intersection_sets import admissible_params
+    from .intersection_sets import admissible_at
     from .matrix import report_json
 
     family = args.family
@@ -167,10 +167,9 @@ def cmd_construct(args) -> int:
 
     params = None
     if args.ell is not None:
-        if 0 < args.ell < q * q - 1:  # where every admissible ell lies: refuse any other unscanned
-            choices = admissible_params(ext, family, partition)
-            params = next((cand for cand in choices if cand.ell >= args.ell), None)  # ascending ell
-        if params is None or params.ell != args.ell:
+        if 0 < args.ell < q * q - 1:  # where every admissible ell lies; admissible_at repeats past it
+            params = admissible_at(ext, family, partition, args.ell)
+        if params is None:
             raise UsageError(f"--ell {args.ell} is not admissible for this family")
 
     rep, files = construction(ext, family, params, partition)

@@ -186,79 +186,81 @@ def build_dlh(ext: FieldContext, ell: int, e: int, H) -> int:
     return mask
 
 
-def admissible_params(ext: FieldContext, family: str, partition=None):
-    """An iterator of the admissible (h, ell) pairs in ascending ell of a
-    family, by its FAMILIES name, checked at the call: the partition of a
-    family that takes one goes through association_schemes.require_scheme,
-    which gives tau, before any pair is made.  Only this branch loads
-    association_schemes.
+def admissible_at(ext: FieldContext, family: str, partition, ell: int) -> ParamChoice | None:
+    """The ParamChoice of ell for a family, by its FAMILIES name, if (h, ell)
+    is admissible, else None: one check, no scan.
 
-    Every condition is an exact discrete-log congruence; the sign data
-    (epsilon, delta) comes from character_sums.gauss_signs, which reads the
-    exact Gauss periods of gauss_period_pairs.
+    Each condition is an exact congruence on ell and on
+    t = log(omega^(q ell) - omega^ell) = ell + log(omega^((q-1) ell) - 1),
+    whose second term depends on ell only through ell mod (q+1).  The
+    moduli, 8 (q3), 4 (q1), e and 4m^2 (regular), divide q^2 - 1 and
+    P = 2(q+1): q + 1 = 4 mod 8 for q3, q + 1 = 2 mod 4 for q1, and
+    e | 4m^2 = 2(q+1) for the regular family.  So the ParamChoice of ell, but
+    for its ell, depends only on ell mod P, and 1 .. q^2 - 2 is (q-1)/2
+    whole periods; residue 0 is never admissible.  The answer repeats past
+    q^2 - 2 too, where no ell is admissible: the caller checks the range.
     """
+    return _admissibility(ext, family, partition)(ell)
+
+
+def _admissibility(ext: FieldContext, family: str, partition):
+    """admissible_at as a function of ell alone, with the sign pair or the
+    scheme's tau, which every ell shares, computed at the call."""
     if ext.subfield is None:
         raise NoSubfield("parameter search needs the quadratic tower")
-    tau = None
-    if cs.FAMILIES[family].partition:
+    q = ext.subfield.q
+    m = cs.family_m(q, family)
+    order = cs.FAMILIES[family].sign_order
+    if order is None:  # the scheme partition's classes and tau
         if partition is None:
             raise IntersectionError(f"the {family} family needs a scheme partition")
         from .association_schemes import require_scheme
 
         tau = require_scheme(ext, partition).tau
-    return _admissible_params(ext, family, partition, tau)
-
-
-def _admissible_params(ext: FieldContext, family: str, partition, tau):
-    base = ext.subfield
-    q, n = base.q, ext.order
-
-    # omega^(q ell) - omega^ell = omega^ell (omega^((q-1) ell) - 1), and
-    # (q-1) ell mod (q^2-1) depends only on ell mod (q+1): a full sweep needs
-    # q+1 Zech lookups, not one per ell.
-    @lru_cache(maxsize=None)
-    def gap(r: int) -> int:
-        return ext.sub((q - 1) * r, ext.one)
-
-    def t_of(ell: int) -> int:
-        """log(omega^(q ell) - omega^ell) for ell not divisible by q+1."""
-        return (ell + gap(ell % (q + 1))) % n
-
-    order = cs.FAMILIES[family].sign_order
-    if order is not None:
-        eps, delta = cs.gauss_signs(ext, family)
-    m = cs.family_m(q, family)
-    if order == 8:
-        t_target = (4 + 2 * delta) % 8
-        h_of = {0: 0, 6: 1, 4: 2, 2: 3}
-        for ell in range(1, n):
-            if ell % (q + 1) == 0 or ell % 2 == 0:
-                continue
-            if t_of(ell) % 8 != t_target:
-                continue
-            hp = h_of[(2 - 5 * eps * delta - ell) % 8]
-            yield ParamChoice(family, ell, m, h=hp, epsilon=eps, delta=delta)
-    elif order == 4:
-        for ell in range(1, n):
-            if ell % (q + 1) == 0:
-                continue
-            h = (ell - 3) % 4
-            if t_of(ell) % 4 != (delta * (1 + 2 * h)) % 4:
-                continue
-            yield ParamChoice(family, ell, m, h=h, epsilon=eps, delta=delta)
-    else:  # the scheme partition's classes and tau
-        e = partition.e
         four_m2 = 4 * m * m
-        t_target = (tau * m * m) % four_m2
         classes_24 = set(partition.h_lists[1]) | set(partition.h_lists[3])
-        for ell in range(1, n):
-            if ell % (q + 1) == 0:
-                continue
-            if ell % e not in classes_24:
-                continue
-            if t_of(ell) % four_m2 != t_target:
-                continue
-            yield ParamChoice(family, ell, m, tau=tau)
+    else:
+        eps, delta = cs.gauss_signs(ext, family)
+
+    def at(ell: int) -> ParamChoice | None:
+        if ell % (q + 1) == 0:
+            return None
+        t = ell + ext.sub((q - 1) * (ell % (q + 1)), ext.one)
+        if order == 8:
+            if ell % 2 and t % 8 == (4 + 2 * delta) % 8:
+                h = (ell + 5 * eps * delta - 2) // 2 % 4  # (2 - 5 eps delta - ell) = -2h mod 8
+                return ParamChoice(family, ell, m, h=h, epsilon=eps, delta=delta)
+        elif order == 4:
+            h = (ell - 3) % 4
+            if t % 4 == delta * (1 + 2 * h) % 4:
+                return ParamChoice(family, ell, m, h=h, epsilon=eps, delta=delta)
+        elif ell % partition.e in classes_24 and t % four_m2 == tau * m * m % four_m2:
+            return ParamChoice(family, ell, m, tau=tau)
+        return None
+
+    return at
+
+
+def admissible_params(ext: FieldContext, family: str, partition=None):
+    """An iterator of a family's admissible ParamChoices in ascending ell:
+    admissible_at's on one period P = 2(q+1) as they come, then the other
+    (q-3)/2 periods' as those shifted by P.  A partition is checked at the
+    call, before any pair; only that check loads association_schemes."""
+    at = _admissibility(ext, family, partition)
+    q = ext.subfield.q
+    period = 2 * (q + 1)
+
+    def tiled():
+        first = []
+        for r in range(1, period):
+            if (choice := at(r)) is not None:
+                first.append(choice)
+                yield choice
+        for shift in range(period, q * q - 1, period):
+            for choice in first:
+                yield choice._replace(ell=shift + choice.ell)
+
+    return tiled()
 
 
 def h_sets(params: ParamChoice) -> tuple[list[int], ...]:

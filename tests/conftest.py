@@ -23,6 +23,64 @@ def shipped_partition(m: int):
     return parse_partition((SCHEMES_DIR / f"m{m}.scheme").read_text())
 
 
+def reference_params(ext, family: str, partition=None):
+    """Oracle: the admissible ParamChoices of a family in ascending ell, by
+    walking every ell in 1 .. q^2 - 2 through the family's congruence, one
+    loop per sign order."""
+    from functools import lru_cache
+
+    from qrhadamard import character_sums as cs
+    from qrhadamard.association_schemes import require_scheme
+    from qrhadamard.intersection_sets import ParamChoice
+
+    q, n = ext.subfield.q, ext.order
+
+    @lru_cache(maxsize=None)
+    def gap(r):
+        return ext.sub((q - 1) * r, ext.one)
+
+    def t_of(ell):
+        """log(omega^(q ell) - omega^ell) for ell not divisible by q+1."""
+        return (ell + gap(ell % (q + 1))) % n
+
+    order = cs.FAMILIES[family].sign_order
+    m = cs.family_m(q, family)
+    if order is not None:
+        eps, delta = cs.gauss_signs(ext, family)
+    if order == 8:
+        t_target = (4 + 2 * delta) % 8
+        h_of = {0: 0, 6: 1, 4: 2, 2: 3}
+        for ell in range(1, n):
+            if ell % (q + 1) == 0 or ell % 2 == 0:
+                continue
+            if t_of(ell) % 8 != t_target:
+                continue
+            hp = h_of[(2 - 5 * eps * delta - ell) % 8]
+            yield ParamChoice(family, ell, m, h=hp, epsilon=eps, delta=delta)
+    elif order == 4:
+        for ell in range(1, n):
+            if ell % (q + 1) == 0:
+                continue
+            h = (ell - 3) % 4
+            if t_of(ell) % 4 != (delta * (1 + 2 * h)) % 4:
+                continue
+            yield ParamChoice(family, ell, m, h=h, epsilon=eps, delta=delta)
+    else:  # the scheme partition's classes and tau
+        tau = require_scheme(ext, partition).tau
+        e = partition.e
+        four_m2 = 4 * m * m
+        t_target = (tau * m * m) % four_m2
+        classes_24 = set(partition.h_lists[1]) | set(partition.h_lists[3])
+        for ell in range(1, n):
+            if ell % (q + 1) == 0:
+                continue
+            if ell % e not in classes_24:
+                continue
+            if t_of(ell) % four_m2 != t_target:
+                continue
+            yield ParamChoice(family, ell, m, tau=tau)
+
+
 class NaiveField:
     """Oracle: GF(p^f) as coefficient tuples (constant first) reduced by the
     modulus, with omega the lex-least element of order q-1 by brute force."""

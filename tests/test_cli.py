@@ -17,7 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PARSE_CASES, SCHEMES_DIR, counted_scans, paley_sylvester, shipped_partition, sylvester
+from conftest import (
+    PARSE_CASES,
+    SCHEMES_DIR,
+    counted_scans,
+    paley_sylvester,
+    reference_params,
+    shipped_partition,
+    sylvester,
+)
 from qrhadamard import association_schemes as schemes
 from qrhadamard import cli, finite_field
 from qrhadamard import hadamard as hd
@@ -644,11 +652,32 @@ def test_construct_refuses_an_ell_out_of_range_without_a_scan(tmp_path, monkeypa
         (["--family", "q3", "--q", "3251"], 99999999999),
         (["--family", "q1", "--q", "3613"], 99999999999),
         (["--family", "regular", "--q", "17", "--partition", m3], 288),
+        # inside the range, a multiple of q + 1: refused in one check, not after a walk of 13e6 ells
+        (["--family", "q1", "--q", "3613"], 13050154),
     ):
         capsys.readouterr()
         assert main(["construct", *size, "--ell", str(ell), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr() == ("", f"error: --ell {ell} is not admissible for this family\n")
     assert not list(tmp_path.iterdir())
+
+    # the last admissible ell of the scan of every ell, in the last period of 2(q+1)
+    for family, q, partition, size in (
+        ("q3", 11, None, []),
+        ("q1", 5, None, []),
+        ("regular", 17, shipped_partition(3), ["--partition", m3]),
+    ):
+        ext, base = finite_field.quadratic_tower(q)
+        params = list(reference_params(ext, family, partition))[-1]
+        assert params.ell > q * q - 1 - 2 * (q + 1)
+        h = hd.base_matrix(family, base)
+        signed, rep = hd.transform(ext, family, params, h, partition)
+        out = tmp_path / family
+        argv = ["construct", "--family", family, "--q", str(q), *size, "--ell", str(params.ell), "--out", str(out)]
+        assert main(argv) == 0
+        prefix = f"{family}_q{q}"
+        assert read(out / f"{prefix}_base.mat") == h.to_text()
+        assert read(out / f"{prefix}_transformed.mat") == signed.to_text()
+        assert read(out / f"{prefix}_report.json") == json.dumps(mx.report_json(rep), sort_keys=True) + "\n"
 
 
 def test_q_below_two_is_not_of_the_family_form(capsys):

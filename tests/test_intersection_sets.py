@@ -1,8 +1,8 @@
-from itertools import combinations, islice
+from itertools import combinations, islice, takewhile
 
 import pytest
 
-from conftest import shipped_partition
+from conftest import reference_params, shipped_partition
 from qrhadamard import character_sums as cs
 from qrhadamard import intersection_sets as isets
 from qrhadamard import oracles
@@ -228,11 +228,49 @@ def test_find_params_congruences_reverified(tower11, tower25):
     assert t_el % 4 == (p4.delta * (1 + 2 * p4.h)) % 4
 
 
-def test_admissible_count_matches_remark(tower11):
-    # the admissible set has (q^2-1)/4 elements for the order-8 family
-    ext, _ = tower11
-    count = sum(1 for _ in isets.admissible_params(ext, "q3"))
-    assert count == (11 * 11 - 1) // 4
+# (family, q, m of the shipped partition or None)
+PERIOD_CASES = [
+    *(("q3", q, None) for q in (11, 83, 227)),
+    *(("q1", q, None) for q in (5, 13, 25, 61, 181)),
+    ("regular", 17, 3),
+    ("regular", 49, 5),
+]
+
+
+@pytest.mark.parametrize("family,q,m", PERIOD_CASES)
+def test_admissible_params_match_the_scan_of_every_ell(family, q, m):
+    # one period of 2(q+1) residues, tiled, lists what walking every ell lists
+    ext, _ = quadratic_tower(q)
+    partition = None if m is None else shipped_partition(m)
+    want = list(reference_params(ext, family, partition))
+    assert list(isets.admissible_params(ext, family, partition)) == want
+    assert [isets.admissible_at(ext, family, partition, c.ell) for c in want[-3:]] == want[-3:]
+
+
+@pytest.mark.parametrize("family,q", [("q3", 1091), ("q1", 841)])
+def test_admissible_params_match_the_scan_on_the_first_period(family, q):
+    # q3 q = 1091 has epsilon delta = -1, which no q3 case above has; GF(841) has f = 2
+    ext, _ = quadratic_tower(q)
+    period = 2 * (q + 1)
+    want = list(takewhile(lambda c: c.ell < period, reference_params(ext, family)))
+    assert list(takewhile(lambda c: c.ell < period, isets.admissible_params(ext, family))) == want
+    assert isets.admissible_at(ext, family, None, want[-1].ell) == want[-1]
+
+
+def test_admissible_count_matches_remark():
+    for family, q, m, count in (
+        ("q3", 11, None, (11 * 11 - 1) // 4),  # (q^2-1)/4 for the order-8 family
+        ("q3", 83, None, (83 * 83 - 1) // 4),
+        ("q1", 13, None, 78),  # q(q-1)/2 for the order-4 family
+        ("q1", 25, None, 300),
+        ("regular", 17, 3, 88),
+        ("regular", 49, 5, 720),
+    ):
+        ext, _ = quadratic_tower(q)
+        partition = None if m is None else shipped_partition(m)
+        residues = [r for r in range(1, 2 * (q + 1)) if isets.admissible_at(ext, family, partition, r)]
+        assert len(residues) * (q - 1) // 2 == count
+        assert sum(1 for _ in isets.admissible_params(ext, family, partition)) == count
 
 
 def test_amplitude_vanishes_for_even_index():

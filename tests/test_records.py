@@ -126,10 +126,7 @@ PACKAGE_NAMES = {
     "build_field": "finite_field",
     "construct_q1": "hadamard",
     "construct_q3": "hadamard",
-    "excess_and_bound": "matrix",
-    "field_for": "finite_field",
     "find_params": "intersection_sets",
-    "is_hadamard": "matrix",
     "quadratic_tower": "finite_field",
     "transform": "hadamard",
     "verify_scheme": "association_schemes",
