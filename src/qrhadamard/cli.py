@@ -22,6 +22,7 @@ import sys
 import tempfile
 
 from .errors import (
+    BadEll,
     BudgetExceeded,
     CharError,
     FieldError,
@@ -118,15 +119,7 @@ def _family_partition(args, family: str, q: int, m: int):
     return partition
 
 
-def _print_payload(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for k, v in sorted(payload.items()):
-            print(f"{k}: {json.dumps(v, sort_keys=True)}")
-
-
-def construction(ext, family: str, params=None, partition=None):
+def construction(ext, family: str, ell=None, partition=None):
     """Build and sign one family instance over the tower ext: its excess
     report, and its output files as file name -> text chunks, made as they
     are read.  construct writes these files; scripts/run_constructions.py
@@ -135,7 +128,7 @@ def construction(ext, family: str, params=None, partition=None):
     from .matrix import report_json
 
     base_matrix = hd.base_matrix(family, ext.subfield)
-    signed, rep = hd.transform(ext, family, params, base_matrix, partition)
+    signed, rep = hd.transform(ext, family, ell, base_matrix, partition)
     prefix = f"{family}_q{ext.subfield.q}"
     return rep, {
         prefix + "_base.mat": base_matrix.text_lines(),
@@ -157,22 +150,16 @@ def promise_miss(family: str, rep) -> dict | None:
 
 def cmd_construct(args) -> int:
     from .finite_field import quadratic_tower
-    from .intersection_sets import admissible_at
     from .matrix import report_json
 
     family = args.family
     q, m = _resolve_q_m(args, family)
     ext, _ = quadratic_tower(q)
     partition = _family_partition(args, family, q, m)
-
-    params = None
-    if args.ell is not None:
-        if 0 < args.ell < q * q - 1:  # where every admissible ell lies; admissible_at repeats past it
-            params = admissible_at(ext, family, partition, args.ell)
-        if params is None:
-            raise UsageError(f"--ell {args.ell} is not admissible for this family")
-
-    rep, files = construction(ext, family, params, partition)
+    try:  # only a refused ell raises BadEll: an admissible one meets no other
+        rep, files = construction(ext, family, args.ell, partition)
+    except BadEll:
+        raise UsageError(f"--ell {args.ell} is not admissible for this family") from None
     out = args.out or "."
     try:
         os.makedirs(out, exist_ok=True)
@@ -180,7 +167,8 @@ def cmd_construct(args) -> int:
             _atomic_write(os.path.join(out, name), chunks)
     except OSError as exc:
         raise InputFileError(f"cannot write the outputs under --out {out}: {exc}") from None
-    _print_payload(report_json(rep), args.format)
+    for k, v in sorted(report_json(rep).items()):
+        print(f"{k}: {json.dumps(v, sort_keys=True)}")
     diag = promise_miss(family, rep)
     if diag is not None:
         print(json.dumps({"verification_failure": diag}, sort_keys=True), file=sys.stderr)
@@ -194,23 +182,16 @@ def cmd_verify(args) -> int:
     matrix = mx.SignMatrix.from_text(_input_lines(args.matrix))
     violation = mx.hadamard_violation(matrix)
     if violation is not None:
-        payload = {
-            "n": matrix.n,
-            "hadamard": False,
-            "violating_rows": list(violation),
-        }
-        print(json.dumps(payload, sort_keys=True))
-        return EXIT_VERIFY
-    if matrix.n >= 4:
-        payload = mx.report_json(mx._excess_report(matrix))
+        payload = {"n": matrix.n, "hadamard": False, "violating_rows": list(violation)}
+    elif matrix.n >= 4:
+        payload = {**mx.report_json(mx._excess_report(matrix)), "hadamard": True}
     else:
         hist: dict[str, int] = {}
         for v in matrix.row_sums():
             hist[str(v)] = hist.get(str(v), 0) + 1
-        payload = {"n": matrix.n, "excess": matrix.excess(), "row_sums": hist}
-    payload["hadamard"] = True
-    _print_payload(payload, args.format)
-    return EXIT_OK
+        payload = {"n": matrix.n, "excess": matrix.excess(), "row_sums": hist, "hadamard": True}
+    print(json.dumps(payload, sort_keys=True))
+    return EXIT_OK if violation is None else EXIT_VERIFY
 
 
 _ROWS_PER_CHUNK = 4096
@@ -219,7 +200,7 @@ _ROWS_PER_CHUNK = 4096
 def _param_row(choice) -> dict:
     """The search-params row of a ParamChoice: its fields that are set, but
     family and m, which every row of a search shares."""
-    return {k: v for k, v in choice._asdict().items() if v is not None and k not in ("family", "m")}
+    return {k: v for k, v in zip(choice._fields, choice) if v is not None and k not in ("family", "m")}
 
 
 def cmd_search_params(args) -> int:
@@ -302,12 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--ell", type=int)
     p_con.add_argument("--partition")
     p_con.add_argument("--out", default=".")
-    p_con.add_argument("--format", choices=["text", "json"], default="text")
     p_con.set_defaults(func=cmd_construct)
 
     p_ver = sub.add_parser("verify", help="verify a matrix file and report excess", allow_abbrev=False)
     p_ver.add_argument("matrix")
-    p_ver.add_argument("--format", choices=["text", "json"], default="json")
     p_ver.set_defaults(func=cmd_verify)
 
     p_sp = sub.add_parser("search-params", help="list admissible (h, ell) pairs", allow_abbrev=False)

@@ -117,15 +117,18 @@ def _require_family(ext: FieldContext, family: str) -> int:
 def transform(
     ext: FieldContext,
     family: str,
-    params: isets.ParamChoice | None = None,
-    h: SignMatrix | None = None,
+    ell: int | None = None,
+    base: SignMatrix | None = None,
     partition=None,
 ):
-    """Maximum-excess signing of a family's base matrix h (built by
+    """Maximum-excess signing of a family's base matrix (built by
     base_matrix when not given): negate the columns of the D sets, then
     every row past the border whose sum is not positive.  The paper's block
     designs prove that the signed rows take the promised sums; transform
     checks the sums themselves, after the Hadamard check.
+
+    ell, the exponent of D_{ell,H}, fixes every other parameter (None: the
+    smallest admissible one); one that is not admissible raises BadEll.
 
     - q3, q = 4m^2+4m+3: order q+1, row sums {2m-2, 2m+2}.
     - q1, q = 2m^2+2m+1: order 2q+2, row sums {2m-2, 2m+2} for odd m and
@@ -137,15 +140,16 @@ def transform(
     fam = FAMILIES[family]
     if fam.partition and partition is None:
         raise HadamardError(f"the {family} family needs a scheme partition")
-    if params is None:  # find_params checks the partition
+    q = ext.subfield.q
+    if ell is None:
         try:
             params = isets.find_params(ext, family, partition)
         except isets.NotFound as exc:
             raise ParamSearchFailed(str(exc)) from exc
-    elif fam.partition:
-        from .association_schemes import require_scheme
-
-        require_scheme(ext, partition)
+    elif not 0 < ell < q * q - 1:  # before admissible_at, which checks the partition
+        raise isets.BadEll(f"ell = {ell} lies outside 1 .. q^2 - 2 = {q * q - 2}")
+    elif (params := isets.admissible_at(ext, family, partition, ell)) is None:
+        raise isets.BadEll(f"ell = {ell} is not admissible for the {family} family")
     if fam.partition:
         dsets = isets.scheme_dsets(ext, partition, params.ell)
     else:
@@ -154,15 +158,15 @@ def transform(
     sizes = tuple(d.bit_count() for d in dsets)
     if sizes != promised:
         raise HadamardError(f"{family}: D-set sizes {sizes} break the promised sizes {promised}")
-    if h is None:
-        h = base_matrix(family, ext.subfield)
-    q, n = ext.subfield.q, h.n  # the D sets index the last len(dsets) blocks of q columns
+    if base is None:
+        base = base_matrix(family, ext.subfield)
+    n = base.n  # the D sets index the last len(dsets) blocks of q columns
     if n != len(dsets) * (q + 1):
         raise LengthMismatch(f"{family}: the base matrix has order {n}, not {len(dsets) * (q + 1)}")
     col_mask = sum(d << k * q for k, d in enumerate(dsets)) << n - len(dsets) * q
-    sums = [n - 2 * (r ^ col_mask).bit_count() for r in h.rows]
+    sums = [n - 2 * (r ^ col_mask).bit_count() for r in base.rows]
     row_mask = sum(1 << i for i in range(fam.border, n) if sums[i] <= 0)
-    signed = apply_signing(h, row_mask, col_mask)
+    signed = apply_signing(base, row_mask, col_mask)
     bad = hadamard_violation(signed)
     if bad is not None:
         raise NotHadamard(bad)

@@ -198,7 +198,8 @@ def admissible_at(ext: FieldContext, family: str, partition, ell: int) -> ParamC
     e | 4m^2 = 2(q+1) for the regular family.  So the ParamChoice of ell, but
     for its ell, depends only on ell mod P, and 1 .. q^2 - 2 is (q-1)/2
     whole periods; residue 0 is never admissible.  The answer repeats past
-    q^2 - 2 too, where no ell is admissible: the caller checks the range.
+    q^2 - 2 too, where no ell is admissible: hadamard.transform checks the
+    range.
     """
     return _admissibility(ext, family, partition)(ell)
 

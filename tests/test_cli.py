@@ -670,7 +670,7 @@ def test_construct_refuses_an_ell_out_of_range_without_a_scan(tmp_path, monkeypa
         params = list(reference_params(ext, family, partition))[-1]
         assert params.ell > q * q - 1 - 2 * (q + 1)
         h = hd.base_matrix(family, base)
-        signed, rep = hd.transform(ext, family, params, h, partition)
+        signed, rep = hd.transform(ext, family, params.ell, h, partition)
         out = tmp_path / family
         argv = ["construct", "--family", family, "--q", str(q), *size, "--ell", str(params.ell), "--out", str(out)]
         assert main(argv) == 0
@@ -717,7 +717,7 @@ def test_construct_streams_the_matrix_files(tmp_path, monkeypatch):
     for family, q in (("q3", 27), ("q1", 13)):
         ext, base = finite_field.quadratic_tower(q)
         h = hd.base_matrix(family, base)
-        signed, _ = hd.transform(ext, family, h=h)
+        signed, _ = hd.transform(ext, family, base=h)
         expected[family, q] = (h.to_text(), signed.to_text())
 
     def whole_text(self):
@@ -976,12 +976,11 @@ _TABLE_FILES = {
     "odd": b"3\n+++\n+++\n+++\n",
     "not_hadamard": b"4\n++++\n++++\n+--+\n+-+-\n",
     "one": b"1\n+\n",
-    "two": b"2\n++\n+-\n",
     "afile": b"kept\n",
 }
 _REPORT_Q11 = (
-    '{"bound": 36, "classification": "biregular(k1=4,k2=0,m1=9,m2=3)", "excess": 36, "k": 2, "n": 12, '
-    '"row_sums": {"0": 3, "4": 9}, "s": 3, "t": 0}\n'
+    'bound: 36\nclassification: "biregular(k1=4,k2=0,m1=9,m2=3)"\nexcess: 36\nk: 2\nn: 12\n'
+    'row_sums: {"0": 3, "4": 9}\ns: 3\nt: 0\n'
 )
 _SWAPPED_REPORT = object()  # stdout: the scheme report of the swapped partition
 # the one message of a partition that is not a scheme matching table 1, whichever command reads it
@@ -1030,7 +1029,7 @@ _MESSAGE_TABLE = [
     (
         "construct --fam q3 --m 1 --out {tmp}/o", 2, "",
         "usage: qrhadamard construct [-h] --family {q3,q1,regular} [--m M] [--q Q] [--ell ELL] "
-        "[--partition PARTITION] [--out OUT] [--format {text,json}]\n"
+        "[--partition PARTITION] [--out OUT]\n"
         "qrhadamard construct: error: the following arguments are required: --family\n",
     ),
     (
@@ -1047,7 +1046,7 @@ _MESSAGE_TABLE = [
         'row_sums: {"0": 3, "4": 9}\ns: 3\nt: 0\n',
         "",
     ),
-    ("construct --family q3 --m 1 --ell 9 --format json --out {tmp}/o", 0, _REPORT_Q11, ""),
+    ("construct --family q3 --m 1 --ell 9 --out {tmp}/o", 0, _REPORT_Q11, ""),
     (
         "construct --family regular --m 2 --partition {schemes}/m3.scheme --out {tmp}/o", 2, "",
         "error: the regular family needs odd m\n",
@@ -1095,7 +1094,6 @@ _MESSAGE_TABLE = [
     ("verify {tmp}/odd", 1, '{"hadamard": false, "n": 3, "violating_rows": [0, 1]}\n', ""),
     ("verify {tmp}/not_hadamard", 1, '{"hadamard": false, "n": 4, "violating_rows": [0, 1]}\n', ""),
     ("verify {tmp}/one", 0, '{"excess": 1, "hadamard": true, "n": 1, "row_sums": {"1": 1}}\n', ""),
-    ("verify {tmp}/two --format text", 0, 'excess: 2\nhadamard: true\nn: 2\nrow_sums: {"0": 1, "2": 1}\n', ""),
     ("search-params --family q3 --q 11 --limit -1", 2, "", "error: --limit must be >= 0 (0 lists every row), got -1\n"),
     ("search-params --family q3 --limit 1", 2, "", "error: give exactly one of --q and --m\n"),
     ("search-params --family q3 --q 12", 2, "", "error: q = 12 is not of the q3 form\n"),
@@ -1265,22 +1263,40 @@ def test_every_command_checks_the_intersection_numbers(tmp_path, capsys, monkeyp
 
 def test_transform_with_given_params_checks_the_partition():
     ext, _ = finite_field.quadratic_tower(17)
-    params = isets.find_params(ext, "regular", shipped_partition(3))
+    ell = isets.find_params(ext, "regular", shipped_partition(3)).ell
     with pytest.raises(schemes.SchemeInvalid):
-        hd.transform(ext, "regular", params, partition=_swapped_m3())
+        hd.transform(ext, "regular", ell, partition=_swapped_m3())
 
 
-@pytest.mark.parametrize("ell,times", [([], 1), (["--ell", "3"], 2)], ids=["first-ell", "ell-3"])
-def test_construct_verifies_the_scheme_once_per_step(tmp_path, capsys, monkeypatch, ell, times):
-    # --ell finds its parameters with the partition, then transforms with it:
-    # each of the two steps verifies it (an exact check takes well under a
-    # millisecond), where the parameter search alone does without --ell
+@pytest.mark.parametrize(
+    "argv,code,times",
+    [
+        (["construct", "--m", "3", "--partition", "{m3}", "--out", "{out}"], 0, 1),
+        (["construct", "--m", "3", "--ell", "3", "--partition", "{m3}", "--out", "{out}"], 0, 1),
+        (["search-params", "--m", "3", "--partition", "{m3}"], 0, 1),
+        (["search-params", "--m", "5", "--partition", "{m5}"], 0, 1),
+        # outside 1 .. q^2 - 2 = 287: refused before the partition is read as a scheme
+        (["construct", "--m", "3", "--ell", "0", "--partition", "{m3}", "--out", "{out}"], 2, 0),
+        (["construct", "--m", "3", "--ell", "288", "--partition", "{m3}", "--out", "{out}"], 2, 0),
+    ],
+    ids=["first-ell", "ell-3", "search-params", "search-params-m5", "ell-0", "ell-288"],
+)
+def test_construct_verifies_the_scheme_once_per_step(tmp_path, capsys, monkeypatch, argv, code, times):
+    # transform resolves its ell with the partition, by the parameter search
+    # or by admissible_at, and checks nothing twice
     calls, real = [], schemes.verify_scheme
     monkeypatch.setattr(schemes, "verify_scheme", lambda ext, part: calls.append(part) or real(ext, part))
-    argv = ["construct", "--family", "regular", "--m", "3", *ell, "--partition", str(SCHEMES_DIR / "m3.scheme")]
-    assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert calls == [shipped_partition(3)] * times
-    assert json.loads((tmp_path / "regular_q17_report.json").read_text())["excess"] == 216
+    m3, m5, out = SCHEMES_DIR / "m3.scheme", SCHEMES_DIR / "m5.scheme", tmp_path / "out"
+    command, *rest = argv
+    assert main([command, "--family", "regular", *(a.format(m3=m3, m5=m5, out=out) for a in rest)]) == code
+    assert len(calls) == times
+    if command == "construct" and code == 0:
+        assert calls == [shipped_partition(3)]
+        assert json.loads((out / "regular_q17_report.json").read_text())["excess"] == 216
+    if code == 2:
+        ell = argv[argv.index("--ell") + 1]
+        assert capsys.readouterr() == ("", f"error: --ell {ell} is not admissible for this family\n")
+        assert not out.exists()
     capsys.readouterr()
 
 

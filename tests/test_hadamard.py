@@ -282,12 +282,28 @@ def test_transform_wrong_family():
     "q,family,observed,promised",
     [(27, "q3", (11,), (12,)), (13, "q1", (6, 4), (4, 7))],
 )
-def test_transform_names_the_broken_size_promise(q, family, observed, promised):
+def test_transform_names_the_broken_size_promise(q, family, observed, promised, monkeypatch):
     ext, _ = quadratic_tower(q)
-    params = isets.find_params(ext, family)
+    real = isets.h_sets
+    # the H sets of the next h, which the admissible ell does not fix
+    monkeypatch.setattr(isets, "h_sets", lambda params: real(params._replace(h=(params.h + 1) % 4)))
     with pytest.raises(hd.HadamardError) as info:
-        hd.transform(ext, family, params._replace(h=(params.h + 1) % 4))
+        hd.transform(ext, family)
     assert str(info.value) == f"{family}: D-set sizes {observed} break the promised sizes {promised}"
+
+
+def test_transform_refuses_an_ell_it_cannot_use(monkeypatch, tower17):
+    ext, _ = tower17
+    part = shipped_partition(3)
+    calls, real = [], isets.admissible_at
+    monkeypatch.setattr(isets, "admissible_at", lambda *args: calls.append(args[-1]) or real(*args))
+    for ell, reason in ((0, "lies outside 1 .. q^2 - 2 = 287"), (288, "lies outside 1 .. q^2 - 2 = 287"),
+                        (1, "is not admissible for the regular family")):
+        with pytest.raises(isets.BadEll) as info:
+            hd.transform(ext, "regular", ell, partition=part)
+        assert str(info.value) == f"ell = {ell} {reason}"
+    assert calls == [1]  # the range is checked first, without the partition
+    assert hd.transform(ext, "regular", 3, partition=part)[1] == hd.transform(ext, "regular", partition=part)[1]
 
 
 def test_transform_regular_builds_and_checks_its_pieces_once(monkeypatch, tower17):
@@ -319,7 +335,7 @@ def test_transform_names_the_broken_profile_promise(monkeypatch):
 def test_transform_refuses_a_base_of_another_order():
     ext, _ = quadratic_tower(11)
     with pytest.raises(hd.LengthMismatch, match=r"^q3: the base matrix has order 8, not 12$"):
-        hd.transform(ext, "q3", h=hd.construct_q3(build_field(7)))
+        hd.transform(ext, "q3", base=hd.construct_q3(build_field(7)))
 
 
 def test_transform_builds_no_design(monkeypatch):
@@ -386,7 +402,7 @@ def test_transform_negates_the_rows_of_the_blocks_met_in_the_upper_values(monkey
     masks = []
     signing = hd.apply_signing
     monkeypatch.setattr(hd, "apply_signing", lambda h, rows, cols: masks.append((rows, cols)) or signing(h, rows, cols))
-    rep = hd.transform(ext, family, h=h, partition=part)[1]
+    rep = hd.transform(ext, family, base=h, partition=part)[1]
     params = isets.find_params(ext, family, part)
     if part is None:
         dsets = [isets.build_dlh(ext, params.ell, hd.FAMILIES[family].sign_order, hs) for hs in isets.h_sets(params)]
@@ -539,7 +555,7 @@ def test_every_single_bit_flip_gets_the_full_check_verdict(family, q):
     ext, base_ctx = quadratic_tower(q)
     part = shipped_partition(3) if family == "regular" else None
     base = hd.base_matrix(family, base_ctx)
-    signed, _ = hd.transform(ext, family, h=base, partition=part)
+    signed, _ = hd.transform(ext, family, base=base, partition=part)
     for h in (signed, base):
         for i in range(h.n):
             for j in range(h.n):
@@ -556,16 +572,16 @@ def test_transform_falls_back_to_the_full_check(monkeypatch, tower11):
     monkeypatch.setattr(hd, "hadamard_violation", lambda h: checked.append(h) or real_check(h))
     monkeypatch.setattr(hd, "apply_signing", lambda *args: signed.append(real_signing(*args)) or signed[-1])
     scans = counted_scans(monkeypatch)
-    hd.transform(ext, "q3", h=base)
+    hd.transform(ext, "q3", base=base)
     assert checked == signed and scans == []
     # two base rows swapped: still Hadamard, not invariant; the scan passes it
     rows = list(base.rows)
     rows[3], rows[4] = rows[4], rows[3]
-    hd.transform(ext, "q3", h=hd.SignMatrix(base.n, rows))
+    hd.transform(ext, "q3", base=hd.SignMatrix(base.n, rows))
     assert checked == signed and scans == [12]
     # a flipped base: NotHadamard names the first bad pair
     with pytest.raises(hd.NotHadamard) as info:
-        hd.transform(ext, "q3", h=flipped(base, 5, 7))
+        hd.transform(ext, "q3", base=flipped(base, 5, 7))
     assert checked == signed and info.value.rows == serial_violation(signed[-1])
 
 
