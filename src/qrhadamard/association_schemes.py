@@ -118,10 +118,10 @@ def _check_form(ext: FieldContext, q: int, m: int, e: int, search: bool = False)
         raise BadForm("e must divide 4m^2")
 
 
-def verify_structure(ext: FieldContext, part: SchemePartition) -> bool:
-    """Check of the shift condition X_1 = w^(2m^2) X_3, X_2 = w^(2m^2) X_4
-    and of each X_i being a union of index-4m^2 cosets.  Element w^k lies in
-    the class of k mod e, and e | q^2-1 (checked by _check_form), so
+def _shifted(part: SchemePartition) -> bool:
+    """The shift condition X_1 = w^(2m^2) X_3, X_2 = w^(2m^2) X_4, on a
+    partition that _check_form has passed.  Element w^k lies in the class
+    of k mod e, and e | q^2-1 (checked by _check_form), so
     (k + s) mod (q^2-1) mod e = (k mod e + s) mod e: checking residues
     decides the same conditions as checking all q^2-1 elements.
 
@@ -129,12 +129,6 @@ def verify_structure(ext: FieldContext, part: SchemePartition) -> bool:
     cosets, and 2m^2 mod e is 0 or e/2.  If it is 0, the shift test fails at
     r = 0.  If it is e/2, the test at r >= e/2 is the test at r - e/2 read
     through the involution want.  So the residues r < e/2 decide it."""
-    _check_form(ext, part.q, part.m, part.e)
-    return _shifted(part)
-
-
-def _shifted(part: SchemePartition) -> bool:
-    """The shift condition of verify_structure, on a partition of checked form."""
     cls = part.residue_class()
     e = part.e
     shift = 2 * part.m * part.m

@@ -13,7 +13,7 @@ the regular family's scheme.  The float sums over all of GF(q^2)
 (gauss_periods, gauss_sum, decompose_gauss, compared with tolerance TOL)
 cross-check the exact values, and gauss_periods renders the eigenmatrix that
 scheme --verify prints.  The brute-force checks of the paper's lemmas live
-in qrhadamard.oracles.
+with the tests, in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import isqrt, sqrt
 
 # the exceptions this layer raises, importable from here too
-from .errors import CharError, NoMatch, NoSubfield, ZeroArgument
+from .errors import CharError, NoMatch, NoSubfield
 from .finite_field import ZERO, FieldContext
 
 TOL = 1e-6

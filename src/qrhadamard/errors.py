@@ -30,10 +30,6 @@ class CharError(ValueError):
     pass
 
 
-class ZeroArgument(CharError):
-    pass
-
-
 class NoMatch(CharError):
     """No closed-form sign pair matches the coset counts or the numeric sum."""
 

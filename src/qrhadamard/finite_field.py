@@ -288,9 +288,8 @@ class FieldContext:
 
     Elements are ints: a log index in [0, q-1) or ZERO.  When f is even the
     context also holds GF(p^(f/2)) together with the canonical embedding of
-    it onto the Frobenius-fixed subfield, so that the relative trace
-    x + x^q' can be mapped back to subfield representation, and it adds and
-    takes traces through the subfield coordinates of omega^0, ..., omega^q'.
+    it onto the Frobenius-fixed subfield, and it adds and takes traces
+    through the subfield coordinates of omega^0, ..., omega^q'.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -471,11 +470,6 @@ class FieldContext:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def inv(self, a: int) -> int:
-        if a == ZERO:
-            raise DivisionByZero("zero has no multiplicative inverse")
-        return (-a) % self.order
-
     def pow(self, a: int, k: int) -> int:
         if a == ZERO:
             if k <= 0:
@@ -523,21 +517,6 @@ class FieldContext:
             return ZERO
         return (x * self._embed_mult) % self.order
 
-    def project(self, x: int) -> int:
-        """Inverse of embed; x must lie in the Frobenius-fixed subfield."""
-        sub = self._require_subfield()
-        if x == ZERO:
-            return ZERO
-        if x % self._nu:
-            raise FieldError("element does not lie in the subfield")
-        return ((x // self._nu) * self._project_mult) % sub.order
-
-    def rel_trace(self, x: int) -> int:
-        """Relative trace x + x^q' into subfield representation."""
-        sub = self._require_subfield()
-        y = self.add(x, self.pow(x, sub.q)) if x != ZERO else ZERO
-        return self.project(y)
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"FieldContext(GF({self.p}^{self.f}))"
 
@@ -583,7 +562,9 @@ def minimal_polynomial(ctx: FieldContext, a: int) -> tuple[int, ...]:
 def _subfield_logs(ext: FieldContext, base: FieldContext) -> tuple[int, int, int, Callable]:
     """(nu, t, t_inv, log) realizing GF(base.q) inside ext, from GF(p)
     polynomials alone: log(v) is the log in base of the subfield element of
-    ext with coefficient vector v."""
+    ext with coefficient vector v.  nu = (ext.q-1)/(base.q-1), and base's
+    primitive element is omega^(nu t) for the least t coprime to base.q-1
+    that makes it a root of that element's minimal polynomial."""
     if ext.p != base.p or ext.f % base.f:
         raise NoSubfield("not a subfield pair")
     p, d, mod_poly, order = ext.p, base.f, ext.spec.modulus, base.order
@@ -623,17 +604,6 @@ def _subfield_logs(ext: FieldContext, base: FieldContext) -> tuple[int, int, int
     return nu, t, t_inv, log
 
 
-@lru_cache(maxsize=None)
-def embedding_data(ext: FieldContext, base: FieldContext) -> tuple[int, int, int]:
-    """(nu, t, t_inv) realizing GF(base.q) inside ext.
-
-    base's primitive element maps to Omega^(nu*t), nu = (ext.q-1)/(base.q-1),
-    where t is the least exponent coprime to base.q-1 whose image is a root
-    of the minimal polynomial of base's primitive element.
-    """
-    return _subfield_logs(ext, base)[:3]
-
-
 def prime_power(q: int) -> tuple[int, int]:
     """Split q = p^f; raises FieldError if q is not a prime power.
 
@@ -648,11 +618,6 @@ def prime_power(q: int) -> tuple[int, int]:
     return p, f
 
 
-def field_for(q: int) -> FieldContext:
-    p, f = prime_power(q)
-    return build_field(p, f)
-
-
 def quadratic_tower(q: int) -> tuple[FieldContext, FieldContext]:
     """(GF(q^2), GF(q)) with the extension's subfield link pointing at the base."""
     p, f = prime_power(q)
@@ -662,4 +627,3 @@ def quadratic_tower(q: int) -> tuple[FieldContext, FieldContext]:
 
 def clear_caches() -> None:
     build_field.cache_clear()
-    embedding_data.cache_clear()

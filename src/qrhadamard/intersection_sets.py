@@ -11,8 +11,8 @@ A point set is an int mask over point numbers, and so is a block.  Over
 GF(q) the number of x is its canonical index idx(x): 0 for the field's 0,
 k + 1 for omega^k.  Each design builder states how it numbers its points.
 All set membership is decided by exact discrete logs.  The character-sum
-size formulas that cross-check the enumerated counts live in
-qrhadamard.oracles.
+size formulas that cross-check the enumerated counts live in the tests'
+float oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -43,9 +43,6 @@ class IntersectionSet(namedtuple("IntersectionSet", "profile duals")):
     ascending, and its duals as (size, block indices) pairs."""
 
     __slots__ = ()
-
-    def profile_values(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.profile)
 
 
 class ParamChoice(

@@ -108,10 +108,6 @@ class SignMatrix:
         return hash((self.n, tuple(self.rows)))
 
 
-def is_hadamard(h: SignMatrix) -> bool:
-    return hadamard_violation(h) is None
-
-
 def hadamard_violation(h: SignMatrix) -> tuple[int, int] | None:
     """First row pair with nonzero dot product, or None."""
     n, rows = h.n, h.rows

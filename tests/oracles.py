@@ -3,25 +3,60 @@ their closed forms, the size formulas of the D_{l,H} sets, the branches of
 the order-8 theorem, and the Bannai-Muzychuk fusion criterion.
 
 The sums here are floats computed the long way, over a whole field, and
-compared with absolute tolerance TOL (character_sums.TOL).  No
-construction, verification or CLI command imports this module; the tests
-use it to cross-check the exact code paths against the paper's formulas.
+compared with absolute tolerance TOL (character_sums.TOL).  The package
+runs none of them; the tests use them to cross-check its exact code paths
+against the paper's formulas, and import this module as ``import oracles``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
-from .character_sums import (
+from qrhadamard.character_sums import (
     TOL,
     _check_order,
     gauss_periods,
     gauss_sum,
     roots_of_unity,
 )
-from .errors import CharError, NoSubfield, SchemeError, ZeroArgument
-from .finite_field import ZERO, FieldContext, embedding_data
-from .intersection_sets import ParamChoice, _translate_masks, _validate_dlh_args, build_dlh, h_sets
+from qrhadamard.errors import CharError, FieldError, NoSubfield, SchemeError
+from qrhadamard.finite_field import ZERO, FieldContext, _subfield_logs
+from qrhadamard.intersection_sets import ParamChoice, _translate_masks, _validate_dlh_args, build_dlh, h_sets
+
+
+class ZeroArgument(CharError):
+    """A character identity asked about the zero element, where it is not stated."""
+
+
+# ---------------------------------------------------------------------------
+# the subfield of a quadratic tower
+
+
+@lru_cache(maxsize=None)
+def _embedding(ext: FieldContext) -> tuple[int, int]:
+    """(nu, t_inv): ext's subfield is the logs divisible by nu, and omega^(nu k)
+    is the subfield element of log k t_inv."""
+    if ext.subfield is None:
+        raise NoSubfield(f"GF({ext.p}^{ext.f}) has no index-2 subfield here")
+    nu, _, t_inv, _ = _subfield_logs(ext, ext.subfield)
+    return nu, t_inv
+
+
+def project(ext: FieldContext, y: int) -> int:
+    """The subfield element that ext.embed maps to y; y must lie in GF(q)."""
+    nu, t_inv = _embedding(ext)
+    if y == ZERO:
+        return ZERO
+    if y % nu:
+        raise FieldError("element does not lie in the subfield")
+    return y // nu * t_inv % ext.subfield.order
+
+
+def rel_trace(ext: FieldContext, x: int) -> int:
+    """Relative trace x + x^q of GF(q^2) into subfield representation."""
+    _embedding(ext)  # refuses a field with no subfield
+    return project(ext, ext.add(x, ext.pow(x, ext.subfield.q)) if x != ZERO else ZERO)
 
 # ---------------------------------------------------------------------------
 # characters and character sums
@@ -81,7 +116,7 @@ def check_davenport_hasse(base: FieldContext, ext: FieldContext, e: int, d: int)
     _check_order(base, e)
     if e == 1:
         raise CharError("the lift identity is stated for nontrivial characters")
-    _, _, t_inv = embedding_data(ext, base)
+    _, _, t_inv, _ = _subfield_logs(ext, base)
     lifted = gauss_sum(ext, e, t_inv % e)
     direct = (-1) ** (d - 1) * gauss_sum(base, e, 1) ** d
     return abs(lifted - direct) < TOL
@@ -180,7 +215,7 @@ def check_size_formulas(ext: FieldContext, ell: int, e: int, H) -> bool:
     lell = ell % n
     lq = (ell * q) % n
     t_el = ext.sub(lq, lell)
-    t_inv = ext.inv(t_el)
+    t_inv = -t_el % n
 
     size_a = q / 2 + chi_m1 * g_eta / (e * q) * sum(
         amp[i] * g2[i] * ze[(-i * lq) % e] * ze[(i * t_el) % e] for i in odd

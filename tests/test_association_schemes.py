@@ -3,11 +3,11 @@ from collections import Counter
 
 import pytest
 
+import oracles
 from conftest import counter_indices, shipped_partition
 from qrhadamard import association_schemes as schemes
 from qrhadamard import character_sums as cs
 from qrhadamard import intersection_sets as isets
-from qrhadamard import oracles
 from qrhadamard.finite_field import ZERO, quadratic_tower
 
 TOL = 1e-6
@@ -32,9 +32,15 @@ def test_partition_validation():
         schemes.normalized_partition(17, 3, 12, [(0, 12), (1, 2), (3,), tuple(range(4, 12))])
 
 
+def _structure(ext, part):
+    """The form check, then the shift condition on the residues mod e."""
+    schemes._check_form(ext, part.q, part.m, part.e)
+    return schemes._shifted(part)
+
+
 def test_structure_shift_condition(m3, m5):
     for ext, part in (m3, m5):
-        assert schemes.verify_structure(ext, part)
+        assert _structure(ext, part)
 
 
 def test_structure_rejects_perturbation(m3):
@@ -43,23 +49,23 @@ def test_structure_rejects_perturbation(m3):
     h1, h2, h3, h4 = part.h_lists
     swapped = (tuple(sorted((h1[0],) + h2[1:])), tuple(sorted((h2[0],) + h1[1:])), h3, h4)
     perturbed = schemes.SchemePartition(part.q, part.m, part.e, swapped)
-    assert not schemes.verify_structure(ext, perturbed)
+    assert not _structure(ext, perturbed)
 
 
 def test_structure_bad_form(m3):
     ext, part = m3
     with pytest.raises(schemes.BadForm):
-        schemes.verify_structure(ext, schemes.SchemePartition(17, 4, 12, part.h_lists))
+        _structure(ext, schemes.SchemePartition(17, 4, 12, part.h_lists))
     # m = -3 also gives 2m^2 - 1 = 17, but the family's m is at least 1
     with pytest.raises(schemes.BadForm, match="^q = 17 is not of the regular form at m = -3$"):
         schemes.verify_scheme(ext, schemes.SchemePartition(17, -3, 12, part.h_lists))
     ext5, _ = quadratic_tower(5)
     with pytest.raises(schemes.BadForm):
-        schemes.verify_structure(ext5, part)
+        _structure(ext5, part)
 
 
 def _structure_by_elements(ext, part):
-    """The element-level loop verify_structure replaced: every exponent k of
+    """The element-level loop that _shifted replaced: every exponent k of
     GF(q^2)*, not only the residues mod e."""
     cls = part.residue_class()
     e, n = part.e, ext.order
@@ -100,7 +106,7 @@ def test_verify_structure_matches_the_element_loop(m3, m5):
     verdicts = []
     for ext, part in (m3, m5, (ext3, lifted)):
         for case in _structure_cases(part):
-            verdict = schemes.verify_structure(ext, case)
+            verdict = _structure(ext, case)
             assert verdict == _structure_by_elements(ext, case), case
             verdicts.append(verdict)
     assert True in verdicts and False in verdicts
@@ -180,7 +186,7 @@ def test_is_scheme_matches_the_element_level_intersection_numbers(m3, m5):
         for part in cases:
             verdict = schemes.verify_scheme(ext, part).is_scheme
             assert verdict == _scheme_by_elements(ext, part, sweeps), part
-            verdicts[verdict, schemes.verify_structure(ext, part)] += 1
+            verdicts[verdict, _structure(ext, part)] += 1
     assert len(shape_valid) == 960 + 64
     assert verdicts[True, True] > 20 + 36 and verdicts[False, True] > 0
 
@@ -243,7 +249,7 @@ def test_verbatim_lists_are_labeling_dependent(m3):
     # the shift structure is invariant, the eigenvalue table is not
     ext, part = m3
     alt = schemes.normalized_partition(17, 3, 12, [(1, 5), (0, 2, 9, 10), (7, 11), (3, 4, 6, 8)])
-    assert schemes.verify_structure(ext, alt)
+    assert _structure(ext, alt)
     report = schemes.verify_scheme(ext, alt)
     assert not report.table1_match
     assert [tau for tau, _ in report.table1_misses] == [1, -1]
@@ -293,7 +299,7 @@ def test_two_intersection_sets(m, sizes, m3, m5):
     members = (d0 | d1 << ext.subfield.q) << 1  # the star is point 0
     design = isets.doubled_symmetric_design(ext.subfield)
     prof = isets.intersection_profile(members, design)
-    assert set(prof.profile_values()) == {m * m - m, m * m}
+    assert {v for v, _ in prof.profile} == {m * m - m, m * m}
 
 
 def test_search_finds_example(m3):

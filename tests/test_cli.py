@@ -221,10 +221,10 @@ def test_run_constructions_script_fails_on_a_pin_or_a_shortfall(tmp_path, monkey
     # a transform that leaves q3 unsigned misses the bound: exit 1 even with its digests pinned
     real = hd.transform
 
-    def unsigned_q3(ext, family, params=None, h=None, partition=None):
+    def unsigned_q3(ext, family, ell=None, base=None, partition=None):
         if family == "q3":
-            return h, mx.excess_and_bound(h)
-        return real(ext, family, params, h, partition)
+            return base, mx.excess_and_bound(base)
+        return real(ext, family, ell, base, partition)
 
     monkeypatch.setattr(hd, "transform", unsigned_q3)
     diag = '{"bound": 36, "classification": "biregular(k1=10,k2=2,m1=1,m2=11)", "excess": 32}'
@@ -248,7 +248,7 @@ def test_construct_exits_1_on_a_shortfall_or_a_broken_promise(tmp_path, monkeypa
     }
     # the base matrix left unsigned: biregular, but below the bound
     h = hd.base_matrix("q3", base)
-    monkeypatch.setattr(hd, "transform", lambda ext, family, params, h, partition: (h, mx.excess_and_bound(h)))
+    monkeypatch.setattr(hd, "transform", lambda ext, family, ell, base, partition: (base, mx.excess_and_bound(base)))
     assert main(["construct", "--family", "q3", "--m", "1", "--out", str(tmp_path)]) == 1
     diag = {"bound": 36, "classification": "biregular(k1=10,k2=2,m1=1,m2=11)", "excess": 32}
     assert json.loads(capsys.readouterr().err) == {"verification_failure": diag}

@@ -23,7 +23,7 @@ from qrhadamard import intersection_sets as isets
 from qrhadamard import matrix as mx
 from qrhadamard.character_sums import family_q
 from qrhadamard.errors import ParseError
-from qrhadamard.finite_field import MAX_FIELD_SIZE, ZERO, build_field, field_for, quadratic_tower
+from qrhadamard.finite_field import MAX_FIELD_SIZE, ZERO, build_field, prime_power, quadratic_tower
 
 
 def from_entries(entries):
@@ -39,10 +39,10 @@ def det_signs(n, trial, salt=0):
 
 
 def test_is_hadamard_basics():
-    assert mx.is_hadamard(from_entries([[1, 1], [1, -1]]))
-    assert not mx.is_hadamard(from_entries([[1] * 4] * 4))
-    assert mx.is_hadamard(hd.construct_q3(build_field(7)))
-    assert mx.is_hadamard(from_entries([[1]]))
+    assert mx.hadamard_violation(from_entries([[1, 1], [1, -1]])) is None
+    assert mx.hadamard_violation(from_entries([[1] * 4] * 4)) is not None
+    assert mx.hadamard_violation(hd.construct_q3(build_field(7))) is None
+    assert mx.hadamard_violation(from_entries([[1]])) is None
 
 
 def test_sign_matrix_refuses_rows_that_break_the_order():
@@ -80,7 +80,7 @@ def per_element_translates(ctx, cls):
 
 @pytest.mark.parametrize("q", [3, 7, 11, 19, 27, 5, 9, 13, 25, 49])
 def test_rotated_masks_match_per_element_addition(q):
-    ctx = field_for(q)
+    ctx = build_field(*prime_power(q))
     squares = [k for k in ctx.nonzero() if k % 2 == 0]
     ns = per_element_translates(ctx, [k for k in ctx.nonzero() if k % 2])
     assert list(isets.class_translates(ctx, 1)) == ns
@@ -119,7 +119,7 @@ def test_not_hadamard_carries_rows():
 
 def test_construct_q3_smallest_case():
     h = hd.construct_q3(build_field(3))
-    assert h.n == 4 and mx.is_hadamard(h)
+    assert h.n == 4 and mx.hadamard_violation(h) is None
     with pytest.raises(isets.WrongResidue):
         hd.construct_q3(build_field(5))
 
@@ -128,7 +128,7 @@ def test_construct_q1_symmetric_hadamard():
     for q in (5, 13):
         h = hd.construct_q1(build_field(q))
         assert h.n == 2 * q + 2
-        assert mx.is_hadamard(h)
+        assert mx.hadamard_violation(h) is None
         assert h == transpose(h)
     with pytest.raises(isets.WrongResidue):
         hd.construct_q1(build_field(7))
@@ -137,7 +137,7 @@ def test_construct_q1_symmetric_hadamard():
 def test_construct_q1_negated2():
     base = hd.construct_q1(build_field(5))
     neg = hd.construct_q1(build_field(5), "negated2")
-    assert mx.is_hadamard(neg)
+    assert mx.hadamard_violation(neg) is None
     assert neg.entry(1, 1) == base.entry(1, 1)  # doubly negated
     assert neg.entry(0, 1) == -base.entry(0, 1)
     assert neg.entry(1, 0) == -base.entry(1, 0)
@@ -190,7 +190,7 @@ def test_signing_preserves_hadamard_100_trials():
     for trial in range(100):
         rs = det_signs(h.n, trial, salt=1)
         cs_ = det_signs(h.n, trial, salt=2)
-        assert mx.is_hadamard(hd.apply_signing(h, rs, cs_))
+        assert mx.hadamard_violation(hd.apply_signing(h, rs, cs_)) is None
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -198,7 +198,7 @@ def test_signing_preserves_hadamard_100_trials():
 def test_signing_preserves_hadamard_property(rows, cols):
     h = hd.construct_q3(build_field(11))
     signed = hd.apply_signing(h, rows, cols)
-    assert mx.is_hadamard(signed)
+    assert mx.hadamard_violation(signed) is None
     assert sum(v * v for v in signed.row_sums()) == signed.n**2
 
 
@@ -384,7 +384,7 @@ def _design_rows(family, base, dsets, m):
     row_mask = 0
     for (design, first_row), allowed in zip(designs, profiles):
         profile = isets.intersection_profile(members, design)
-        assert set(profile.profile_values()) <= set(allowed)
+        assert {v for v, _ in profile.profile} <= set(allowed)
         upper = allowed[len(allowed) // 2:]
         row_mask |= sum(1 << b for v, blocks in profile.duals if v in upper for b in blocks) << border + first_row
     return row_mask, members << border
@@ -516,7 +516,7 @@ _BASES = (
 
 @pytest.mark.parametrize("family,q", _BASES)
 def test_certificate_agrees_with_the_full_check_on_the_bases(family, q, monkeypatch):
-    h = hd.base_matrix(family, field_for(q))
+    h = hd.base_matrix(family, build_field(*prime_power(q)))
     assert serial_violation(h) is None
     assert mx._certified(h)
     scans = counted_scans(monkeypatch)
@@ -537,7 +537,7 @@ def test_certificate_agrees_with_the_full_check_on_the_bases(family, q, monkeypa
 @given(case=st.sampled_from(_BASES), data=st.data())
 def test_certificate_holds_on_signings_of_the_bases(case, data):
     family, q = case
-    h = hd.base_matrix(family, field_for(q))
+    h = hd.base_matrix(family, build_field(*prime_power(q)))
     signs = st.integers(0, (1 << h.n) - 1)
     signed = hd.apply_signing(h, data.draw(signs), data.draw(signs))
     assert serial_violation(signed) is None
@@ -692,7 +692,7 @@ def test_group_certificate_refuses_paley_matrices(q, monkeypatch):
 def test_the_empty_matrix_is_still_hadamard():
     h = hd.SignMatrix(0, [])
     assert not mx._group_certified(h)
-    assert hd.hadamard_violation(h) is None and mx.is_hadamard(h)
+    assert hd.hadamard_violation(h) is None
 
 
 def test_group_certificate_needs_the_weights():
@@ -767,6 +767,17 @@ def test_split_scan_on_odd_and_tiny_orders(w, monkeypatch):
     cases += [from_entries([[1] * 3] * 3), from_entries([[1, 1, 1, 1]] * 4), sylvester(4)]
     for h in cases:
         assert hd.hadamard_violation(h) == serial_violation(h), (h.n, w)
+
+
+def test_an_odd_order_is_refused_before_any_certificate_or_scan(monkeypatch):
+    # rows of odd length never meet in an even number of places, so (0, 1) needs no check
+    def no_check(*args):
+        raise AssertionError("an odd order reached a certificate or the scan")
+
+    for name in ("_certified", "_group_certified", "_scan", "_forked_scan"):
+        monkeypatch.setattr(mx, name, no_check)
+    for n in (3, 5, 513):
+        assert hd.hadamard_violation(hd.SignMatrix(n, [0] * n)) == (0, 1)
 
 
 def test_scanner_count_follows_the_usable_cpus_and_the_order():

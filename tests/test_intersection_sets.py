@@ -2,10 +2,10 @@ from itertools import combinations, islice, takewhile
 
 import pytest
 
+import oracles
 from conftest import reference_params, shipped_partition
 from qrhadamard import character_sums as cs
 from qrhadamard import intersection_sets as isets
-from qrhadamard import oracles
 from qrhadamard.finite_field import ZERO, build_field, quadratic_tower
 
 
@@ -186,7 +186,7 @@ def test_e8_profile_and_branches(tower11):
     h0 = 2 * p8.h + (1 - p8.epsilon * p8.delta) // 2
     d = isets.build_dlh(ext, p8.ell, 8, [h0 + i for i in range(4)])
     prof = isets.intersection_profile(d, isets.paley_design(base))
-    assert set(prof.profile_values()) <= {2, 3, 4}  # m=1 collisions collapse the four values
+    assert {v for v, _ in prof.profile} <= {2, 3, 4}  # m=1 collisions collapse the four values
     assert oracles.theorem_order8_branches(ext, p8)
 
 
@@ -311,8 +311,8 @@ def test_even_m_sizes_and_profiles():
         b1, b2 = isets.paired_designs(base)
         prof1 = isets.intersection_profile(members, b1)
         prof2 = isets.intersection_profile(members, b2)
-        assert set(prof1.profile_values()) <= {m * m, m * m + 1, m * m + m + 1, m * m + m + 2}
-        assert set(prof2.profile_values()) <= {m * m, m * m + m}
+        assert {v for v, _ in prof1.profile} <= {m * m, m * m + 1, m * m + m + 1, m * m + m + 2}
+        assert {v for v, _ in prof2.profile} <= {m * m, m * m + m}
 
 
 def test_scheme_family_params():

@@ -1,16 +1,20 @@
-"""The package's immutable records, what importing the package and running
-each command loads, and the package names that the benchmark tracer wraps."""
+"""The package's immutable records, its modules, what importing the package
+and running each command loads, the package names that the benchmark tracer
+wraps, and that every package function has a caller."""
 
+import ast
 import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import qrhadamard
 from conftest import shipped_partition
 from qrhadamard import association_schemes as schemes
 from qrhadamard import character_sums as cs
@@ -29,7 +33,6 @@ LAYERS = (
     "association_schemes",
     "matrix",
     "hadamard",
-    "oracles",
 )
 
 
@@ -44,6 +47,12 @@ def _fresh_python(script: str, *args: str) -> list:
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_the_package_holds_the_cli_errors_and_the_layers_only():
+    # the float oracles, which no command runs, live with the tests
+    modules = sorted(info.name for info in pkgutil.iter_modules(qrhadamard.__path__))
+    assert modules == sorted(["__main__", "cli", "errors", *LAYERS])
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
@@ -81,9 +90,9 @@ except SystemExit as exc:  # --help
 print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("qrhadamard."))]))
 """
 
-_NO_FIELD = ("finite_field", "character_sums", "intersection_sets", "association_schemes", "hadamard", "oracles")
-_NO_SCHEME = ("association_schemes", "oracles")
-_NO_MATRIX = ("hadamard", "matrix", "intersection_sets", "oracles")
+_NO_FIELD = ("finite_field", "character_sums", "intersection_sets", "association_schemes", "hadamard")
+_NO_SCHEME = ("association_schemes",)
+_NO_MATRIX = ("hadamard", "matrix", "intersection_sets")
 
 # argv ("{out}" is a fresh directory) -> modules main(argv) must not load
 COMMAND_LOADS = {
@@ -161,13 +170,18 @@ def test_the_package_surface_loads_its_modules_on_first_use():
     assert unknown == "module 'qrhadamard' has no attribute 'no_such_name'"
 
 
-def test_every_function_the_benchmark_tracer_wraps_exists():
-    # benchmark/tracer.py wraps package functions by "module:qualname" and
-    # drops the metric of one it cannot find; a rename must fail here first
-    path = Path(__file__).resolve().parent.parent / "benchmark" / "tracer.py"
+def _tracer():
+    path = ROOT / "benchmark" / "tracer.py"
     spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_function_the_benchmark_tracer_wraps_exists():
+    # benchmark/tracer.py wraps package functions by "module:qualname" and
+    # drops the metric of one it cannot find; a rename must fail here first
+    tracer = _tracer()
     assert {
         "hadamard:SignMatrix.to_text",
         "character_sums:gauss_periods",
@@ -184,6 +198,53 @@ def test_every_function_the_benchmark_tracer_wraps_exists():
         if not callable(owner):
             missing.append(key)
     assert missing == []
+
+
+# names with no caller in src/ or scripts/ that stay, each for its reason
+UNCALLED = {
+    "__init__:__getattr__": "PEP 562: Python calls it for a missing package attribute",
+    "__init__:__dir__": "PEP 562: dir(qrhadamard) calls it",
+    "association_schemes:SchemePartition._make": "namedtuple's _replace calls it, so the form check runs",
+    "character_sums:clear_caches": "resets the layer's caches between timed test runs",
+    "finite_field:clear_caches": "resets the layer's caches between timed test runs",
+    "intersection_sets:clear_caches": "resets the layer's caches between timed test runs",
+    "finite_field:FieldContext.elements": "the canonical element order, which the float oracles walk",
+    "finite_field:FieldContext.canonical_index": "idx(x), the point numbering of the D sets, which the tests' design checks index by",
+    "matrix:SignMatrix.entry": "one +1/-1 entry of the bit-packed rows, which the entry-level tests read",
+    "matrix:excess_and_bound": "the library's check-then-report: the Hadamard check, then the excess",
+}
+
+
+def _definitions():
+    """(module, name, qualname) of each top-level function and class under
+    src/qrhadamard/ and of each method that is not a dunder."""
+    for path in sorted((ROOT / "src" / "qrhadamard").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield path.stem, node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__")):
+                        yield path.stem, item.name, f"{node.name}.{item.name}"
+
+
+def test_every_package_function_has_a_caller():
+    # a caller is a name or attribute read in src/ or scripts/, or the tracer's wrapping by qualname
+    used = set()
+    for path in [*(ROOT / "src" / "qrhadamard").glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    traced = {key.split(":")[1] for key in _tracer().FUNCTIONS}
+    uncalled = [
+        f"{module}:{qualname}"
+        for module, name, qualname in _definitions()
+        if name not in used and qualname not in traced
+    ]
+    assert sorted(set(uncalled) - set(UNCALLED)) == []
+    assert sorted(set(UNCALLED) - set(uncalled)) == []  # an entry whose name gained a caller, or went
 
 
 def _records(tower11, tower17):
