@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Check that the tests kill hand-made mutants of the exact decision code.
 
-    python scripts/mutants.py           # every entry of MUTANTS
-    python scripts/mutants.py NAME ...  # the named entries only
+    python scripts/mutants.py
 
 Each entry makes one exact string replacement in one file of a temporary
 copy of ``src/`` and runs its test file against that copy with
@@ -76,12 +75,7 @@ def run_tests(src: Path, tests: str) -> bool:
     return subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode == 0
 
 
-def main(argv: list[str]) -> int:
-    unknown = sorted(set(argv) - {m.name for m in MUTANTS})
-    if unknown:
-        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+def main() -> int:
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
@@ -92,13 +86,13 @@ def main(argv: list[str]) -> int:
         if not loaded.stdout.startswith(str(src)):
             print(f"the tests would not import the copy: {loaded.stdout.strip() or loaded.stderr.strip()}")
             return 1
-        for tests in sorted({m.tests for m in chosen}):
+        for tests in sorted({m.tests for m in MUTANTS}):
             if not run_tests(src, tests):
                 failures.append(f"FAIL {tests}: fails on the unchanged source")
         if failures:
             print("\n".join(failures))
             return 1
-        for mutant in chosen:
+        for mutant in MUTANTS:
             path = src / "qrhadamard" / mutant.path
             text = path.read_text()
             if text.count(mutant.old) != 1:
@@ -123,4 +117,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -33,10 +33,6 @@ class BlockDesign(namedtuple("BlockDesign", "v blocks")):
 
     __slots__ = ()
 
-    @property
-    def b(self) -> int:
-        return len(self.blocks)
-
 
 class IntersectionSet(namedtuple("IntersectionSet", "profile duals")):
     """A point set's profile as (size, multiplicity) pairs with sizes

@@ -10,7 +10,6 @@ against the paper's formulas, and import this module as ``import oracles``.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 
 from qrhadamard.character_sums import (
@@ -33,30 +32,20 @@ class ZeroArgument(CharError):
 # the subfield of a quadratic tower
 
 
-@lru_cache(maxsize=None)
-def _embedding(ext: FieldContext) -> tuple[int, int]:
-    """(nu, t_inv): ext's subfield is the logs divisible by nu, and omega^(nu k)
-    is the subfield element of log k t_inv."""
-    if ext.subfield is None:
-        raise NoSubfield(f"GF({ext.p}^{ext.f}) has no index-2 subfield here")
-    nu, _, t_inv, _ = _subfield_logs(ext, ext.subfield)
-    return nu, t_inv
-
-
 def project(ext: FieldContext, y: int) -> int:
     """The subfield element that ext.embed maps to y; y must lie in GF(q)."""
-    nu, t_inv = _embedding(ext)
+    sub = ext._require_subfield()
     if y == ZERO:
         return ZERO
-    if y % nu:
+    if y % ext._nu:
         raise FieldError("element does not lie in the subfield")
-    return y // nu * t_inv % ext.subfield.order
+    return y // ext._nu * ext._project_mult % sub.order
 
 
 def rel_trace(ext: FieldContext, x: int) -> int:
     """Relative trace x + x^q of GF(q^2) into subfield representation."""
-    _embedding(ext)  # refuses a field with no subfield
-    return project(ext, ext.add(x, ext.pow(x, ext.subfield.q)) if x != ZERO else ZERO)
+    sub = ext._require_subfield()
+    return project(ext, ext.add(x, ext.pow(x, sub.q)) if x != ZERO else ZERO)
 
 # ---------------------------------------------------------------------------
 # characters and character sums

@@ -21,7 +21,7 @@ def pairwise_lambda(design):
 def test_paley_design_parameters(q, k, lam):
     ctx = build_field(q)
     des = isets.paley_design(ctx)
-    assert des.v == des.b == q
+    assert des.v == len(des.blocks) == q
     assert all(blk.bit_count() == k for blk in des.blocks)
     assert pairwise_lambda(des) == {lam}
 
@@ -46,7 +46,7 @@ def test_paired_designs_incidence_oracle():
     ctx = build_field(5)
     q = 5
     d1, d2 = isets.paired_designs(ctx)
-    assert d1.v == d2.v == 2 * q and d1.b == d2.b == q
+    assert d1.v == d2.v == 2 * q and len(d1.blocks) == len(d2.blocks) == q
     # block sizes: (N_1+J)/2 columns sum to q, (N_2+J)/2 columns to q-1
     assert all(blk.bit_count() == q for blk in d1.blocks)
     assert all(blk.bit_count() == q - 1 for blk in d2.blocks)
@@ -77,7 +77,7 @@ def test_doubled_symmetric_design_parameters():
     ctx = build_field(13)
     des = isets.doubled_symmetric_design(ctx)
     q = 13
-    assert des.v == des.b == 2 * q + 1
+    assert des.v == len(des.blocks) == 2 * q + 1
     assert all(blk.bit_count() == q for blk in des.blocks)
     assert pairwise_lambda(des) == {(q - 1) // 2}
 
@@ -165,7 +165,7 @@ def test_profile_flag_double_count(tower11):
     d = isets.build_dlh(ext, p8.ell, 8, [h0 + i for i in range(4)])
     des = isets.paley_design(base)
     prof = isets.intersection_profile(d, des)
-    assert sum(mult for _, mult in prof.profile) == des.b
+    assert sum(mult for _, mult in prof.profile) == len(des.blocks)
     flags = sum(v * len(idxs) for v, idxs in prof.duals)
     points = [p for p in range(des.v) if d >> p & 1]
     assert flags == sum(blk >> p & 1 for p in points for blk in des.blocks)
@@ -175,7 +175,7 @@ def test_profile_empty_set():
     ctx = build_field(7)
     des = isets.paley_design(ctx)
     prof = isets.intersection_profile(0, des)
-    assert prof.profile == ((0, des.b),)
+    assert prof.profile == ((0, len(des.blocks)),)
     with pytest.raises(isets.IntersectionError):
         isets.intersection_profile(1 << des.v, des)
 

@@ -229,22 +229,27 @@ def _definitions():
 
 
 def test_every_package_function_has_a_caller():
-    # a caller is a name or attribute read in src/ or scripts/, or the tracer's wrapping by qualname
-    used = set()
+    # a caller of a method is an attribute read in src/ or scripts/; of a
+    # top-level name, a name or attribute read; or the tracer wraps it by qualname
+    read_names, read_attrs = set(), set()
     for path in [*(ROOT / "src" / "qrhadamard").glob("*.py"), *(ROOT / "scripts").glob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read_names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read_attrs.add(node.attr)
     traced = {key.split(":")[1] for key in _tracer().FUNCTIONS}
     uncalled = [
         f"{module}:{qualname}"
         for module, name, qualname in _definitions()
-        if name not in used and qualname not in traced
+        if qualname not in traced
+        and name not in read_attrs
+        and ("." in qualname or name not in read_names)
     ]
     assert sorted(set(uncalled) - set(UNCALLED)) == []
-    assert sorted(set(UNCALLED) - set(uncalled)) == []  # an entry whose name gained a caller, or went
+    # a stale entry: its name gained a caller, or went; an unrelated read of
+    # the same name (say, x.entry on another object) also counts as a caller
+    assert sorted(set(UNCALLED) - set(uncalled)) == []
 
 
 def _records(tower11, tower17):
