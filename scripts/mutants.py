@@ -58,6 +58,31 @@ MUTANTS = [
         "tests/test_hadamard.py",
     ),
     Mutant(
+        "walk-digit-0-raise-without-mod-p", "finite_field.py",
+        "zech[k] = w - x[0] + (x[0] + 1) % p", "zech[k] = w + 1",
+        "tests/test_finite_field.py",
+    ),
+    Mutant(
+        "walk-index-digits-reversed", "finite_field.py",
+        "digits = [p**j for j in range(f)]", "digits = [p ** (f - 1 - j) for j in range(f)]",
+        "tests/test_finite_field.py",
+    ),
+    Mutant(
+        "norm-exponent-off-by-one", "finite_field.py",
+        "(p**f - 1) // (p - 1), mod, p)", "(p**f - 1) // (p - 1) - 1, mod, p)",
+        "tests/test_finite_field.py",
+    ),
+    Mutant(
+        "primitive-search-skips-the-b-x-block-unconditionally", "finite_field.py",
+        "not any(head) and pow(mod[0], (p - 1) // 2, p) == 1:", "not any(head):",
+        "tests/test_finite_field.py",
+    ),
+    Mutant(
+        "tower-zech-back-map-index", "finite_field.py",
+        "r = self._back[0 if a == ZERO else (a - b) % so + 1]", "r = self._back[0 if a == ZERO else (b - a) % so + 1]",
+        "tests/test_finite_field.py",
+    ),
+    Mutant(
         "certificate-without-omega1-representative", "matrix.py",
         "for o in blocks for k in range(3))]", "for o in blocks for k in range(2))]",
         "tests/test_hadamard.py",

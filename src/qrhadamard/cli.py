@@ -127,11 +127,10 @@ def construction(ext, family: str, ell=None, partition=None):
     from . import hadamard as hd
     from .matrix import report_json
 
-    base_matrix = hd.base_matrix(family, ext.subfield)
-    signed, rep = hd.transform(ext, family, ell, base_matrix, partition)
+    signed, rep, base = hd.transform(ext, family, ell, partition=partition)
     prefix = f"{family}_q{ext.subfield.q}"
     return rep, {
-        prefix + "_base.mat": base_matrix.text_lines(),
+        prefix + "_base.mat": base.text_lines(),
         prefix + "_transformed.mat": signed.text_lines(),
         prefix + "_report.json": [json.dumps(report_json(rep), sort_keys=True) + "\n"],
     }

@@ -9,36 +9,33 @@ to base omega; the zero element is the sentinel ZERO.  Fixing both choices
 makes every downstream cyclotomic class, point set and matrix labeling
 reproducible bit for bit.
 
-An odd-degree field runs on three flat ``array('i')`` tables built with
-the context, the last of them its Zech logarithms (K. Huber, "Some comments
-on Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990):
+Both kinds of field compute in coordinates (Lidl and Niederreiter, *Finite
+Fields*, ch. 2).  An odd-degree field writes omega^k in the basis 1, x, ...,
+x^(f-1) over GF(p), x a root of the modulus.  Multiplying by omega is a fixed
+f x f map over GF(p), so one walk over k fills three flat ``array('i')``
+tables, the last of them its Zech logarithms (K. Huber, "Some comments on
+Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990):
 
-- ``trace_table[k] = Tr(omega^k)``, an int in [0, p);
-- ``log_table[w]``, the log of the element whose trace window is ``w``;
-- ``zech_table[k] = Z(k) = log(1 + omega^k)``, so
+- ``trace_table[k] = Tr(omega^k)``, an int in [0, p): Tr is GF(p)-linear,
+  so it is the coordinates of omega^k weighted by Tr(x^j), j < f;
+- ``log_table[w]``, the log of the element whose coordinates are the base-p
+  digits of w, constant term lowest, so the constant c has index c;
+- ``zech_table[k] = Z(k) = log(1 + omega^k)``, where the index of
+  1 + omega^k is that of omega^k with digit 0 raised by one mod p; so
   ``add(a, b) = a + Z((b - a) mod (q-1))`` is one array read.
 
-The trace window of x is ``sum_j Tr(x omega^j) p^j`` over j < f.  The trace
-form is nondegenerate, so x -> window is a GF(p)-linear bijection of GF(q)
-onto [0, q) and field addition is digit-wise addition mod p of windows.
-Tr(omega^k) obeys the linear recurrence of omega's minimal polynomial, so
-one pass over k fills the log and trace tables and the window of each
-1 + omega^k, whose digit j is Tr(omega^j) + Tr(omega^(k+j)) mod p; a second
-pass turns those windows into logs through the log table.
-
-An even-degree field GF(q'^2) builds no table of q'^2 entries.  It adds
-over its index-2 subfield GF(q') (Lidl and Niederreiter, *Finite Fields*,
-ch. 2): omega^k = c omega^r with r = k mod (q'+1) and
-c = N(omega)^(k div (q'+1)) in GF(q'), and omega^r = a_r + b_r omega for
-r <= q', filled by the recurrence omega^2 = Tr(omega) omega - N(omega).
-Back from coordinates, a + b omega with b != 0 is (b / b_r) omega^r for the
-one r with a_r / b_r = a / b, read from a table of q' entries.  So a Zech
-logarithm costs one Zech logarithm of GF(q') and a few log additions.  The
-absolute trace goes through the subfield too:
-Tr(omega^k) = Tr'(c Tr_{q/q'}(omega^r)), and the q' + 1 relative traces
-Tr_{q/q'}(omega^r) = 2 a_r + b_r Tr_{q/q'}(omega) are kept as logs in
-GF(q'), where the Gauss-sum signs read them.  Such a field has no log,
-trace or Zech table and holds O(q') ints; ``trace(k)`` answers for both
+An even-degree field GF(q'^2) builds no table of q'^2 entries: its
+coordinates are over its index-2 subfield GF(q').  omega^k = c omega^r with
+r = k mod (q'+1) and c = N(omega)^(k div (q'+1)) in GF(q'), and
+omega^r = a_r + b_r omega for r <= q', filled by the recurrence
+omega^2 = Tr(omega) omega - N(omega).  Back from coordinates, a + b omega
+with b != 0 is (b / b_r) omega^r for the one r with a_r / b_r = a / b, read
+from a table of q' entries.  So a Zech logarithm costs one Zech logarithm of
+GF(q') and a few log additions.  The absolute trace goes through the
+subfield too: Tr(omega^k) = Tr'(c Tr_{q/q'}(omega^r)), and the q' + 1
+relative traces Tr_{q/q'}(omega^r) = 2 a_r + b_r Tr_{q/q'}(omega) are kept
+as logs in GF(q'), where the Gauss-sum signs read them.  Such a field has no
+log, trace or Zech table and holds O(q') ints; ``trace(k)`` answers for both
 kinds of field.
 
 Contexts do not change after construction, and all operations are pure.
@@ -52,21 +49,20 @@ from collections import namedtuple
 from collections.abc import Callable
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import mul
 
 from .errors import DivisionByZero, FieldError, NoSubfield, NotPrime, TooLarge
 
 ZERO = -1  # rep of the zero element; logs are >= 0
 _NOT_PRIMITIVE = "omega repeats an element; it is not primitive"
 
-# Peak table memory per field element, for an odd-degree field, the only
-# kind that builds tables: the log, trace and Zech tables, 4 bytes each,
-# plus at most 4 bytes of transient lookup tables while they are built (p + 2
-# p^(f-1) entries, at most q + 2); the modulus and omega searches hold no
-# pool of q ints.  The budget counts 16 bytes, so the cap is 2^24 elements.
-# An even-degree field GF(q'^2) holds four tables of about q' entries and
-# needs no cap of its own; on it the cap only bounds q' <= 4096, and so the
-# order of the matrices built from it.  Fields over the cap are refused
-# before anything is factored or allocated.
+# Table memory per element of an odd-degree field, the only kind that builds
+# tables: the log, trace and Zech tables, 4 bytes each, and no lookup table
+# while the walk fills them (the modulus and omega searches hold no pool of q
+# ints).  The budget still counts 16 bytes, so the cap stays 2^24 elements.
+# A tower GF(q'^2) holds four tables of about q' entries; on it the cap only
+# bounds q' <= 4096, and so the matrix order.  Fields over the cap are
+# refused before anything is factored or allocated.
 TABLE_BYTES_PER_ELEMENT = 16
 TABLE_BUDGET_BYTES = 256 << 20
 MAX_FIELD_SIZE = TABLE_BUDGET_BYTES // TABLE_BYTES_PER_ELEMENT  # 2^24
@@ -193,30 +189,14 @@ def _solve_mod_p(columns: list[list[int]], rhs: list[int], p: int) -> list[int]:
 
 
 def _norm(vec: tuple[int, ...], mod: tuple[int, ...], p: int) -> int:
-    """N(a) = a a^p ... a^(p^(f-1)) in GF(p) of the element a with the f
-    coefficients vec: the determinant of multiplication by a on
-    GF(p)[x]/mod; for f = 2, a0^2 - a0 a1 c1 + a1^2 c0 modulo x^2 + c1 x + c0."""
+    """N(a) = a a^p ... a^(p^(f-1)) = a^((q-1)/(p-1)) in GF(p) of the element
+    a with the f coefficients vec; for f = 2, a0^2 - a0 a1 c1 + a1^2 c0
+    modulo x^2 + c1 x + c0."""
     f = len(mod) - 1
     if f == 2:
         a0, a1 = vec
         return (a0 * a0 - a0 * a1 * mod[1] + a1 * a1 * mod[0]) % p
-    rows, col = [], list(vec)
-    for _ in range(f):  # row i: a x^i
-        rows.append(list(_vec(col, f)))
-        col = _reduce([0, *col], mod, p)
-    det = 1
-    for c in range(f):
-        piv = next((r for r in range(c, f) if rows[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv], det = rows[piv], rows[c], -det
-        det = det * rows[c][c] % p
-        inv = pow(rows[c][c], -1, p)
-        for r in range(c + 1, f):
-            k = rows[r][c] * inv % p
-            rows[r] = [(x - k * y) % p for x, y in zip(rows[r], rows[c])]
-    return det % p
+    return (_powmod(list(vec), (p**f - 1) // (p - 1), mod, p) or [0])[0]
 
 
 def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
@@ -255,22 +235,6 @@ def _least_irreducible(p: int, f: int) -> tuple[int, ...]:
 def _vec(a: list[int], f: int) -> tuple[int, ...]:
     """The f coefficients of a, constant first."""
     return tuple(a) + (0,) * (f - len(a))
-
-
-def _digit_form(coeffs, p: int) -> array:
-    """t[v] = sum_j coeffs[j] v_j mod p over the base-p digits v_j of v < p^len(coeffs)."""
-    t = array("i", [0])
-    for c in coeffs:
-        t = array("i", ((s + c * d) % p for d in range(p) for s in t))
-    return t
-
-
-def _digit_sum(digits, p: int) -> array:
-    """t[v] = sum_j ((v_j + digits[j]) mod p) p^j over the base-p digits v_j of v < p^len(digits)."""
-    t = array("i", [0])
-    for j, c in enumerate(digits):
-        t = array("i", (s + (d + c) % p * p**j for d in range(p) for s in t))
-    return t
 
 
 class FieldSpec(namedtuple("FieldSpec", "p f modulus")):
@@ -321,39 +285,28 @@ class FieldContext:
     def _build_tables(self) -> None:
         p, f, q, n = self.p, self.f, self.q, self.order
         mod_poly = self.spec.modulus
-        powers = [[1]]
+        # column j of multiplication by omega: the coordinates of omega x^j
+        cols, col = [], self._omega
         for _ in range(f):
-            powers.append(_mulmod(powers[-1], self._omega, mod_poly, p))
-        # omega^f = sum_j rec[j] omega^j, hence Tr(x omega^f) = sum_j rec[j] Tr(x omega^j)
-        rec = _solve_mod_p(powers[:f], powers[f], p)
-        one_digits = [_trace_poly(powers[j], mod_poly, p) for j in range(f)]
-        self._one_digits = one_digits
-        one_window = sum(d * p**j for j, d in enumerate(one_digits))
-        # window(x omega) = window(x) // p + p^(f-1) Tr(x omega^f).  With
-        # hi = window(x) // p and t = Tr(x), step_hi[hi] + step_lo[t] is that
-        # window plus q exactly when the two parts of Tr(x omega^f) reach p,
-        # so "% q" finishes the step.  window(1 + x) adds one_window digit by
-        # digit: (t + one_digits[0]) % p below one_hi[hi] p.
-        top = p ** (f - 1)
-        step_lo = array("i", (top * v for v in _digit_form(rec[:1], p)))
-        step_hi = array("i", (hi + top * v for hi, v in enumerate(_digit_form(rec[1:], p))))
-        one_hi = _digit_sum(one_digits[1:], p)
-        one_lo = one_digits[0]
+            cols.append(_vec(col, f))
+            col = _reduce([0, *col], mod_poly, p)
+        rows = list(zip(*cols))
+        traces = [_trace_poly([0] * j + [1], mod_poly, p) for j in range(f)]  # Tr(x^j)
+        digits = [p**j for j in range(f)]
         log = array("i", [ZERO]) * q
         trace = array("i", [0]) * n
-        zech = array("i", [0]) * n  # window(1 + omega^k) until the loop below
-        w = one_window
+        zech = array("i", [0]) * n  # the index of 1 + omega^k until the loop below
+        x = one = [1] + [0] * (f - 1)
         for k in range(n):
+            w = sum(map(mul, x, digits))
             log[w] = k
-            hi = w // p
-            t = w % p
-            trace[k] = t
-            zech[k] = one_hi[hi] * p + (t + one_lo) % p
-            w = (step_hi[hi] + step_lo[t]) % q
-        # n windows fill all q - 1 nonzero slots only if none repeats
+            trace[k] = sum(map(mul, x, traces)) % p
+            zech[k] = w - x[0] + (x[0] + 1) % p
+            x = [sum(map(mul, x, row)) % p for row in rows]
+        # n indices fill all q - 1 nonzero slots only if none repeats
         if log[0] != ZERO or log.count(ZERO) != 1:
             raise AssertionError(_NOT_PRIMITIVE)
-        if w != one_window:
+        if x != one:
             raise AssertionError("primitive element order mismatch")
         for k in range(n):
             zech[k] = log[zech[k]]
@@ -432,6 +385,8 @@ class FieldContext:
         # vectors in lex order; the last coordinate runs over a range, not
         # a pool of p ints, which for f = 1 would be a pool of q ints
         for head in itertools.product(range(p), repeat=f - 1):
+            if by_norm and f == 2 and not any(head) and pow(mod[0], (p - 1) // 2, p) == 1:
+                continue  # N(b x) = b^2 c0 is a square, never a generator of GF(p)*
             for last in range(p):
                 vec = (*head, last)
                 if not any(vec):
@@ -483,14 +438,10 @@ class FieldContext:
     # -- representation helpers ---------------------------------------------
 
     def from_int(self, c: int) -> int:
-        """The prime-field element c mod p; its window is c times the window of 1."""
+        """The prime-field element c mod p, whose coordinates have index c."""
         if self.subfield is not None:
             return self.embed(self.subfield.from_int(c))
-        c %= self.p
-        if c == 0:
-            return ZERO
-        p = self.p
-        return self.log_table[sum(c * d % p * p**j for j, d in enumerate(self._one_digits))]
+        return self.log_table[c % self.p]
 
     def elements(self):
         """All field elements, canonical order [0, omega^0, omega^1, ...]."""

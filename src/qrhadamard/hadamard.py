@@ -122,10 +122,11 @@ def transform(
     partition=None,
 ):
     """Maximum-excess signing of a family's base matrix (built by
-    base_matrix when not given): negate the columns of the D sets, then
-    every row past the border whose sum is not positive.  The paper's block
-    designs prove that the signed rows take the promised sums; transform
-    checks the sums themselves, after the Hadamard check.
+    base_matrix when not given, after ell is checked): negate the columns of
+    the D sets, then every row past the border whose sum is not positive.
+    Returns the signed matrix, its excess report and the base matrix.  The
+    paper's block designs prove that the signed rows take the promised sums;
+    transform checks the sums themselves, after the Hadamard check.
 
     ell, the exponent of D_{ell,H}, fixes every other parameter (None: the
     smallest admissible one); one that is not admissible raises BadEll.
@@ -173,4 +174,4 @@ def transform(
     observed = {abs(s) for s in sums}
     if not observed <= set(row_sums):
         raise HadamardError(f"{family}: row sums {sorted(observed)} break the promised set {sorted(row_sums)}")
-    return signed, _excess_report(signed)
+    return signed, _excess_report(signed), base

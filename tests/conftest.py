@@ -127,16 +127,6 @@ class NaiveField:
         return tr[0]
 
 
-def window_zech(ctx, k):
-    """Reference: log(1 + omega^k) in an odd-degree field by the trace-window
-    formula that zech_table replaced.  Digit j of the window of 1 + omega^k
-    is Tr(omega^j) + Tr(omega^(k+j)) mod p, and log_table maps the window to
-    its log."""
-    p, n, trace = ctx.p, ctx.order, ctx.trace_table
-    window = sum((d + trace[(k + j) % n]) % p * p**j for j, d in enumerate(ctx._one_digits))
-    return ctx.log_table[window]
-
-
 def sylvester(order: int):
     """The Sylvester Hadamard matrix of a power-of-two order, [[H, H], [H, -H]]."""
     from qrhadamard.matrix import SignMatrix

@@ -210,7 +210,7 @@ def test_criterion_6_property_suite():
     ext17, _ = quadratic_tower(17)
     outputs.append(hd.transform(ext17, "regular", partition=shipped_partition(3)))
 
-    for signed, rep in outputs:
+    for signed, rep, _ in outputs:
         for trial in range(100):
             candidate = hd.apply_signing(
                 signed, det_signs(signed.n, trial, 1), det_signs(signed.n, trial, 2)
@@ -220,7 +220,7 @@ def test_criterion_6_property_suite():
         ok &= sum(v * v * c for v, c in rep.row_sums) == rep.n**2
         rep_t = mx.excess_and_bound(transpose(signed))
         ok &= rep_t.excess == rep_t.bound == rep.bound
-    print(f"  signing trials: {100 * len(outputs)} across orders {[r.n for _, r in outputs]}")
+    print(f"  signing trials: {100 * len(outputs)} across orders {[r.n for _, r, _ in outputs]}")
 
     for m in (3, 5):
         ext, _ = quadratic_tower(2 * m * m - 1)

@@ -223,7 +223,8 @@ def test_run_constructions_script_fails_on_a_pin_or_a_shortfall(tmp_path, monkey
 
     def unsigned_q3(ext, family, ell=None, base=None, partition=None):
         if family == "q3":
-            return base, mx.excess_and_bound(base)
+            base = hd.base_matrix(family, ext.subfield)
+            return base, mx.excess_and_bound(base), base
         return real(ext, family, ell, base, partition)
 
     monkeypatch.setattr(hd, "transform", unsigned_q3)
@@ -240,7 +241,7 @@ def test_run_constructions_script_fails_on_a_pin_or_a_shortfall(tmp_path, monkey
 
 def test_construct_exits_1_on_a_shortfall_or_a_broken_promise(tmp_path, monkeypatch, capsys):
     ext, base = finite_field.quadratic_tower(11)
-    _, rep = hd.transform(ext, "q3")
+    _, rep, _ = hd.transform(ext, "q3")
     assert cli.promise_miss("q3", rep) is None
     # excess at the bound, but not the row-sum shape the family promises
     assert cli.promise_miss("q3", rep._replace(classification="regular(r=3)")) == {
@@ -248,7 +249,7 @@ def test_construct_exits_1_on_a_shortfall_or_a_broken_promise(tmp_path, monkeypa
     }
     # the base matrix left unsigned: biregular, but below the bound
     h = hd.base_matrix("q3", base)
-    monkeypatch.setattr(hd, "transform", lambda ext, family, ell, base, partition: (base, mx.excess_and_bound(base)))
+    monkeypatch.setattr(hd, "transform", lambda ext, family, ell, partition: (h, mx.excess_and_bound(h), h))
     assert main(["construct", "--family", "q3", "--m", "1", "--out", str(tmp_path)]) == 1
     diag = {"bound": 36, "classification": "biregular(k1=10,k2=2,m1=1,m2=11)", "excess": 32}
     assert json.loads(capsys.readouterr().err) == {"verification_failure": diag}
@@ -638,6 +639,24 @@ def test_unusable_out_exits_2(tmp_path, capsys, monkeypatch):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_construct_refuses_an_ell_before_it_builds_the_base_matrix(tmp_path, monkeypatch, capsys):
+    def base_matrix(*args):
+        raise AssertionError("base_matrix ran")
+
+    monkeypatch.setattr(hd, "base_matrix", base_matrix)
+    m3 = str(SCHEMES_DIR / "m3.scheme")
+    for size, ell in (
+        (["--family", "q1", "--q", "3613"], 13050154),  # a multiple of q + 1
+        (["--family", "q1", "--q", "3613"], 3),  # in range, but not admissible
+        (["--family", "q3", "--q", "11"], 120),
+        (["--family", "regular", "--q", "17", "--partition", m3], 1),
+    ):
+        capsys.readouterr()
+        assert main(["construct", *size, "--ell", str(ell), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: --ell {ell} is not admissible for this family\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_construct_refuses_an_ell_out_of_range_without_a_scan(tmp_path, monkeypatch, capsys):
     # every admissible ell lies in 1 .. q^2-2; the scan of a large field takes seconds
     def scan(*args):
@@ -670,7 +689,7 @@ def test_construct_refuses_an_ell_out_of_range_without_a_scan(tmp_path, monkeypa
         params = list(reference_params(ext, family, partition))[-1]
         assert params.ell > q * q - 1 - 2 * (q + 1)
         h = hd.base_matrix(family, base)
-        signed, rep = hd.transform(ext, family, params.ell, h, partition)
+        signed, rep, _ = hd.transform(ext, family, params.ell, h, partition)
         out = tmp_path / family
         argv = ["construct", "--family", family, "--q", str(q), *size, "--ell", str(params.ell), "--out", str(out)]
         assert main(argv) == 0
@@ -717,7 +736,7 @@ def test_construct_streams_the_matrix_files(tmp_path, monkeypatch):
     for family, q in (("q3", 27), ("q1", 13)):
         ext, base = finite_field.quadratic_tower(q)
         h = hd.base_matrix(family, base)
-        signed, _ = hd.transform(ext, family, base=h)
+        signed, _, _ = hd.transform(ext, family, base=h)
         expected[family, q] = (h.to_text(), signed.to_text())
 
     def whole_text(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sympy import factorint, primerange
 
 import oracles
-from conftest import NaiveField, counter_indices, window_zech
+from conftest import NaiveField, counter_indices
 from qrhadamard import finite_field
 from qrhadamard.finite_field import (
     MAX_FIELD_SIZE,
@@ -209,7 +209,7 @@ def test_exp_table_covers_nonzero_elements():
         assert [ctx.trace(k) for k in range(n)] == [oracle.trace(k) for k in range(n)]
 
 
-@pytest.mark.parametrize("p,f", [(2, 1), (2, 4), (3, 3), (3, 6), (5, 2), (7, 4), (29, 2)])
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 4), (3, 3), (3, 6), (5, 2), (7, 4), (29, 2), (5, 3), (3, 5)])
 def test_field_core_against_naive_polynomial_oracle(p, f):
     ctx = build_field(p, f)
     oracle = NaiveField(p, ctx.spec.modulus)
@@ -221,9 +221,11 @@ def test_field_core_against_naive_polynomial_oracle(p, f):
         assert ctx.neg(a) == oracle.combine([(-1, a)])
     for k in range(n):
         assert ctx.trace(k) == oracle.trace(k)
-    for c in range(p):
-        assert ctx.from_int(c) == oracle.log[(c,) + (0,) * (f - 1)]
-    if f % 2:
+    for c in range(-p, 2 * p):
+        assert ctx.from_int(c) == oracle.log[(c % p,) + (0,) * (f - 1)]
+    if f % 2:  # log_table reads coordinates as base-p digits, the constant lowest
+        for vec, k in oracle.log.items():
+            assert ctx.log_table[sum(d * p**j for j, d in enumerate(vec))] == k
         return
     base = ctx.subfield
     sub_oracle = NaiveField(p, base.spec.modulus)
@@ -248,16 +250,16 @@ def test_zech_table_against_naive_polynomial_oracle(p, f):
     n = ctx.order
     zech = [ctx._zech(k) for k in range(n)]
     assert zech == [oracle.combine([(1, 0), (1, k)]) for k in range(n)]
-    if f % 2:  # an odd degree reads its zech_table, which the trace-window formula pins
-        assert list(ctx.zech_table) == zech == [window_zech(ctx, k) for k in range(n)]
+    if f % 2:  # an odd degree reads its zech_table
+        assert list(ctx.zech_table) == zech
         assert [ctx.add(0, k) for k in range(n)] == zech
 
 
 @pytest.mark.parametrize("p,f", [(8191, 1), (3, 7)])
 def test_an_odd_degree_field_stays_inside_its_table_budget(p, f):
-    # three 4-byte tables are kept; the build's transient lookup tables add at
-    # most 4 bytes per element more, within TABLE_BYTES_PER_ELEMENT = 16 (the
-    # modulus and omega searches hold no pool of p ints: ~36 bytes each)
+    # three 4-byte tables are kept and the walk that fills them holds no lookup
+    # table, within TABLE_BYTES_PER_ELEMENT = 16 (the modulus and omega
+    # searches hold no pool of p ints: ~36 bytes each)
     import tracemalloc
 
     tracemalloc.start()
@@ -314,7 +316,29 @@ def test_norm_filter_keeps_the_lex_least_primitive_element(q):
     assert ctx._omega == want
 
 
-# degrees above 2, where the norm is a determinant: the towers over q = 9, 25,
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 29])
+def test_norm_filter_searches_the_b_x_block_when_c0_is_not_a_square(p):
+    # N(b x) = b^2 c0: the canonical modulus has c0 = 1, a square, so its
+    # search skips the block of the elements b x; any other c0 needs it searched
+    ctx = build_field(p, 2)
+    assert ctx.spec.modulus[0] == 1
+    n = ctx.order
+    checks = [n // r for r in factorint(n)]
+    found_in_block = 0
+    for c0, c1 in itertools.product(range(1, p), range(p)):
+        mod = (c0, c1, 1)
+        if pow(c0, (p - 1) // 2, p) == 1 or not is_irreducible(mod, p):
+            continue
+        want = next(
+            list(vec) for vec in itertools.product(range(p), repeat=2)
+            if vec[1] and all(finite_field._powmod(list(vec), k, mod, p) != [1] for k in checks)
+        )
+        assert ctx._find_primitive(mod) == want, mod
+        found_in_block += want[0] == 0
+    assert found_in_block
+
+
+# degrees above 2, where the norm is a power: the towers over q = 9, 25,
 # 49, 169, 841 and 27, and odd degrees
 @pytest.mark.parametrize("p,f", [(3, 4), (5, 4), (7, 4), (13, 4), (29, 4), (3, 6), (3, 3), (5, 3), (3, 5)])
 def test_norm_filter_keeps_the_lex_least_primitive_element_above_degree_2(p, f):

@@ -208,7 +208,7 @@ def test_signing_preserves_hadamard_property(rows, cols):
 )
 def test_transform_biregular_q3(q, m, rows, excess):
     ext, _ = quadratic_tower(q)
-    signed, rep = hd.transform(ext, "q3")
+    signed, rep, _ = hd.transform(ext, "q3")
     assert rep.n == 4 * (m * m + m + 1)
     assert {v for v, _ in rep.row_sums} == rows
     assert rep.excess == excess == rep.bound
@@ -228,7 +228,7 @@ def test_transform_biregular_q3(q, m, rows, excess):
 )
 def test_transform_biregular_q1(q, m, rows, excess):
     ext, _ = quadratic_tower(q)
-    signed, rep = hd.transform(ext, "q1")
+    signed, rep, _ = hd.transform(ext, "q1")
     assert rep.n == 4 * (m * m + m + 1)
     assert {v for v, _ in rep.row_sums} == rows
     assert rep.excess == excess == rep.bound
@@ -240,13 +240,13 @@ def test_transform_biregular_q1(q, m, rows, excess):
 
 def test_q1_m2_frequencies():
     ext, _ = quadratic_tower(13)
-    _, rep = hd.transform(ext, "q1")
+    _, rep, _ = hd.transform(ext, "q1")
     assert dict(rep.row_sums) == {4: 21, 8: 7}
 
 
 def test_transpose_of_attaining_output_attains(tower11):
     ext, _ = tower11
-    signed, rep = hd.transform(ext, "q3")
+    signed, rep, _ = hd.transform(ext, "q3")
     rep_t = mx.excess_and_bound(transpose(signed))
     assert rep_t.excess == rep_t.bound == rep.bound
     assert rep_t.classification.startswith("biregular")
@@ -254,14 +254,14 @@ def test_transpose_of_attaining_output_attains(tower11):
 
 def test_row_sum_square_identity(tower11):
     ext, _ = tower11
-    signed, rep = hd.transform(ext, "q3")
+    signed, rep, _ = hd.transform(ext, "q3")
     assert sum(v * v * c for v, c in rep.row_sums) == rep.n**2
 
 
 def test_transform_regular_m3(tower17):
     ext, _ = tower17
     part = shipped_partition(3)
-    signed, rep = hd.transform(ext, "regular", partition=part)
+    signed, rep, _ = hd.transform(ext, "regular", partition=part)
     assert rep.n == 36
     assert rep.row_sums == ((6, 36),)
     assert rep.excess == 216 == rep.bound
@@ -479,7 +479,7 @@ def test_parse_rows_match_the_set_rule(body):
 
 def test_report_json_fields(tower11):
     ext, _ = tower11
-    _, rep = hd.transform(ext, "q3")
+    _, rep, _ = hd.transform(ext, "q3")
     payload = mx.report_json(rep)
     assert sorted(payload) == ["bound", "classification", "excess", "k", "n", "row_sums", "s", "t"]
     assert payload["row_sums"] == {"0": 3, "4": 9}
@@ -555,7 +555,7 @@ def test_every_single_bit_flip_gets_the_full_check_verdict(family, q):
     ext, base_ctx = quadratic_tower(q)
     part = shipped_partition(3) if family == "regular" else None
     base = hd.base_matrix(family, base_ctx)
-    signed, _ = hd.transform(ext, family, base=base, partition=part)
+    signed, _, _ = hd.transform(ext, family, base=base, partition=part)
     for h in (signed, base):
         for i in range(h.n):
             for j in range(h.n):

@@ -1,6 +1,7 @@
 """The package's immutable records, its modules, what importing the package
 and running each command loads, the package names that the benchmark tracer
-wraps, and that every package function has a caller."""
+wraps, that every package function has a caller, and that every imported
+name is read."""
 
 import ast
 import importlib
@@ -250,6 +251,28 @@ def test_every_package_function_has_a_caller():
     # a stale entry: its name gained a caller, or went; an unrelated read of
     # the same name (say, x.entry on another object) also counts as a caller
     assert sorted(set(UNCALLED) - set(uncalled)) == []
+
+
+# names a module imports only to offer them under its own name
+RE_EXPORTS = {
+    "association_schemes:SchemeError": "the base of the errors the layer raises, caught as schemes.SchemeError",
+}
+
+
+def test_every_imported_name_is_read_in_its_module():
+    # a name imported and never read is left over from a deletion
+    unread = []
+    for path in sorted((ROOT / "src" / "qrhadamard").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.stem}:{name}")
+    assert sorted(set(unread) - set(RE_EXPORTS)) == []
+    assert sorted(set(RE_EXPORTS) - set(unread)) == []
 
 
 def _records(tower11, tower17):
