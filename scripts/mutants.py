@@ -83,6 +83,56 @@ MUTANTS = [
         "tests/test_finite_field.py",
     ),
     Mutant(
+        "tower-trace-of-a-zero-relative-trace", "finite_field.py",
+        "        if rel == ZERO:\n            return 0\n", "        if rel == ZERO:\n            return 1\n",
+        "tests/test_finite_field.py",
+    ),
+    Mutant(
+        "factor-misses-a-square-prime", "finite_field.py",
+        "while d * d <= n:", "while d * d < n:",
+        "tests/test_finite_field.py",
+    ),
+    Mutant(
+        "gauss-period-pairs-eta-not-flipped", "character_sums.py",
+        "((r + q + 1) % e, -1)", "((r + q + 1) % e, 1)",
+        "tests/test_character_sums.py",
+    ),
+    Mutant(
+        "order8-sign-vector-last-delta-negated", "character_sums.py",
+        "want = (eps * (2 * m + 1), delta, 0, delta)", "want = (eps * (2 * m + 1), delta, 0, -delta)",
+        "tests/test_character_sums.py",
+    ),
+    Mutant(
+        "bannai-muzychuk-fewer-dual-classes", "association_schemes.py",
+        "len(dual_rows) == 4,", "len(dual_rows) <= 4,",
+        "tests/test_association_schemes.py",
+        "equivalent",
+        "with every class nonempty (checked in the same conjunction) there are never fewer than "
+        "four rows: the Fourier transforms of {0} and the four disjoint nonempty classes are "
+        "independent and constant on the classes of equal rows, and only a = 0 has the class-size "
+        "row; every shifted partition at m = 3 (e = 4, 12) and m = 5 (e = 20) has at least four",
+    ),
+    Mutant(
+        "excess-report-biregular-with-zero-low-sum-refused", "matrix.py",
+        "elif len(values) == 2 and values[0] >= 0:", "elif len(values) == 2 and values[0] > 0:",
+        "tests/test_hadamard.py",
+    ),
+    Mutant(
+        "from-text-accepts-long-rows", "matrix.py",
+        "len(ln) != n or", "len(ln) < n or",
+        "tests/test_hadamard.py",
+    ),
+    Mutant(
+        "exit-codes-budget-row-after-input-row", "cli.py",
+        "    (BudgetExceeded, EXIT_BUDGET),\n"
+        "    ((SchemeInvalid, HadamardError), EXIT_VERIFY),\n"
+        "    ((UsageError, InputFileError, FieldError, CharError, SchemeError), EXIT_INPUT),\n",
+        "    ((SchemeInvalid, HadamardError), EXIT_VERIFY),\n"
+        "    ((UsageError, InputFileError, FieldError, CharError, SchemeError), EXIT_INPUT),\n"
+        "    (BudgetExceeded, EXIT_BUDGET),\n",
+        "tests/test_cli.py",
+    ),
+    Mutant(
         "certificate-without-omega1-representative", "matrix.py",
         "for o in blocks for k in range(3))]", "for o in blocks for k in range(2))]",
         "tests/test_hadamard.py",

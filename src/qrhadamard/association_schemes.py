@@ -85,13 +85,20 @@ def partition_text(part: SchemePartition) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _plain_int(token: str) -> int:
+    """int(token), refusing the "_" and the non-ASCII digits int() also reads."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"invalid literal for int() with base 10: {token!r}")
+    return int(token)
+
+
 def parse_partition(text: str) -> SchemePartition:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 5:
         raise ParseError("partition file needs a header line and four index lines")
     try:
-        q, m, e = (int(v) for v in lines[0].split())
-        h_lists = tuple(tuple(int(v) for v in ln.split()) for ln in lines[1:])
+        q, m, e = map(_plain_int, lines[0].split())
+        h_lists = tuple(tuple(map(_plain_int, ln.split())) for ln in lines[1:])
     except ValueError as exc:
         raise ParseError(f"malformed partition file: {exc}") from exc
     try:

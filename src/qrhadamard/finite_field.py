@@ -443,16 +443,8 @@ class FieldContext:
             return self.embed(self.subfield.from_int(c))
         return self.log_table[c % self.p]
 
-    def elements(self):
-        """All field elements, canonical order [0, omega^0, omega^1, ...]."""
-        yield ZERO
-        yield from range(self.order)
-
     def nonzero(self):
         return range(self.order)
-
-    def canonical_index(self, a: int) -> int:
-        return 0 if a == ZERO else a + 1
 
     # -- subfield machinery ---------------------------------------------------
 

@@ -114,16 +114,10 @@ def _require_family(ext: FieldContext, family: str) -> int:
         raise NotPrimePower(str(exc)) from exc
 
 
-def transform(
-    ext: FieldContext,
-    family: str,
-    ell: int | None = None,
-    base: SignMatrix | None = None,
-    partition=None,
-):
+def transform(ext: FieldContext, family: str, ell: int | None = None, partition=None):
     """Maximum-excess signing of a family's base matrix (built by
-    base_matrix when not given, after ell is checked): negate the columns of
-    the D sets, then every row past the border whose sum is not positive.
+    base_matrix once ell is checked): negate the columns of the D sets, then
+    every row past the border whose sum is not positive.
     Returns the signed matrix, its excess report and the base matrix.  The
     paper's block designs prove that the signed rows take the promised sums;
     transform checks the sums themselves, after the Hadamard check.
@@ -159,11 +153,8 @@ def transform(
     sizes = tuple(d.bit_count() for d in dsets)
     if sizes != promised:
         raise HadamardError(f"{family}: D-set sizes {sizes} break the promised sizes {promised}")
-    if base is None:
-        base = base_matrix(family, ext.subfield)
+    base = base_matrix(family, ext.subfield)
     n = base.n  # the D sets index the last len(dsets) blocks of q columns
-    if n != len(dsets) * (q + 1):
-        raise LengthMismatch(f"{family}: the base matrix has order {n}, not {len(dsets) * (q + 1)}")
     col_mask = sum(d << k * q for k, d in enumerate(dsets)) << n - len(dsets) * q
     sums = [n - 2 * (r ^ col_mask).bit_count() for r in base.rows]
     row_mask = sum(1 << i for i in range(fam.border, n) if sums[i] <= 0)

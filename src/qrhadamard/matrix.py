@@ -40,13 +40,10 @@ class SignMatrix:
 
     def __init__(self, n: int, rows):
         rows = list(rows)
-        if len(rows) != n or any(r >> n for r in rows) or any(r < 0 for r in rows):
+        if len(rows) != n or any(r >> n for r in rows):  # r >> n is -1 for a negative r
             raise HadamardError("row masks inconsistent with order n")
         self.n = n
         self.rows = rows
-
-    def entry(self, i: int, j: int) -> int:
-        return -1 if (self.rows[i] >> j) & 1 else 1
 
     def row_sum(self, i: int) -> int:
         return self.n - 2 * self.rows[i].bit_count()
@@ -68,20 +65,20 @@ class SignMatrix:
         return "".join(self.text_lines())
 
     @classmethod
-    def from_text(cls, text) -> "SignMatrix":
-        """Parse the text form from a str or an iterable of lines (each split
-        with str.splitlines; blank lines are skipped), keeping only the row
-        ints.  The input is read to its end even after an error, so that of
-        several errors the one reported is the first of: an error raised by
-        the iterable, empty, bad header, wrong row count, bad row."""
-        if isinstance(text, str):
-            text = (text,)
-        lines = (ln for chunk in text for ln in chunk.splitlines() if ln.strip())
-        header = next(lines, None)
-        if header is None:
+    def from_text(cls, lines) -> "SignMatrix":
+        """Parse the text form from an iterable of lines (each split with
+        str.splitlines; blank lines are skipped), keeping only the row ints.
+        The input is read to its end even after an error, so that of several
+        errors the one reported is the first of: an error raised by the
+        iterable, empty, bad header, wrong row count, bad row."""
+        lines = (ln for chunk in lines for ln in chunk.splitlines() if ln.strip())
+        header = next(lines, "").strip()
+        if not header:
             raise ParseError("empty matrix file")
         try:
-            n = int(header.strip())
+            if not header.isascii() or "_" in header:  # int() reads "0_4" and "\u0664" as 4
+                raise ValueError(header)
+            n = int(header)
         except ValueError as exc:
             for _ in lines:
                 pass

@@ -16,6 +16,16 @@ from qrhadamard.finite_field import ZERO
 SCHEMES_DIR = Path(__file__).resolve().parent.parent / "schemes"
 
 
+def canonical_index(a: int) -> int:
+    """idx(a), the point numbering of the D sets: 0 for 0, k + 1 for omega^k."""
+    return 0 if a == ZERO else a + 1
+
+
+def entry(h, i: int, j: int) -> int:
+    """Entry (i, j) of a SignMatrix: -1 where bit j of row i is set, else 1."""
+    return -1 if h.rows[i] >> j & 1 else 1
+
+
 def shipped_partition(m: int):
     """The regular family's partition for m, read from its shipped file."""
     from qrhadamard.association_schemes import parse_partition

@@ -80,7 +80,7 @@ def jacobi_sum(ctx: FieldContext, e1: int, e2: int) -> complex:
     _check_order(ctx, e2)
     total = 0j
     one = ctx.one
-    for x in ctx.elements():
+    for x in (ZERO, *ctx.nonzero()):
         total += char_value(ctx, e1, 1, x) * char_value(ctx, e2, 1, ctx.sub(one, x))
     return total
 
@@ -131,7 +131,7 @@ def check_lemma_linear(ext: FieldContext, e: int, ell: int) -> bool:
     ze = roots_of_unity(e)
     lell = ell % n
     lhs = 0j
-    for x in base.elements():
+    for x in (ZERO, *base.nonzero()):
         v = ext.add(ext.one, ext.mul(ext.embed(x), lell))
         lhs += ze[v % e]
     t_el = ext.sub((ell * q) % n, lell)
@@ -160,7 +160,7 @@ def check_lemma_quadratic_twist(ext: FieldContext, e: int, ell: int, s: int) -> 
     ze = roots_of_unity(e)
     lell = ell % n
     lhs = 0j
-    for x in base.elements():
+    for x in (ZERO, *base.nonzero()):
         if x == s:
             continue
         v = ext.add(ext.one, ext.mul(ext.embed(x), lell))
@@ -223,7 +223,7 @@ def check_size_formulas(ext: FieldContext, ell: int, e: int, H) -> bool:
     xi_l = 1 if lell % e in hset else 0
     c2 = (ext.half + t_inv + lq) % n % e  # class of -T^{-1} omega^{q ell}
     minus_lq = (ext.half + lq) % n
-    for si, s in enumerate(base.elements()):
+    for si, s in enumerate((ZERO, *base.nonzero())):
         enum = (dmask & sq_masks[si]).bit_count()
         u1 = ext.add(ext.one, ext.mul(ext.embed(s), lell))  # 1 + omega^ell s
         u2 = ext.add(ext.one, ext.mul(ext.embed(s), lq))  # 1 + omega^{q ell} s
@@ -276,7 +276,7 @@ def theorem_order8_branches(ext: FieldContext, params: ParamChoice) -> bool:
                   3: m * m + 2, 0: m * m + 1, 2: m * m + 1, 5: m * m + 1,
                   7: m * m + m + 1}
     lell = params.ell % n
-    for si, s in enumerate(base.elements()):
+    for si, s in enumerate((ZERO, *base.nonzero())):
         u1 = ext.add(ext.one, ext.mul(ext.embed(s), lell))
         expected = branch[(u1 - 2 * hp) % 8]
         if (dmask & blocks[si]).bit_count() != expected:

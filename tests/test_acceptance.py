@@ -17,7 +17,7 @@ from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
 from qrhadamard import matrix as mx
 from qrhadamard.cli import main
-from qrhadamard.finite_field import build_field, prime_power, quadratic_tower
+from qrhadamard.finite_field import ZERO, build_field, prime_power, quadratic_tower
 from qrhadamard import finite_field
 
 TOL = 1e-6
@@ -38,7 +38,7 @@ def _report_line(num, label, ok):
 
 def _reverify_from_file(path):
     """Independent route: reparse the emitted matrix and recompute the report."""
-    matrix = hd.SignMatrix.from_text(path.read_text())
+    matrix = hd.SignMatrix.from_text([path.read_text()])
     return mx.excess_and_bound(matrix)
 
 
@@ -146,7 +146,7 @@ def test_criterion_4_formula_oracles():
                 ells.append(ell)
             if len(ells) == 20:
                 break
-        elements = list(base.elements())
+        elements = [ZERO, *base.nonzero()]
         svals = [elements[i] for i in counter_indices(20, base.q, salt=q + 1)]
         for ell, s in zip(ells, svals):
             if not oracles.check_lemma_linear(ext, e, ell):

@@ -136,7 +136,7 @@ def _witness_sweeps(ext, e):
     for r in range(e):
         w = r + e * (1 + counter_indices(1, ext.order // e - 1, salt=r)[0])
         sweep = Counter()
-        for u in ext.elements():
+        for u in (ZERO, *ext.nonzero()):
             v = ext.sub(w, u)
             sweep[-1 if u == ZERO else u % e, -1 if v == ZERO else v % e] += 1
         sweeps.append(sweep)

@@ -221,11 +221,11 @@ def test_run_constructions_script_fails_on_a_pin_or_a_shortfall(tmp_path, monkey
     # a transform that leaves q3 unsigned misses the bound: exit 1 even with its digests pinned
     real = hd.transform
 
-    def unsigned_q3(ext, family, ell=None, base=None, partition=None):
+    def unsigned_q3(ext, family, ell=None, partition=None):
         if family == "q3":
             base = hd.base_matrix(family, ext.subfield)
             return base, mx.excess_and_bound(base), base
-        return real(ext, family, ell, base, partition)
+        return real(ext, family, ell, partition)
 
     monkeypatch.setattr(hd, "transform", unsigned_q3)
     diag = '{"bound": 36, "classification": "biregular(k1=10,k2=2,m1=1,m2=11)", "excess": 32}'
@@ -689,7 +689,7 @@ def test_construct_refuses_an_ell_out_of_range_without_a_scan(tmp_path, monkeypa
         params = list(reference_params(ext, family, partition))[-1]
         assert params.ell > q * q - 1 - 2 * (q + 1)
         h = hd.base_matrix(family, base)
-        signed, rep, _ = hd.transform(ext, family, params.ell, h, partition)
+        signed, rep, _ = hd.transform(ext, family, params.ell, partition)
         out = tmp_path / family
         argv = ["construct", "--family", family, "--q", str(q), *size, "--ell", str(params.ell), "--out", str(out)]
         assert main(argv) == 0
@@ -734,9 +734,7 @@ def test_no_tower_holds_a_table_of_its_own_size(tmp_path):
 def test_construct_streams_the_matrix_files(tmp_path, monkeypatch):
     expected = {}
     for family, q in (("q3", 27), ("q1", 13)):
-        ext, base = finite_field.quadratic_tower(q)
-        h = hd.base_matrix(family, base)
-        signed, _, _ = hd.transform(ext, family, base=h)
+        signed, _, h = hd.transform(finite_field.quadratic_tower(q)[0], family)
         expected[family, q] = (h.to_text(), signed.to_text())
 
     def whole_text(self):
@@ -807,8 +805,11 @@ def _read_all_from_text(cls, text: str):
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise schemes.ParseError("empty matrix file")
+    header = lines[0].strip()
     try:
-        n = int(lines[0].strip())
+        if not header.isascii() or "_" in header:  # int() alone reads "0_4" and "\u0664"
+            raise ValueError(header)
+        n = int(header)
     except ValueError as exc:
         raise schemes.ParseError("first line must be the order n") from exc
     if n < 1 or len(lines) != n + 1:
@@ -860,6 +861,10 @@ _STREAM_CASES = [
     "2\u2029++\x85+-\x1c".encode(),
     b"2\r\n++\r\r\n+-",
     b"\xef\xbb\xbf2\n++\n+-\n",  # a byte-order mark is not stripped
+    b"0_2\n++\n+-\n",  # int() alone reads these headers as 2
+    "\u0662\n++\n+-\n".encode(),
+    "\uff12\n++\n+-\n".encode(),
+    b" +2 \n++\n+-\n",  # a sign and surrounding whitespace are kept
 ]
 
 
@@ -990,6 +995,12 @@ _TABLE_FILES = {
     "bad_e": b"17 3 8\n0\n1\n2\n3 4 5 6 7\n",
     "empty": b"",
     "header": b"x\n++\n",
+    # headers that int() alone reads as 4, before a Hadamard matrix of order 4
+    "underscore": b"0_4\n++++\n+-+-\n++--\n+--+\n",
+    "arabic_digit": "\u0664\n++++\n+-+-\n++--\n+--+\n".encode(),
+    # m3.scheme with headers and an index that int() alone reads as 17 3 12 and 11
+    "underscore.scheme": b"1_7 3 1_2\n7 11\n0 2 3 10\n1 5\n4 6 8 9\n",
+    "digit.scheme": "17 3 12\n7 \u0661\u0661\n0 2 3 10\n1 5\n4 6 8 9\n".encode(),
     "count": b"2\n++\n",
     "row": b"2\n+*\n--\n",
     "odd": b"3\n+++\n+++\n+++\n",
@@ -1091,6 +1102,10 @@ _MESSAGE_TABLE = [
         "error: partition file needs a header line and four index lines\n",
     ),
     (
+        "construct --family regular --m 3 --partition {tmp}/underscore.scheme --out {tmp}/o", 2, "",
+        "error: malformed partition file: invalid literal for int() with base 10: '1_7'\n",
+    ),
+    (
         "construct --family regular --m 5 --partition {schemes}/m3.scheme --out {tmp}/o", 2, "",
         "error: partition file does not match the requested q/m\n",
     ),
@@ -1108,6 +1123,8 @@ _MESSAGE_TABLE = [
     ("verify {tmp}", 2, "", "error: [Errno 21] Is a directory: '{tmp}'\n"),
     ("verify {tmp}/empty", 2, "", "error: empty matrix file\n"),
     ("verify {tmp}/header", 2, "", "error: first line must be the order n\n"),
+    ("verify {tmp}/underscore", 2, "", "error: first line must be the order n\n"),
+    ("verify {tmp}/arabic_digit", 2, "", "error: first line must be the order n\n"),
     ("verify {tmp}/count", 2, "", "error: expected 2 rows after the header\n"),
     ("verify {tmp}/row", 2, "", "error: rows must be n characters from {+,-}\n"),
     ("verify {tmp}/odd", 1, '{"hadamard": false, "n": 3, "violating_rows": [0, 1]}\n', ""),
@@ -1152,6 +1169,10 @@ _MESSAGE_TABLE = [
         "error: partition file needs a header line and four index lines\n",
     ),
     (
+        "search-params --family regular --q 17 --partition {tmp}/digit.scheme", 2, "",
+        "error: malformed partition file: invalid literal for int() with base 10: '\u0661\u0661'\n",
+    ),
+    (
         "search-params --family regular --q 49 --partition {schemes}/m3.scheme", 2, "",
         "error: partition file does not match the requested q/m\n",
     ),
@@ -1184,6 +1205,14 @@ _MESSAGE_TABLE = [
     ("scheme --verify {tmp}/latin1", 2, "", "error: {tmp}/latin1 is not UTF-8 text (byte 8: invalid start byte)\n"),
     ("scheme --verify {tmp}/malformed", 2, "", "error: partition file needs a header line and four index lines\n"),
     ("scheme --verify {tmp}/not_prime", 2, "", "error: 15 is not a prime power\n"),
+    (
+        "scheme --verify {tmp}/underscore.scheme", 2, "",
+        "error: malformed partition file: invalid literal for int() with base 10: '1_7'\n",
+    ),
+    (
+        "scheme --verify {tmp}/digit.scheme", 2, "",
+        "error: malformed partition file: invalid literal for int() with base 10: '\u0661\u0661'\n",
+    ),
     ("scheme --verify {tmp}/bad_e", 2, "", "error: e must divide 4m^2\n"),
     (
         "scheme --verify {tmp}/swapped", 1, _SWAPPED_REPORT,

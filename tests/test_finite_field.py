@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sympy import factorint, primerange
 
 import oracles
-from conftest import NaiveField, counter_indices
+from conftest import NaiveField, canonical_index, counter_indices
 from qrhadamard import finite_field
 from qrhadamard.finite_field import (
     MAX_FIELD_SIZE,
@@ -214,7 +214,7 @@ def test_field_core_against_naive_polynomial_oracle(p, f):
     ctx = build_field(p, f)
     oracle = NaiveField(p, ctx.spec.modulus)
     n = ctx.order
-    for a in ctx.elements():
+    for a in (ZERO, *ctx.nonzero()):
         for b in [ZERO, a] + counter_indices(8, n, salt=a % 7):
             assert ctx.add(a, b) == oracle.combine([(1, a), (1, b)])
             assert ctx.sub(a, b) == oracle.combine([(1, a), (-1, b)])
@@ -232,7 +232,7 @@ def test_field_core_against_naive_polynomial_oracle(p, f):
     d = f // 2
     # embed is GF(p)-linear: x = sum c_j X^j maps to sum c_j embed(X^j)
     basis = [ctx.embed(sub_oracle.log[tuple(int(i == j) for i in range(d))]) for j in range(d)]
-    for x in base.elements():
+    for x in (ZERO, *base.nonzero()):
         terms = list(zip(sub_oracle.vec(x), basis))
         assert ctx.embed(x) == oracle.combine(terms)
         assert oracles.project(ctx, ctx.embed(x)) == x
@@ -469,8 +469,6 @@ def test_prime_power_accepts_exactly_the_prime_powers_to_5000():
 
 def test_canonical_order_round_trip():
     ctx = build_field(7)
-    elems = list(ctx.elements())
-    assert elems[0] == ZERO and elems[1] == ctx.one
-    for i, x in enumerate(elems):
-        assert ctx.canonical_index(x) == i
-    assert elems == [ZERO, *ctx.nonzero()]
+    elems = [ZERO, *ctx.nonzero()]
+    assert elems[1] == ctx.one and ZERO not in ctx.nonzero()
+    assert [canonical_index(x) for x in elems] == list(range(ctx.q))

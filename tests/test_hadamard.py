@@ -10,7 +10,9 @@ from sympy import factorint
 
 from conftest import (
     PARSE_CASES,
+    canonical_index,
     counted_scans,
+    entry,
     kronecker,
     paley_sylvester,
     scrambled,
@@ -61,21 +63,21 @@ def test_construct_q3_entries_against_integer_oracle():
     ctx = build_field(7)
     h = hd.construct_q3(ctx)
     assert h.n == 8
-    assert all(h.entry(0, j) == 1 for j in range(1, 8))
-    assert h.entry(0, 0) == -1
-    assert all(h.entry(i, 0) == 1 for i in range(1, 8))
+    assert all(entry(h, 0, j) == 1 for j in range(1, 8))
+    assert entry(h, 0, 0) == -1
+    assert all(entry(h, i, 0) == 1 for i in range(1, 8))
     squares_with_zero = {0, 1, 2, 4}
     val = {ctx.from_int(c): c for c in range(ctx.q)}
-    for x in ctx.elements():
-        for y in ctx.elements():
-            i, j = 1 + ctx.canonical_index(x), 1 + ctx.canonical_index(y)
+    for x in (ZERO, *ctx.nonzero()):
+        for y in (ZERO, *ctx.nonzero()):
+            i, j = 1 + canonical_index(x), 1 + canonical_index(y)
             want = 1 if (val[y] - val[x]) % 7 in squares_with_zero else -1
-            assert h.entry(i, j) == want
+            assert entry(h, i, j) == want
 
 
 def per_element_translates(ctx, cls):
     """Oracle: mask of x + cls over canonical indices, per x, by ctx.add."""
-    return [sum(1 << ctx.canonical_index(ctx.add(x, c)) for c in cls) for x in ctx.elements()]
+    return [sum(1 << canonical_index(ctx.add(x, c)) for c in cls) for x in (ZERO, *ctx.nonzero())]
 
 
 @pytest.mark.parametrize("q", [3, 7, 11, 19, 27, 5, 9, 13, 25, 49])
@@ -101,14 +103,14 @@ def test_rotated_masks_match_per_element_addition(q):
 def test_text_round_trip_and_strict_parse():
     h = hd.construct_q1(build_field(13))
     text = h.to_text()
-    assert text.splitlines()[1] == "".join("-" if h.entry(0, j) == -1 else "+" for j in range(h.n))
-    assert hd.SignMatrix.from_text(text) == h
+    assert text.splitlines()[1] == "".join("-" if entry(h, 0, j) == -1 else "+" for j in range(h.n))
+    assert hd.SignMatrix.from_text([text]) == h
     # the text is streamed a line at a time, an all-plus row included
     assert list(hd.SignMatrix(2, [0, 2]).text_lines()) == ["2\n", "++\n", "+-\n"]
     # int() alone would accept "_" and inner whitespace
     for bad in ("3\n+_-\n+++\n+++\n", "3\n+ -\n+++\n+++\n"):
         with pytest.raises(ParseError):
-            hd.SignMatrix.from_text(bad)
+            hd.SignMatrix.from_text([bad])
 
 
 def test_not_hadamard_carries_rows():
@@ -138,10 +140,10 @@ def test_construct_q1_negated2():
     base = hd.construct_q1(build_field(5))
     neg = hd.construct_q1(build_field(5), "negated2")
     assert mx.hadamard_violation(neg) is None
-    assert neg.entry(1, 1) == base.entry(1, 1)  # doubly negated
-    assert neg.entry(0, 1) == -base.entry(0, 1)
-    assert neg.entry(1, 0) == -base.entry(1, 0)
-    assert neg.entry(2, 2) == base.entry(2, 2)
+    assert entry(neg, 1, 1) == entry(base, 1, 1)  # doubly negated
+    assert entry(neg, 0, 1) == -entry(base, 0, 1)
+    assert entry(neg, 1, 0) == -entry(base, 1, 0)
+    assert entry(neg, 2, 2) == entry(base, 2, 2)
 
 
 def test_bound_params_examples():
@@ -332,12 +334,6 @@ def test_transform_names_the_broken_profile_promise(monkeypatch):
     assert str(info.value) == "q3: row sums [0, 4, 8] break the promised set [0, 4]"
 
 
-def test_transform_refuses_a_base_of_another_order():
-    ext, _ = quadratic_tower(11)
-    with pytest.raises(hd.LengthMismatch, match=r"^q3: the base matrix has order 8, not 12$"):
-        hd.transform(ext, "q3", base=hd.construct_q3(build_field(7)))
-
-
 def test_transform_builds_no_design(monkeypatch):
     def refuse(*args):
         raise AssertionError("transform built a design")
@@ -398,24 +394,25 @@ def _design_rows(family, base, dsets, m):
 def test_transform_negates_the_rows_of_the_blocks_met_in_the_upper_values(monkeypatch, family, m, q):
     ext, base = quadratic_tower(q)
     part = shipped_partition(m) if family == "regular" else None
-    h = hd.base_matrix(family, base)  # the regular base signs its second row and column
     masks = []
     signing = hd.apply_signing
     monkeypatch.setattr(hd, "apply_signing", lambda h, rows, cols: masks.append((rows, cols)) or signing(h, rows, cols))
-    rep = hd.transform(ext, family, base=h, partition=part)[1]
+    rep = hd.transform(ext, family, partition=part)[1]
     params = isets.find_params(ext, family, part)
     if part is None:
         dsets = [isets.build_dlh(ext, params.ell, hd.FAMILIES[family].sign_order, hs) for hs in isets.h_sets(params)]
     else:
         dsets = isets.scheme_dsets(ext, part, params.ell)
-    assert masks == [_design_rows(family, base, dsets, m)]
+    # the regular base signs its second row and column first
+    assert masks[-1] == _design_rows(family, base, dsets, m)
+    assert masks[:-1] == ([(0b10, 0b10)] if family == "regular" else [])
     assert rep.excess == rep.bound
 
 
 def test_matrix_text_roundtrip():
     h = hd.construct_q3(build_field(11))
     text = h.to_text()
-    again = hd.SignMatrix.from_text(text)
+    again = hd.SignMatrix.from_text([text])
     assert again == h
     assert text.splitlines()[0] == "12"
     assert set("".join(text.splitlines()[1:])) <= {"+", "-"}
@@ -423,15 +420,15 @@ def test_matrix_text_roundtrip():
 
 def test_matrix_text_parse_errors():
     with pytest.raises(ParseError):
-        hd.SignMatrix.from_text("")
+        hd.SignMatrix.from_text([""])
     with pytest.raises(ParseError):
-        hd.SignMatrix.from_text("x\n++\n")
+        hd.SignMatrix.from_text(["x\n++\n"])
     with pytest.raises(ParseError):
-        hd.SignMatrix.from_text("2\n++\n")
+        hd.SignMatrix.from_text(["2\n++\n"])
     with pytest.raises(ParseError):
-        hd.SignMatrix.from_text("2\n+*\n--\n")
+        hd.SignMatrix.from_text(["2\n+*\n--\n"])
     with pytest.raises(ParseError):
-        hd.SignMatrix.from_text("2\n+++\n---\n")
+        hd.SignMatrix.from_text(["2\n+++\n---\n"])
 
 
 def _rows_by_set_rule(text):
@@ -459,10 +456,10 @@ def test_parse_accepts_exactly_what_the_set_rule_accepted(text, accepted):
     want = _rows_by_set_rule(text)
     assert (want is not None) == accepted
     if accepted:
-        assert hd.SignMatrix.from_text(text).rows == want
+        assert hd.SignMatrix.from_text([text]).rows == want
     else:
         with pytest.raises(ParseError):
-            hd.SignMatrix.from_text(text)
+            hd.SignMatrix.from_text([text])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -472,9 +469,9 @@ def test_parse_rows_match_the_set_rule(body):
         want = _rows_by_set_rule(text)
         if want is None:
             with pytest.raises(ParseError):
-                hd.SignMatrix.from_text(text)
+                hd.SignMatrix.from_text([text])
         else:
-            assert hd.SignMatrix.from_text(text).rows == want
+            assert hd.SignMatrix.from_text([text]).rows == want
 
 
 def test_report_json_fields(tower11):
@@ -552,10 +549,8 @@ def flipped(h, i, j):
 
 @pytest.mark.parametrize("family,q", [("q3", 11), ("q1", 13), ("regular", 17)])
 def test_every_single_bit_flip_gets_the_full_check_verdict(family, q):
-    ext, base_ctx = quadratic_tower(q)
     part = shipped_partition(3) if family == "regular" else None
-    base = hd.base_matrix(family, base_ctx)
-    signed, _, _ = hd.transform(ext, family, base=base, partition=part)
+    signed, _, base = hd.transform(quadratic_tower(q)[0], family, partition=part)
     for h in (signed, base):
         for i in range(h.n):
             for j in range(h.n):
@@ -572,16 +567,18 @@ def test_transform_falls_back_to_the_full_check(monkeypatch, tower11):
     monkeypatch.setattr(hd, "hadamard_violation", lambda h: checked.append(h) or real_check(h))
     monkeypatch.setattr(hd, "apply_signing", lambda *args: signed.append(real_signing(*args)) or signed[-1])
     scans = counted_scans(monkeypatch)
-    hd.transform(ext, "q3", base=base)
+    hd.transform(ext, "q3")
     assert checked == signed and scans == []
     # two base rows swapped: still Hadamard, not invariant; the scan passes it
     rows = list(base.rows)
     rows[3], rows[4] = rows[4], rows[3]
-    hd.transform(ext, "q3", base=hd.SignMatrix(base.n, rows))
+    monkeypatch.setattr(hd, "base_matrix", lambda *args: hd.SignMatrix(base.n, rows))
+    hd.transform(ext, "q3")
     assert checked == signed and scans == [12]
     # a flipped base: NotHadamard names the first bad pair
+    monkeypatch.setattr(hd, "base_matrix", lambda *args: flipped(base, 5, 7))
     with pytest.raises(hd.NotHadamard) as info:
-        hd.transform(ext, "q3", base=flipped(base, 5, 7))
+        hd.transform(ext, "q3")
     assert checked == signed and info.value.rows == serial_violation(signed[-1])
 
 

@@ -209,9 +209,6 @@ UNCALLED = {
     "character_sums:clear_caches": "resets the layer's caches between timed test runs",
     "finite_field:clear_caches": "resets the layer's caches between timed test runs",
     "intersection_sets:clear_caches": "resets the layer's caches between timed test runs",
-    "finite_field:FieldContext.elements": "the canonical element order, which the float oracles walk",
-    "finite_field:FieldContext.canonical_index": "idx(x), the point numbering of the D sets, which the tests' design checks index by",
-    "matrix:SignMatrix.entry": "one +1/-1 entry of the bit-packed rows, which the entry-level tests read",
     "matrix:excess_and_bound": "the library's check-then-report: the Hadamard check, then the excess",
 }
 
