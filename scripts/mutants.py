@@ -43,6 +43,11 @@ MUTANTS = [
         "tests/test_intersection_sets.py",
     ),
     Mutant(
+        "admissible-params-half-a-period", "intersection_sets.py",
+        "range(1, 2 * (ext.subfield.q + 1))", "range(1, ext.subfield.q + 1)",
+        "tests/test_intersection_sets.py",
+    ),
+    Mutant(
         "group-certificate-without-distinctness", "matrix.py",
         "        if seen[coord]:\n            return False\n", "",
         "tests/test_hadamard.py",
@@ -93,6 +98,11 @@ MUTANTS = [
         "tests/test_finite_field.py",
     ),
     Mutant(
+        "prime-power-accepts-an-empty-factorization", "finite_field.py",
+        "if len(fac) != 1:", "if len(fac) > 1:",
+        "tests/test_finite_field.py",
+    ),
+    Mutant(
         "gauss-period-pairs-eta-not-flipped", "character_sums.py",
         "((r + q + 1) % e, -1)", "((r + q + 1) % e, 1)",
         "tests/test_character_sums.py",
@@ -101,6 +111,12 @@ MUTANTS = [
         "order8-sign-vector-last-delta-negated", "character_sums.py",
         "want = (eps * (2 * m + 1), delta, 0, delta)", "want = (eps * (2 * m + 1), delta, 0, -delta)",
         "tests/test_character_sums.py",
+    ),
+    Mutant(
+        "table1-miss-least-residue-of-each-dual-class-only", "association_schemes.py",
+        "for r in sorted({dual[j] for j in h_lists[i - 1]}):",
+        "for r in sorted({dual[j] for j in h_lists[i - 1]})[:1]:",
+        "tests/test_association_schemes.py",
     ),
     Mutant(
         "bannai-muzychuk-fewer-dual-classes", "association_schemes.py",

@@ -15,7 +15,6 @@ alone and verify never loads a finite field.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -193,9 +192,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if violation is None else EXIT_VERIFY
 
 
-_ROWS_PER_CHUNK = 4096
-
-
 def _param_row(choice) -> dict:
     """The search-params row of a ParamChoice: its fields that are set, but
     family and m, which every row of a search shares."""
@@ -207,23 +203,14 @@ def cmd_search_params(args) -> int:
     from .intersection_sets import admissible_params
 
     family = args.family
-    if args.limit is not None and args.limit < 0:
-        raise UsageError(f"--limit must be >= 0 (0 lists every row), got {args.limit}")
     q, m = _resolve_q_m(args, family)
     ext, _ = quadratic_tower(q)
     partition = _family_partition(args, family, q, m)
-    choices = admissible_params(ext, family, partition)  # checks the partition before any row
-    # islice refuses a stop past sys.maxsize, more rows than any search yields
-    rows = map(_param_row, itertools.islice(choices, min(args.limit or sys.maxsize, sys.maxsize)))
-    # the bytes of json.dumps(rows, sort_keys=True), encoded a bounded chunk at a time
-    count, sep = 0, ""
-    sys.stdout.write("[")
-    while chunk := list(itertools.islice(rows, _ROWS_PER_CHUNK)):
-        sys.stdout.write(sep + json.dumps(chunk, sort_keys=True)[1:-1])
-        count, sep = count + len(chunk), ", "
-    sys.stdout.write("]\n")
-    if not count:
+    # the rows of one period P; each ell + kP up to max_ell shares its row's fields
+    rows = [_param_row(choice) for choice in admissible_params(ext, family, partition)]
+    if not rows:
         raise ParamSearchFailed("no admissible parameters found; this contradicts the nonemptiness counts")
+    print(json.dumps({"max_ell": q * q - 2, "period": 2 * (q + 1), "rows": rows}, sort_keys=True))
     return EXIT_OK
 
 
@@ -288,12 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("matrix")
     p_ver.set_defaults(func=cmd_verify)
 
-    p_sp = sub.add_parser("search-params", help="list admissible (h, ell) pairs", allow_abbrev=False)
+    p_sp = sub.add_parser("search-params", help="list one period of admissible (h, ell) pairs", allow_abbrev=False)
     p_sp.add_argument("--family", required=True, choices=_FAMILY_NAMES)
     p_sp.add_argument("--q", type=int)
     p_sp.add_argument("--m", type=int)
     p_sp.add_argument("--partition")
-    p_sp.add_argument("--limit", type=int)
     p_sp.set_defaults(func=cmd_search_params)
 
     p_sch = sub.add_parser("scheme", help="verify a partition file or search for partitions", allow_abbrev=False)

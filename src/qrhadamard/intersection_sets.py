@@ -1,6 +1,6 @@
 """Quadratic-residue block designs, the point sets D_{l,H} cut out of GF(q)
 by cyclotomic classes of GF(q^2), their intersection profiles and duals,
-and the admissible-parameter search.
+and the admissible-parameter search over one period of ell.
 
 The designs and profiles are the paper's proof objects: the D sets meet the
 blocks in few sizes, and that fixes the row sums of the signed matrix.
@@ -236,25 +236,14 @@ def _admissibility(ext: FieldContext, family: str, partition):
 
 
 def admissible_params(ext: FieldContext, family: str, partition=None):
-    """An iterator of a family's admissible ParamChoices in ascending ell:
-    admissible_at's on one period P = 2(q+1) as they come, then the other
-    (q-3)/2 periods' as those shifted by P.  A partition is checked at the
-    call, before any pair; only that check loads association_schemes."""
+    """An iterator of a family's admissible ParamChoices on one period, in
+    ascending ell: admissible_at's for ell in 1 .. P - 1, P = 2(q+1).  Every
+    admissible ell up to q^2 - 2 is one of these plus a multiple of P, with
+    the same other fields, and no other ell is (see admissible_at).  A
+    partition is checked at the call, before any pair; only that check loads
+    association_schemes."""
     at = _admissibility(ext, family, partition)
-    q = ext.subfield.q
-    period = 2 * (q + 1)
-
-    def tiled():
-        first = []
-        for r in range(1, period):
-            if (choice := at(r)) is not None:
-                first.append(choice)
-                yield choice
-        for shift in range(period, q * q - 1, period):
-            for choice in first:
-                yield choice._replace(ell=shift + choice.ell)
-
-    return tiled()
+    return filter(None, map(at, range(1, 2 * (ext.subfield.q + 1))))
 
 
 def h_sets(params: ParamChoice) -> tuple[list[int], ...]:

@@ -27,7 +27,7 @@ import os
 from collections import namedtuple
 from math import isqrt
 
-from .errors import HadamardError, NotHadamard, ParseError
+from .errors import HadamardError, ParseError
 
 _TO_TEXT = str.maketrans("01", "+-")
 _FROM_TEXT = str.maketrans("+-", "01")
@@ -311,16 +311,9 @@ class ExcessReport(
     __slots__ = ()
 
 
-def excess_and_bound(h: SignMatrix) -> ExcessReport:
-    """Excess, bound parameters and row-sum classification; exact integers."""
-    bad = hadamard_violation(h)
-    if bad is not None:
-        raise NotHadamard(bad)
-    return _excess_report(h)
-
-
 def _excess_report(h: SignMatrix) -> ExcessReport:
-    """The report half of excess_and_bound, for a matrix known Hadamard."""
+    """Excess, bound parameters and row-sum classification of a matrix known
+    Hadamard; exact integers."""
     n = h.n
     k, t, s, bound, _ = bound_params(n)
     hist: dict[int, int] = {}

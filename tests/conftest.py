@@ -26,6 +26,18 @@ def entry(h, i: int, j: int) -> int:
     return -1 if h.rows[i] >> j & 1 else 1
 
 
+def excess_and_bound(h):
+    """The ExcessReport of a Hadamard SignMatrix, after the one Hadamard
+    check; NotHadamard names the first bad row pair."""
+    from qrhadamard.errors import NotHadamard
+    from qrhadamard.matrix import _excess_report, hadamard_violation
+
+    bad = hadamard_violation(h)
+    if bad is not None:
+        raise NotHadamard(bad)
+    return _excess_report(h)
+
+
 def shipped_partition(m: int):
     """The regular family's partition for m, read from its shipped file."""
     from qrhadamard.association_schemes import parse_partition
@@ -89,6 +101,14 @@ def reference_params(ext, family: str, partition=None):
             if t_of(ell) % four_m2 != t_target:
                 continue
             yield ParamChoice(family, ell, m, tau=tau)
+
+
+def tiled(period_rows, q: int):
+    """The admissible ParamChoices of 1 .. q^2 - 2 in ascending ell, from
+    those of one period P = 2(q+1): each ell + kP with the same other
+    fields."""
+    period = 2 * (q + 1)
+    return [c._replace(ell=c.ell + shift) for shift in range(0, q * q - 1, period) for c in period_rows]
 
 
 class NaiveField:

@@ -10,7 +10,7 @@ import math
 import time
 
 import oracles
-from conftest import counter_indices, shipped_partition, transpose
+from conftest import counter_indices, excess_and_bound, shipped_partition, tiled, transpose
 from qrhadamard import association_schemes as schemes
 from qrhadamard import character_sums as cs
 from qrhadamard import hadamard as hd
@@ -39,7 +39,7 @@ def _report_line(num, label, ok):
 def _reverify_from_file(path):
     """Independent route: reparse the emitted matrix and recompute the report."""
     matrix = hd.SignMatrix.from_text([path.read_text()])
-    return mx.excess_and_bound(matrix)
+    return excess_and_bound(matrix)
 
 
 def test_criterion_1_q3_family(tmp_path):
@@ -130,7 +130,7 @@ def test_criterion_4_formula_oracles():
         family = "q3" if q % 4 == 3 else "q1"
         e = cs.FAMILIES[family].sign_order
         ext, base = quadratic_tower(q)
-        pairs = list(isets.admissible_params(ext, family))
+        pairs = tiled(list(isets.admissible_params(ext, family)), q)  # every admissible ell
         assert pairs, f"no admissible pairs at q={q}"
         for choice in pairs:
             for h_set in _family_h_sets(choice):
@@ -218,7 +218,7 @@ def test_criterion_6_property_suite():
             if mx.hadamard_violation(candidate) is not None:
                 ok = False
         ok &= sum(v * v * c for v, c in rep.row_sums) == rep.n**2
-        rep_t = mx.excess_and_bound(transpose(signed))
+        rep_t = excess_and_bound(transpose(signed))
         ok &= rep_t.excess == rep_t.bound == rep.bound
     print(f"  signing trials: {100 * len(outputs)} across orders {[r.n for _, r, _ in outputs]}")
 

@@ -21,6 +21,7 @@ from conftest import (
     PARSE_CASES,
     SCHEMES_DIR,
     counted_scans,
+    excess_and_bound,
     paley_sylvester,
     reference_params,
     shipped_partition,
@@ -150,7 +151,7 @@ def test_cli_runs_never_import_sympy(tmp_path):
     argvs = [
         ["construct", "--family", "q3", "--q", "11", "--out", str(tmp_path)],
         ["scheme", "--verify", str(SCHEMES_DIR / "m3.scheme")],
-        ["search-params", "--family", "q1", "--q", "13", "--limit", "1"],
+        ["search-params", "--family", "q1", "--q", "13"],
     ]
     script = (
         "import json, sys\n"
@@ -224,7 +225,7 @@ def test_run_constructions_script_fails_on_a_pin_or_a_shortfall(tmp_path, monkey
     def unsigned_q3(ext, family, ell=None, partition=None):
         if family == "q3":
             base = hd.base_matrix(family, ext.subfield)
-            return base, mx.excess_and_bound(base), base
+            return base, excess_and_bound(base), base
         return real(ext, family, ell, partition)
 
     monkeypatch.setattr(hd, "transform", unsigned_q3)
@@ -249,7 +250,7 @@ def test_construct_exits_1_on_a_shortfall_or_a_broken_promise(tmp_path, monkeypa
     }
     # the base matrix left unsigned: biregular, but below the bound
     h = hd.base_matrix("q3", base)
-    monkeypatch.setattr(hd, "transform", lambda ext, family, ell, partition: (h, mx.excess_and_bound(h), h))
+    monkeypatch.setattr(hd, "transform", lambda ext, family, ell, partition: (h, excess_and_bound(h), h))
     assert main(["construct", "--family", "q3", "--m", "1", "--out", str(tmp_path)]) == 1
     diag = {"bound": 36, "classification": "biregular(k1=10,k2=2,m1=1,m2=11)", "excess": 32}
     assert json.loads(capsys.readouterr().err) == {"verification_failure": diag}
@@ -297,9 +298,8 @@ def test_construct_certifies_orthogonality_without_the_full_check(tmp_path, monk
 
 def test_construct_with_explicit_admissible_ell(tmp_path, capsys):
     capsys.readouterr()
-    assert main(["search-params", "--family", "q3", "--q", "11", "--limit", "2"]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    second = rows[1]
+    assert main(["search-params", "--family", "q3", "--q", "11"]) == 0
+    second = json.loads(capsys.readouterr().out)["rows"][1]
     code = main(
         [
             "construct",
@@ -362,44 +362,45 @@ def test_verify_exit_codes_on_the_parse_cases(tmp_path, capsys):
 
 
 def test_search_params(capsys):
-    assert main(["search-params", "--family", "q3", "--q", "11", "--limit", "5"]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert rows and all(r["ell"] % 12 != 0 for r in rows)
+    assert main(["search-params", "--family", "q3", "--q", "11"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert (printed["max_ell"], printed["period"]) == (119, 24)
+    rows = printed["rows"]
+    assert rows and all(r["ell"] % 12 != 0 and r["ell"] < 24 for r in rows)
     assert [r["ell"] for r in rows] == sorted(r["ell"] for r in rows)
-    assert main(["search-params", "--family", "q1", "--q", "5", "--limit", "3"]) == 0
+    assert main(["search-params", "--family", "q1", "--q", "5"]) == 0
     capsys.readouterr()
     assert main(["search-params", "--family", "q3", "--q", "12"]) == 2
     assert main(["search-params", "--family", "q1", "--q", "11"]) == 2
 
 
-@pytest.mark.parametrize("limit", [0, 1, 3, 10**23])
 @pytest.mark.parametrize("family,q", [("q3", 11), ("q1", 13), ("regular", 17)])
-def test_search_params_streams_the_json_list(capsys, monkeypatch, family, q, limit):
-    monkeypatch.setattr(cli, "_ROWS_PER_CHUNK", 2)  # every list but the shortest spans chunks
+def test_search_params_prints_one_period(capsys, family, q):
     ext, _ = finite_field.quadratic_tower(q)
     partition = None
-    argv = ["search-params", "--family", family, "--q", str(q), "--limit", str(limit)]
+    argv = ["search-params", "--family", family, "--q", str(q)]
     if family == "regular":
         partition = shipped_partition(3)
         argv += ["--partition", str(SCHEMES_DIR / "m3.scheme")]
     rows = []
-    for c in isets.admissible_params(ext, family, partition=partition):
+    for c in reference_params(ext, family, partition):
+        if c.ell >= 2 * (q + 1):
+            break
         fields = {"ell": c.ell, "h": c.h, "epsilon": c.epsilon, "delta": c.delta, "tau": c.tau}
         rows.append({k: v for k, v in fields.items() if v is not None})
-    if limit:
-        rows = rows[:limit]
     capsys.readouterr()
     assert main(argv) == 0
-    assert capsys.readouterr().out == json.dumps(rows, sort_keys=True) + "\n"
+    want = {"max_ell": q * q - 2, "period": 2 * (q + 1), "rows": rows}
+    assert capsys.readouterr().out == json.dumps(want, sort_keys=True) + "\n"
 
 
-def test_search_params_with_no_rows_prints_an_empty_list(capsys, monkeypatch):
+def test_search_params_with_no_rows_prints_nothing(capsys, monkeypatch):
     monkeypatch.setattr(isets, "admissible_params", lambda *args, **kwargs: iter(()))
     capsys.readouterr()
-    assert main(["search-params", "--family", "q3", "--q", "11", "--limit", "0"]) == 1
+    assert main(["search-params", "--family", "q3", "--q", "11"]) == 1
     out = capsys.readouterr()
-    assert out.out == "[]\n"
-    assert "no admissible parameters" in out.err
+    assert out.out == ""
+    assert out.err == "error: no admissible parameters found; this contradicts the nonemptiness counts\n"
 
 
 def test_search_params_scheme(capsys):
@@ -413,13 +414,11 @@ def test_search_params_scheme(capsys):
                 "17",
                 "--partition",
                 str(SCHEMES_DIR / "m3.scheme"),
-                "--limit",
-                "4",
             ]
         )
         == 0
     )
-    rows = json.loads(capsys.readouterr().out)
+    rows = json.loads(capsys.readouterr().out)["rows"]
     assert rows and all(r["tau"] == -1 for r in rows)
 
 
@@ -470,20 +469,21 @@ def test_scheme_stdout_matches_the_benchmark_digest(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
-# the sha256 of the full search-params stdout, as printed when the command
-# took the names e8, e4 and scheme: its rows carry no family name
+# the sha256 of the search-params stdout, one period of rows: the rows carry
+# no family name, so the names q3, q1 and regular (once e8, e4 and scheme)
+# leave them as they are
 @pytest.mark.parametrize(
     "argv,digest",
     [
-        (["q3", "--q", "83"], "a6026d520cd0afaa1c6e6e1598ce0b02e641a827171adc8c2a784debb2fa46b6"),
-        (["q1", "--q", "61"], "ab7072a1b194030e716d108173372651f690b6b58c4fdd545ed51726e437388c"),
+        (["q3", "--q", "83"], "c9ff55f858178ee3a58e8a6f8cd4f26c3568f6f399cce481d0eb737376416e6b"),
+        (["q1", "--q", "61"], "05c716e61f13c458cc1252dea873d21e6a78411bed06fb25bc194123d698f92f"),
         (
             ["regular", "--m", "3", "--partition", str(SCHEMES_DIR / "m3.scheme")],
-            "a5da76391949556ce0bf767adfe3d6c67dec2cb5a4470e623d8c0d4decb8fbd9",
+            "348525e02da7fade7a1a89d60a5da75844da391af91c771f9e14f152e2d96f08",
         ),
         (
             ["regular", "--m", "5", "--partition", str(SCHEMES_DIR / "m5.scheme")],
-            "46f3611572e18b5c5182528f371a21c32230257dc855e7d0528cfec604f8d4e8",
+            "e49669b3191a2747c2b11a9fe503b7c4dc7d914c9f7b4dcfb6792b38b1baf0a9",
         ),
     ],
     ids=["q3-83", "q1-61", "regular-m3", "regular-m5"],
@@ -533,8 +533,12 @@ def test_search_params_takes_exactly_one_of_q_and_m(capsys, family, size):
 
 
 def test_search_params_negative_limit(capsys):
-    assert main(["search-params", "--family", "q3", "--q", "11", "--limit", "-1"]) == 2
-    assert capsys.readouterr().out == ""
+    # search-params takes no --limit: argparse refuses it, whatever its value
+    with pytest.raises(SystemExit) as exc:
+        main(["search-params", "--family", "q3", "--q", "11", "--limit", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("error: unrecognized arguments: --limit -1\n")
 
 
 def test_module_entry_point(tmp_path):
@@ -933,15 +937,12 @@ def test_fuzz_construct_small_parameters(tmp_path_factory, family, by, value, el
     family=st.sampled_from(["q3", "q1", "regular"]),
     by=st.sampled_from(["--q", "--m"]),
     value=_small,
-    limit=st.none() | st.integers(-2, 5),
     partition=st.booleans(),
 )
-def test_fuzz_search_params_small_parameters(family, by, value, limit, partition):
+def test_fuzz_search_params_small_parameters(family, by, value, partition):
     if by == "--m":
         value = value % 17 - 8
     argv = ["search-params", "--family", family, f"{by}={value}"]
-    if limit is not None:
-        argv.append(f"--limit={limit}")
     if partition:
         argv += ["--partition", str(SCHEMES_DIR / "m3.scheme")]
     assert main(argv) in _EXIT_CODES
@@ -1130,14 +1131,27 @@ _MESSAGE_TABLE = [
     ("verify {tmp}/odd", 1, '{"hadamard": false, "n": 3, "violating_rows": [0, 1]}\n', ""),
     ("verify {tmp}/not_hadamard", 1, '{"hadamard": false, "n": 4, "violating_rows": [0, 1]}\n', ""),
     ("verify {tmp}/one", 0, '{"excess": 1, "hadamard": true, "n": 1, "row_sums": {"1": 1}}\n', ""),
-    ("search-params --family q3 --q 11 --limit -1", 2, "", "error: --limit must be >= 0 (0 lists every row), got -1\n"),
-    ("search-params --family q3 --limit 1", 2, "", "error: give exactly one of --q and --m\n"),
+    # search-params prints one period and takes no --limit: argparse refuses it
+    (
+        "search-params --family q3 --q 11 --limit -1", 2, "",
+        "usage: qrhadamard [-h] {construct,verify,search-params,scheme} ...\n"
+        "qrhadamard: error: unrecognized arguments: --limit -1\n",
+    ),
+    ("search-params --family q3", 2, "", "error: give exactly one of --q and --m\n"),
     ("search-params --family q3 --q 12", 2, "", "error: q = 12 is not of the q3 form\n"),
     ("search-params --family q3 --m 0", 2, "", "error: the q3 family needs m >= 1, got m = 0\n"),
     ("search-params --family q1 --m 40", 2, "", "error: 3281 is not a prime power\n"),
     (
-        "search-params --family q3 --q 11 --limit 2", 0,
-        '[{"delta": -1, "ell": 5, "epsilon": -1, "h": 0}, {"delta": -1, "ell": 9, "epsilon": -1, "h": 2}]\n', "",
+        "search-params --family q3 --q 11 --limit 2", 2, "",
+        "usage: qrhadamard [-h] {construct,verify,search-params,scheme} ...\n"
+        "qrhadamard: error: unrecognized arguments: --limit 2\n",
+    ),
+    (
+        "search-params --family q3 --q 11", 0,
+        '{"max_ell": 119, "period": 24, "rows": [{"delta": -1, "ell": 5, "epsilon": -1, "h": 0}, '
+        '{"delta": -1, "ell": 9, "epsilon": -1, "h": 2}, {"delta": -1, "ell": 11, "epsilon": -1, "h": 3}, '
+        '{"delta": -1, "ell": 13, "epsilon": -1, "h": 0}, {"delta": -1, "ell": 15, "epsilon": -1, "h": 1}, '
+        '{"delta": -1, "ell": 19, "epsilon": -1, "h": 3}]}\n', "",
     ),
     (
         "search-params --family q3 --q 11 --partition {schemes}/m3.scheme", 2, "",
@@ -1180,8 +1194,16 @@ _MESSAGE_TABLE = [
         "search-params --family regular --q 17 --partition {tmp}/swapped", 1, "", _NOT_A_SCHEME,
     ),
     (
-        "search-params --family regular --q 17 --partition {schemes}/m3.scheme --limit 1", 0, '[{"ell": 3, "tau": -1}]\n',
-        "",
+        "search-params --family regular --q 17 --partition {schemes}/m3.scheme --limit 1", 2, "",
+        "usage: qrhadamard [-h] {construct,verify,search-params,scheme} ...\n"
+        "qrhadamard: error: unrecognized arguments: --limit 1\n",
+    ),
+    (
+        "search-params --family regular --q 17 --partition {schemes}/m3.scheme", 0,
+        '{"max_ell": 287, "period": 36, "rows": [{"ell": 3, "tau": -1}, {"ell": 8, "tau": -1}, '
+        '{"ell": 12, "tau": -1}, {"ell": 14, "tau": -1}, {"ell": 15, "tau": -1}, {"ell": 16, "tau": -1}, '
+        '{"ell": 20, "tau": -1}, {"ell": 22, "tau": -1}, {"ell": 24, "tau": -1}, {"ell": 27, "tau": -1}, '
+        '{"ell": 28, "tau": -1}]}\n', "",
     ),
     ("scheme", 2, "", "error: give --verify FILE or --search\n"),
     ("scheme --search", 2, "", "error: give exactly one of --q and --m\n"),

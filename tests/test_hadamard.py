@@ -13,6 +13,7 @@ from conftest import (
     canonical_index,
     counted_scans,
     entry,
+    excess_and_bound,
     kronecker,
     paley_sylvester,
     scrambled,
@@ -115,7 +116,7 @@ def test_text_round_trip_and_strict_parse():
 
 def test_not_hadamard_carries_rows():
     with pytest.raises(hd.NotHadamard) as info:
-        mx.excess_and_bound(from_entries([[1] * 4] * 4))
+        excess_and_bound(from_entries([[1] * 4] * 4))
     assert info.value.rows == (0, 1)
 
 
@@ -160,7 +161,7 @@ def test_bound_params_examples():
 
 def test_excess_report_order4():
     h = from_entries([[1, 1, 1, -1], [1, 1, -1, 1], [1, -1, 1, 1], [-1, 1, 1, 1]])
-    rep = mx.excess_and_bound(h)
+    rep = excess_and_bound(h)
     assert rep.excess == 8 == rep.bound
     assert rep.classification == "regular(r=2)"
     assert rep.row_sums == ((2, 4),)
@@ -168,9 +169,9 @@ def test_excess_report_order4():
 
 def test_excess_report_rejects_non_hadamard():
     with pytest.raises(hd.NotHadamard):
-        mx.excess_and_bound(from_entries([[1] * 4] * 4))
+        excess_and_bound(from_entries([[1] * 4] * 4))
     with pytest.raises(hd.HadamardError):
-        mx.excess_and_bound(from_entries([[1, 1], [1, -1]]))  # n < 4
+        excess_and_bound(from_entries([[1, 1], [1, -1]]))  # n < 4
 
 
 def test_apply_signing_involution_and_excess_flip():
@@ -249,7 +250,7 @@ def test_q1_m2_frequencies():
 def test_transpose_of_attaining_output_attains(tower11):
     ext, _ = tower11
     signed, rep, _ = hd.transform(ext, "q3")
-    rep_t = mx.excess_and_bound(transpose(signed))
+    rep_t = excess_and_bound(transpose(signed))
     assert rep_t.excess == rep_t.bound == rep.bound
     assert rep_t.classification.startswith("biregular")
 
@@ -625,7 +626,7 @@ def test_group_certificate_proves_the_regular_kronecker_powers(k, monkeypatch):
         h = kronecker(h, core)
     assert mx._group_certified(h) and serial_scan(h) is None
     scans = counted_scans(monkeypatch)
-    rep = mx.excess_and_bound(h)
+    rep = excess_and_bound(h)
     assert scans == []
     assert rep.classification == f"regular(r={2**k})" and rep.excess == rep.bound == 8**k
 

@@ -1,11 +1,13 @@
+import json
 from itertools import combinations, islice, takewhile
 
 import pytest
 
 import oracles
-from conftest import canonical_index, reference_params, shipped_partition
+from conftest import canonical_index, reference_params, shipped_partition, tiled
 from qrhadamard import character_sums as cs
 from qrhadamard import intersection_sets as isets
+from qrhadamard.cli import main
 from qrhadamard.finite_field import ZERO, build_field, quadratic_tower
 
 
@@ -239,21 +241,28 @@ PERIOD_CASES = [
 
 @pytest.mark.parametrize("family,q,m", PERIOD_CASES)
 def test_admissible_params_match_the_scan_of_every_ell(family, q, m):
-    # one period of 2(q+1) residues, tiled, lists what walking every ell lists
+    # one period of 2(q+1) residues, tiled by the period, lists what walking every ell lists
     ext, _ = quadratic_tower(q)
     partition = None if m is None else shipped_partition(m)
     want = list(reference_params(ext, family, partition))
-    assert list(isets.admissible_params(ext, family, partition)) == want
+    period = list(isets.admissible_params(ext, family, partition))
+    assert period and period[-1].ell < 2 * (q + 1)
+    assert tiled(period, q) == want
     assert [isets.admissible_at(ext, family, partition, c.ell) for c in want[-3:]] == want[-3:]
 
 
 @pytest.mark.parametrize("family,q", [("q3", 1091), ("q1", 841)])
-def test_admissible_params_match_the_scan_on_the_first_period(family, q):
+def test_admissible_params_match_the_scan_on_the_first_period(family, q, capsys):
     # q3 q = 1091 has epsilon delta = -1, which no q3 case above has; GF(841) has f = 2
     ext, _ = quadratic_tower(q)
     period = 2 * (q + 1)
     want = list(takewhile(lambda c: c.ell < period, reference_params(ext, family)))
-    assert list(takewhile(lambda c: c.ell < period, isets.admissible_params(ext, family))) == want
+    capsys.readouterr()
+    assert main(["search-params", "--family", family, "--q", str(q)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert (printed["period"], printed["max_ell"]) == (period, q * q - 2)
+    fields = ("ell", "h", "epsilon", "delta")
+    assert printed["rows"] == [dict(zip(fields, (c.ell, c.h, c.epsilon, c.delta))) for c in want]
     assert isets.admissible_at(ext, family, None, want[-1].ell) == want[-1]
 
 
@@ -270,7 +279,8 @@ def test_admissible_count_matches_remark():
         partition = None if m is None else shipped_partition(m)
         residues = [r for r in range(1, 2 * (q + 1)) if isets.admissible_at(ext, family, partition, r)]
         assert len(residues) * (q - 1) // 2 == count
-        assert sum(1 for _ in isets.admissible_params(ext, family, partition)) == count
+        # 1 .. q^2 - 2 is (q-1)/2 whole periods
+        assert sum(1 for _ in isets.admissible_params(ext, family, partition)) * (q - 1) // 2 == count
 
 
 def test_amplitude_vanishes_for_even_index():
@@ -339,7 +349,8 @@ def test_scheme_admissible_count_per_coset(q, m):
     ext, _ = quadratic_tower(q)
     part = shipped_partition(m)
     assert schemes.verify_scheme(ext, part).table1_match
-    count = sum(1 for _ in isets.admissible_params(ext, "regular", partition=part))
+    # per period, times the (q-1)/2 periods of 1 .. q^2 - 2
+    count = sum(1 for _ in isets.admissible_params(ext, "regular", partition=part)) * (q - 1) // 2
     e, n = part.e, ext.order
     h24 = set(part.h_lists[1]) | set(part.h_lists[3])
     cosets = len(h24) * (n // e) // (q - 1)

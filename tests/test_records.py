@@ -209,7 +209,6 @@ UNCALLED = {
     "character_sums:clear_caches": "resets the layer's caches between timed test runs",
     "finite_field:clear_caches": "resets the layer's caches between timed test runs",
     "intersection_sets:clear_caches": "resets the layer's caches between timed test runs",
-    "matrix:excess_and_bound": "the library's check-then-report: the Hadamard check, then the excess",
 }
 
 
