@@ -374,24 +374,34 @@ def test_search_params(capsys):
     assert main(["search-params", "--family", "q1", "--q", "11"]) == 2
 
 
+@pytest.mark.parametrize("limit", [0, 1, 3, 10**23])
 @pytest.mark.parametrize("family,q", [("q3", 11), ("q1", 13), ("regular", 17)])
-def test_search_params_prints_one_period(capsys, family, q):
+def test_search_params_streams_the_json_list(capsys, family, q, limit):
+    # stdout is one period of rows; tiled by the period, its first `limit` rows
+    # (0: all of them) are the first `limit` rows of the walk of every ell
     ext, _ = finite_field.quadratic_tower(q)
     partition = None
     argv = ["search-params", "--family", family, "--q", str(q)]
     if family == "regular":
         partition = shipped_partition(3)
         argv += ["--partition", str(SCHEMES_DIR / "m3.scheme")]
-    rows = []
+    listing = []
     for c in reference_params(ext, family, partition):
-        if c.ell >= 2 * (q + 1):
-            break
         fields = {"ell": c.ell, "h": c.h, "epsilon": c.epsilon, "delta": c.delta, "tau": c.tau}
-        rows.append({k: v for k, v in fields.items() if v is not None})
+        listing.append({k: v for k, v in fields.items() if v is not None})
+    period = 2 * (q + 1)
     capsys.readouterr()
     assert main(argv) == 0
-    want = {"max_ell": q * q - 2, "period": 2 * (q + 1), "rows": rows}
-    assert capsys.readouterr().out == json.dumps(want, sort_keys=True) + "\n"
+    out = capsys.readouterr().out
+    want = {"max_ell": q * q - 2, "period": period, "rows": [r for r in listing if r["ell"] < period]}
+    assert out == json.dumps(want, sort_keys=True) + "\n"
+    printed = json.loads(out)
+    tiled_rows = [
+        dict(r, ell=r["ell"] + shift) for shift in range(0, printed["max_ell"] + 1, printed["period"]) for r in printed["rows"]
+    ]
+    cut = limit or len(listing)
+    assert tiled_rows[:cut] == listing[:cut]
+    assert len(tiled_rows) == len(listing)
 
 
 def test_search_params_with_no_rows_prints_nothing(capsys, monkeypatch):
