@@ -58,6 +58,16 @@ MUTANTS = [
         "tests/test_hadamard.py",
     ),
     Mutant(
+        "scan-passes-rows-closer-than-half", "matrix.py",
+        "if (ri ^ rows[j]).bit_count() != half:", "if (ri ^ rows[j]).bit_count() > half:",
+        "tests/test_hadamard.py",
+    ),
+    Mutant(
+        "certificate-without-sigma-xor-test", "matrix.py",
+        "        if not all(image(r) ^ rows[t] in masks for r, t in zip(rows, target)):\n            continue\n", "",
+        "tests/test_hadamard.py",
+    ),
+    Mutant(
         "violation-without-odd-order-refusal", "matrix.py",
         "    if n % 2 and n > 1:\n        return (0, 1)\n", "",
         "tests/test_hadamard.py",
@@ -105,6 +115,11 @@ MUTANTS = [
     Mutant(
         "gauss-period-pairs-eta-not-flipped", "character_sums.py",
         "((r + q + 1) % e, -1)", "((r + q + 1) % e, 1)",
+        "tests/test_character_sums.py",
+    ),
+    Mutant(
+        "gauss-signs-from-the-upper-half-of-the-pairs", "character_sums.py",
+        "pairs[: order // 2]", "pairs[order // 2 :]",
         "tests/test_character_sums.py",
     ),
     Mutant(
