@@ -98,6 +98,11 @@ MUTANTS = [
         "tests/test_finite_field.py",
     ),
     Mutant(
+        "tower-zech-after-the-back-map", "finite_field.py",
+        "(b - self._coords_b[r])", "(self._coords_b[r] - b)",
+        "tests/test_finite_field.py",
+    ),
+    Mutant(
         "tower-trace-of-a-zero-relative-trace", "finite_field.py",
         "        if rel == ZERO:\n            return 0\n", "        if rel == ZERO:\n            return 1\n",
         "tests/test_finite_field.py",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 from collections import Counter, namedtuple
-from functools import lru_cache
 from math import isqrt, sqrt
 
 # the exceptions this layer raises, importable from here too
@@ -30,7 +29,6 @@ from .finite_field import ZERO, FieldContext
 TOL = 1e-6
 
 
-@lru_cache(maxsize=None)
 def roots_of_unity(m: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * cmath.pi * k / m) for k in range(m))
 
@@ -40,7 +38,6 @@ def _check_order(ctx: FieldContext, e: int) -> None:
         raise CharError(f"character order {e} does not divide q-1 = {ctx.order}")
 
 
-@lru_cache(maxsize=None)
 def gauss_periods(ctx: FieldContext, e: int) -> tuple[complex, ...]:
     """Additive-character sums over the e cyclotomic classes."""
     _check_order(ctx, e)
@@ -246,8 +243,3 @@ def _sign_order(family: str) -> int:
     if order is None:
         raise CharError(f"no Gauss-sum sign pair for family {family!r}")
     return order
-
-
-def clear_caches() -> None:
-    gauss_periods.cache_clear()
-    roots_of_unity.cache_clear()

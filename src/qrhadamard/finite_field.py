@@ -47,7 +47,6 @@ import itertools
 from array import array
 from collections import namedtuple
 from collections.abc import Callable
-from functools import lru_cache
 from math import gcd, isqrt
 from operator import mul
 
@@ -130,22 +129,12 @@ def _powmod(a: list[int], k: int, mod: tuple[int, ...], p: int) -> list[int]:
     return result
 
 
-def _rem(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _trim(list(a)), _trim(list(b))
-    inv_lead = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - len(b)
-        for j, bj in enumerate(b):
-            a[shift + j] = (a[shift + j] - c * bj) % p
-        _trim(a)
-    return a
-
-
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = _trim(list(a)), _trim(list(b))
     while b:
-        a, b = b, _rem(a, b, p)
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]  # monic, as _reduce's modulus must be
+        a, b = b, _reduce(a, tuple(b), p)
     return a
 
 
@@ -209,8 +198,7 @@ def is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     if coeffs[0] == 0:  # root at 0
         return False
     x = [0, 1]
-    t = _powmod(x, p**f, coeffs, p)
-    if _sub_poly(t, x, p):
+    if _powmod(x, p**f, coeffs, p) != x:
         return False
     for r in _factor(f):
         t = _powmod(x, p ** (f // r), coeffs, p)
@@ -241,10 +229,6 @@ class FieldSpec(namedtuple("FieldSpec", "p f modulus")):
     """Prime p, degree f and the canonical modulus (constant term first)."""
 
     __slots__ = ()
-
-    @property
-    def q(self) -> int:
-        return self.p**self.f
 
 
 class FieldContext:
@@ -464,7 +448,6 @@ class FieldContext:
         return f"FieldContext(GF({self.p}^{self.f}))"
 
 
-@lru_cache(maxsize=None)
 def build_field(p: int, f: int = 1) -> FieldContext:
     """Deterministic GF(p^f): lex-least modulus, lex-least primitive element."""
     if f < 1:
@@ -566,7 +549,3 @@ def quadratic_tower(q: int) -> tuple[FieldContext, FieldContext]:
     p, f = prime_power(q)
     ext = build_field(p, 2 * f)
     return ext, ext.subfield
-
-
-def clear_caches() -> None:
-    build_field.cache_clear()

@@ -18,7 +18,6 @@ float oracles (tests/oracles.py).
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from math import gcd
 
 from . import character_sums as cs
@@ -50,21 +49,6 @@ class ParamChoice(
     __slots__ = ()
 
 
-@lru_cache(maxsize=None)
-def _zech_masks(ctx: FieldContext) -> tuple[tuple[int, int], tuple[int, int]]:
-    """For each parity of j: the mask of the Zech logs Z(j) = log(1 + omega^j)
-    over the nonzero j of that parity, and 1 where Z(j) is ZERO.  One pass
-    over the Zech logs serves both parities of class_translates."""
-    masks, zero_bit = [0, 0], [0, 0]
-    for j, z in enumerate(map(ctx._zech, ctx.nonzero())):
-        if z == ZERO:
-            zero_bit[j % 2] = 1
-        else:
-            masks[j % 2] |= 1 << z
-    return tuple(masks), tuple(zero_bit)
-
-
-@lru_cache(maxsize=None)
 def class_translates(ctx: FieldContext, parity: int) -> tuple[int, ...]:
     """Masks of x + C_parity over canonical point indices, one per x in
     canonical order; C_0 are the nonzero squares and C_1 the nonsquares of
@@ -76,7 +60,14 @@ def class_translates(ctx: FieldContext, parity: int) -> tuple[int, ...]:
     of two parity masks, plus the bit of 0 where Z(j - i) is ZERO.
     """
     n = ctx.order
-    masks, zero_bit = _zech_masks(ctx)
+    # per parity of j: the mask of the Zech logs Z(j) over the nonzero j of
+    # that parity, and 1 where Z(j) is ZERO
+    masks, zero_bit = [0, 0], [0, 0]
+    for j, z in enumerate(map(ctx._zech, ctx.nonzero())):
+        if z == ZERO:
+            zero_bit[j % 2] = 1
+        else:
+            masks[j % 2] |= 1 << z
     # bits 1..n of doubled >> (n - i) are the mask rotated left by i, shifted past the bit of 0
     doubled = [(m | m << n) << 1 for m in masks]
     full = ((1 << n) - 1) << 1
@@ -87,7 +78,6 @@ def class_translates(ctx: FieldContext, parity: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
 def _translate_masks(ctx: FieldContext, with_zero: bool) -> tuple[int, ...]:
     """Masks of (C_0 (+ {0})) + s over canonical point indices, one per s."""
     rows = class_translates(ctx, 0)
@@ -284,9 +274,3 @@ def find_params(ext: FieldContext, family: str, partition=None) -> ParamChoice:
     for choice in admissible_params(ext, family, partition):
         return choice
     raise NotFound(f"no admissible parameters for family {family} at q = {ext.subfield.q}")
-
-
-def clear_caches() -> None:
-    _zech_masks.cache_clear()
-    class_translates.cache_clear()
-    _translate_masks.cache_clear()

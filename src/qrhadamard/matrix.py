@@ -285,21 +285,15 @@ def _forked_scan(rows, n: int, w: int) -> tuple[int, int] | None:
     return None if first == n else _scan(rows, n, first, n, [n], 0)
 
 
-def bound_params(n: int) -> tuple[int, int, int, int, int]:
-    """(k, t, s, bound, bound_other_branch) of the excess upper bound."""
+def bound_params(n: int) -> tuple[int, int, int, int]:
+    """(k, t, s, bound) of the excess upper bound."""
     if n < 4:
         raise HadamardError("excess bound is stated for n >= 4")
     k = isqrt(n)
     k -= k % 2
     t = k if abs(n - k * k) < abs(n - (k + 2) ** 2) else k - 2
-
-    def bnd(tt: int) -> int:
-        s = n * ((tt + 4) ** 2 - n) // (8 * tt + 16)
-        return n * (tt + 4) - 4 * s
-
     s = n * ((t + 4) ** 2 - n) // (8 * t + 16)
-    t_alt = k - 2 if t == k else k
-    return k, t, s, bnd(t), bnd(t_alt)
+    return k, t, s, n * (t + 4) - 4 * s
 
 
 class ExcessReport(
@@ -315,7 +309,7 @@ def _excess_report(h: SignMatrix) -> ExcessReport:
     """Excess, bound parameters and row-sum classification of a matrix known
     Hadamard; exact integers."""
     n = h.n
-    k, t, s, bound, _ = bound_params(n)
+    k, t, s, bound = bound_params(n)
     hist: dict[int, int] = {}
     for v in h.row_sums():
         hist[v] = hist.get(v, 0) + 1

