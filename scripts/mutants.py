@@ -159,13 +159,13 @@ MUTANTS = [
         "tests/test_hadamard.py",
     ),
     Mutant(
-        "exit-codes-budget-row-after-input-row", "cli.py",
-        "    (BudgetExceeded, EXIT_BUDGET),\n"
-        "    ((SchemeInvalid, HadamardError), EXIT_VERIFY),\n"
-        "    ((UsageError, InputFileError, FieldError, CharError, SchemeError), EXIT_INPUT),\n",
-        "    ((SchemeInvalid, HadamardError), EXIT_VERIFY),\n"
-        "    ((UsageError, InputFileError, FieldError, CharError, SchemeError), EXIT_INPUT),\n"
-        "    (BudgetExceeded, EXIT_BUDGET),\n",
+        "budget-exceeded-exits-as-an-input-error", "errors.py",
+        "    code = 3\n", "    code = 2\n",
+        "tests/test_cli.py",
+    ),
+    Mutant(
+        "verify-error-exits-as-an-input-error", "errors.py",
+        "    code = 1\n", "    code = 2\n",
         "tests/test_cli.py",
     ),
     Mutant(

@@ -22,8 +22,7 @@ import math
 from collections import namedtuple
 
 from . import character_sums as cs
-# the exceptions this layer raises, importable from here too
-from .errors import BadForm, BudgetExceeded, ParseError, SchemeError, SchemeInvalid
+from .errors import BudgetExceeded, InputError, VerifyError
 from .finite_field import FieldContext
 
 DEFAULT_SEARCH_BUDGET = 1 << 24
@@ -37,15 +36,15 @@ class SchemePartition(namedtuple("SchemePartition", "q m e h_lists")):
 
     def __new__(cls, q, m, e, h_lists):
         if len(h_lists) != 4:
-            raise BadForm("expected exactly four index lists")
+            raise InputError("expected exactly four index lists")
         seen: set[int] = set()
         for hs in h_lists:
             for j in hs:
                 if not 0 <= j < e or j in seen:
-                    raise BadForm("index lists must partition [0, e)")
+                    raise InputError("index lists must partition [0, e)")
                 seen.add(j)
         if len(seen) != e:
-            raise BadForm("index lists must partition [0, e)")
+            raise InputError("index lists must partition [0, e)")
         return super().__new__(cls, q, m, e, h_lists)
 
     @classmethod
@@ -95,16 +94,13 @@ def _plain_int(token: str) -> int:
 def parse_partition(text: str) -> SchemePartition:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) != 5:
-        raise ParseError("partition file needs a header line and four index lines")
+        raise InputError("partition file needs a header line and four index lines")
     try:
         q, m, e = map(_plain_int, lines[0].split())
         h_lists = tuple(tuple(map(_plain_int, ln.split())) for ln in lines[1:])
     except ValueError as exc:
-        raise ParseError(f"malformed partition file: {exc}") from exc
-    try:
-        return normalized_partition(q, m, e, h_lists)
-    except BadForm as exc:
-        raise ParseError(str(exc)) from exc
+        raise InputError(f"malformed partition file: {exc}") from exc
+    return normalized_partition(q, m, e, h_lists)
 
 
 def _check_form(ext: FieldContext, q: int, m: int, e: int, search: bool = False) -> None:
@@ -112,17 +108,17 @@ def _check_form(ext: FieldContext, q: int, m: int, e: int, search: bool = False)
     regular FAMILIES row, e | q^2-1 and e | 4m^2.  A search also needs even
     e, and names all its conditions on e in one message."""
     if ext.subfield is None or ext.subfield.q != q:
-        raise BadForm(f"context is not the quadratic tower over GF({q})")
+        raise InputError(f"context is not the quadratic tower over GF({q})")
     if m < 1 or cs.family_q(m, "regular") != q:
-        raise BadForm(f"q = {q} is not of the regular form at m = {m}")
+        raise InputError(f"q = {q} is not of the regular form at m = {m}")
     if cs.FAMILIES["regular"].odd_m and m % 2 == 0:
-        raise BadForm("the regular family needs odd m")
+        raise InputError("the regular family needs odd m")
     if search and (e < 4 or e % 2 or ext.order % e or (4 * m * m) % e):
-        raise BadForm(f"e = {e} must be even and divide both 4m^2 and q^2-1")
+        raise InputError(f"e = {e} must be even and divide both 4m^2 and q^2-1")
     if e < 4 or ext.order % e:
-        raise BadForm(f"e = {e} does not divide q^2-1")
+        raise InputError(f"e = {e} does not divide q^2-1")
     if (4 * m * m) % e:
-        raise BadForm("e must divide 4m^2")
+        raise InputError("e must divide 4m^2")
 
 
 def _shifted(part: SchemePartition) -> bool:
@@ -269,10 +265,10 @@ def verify_scheme(ext: FieldContext, part: SchemePartition) -> SchemeReport:
 
 def require_scheme(ext: FieldContext, part: SchemePartition) -> SchemeReport:
     """The report of a partition that is a scheme matching table 1, the
-    promise the regular family rests on; SchemeInvalid otherwise."""
+    promise the regular family rests on; VerifyError otherwise."""
     report = verify_scheme(ext, part)
     if not (report.is_scheme and report.table1_match):
-        raise SchemeInvalid("partition fails scheme or eigenvalue-table verification")
+        raise VerifyError("partition fails scheme or eigenvalue-table verification")
     return report
 
 
@@ -339,7 +335,7 @@ def scheme_search(ext: FieldContext, e: int, budget: int = DEFAULT_SEARCH_BUDGET
     search over budget raises BudgetExceeded before any work.
     """
     if ext.subfield is None:
-        raise BadForm("search needs the quadratic tower")
+        raise InputError("search needs the quadratic tower")
     q = ext.subfield.q
     m = cs.family_m(q, "regular")
     _check_form(ext, q, m, e, search=True)

@@ -22,8 +22,7 @@ import cmath
 from collections import Counter, namedtuple
 from math import isqrt, sqrt
 
-# the exceptions this layer raises, importable from here too
-from .errors import CharError, NoMatch, NoSubfield
+from .errors import InputError
 from .finite_field import ZERO, FieldContext
 
 TOL = 1e-6
@@ -35,7 +34,7 @@ def roots_of_unity(m: int) -> tuple[complex, ...]:
 
 def _check_order(ctx: FieldContext, e: int) -> None:
     if e < 1 or ctx.order % e:
-        raise CharError(f"character order {e} does not divide q-1 = {ctx.order}")
+        raise InputError(f"character order {e} does not divide q-1 = {ctx.order}")
 
 
 def gauss_periods(ctx: FieldContext, e: int) -> tuple[complex, ...]:
@@ -127,7 +126,7 @@ def family_m(q: int, family: str) -> int:
         for m in (r, r + 1):
             if a * m * m + b * m + c == q:
                 return m
-    raise CharError(f"q = {q} is not of the {family} form")
+    raise InputError(f"q = {q} is not of the {family} form")
 
 
 def quadratic_gauss_sum(ctx: FieldContext) -> tuple[int, int]:
@@ -137,7 +136,7 @@ def quadratic_gauss_sum(ctx: FieldContext) -> tuple[int, int]:
     only for q = 1 mod 4: sqrt(q) for odd f, an integer (b = 0) for even f."""
     p, f = ctx.p, ctx.f
     if p == 2 or ctx.q % 4 != 1:
-        raise CharError(f"G_q(eta) is not real at q = {ctx.q}")
+        raise InputError(f"G_q(eta) is not real at q = {ctx.q}")
     if f % 2:  # then p = 1 mod 4
         return 0, 1
     i_f = (-1) ** (f // 2) if p % 4 == 3 else 1
@@ -154,10 +153,10 @@ def gauss_period_pairs(ext: FieldContext, e: int) -> tuple[tuple[int, int], ...]
     omega^r' with N(omega) a non-square, so the upper q + 1 classes flip eta:
     the tower's q + 1 stored relative traces decide every period."""
     if ext.subfield is None:
-        raise NoSubfield("exact periods need the quadratic tower GF(q) in GF(q^2)")
+        raise InputError("exact periods need the quadratic tower GF(q) in GF(q^2)")
     q = ext.subfield.q
     if e < 1 or 2 * (q + 1) % e:
-        raise CharError(f"period order {e} does not divide 2(q+1) = {2 * (q + 1)}")
+        raise InputError(f"period order {e} does not divide 2(q+1) = {2 * (q + 1)}")
     zeros, etas = [0] * e, [0] * e
     for r, tr in enumerate(ext._rel_traces):
         for r2, sign in ((r % e, 1), ((r + q + 1) % e, -1)):
@@ -188,7 +187,7 @@ def signs_from_counts(diffs, family: str, m: int) -> tuple[int, int]:
                 want = (eps * a, delta * b)
             if diffs == want:
                 return eps, delta
-    raise NoMatch(f"Gauss-sum period differences {diffs} fit no {family} sign pair at m = {m}")
+    raise InputError(f"Gauss-sum period differences {diffs} fit no {family} sign pair at m = {m}")
 
 
 def gauss_signs(ext: FieldContext, family: str) -> tuple[int, int]:
@@ -201,7 +200,7 @@ def gauss_signs(ext: FieldContext, family: str) -> tuple[int, int]:
     zeta_e^r P_e[r].  So G_{q^2}(chi_e) = G_q(eta) sum_j B_j zeta_e^j, j < e/2."""
     order = _sign_order(family)
     if ext.subfield is None:
-        raise NoSubfield("the sign pair needs the quadratic tower GF(q) in GF(q^2)")
+        raise InputError("the sign pair needs the quadratic tower GF(q) in GF(q^2)")
     m = family_m(ext.subfield.q, family)
     pairs = gauss_period_pairs(ext, order)
     return signs_from_counts(tuple(b for _, b in pairs[: order // 2]), family, m)
@@ -212,7 +211,7 @@ def decompose_gauss(ext: FieldContext, family: str) -> GaussDecomposition:
     Gauss-sum closed form over GF(q^2) against the numeric sum."""
     order = _sign_order(family)  # refuses a family without a sign pair before any sum
     if ext.subfield is None:
-        raise NoSubfield("decomposition needs the quadratic tower GF(q) in GF(q^2)")
+        raise InputError("decomposition needs the quadratic tower GF(q) in GF(q^2)")
     base = ext.subfield
     q = base.q
     m = family_m(q, family)
@@ -225,7 +224,7 @@ def decompose_gauss(ext: FieldContext, family: str) -> GaussDecomposition:
                 cand = g_eta * (eps * (2 * m + 1) + delta * sqrt_m2)
                 if abs(cand - target) < TOL:
                     return GaussDecomposition(eps, delta, FORM_ORDER8, m, cand)
-        raise NoMatch(f"no order-8 sign pattern matches at q = {q}")
+        raise InputError(f"no order-8 sign pattern matches at q = {q}")
     # sign order 4
     target = g_eta * gauss_sum(ext, 4, 1) / q
     form = FORM_ORDER4_ODD if m % 2 else FORM_ORDER4_EVEN
@@ -235,11 +234,11 @@ def decompose_gauss(ext: FieldContext, family: str) -> GaussDecomposition:
             cand = eps * a + delta * b * 1j
             if abs(cand - target) < TOL:
                 return GaussDecomposition(eps, delta, form, m, cand)
-    raise NoMatch(f"no order-4 sign pattern matches at q = {q}")
+    raise InputError(f"no order-4 sign pattern matches at q = {q}")
 
 
 def _sign_order(family: str) -> int:
     order = FAMILIES[family].sign_order
     if order is None:
-        raise CharError(f"no Gauss-sum sign pair for family {family!r}")
+        raise InputError(f"no Gauss-sum sign pair for family {family!r}")
     return order

@@ -2,10 +2,10 @@
 files, list admissible parameters, and verify or search scheme partitions.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 budget
-exhausted.  The commands raise their errors, and main maps each to its code
-through one table, _EXIT_CODES.  Runs are fully deterministic (fixed
-modulus, fixed primitive element, ascending parameter listings) and outputs are
-written atomically.
+exhausted.  The commands raise their errors, each of which carries its code
+(qrhadamard.errors), and main prints the message and returns the code.
+Runs are fully deterministic (fixed modulus, fixed primitive element,
+ascending parameter listings) and outputs are written atomically.
 
 Importing this module loads no layer of the package, only its exceptions:
 each command imports the layers it runs, so --help compiles this file
@@ -20,23 +20,11 @@ import os
 import sys
 import tempfile
 
-from .errors import (
-    BadEll,
-    BudgetExceeded,
-    CharError,
-    FieldError,
-    HadamardError,
-    InputFileError,
-    ParamSearchFailed,
-    SchemeError,
-    SchemeInvalid,
-    UsageError,
-)
+from .errors import BadEll, Error, InputError, VerifyError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
-EXIT_BUDGET = 3
 
 
 def _atomic_write(path: str, chunks) -> None:
@@ -70,10 +58,10 @@ def _input_lines(path: str):
                     yield raw.decode("utf-8")
                 except UnicodeDecodeError as exc:
                     reason = f"byte {offset + exc.start}: {exc.reason}"
-                    raise InputFileError(f"{path} is not UTF-8 text ({reason})") from None
+                    raise InputError(f"{path} is not UTF-8 text ({reason})") from None
                 offset += len(raw)
     except OSError as exc:
-        raise InputFileError(str(exc)) from None
+        raise InputError(str(exc)) from None
 
 
 def _read_partition(path: str):
@@ -89,14 +77,14 @@ def _resolve_q_m(args, family: str) -> tuple[int, int]:
     from .finite_field import prime_power
 
     if (args.q is None) == (args.m is None):
-        raise UsageError("give exactly one of --q and --m")
+        raise InputError("give exactly one of --q and --m")
     q = args.q if args.m is None else family_q(args.m, family)
-    m = family_m(q, family) if args.m is None else args.m  # a q of another form raises CharError
+    m = family_m(q, family) if args.m is None else args.m  # a q of another form raises InputError
     if m < 1:
-        raise UsageError(f"the {family} family needs m >= 1, got m = {m}")
-    prime_power(q)  # raises FieldError if not a prime power
+        raise InputError(f"the {family} family needs m >= 1, got m = {m}")
+    prime_power(q)  # raises InputError if not a prime power
     if FAMILIES[family].odd_m and m % 2 == 0:
-        raise UsageError(f"the {family} family needs odd m")
+        raise InputError(f"the {family} family needs odd m")
     return q, m
 
 
@@ -108,13 +96,13 @@ def _family_partition(args, family: str, q: int, m: int):
 
     if not FAMILIES[family].partition:
         if args.partition:
-            raise UsageError(f"the {family} family takes no --partition")
+            raise InputError(f"the {family} family takes no --partition")
         return None
     if not args.partition:
-        raise UsageError(f"--partition is required for the {family} family")
+        raise InputError(f"--partition is required for the {family} family")
     partition = _read_partition(args.partition)
     if partition.q != q or partition.m != m:
-        raise UsageError("partition file does not match the requested q/m")
+        raise InputError("partition file does not match the requested q/m")
     return partition
 
 
@@ -157,14 +145,14 @@ def cmd_construct(args) -> int:
     try:  # only a refused ell raises BadEll: an admissible one meets no other
         rep, files = construction(ext, family, args.ell, partition)
     except BadEll:
-        raise UsageError(f"--ell {args.ell} is not admissible for this family") from None
+        raise InputError(f"--ell {args.ell} is not admissible for this family") from None
     out = args.out or "."
     try:
         os.makedirs(out, exist_ok=True)
         for name, chunks in files.items():
             _atomic_write(os.path.join(out, name), chunks)
     except OSError as exc:
-        raise InputFileError(f"cannot write the outputs under --out {out}: {exc}") from None
+        raise InputError(f"cannot write the outputs under --out {out}: {exc}") from None
     for k, v in sorted(report_json(rep).items()):
         print(f"{k}: {json.dumps(v, sort_keys=True)}")
     diag = promise_miss(family, rep)
@@ -209,7 +197,7 @@ def cmd_search_params(args) -> int:
     # the rows of one period P; each ell + kP up to max_ell shares its row's fields
     rows = [_param_row(choice) for choice in admissible_params(ext, family, partition)]
     if not rows:
-        raise ParamSearchFailed("no admissible parameters found; this contradicts the nonemptiness counts")
+        raise VerifyError("no admissible parameters found; this contradicts the nonemptiness counts")
     print(json.dumps({"max_ell": q * q - 2, "period": 2 * (q + 1), "rows": rows}, sort_keys=True))
     return EXIT_OK
 
@@ -219,11 +207,11 @@ def cmd_scheme(args) -> int:
     from .finite_field import quadratic_tower
 
     if args.verify and (args.search or any(v is not None for v in (args.q, args.m, args.e, args.budget))):
-        raise UsageError("--verify takes none of --search, --q, --m, --e and --budget")
+        raise InputError("--verify takes none of --search, --q, --m, --e and --budget")
     if args.search:
         budget = schemes.DEFAULT_SEARCH_BUDGET if args.budget is None else args.budget
         if budget < 0:
-            raise UsageError(f"--budget must be >= 0, got {budget}")
+            raise InputError(f"--budget must be >= 0, got {budget}")
         q, m = _resolve_q_m(args, "regular")
         ext, _ = quadratic_tower(q)
         e = 4 * m * m if args.e is None else args.e
@@ -234,7 +222,7 @@ def cmd_scheme(args) -> int:
         print(f"found {len(results)} partition(s)", file=sys.stderr)
         return EXIT_OK
     if not args.verify:
-        raise UsageError("give --verify FILE or --search")
+        raise InputError("give --verify FILE or --search")
     partition = _read_partition(args.verify)
     ext, _ = quadratic_tower(partition.q)
     report = schemes.verify_scheme(ext, partition)
@@ -294,15 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The exit code of each error a command raises: the first row whose classes
-# match wins.  Any other exception is a bug and keeps its traceback.
-_EXIT_CODES = (
-    (BudgetExceeded, EXIT_BUDGET),
-    ((SchemeInvalid, HadamardError), EXIT_VERIFY),
-    ((UsageError, InputFileError, FieldError, CharError, SchemeError), EXIT_INPUT),
-)
-
-
 def main(argv=None) -> int:
     try:
         try:  # --help prints and exits inside parse_args
@@ -315,12 +294,9 @@ def main(argv=None) -> int:
             os.dup2(null.fileno(), sys.stdout.fileno())
         print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except Exception as exc:
-        for kinds, code in _EXIT_CODES:
-            if isinstance(exc, kinds):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        raise
+    except Error as exc:  # any other exception is a bug and keeps its traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,84 +1,34 @@
-"""The package's exceptions, in one module that imports nothing, so that the
-CLI maps every error to its exit code without loading a layer.  Each layer
-re-exports the ones it raises under its own name: finite_field.FieldError,
-character_sums.CharError, intersection_sets.IntersectionError,
-association_schemes.SchemeError, hadamard.HadamardError and so on.
+"""The package's exceptions: one class per exit code, each carrying its code,
+in one module that imports nothing.  A command raises one, and cli.main
+prints ``error: <message>`` and returns its ``code``, without loading a
+layer.  Any other exception is a bug and keeps its traceback.
 """
 
 
-class FieldError(ValueError):
-    """Base class for field construction and arithmetic errors."""
+class Error(Exception):
+    """Base of the errors a command reports; a bare Error is an input error."""
+
+    code = 2
 
 
-class NotPrime(FieldError):
-    pass
+class InputError(Error):
+    """An argument, field, partition or matrix file that names no valid run,
+    an input file that cannot be read, or an output that cannot be written."""
 
 
-class TooLarge(FieldError):
-    pass
+class VerifyError(Error):
+    """A matrix, partition or construction that fails its verification."""
+
+    code = 1
 
 
-class NoSubfield(FieldError):
-    pass
+class BudgetExceeded(Error):
+    """A scheme search that needs more candidates than its budget allows."""
+
+    code = 3
 
 
-class DivisionByZero(ZeroDivisionError):
-    pass
-
-
-class CharError(ValueError):
-    pass
-
-
-class NoMatch(CharError):
-    """No closed-form sign pair matches the coset counts or the numeric sum."""
-
-
-class IntersectionError(ValueError):
-    pass
-
-
-class WrongResidue(IntersectionError):
-    pass
-
-
-class BadE(IntersectionError):
-    pass
-
-
-class BadEll(IntersectionError):
-    pass
-
-
-class NotFound(IntersectionError):
-    """No admissible parameter pair; signals an implementation bug."""
-
-
-class SchemeError(ValueError):
-    pass
-
-
-class BadForm(SchemeError):
-    pass
-
-
-class SchemeInvalid(SchemeError):
-    pass
-
-
-class BudgetExceeded(SchemeError):
-    pass
-
-
-class ParseError(SchemeError):
-    """A partition or matrix file that does not parse."""
-
-
-class HadamardError(ValueError):
-    pass
-
-
-class NotHadamard(HadamardError):
+class NotHadamard(VerifyError):
     """Carries the first row pair (i, j) with nonzero dot product."""
 
     def __init__(self, rows: tuple[int, int]):
@@ -86,22 +36,5 @@ class NotHadamard(HadamardError):
         self.rows = rows
 
 
-class LengthMismatch(HadamardError):
-    pass
-
-
-class NotPrimePower(HadamardError):
-    pass
-
-
-class ParamSearchFailed(HadamardError):
-    pass
-
-
-class UsageError(Exception):
-    """Arguments that do not name a valid run."""
-
-
-class InputFileError(Exception):
-    """An input file that cannot be opened or is not UTF-8 text, or an
-    output directory that cannot be written."""
+class BadEll(InputError):
+    """An ell that is not admissible; construct names it as --ell."""

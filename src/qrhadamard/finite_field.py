@@ -50,7 +50,7 @@ from collections.abc import Callable
 from math import gcd, isqrt
 from operator import mul
 
-from .errors import DivisionByZero, FieldError, NoSubfield, NotPrime, TooLarge
+from .errors import InputError
 
 ZERO = -1  # rep of the zero element; logs are >= 0
 _NOT_PRIMITIVE = "omega repeats an element; it is not primitive"
@@ -243,7 +243,7 @@ class FieldContext:
     def __init__(self, spec: FieldSpec):
         p, f = spec.p, spec.f
         if not is_irreducible(spec.modulus, p):
-            raise FieldError(f"modulus {spec.modulus} is not monic irreducible over GF({p})")
+            raise InputError(f"modulus {spec.modulus} is not monic irreducible over GF({p})")
         self.spec = spec
         self.p = p
         self.f = f
@@ -409,15 +409,8 @@ class FieldContext:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def pow(self, a: int, k: int) -> int:
-        if a == ZERO:
-            if k <= 0:
-                raise DivisionByZero("0 cannot be raised to a nonpositive power")
-            return ZERO
-        return (a * k) % self.order
-
     def frobenius(self, a: int) -> int:
-        return self.pow(a, self.p) if a != ZERO else ZERO
+        return ZERO if a == ZERO else (a * self.p) % self.order
 
     # -- representation helpers ---------------------------------------------
 
@@ -434,7 +427,7 @@ class FieldContext:
 
     def _require_subfield(self) -> FieldContext:
         if self.subfield is None:
-            raise NoSubfield(f"GF({self.p}^{self.f}) has no index-2 subfield here")
+            raise InputError(f"GF({self.p}^{self.f}) has no index-2 subfield here")
         return self.subfield
 
     def embed(self, x: int) -> int:
@@ -451,18 +444,18 @@ class FieldContext:
 def build_field(p: int, f: int = 1) -> FieldContext:
     """Deterministic GF(p^f): lex-least modulus, lex-least primitive element."""
     if f < 1:
-        raise FieldError("extension degree must be >= 1")
+        raise InputError("extension degree must be >= 1")
     if p < 2:
-        raise NotPrime(f"{p} is not prime")
+        raise InputError(f"{p} is not prime")
     if f >= MAX_FIELD_SIZE.bit_length() or p**f > MAX_FIELD_SIZE:
         if f % 2:
             why = f"{TABLE_BYTES_PER_ELEMENT} B of tables per element, {TABLE_BUDGET_BYTES >> 20} MiB budget"
         else:
             bound = isqrt(MAX_FIELD_SIZE)
             why = f"a tower holds no table: the cap bounds GF({p}^{f // 2}) by {bound}, and so the matrix order"
-        raise TooLarge(f"GF({p}^{f}) exceeds the cap of {MAX_FIELD_SIZE} elements ({why})")
+        raise InputError(f"GF({p}^{f}) exceeds the cap of {MAX_FIELD_SIZE} elements ({why})")
     if _factor(p) != {p: 1}:
-        raise NotPrime(f"{p} is not prime")
+        raise InputError(f"{p} is not prime")
     return FieldContext(FieldSpec(p, f, _least_irreducible(p, f)))
 
 
@@ -492,7 +485,7 @@ def _subfield_logs(ext: FieldContext, base: FieldContext) -> tuple[int, int, int
     primitive element is omega^(nu t) for the least t coprime to base.q-1
     that makes it a root of that element's minimal polynomial."""
     if ext.p != base.p or ext.f % base.f:
-        raise NoSubfield("not a subfield pair")
+        raise InputError("not a subfield pair")
     p, d, mod_poly, order = ext.p, base.f, ext.spec.modulus, base.order
     nu = ext.order // order
     # y = omega^nu generates the subfield's multiplicative group
@@ -531,15 +524,15 @@ def _subfield_logs(ext: FieldContext, base: FieldContext) -> tuple[int, int, int
 
 
 def prime_power(q: int) -> tuple[int, int]:
-    """Split q = p^f; raises FieldError if q is not a prime power.
+    """Split q = p^f; raises InputError if q is not a prime power.
 
-    q above MAX_FIELD_SIZE is refused with TooLarge before any factoring.
+    q above MAX_FIELD_SIZE is refused before any factoring.
     """
     if q > MAX_FIELD_SIZE:
-        raise TooLarge(f"{q} exceeds the cap of {MAX_FIELD_SIZE} field elements")
+        raise InputError(f"{q} exceeds the cap of {MAX_FIELD_SIZE} field elements")
     fac = _factor(q)  # {} for q <= 1
     if len(fac) != 1:
-        raise FieldError(f"{q} is not a prime power")
+        raise InputError(f"{q} is not a prime power")
     ((p, f),) = fac.items()
     return p, f
 

@@ -18,7 +18,7 @@ from math import isqrt
 from . import character_sums as cs
 from . import intersection_sets as isets
 from .character_sums import FAMILIES
-from .errors import FieldError, HadamardError, LengthMismatch, NotHadamard, NotPrimePower, ParamSearchFailed
+from .errors import BadEll, InputError, NotHadamard, VerifyError
 from .finite_field import MAX_FIELD_SIZE, FieldContext, prime_power
 from .matrix import SignMatrix, _excess_report, hadamard_violation
 
@@ -30,7 +30,7 @@ def construct_q3(ctx: FieldContext) -> SignMatrix:
     """Order q+1 Hadamard matrix bordering the quadratic-residue matrix,
     q = 3 mod 4; rows/cols after the first follow the canonical field order."""
     if ctx.q % 4 != 3:
-        raise isets.WrongResidue(f"q = {ctx.q} is not 3 mod 4")
+        raise InputError(f"q = {ctx.q} is not 3 mod 4")
     # first row: -1 then all ones; row x has -1 at the points x + (nonsquares)
     rows = [1] + [m << 1 for m in isets.class_translates(ctx, 1)]
     return SignMatrix(ctx.q + 1, rows)
@@ -40,9 +40,9 @@ def construct_q1(ctx: FieldContext, variant: str = "plain") -> SignMatrix:
     """Order 2q+2 symmetric Hadamard matrix from the doubled quadratic-residue
     matrix, q = 1 mod 4; 'negated2' negates the second row and column."""
     if ctx.q % 4 != 1:
-        raise isets.WrongResidue(f"q = {ctx.q} is not 1 mod 4")
+        raise InputError(f"q = {ctx.q} is not 1 mod 4")
     if variant not in ("plain", "negated2"):
-        raise HadamardError(f"unknown variant {variant!r}")
+        raise VerifyError(f"unknown variant {variant!r}")
     q = ctx.q
     n = 2 * q + 2
     # sign-mask rows of M1 = M+I, M2 = M-I, M3 = -M1 (bit set = entry -1),
@@ -65,7 +65,7 @@ def apply_signing(h: SignMatrix, row_mask: int, col_mask: int) -> SignMatrix:
     negated where bit j of col_mask is set."""
     n = h.n
     if row_mask >> n or col_mask >> n:
-        raise LengthMismatch(f"sign masks must have no bit at position {n} or above")
+        raise VerifyError(f"sign masks must have no bit at position {n} or above")
     full = (1 << n) - 1
     rows = [r ^ col_mask ^ (full if row_mask >> i & 1 else 0) for i, r in enumerate(h.rows)]
     return SignMatrix(n, rows)
@@ -89,7 +89,7 @@ def instances():
             if m % 2 or not fam.odd_m:
                 try:
                     prime_power(q)
-                except FieldError:
+                except InputError:
                     pass
                 else:
                     yield family, m, q
@@ -105,13 +105,10 @@ def base_matrix(family: str, base: FieldContext) -> SignMatrix:
 
 def _require_family(ext: FieldContext, family: str) -> int:
     if family not in FAMILIES:
-        raise HadamardError(f"unknown family {family!r}")
+        raise VerifyError(f"unknown family {family!r}")
     if ext.subfield is None:
-        raise NotPrimePower("transforms need the quadratic tower over GF(q)")
-    try:
-        return cs.family_m(ext.subfield.q, family)
-    except cs.CharError as exc:
-        raise NotPrimePower(str(exc)) from exc
+        raise VerifyError("transforms need the quadratic tower over GF(q)")
+    return cs.family_m(ext.subfield.q, family)
 
 
 def transform(ext: FieldContext, family: str, ell: int | None = None, partition=None):
@@ -134,17 +131,14 @@ def transform(ext: FieldContext, family: str, ell: int | None = None, partition=
     m = _require_family(ext, family)
     fam = FAMILIES[family]
     if fam.partition and partition is None:
-        raise HadamardError(f"the {family} family needs a scheme partition")
+        raise VerifyError(f"the {family} family needs a scheme partition")
     q = ext.subfield.q
     if ell is None:
-        try:
-            params = isets.find_params(ext, family, partition)
-        except isets.NotFound as exc:
-            raise ParamSearchFailed(str(exc)) from exc
+        params = isets.find_params(ext, family, partition)
     elif not 0 < ell < q * q - 1:  # before admissible_at, which checks the partition
-        raise isets.BadEll(f"ell = {ell} lies outside 1 .. q^2 - 2 = {q * q - 2}")
+        raise BadEll(f"ell = {ell} lies outside 1 .. q^2 - 2 = {q * q - 2}")
     elif (params := isets.admissible_at(ext, family, partition, ell)) is None:
-        raise isets.BadEll(f"ell = {ell} is not admissible for the {family} family")
+        raise BadEll(f"ell = {ell} is not admissible for the {family} family")
     if fam.partition:
         dsets = isets.scheme_dsets(ext, partition, params.ell)
     else:
@@ -152,7 +146,7 @@ def transform(ext: FieldContext, family: str, ell: int | None = None, partition=
     promised, row_sums = fam.promised(m)
     sizes = tuple(d.bit_count() for d in dsets)
     if sizes != promised:
-        raise HadamardError(f"{family}: D-set sizes {sizes} break the promised sizes {promised}")
+        raise VerifyError(f"{family}: D-set sizes {sizes} break the promised sizes {promised}")
     base = base_matrix(family, ext.subfield)
     n = base.n  # the D sets index the last len(dsets) blocks of q columns
     col_mask = sum(d << k * q for k, d in enumerate(dsets)) << n - len(dsets) * q
@@ -164,5 +158,5 @@ def transform(ext: FieldContext, family: str, ell: int | None = None, partition=
         raise NotHadamard(bad)
     observed = {abs(s) for s in sums}
     if not observed <= set(row_sums):
-        raise HadamardError(f"{family}: row sums {sorted(observed)} break the promised set {sorted(row_sums)}")
+        raise VerifyError(f"{family}: row sums {sorted(observed)} break the promised set {sorted(row_sums)}")
     return signed, _excess_report(signed), base

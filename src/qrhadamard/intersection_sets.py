@@ -21,9 +21,8 @@ from collections import namedtuple
 from math import gcd
 
 from . import character_sums as cs
-# the exceptions this layer raises, importable from here too
-from .errors import BadE, BadEll, IntersectionError, NotFound, WrongResidue
-from .finite_field import ZERO, FieldContext, NoSubfield
+from .errors import BadEll, InputError, VerifyError
+from .finite_field import ZERO, FieldContext
 
 
 class BlockDesign(namedtuple("BlockDesign", "v blocks")):
@@ -90,7 +89,7 @@ def paley_design(ctx: FieldContext) -> BlockDesign:
     """Translates of the squares-with-zero block, q = 3 mod 4; point x is
     numbered idx(x), its canonical index."""
     if ctx.q % 4 != 3:
-        raise WrongResidue(f"q = {ctx.q} is not 3 mod 4")
+        raise InputError(f"q = {ctx.q} is not 3 mod 4")
     return BlockDesign(ctx.q, _translate_masks(ctx, True))
 
 
@@ -99,7 +98,7 @@ def paired_designs(ctx: FieldContext) -> tuple[BlockDesign, BlockDesign]:
     quadratic-residue matrix, q = 1 mod 4; point (i, x) is numbered
     i*q + idx(x)."""
     if ctx.q % 4 != 1:
-        raise WrongResidue(f"q = {ctx.q} is not 1 mod 4")
+        raise InputError(f"q = {ctx.q} is not 1 mod 4")
     q = ctx.q
     cz = _translate_masks(ctx, True)
     c = _translate_masks(ctx, False)
@@ -127,7 +126,7 @@ def intersection_profile(mask: int, design: BlockDesign) -> IntersectionSet:
     """Exact intersection sizes against every block of a point set, given as
     a mask over the design's point numbers."""
     if mask >> design.v:
-        raise IntersectionError(f"point mask has a bit outside the design's {design.v} points")
+        raise InputError(f"point mask has a bit outside the design's {design.v} points")
     tally: dict[int, list[int]] = {}
     for idx, blk in enumerate(design.blocks):
         c = (mask & blk).bit_count()
@@ -141,15 +140,15 @@ def intersection_profile(mask: int, design: BlockDesign) -> IntersectionSet:
 
 def _validate_dlh_args(ext: FieldContext, ell: int, e: int, H) -> frozenset[int]:
     if ext.subfield is None:
-        raise NoSubfield("D_{l,H} lives in a quadratic tower")
+        raise InputError("D_{l,H} lives in a quadratic tower")
     q = ext.subfield.q
     if e < 2 or ext.order % e:
-        raise BadE(f"e = {e} does not divide q^2-1")
+        raise InputError(f"e = {e} does not divide q^2-1")
     if e // gcd(e, q + 1) != 2:
-        raise BadE(f"e = {e} does not restrict to the quadratic character")
+        raise InputError(f"e = {e} does not restrict to the quadratic character")
     hset = frozenset(h % e for h in H)
     if len(hset) != e // 2 or {h % (e // 2) for h in hset} != set(range(e // 2)):
-        raise BadE("H must hit every residue mod e/2 exactly once")
+        raise InputError("H must hit every residue mod e/2 exactly once")
     if ell % (q + 1) == 0:
         raise BadEll(f"ell = {ell} is divisible by q+1")
     return hset
@@ -191,13 +190,13 @@ def _admissibility(ext: FieldContext, family: str, partition):
     """admissible_at as a function of ell alone, with the sign pair or the
     scheme's tau, which every ell shares, computed at the call."""
     if ext.subfield is None:
-        raise NoSubfield("parameter search needs the quadratic tower")
+        raise InputError("parameter search needs the quadratic tower")
     q = ext.subfield.q
     m = cs.family_m(q, family)
     order = cs.FAMILIES[family].sign_order
     if order is None:  # the scheme partition's classes and tau
         if partition is None:
-            raise IntersectionError(f"the {family} family needs a scheme partition")
+            raise InputError(f"the {family} family needs a scheme partition")
         from .association_schemes import require_scheme
 
         tau = require_scheme(ext, partition).tau
@@ -243,7 +242,7 @@ def h_sets(params: ParamChoice) -> tuple[list[int], ...]:
     [h, h+1], [h+1, h+2], swapped when epsilon delta = -1."""
     order = cs.FAMILIES[params.family].sign_order
     if order is None:
-        raise IntersectionError(f"no H rule for family {params.family!r}")
+        raise InputError(f"no H rule for family {params.family!r}")
     hp, eps_delta = params.h, params.epsilon * params.delta
     if order == 8:
         h0 = 2 * hp + (1 - eps_delta) // 2
@@ -270,7 +269,7 @@ def scheme_dsets(ext: FieldContext, part, ell: int) -> tuple[int, int]:
 
 
 def find_params(ext: FieldContext, family: str, partition=None) -> ParamChoice:
-    """Smallest admissible ell with its h; NotFound signals a bug."""
+    """Smallest admissible ell with its h; a VerifyError signals a bug."""
     for choice in admissible_params(ext, family, partition):
         return choice
-    raise NotFound(f"no admissible parameters for family {family} at q = {ext.subfield.q}")
+    raise VerifyError(f"no admissible parameters for family {family} at q = {ext.subfield.q}")

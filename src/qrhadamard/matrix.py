@@ -12,8 +12,10 @@ XORs and n popcounts.  Any other matrix gets the full check: every row
 pair, O(n^2) popcounts.
 
 The full check is split over the CPUs this process may run on, with no
-option to choose: the rows are interleaved over one scanner per usable CPU
-(at least _ROWS_PER_SCANNER rows each), this process and forked children.
+option to choose.  Row 0 is scanned first, alone: one flipped sign already
+breaks it, against the flipped row, so such a matrix forks no child.  Then
+the rows are interleaved over one scanner per usable CPU (at least
+_ROWS_PER_SCANNER rows each), this process and forked children.
 A scanner that finds a pair posts its row on a shared board, and every
 scanner stops before any row past the smallest one posted.  The board
 carries the answer: its smallest row is the first bad row of one process
@@ -27,7 +29,7 @@ import os
 from collections import namedtuple
 from math import isqrt
 
-from .errors import HadamardError, ParseError
+from .errors import InputError, VerifyError
 
 _TO_TEXT = str.maketrans("01", "+-")
 _FROM_TEXT = str.maketrans("+-", "01")
@@ -41,7 +43,7 @@ class SignMatrix:
     def __init__(self, n: int, rows):
         rows = list(rows)
         if len(rows) != n or any(r >> n for r in rows):  # r >> n is -1 for a negative r
-            raise HadamardError("row masks inconsistent with order n")
+            raise VerifyError("row masks inconsistent with order n")
         self.n = n
         self.rows = rows
 
@@ -74,7 +76,7 @@ class SignMatrix:
         lines = (ln for chunk in lines for ln in chunk.splitlines() if ln.strip())
         header = next(lines, "").strip()
         if not header:
-            raise ParseError("empty matrix file")
+            raise InputError("empty matrix file")
         try:
             if not header.isascii() or "_" in header:  # int() reads "0_4" and "\u0664" as 4
                 raise ValueError(header)
@@ -82,7 +84,7 @@ class SignMatrix:
         except ValueError as exc:
             for _ in lines:
                 pass
-            raise ParseError("first line must be the order n") from exc
+            raise InputError("first line must be the order n") from exc
         rows, rest = [], 0  # rest counts the lines from the first bad or surplus row on
         for ln in lines:
             ln = ln.strip()
@@ -93,9 +95,9 @@ class SignMatrix:
             else:
                 rows.append(int(ln.translate(_FROM_TEXT)[::-1], 2))
         if n < 1 or len(rows) + rest != n:
-            raise ParseError(f"expected {n} rows after the header")
+            raise InputError(f"expected {n} rows after the header")
         if rest:
-            raise ParseError("rows must be n characters from {+,-}")
+            raise InputError("rows must be n characters from {+,-}")
         return cls(n, rows)
 
     def __eq__(self, other) -> bool:
@@ -114,6 +116,8 @@ def hadamard_violation(h: SignMatrix) -> tuple[int, int] | None:
         return None
     w = _scanner_count(n)
     if w > 1:
+        if (bad := _scan(rows, n, 0, n, [n], 0)) is not None:  # a bad row 0 needs no child
+            return bad
         try:
             return _forked_scan(rows, n, w)
         except OSError:  # no fork, or a child failed: the serial scan decides
@@ -288,7 +292,7 @@ def _forked_scan(rows, n: int, w: int) -> tuple[int, int] | None:
 def bound_params(n: int) -> tuple[int, int, int, int]:
     """(k, t, s, bound) of the excess upper bound."""
     if n < 4:
-        raise HadamardError("excess bound is stated for n >= 4")
+        raise VerifyError("excess bound is stated for n >= 4")
     k = isqrt(n)
     k -= k % 2
     t = k if abs(n - k * k) < abs(n - (k + 2) ** 2) else k - 2

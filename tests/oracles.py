@@ -15,7 +15,7 @@ from math import gcd
 
 from qrhadamard import character_sums as cs
 from qrhadamard.character_sums import TOL, _check_order
-from qrhadamard.errors import CharError, FieldError, NoSubfield, SchemeError
+from qrhadamard.errors import InputError
 from qrhadamard.finite_field import ZERO, FieldContext, _subfield_logs
 from qrhadamard.intersection_sets import ParamChoice, _translate_masks, _validate_dlh_args, build_dlh, h_sets
 
@@ -27,7 +27,7 @@ gauss_periods = lru_cache(maxsize=None)(cs.gauss_periods)
 gauss_sum = lru_cache(maxsize=None)(cs.gauss_sum)
 
 
-class ZeroArgument(CharError):
+class ZeroArgument(InputError):
     """A character identity asked about the zero element, where it is not stated."""
 
 
@@ -41,14 +41,14 @@ def project(ext: FieldContext, y: int) -> int:
     if y == ZERO:
         return ZERO
     if y % ext._nu:
-        raise FieldError("element does not lie in the subfield")
+        raise InputError("element does not lie in the subfield")
     return y // ext._nu * ext._project_mult % sub.order
 
 
 def rel_trace(ext: FieldContext, x: int) -> int:
     """Relative trace x + x^q of GF(q^2) into subfield representation."""
     sub = ext._require_subfield()
-    return project(ext, ext.add(x, ext.pow(x, sub.q)) if x != ZERO else ZERO)
+    return project(ext, ext.add(x, x * sub.q % ext.order) if x != ZERO else ZERO)
 
 # ---------------------------------------------------------------------------
 # characters and character sums
@@ -91,7 +91,7 @@ def jacobi_sum(ctx: FieldContext, e1: int, e2: int) -> complex:
 def orthogonality_residual(ctx: FieldContext, e: int, j: int, x: int) -> float:
     """|chi(x) - chi(-1) G(chi)/q * sum_a chi^-1(a) psi(ax)| for nontrivial chi."""
     if j % e == 0:
-        raise CharError("orthogonality identity needs a nontrivial character")
+        raise InputError("orthogonality identity needs a nontrivial character")
     if x == ZERO:
         raise ZeroArgument("identity stated for nonzero x")
     ze = roots_of_unity(e)
@@ -104,10 +104,10 @@ def orthogonality_residual(ctx: FieldContext, e: int, j: int, x: int) -> float:
 def check_davenport_hasse(base: FieldContext, ext: FieldContext, e: int, d: int) -> bool:
     """Lifted-character identity G_{q^d}(chi) = (-1)^(d-1) G_q(chi')^d."""
     if ext.p != base.p or ext.f != base.f * d or d < 2:
-        raise CharError("ext must be the degree-d extension of base")
+        raise InputError("ext must be the degree-d extension of base")
     _check_order(base, e)
     if e == 1:
-        raise CharError("the lift identity is stated for nontrivial characters")
+        raise InputError("the lift identity is stated for nontrivial characters")
     _, _, t_inv, _ = _subfield_logs(ext, base)
     lifted = gauss_sum(ext, e, t_inv % e)
     direct = (-1) ** (d - 1) * gauss_sum(base, e, 1) ** d
@@ -117,18 +117,18 @@ def check_davenport_hasse(base: FieldContext, ext: FieldContext, e: int, d: int)
 def _restriction_is_quadratic(ext: FieldContext, e: int) -> None:
     q = ext.subfield.q
     if e // gcd(e, q + 1) != 2:
-        raise CharError(f"chi_{e} does not restrict to the quadratic character of GF({q})")
+        raise InputError(f"chi_{e} does not restrict to the quadratic character of GF({q})")
 
 
 def check_lemma_linear(ext: FieldContext, e: int, ell: int) -> bool:
     """Brute-force sum of chi_e(1 + omega^ell x) over x in GF(q) against its
     Gauss-sum closed form."""
     if ext.subfield is None:
-        raise NoSubfield("requires the quadratic tower")
+        raise InputError("requires the quadratic tower")
     base = ext.subfield
     q, n = base.q, ext.order
     if ell % (q + 1) == 0:
-        raise CharError("ell must not be divisible by q+1")
+        raise InputError("ell must not be divisible by q+1")
     _check_order(ext, e)
     _restriction_is_quadratic(ext, e)
     ze = roots_of_unity(e)
@@ -153,11 +153,11 @@ def check_lemma_quadratic_twist(ext: FieldContext, e: int, ell: int, s: int) -> 
     """Brute-force sum of chi_e(1 + omega^ell x) eta(x - s) over x != s in
     GF(q) against its closed form; s is a base-field element."""
     if ext.subfield is None:
-        raise NoSubfield("requires the quadratic tower")
+        raise InputError("requires the quadratic tower")
     base = ext.subfield
     q, n = base.q, ext.order
     if ell % (q + 1) == 0:
-        raise CharError("ell must not be divisible by q+1")
+        raise InputError("ell must not be divisible by q+1")
     _check_order(ext, e)
     _restriction_is_quadratic(ext, e)
     ze = roots_of_unity(e)
@@ -298,7 +298,7 @@ def bannai_muzychuk_check(eigen_rows, groups) -> bool:
     groups = [tuple(g) for g in groups]
     flat = sorted(j for g in groups for j in g)
     if flat != list(range(len(eigen_rows[0]))) or groups[0] != (0,):
-        raise SchemeError("groups must partition the column set with group 0 = {0}")
+        raise InputError("groups must partition the column set with group 0 = {0}")
     signatures: list[tuple[complex, ...]] = []
     for row in eigen_rows:
         signatures.append(tuple(sum(row[j] for j in g) for g in groups))

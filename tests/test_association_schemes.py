@@ -8,6 +8,7 @@ from conftest import counter_indices, shipped_partition
 from qrhadamard import association_schemes as schemes
 from qrhadamard import character_sums as cs
 from qrhadamard import intersection_sets as isets
+from qrhadamard.errors import BudgetExceeded, InputError, VerifyError
 from qrhadamard.finite_field import ZERO, quadratic_tower
 
 TOL = 1e-6
@@ -26,9 +27,9 @@ def m5():
 
 
 def test_partition_validation():
-    with pytest.raises(schemes.BadForm):
+    with pytest.raises(InputError, match=r"^index lists must partition \[0, e\)$"):
         schemes.normalized_partition(17, 3, 12, [(0, 1), (2,), (3,), (4,)])
-    with pytest.raises(schemes.BadForm):
+    with pytest.raises(InputError, match=r"^index lists must partition \[0, e\)$"):
         schemes.normalized_partition(17, 3, 12, [(0, 12), (1, 2), (3,), tuple(range(4, 12))])
 
 
@@ -54,13 +55,13 @@ def test_structure_rejects_perturbation(m3):
 
 def test_structure_bad_form(m3):
     ext, part = m3
-    with pytest.raises(schemes.BadForm):
+    with pytest.raises(InputError, match="^q = 17 is not of the regular form at m = 4$"):
         _structure(ext, schemes.SchemePartition(17, 4, 12, part.h_lists))
     # m = -3 also gives 2m^2 - 1 = 17, but the family's m is at least 1
-    with pytest.raises(schemes.BadForm, match="^q = 17 is not of the regular form at m = -3$"):
+    with pytest.raises(InputError, match="^q = 17 is not of the regular form at m = -3$"):
         schemes.verify_scheme(ext, schemes.SchemePartition(17, -3, 12, part.h_lists))
     ext5, _ = quadratic_tower(5)
-    with pytest.raises(schemes.BadForm):
+    with pytest.raises(InputError, match=r"^context is not the quadratic tower over GF\(17\)$"):
         _structure(ext5, part)
 
 
@@ -262,7 +263,7 @@ def test_swapped_lists_fail_table(m3):
     h1, h2, h3, h4 = part.h_lists
     swapped = schemes.SchemePartition(part.q, part.m, part.e, (h1, h4, h3, h2))
     assert not schemes.verify_scheme(ext, swapped).table1_match
-    with pytest.raises(schemes.SchemeInvalid, match="^partition fails scheme or eigenvalue-table verification$"):
+    with pytest.raises(VerifyError, match="^partition fails scheme or eigenvalue-table verification$"):
         schemes.require_scheme(ext, swapped)
     assert schemes.require_scheme(ext, part).tau == -1
 
@@ -273,7 +274,7 @@ def test_bannai_muzychuk(m3):
     assert oracles.bannai_muzychuk_check(rows, [(0,), (1, 3), (2, 4)])
     assert oracles.bannai_muzychuk_check(rows, [(0,), (1, 2, 3, 4)])
     assert not oracles.bannai_muzychuk_check(rows, [(0,), (1,), (2, 3, 4)])
-    with pytest.raises(schemes.SchemeError):
+    with pytest.raises(InputError, match=r"^groups must partition the column set with group 0 = \{0\}$"):
         oracles.bannai_muzychuk_check(rows, [(0, 1), (2, 3, 4)])
 
 
@@ -314,7 +315,7 @@ def test_search_finds_example(m3):
 
 def test_search_budget_zero(m3):
     ext, _ = m3
-    with pytest.raises(schemes.BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="^search needs 160 candidates, over the budget of 0$"):
         schemes.scheme_search(ext, 12, budget=0)
 
 
@@ -408,7 +409,7 @@ def test_search_budget_boundary(m3):
     count = sum(1 for assign in _assignments(12, 2) if assign[0] == 0)
     assert count == 160
     assert len(schemes.scheme_search(ext, 12, budget=count)) == 12
-    with pytest.raises(schemes.BudgetExceeded, match=f"{count}.*{count - 1}"):
+    with pytest.raises(BudgetExceeded, match=f"^search needs {count} candidates, over the budget of {count - 1}$"):
         schemes.scheme_search(ext, 12, budget=count - 1)
 
 
@@ -455,11 +456,11 @@ def test_partition_file_roundtrip(m3):
     text = schemes.partition_text(part)
     again = schemes.parse_partition(text)
     assert again == part
-    with pytest.raises(schemes.ParseError):
+    with pytest.raises(InputError, match="^partition file needs a header line and four index lines$"):
         schemes.parse_partition("17 3\n1 2\n")
-    with pytest.raises(schemes.ParseError):
+    with pytest.raises(InputError, match=r"^malformed partition file: invalid literal for int\(\) with base 10: 'seven'$"):
         schemes.parse_partition("17 3 12\n0 1\n2 3\n4 5\n6 seven\n")
-    with pytest.raises(schemes.ParseError):
+    with pytest.raises(InputError, match=r"^index lists must partition \[0, e\)$"):
         schemes.parse_partition("17 3 12\n0 1\n2 3\n4 5\n6 7\n")  # not a partition
 
 

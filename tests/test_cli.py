@@ -27,11 +27,12 @@ from conftest import (
     sylvester,
 )
 from qrhadamard import association_schemes as schemes
-from qrhadamard import cli, finite_field
+from qrhadamard import cli, errors, finite_field
 from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
 from qrhadamard import matrix as mx
 from qrhadamard.cli import main
+from qrhadamard.errors import InputError, VerifyError
 
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -814,30 +815,30 @@ def _read_all_input(path: str) -> str:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        raise cli.InputFileError(str(exc)) from None
+        raise InputError(str(exc)) from None
     except UnicodeDecodeError as exc:
-        raise cli.InputFileError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+        raise InputError(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
 def _read_all_from_text(cls, text: str):
     """SignMatrix.from_text before it streamed: every line held, first error raised."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise schemes.ParseError("empty matrix file")
+        raise InputError("empty matrix file")
     header = lines[0].strip()
     try:
         if not header.isascii() or "_" in header:  # int() alone reads "0_4" and "\u0664"
             raise ValueError(header)
         n = int(header)
     except ValueError as exc:
-        raise schemes.ParseError("first line must be the order n") from exc
+        raise InputError("first line must be the order n") from exc
     if n < 1 or len(lines) != n + 1:
-        raise schemes.ParseError(f"expected {n} rows after the header")
+        raise InputError(f"expected {n} rows after the header")
     rows = []
     for ln in lines[1:]:
         ln = ln.strip()
         if len(ln) != n or not ln.isascii() or ln.encode().translate(None, b"+-"):
-            raise schemes.ParseError("rows must be n characters from {+,-}")
+            raise InputError("rows must be n characters from {+,-}")
         rows.append(int(ln.translate(str.maketrans("+-", "01"))[::-1], 2))
     return cls(n, rows)
 
@@ -1292,6 +1293,42 @@ def test_every_message_of_the_cli(table_dir, capsys, monkeypatch, argv, code, ou
     assert capsys.readouterr() == (fill(out), fill(err))
 
 
+# the exit code of each class of qrhadamard.errors: 1 verification failure,
+# 2 input error, 3 search budget exhausted
+_ERROR_CODES = {"Error": 2, "InputError": 2, "VerifyError": 1, "BudgetExceeded": 3, "NotHadamard": 1, "BadEll": 2}
+_ERROR_CLASSES = [cls for cls in vars(errors).values() if isinstance(cls, type) and cls.__module__ == errors.__name__]
+
+
+def test_every_error_class_carries_its_exit_code():
+    assert sorted(cls.__name__ for cls in _ERROR_CLASSES) == sorted(_ERROR_CODES)
+    for cls in _ERROR_CLASSES:
+        assert issubclass(cls, errors.Error) and cls.code in {1, 2, 3}, cls
+        assert cls.code == _ERROR_CODES[cls.__name__], cls
+
+
+@pytest.mark.parametrize("cls", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_main_exits_with_the_code_of_the_error_a_command_raises(cls, capsys, monkeypatch):
+    exc = cls((3, 5)) if cls is errors.NotHadamard else cls(f"a {cls.__name__} message")
+
+    def raises(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_verify", raises)
+    capsys.readouterr()
+    assert main(["verify", "any.mat"]) == cls.code == _ERROR_CODES[cls.__name__]
+    message = "rows 3 and 5 are not orthogonal" if cls is errors.NotHadamard else f"a {cls.__name__} message"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_any_other_exception_keeps_its_traceback(monkeypatch):
+    def raises(args):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_verify", raises)
+    with pytest.raises(ValueError, match="^a bug$"):
+        main(["verify", "any.mat"])
+
+
 def _partition_with_e(e: int) -> str:
     """A q = 17, m = 3 partition file whose class modulus e does not fit the
     paper's form: e must divide 4m^2 = 36."""
@@ -1349,7 +1386,7 @@ def test_every_command_checks_the_intersection_numbers(tmp_path, capsys, monkeyp
 def test_transform_with_given_params_checks_the_partition():
     ext, _ = finite_field.quadratic_tower(17)
     ell = isets.find_params(ext, "regular", shipped_partition(3)).ell
-    with pytest.raises(schemes.SchemeInvalid):
+    with pytest.raises(VerifyError, match="^partition fails scheme or eigenvalue-table verification$"):
         hd.transform(ext, "regular", ell, partition=_swapped_m3())
 
 
@@ -1422,9 +1459,9 @@ def test_only_scheme_verify_sums_float_gauss_periods(capsys, monkeypatch):
 
 def test_admissible_params_checks_the_partition_at_the_call():
     ext, _ = finite_field.quadratic_tower(17)
-    with pytest.raises(schemes.SchemeInvalid, match="^partition fails scheme or eigenvalue-table verification$"):
+    with pytest.raises(VerifyError, match="^partition fails scheme or eigenvalue-table verification$"):
         isets.admissible_params(ext, "regular", partition=_swapped_m3())  # no next(): the call itself raises
-    with pytest.raises(isets.IntersectionError, match="^the regular family needs a scheme partition$"):
+    with pytest.raises(InputError, match="^the regular family needs a scheme partition$"):
         isets.admissible_params(ext, "regular")
 
 

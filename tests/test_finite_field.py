@@ -13,18 +13,15 @@ from qrhadamard import finite_field
 from qrhadamard.finite_field import (
     MAX_FIELD_SIZE,
     ZERO,
-    DivisionByZero,
     FieldContext,
-    FieldError,
     FieldSpec,
-    NotPrime,
-    TooLarge,
     _subfield_logs,
     build_field,
     is_irreducible,
     minimal_polynomial,
     prime_power,
 )
+from qrhadamard.errors import InputError
 from qrhadamard.hadamard import instances
 
 
@@ -92,22 +89,22 @@ def test_gf289_primitive_order():
 
 
 def test_build_field_errors():
-    with pytest.raises(NotPrime):
+    with pytest.raises(InputError, match="^6 is not prime$"):
         build_field(6)
     # an odd degree builds tables: the cap is their memory budget
     tables = r"^GF\(2\^25\) exceeds the cap of 16777216 elements \(16 B of tables per element, 256 MiB budget\)$"
-    with pytest.raises(TooLarge, match=tables):
+    with pytest.raises(InputError, match=tables):
         build_field(2, 25)
     # a tower builds none: the cap bounds its subfield, and so the matrix order
     tower = (
         r"^GF\(4099\^2\) exceeds the cap of 16777216 elements "
         r"\(a tower holds no table: the cap bounds GF\(4099\^1\) by 4096, and so the matrix order\)$"
     )
-    with pytest.raises(TooLarge, match=tower):
+    with pytest.raises(InputError, match=tower):
         build_field(4099, 2)  # 4099^2 > 2^24, refused before anything is built
-    with pytest.raises(TooLarge, match=r"^GF\(2\^1000000000\) exceeds the cap .*GF\(2\^500000000\)"):
+    with pytest.raises(InputError, match=r"^GF\(2\^1000000000\) exceeds the cap .*GF\(2\^500000000\)"):
         build_field(2, 10**9)
-    with pytest.raises(FieldError):
+    with pytest.raises(InputError, match="^extension degree must be >= 1$"):
         build_field(5, 0)
 
 
@@ -122,21 +119,20 @@ def test_additive_inverse_and_inv():
     for x in [ZERO] + counter_indices(20, ctx.order):
         assert ctx.add(x, ctx.neg(x)) == ZERO
     for k in counter_indices(20, ctx.order):
-        assert ctx.pow(k, -1) == (ctx.order - k) % ctx.order
-        assert ctx.mul(k, ctx.pow(k, -1)) == ctx.one
+        assert ctx.mul(k, (ctx.order - k) % ctx.order) == ctx.one
 
 
 def test_discrete_log():
     # a nonzero element is stored as its discrete log: omega^7 is 7, and 1 is 0
     ctx = build_field(11)
-    assert ctx.pow(1, 7) == 7
+    assert ctx.mul(1, 6) == 7
     assert ctx.one == 0
     # 2^6 = 64 = 9 mod 11
     assert pow(2, 6, 11) == 9
     assert ctx.from_int(9) == 6
     assert ZERO not in range(ctx.order)  # zero has no log
-    with pytest.raises(DivisionByZero):
-        ctx.pow(ZERO, 0)
+    # the Frobenius map x -> x^p fixes GF(p), zero included
+    assert [ctx.frobenius(x) for x in (ZERO, *ctx.nonzero())] == [ZERO, *ctx.nonzero()]
 
 
 def test_exp_mul_law_exhaustive_small():
@@ -181,8 +177,8 @@ def test_rel_trace_frobenius_fixed(tower17):
     ext, base = tower17
     q = base.q
     for x in counter_indices(40, ext.order, salt=3):
-        y = ext.add(x, ext.pow(x, q))
-        assert y == ZERO or ext.pow(y, q) == y
+        y = ext.add(x, x * q % ext.order)  # x + x^q, the log of x^q being q log x
+        assert y == ZERO or y * q % ext.order == y
         assert ext.embed(oracles.project(ext, y)) == y  # project raises outside GF(q)
 
 
@@ -236,7 +232,7 @@ def test_field_core_against_naive_polynomial_oracle(p, f):
         terms = list(zip(sub_oracle.vec(x), basis))
         assert ctx.embed(x) == oracle.combine(terms)
         assert oracles.project(ctx, ctx.embed(x)) == x
-    with pytest.raises(FieldError):
+    with pytest.raises(InputError, match="^element does not lie in the subfield$"):
         oracles.project(ctx, 1)
 
 
@@ -436,17 +432,17 @@ def test_embedding_data_for_degree_gt_2():
     assert nu == (5**4 - 1) // 4
     img = (nu * t) % ext.order
     # image of the base primitive element must have order p-1
-    assert ext.pow(img, 4) == ext.one
-    assert ext.pow(img, 2) != ext.one
+    assert img * 4 % ext.order == ext.one
+    assert img * 2 % ext.order != ext.one
 
 
 def test_prime_power_helper(monkeypatch):
     assert prime_power(27) == (3, 3)
     assert prime_power(49) == (7, 2)
-    with pytest.raises(FieldError):
+    with pytest.raises(InputError, match="^12 is not a prime power$"):
         prime_power(12)
     for q in (0, 1, -5):
-        with pytest.raises(FieldError, match=f"^{q} is not a prime power$"):
+        with pytest.raises(InputError, match=f"^{q} is not a prime power$"):
             prime_power(q)
     assert MAX_FIELD_SIZE == 2**24
     assert prime_power(2**24) == (2, 24)
@@ -456,7 +452,7 @@ def test_prime_power_helper(monkeypatch):
 
     monkeypatch.setattr(finite_field, "_factor", no_factoring)
     for q in (2**24 + 1, 8399589116837456607**2):
-        with pytest.raises(TooLarge, match="exceeds the cap of 16777216 field elements"):
+        with pytest.raises(InputError, match="exceeds the cap of 16777216 field elements"):
             prime_power(q)
 
 
@@ -490,7 +486,7 @@ def test_prime_power_accepts_exactly_the_prime_powers_to_5000():
         if q in powers:
             assert prime_power(q) == powers[q]
         else:
-            with pytest.raises(FieldError, match="is not a prime power"):
+            with pytest.raises(InputError, match=f"^{q} is not a prime power$"):
                 prime_power(q)
 
 

@@ -25,8 +25,15 @@ from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
 from qrhadamard import matrix as mx
 from qrhadamard.character_sums import family_q
-from qrhadamard.errors import ParseError
+from qrhadamard.errors import BadEll, InputError, NotHadamard, VerifyError
 from qrhadamard.finite_field import MAX_FIELD_SIZE, ZERO, build_field, prime_power, quadratic_tower
+
+
+# from_text's four messages, in the order it checks
+PARSE_ERROR = (
+    r"^(empty matrix file|first line must be the order n|expected \d+ rows after the header"
+    r"|rows must be n characters from \{\+,-\})$"
+)
 
 
 def from_entries(entries):
@@ -51,7 +58,7 @@ def test_is_hadamard_basics():
 def test_sign_matrix_refuses_rows_that_break_the_order():
     assert hd.SignMatrix(2, [0, 0b11]).rows == [0, 0b11]
     for rows in ([0], [0, 0, 0], [0, 0b100], [0, -1]):  # row count, a bit at position n, a negative row
-        with pytest.raises(hd.HadamardError, match="^row masks inconsistent with order n$"):
+        with pytest.raises(VerifyError, match="^row masks inconsistent with order n$"):
             hd.SignMatrix(2, rows)
 
 
@@ -110,12 +117,12 @@ def test_text_round_trip_and_strict_parse():
     assert list(hd.SignMatrix(2, [0, 2]).text_lines()) == ["2\n", "++\n", "+-\n"]
     # int() alone would accept "_" and inner whitespace
     for bad in ("3\n+_-\n+++\n+++\n", "3\n+ -\n+++\n+++\n"):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match=r"^rows must be n characters from \{\+,-\}$"):
             hd.SignMatrix.from_text([bad])
 
 
 def test_not_hadamard_carries_rows():
-    with pytest.raises(hd.NotHadamard) as info:
+    with pytest.raises(NotHadamard, match="^rows 0 and 1 are not orthogonal$") as info:
         excess_and_bound(from_entries([[1] * 4] * 4))
     assert info.value.rows == (0, 1)
 
@@ -123,7 +130,7 @@ def test_not_hadamard_carries_rows():
 def test_construct_q3_smallest_case():
     h = hd.construct_q3(build_field(3))
     assert h.n == 4 and mx.hadamard_violation(h) is None
-    with pytest.raises(isets.WrongResidue):
+    with pytest.raises(InputError, match="^q = 5 is not 3 mod 4$"):
         hd.construct_q3(build_field(5))
 
 
@@ -133,7 +140,7 @@ def test_construct_q1_symmetric_hadamard():
         assert h.n == 2 * q + 2
         assert mx.hadamard_violation(h) is None
         assert h == transpose(h)
-    with pytest.raises(isets.WrongResidue):
+    with pytest.raises(InputError, match="^q = 7 is not 1 mod 4$"):
         hd.construct_q1(build_field(7))
 
 
@@ -168,9 +175,9 @@ def test_excess_report_order4():
 
 
 def test_excess_report_rejects_non_hadamard():
-    with pytest.raises(hd.NotHadamard):
+    with pytest.raises(NotHadamard, match="^rows 0 and 1 are not orthogonal$"):
         excess_and_bound(from_entries([[1] * 4] * 4))
-    with pytest.raises(hd.HadamardError):
+    with pytest.raises(VerifyError, match="^excess bound is stated for n >= 4$"):
         excess_and_bound(from_entries([[1, 1], [1, -1]]))  # n < 4
 
 
@@ -184,7 +191,7 @@ def test_apply_signing_involution_and_excess_flip():
     twice = hd.apply_signing(hd.apply_signing(h, signs, 0), signs, 0)
     assert twice == h
     for rows, cols in ((1 << n, 0), (0, 1 << n), (-1, 0)):
-        with pytest.raises(hd.LengthMismatch):
+        with pytest.raises(VerifyError, match=f"^sign masks must have no bit at position {n} or above$"):
             hd.apply_signing(h, rows, cols)
 
 
@@ -269,15 +276,15 @@ def test_transform_regular_m3(tower17):
     assert rep.row_sums == ((6, 36),)
     assert rep.excess == 216 == rep.bound
     assert rep.classification == "regular(r=6)"
-    with pytest.raises(hd.HadamardError, match="^the regular family needs a scheme partition$"):
+    with pytest.raises(VerifyError, match="^the regular family needs a scheme partition$"):
         hd.transform(ext, "regular")
 
 
 def test_transform_wrong_family():
     ext, _ = quadratic_tower(7)
-    with pytest.raises(hd.NotPrimePower):
+    with pytest.raises(InputError, match="^q = 7 is not of the q3 form$"):
         hd.transform(ext, "q3")
-    with pytest.raises(hd.NotPrimePower):
+    with pytest.raises(InputError, match="^q = 7 is not of the q1 form$"):
         hd.transform(ext, "q1")
 
 
@@ -290,7 +297,7 @@ def test_transform_names_the_broken_size_promise(q, family, observed, promised, 
     real = isets.h_sets
     # the H sets of the next h, which the admissible ell does not fix
     monkeypatch.setattr(isets, "h_sets", lambda params: real(params._replace(h=(params.h + 1) % 4)))
-    with pytest.raises(hd.HadamardError) as info:
+    with pytest.raises(VerifyError) as info:
         hd.transform(ext, family)
     assert str(info.value) == f"{family}: D-set sizes {observed} break the promised sizes {promised}"
 
@@ -302,7 +309,7 @@ def test_transform_refuses_an_ell_it_cannot_use(monkeypatch, tower17):
     monkeypatch.setattr(isets, "admissible_at", lambda *args: calls.append(args[-1]) or real(*args))
     for ell, reason in ((0, "lies outside 1 .. q^2 - 2 = 287"), (288, "lies outside 1 .. q^2 - 2 = 287"),
                         (1, "is not admissible for the regular family")):
-        with pytest.raises(isets.BadEll) as info:
+        with pytest.raises(BadEll) as info:
             hd.transform(ext, "regular", ell, partition=part)
         assert str(info.value) == f"ell = {ell} {reason}"
     assert calls == [1]  # the range is checked first, without the partition
@@ -321,7 +328,7 @@ def test_transform_regular_builds_and_checks_its_pieces_once(monkeypatch, tower1
     # swapped D sets break the size promise, which transform names
     dsets = isets.scheme_dsets
     monkeypatch.setattr(isets, "scheme_dsets", lambda *args: dsets(*args)[::-1])
-    with pytest.raises(hd.HadamardError) as info:
+    with pytest.raises(VerifyError) as info:
         hd.transform(ext, "regular", partition=part)
     assert str(info.value) == "regular: D-set sizes (9, 6) break the promised sizes (6, 9)"
 
@@ -330,7 +337,7 @@ def test_transform_names_the_broken_profile_promise(monkeypatch):
     ext, _ = quadratic_tower(11)
     # a D set of the promised size 5 but other points: 0 and omega^0..omega^3
     monkeypatch.setattr(isets, "build_dlh", lambda *args: 0b11111)
-    with pytest.raises(hd.HadamardError) as info:
+    with pytest.raises(VerifyError) as info:
         hd.transform(ext, "q3")
     assert str(info.value) == "q3: row sums [0, 4, 8] break the promised set [0, 4]"
 
@@ -420,21 +427,21 @@ def test_matrix_text_roundtrip():
 
 
 def test_matrix_text_parse_errors():
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError, match="^empty matrix file$"):
         hd.SignMatrix.from_text([""])
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError, match="^first line must be the order n$"):
         hd.SignMatrix.from_text(["x\n++\n"])
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError, match="^expected 2 rows after the header$"):
         hd.SignMatrix.from_text(["2\n++\n"])
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError, match=r"^rows must be n characters from \{\+,-\}$"):
         hd.SignMatrix.from_text(["2\n+*\n--\n"])
-    with pytest.raises(ParseError):
+    with pytest.raises(InputError, match=r"^rows must be n characters from \{\+,-\}$"):
         hd.SignMatrix.from_text(["2\n+++\n---\n"])
 
 
 def _rows_by_set_rule(text):
     """from_text with the per-row set test it had before: the rows of the
-    matrix, or None where that rule raised ParseError."""
+    matrix, or None where that rule raised an InputError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     try:
         n = int(lines[0].strip())
@@ -459,7 +466,7 @@ def test_parse_accepts_exactly_what_the_set_rule_accepted(text, accepted):
     if accepted:
         assert hd.SignMatrix.from_text([text]).rows == want
     else:
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match=PARSE_ERROR):
             hd.SignMatrix.from_text([text])
 
 
@@ -469,7 +476,7 @@ def test_parse_rows_match_the_set_rule(body):
     for text in ("2\n" + body, "2\n+-\n" + body, "1\n" + body):
         want = _rows_by_set_rule(text)
         if want is None:
-            with pytest.raises(ParseError):
+            with pytest.raises(InputError, match=PARSE_ERROR):
                 hd.SignMatrix.from_text([text])
         else:
             assert hd.SignMatrix.from_text([text]).rows == want
@@ -578,7 +585,7 @@ def test_transform_falls_back_to_the_full_check(monkeypatch, tower11):
     assert checked == signed and scans == [12]
     # a flipped base: NotHadamard names the first bad pair
     monkeypatch.setattr(hd, "base_matrix", lambda *args: flipped(base, 5, 7))
-    with pytest.raises(hd.NotHadamard) as info:
+    with pytest.raises(NotHadamard) as info:
         hd.transform(ext, "q3")
     assert checked == signed and info.value.rows == serial_violation(signed[-1])
 
@@ -778,6 +785,22 @@ def test_an_odd_order_is_refused_before_any_certificate_or_scan(monkeypatch):
         assert hd.hadamard_violation(hd.SignMatrix(n, [0] * n)) == (0, 1)
 
 
+def test_a_bad_row_0_is_named_without_forking_a_scanner(monkeypatch):
+    # one flipped sign breaks row 0 against the flipped row, so the serial
+    # probe of row 0 names the pair before any scanner is forked
+    h = flipped(kronecker(sylvester(32), sylvester(32)), 700, 5)
+    assert not mx._certified(h) and not mx._group_certified(h)
+    want = serial_scan(h)
+    assert want == (0, 700)
+
+    def no_fork():
+        raise AssertionError("a row scanner was forked")
+
+    monkeypatch.setattr(mx, "_scanner_count", lambda n: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert hd.hadamard_violation(h) == want
+
+
 def test_scanner_count_follows_the_usable_cpus_and_the_order():
     cpus = len(os.sched_getaffinity(0))
     for n in (2, 510, 511, 512, 1024, 2048, 7228):
@@ -802,10 +825,10 @@ def test_a_raising_parent_kills_and_reaps_its_scanners(split_scan_matrices, monk
     monkeypatch.setattr(mx, "_scanner_count", lambda n: 3)
     parent, real_scan = os.getpid(), mx._scan
 
-    def scan(*args):
-        if os.getpid() == parent:
+    def scan(rows, n, first, step, *rest):
+        if os.getpid() == parent and step != n:  # its share of the split scan, not its row-0 probe
             raise RuntimeError("parent scan failed")
-        return real_scan(*args)
+        return real_scan(rows, n, first, step, *rest)
 
     monkeypatch.setattr(mx, "_scan", scan)
     with pytest.raises(RuntimeError, match="parent scan failed"):

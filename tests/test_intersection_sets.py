@@ -8,6 +8,7 @@ from conftest import canonical_index, reference_params, shipped_partition, tiled
 from qrhadamard import character_sums as cs
 from qrhadamard import intersection_sets as isets
 from qrhadamard.cli import main
+from qrhadamard.errors import BadEll, InputError
 from qrhadamard.finite_field import ZERO, build_field, quadratic_tower
 
 
@@ -29,9 +30,9 @@ def test_paley_design_parameters(q, k, lam):
 
 
 def test_paley_wrong_residue():
-    with pytest.raises(isets.WrongResidue):
+    with pytest.raises(InputError, match="^q = 13 is not 3 mod 4$"):
         isets.paley_design(build_field(13))
-    with pytest.raises(isets.WrongResidue):
+    with pytest.raises(InputError, match="^q = 11 is not 1 mod 4$"):
         isets.paired_designs(build_field(11))
 
 
@@ -104,15 +105,15 @@ def test_build_dlh_sizes(tower11, tower25):
 
 def test_build_dlh_validation(tower11):
     ext, _ = tower11
-    with pytest.raises(isets.BadEll):
+    with pytest.raises(BadEll, match=r"^ell = 12 is divisible by q\+1$"):
         isets.build_dlh(ext, 12, 8, [0, 1, 2, 3])  # ell = q+1
-    with pytest.raises(isets.BadE):
+    with pytest.raises(InputError, match="^H must hit every residue mod e/2 exactly once$"):
         isets.build_dlh(ext, 1, 8, list(range(8)))  # H too large
-    with pytest.raises(isets.BadE):
+    with pytest.raises(InputError, match="^H must hit every residue mod e/2 exactly once$"):
         isets.build_dlh(ext, 1, 8, [0, 4, 1, 5])  # misses residues mod 4
-    with pytest.raises(isets.BadE):
+    with pytest.raises(InputError, match="^e = 3 does not restrict to the quadratic character$"):
         isets.build_dlh(ext, 1, 3, [0])  # restriction not quadratic
-    with pytest.raises(isets.BadE):
+    with pytest.raises(InputError, match="^e = 4 does not restrict to the quadratic character$"):
         isets.build_dlh(ext, 1, 4, [0, 1])  # e=4: gcd(4,12)=4, order-1 restriction
 
 
@@ -156,7 +157,7 @@ def test_scheme_dsets_masks_match_the_definition(m):
         assert isets.scheme_dsets(ext, part, ell) == want, ell
     for hs in (h1, h3):  # an ell of X_1 or X_3 cuts out no pair
         ell = next(ell for ell in range(1, ext.order) if ell % part.e in hs)
-        with pytest.raises(isets.BadEll, match=r"^omega\^ell must lie in X_2 or X_4$"):
+        with pytest.raises(BadEll, match=r"^omega\^ell must lie in X_2 or X_4$"):
             isets.scheme_dsets(ext, part, ell)
 
 
@@ -178,7 +179,7 @@ def test_profile_empty_set():
     des = isets.paley_design(ctx)
     prof = isets.intersection_profile(0, des)
     assert prof.profile == ((0, len(des.blocks)),)
-    with pytest.raises(isets.IntersectionError):
+    with pytest.raises(InputError, match="^point mask has a bit outside the design's 7 points$"):
         isets.intersection_profile(1 << des.v, des)
 
 
@@ -208,7 +209,7 @@ def test_h_sets_rule():
             p4 = isets.ParamChoice("q1", 1, 1, h=h, epsilon=eps, delta=delta)
             pair = ([h, h + 1], [h + 1, h + 2])
             assert isets.h_sets(p4) == (pair if eps * delta == 1 else pair[::-1])
-    with pytest.raises(isets.IntersectionError):
+    with pytest.raises(InputError, match="^no H rule for family 'regular'$"):
         isets.h_sets(isets.ParamChoice("regular", 1, 3, tau=1))
 
 

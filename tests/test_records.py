@@ -21,6 +21,7 @@ from qrhadamard import association_schemes as schemes
 from qrhadamard import character_sums as cs
 from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
+from qrhadamard.errors import InputError
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -259,12 +260,6 @@ def test_every_package_function_has_a_caller():
     assert sorted(set(UNCALLED) - set(uncalled)) == []
 
 
-# names a module imports only to offer them under its own name
-RE_EXPORTS = {
-    "association_schemes:SchemeError": "the base of the errors the layer raises, caught as schemes.SchemeError",
-}
-
-
 def test_every_imported_name_is_read_in_its_module():
     # a name imported and never read is left over from a deletion
     unread = []
@@ -277,8 +272,7 @@ def test_every_imported_name_is_read_in_its_module():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in read:
                         unread.append(f"{path.stem}:{name}")
-    assert sorted(set(unread) - set(RE_EXPORTS)) == []
-    assert sorted(set(RE_EXPORTS) - set(unread)) == []
+    assert unread == []
 
 
 def _records(tower11, tower17):
@@ -337,12 +331,12 @@ def test_record_fields_defaults_and_properties():
 def test_scheme_partition_still_refuses_a_non_partition():
     part = shipped_partition(3)
     bad = ((0, 1), (2,), (3,), (4,))
-    with pytest.raises(schemes.BadForm):
+    with pytest.raises(InputError, match=r"^index lists must partition \[0, e\)$"):
         schemes.SchemePartition(17, 3, 12, bad)
-    with pytest.raises(schemes.BadForm):
+    with pytest.raises(InputError, match="^expected exactly four index lists$"):
         schemes.SchemePartition(17, 3, 12, part.h_lists[:3])
-    with pytest.raises(schemes.BadForm):
+    with pytest.raises(InputError, match=r"^index lists must partition \[0, e\)$"):
         part._replace(h_lists=bad)  # _replace builds through the same check
-    with pytest.raises(schemes.BadForm):
+    with pytest.raises(InputError, match=r"^index lists must partition \[0, e\)$"):
         schemes.SchemePartition._make((17, 3, 12, bad))
     assert part._replace(q=17) == part
