@@ -118,6 +118,12 @@ MUTANTS = [
         "tests/test_finite_field.py",
     ),
     Mutant(
+        "tower-entries-take-any-field", "finite_field.py",
+        "        if self.subfield is None:\n            raise InputError(f\"GF({self.p}^{self.f}) is not a quadratic tower GF(q) in GF(q^2)\")\n",
+        "",
+        "tests/test_cli.py",
+    ),
+    Mutant(
         "gauss-period-pairs-eta-not-flipped", "character_sums.py",
         "((r + q + 1) % e, -1)", "((r + q + 1) % e, 1)",
         "tests/test_character_sums.py",
@@ -131,6 +137,11 @@ MUTANTS = [
         "order8-sign-vector-last-delta-negated", "character_sums.py",
         "want = (eps * (2 * m + 1), delta, 0, delta)", "want = (eps * (2 * m + 1), delta, 0, -delta)",
         "tests/test_character_sums.py",
+    ),
+    Mutant(
+        "regular-family-without-its-partition", "intersection_sets.py",
+        "        if partition is None:\n            raise InputError(f\"the {family} family needs a scheme partition\")\n", "",
+        "tests/test_hadamard.py",
     ),
     Mutant(
         "table1-miss-least-residue-of-each-dual-class-only", "association_schemes.py",

@@ -107,7 +107,7 @@ def _check_form(ext: FieldContext, q: int, m: int, e: int, search: bool = False)
     """Refuse a (q, m, e) that is not of the paper's form: q and m on the
     regular FAMILIES row, e | q^2-1 and e | 4m^2.  A search also needs even
     e, and names all its conditions on e in one message."""
-    if ext.subfield is None or ext.subfield.q != q:
+    if ext._require_subfield().q != q:
         raise InputError(f"context is not the quadratic tower over GF({q})")
     if m < 1 or cs.family_q(m, "regular") != q:
         raise InputError(f"q = {q} is not of the regular form at m = {m}")
@@ -334,9 +334,7 @@ def scheme_search(ext: FieldContext, e: int, budget: int = DEFAULT_SEARCH_BUDGET
     ones with 0 in H_1, C(e/2 - 1, |H_1| - 1) * 2^(e/2 - 1) of them.  A
     search over budget raises BudgetExceeded before any work.
     """
-    if ext.subfield is None:
-        raise InputError("search needs the quadratic tower")
-    q = ext.subfield.q
+    q = ext._require_subfield().q
     m = cs.family_m(q, "regular")
     _check_form(ext, q, m, e, search=True)
     if (2 * m * m) % e != e // 2:

@@ -151,9 +151,8 @@ def gauss_period_pairs(ext: FieldContext, e: int) -> tuple[tuple[int, int], ...]
     and (-1 + eta(t) G_q(eta))/2 otherwise.  Class r mod e unites k = 2(q+1)/e
     of them; z_r have t = 0, so A_r = q z_r - k.  omega^(r'+q+1) = N(omega)
     omega^r' with N(omega) a non-square, so the upper q + 1 classes flip eta:
-    the tower's q + 1 stored relative traces decide every period."""
-    if ext.subfield is None:
-        raise InputError("exact periods need the quadratic tower GF(q) in GF(q^2)")
+    the tower's q + 1 stored relative traces decide every period.  ext is a
+    quadratic tower, which every caller has checked."""
     q = ext.subfield.q
     if e < 1 or 2 * (q + 1) % e:
         raise InputError(f"period order {e} does not divide 2(q+1) = {2 * (q + 1)}")
@@ -177,7 +176,8 @@ def signs_from_counts(diffs, family: str, m: int) -> tuple[int, int]:
     has B = (eps (2m+1), delta, 0, delta).
     e = 4 (G_q(eta)^2 = q for q = 1 mod 4): eps a + delta b i has
     B = (eps a, delta b), where (a, b) = (m, m+1) for odd m and (m+1, m) for
-    even m.  Any other vector raises NoMatch."""
+    even m.  The paper's theorem rules out any other vector, which raises
+    AssertionError."""
     for eps in (1, -1):
         for delta in (1, -1):
             if FAMILIES[family].sign_order == 8:
@@ -187,7 +187,7 @@ def signs_from_counts(diffs, family: str, m: int) -> tuple[int, int]:
                 want = (eps * a, delta * b)
             if diffs == want:
                 return eps, delta
-    raise InputError(f"Gauss-sum period differences {diffs} fit no {family} sign pair at m = {m}")
+    raise AssertionError(f"Gauss-sum period differences {diffs} fit no {family} sign pair at m = {m}")
 
 
 def gauss_signs(ext: FieldContext, family: str) -> tuple[int, int]:
@@ -197,10 +197,9 @@ def gauss_signs(ext: FieldContext, family: str) -> tuple[int, int]:
     The sign order e (8 or 4) divides 2(q + 1) but not q + 1, so class
     r + e/2 is class r times a nonsquare of GF(q): in gauss_period_pairs(ext,
     e), B_(r+e/2) = -B_r and the A_r cancel from G_{q^2}(chi_e) = sum_r
-    zeta_e^r P_e[r].  So G_{q^2}(chi_e) = G_q(eta) sum_j B_j zeta_e^j, j < e/2."""
+    zeta_e^r P_e[r].  So G_{q^2}(chi_e) = G_q(eta) sum_j B_j zeta_e^j, j < e/2.
+    ext is a quadratic tower, which every caller has checked."""
     order = _sign_order(family)
-    if ext.subfield is None:
-        raise InputError("the sign pair needs the quadratic tower GF(q) in GF(q^2)")
     m = family_m(ext.subfield.q, family)
     pairs = gauss_period_pairs(ext, order)
     return signs_from_counts(tuple(b for _, b in pairs[: order // 2]), family, m)
@@ -208,11 +207,11 @@ def gauss_signs(ext: FieldContext, family: str) -> tuple[int, int]:
 
 def decompose_gauss(ext: FieldContext, family: str) -> GaussDecomposition:
     """Resolve the sign pair (epsilon, delta) of the order-8 or order-4
-    Gauss-sum closed form over GF(q^2) against the numeric sum."""
+    Gauss-sum closed form over GF(q^2) against the numeric sum; the paper's
+    theorem rules out a sum that matches no pair, which raises
+    AssertionError."""
     order = _sign_order(family)  # refuses a family without a sign pair before any sum
-    if ext.subfield is None:
-        raise InputError("decomposition needs the quadratic tower GF(q) in GF(q^2)")
-    base = ext.subfield
+    base = ext._require_subfield()
     q = base.q
     m = family_m(q, family)
     g_eta = gauss_sum(base, 2, 1)
@@ -224,7 +223,7 @@ def decompose_gauss(ext: FieldContext, family: str) -> GaussDecomposition:
                 cand = g_eta * (eps * (2 * m + 1) + delta * sqrt_m2)
                 if abs(cand - target) < TOL:
                     return GaussDecomposition(eps, delta, FORM_ORDER8, m, cand)
-        raise InputError(f"no order-8 sign pattern matches at q = {q}")
+        raise AssertionError(f"no order-8 sign pattern matches at q = {q}")
     # sign order 4
     target = g_eta * gauss_sum(ext, 4, 1) / q
     form = FORM_ORDER4_ODD if m % 2 else FORM_ORDER4_EVEN
@@ -234,7 +233,7 @@ def decompose_gauss(ext: FieldContext, family: str) -> GaussDecomposition:
             cand = eps * a + delta * b * 1j
             if abs(cand - target) < TOL:
                 return GaussDecomposition(eps, delta, form, m, cand)
-    raise InputError(f"no order-4 sign pattern matches at q = {q}")
+    raise AssertionError(f"no order-4 sign pattern matches at q = {q}")
 
 
 def _sign_order(family: str) -> int:

@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 
-from .errors import BadEll, Error, InputError, VerifyError
+from .errors import BadEll, Error, InputError
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -197,7 +197,7 @@ def cmd_search_params(args) -> int:
     # the rows of one period P; each ell + kP up to max_ell shares its row's fields
     rows = [_param_row(choice) for choice in admissible_params(ext, family, partition)]
     if not rows:
-        raise VerifyError("no admissible parameters found; this contradicts the nonemptiness counts")
+        raise AssertionError("no admissible parameters found; this contradicts the nonemptiness counts")
     print(json.dumps({"max_ell": q * q - 2, "period": 2 * (q + 1), "rows": rows}, sort_keys=True))
     return EXIT_OK
 

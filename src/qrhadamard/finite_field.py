@@ -17,7 +17,8 @@ tables, the last of them its Zech logarithms (K. Huber, "Some comments on
 Zech's logarithms", IEEE Trans. Inf. Theory 36, 1990):
 
 - ``trace_table[k] = Tr(omega^k)``, an int in [0, p): Tr is GF(p)-linear,
-  so it is the coordinates of omega^k weighted by Tr(x^j), j < f;
+  so it is the coordinates of omega^k weighted by Tr(x^j), j < f, the
+  power sums of the modulus's roots, which Newton's identities give;
 - ``log_table[w]``, the log of the element whose coordinates are the base-p
   digits of w, constant term lowest, so the constant c has index c;
 - ``zech_table[k] = Z(k) = log(1 + omega^k)``, where the index of
@@ -145,19 +146,6 @@ def _sub_poly(a: list[int], b: list[int], p: int) -> list[int]:
     return _trim([(x - y) % p for x, y in zip(a, b)])
 
 
-def _trace_poly(a: list[int], mod: tuple[int, ...], p: int) -> int:
-    """Tr(a) = a + a^p + ... + a^(p^(f-1)); it must land in GF(p)."""
-    f = len(mod) - 1
-    acc = [0] * f
-    for _ in range(f):
-        for j, c in enumerate(a):
-            acc[j] = (acc[j] + c) % p
-        a = _powmod(a, p, mod, p)
-    if any(acc[1:]):
-        raise AssertionError("trace landed outside the prime field")
-    return acc[0]
-
-
 def _solve_mod_p(columns: list[list[int]], rhs: list[int], p: int) -> list[int]:
     """x with sum_j x[j] columns[j] = rhs over GF(p); the columns are
     independent and rhs lies in their span."""
@@ -275,7 +263,10 @@ class FieldContext:
             cols.append(_vec(col, f))
             col = _reduce([0, *col], mod_poly, p)
         rows = list(zip(*cols))
-        traces = [_trace_poly([0] * j + [1], mod_poly, p) for j in range(f)]  # Tr(x^j)
+        # Tr(x^j), the power sums of the modulus's roots, by Newton's identities
+        traces = [f % p]
+        for j in range(1, f):
+            traces.append(-(j * mod_poly[f - j] + sum(mod_poly[f - i] * traces[j - i] for i in range(1, j))) % p)
         digits = [p**j for j in range(f)]
         log = array("i", [ZERO]) * q
         trace = array("i", [0]) * n
@@ -426,8 +417,10 @@ class FieldContext:
     # -- subfield machinery ---------------------------------------------------
 
     def _require_subfield(self) -> FieldContext:
+        """GF(q) of the quadratic tower GF(q) in GF(q^2) that this field is,
+        the one check of that precondition; InputError for any other field."""
         if self.subfield is None:
-            raise InputError(f"GF({self.p}^{self.f}) has no index-2 subfield here")
+            raise InputError(f"GF({self.p}^{self.f}) is not a quadratic tower GF(q) in GF(q^2)")
         return self.subfield
 
     def embed(self, x: int) -> int:

@@ -42,7 +42,7 @@ def construct_q1(ctx: FieldContext, variant: str = "plain") -> SignMatrix:
     if ctx.q % 4 != 1:
         raise InputError(f"q = {ctx.q} is not 1 mod 4")
     if variant not in ("plain", "negated2"):
-        raise VerifyError(f"unknown variant {variant!r}")
+        raise InputError(f"unknown variant {variant!r}")
     q = ctx.q
     n = 2 * q + 2
     # sign-mask rows of M1 = M+I, M2 = M-I, M3 = -M1 (bit set = entry -1),
@@ -65,7 +65,7 @@ def apply_signing(h: SignMatrix, row_mask: int, col_mask: int) -> SignMatrix:
     negated where bit j of col_mask is set."""
     n = h.n
     if row_mask >> n or col_mask >> n:
-        raise VerifyError(f"sign masks must have no bit at position {n} or above")
+        raise InputError(f"sign masks must have no bit at position {n} or above")
     full = (1 << n) - 1
     rows = [r ^ col_mask ^ (full if row_mask >> i & 1 else 0) for i, r in enumerate(h.rows)]
     return SignMatrix(n, rows)
@@ -105,10 +105,8 @@ def base_matrix(family: str, base: FieldContext) -> SignMatrix:
 
 def _require_family(ext: FieldContext, family: str) -> int:
     if family not in FAMILIES:
-        raise VerifyError(f"unknown family {family!r}")
-    if ext.subfield is None:
-        raise VerifyError("transforms need the quadratic tower over GF(q)")
-    return cs.family_m(ext.subfield.q, family)
+        raise InputError(f"unknown family {family!r}")
+    return cs.family_m(ext._require_subfield().q, family)
 
 
 def transform(ext: FieldContext, family: str, ell: int | None = None, partition=None):
@@ -126,12 +124,11 @@ def transform(ext: FieldContext, family: str, ell: int | None = None, partition=
     - q1, q = 2m^2+2m+1: order 2q+2, row sums {2m-2, 2m+2} for odd m and
       {2m, 2m+4} for even m.
     - regular, q = 2m^2-1 with m odd: order 4m^2, every row sum 2m, via the
-      verified four-class partition of GF(q^2) given as partition.
+      verified four-class partition of GF(q^2) given as partition, which the
+      parameter search checks (InputError when it is missing).
     """
     m = _require_family(ext, family)
     fam = FAMILIES[family]
-    if fam.partition and partition is None:
-        raise VerifyError(f"the {family} family needs a scheme partition")
     q = ext.subfield.q
     if ell is None:
         params = isets.find_params(ext, family, partition)

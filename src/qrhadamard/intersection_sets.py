@@ -21,7 +21,7 @@ from collections import namedtuple
 from math import gcd
 
 from . import character_sums as cs
-from .errors import BadEll, InputError, VerifyError
+from .errors import BadEll, InputError
 from .finite_field import ZERO, FieldContext
 
 
@@ -139,9 +139,7 @@ def intersection_profile(mask: int, design: BlockDesign) -> IntersectionSet:
 
 
 def _validate_dlh_args(ext: FieldContext, ell: int, e: int, H) -> frozenset[int]:
-    if ext.subfield is None:
-        raise InputError("D_{l,H} lives in a quadratic tower")
-    q = ext.subfield.q
+    q = ext._require_subfield().q
     if e < 2 or ext.order % e:
         raise InputError(f"e = {e} does not divide q^2-1")
     if e // gcd(e, q + 1) != 2:
@@ -188,10 +186,9 @@ def admissible_at(ext: FieldContext, family: str, partition, ell: int) -> ParamC
 
 def _admissibility(ext: FieldContext, family: str, partition):
     """admissible_at as a function of ell alone, with the sign pair or the
-    scheme's tau, which every ell shares, computed at the call."""
-    if ext.subfield is None:
-        raise InputError("parameter search needs the quadratic tower")
-    q = ext.subfield.q
+    scheme's tau, which every ell shares, computed at the call.  The one
+    check that the regular family has a partition."""
+    q = ext._require_subfield().q
     m = cs.family_m(q, family)
     order = cs.FAMILIES[family].sign_order
     if order is None:  # the scheme partition's classes and tau
@@ -269,7 +266,8 @@ def scheme_dsets(ext: FieldContext, part, ell: int) -> tuple[int, int]:
 
 
 def find_params(ext: FieldContext, family: str, partition=None) -> ParamChoice:
-    """Smallest admissible ell with its h; a VerifyError signals a bug."""
+    """Smallest admissible ell with its h.  The paper's theorem rules out an
+    empty period, which raises AssertionError."""
     for choice in admissible_params(ext, family, partition):
         return choice
-    raise VerifyError(f"no admissible parameters for family {family} at q = {ext.subfield.q}")
+    raise AssertionError(f"no admissible parameters for family {family} at q = {ext.subfield.q}")

@@ -29,7 +29,7 @@ import os
 from collections import namedtuple
 from math import isqrt
 
-from .errors import InputError, VerifyError
+from .errors import InputError
 
 _TO_TEXT = str.maketrans("01", "+-")
 _FROM_TEXT = str.maketrans("+-", "01")
@@ -43,7 +43,7 @@ class SignMatrix:
     def __init__(self, n: int, rows):
         rows = list(rows)
         if len(rows) != n or any(r >> n for r in rows):  # r >> n is -1 for a negative r
-            raise VerifyError("row masks inconsistent with order n")
+            raise InputError("row masks inconsistent with order n")
         self.n = n
         self.rows = rows
 
@@ -248,11 +248,12 @@ def _scan(rows, n: int, first: int, step: int, board, slot: int, parent: int | N
 
 
 def _forked_scan(rows, n: int, w: int) -> tuple[int, int] | None:
-    """_scan of rows i = k (mod w) in scanner k: this process is scanner 0,
-    and w - 1 forked children, which inherit the rows and the board, say
-    nothing but their exit status.  The smallest row on the board is the
-    serial scan's first bad row, so this process names the pair with one
-    more pass over that row.  A child leaves through os._exit, so it never
+    """_scan of rows i = k (mod w) in scanner k, all but row 0, which the
+    caller has scanned: this process is scanner 0, from row w on, and w - 1
+    forked children, which inherit the rows and the board, say nothing but
+    their exit status.  The smallest row on the board is the serial scan's
+    first bad row, so this process names the pair with one more pass over
+    that row.  A child leaves through os._exit, so it never
     unwinds into a caller's finally, runs no atexit handler and flushes no
     inherited stdio.  Every child is reaped before this returns or raises,
     after a kill if this process raised.  Raises OSError when a fork fails,
@@ -276,7 +277,7 @@ def _forked_scan(rows, n: int, w: int) -> tuple[int, int] | None:
                     finally:
                         os._exit(code)
                 children.append(pid)
-            _scan(rows, n, 0, w, board, 0)
+            _scan(rows, n, w, w, board, 0)
         except BaseException:
             for pid in children:
                 os.kill(pid, signal.SIGKILL)
@@ -292,7 +293,7 @@ def _forked_scan(rows, n: int, w: int) -> tuple[int, int] | None:
 def bound_params(n: int) -> tuple[int, int, int, int]:
     """(k, t, s, bound) of the excess upper bound."""
     if n < 4:
-        raise VerifyError("excess bound is stated for n >= 4")
+        raise InputError("excess bound is stated for n >= 4")
     k = isqrt(n)
     k -= k % 2
     t = k if abs(n - k * k) < abs(n - (k + 2) ** 2) else k - 2

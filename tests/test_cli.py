@@ -27,6 +27,7 @@ from conftest import (
     sylvester,
 )
 from qrhadamard import association_schemes as schemes
+from qrhadamard import character_sums as cs
 from qrhadamard import cli, errors, finite_field
 from qrhadamard import hadamard as hd
 from qrhadamard import intersection_sets as isets
@@ -405,12 +406,12 @@ def test_search_params_streams_the_json_list(capsys, family, q, limit):
 
 
 def test_search_params_with_no_rows_prints_nothing(capsys, monkeypatch):
+    # the paper's counts rule out an empty period: a bug, which keeps its traceback
     monkeypatch.setattr(isets, "admissible_params", lambda *args, **kwargs: iter(()))
     capsys.readouterr()
-    assert main(["search-params", "--family", "q3", "--q", "11"]) == 1
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == "error: no admissible parameters found; this contradicts the nonemptiness counts\n"
+    with pytest.raises(AssertionError, match="^no admissible parameters found; this contradicts the nonemptiness counts$"):
+        main(["search-params", "--family", "q3", "--q", "11"])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_search_params_scheme(capsys):
@@ -1327,6 +1328,60 @@ def test_any_other_exception_keeps_its_traceback(monkeypatch):
     monkeypatch.setattr(cli, "cmd_verify", raises)
     with pytest.raises(ValueError, match="^a bug$"):
         main(["verify", "any.mat"])
+
+
+# the entries that take the quadratic tower GF(q) in GF(q^2)
+_TOWER_ENTRIES = {
+    "transform": lambda ctx: hd.transform(ctx, "q3"),
+    "build_dlh": lambda ctx: isets.build_dlh(ctx, 1, 8, range(4)),
+    "find_params": lambda ctx: isets.find_params(ctx, "q3"),
+    "admissible_params": lambda ctx: isets.admissible_params(ctx, "q3"),
+    "admissible_at": lambda ctx: isets.admissible_at(ctx, "q3", None, 1),
+    "verify_scheme": lambda ctx: schemes.verify_scheme(ctx, shipped_partition(3)),
+    "scheme_search": lambda ctx: schemes.scheme_search(ctx, 12),
+    "decompose_gauss": lambda ctx: cs.decompose_gauss(ctx, "q3"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_TOWER_ENTRIES))
+def test_every_tower_entry_refuses_another_field_with_one_message(entry):
+    for p, f in ((11, 1), (3, 3)):
+        with pytest.raises(InputError, match=rf"^GF\({p}\^{f}\) is not a quadratic tower GF\(q\) in GF\(q\^2\)$"):
+            _TOWER_ENTRIES[entry](finite_field.build_field(p, f))
+
+
+def test_a_missing_partition_is_one_input_error_from_every_entry():
+    ext, _ = finite_field.quadratic_tower(17)
+    calls = {
+        "transform": lambda: hd.transform(ext, "regular"),
+        "transform with ell": lambda: hd.transform(ext, "regular", 3),
+        "find_params": lambda: isets.find_params(ext, "regular"),
+        "admissible_params": lambda: isets.admissible_params(ext, "regular"),
+        "admissible_at": lambda: isets.admissible_at(ext, "regular", None, 3),
+    }
+    for name, call in calls.items():
+        with pytest.raises(InputError, match="^the regular family needs a scheme partition$"):
+            call()
+            pytest.fail(name)
+
+
+def test_library_misuse_is_an_input_error():
+    ext, _ = finite_field.quadratic_tower(11)
+    with pytest.raises(InputError, match="^unknown family 'q2'$"):
+        hd.transform(ext, "q2")
+    with pytest.raises(InputError, match="^unknown variant 'twisted'$"):
+        hd.construct_q1(finite_field.build_field(5), "twisted")
+
+
+def test_states_the_theorem_rules_out_are_assertion_errors(monkeypatch):
+    ext, _ = finite_field.quadratic_tower(11)
+    monkeypatch.setattr(isets, "admissible_params", lambda *args, **kwargs: iter(()))
+    with pytest.raises(AssertionError, match="^no admissible parameters for family q3 at q = 11$"):
+        isets.find_params(ext, "q3")
+    monkeypatch.setattr(cs, "gauss_sum", lambda *args: 0.5)  # a sum no sign pair matches
+    for family, q, order in (("q3", 11, 8), ("q1", 5, 4)):
+        with pytest.raises(AssertionError, match=f"^no order-{order} sign pattern matches at q = {q}$"):
+            cs.decompose_gauss(finite_field.quadratic_tower(q)[0], family)
 
 
 def _partition_with_e(e: int) -> str:

@@ -205,6 +205,18 @@ def test_exp_table_covers_nonzero_elements():
         assert [ctx.trace(k) for k in range(n)] == [oracle.trace(k) for k in range(n)]
 
 
+@pytest.mark.parametrize("p,f", [(3, 3), (2, 5), (5, 3), (3, 7)])
+def test_trace_table_is_the_sum_of_the_frobenius_powers(p, f):
+    # the table's Tr(x^j) come from the modulus by Newton's identities; the
+    # brute force adds omega^(k p^i), i < f, with the field's own Zech logs
+    ctx = build_field(p, f)
+    for k in ctx.nonzero():
+        tr, c = ZERO, k
+        for _ in range(f):
+            tr, c = ctx.add(tr, c), ctx.frobenius(c)
+        assert tr == ctx.from_int(ctx.trace_table[k]), k
+
+
 @pytest.mark.parametrize("p,f", [(2, 1), (2, 4), (3, 3), (3, 6), (5, 2), (7, 4), (29, 2), (5, 3), (3, 5)])
 def test_field_core_against_naive_polynomial_oracle(p, f):
     ctx = build_field(p, f)

@@ -58,7 +58,7 @@ def test_is_hadamard_basics():
 def test_sign_matrix_refuses_rows_that_break_the_order():
     assert hd.SignMatrix(2, [0, 0b11]).rows == [0, 0b11]
     for rows in ([0], [0, 0, 0], [0, 0b100], [0, -1]):  # row count, a bit at position n, a negative row
-        with pytest.raises(VerifyError, match="^row masks inconsistent with order n$"):
+        with pytest.raises(InputError, match="^row masks inconsistent with order n$"):
             hd.SignMatrix(2, rows)
 
 
@@ -177,7 +177,7 @@ def test_excess_report_order4():
 def test_excess_report_rejects_non_hadamard():
     with pytest.raises(NotHadamard, match="^rows 0 and 1 are not orthogonal$"):
         excess_and_bound(from_entries([[1] * 4] * 4))
-    with pytest.raises(VerifyError, match="^excess bound is stated for n >= 4$"):
+    with pytest.raises(InputError, match="^excess bound is stated for n >= 4$"):
         excess_and_bound(from_entries([[1, 1], [1, -1]]))  # n < 4
 
 
@@ -191,7 +191,7 @@ def test_apply_signing_involution_and_excess_flip():
     twice = hd.apply_signing(hd.apply_signing(h, signs, 0), signs, 0)
     assert twice == h
     for rows, cols in ((1 << n, 0), (0, 1 << n), (-1, 0)):
-        with pytest.raises(VerifyError, match=f"^sign masks must have no bit at position {n} or above$"):
+        with pytest.raises(InputError, match=f"^sign masks must have no bit at position {n} or above$"):
             hd.apply_signing(h, rows, cols)
 
 
@@ -276,8 +276,9 @@ def test_transform_regular_m3(tower17):
     assert rep.row_sums == ((6, 36),)
     assert rep.excess == 216 == rep.bound
     assert rep.classification == "regular(r=6)"
-    with pytest.raises(VerifyError, match="^the regular family needs a scheme partition$"):
-        hd.transform(ext, "regular")
+    for ell in (None, 3):  # the parameter search checks the partition, with ell or without
+        with pytest.raises(InputError, match="^the regular family needs a scheme partition$"):
+            hd.transform(ext, "regular", ell)
 
 
 def test_transform_wrong_family():
@@ -799,6 +800,29 @@ def test_a_bad_row_0_is_named_without_forking_a_scanner(monkeypatch):
     monkeypatch.setattr(mx, "_scanner_count", lambda n: 2)
     monkeypatch.setattr(os, "fork", no_fork)
     assert hd.hadamard_violation(h) == want
+
+
+def test_the_split_scan_covers_each_row_once(split_scan_matrices, monkeypatch, tmp_path):
+    # each _scan call, in this process or a forked scanner, appends its first
+    # row and step to the log of its w; on a Hadamard matrix every call runs
+    # to the end
+    h = split_scan_matrices["kronecker-512"]
+    real_scan = mx._scan
+    for w in (2, 3):
+        log = tmp_path / f"scans-{w}"
+        with open(log, "ab", buffering=0) as fh:  # unbuffered: a scanner leaves through os._exit
+
+            def scan(rows, n, first, step, *rest):
+                fh.write(f"{first} {step}\n".encode())
+                return real_scan(rows, n, first, step, *rest)
+
+            monkeypatch.setattr(mx, "_scan", scan)
+            monkeypatch.setattr(mx, "_scanner_count", lambda n, w=w: w)
+            assert hd.hadamard_violation(h) is None
+        assert_no_child_left()
+        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        covered = Counter(i for first, step in calls for i in range(first, h.n, step))
+        assert covered == Counter(range(h.n)), w  # row 0 by the serial probe alone
 
 
 def test_scanner_count_follows_the_usable_cpus_and_the_order():
